@@ -1051,7 +1051,6 @@ let ablation () =
 
 let rerand () =
   Plan_cache.clear ();
-  Dapper_binary.Stackmap_index.reset_counters ();
   let c = Registry.compiled (Registry.find "redis") in
   let bin = c.Link.cp_x86 in
   let p = Process.load bin in

@@ -14,17 +14,12 @@ type t = {
   ix_by_addr : func_entry array; (* sorted by fm_addr *)
 }
 
-(* ----- observability counters (reported in the migration cost report) ----- *)
+(* ----- observability: lookups, reported per run by the rewriter as a
+   delta of this process-global count ----- *)
 
 let lookups = ref 0
-let builds = ref 0
 
 let lookup_count () = !lookups
-let build_count () = !builds
-
-let reset_counters () =
-  lookups := 0;
-  builds := 0
 
 (* All lookups match the first-hit semantics of the linear scans they
    replace, so duplicate names/addresses (which well-formed stack maps
@@ -57,7 +52,6 @@ let entry_of_fm (fm : Stackmap.func_map) =
     fe_live; fe_live_named }
 
 let build maps =
-  incr builds;
   let entries = List.map entry_of_fm maps in
   let ix_by_name = Hashtbl.create (List.length entries * 2) in
   List.iter (fun fe -> add_first ix_by_name fe.fe_fm.Stackmap.fm_name fe) entries;

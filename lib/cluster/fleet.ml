@@ -31,8 +31,6 @@ type config = {
   f_fault : Fault.t option;
   f_placement : Placement.t;
   f_node_gate : (node:int -> now_ms:float -> bool) option;
-  f_node_report : (node:int -> now_ms:float -> ok:bool -> unit) option;
-  f_slo_gate : (now_ms:float -> bool) option;
 }
 
 let default_config =
@@ -40,8 +38,7 @@ let default_config =
     f_rpi_slots_each = 3; f_evict = true; f_bytes_scale = 1.0;
     f_job_fuel = 50_000_000; f_speed_scale = 4200.0; f_pause_budget = 50_000_000;
     f_transport = Transport.scp Dapper_net.Link.infiniband; f_fault = None;
-    f_placement = Placement.Latest_start; f_node_gate = None;
-    f_node_report = None; f_slo_gate = None }
+    f_placement = Placement.Latest_start; f_node_gate = None }
 
 type stats = {
   f_jobs_done : int;
@@ -144,30 +141,20 @@ let run config (jobs : Link.compiled list) =
      boundary) and firing, only earlier evictions of the same quantum
      run, and those never free a Xeon slot or touch another Pi. *)
   let deferred = ref 0 in
-  let gate_ok f = match f with None -> true | Some g -> g in
-  let report ~node ~now_ms ~ok =
-    match config.f_node_report with
-    | None -> ()
-    | Some r -> r ~node ~now_ms ~ok
-  in
   let attempt_eviction q pi =
     if
       pi.s_job = None && (not pi.s_dead)
       && Array.for_all (fun s -> s.s_job <> None) xeon_slots
     then
-      (* health admission: a quarantined destination or a traffic plane
-         already missing its SLO defers the eviction — the slot stays
-         free and the next boundary re-arms it, so deferral is backoff,
-         not loss *)
-      if
-        not
-          (gate_ok
-             (Option.map
-                (fun g -> g ~node:pi.s_idx ~now_ms:(time_of q))
-                config.f_node_gate)
-           && gate_ok
-                (Option.map (fun g -> g ~now_ms:(time_of q)) config.f_slo_gate))
-      then begin
+      (* health admission: a closed destination gate defers the
+         eviction — the slot stays free and the next boundary re-arms
+         it, so deferral is backoff, not loss *)
+      let admitted =
+        match config.f_node_gate with
+        | Some gate -> gate ~node:pi.s_idx ~now_ms:(time_of q)
+        | None -> true
+      in
+      if not admitted then begin
         incr deferred;
         Metrics.inc m_deferred
       end
@@ -226,17 +213,15 @@ let run config (jobs : Link.compiled list) =
               if node_killed then begin
                 incr eviction_retries;
                 Metrics.inc m_eviction_retries;
-                recover job.r_compiled.Link.cp_app;
-                report ~node:pi.s_idx ~now_ms:(time_of q) ~ok:false
+                recover job.r_compiled.Link.cp_app
               end
               else
-                Trace.span ~cat:"fleet" "eviction"
+                Trace.with_span ~cat:"fleet" "eviction"
                   ~args:[ ("app", job.r_compiled.Link.cp_app) ]
-                @@ fun () ->
+                @@ fun _ ->
                 (match Session.run scfg job.r_proc with
                  | Ok st ->
                    let r = Session.finish st in
-                   report ~node:pi.s_idx ~now_ms:(time_of q) ~ok:true;
                    incr evictions;
                    Metrics.inc m_evictions;
                    let cost = Session.total_ms r.Session.r_times in
@@ -255,7 +240,6 @@ let run config (jobs : Link.compiled list) =
                       advance covers its replacement job *)
                    push_ev q (key_advance pi.s_idx) (Advance pi.s_idx)
                  | Error e ->
-                   report ~node:pi.s_idx ~now_ms:(time_of q) ~ok:false;
                    (* The session's rollback already resumed the source. A
                       transient failure (drain budget exhausted, transfer
                       timed out, node lost) leaves the job in place to
@@ -342,37 +326,35 @@ let run config (jobs : Link.compiled list) =
         rpi_slots;
     if q + 1 < quanta then push_ev (q + 1) key_boundary Boundary
   in
-  (* Drain the heap. Trace spans still group per quantum index so the
-     trace shape matches the old loop; each quantum accounts for
-     [f_quantum_ms] of window wall time (an eviction's session spans may
-     already have charged more). *)
-  let open_q = ref (-1) in
-  let leave_quantum () =
-    if !open_q >= 0 then Trace.leave ~dur_ns:(config.f_quantum_ms *. 1e6) ()
-  in
-  let enter_quantum q =
-    leave_quantum ();
-    Trace.enter ~cat:"fleet" "quantum" ~args:[ ("q", string_of_int q) ];
-    Metrics.inc m_quanta;
-    open_q := q
-  in
-  if quanta > 0 then push_ev 0 key_boundary Boundary;
-  let rec drain () =
-    match Event_heap.pop heap with
-    | None -> ()
-    | Some (_, (q, ev)) ->
+  (* Drain the heap one quantum at a time, each quantum's events inside
+     one trace span that accounts for [f_quantum_ms] of window wall time
+     (an eviction's session spans may already have charged more). *)
+  let rec run_quantum q =
+    match Event_heap.peek heap with
+    | Some (_, (q', ev)) when q' = q ->
+      ignore (Event_heap.pop heap);
       incr events;
       Metrics.inc m_events;
-      if q <> !open_q then enter_quantum q;
       (match ev with
        | Boundary -> boundary q
        | Evict i -> attempt_eviction q all_slots.(i)
        | Advance i -> advance q all_slots.(i));
+      run_quantum q
+    | _ -> ()
+  in
+  let rec drain () =
+    match Event_heap.peek heap with
+    | None -> ()
+    | Some (_, (q, _)) ->
+      Metrics.inc m_quanta;
+      Trace.with_span ~cat:"fleet" "quantum" ~args:[ ("q", string_of_int q) ]
+        (fun cl ->
+          Trace.set_dur cl (config.f_quantum_ms *. 1e6);
+          run_quantum q);
       drain ()
   in
-  (* a raising eviction (Fleet_error) must not leak the open quantum
-     span: close it on every exit path *)
-  Fun.protect ~finally:(fun () -> leave_quantum ()) drain;
+  if quanta > 0 then push_ev 0 key_boundary Boundary;
+  drain ();
   let busy arch =
     Array.fold_left
       (fun acc s -> if s.s_node.Node.n_arch = arch then acc +. s.s_busy_ms else acc)

@@ -62,13 +62,6 @@ type config = {
           quantum boundary re-arms it). Wire [Dapper_health.Quarantine]
           here. [None] (default): every attempt admitted — byte-identical
           to the pre-health engine. *)
-  f_node_report : (node:int -> now_ms:float -> ok:bool -> unit) option;
-      (** outcome feedback per destination node, fired after every
-          admitted attempt (success, session failure, or node killed by
-          the fault plane) — the health plane's failure-EWMA input. *)
-  f_slo_gate : (now_ms:float -> bool) option;
-      (** fleet-wide SLO gate: [false] (e.g. the live traffic p99 sketch
-          is already over budget) defers every eviction this quantum. *)
 }
 
 val default_config : config
@@ -98,9 +91,8 @@ type stats = {
       (** heap events processed over the window — the engine's work, in
           place of the former [quanta x slots] scan cost *)
   f_deferred : int;
-      (** eviction attempts deferred by the health gates ([f_node_gate] /
-          [f_slo_gate]) — backoff, not loss: the slot re-arms at the next
-          boundary *)
+      (** eviction attempts deferred by the health gate ([f_node_gate]) —
+          backoff, not loss: the slot re-arms at the next boundary *)
 }
 
 exception Fleet_error of string

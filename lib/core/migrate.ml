@@ -66,19 +66,10 @@ let stage_histogram_table () =
     Dapper_error.[ Pause; Dump; Recode; Transfer; Restore; Commit ];
   Buffer.contents buf
 
-(* Process-global cache/index counters an experiment may want zeroed
-   between runs so successive cost reports don't difference across each
-   other's traffic. The per-rewrite [Rewrite.stats] counters are already
-   scoped (attached {!Plan_cache.counters} sinks) and unaffected. *)
-let reset_run_counters () =
-  Plan_cache.reset_counters ();
-  Stackmap_index.reset_counters ()
-
 (* Cost report with the index/plan-cache observability counters; new
    surfaces only (the fig5/fig7 tables keep their exact seed format).
-   [stage_histograms] appends the registry-backed per-stage table;
-   [reset] zeroes the process-global counters after rendering. *)
-let cost_report ?(stage_histograms = false) ?(reset = false) (r : result) =
+   [stage_histograms] appends the registry-backed per-stage table. *)
+let cost_report ?(stage_histograms = false) (r : result) =
   let t = r.r_times in
   let rw = r.r_rewrite in
   let line =
@@ -102,7 +93,6 @@ let cost_report ?(stage_histograms = false) ?(reset = false) (r : result) =
           rw.Rewrite.st_skipped_bytes
     else line
   in
-  if reset then reset_run_counters ();
   if stage_histograms then line ^ "\n" ^ stage_histogram_table () else line
 
 let migrate ?(lazy_pages = false) ?(link = Link.infiniband) ?recode_on

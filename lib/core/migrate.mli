@@ -69,20 +69,12 @@ val recode_ns : Node.t -> ?workers:int -> bytes:int -> Rewrite.stats -> float
 val checkpoint_ms : node:Node.t -> bytes:int -> float
 val restore_ms : node:Node.t -> bytes:int -> float
 
-(** Zero the process-global plan-cache and stack-map-index counters, so
-    successive experiments' cost reports don't difference across each
-    other's traffic. The per-rewrite counters in {!Rewrite.stats} are
-    scoped to their run (attached {!Plan_cache.counters} sinks) and are
-    not affected. *)
-val reset_run_counters : unit -> unit
-
 (** One-line migration cost report: phase times plus the index and
     rewrite-plan-cache counters ({!Rewrite.stats} observability
     fields); when the run used a recode memo that hit, an extra memo
     clause (legacy format is untouched otherwise). With
-    [stage_histograms], appends {!stage_histogram_table}; with [reset],
-    calls {!reset_run_counters} after rendering. *)
-val cost_report : ?stage_histograms:bool -> ?reset:bool -> result -> string
+    [stage_histograms], appends {!stage_histogram_table}. *)
+val cost_report : ?stage_histograms:bool -> result -> string
 
 (** Plain-text table of the per-stage cost histograms
     ([session.stage_ms.*] in the {!Dapper_obs.Metrics} registry),

@@ -39,46 +39,7 @@ type key = {
 
 let cache : (key, plan) Hashtbl.t = Hashtbl.create 256
 
-let hits_counter = ref 0
-let misses_counter = ref 0
-
-let hits () = !hits_counter
-let misses () = !misses_counter
-
-(* Per-run counter scoping: the process-global tallies above bleed
-   across experiments (anything may reset them between two lookups a
-   caller wants to difference), so a run that needs trustworthy numbers
-   attaches its own sink for its duration. Every lookup feeds the
-   globals and every attached sink. *)
-type counters = { mutable c_hits : int; mutable c_misses : int }
-
-let fresh_counters () = { c_hits = 0; c_misses = 0 }
-
-let sinks : counters list ref = ref []
-
-let attach c = sinks := c :: !sinks
-let detach c = sinks := List.filter (fun s -> s != c) !sinks
-
-let counting f =
-  let c = fresh_counters () in
-  attach c;
-  Fun.protect ~finally:(fun () -> detach c) (fun () -> (f (), c))
-
-let record_hit () =
-  incr hits_counter;
-  List.iter (fun c -> c.c_hits <- c.c_hits + 1) !sinks
-
-let record_miss () =
-  incr misses_counter;
-  List.iter (fun c -> c.c_misses <- c.c_misses + 1) !sinks
-
-let reset_counters () =
-  hits_counter := 0;
-  misses_counter := 0
-
-let clear () =
-  Hashtbl.reset cache;
-  reset_counters ()
+let clear () = Hashtbl.reset cache
 
 let shape_of_live live =
   List.map
@@ -118,14 +79,11 @@ let lookup ~app ~src_arch ~dst_arch ~fn ~ep_id ~(src_ep : Stackmap.eqpoint)
   let shape = { sh_src = shape_of_live src_ep.ep_live;
                 sh_dst = shape_of_live dst_ep.ep_live } in
   match Hashtbl.find_opt cache key with
-  | Some plan when plan.pl_shape = shape ->
-    record_hit ();
-    plan
+  | Some plan when plan.pl_shape = shape -> (plan, true)
   | _ ->
-    record_miss ();
     let plan = derive shape in
     Hashtbl.replace cache key plan;
-    plan
+    (plan, false)
 
 (* ----- output-level memoization -----
 

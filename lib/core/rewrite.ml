@@ -175,11 +175,6 @@ let place_frames ix_dst tid (ts : Unwind.thread_stack) =
 (* ----- the rewrite ----- *)
 
 let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binary.t) =
-  (* per-run plan counters ride an attached sink, immune to concurrent
-     resets of the process-global tallies mid-rewrite *)
-  let pc = Plan_cache.fresh_counters () in
-  Plan_cache.attach pc;
-  Fun.protect ~finally:(fun () -> Plan_cache.detach pc) @@ fun () ->
   if not (Arch.equal image.is_files.fi_arch src.bin_arch) then
     fail "image architecture %s does not match source binary %s"
       (Arch.name image.is_files.fi_arch) (Arch.name src.bin_arch);
@@ -207,16 +202,18 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
       fail "%s: plan expects frame-resident live value at ep %d" fn ep_id
   in
   let intervals = ref [] in
+  let plan_hits = ref 0 and plan_misses = ref 0 in
   List.iter
     (fun ((_ : Unwind.thread_stack), dframes) ->
       List.iter
         (fun df ->
           let fn = df.df_fm.Stackmap.fm_name in
           let ep_id = df.df_ep.Stackmap.ep_id in
-          let plan =
+          let plan, hit =
             Plan_cache.lookup ~app:src.bin_app ~src_arch:src.bin_arch ~dst_arch
               ~fn ~ep_id ~src_ep:df.df_src.fr_ep ~dst_ep:df.df_ep
           in
+          incr (if hit then plan_hits else plan_misses);
           List.iter
             (fun (key, size) ->
               let src_off = frame_off ix_src fn ep_id key in
@@ -537,8 +534,8 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
       st_ptrs_translated = !ptrs_translated;
       st_code_pages = !code_pages;
       st_stack_bytes = !stack_bytes;
-      st_plan_hits = pc.Plan_cache.c_hits;
-      st_plan_misses = pc.Plan_cache.c_misses;
+      st_plan_hits = !plan_hits;
+      st_plan_misses = !plan_misses;
       st_index_lookups = Stackmap_index.lookup_count () - index_lookups0;
       st_interval_lookups = !interval_lookups;
       st_memo_page_hits = !memo_page_hits;

@@ -186,8 +186,6 @@ let rollback s =
     Trace.leaf ~cat:"session" "rollback" ~dur_ns:0.0;
     Monitor.resume s.s_source
 
-let abort = rollback
-
 let scaled cfg b = int_of_float (float_of_int b *. cfg.cfg_bytes_scale)
 
 (* Advance to state [st], recording the stage's modeled cost and the

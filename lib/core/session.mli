@@ -279,9 +279,6 @@ val commit : restored t -> (committed t, Dapper_error.t) result
     driving stages by hand and abandoning a session mid-way. *)
 val rollback : _ t -> unit
 
-(** [abort] is {!rollback} under its pre-2PC name. *)
-val abort : _ t -> unit
-
 (** Completed stage records, in execution order. *)
 val stage_log : _ t -> stage_record list
 

@@ -1,13 +1,9 @@
-module Metrics = Dapper_obs.Metrics
 module Derr = Dapper_util.Dapper_error
 
 type t = {
   d_alpha : float;
   tbl : (Derr.stage, float) Hashtbl.t;
 }
-
-let all_stages =
-  [ Derr.Pause; Derr.Dump; Derr.Recode; Derr.Transfer; Derr.Restore; Derr.Commit ]
 
 let create ?(alpha = 0.3) () =
   if alpha <= 0.0 || alpha > 1.0 then
@@ -21,22 +17,6 @@ let observe t stage ms =
     Hashtbl.replace t.tbl stage ((t.d_alpha *. ms) +. ((1.0 -. t.d_alpha) *. prev))
 
 let projected t stage = Hashtbl.find_opt t.tbl stage
-
-(* Warm the store from the session metrics plane: every committed stage
-   already observed its modeled cost into the
-   [session.stage_ms.<stage>] histogram, so a fresh watchdog can start
-   from the fleet's measured history (mean cost per stage) instead of
-   flying blind on its first attempt. *)
-let seed_from_metrics t =
-  List.iter
-    (fun stage ->
-      match Metrics.find ("session.stage_ms." ^ Derr.stage_name stage) with
-      | Some (Metrics.Histogram h) when Metrics.histogram_count h > 0 ->
-        if not (Hashtbl.mem t.tbl stage) then
-          Hashtbl.replace t.tbl stage
-            (Metrics.histogram_sum h /. float_of_int (Metrics.histogram_count h))
-      | _ -> ())
-    all_stages
 
 (* The pause budget is an instruction count (how far the source may
    drain); at the source's speed it is also a time: the blackout the

@@ -15,9 +15,8 @@
     [Dapper_error.Deadline_exceeded (stage, projected_ms)].
 
     Every completed stage's measured cost is folded back into the
-    deadline store, so a shared store across attempts (or a store
-    warmed by {!Deadline.seed_from_metrics}) projects better with
-    every migration.
+    deadline store, so a store shared across attempts projects better
+    with every migration.
 
     A stage with no history runs unguarded — the watchdog never guesses
     a cost it has not measured (the transfer's analytic projection is

@@ -1,10 +1,10 @@
 open Dapper_util
-open Dapper_machine
 open Dapper_net
 module Session = Dapper.Session
 module Budget = Dapper_traffic.Budget
 module Sketch = Dapper_traffic.Sketch
 module Arrival = Dapper_traffic.Arrival
+module Loadgen = Dapper_traffic.Loadgen
 module Placement = Dapper_cluster.Placement
 module Metrics = Dapper_obs.Metrics
 module Derr = Dapper_error
@@ -131,18 +131,6 @@ let m_runs = Metrics.counter "health.sustained.runs"
 let m_committed = Metrics.counter "health.sustained.committed"
 let m_degraded = Metrics.counter "health.sustained.degraded"
 let m_rolled_back = Metrics.counter "health.sustained.rolled_back"
-
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-let fnv_mix h v = Int64.mul (Int64.logxor h v) fnv_prime
-
-let needs_lazy = function
-  | Budget.Vanilla | Budget.Precopy -> false
-  | Budget.Hybrid | Budget.Postcopy -> true
-
-let precopies = function
-  | Budget.Precopy | Budget.Hybrid -> true
-  | Budget.Vanilla | Budget.Postcopy -> false
 
 (* Marginal wire cost of the transport at hand, as the budget picker
    wants it: slope of [transfer_ns] over a 1 MiB span (the fixed
@@ -384,33 +372,18 @@ let run c (scfg : Session.config) ~fresh ~seed =
         match mech with
         | None -> ()
         | Some mech ->
-        let transport = transport_for ~rack ~lazy_:(needs_lazy mech) ~attempt in
-        let fault = fault_for ~rack ~attempt in
-        let scfg' =
-          { scfg with
-            Session.cfg_transport = transport;
-            cfg_fault = fault;
-            cfg_resident_pages = [] }
+        let transport =
+          transport_for ~rack ~lazy_:(Budget.needs_lazy mech) ~attempt
         in
-        let pre =
-          if precopies mech then
-            Some
-              (Session.precopy scfg' p
-                 ~advance:(fun _ms ->
-                   ignore (Process.run p ~max_instrs:c.su_round_instrs))
-                 ~max_rounds:c.su_max_rounds
-                 ~downtime_budget_ms:budget)
-          else None
+        let fault = fault_for ~rack ~attempt in
+        let scfg', pre =
+          Loadgen.precopy
+            { scfg with Session.cfg_transport = transport; cfg_fault = fault }
+            p mech ~round_instrs:c.su_round_instrs ~max_rounds:c.su_max_rounds
+            ~downtime_budget_ms:budget
         in
         let precopy_ms =
           match pre with Some s -> s.Session.pcs_ms | None -> 0.0
-        in
-        let scfg' =
-          { scfg' with
-            Session.cfg_resident_pages =
-              (match pre with
-               | Some s -> s.Session.pcs_resident
-               | None -> []) }
         in
         let att =
           Guard.run ~deadlines
@@ -479,102 +452,47 @@ let run c (scfg : Session.config) ~fresh ~seed =
   let blackout_total =
     List.fold_left (fun acc (s, e) -> acc +. (e -. s)) 0.0 windows
   in
-  let resume =
-    match !committed with
-    | Some (_, _, _, _, _, stop) -> Some stop
-    | None -> None
-  in
-  let mig_start = c.su_migrate_at_ms in
-  let mig_end =
-    match resume with
-    | Some r -> r
-    | None -> (match List.rev windows with (_, e) :: _ -> e | [] -> mig_start)
-  in
-  let arrivals =
-    Arrival.poisson ~seed:arrival_seed ~rate_per_ms:c.su_rate_per_ms
-  in
-  let lanes = Array.make c.su_lanes 0.0 in
   let page_bytes =
     int_of_float
       (float_of_int Dapper_binary.Layout.page_size
        *. scfg.Session.cfg_bytes_scale)
   in
-  let all = Sketch.create () in
-  let during = Sketch.create () in
-  let fp = ref fnv_offset in
-  let ok_n = ref 0 in
-  let track_overhead = 1.03 in
-  let class_mult u = if u < 0.6 then 0.8 else if u < 0.9 then 1.2 else 1.6 in
-  let expo rng = -.Float.log (1.0 -. Rng.float rng) in
-  let remaining =
-    ref
-      (match !committed with
-       | Some (_, m, _, _, att, _) when needs_lazy m -> att.Guard.ga_lazy_left
-       | _ -> 0)
-  in
-  let hot_pages =
+  (* A committed run resumes on its rack and owes its post-copy pages
+     there: a fault pays the rack's injected faults while the rack is
+     still bad, plus the wait for a page server. A rolled-back run never
+     resumes; its migration window closes with the last blackout. *)
+  let resume, mig_end, lazy_left, hot_pages, fault_stall =
     match !committed with
-    | Some (_, _, _, _, att, _) -> max 1 att.Guard.ga_hot_pages
-    | None -> 1
+    | Some (rack, mech, transport, fault, att, stop) ->
+      let fault_stall now_ms =
+        let fault = if rack_bad sc ~rack ~now_ms then fault else None in
+        let stall =
+          Transport.fetch_stall_ns transport ?fault ~page_bytes () /. 1e6
+        in
+        stall +. snd (Rack.acquire_wait pool ~rack ~now_ms ~service_ms:stall)
+      in
+      ( stop, stop,
+        (if Budget.needs_lazy mech then att.Guard.ga_lazy_left else 0),
+        att.Guard.ga_hot_pages, fault_stall )
+    | None ->
+      let last_end =
+        match List.rev windows with (_, e) :: _ -> e | [] -> c.su_migrate_at_ms
+      in
+      (infinity, last_end, 0, 1, fun _ -> 0.0)
   in
-  for _ = 1 to c.su_requests do
-    let arrive = Arrival.next arrivals in
-    let lane = ref 0 in
-    for i = 1 to c.su_lanes - 1 do
-      if lanes.(i) < lanes.(!lane) then lane := i
-    done;
-    let t0 = Float.max arrive lanes.(!lane) in
-    (* push through every blackout window the start lands in; windows
-       are chronological and disjoint, so one pass suffices *)
-    let t0 =
-      List.fold_left
-        (fun t (s, e) -> if t >= s && t < e then e else t)
-        t0 windows
-    in
-    let on_dst = match resume with Some r -> t0 >= r | None -> false in
-    let mean =
-      if on_dst then c.su_service_dst_ms
-      else if t0 >= mig_start && t0 < mig_end then
-        c.su_service_src_ms *. track_overhead
-      else c.su_service_src_ms
-    in
-    let svc = mean *. class_mult (Rng.float service_rng) *. expo service_rng in
-    let fault_ms =
-      if on_dst && !remaining > 0 then begin
-        if
-          Rng.float fault_rng
-          < float_of_int !remaining /. float_of_int hot_pages
-        then begin
-          match !committed with
-          | Some (rack, _, transport, fault, _, _) ->
-            let fault =
-              if rack_bad sc ~rack ~now_ms:t0 then fault else None
-            in
-            let stall =
-              Transport.fetch_stall_ns transport ?fault ~page_bytes () /. 1e6
-            in
-            let wait =
-              snd (Rack.acquire_wait pool ~rack ~now_ms:t0 ~service_ms:stall)
-            in
-            decr remaining;
-            stall +. wait
-          | None -> 0.0
-        end
-        else 0.0
-      end
-      else 0.0
-    in
-    let finish = t0 +. svc +. fault_ms in
-    lanes.(!lane) <- finish;
-    let lat = finish -. arrive in
-    Sketch.add all lat;
-    if lat <= c.su_slo_ms then incr ok_n;
-    if (arrive >= mig_start && arrive < mig_end) || fault_ms > 0.0 then
-      Sketch.add during lat;
-    fp := fnv_mix !fp (Int64.bits_of_float lat)
-  done;
-  fp := fnv_mix !fp (Int64.of_int !attempts);
-  fp := fnv_mix !fp (Int64.of_int (rung_rank !deepest));
+  let ok_n = ref 0 in
+  let all, during, _faulted, fp =
+    Loadgen.serve ~requests:c.su_requests ~lanes:c.su_lanes
+      ~service_src_ms:c.su_service_src_ms ~service_dst_ms:c.su_service_dst_ms
+      ~arrivals:(Arrival.poisson ~seed:arrival_seed ~rate_per_ms:c.su_rate_per_ms)
+      ~service_rng ~fault_rng
+      { Loadgen.tl_start = c.su_migrate_at_ms; tl_blackouts = windows;
+        tl_resume = resume; tl_end = mig_end }
+      ~lazy_left ~hot_pages ~fault_stall
+      ~on_latency:(fun lat -> if lat <= c.su_slo_ms then incr ok_n)
+  in
+  let fp = Loadgen.fnv_mix fp (Int64.of_int !attempts) in
+  let fp = Loadgen.fnv_mix fp (Int64.of_int (rung_rank !deepest)) in
   { r_seed = seed;
     r_scenario = sc;
     r_verdict = verdict;
@@ -592,7 +510,7 @@ let run c (scfg : Session.config) ~fresh ~seed =
     r_all = all;
     r_during = during;
     r_events = List.rev !events;
-    r_fingerprint = !fp }
+    r_fingerprint = fp }
 
 (* ------------------------------------------------------------------ *)
 (* Sweep                                                               *)

@@ -76,19 +76,12 @@ let leaf ?cat ?args name ~dur_ns =
     leave ()
   end
 
-let span ?cat ?args name f =
-  if not st.enabled then f ()
-  else begin
-    enter ?cat ?args name;
-    Fun.protect ~finally:(fun () -> leave ()) f
-  end
-
-(* Exception-safe replacement for manual enter/leave pairing at sites
-   that only know the span's modeled duration or closing args at the
-   end: the closer accumulates them, and the span closes exactly once on
-   every exit path. On an exception the span closes with an "exception"
-   arg before re-raising, so the stack stays well-formed and the fault
-   surfaces at the raise site, not as a later "no open span". *)
+(* The one way to open a span around code. Sites that only know the
+   span's modeled duration or closing args at the end hand them to the
+   closer, and the span closes exactly once on every exit path. On an
+   exception the span closes with an "exception" arg before re-raising,
+   so the stack stays well-formed and the fault surfaces at the raise
+   site. *)
 type closer = {
   mutable cl_dur_ns : float option;
   mutable cl_args : (string * string) list; (* newest first *)

@@ -5,10 +5,13 @@
     transmits and retries, rewrite/recode, fleet quanta, chaos seeds).
     Timestamps come from a {e simulated} clock that advances only when
     instrumentation charges modeled nanoseconds ({!advance}) or a span
-    closes with an explicit modeled duration ({!leave}[ ~dur_ns]) —
+    closes with an explicit modeled duration ({!set_dur}, {!leaf}) —
     never from the wall clock — so a trace is a deterministic, pure
     function of the work performed: two replays of the same seeded run
     export byte-identical traces.
+
+    There are two ways to record a span: {!with_span} around the code
+    it covers, and {!leaf} for a childless span of known cost.
 
     Tracing is off by default and every operation is a cheap no-op
     while disabled (one flag test); enable with {!start}, then export
@@ -41,43 +44,30 @@ val reset : unit -> unit
 (** Current simulated-clock position (ns). *)
 val now_ns : unit -> float
 
-(** Open a nested span at the current simulated time. *)
-val enter : ?cat:string -> ?args:(string * string) list -> string -> unit
-
 (** Charge [ns] of modeled time to the simulated clock (attributed to
     the innermost open span). Negative charges are ignored. *)
 val advance : float -> unit
 
-(** Close the innermost open span. With [~dur_ns], the span's modeled
-    cost: the clock moves to at least [begin + dur_ns] (children that
-    already charged more keep the clock — it never goes backwards).
-    Raises [Invalid_argument] if no span is open (and tracing is on). *)
-val leave : ?dur_ns:float -> ?args:(string * string) list -> unit -> unit
-
-(** [leaf name ~dur_ns] = enter, advance, leave: a childless span of a
-    known modeled cost. *)
+(** [leaf name ~dur_ns]: a childless span of a known modeled cost,
+    opened at the current time and closed [dur_ns] later. *)
 val leaf :
   ?cat:string -> ?args:(string * string) list -> string -> dur_ns:float -> unit
 
-(** [span name f] runs [f] inside a span, closing it even if [f]
-    raises. *)
-val span : ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
+(** {2 Spans around code}
 
-(** {2 Exception-safe spans with late duration/args}
-
-    Manual {!enter}/{!leave} pairing leaks the open span when the
-    instrumented code raises — the next [leave] then fails far from the
-    real fault. [with_span] is the safe replacement for sites that only
-    know the span's modeled duration or closing args at the end: the
-    [closer] handle accumulates them ({!set_dur}, {!add_arg}) and the
-    span closes exactly once on every exit path. If [f] raises, the span
-    closes with an [("exception", ...)] arg appended and the exception
-    is re-raised with its backtrace intact. *)
+    [with_span name f] runs [f] inside a span nested in the innermost
+    open one. Sites that only know the span's modeled duration or
+    closing args at the end hand them to the [closer] ({!set_dur},
+    {!add_arg}), and the span closes exactly once on every exit path.
+    If [f] raises, the span closes with an [("exception", ...)] arg
+    appended and the exception is re-raised with its backtrace
+    intact. *)
 
 type closer
 
-(** Set the span's modeled duration (ns), applied at close like
-    {!leave}[ ~dur_ns]. Last call wins. *)
+(** Set the span's modeled duration (ns), applied at close: the clock
+    moves to at least [begin + ns] (children that already charged more
+    keep the clock — it never goes backwards). Last call wins. *)
 val set_dur : closer -> float -> unit
 
 (** Append one closing arg (recorded on the span's End event, in call

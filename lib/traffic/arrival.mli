@@ -32,5 +32,8 @@ val mmpp : seed:int64 -> (float * float) array -> t
 (** Next absolute arrival time in ms — non-decreasing across calls. *)
 val next : t -> float
 
+(** A unit-mean exponential draw from [rng] (inverse CDF). *)
+val expo : Dapper_util.Rng.t -> float
+
 (** Long-run mean rate: hold-time-weighted average of the state rates. *)
 val mean_rate_per_ms : t -> float

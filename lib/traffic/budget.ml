@@ -13,6 +13,14 @@ let all_mechanisms = [ Vanilla; Precopy; Hybrid; Postcopy ]
 let mechanism_of_string s =
   List.find_opt (fun m -> mechanism_name m = s) all_mechanisms
 
+let needs_lazy = function
+  | Vanilla | Precopy -> false
+  | Hybrid | Postcopy -> true
+
+let precopies = function
+  | Precopy | Hybrid -> true
+  | Vanilla | Postcopy -> false
+
 type estimate = {
   e_image_bytes : int;
   e_residual_bytes : int;

@@ -30,6 +30,13 @@ val mechanism_of_string : string -> mechanism option
 
 val all_mechanisms : mechanism list
 
+(** [Hybrid] and [Postcopy] restore lazily: they need a page-server
+    transport and leave post-copy faults behind. *)
+val needs_lazy : mechanism -> bool
+
+(** [Precopy] and [Hybrid] run pre-copy rounds before the blackout. *)
+val precopies : mechanism -> bool
+
 (** Per-job cost projection, in the session cost model's terms. *)
 type estimate = {
   e_image_bytes : int;       (** eager (stop-and-copy) wire bytes *)

@@ -58,24 +58,101 @@ let class_mult u = if u < 0.6 then 0.8 else if u < 0.9 then 1.2 else 1.6
    slow the source a hair; the model charges 3% on the service mean. *)
 let track_overhead = 1.03
 
-let expo rng = -.Float.log (1.0 -. Rng.float rng)
-
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 let fnv_mix h v = Int64.mul (Int64.logxor h v) fnv_prime
 
-let needs_lazy = function
-  | Budget.Vanilla | Budget.Precopy -> false
-  | Budget.Hybrid | Budget.Postcopy -> true
+type timeline = {
+  tl_start : float;
+  tl_blackouts : (float * float) list;
+  tl_resume : float;
+  tl_end : float;
+}
+
+(* The loop keeps every per-request value an unboxed float: timeline
+   fields and blackout bounds are read into locals and flat float
+   arrays up front. *)
+let serve ~requests ~lanes ~service_src_ms ~service_dst_ms ~arrivals
+    ~service_rng ~fault_rng tl ~lazy_left ~hot_pages ~fault_stall ~on_latency =
+  let { tl_start; tl_blackouts; tl_resume; tl_end } = tl in
+  let black_from = Array.of_list (List.map fst tl_blackouts) in
+  let black_to = Array.of_list (List.map snd tl_blackouts) in
+  let lane_free = Array.make lanes 0.0 in
+  let all = Sketch.create () in
+  let during = Sketch.create () in
+  let fp = ref fnv_offset in
+  let faulted = ref 0 in
+  let remaining = ref lazy_left in
+  let hot = float_of_int (max 1 hot_pages) in
+  for _ = 1 to requests do
+    let arrive = Arrival.next arrivals in
+    (* earliest-free lane, lowest index on ties *)
+    let lane = ref 0 in
+    for i = 1 to lanes - 1 do
+      if lane_free.(i) < lane_free.(!lane) then lane := i
+    done;
+    (* push the start through every blackout it lands in; windows are
+       chronological and disjoint, so one pass suffices *)
+    let t0 = ref (Float.max arrive lane_free.(!lane)) in
+    for w = 0 to Array.length black_from - 1 do
+      if !t0 >= black_from.(w) && !t0 < black_to.(w) then t0 := black_to.(w)
+    done;
+    let t0 = !t0 in
+    let mean =
+      if t0 >= tl_resume then service_dst_ms
+      else if t0 >= tl_start && t0 < tl_end then
+        service_src_ms *. track_overhead
+      else service_src_ms
+    in
+    let svc =
+      mean *. class_mult (Rng.float service_rng) *. Arrival.expo service_rng
+    in
+    let fault_ms =
+      if
+        t0 >= tl_resume && !remaining > 0
+        && Rng.float fault_rng < float_of_int !remaining /. hot
+      then begin
+        decr remaining;
+        incr faulted;
+        fault_stall t0
+      end
+      else 0.0
+    in
+    let finish = t0 +. svc +. fault_ms in
+    lane_free.(!lane) <- finish;
+    let lat = finish -. arrive in
+    Sketch.add all lat;
+    on_latency lat;
+    (* "during migration" = arrived inside the migration window (so the
+       blackout, or the backlog it left, is in this request's path) or
+       charged a post-copy fault. Keyed on the arrival, not the start:
+       once the lanes are pushed past the resume the queued-behind
+       requests never start inside the window, yet the blackout is
+       exactly what they are waiting on. *)
+    if (arrive >= tl_start && arrive < tl_end) || fault_ms > 0.0 then
+      Sketch.add during lat;
+    fp := fnv_mix !fp (Int64.bits_of_float lat)
+  done;
+  (all, during, !faulted, !fp)
 
 let transport_for mech t =
-  if needs_lazy mech = Transport.is_lazy t then t
-  else if needs_lazy mech then Transport.page_server (Transport.link t)
+  if Budget.needs_lazy mech = Transport.is_lazy t then t
+  else if Budget.needs_lazy mech then Transport.page_server (Transport.link t)
   else Transport.scp (Transport.link t)
 
-let precopies = function
-  | Budget.Precopy | Budget.Hybrid -> true
-  | Budget.Vanilla | Budget.Postcopy -> false
+let precopy scfg p mech ~round_instrs ~max_rounds ~downtime_budget_ms =
+  let pre =
+    if Budget.precopies mech then
+      Some
+        (Session.precopy scfg p
+           ~advance:(fun _ms -> ignore (Process.run p ~max_instrs:round_instrs))
+           ~max_rounds ~downtime_budget_ms)
+    else None
+  in
+  let resident =
+    match pre with Some s -> s.Session.pcs_resident | None -> []
+  in
+  ({ scfg with Session.cfg_resident_pages = resident }, pre)
 
 let validate c =
   if c.lg_requests <= 0 then invalid_arg "Loadgen.run: lg_requests <= 0";
@@ -92,22 +169,12 @@ let ( let* ) = Result.bind
 let run c scfg p mech =
   validate c;
   let transport = transport_for mech scfg.Session.cfg_transport in
-  let scfg = { scfg with Session.cfg_transport = transport } in
   (* --- the real migration, driven through the session pipeline --- *)
-  let pre =
-    if precopies mech then
-      Some
-        (Session.precopy scfg p
-           ~advance:(fun _ms ->
-             ignore (Process.run p ~max_instrs:c.lg_round_instrs))
-           ~max_rounds:c.lg_max_rounds
-           ~downtime_budget_ms:c.lg_downtime_budget_ms)
-    else None
+  let scfg, pre =
+    precopy { scfg with Session.cfg_transport = transport } p mech
+      ~round_instrs:c.lg_round_instrs ~max_rounds:c.lg_max_rounds
+      ~downtime_budget_ms:c.lg_downtime_budget_ms
   in
-  let resident =
-    match pre with Some s -> s.Session.pcs_resident | None -> []
-  in
-  let scfg = { scfg with Session.cfg_resident_pages = resident } in
   (* stepwise (not Session.run) so the restored state's lazy-page debt
      is visible before commit consumes the session *)
   let* s = Session.pause (Session.start scfg p) in
@@ -149,92 +216,46 @@ let run c scfg p mech =
       Arrival.mmpp ~seed:arrival_seed
         (Array.map (fun (mult, hold) -> (base_rate *. mult, hold)) states)
   in
-  let lanes = Array.make c.lg_lanes 0.0 in
   let page_bytes =
     int_of_float (float_of_int Layout.page_size *. scfg.Session.cfg_bytes_scale)
   in
-  let all = Sketch.create () in
-  let during = Sketch.create () in
-  let fp = ref fnv_offset in
-  let stalled_n = ref 0 in
-  let faulted_n = ref 0 in
-  let remaining = ref lazy_left in
-  let lazy_mech = needs_lazy mech in
-  for _ = 1 to c.lg_requests do
-    let arrive = Arrival.next arrivals in
-    (* earliest-free lane, lowest index on ties *)
-    let lane = ref 0 in
-    for i = 1 to c.lg_lanes - 1 do
-      if lanes.(i) < lanes.(!lane) then lane := i
-    done;
-    let t0 = Float.max arrive lanes.(!lane) in
-    let blacked = t0 >= black_start && t0 < resume in
-    let t0 = if blacked then resume else t0 in
-    let mean =
-      if t0 >= resume then c.lg_service_dst_ms
-      else if t0 >= mig_start && t0 < black_start then
-        c.lg_service_src_ms *. track_overhead
-      else c.lg_service_src_ms
+  let fault_stall now_ms =
+    let stall =
+      Transport.fetch_stall_ns transport ?fault:scfg.Session.cfg_fault
+        ~page_bytes ()
+      /. 1e6
     in
-    let svc = mean *. class_mult (Rng.float service_rng) *. expo service_rng in
-    let fault_ms =
-      if lazy_mech && t0 >= resume && !remaining > 0 then begin
-        let hot = max 1 hot_pages in
-        if Rng.float fault_rng < float_of_int !remaining /. float_of_int hot
-        then begin
-          let stall =
-            Transport.fetch_stall_ns transport ?fault:scfg.Session.cfg_fault
-              ~page_bytes ()
-            /. 1e6
-          in
-          let wait =
-            match c.lg_racks with
-            | None -> 0.0
-            | Some racks ->
-              snd
-                (Rack.acquire_wait racks ~rack:c.lg_rack ~now_ms:t0
-                   ~service_ms:stall)
-          in
-          decr remaining;
-          incr faulted_n;
-          Metrics.inc m_faults;
-          stall +. wait
-        end
-        else 0.0
-      end
-      else 0.0
-    in
-    let finish = t0 +. svc +. fault_ms in
-    lanes.(!lane) <- finish;
-    let lat = finish -. arrive in
-    Sketch.add all lat;
-    Metrics.observe m_request_ms lat;
-    (* "during migration" = arrived inside the migration window (so the
-       blackout, or the backlog it left, is in this request's path) or
-       charged a post-copy fault. Keyed on the arrival, not the start:
-       once the lanes are pushed past the resume the queued-behind
-       requests never start inside the window, yet the blackout is
-       exactly what they are waiting on. *)
-    if (arrive >= mig_start && arrive < resume) || fault_ms > 0.0 then begin
-      incr stalled_n;
-      Metrics.inc m_stalled;
-      Sketch.add during lat
-    end;
-    fp := fnv_mix !fp (Int64.bits_of_float lat)
-  done;
+    match c.lg_racks with
+    | None -> stall
+    | Some racks ->
+      stall
+      +. snd (Rack.acquire_wait racks ~rack:c.lg_rack ~now_ms ~service_ms:stall)
+  in
+  let all, during, faulted, fp =
+    serve ~requests:c.lg_requests ~lanes:c.lg_lanes
+      ~service_src_ms:c.lg_service_src_ms ~service_dst_ms:c.lg_service_dst_ms
+      ~arrivals ~service_rng ~fault_rng
+      { tl_start = mig_start; tl_blackouts = [ (black_start, resume) ];
+        tl_resume = resume; tl_end = resume }
+      ~lazy_left:(if Budget.needs_lazy mech then lazy_left else 0)
+      ~hot_pages ~fault_stall ~on_latency:(Metrics.observe m_request_ms)
+  in
+  let stalled = Sketch.count during in
   Metrics.inc m_requests ~by:c.lg_requests;
+  Metrics.inc m_stalled ~by:stalled;
+  Metrics.inc m_faults ~by:faulted;
   Ok
     { ls_mechanism = mech;
       ls_requests = c.lg_requests;
-      ls_stalled = !stalled_n;
-      ls_faulted = !faulted_n;
+      ls_stalled = stalled;
+      ls_faulted = faulted;
       ls_precopy_ms = precopy_ms;
       ls_blackout_ms = blackout_ms;
       ls_lazy_left = lazy_left;
       ls_precopy = pre;
       ls_all = all;
       ls_during = during;
-      ls_fingerprint = !fp;
+      ls_fingerprint = fp;
       ls_outcome = outcome }
 
 let fingerprint_line st =

@@ -25,7 +25,9 @@
     Per-request latencies stream into two {!Sketch}es (all requests,
     and requests charged a migration stall) and into an order-sensitive
     FNV-1a fingerprint, so same-seed runs are byte-identical — the
-    golden-fingerprint tests pin exactly this. *)
+    golden-fingerprint tests pin exactly this. The loop is {!serve},
+    which the sustained-chaos harness ([Dapper_health.Sustained]) also
+    runs, over the blackouts of every attempt its control plane made. *)
 
 open Dapper_util
 open Dapper_machine
@@ -91,6 +93,44 @@ val run :
   Process.t ->
   Budget.mechanism ->
   (stats, Dapper_error.t) result
+
+(** {1 The shared request plane} *)
+
+(** Where a migration meets the request stream, in simulated ms. *)
+type timeline = {
+  tl_start : float;  (** migration start (pre-copy, if any) *)
+  tl_blackouts : (float * float) list;  (** chronological, disjoint *)
+  tl_resume : float;  (** service moves over; [infinity] if never *)
+  tl_end : float;
+  (** the source pays the dirty-tracking overhead until then, and a
+      request arriving in [[tl_start, tl_end)] counts as during *)
+}
+
+(** [serve] plays [requests] arrivals against [lanes] FCFS lanes around
+    the timeline. [service_rng] draws each service time; after
+    [tl_resume], [fault_rng] faults a request with probability
+    [remaining / max 1 hot_pages] while any of the [lazy_left] pages
+    remain (0 for eager mechanisms), charging it [fault_stall
+    start_ms]. Every latency goes to [on_latency]. Returns the sketch
+    of all latencies, the during-migration sketch (arrived in the
+    window, or faulted), the fault count, and the FNV-1a fingerprint
+    over the latency bits in arrival order. *)
+val serve :
+  requests:int -> lanes:int -> service_src_ms:float -> service_dst_ms:float ->
+  arrivals:Arrival.t -> service_rng:Rng.t -> fault_rng:Rng.t -> timeline ->
+  lazy_left:int -> hot_pages:int -> fault_stall:(float -> float) ->
+  on_latency:(float -> unit) -> Sketch.t * Sketch.t * int * int64
+
+(** Folds one 64-bit word into a {!serve} fingerprint. *)
+val fnv_mix : int64 -> int64 -> int64
+
+(** The pre-copy prologue: {!Session.precopy} (running [round_instrs]
+    source instructions per round) when the mechanism pre-copies, then
+    the resident pages into [cfg_resident_pages] ([[]] otherwise). *)
+val precopy :
+  Session.config -> Process.t -> Budget.mechanism -> round_instrs:int ->
+  max_rounds:int -> downtime_budget_ms:float ->
+  Session.config * Session.precopy_stats option
 
 (** [fingerprint_line stats] renders the golden-test line: mechanism,
     request/stall/fault counts, blackout, the six quantiles at

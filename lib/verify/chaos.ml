@@ -262,11 +262,11 @@ let run_one ?(fuel = 50_000_000) ?(budget = 50_000_000) ?(pipeline = false)
       cr_added_ms = (tx.Transport.tx_fault_ns +. tx.Transport.tx_backoff_ns) /. 1e6 }
   in
   let traced () =
-    Trace.span ~cat:"chaos" "chaos-run"
+    Trace.with_span ~cat:"chaos" "chaos-run"
       ~args:
         [ ("seed", string_of_int seed); ("app", c.Link.cp_app);
           ("src", Arch.name src); ("dst", Arch.name dst) ]
-      go
+      (fun _ -> go ())
   in
   match traced () with
   | report -> Ok report

@@ -440,7 +440,37 @@ let test_sustained_invariants () =
     again.Sustained.r_fingerprint;
   check Alcotest.string "same verdict"
     (Sustained.verdict_name first.Sustained.r_verdict)
-    (Sustained.verdict_name again.Sustained.r_verdict)
+    (Sustained.verdict_name again.Sustained.r_verdict);
+  (* pinned: each seed's fingerprint, verdict and attempts, with the
+     control plane on (the sweep above) and off over the same seeds *)
+  let pin runs =
+    List.map
+      (fun (r : Sustained.run) ->
+        Printf.sprintf "seed=%Ld fp=%016Lx verdict=%s attempts=%d"
+          r.Sustained.r_seed r.Sustained.r_fingerprint
+          (Sustained.verdict_name r.Sustained.r_verdict)
+          r.Sustained.r_attempts)
+      runs
+  in
+  check
+    Alcotest.(list string)
+    "control-on pins"
+    [ "seed=7 fp=d734514b98199fb4 verdict=committed attempts=1";
+      "seed=8 fp=1c7bce2f5228f763 verdict=committed attempts=1";
+      "seed=9 fp=48164855b9e86d51 verdict=committed attempts=1" ]
+    (pin runs);
+  let off_runs, _ =
+    Sustained.sweep
+      { cfg with Sustained.su_control = false }
+      scfg ~fresh ~seeds:3 ~seed0:7L
+  in
+  check
+    Alcotest.(list string)
+    "control-off pins"
+    [ "seed=7 fp=0eb85ddc5db5b064 verdict=committed attempts=1";
+      "seed=8 fp=e30abe5c87df6f7f verdict=committed attempts=1";
+      "seed=9 fp=803ca24865862af1 verdict=committed attempts=1" ]
+    (pin off_runs)
 
 let suites =
   [ ( "health",

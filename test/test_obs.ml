@@ -52,9 +52,11 @@ let migrate_once () =
 let test_trace_disabled_is_noop () =
   Trace.stop ();
   Trace.reset ();
-  Trace.enter "ghost";
-  Trace.advance 5.0e6;
-  Trace.leave ();
+  check Alcotest.int "the body still runs" 7
+    (Trace.with_span "ghost" (fun c ->
+         Trace.set_dur c 2.0e6;
+         Trace.advance 5.0e6;
+         7));
   Trace.leaf "ghost-leaf" ~dur_ns:1.0e6;
   check Alcotest.int "nothing recorded while disabled" 0
     (List.length (Trace.events ()));
@@ -62,22 +64,19 @@ let test_trace_disabled_is_noop () =
 
 let test_trace_clock_semantics () =
   Trace.start ();
-  Trace.enter "outer";
-  Trace.advance 2.0e6;
-  Trace.enter "inner";
-  Trace.advance 3.0e6;
-  (* explicit duration shorter than what children charged: the clock
-     never moves backwards *)
-  Trace.leave ~dur_ns:1.0e6 ();
-  check (Alcotest.float 0.0) "clock kept by bigger child charge" 5.0e6
-    (Trace.now_ns ());
+  Trace.with_span "outer" (fun outer ->
+      Trace.set_dur outer 9.0e6;
+      Trace.advance 2.0e6;
+      Trace.with_span "inner" (fun inner ->
+          Trace.set_dur inner 1.0e6;
+          Trace.advance 3.0e6);
+      (* explicit duration shorter than what children charged: the
+         clock never moves backwards *)
+      check (Alcotest.float 0.0) "clock kept by bigger child charge" 5.0e6
+        (Trace.now_ns ()));
   (* explicit duration longer than charges: clock jumps forward *)
-  Trace.leave ~dur_ns:9.0e6 ();
   check (Alcotest.float 0.0) "clock jumps to begin + dur" 9.0e6 (Trace.now_ns ());
-  check Alcotest.bool "leave with no open span raises" true
-    (match Trace.leave () with
-     | exception Invalid_argument _ -> true
-     | () -> false);
+  check Alcotest.int "every span closed" 0 (Trace.open_spans ());
   check_well_formed (Trace.events ());
   check (Alcotest.float 0.0) "outer span total" 9.0
     (Trace.total_ms "outer");
@@ -86,10 +85,11 @@ let test_trace_clock_semantics () =
   Trace.stop ();
   Trace.reset ()
 
-(* Regression: enter/leave pairing used to leak the open span when the
-   instrumented code raised — the next leave then closed the wrong span
-   (or failed) far from the real fault. with_span must close exactly
-   once on every exit path, recording the exception as a closing arg. *)
+(* Regression: manual open/close pairing used to leak the open span
+   when the instrumented code raised — the next close then hit the
+   wrong span (or failed) far from the real fault. with_span must close
+   exactly once on every exit path, recording the exception as a
+   closing arg. *)
 let test_with_span_closes_on_raise () =
   Trace.start ();
   let exception Boom in

@@ -388,7 +388,6 @@ let test_migration_at_every_eqpoint () =
 
 let migrate_at_point c point =
   Plan_cache.clear ();
-  Dapper_binary.Stackmap_index.reset_counters ();
   let p = Process.load c.Link.cp_x86 in
   if not (Oracle.advance_to_point p ~budget:30_000_000 point) then
     Alcotest.failf "program exited before point %d" point;
@@ -573,46 +572,6 @@ let test_memo_warm_session () =
        (Process.stdout_contents wr.Session.r_process)
    | _ -> Alcotest.fail "a destination did not complete")
 
-(* Satellite: scoped plan-cache counters survive a concurrent
-   [reset_counters] — the per-run sink tallies every lookup made while
-   attached, independent of the process-global counters. *)
-let test_scoped_counters_immune_to_reset () =
-  let c = Option.get (Dapper_verify.Corpus.find "mini-sieve") in
-  let rewrite_once () =
-    let p = Process.load c.Link.cp_x86 in
-    if not (Oracle.advance_to_point p ~budget:30_000_000 2) then
-      Alcotest.fail "program exited before point 2";
-    let image = Dapper_util.Dapper_error.ok_exn (Dapper_criu.Dump.dump p) in
-    ignore
-      (Dapper_util.Dapper_error.ok_exn
-         (Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm))
-  in
-  Plan_cache.clear ();
-  let sink = Plan_cache.fresh_counters () in
-  Plan_cache.attach sink;
-  Fun.protect
-    ~finally:(fun () -> Plan_cache.detach sink)
-    (fun () ->
-      rewrite_once ();
-      let m1 = sink.Plan_cache.c_misses and h1 = sink.Plan_cache.c_hits in
-      check Alcotest.bool "cold misses land in the sink" true (m1 > 0);
-      Migrate.reset_run_counters ();
-      check Alcotest.int "globals zeroed by the reset hook" 0
-        (Plan_cache.hits () + Plan_cache.misses ());
-      rewrite_once ();
-      check Alcotest.int "sink misses unaffected by the reset" m1
-        sink.Plan_cache.c_misses;
-      (* warm run hits every plan the cold run built (plus whatever the
-         cold run itself re-hit) *)
-      check Alcotest.int "sink accumulated across the reset"
-        ((2 * h1) + m1)
-        sink.Plan_cache.c_hits);
-  (* detached: further lookups no longer reach the sink *)
-  let snapshot = (sink.Plan_cache.c_hits, sink.Plan_cache.c_misses) in
-  rewrite_once ();
-  check Alcotest.bool "detached sink frozen" true
-    (snapshot = (sink.Plan_cache.c_hits, sink.Plan_cache.c_misses))
-
 (* ----- iterative pre-copy ----- *)
 
 module Fleet = Dapper_cluster.Fleet
@@ -766,8 +725,6 @@ let suites =
           test_recode_workers_model;
         Alcotest.test_case "warm memo shrinks recode charge" `Quick
           test_memo_warm_session;
-        Alcotest.test_case "scoped counters immune to reset" `Quick
-          test_scoped_counters_immune_to_reset;
         Alcotest.test_case "pre-copy rollback leaves source resumable" `Quick
           test_precopy_rollback_leaves_source_resumable;
         Alcotest.test_case "pre-copy resident discount" `Quick

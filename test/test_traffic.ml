@@ -373,32 +373,47 @@ let live_run ~seed ~reverse mech =
 
 (* Pinned outputs: regenerate with
      dune exec test/test_main.exe -- test traffic
-   after an intentional model change, and update here. *)
+   after an intentional model change, and update here. Hybrid runs on
+   both seeds and directions; the eager and no-pre-copy branches of the
+   request loop (stop-and-copy, pre-copy only, post-copy only) on the
+   first seed and direction. *)
 let golden_lines =
-  [ ( (0x5EEDL, false),
+  [ ( (0x5EEDL, false, Budget.Hybrid),
       "hybrid n=30000 stalled=14201 faulted=2 blackout=193.675250 \
        p50=102.524761 p99=198.368486 p999=198.368486 mig-p50=152.951010 \
        mig-p99=198.368486 mig-p999=198.368486 fp=067e3c449490b6cb" );
-    ( (0x5EEDL, true),
+    ( (0x5EEDL, true, Budget.Hybrid),
       "hybrid n=30000 stalled=21410 faulted=2 blackout=689.557205 \
        p50=595.953718 p99=694.758518 p999=694.758518 mig-p50=632.806704 \
        mig-p99=694.758518 mig-p999=694.758518 fp=614d565f7b0d46f0" );
-    ( (0xFACE_0FFL, false),
+    ( (0xFACE_0FFL, false, Budget.Hybrid),
       "hybrid n=30000 stalled=13164 faulted=2 blackout=193.675250 \
        p50=117.932097 p99=190.590092 p999=194.440397 mig-p50=162.409297 \
        mig-p99=194.440397 mig-p999=194.440397 fp=58a4fed6d525878b" );
-    ( (0xFACE_0FFL, true),
+    ( (0xFACE_0FFL, true, Budget.Hybrid),
       "hybrid n=30000 stalled=23946 faulted=2 blackout=689.557205 \
        p50=607.993187 p99=685.513147 p999=685.513147 mig-p50=620.275878 \
-       mig-p99=685.513147 mig-p999=685.513147 fp=6862e187e042712f" ) ]
+       mig-p99=685.513147 mig-p999=685.513147 fp=6862e187e042712f" );
+    ( (0x5EEDL, false, Budget.Vanilla),
+      "vanilla n=30000 stalled=16032 faulted=0 blackout=290.770387 \
+       p50=223.660738 p99=290.074855 p999=290.074855 mig-p50=267.772126 \
+       mig-p99=290.074855 mig-p999=290.074855 fp=d45b65ea03ce06b9" );
+    ( (0x5EEDL, false, Budget.Precopy),
+      "precopy n=30000 stalled=17586 faulted=0 blackout=248.662388 \
+       p50=156.040929 p99=247.184167 p999=249.913955 mig-p50=186.816031 \
+       mig-p99=247.184167 mig-p999=249.913955 fp=12164a708c2a47a9" );
+    ( (0x5EEDL, false, Budget.Postcopy),
+      "lazy n=30000 stalled=12701 faulted=3 blackout=228.615250 \
+       p50=169.037572 p99=232.788816 p999=232.788816 mig-p50=223.660738 \
+       mig-p99=232.788816 mig-p999=232.788816 fp=2b4bb74f73f4a90b" ) ]
 
 let test_golden_fingerprints () =
   List.iter
-    (fun ((seed, reverse), want) ->
-      let st = live_run ~seed ~reverse Budget.Hybrid in
+    (fun ((seed, reverse, mech), want) ->
+      let st = live_run ~seed ~reverse mech in
       let got = Loadgen.fingerprint_line st in
       check Alcotest.string
-        (Printf.sprintf "hybrid %s seed=%Lx"
+        (Printf.sprintf "%s %s seed=%Lx" (Budget.mechanism_name mech)
            (if reverse then "arm->x86" else "x86->arm")
            seed)
         want got)
