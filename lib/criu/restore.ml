@@ -41,7 +41,7 @@ let restore_exn ?page_source (is : Images.image_set) (binary : Binary.t) =
     List.map
       (fun (tc : Images.thread_core) ->
         { Process.tid = tc.tc_tid; regs = Array.copy tc.tc_regs; pc = tc.tc_pc;
-          tls = tc.tc_tls; status = Process.Runnable; instrs = 0L })
+          tls = tc.tc_tls; status = Process.Runnable })
       is.is_cores
   in
   let p = Process.reconstruct binary mem ~threads ~brk:is.is_mm.mm_brk in

@@ -2,15 +2,36 @@ open Dapper_binary
 
 exception Segfault of int64
 
+(* [pages] is the page table. In front of it sits a direct-mapped cache:
+   slot [pn land (cache_slots - 1)] holds page [cache_pns.(slot)], whose
+   bytes are [cache_pages.(slot)]. Only mapped pages enter the cache, and
+   [map_page] and [unmap_page] clear their page's slot, so a hit always
+   returns the bytes the table holds. *)
 type t = {
   pages : (int, bytes) Hashtbl.t;
+  cache_pns : int array;
+  cache_pages : bytes array;
   mutable fault_handler : (int -> bytes option) option;
   mutable faults : int;
   mutable dirty : (int, unit) Hashtbl.t option;
 }
 
-let create () =
-  { pages = Hashtbl.create 256; fault_handler = None; faults = 0; dirty = None }
+let cache_slots = 64
+
+(* An empty slot holds a page number that never lands in it. *)
+let empty_pn slot = slot + 1
+
+let with_pages pages =
+  { pages;
+    cache_pns = Array.init cache_slots empty_pn;
+    cache_pages = Array.make cache_slots Bytes.empty;
+    fault_handler = None; faults = 0; dirty = None }
+
+let create () = with_pages (Hashtbl.create 256)
+
+let uncache t pn =
+  let slot = pn land (cache_slots - 1) in
+  if t.cache_pns.(slot) = pn then t.cache_pns.(slot) <- empty_pn slot
 
 let set_fault_handler t h = t.fault_handler <- h
 let fault_count t = t.faults
@@ -50,9 +71,13 @@ let map_page t pn data =
   (match t.dirty with
    | None -> ()
    | Some d -> Hashtbl.replace d pn ());
+  uncache t pn;
   Hashtbl.replace t.pages pn data
 
-let unmap_page t pn = Hashtbl.remove t.pages pn
+let unmap_page t pn =
+  uncache t pn;
+  Hashtbl.remove t.pages pn
+
 let is_mapped t pn = Hashtbl.mem t.pages pn
 
 let page_numbers t =
@@ -70,9 +95,9 @@ let mapped_pages t = Array.to_list (page_numbers t)
 
 let page_contents t pn = Hashtbl.find_opt t.pages pn
 
-(* Resolve a page, consulting the fault handler for unmapped pages. *)
-let page t addr =
-  let pn = Layout.page_of_addr addr in
+(* Resolve a page through the page table, consulting the fault handler
+   for unmapped pages. *)
+let page_slow t pn addr =
   match Hashtbl.find_opt t.pages pn with
   | Some p -> p
   | None ->
@@ -87,6 +112,17 @@ let page t addr =
           data
         | None -> raise (Segfault addr))
      | None -> raise (Segfault addr))
+
+let page t addr =
+  let pn = Layout.page_of_addr addr in
+  let slot = pn land (cache_slots - 1) in
+  if Array.unsafe_get t.cache_pns slot = pn then Array.unsafe_get t.cache_pages slot
+  else begin
+    let p = page_slow t pn addr in
+    t.cache_pns.(slot) <- pn;
+    t.cache_pages.(slot) <- p;
+    p
+  end
 
 let read_u8 t addr =
   let p = page t addr in
@@ -126,33 +162,35 @@ let write_u64 t addr v =
         (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
     done
 
-let read_bytes t addr len =
-  let b = Bytes.create len in
+(* Calls [f page a off pos chunk] for each page-bounded piece of
+   [addr, addr + len) in address order: the piece starts at address [a],
+   at offset [off] in [page] and [pos] bytes into the range. Each page is
+   resolved just before its piece. *)
+let iter_range t addr len f =
   let pos = ref 0 in
   while !pos < len do
     let a = Int64.add addr (Int64.of_int !pos) in
     let off = Layout.page_offset a in
     let chunk = min (len - !pos) (Layout.page_size - off) in
-    let p = page t a in
-    Bytes.blit p off b !pos chunk;
-    pos := !pos + chunk
-  done;
-  Bytes.to_string b
-
-let write_bytes t addr s =
-  let len = String.length s in
-  let pos = ref 0 in
-  while !pos < len do
-    let a = Int64.add addr (Int64.of_int !pos) in
-    let off = Layout.page_offset a in
-    let chunk = min (len - !pos) (Layout.page_size - off) in
-    let p = page t a in
-    mark_dirty t a;
-    Bytes.blit_string s !pos p off chunk;
+    f (page t a) a off !pos chunk;
     pos := !pos + chunk
   done
+
+let read_bytes t addr len =
+  let b = Bytes.create len in
+  iter_range t addr len (fun p _ off pos chunk -> Bytes.blit p off b pos chunk);
+  Bytes.to_string b
+
+let add_to_buffer buf t addr len =
+  iter_range t addr len (fun _ _ _ _ _ -> ());
+  iter_range t addr len (fun p _ off _ chunk -> Buffer.add_subbytes buf p off chunk)
+
+let write_bytes t addr s =
+  iter_range t addr (String.length s) (fun p a off pos chunk ->
+      mark_dirty t a;
+      Bytes.blit_string s pos p off chunk)
 
 let copy t =
   let pages = Hashtbl.create (Hashtbl.length t.pages) in
   Hashtbl.iter (fun pn data -> Hashtbl.replace pages pn (Bytes.copy data)) t.pages;
-  { pages; fault_handler = None; faults = 0; dirty = None }
+  with_pages pages

@@ -4,7 +4,11 @@
     page consults the fault handler (used both for demand-loading code
     pages from the binary — CRIU does not dump clean code pages — and for
     lazy post-copy migration, where missing pages are fetched from the
-    source node's page server). *)
+    source node's page server).
+
+    A small direct-mapped cache of recently used pages sits in front of
+    the page table, so a hit costs no hashing; [map_page] and
+    [unmap_page] keep it coherent, and [copy] starts with it empty. *)
 
 type t
 
@@ -61,6 +65,13 @@ val write_u8 : t -> int64 -> int -> unit
 val write_u64 : t -> int64 -> int64 -> unit
 val read_bytes : t -> int64 -> int -> string
 val write_bytes : t -> int64 -> string -> unit
+
+(** [add_to_buffer buf t addr len] appends the [len] bytes at [addr] to
+    [buf], page by page. Every page of the range is resolved (faulting in
+    as needed) before the first byte is appended, so a [Segfault] leaves
+    [buf] unchanged, and nothing is allocated in proportion to [len]
+    before that. *)
+val add_to_buffer : Buffer.t -> t -> int64 -> int -> unit
 
 (** Deep copy (pages are duplicated). The fault handler is not copied. *)
 val copy : t -> t

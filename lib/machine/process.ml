@@ -15,7 +15,6 @@ type thread = {
   mutable pc : int64;
   mutable tls : int64;
   mutable status : thread_status;
-  mutable instrs : int64;
 }
 
 type crash = { cr_tid : int; cr_pc : int64; cr_reason : string }
@@ -38,6 +37,8 @@ type t = {
   mutable total_instrs : int64;
   mutable nondet : nondet option;
   decode_cache : (int64, Minstr.t * int) Hashtbl.t;
+  fetch_pcs : int array;
+  fetch_ops : (Minstr.t * int) array;
 }
 
 exception Exec_error of string
@@ -47,9 +48,11 @@ let ( -% ) = Int64.sub
 
 (* ----- demand paging: code pages from the binary, stack growth ----- *)
 
+(* The heap ends where the lowest thread stack region begins. *)
+let heap_end = Layout.stack_limit_of_thread (Layout.max_threads - 1)
+
 let in_stack_region addr =
-  Int64.compare addr (Layout.stack_limit_of_thread (Layout.max_threads - 1)) >= 0
-  && Int64.compare addr Layout.stack_top < 0
+  Int64.compare addr heap_end >= 0 && Int64.compare addr Layout.stack_top < 0
 
 let install_code_paging mem (binary : Binary.t) =
   let text = Binary.find_section binary ".text" in
@@ -119,7 +122,7 @@ let setup_stack t tid ~stub =
 
 let make_thread t ~tid ~pc ~stub =
   let th =
-    { tid; regs = Array.make 33 0L; pc; tls = 0L; status = Runnable; instrs = 0L }
+    { tid; regs = Array.make 33 0L; pc; tls = 0L; status = Runnable }
   in
   let sp = setup_stack t tid ~stub in
   th.regs.(Arch.sp t.arch) <- sp;
@@ -129,14 +132,23 @@ let make_thread t ~tid ~pc ~stub =
   th.tls <- setup_tls t tid;
   th
 
+(* The decode table in front of [decode_cache]: [fetch_slots] slots,
+   indexed by pc / [Encoding.alignment], so aarch64's 8-byte-aligned pcs
+   use every slot. Slot [s] holds the pc [fetch_pcs.(s)] and its entry in
+   [decode_cache]. Only pcs in [0, 2^62), which an [int] holds exactly,
+   enter the table, so the empty tag -1 never matches. *)
+let fetch_slots = 2048
+
+let create binary mem ~threads ~next_tid ~brk =
+  { arch = binary.Binary.bin_arch; mem; binary; threads; next_tid; brk;
+    stdout_buf = Buffer.create 256; exit_code = None; crash = None;
+    total_instrs = 0L; nondet = None; decode_cache = Hashtbl.create 256;
+    fetch_pcs = Array.make fetch_slots (-1);
+    fetch_ops = Array.make fetch_slots (Minstr.Nop, 0) }
+
 let load binary =
   let mem = Memory.create () in
-  let t =
-    { arch = binary.Binary.bin_arch; mem; binary; threads = []; next_tid = 0;
-      brk = Layout.heap_base; stdout_buf = Buffer.create 256; exit_code = None;
-      crash = None; total_instrs = 0L; nondet = None;
-      decode_cache = Hashtbl.create 4096 }
-  in
+  let t = create binary mem ~threads:[] ~next_tid:0 ~brk:Layout.heap_base in
   List.iter
     (fun (s : Binary.section) -> if not s.sec_exec then map_section mem s)
     binary.bin_sections;
@@ -150,9 +162,7 @@ let load binary =
 let reconstruct binary mem ~threads ~brk =
   install_code_paging mem binary;
   let next_tid = 1 + List.fold_left (fun m th -> max m th.tid) 0 threads in
-  { arch = binary.Binary.bin_arch; mem; binary; threads; next_tid; brk;
-    stdout_buf = Buffer.create 256; exit_code = None; crash = None;
-    total_instrs = 0L; nondet = None; decode_cache = Hashtbl.create 4096 }
+  create binary mem ~threads ~next_tid ~brk
 
 (* ----- helpers ----- *)
 
@@ -184,8 +194,7 @@ let vma_kind_of_page t pn =
     if within Layout.code_base Layout.data_base then Some Vma_code
     else if within Layout.data_base Layout.tls_base then Some Vma_data
     else if within Layout.tls_base Layout.heap_base then Some Vma_tls
-    else if within Layout.heap_base (Layout.stack_limit_of_thread (Layout.max_threads - 1))
-    then Some Vma_heap
+    else if within Layout.heap_base heap_end then Some Vma_heap
     else if Int64.compare addr Layout.stack_top < 0 then begin
       let off = Int64.to_int (Layout.stack_top -% addr) in
       Some (Vma_stack ((off - 1) / Layout.stack_region))
@@ -325,18 +334,37 @@ let resume_thread t tid =
 
 (* ----- interpreter ----- *)
 
-let fetch t (th : thread) =
-  match Hashtbl.find_opt t.decode_cache th.pc with
+(* The only place a pc is decoded. *)
+let decode t pc =
+  match Hashtbl.find_opt t.decode_cache pc with
   | Some r -> r
   | None ->
-    let window = Memory.read_bytes t.mem th.pc 16 in
+    let window = Memory.read_bytes t.mem pc 16 in
     (match Encoding.decode t.arch window 0 with
      | Some (i, sz) ->
        let r = (i, sz) in
-       Hashtbl.replace t.decode_cache th.pc r;
+       Hashtbl.replace t.decode_cache pc r;
        r
-     | None ->
-       raise (Exec_error (Printf.sprintf "undecodable instruction at 0x%Lx" th.pc)))
+     | None -> raise (Exec_error (Printf.sprintf "undecodable instruction at 0x%Lx" pc)))
+
+(* log2 of [Encoding.alignment]. *)
+let align_bits = function Arch.X86_64 -> 0 | Arch.Aarch64 -> 3
+
+let fetch t (th : thread) =
+  let pc = th.pc in
+  let ipc = Int64.to_int pc in
+  let slot = (ipc lsr align_bits t.arch) land (fetch_slots - 1) in
+  let in_table = Int64.shift_right_logical pc 62 = 0L in
+  if Array.unsafe_get t.fetch_pcs slot = ipc && in_table then
+    Array.unsafe_get t.fetch_ops slot
+  else begin
+    let r = decode t pc in
+    if in_table then begin
+      t.fetch_pcs.(slot) <- ipc;
+      t.fetch_ops.(slot) <- r
+    end;
+    r
+  end
 
 let f64 v = Int64.float_of_bits v
 let of_f64 v = Int64.bits_of_float v
@@ -406,17 +434,22 @@ let exec_syscall t (th : thread) num =
     true
   | Some `Write ->
     let addr = arg 1 and len = Int64.to_int (arg 2) in
-    Buffer.add_string t.stdout_buf (Memory.read_bytes t.mem addr len);
+    if len < 0 then raise (Exec_error (Printf.sprintf "write of negative length %d" len));
+    Memory.add_to_buffer t.stdout_buf t.mem addr len;
     ret "write" (Int64.of_int len);
     true
   | Some `Sbrk ->
     let delta = Int64.to_int (arg 0) in
     let old = t.brk in
-    if delta > 0 then begin
-      map_zero_range t.mem old delta;
-      t.brk <- old +% Int64.of_int delta
+    let brk = old +% Int64.of_int (max 0 delta) in
+    if Int64.compare brk heap_end > 0 then ret "sbrk" (-1L)
+    else begin
+      if delta > 0 then begin
+        map_zero_range t.mem old delta;
+        t.brk <- brk
+      end;
+      ret "sbrk" old
     end;
-    ret "sbrk" old;
     true
   | Some `Spawn ->
     let fn = arg 0 and a0 = arg 1 in
@@ -467,80 +500,86 @@ let exec_syscall t (th : thread) num =
     ret "yield" 0L;
     true
 
-let step_thread t (th : thread) =
-  let (i, sz) = fetch t th in
+(* Executes one fetched instruction of [sz] bytes. *)
+let exec t (th : thread) (i : Minstr.t) sz =
   let next = th.pc +% Int64.of_int sz in
-  let set r v = th.regs.(r) <- v in
-  let get r = th.regs.(r) in
-  th.instrs <- th.instrs +% 1L;
-  t.total_instrs <- t.total_instrs +% 1L;
+  (* registers are read and written in place: local get/set helpers
+     would allocate two closures per instruction *)
+  let regs = th.regs in
   match i with
   | Nop -> th.pc <- next
-  | Mov (d, s) -> set d (get s); th.pc <- next
-  | Movi (d, v) -> set d v; th.pc <- next
+  | Mov (d, s) -> regs.(d) <- regs.(s); th.pc <- next
+  | Movi (d, v) -> regs.(d) <- v; th.pc <- next
   | Movk (d, v) ->
-    set d (Int64.logor (Int64.logand (get d) 0xFFFFFFFFL) (Int64.shift_left v 32));
+    regs.(d) <- Int64.logor (Int64.logand regs.(d) 0xFFFFFFFFL) (Int64.shift_left v 32);
     th.pc <- next
-  | Binop (op, d, a, b) -> set d (eval_binop op (get a) (get b)); th.pc <- next
-  | Binopi (op, d, a, v) -> set d (eval_binop op (get a) v); th.pc <- next
-  | Unop (op, d, a) -> set d (eval_unop op (get a)); th.pc <- next
+  | Binop (op, d, a, b) -> regs.(d) <- eval_binop op regs.(a) regs.(b); th.pc <- next
+  | Binopi (op, d, a, v) -> regs.(d) <- eval_binop op regs.(a) v; th.pc <- next
+  | Unop (op, d, a) -> regs.(d) <- eval_unop op regs.(a); th.pc <- next
   | Load (d, base, off) ->
-    set d (Memory.read_u64 t.mem (get base +% Int64.of_int off));
+    regs.(d) <- Memory.read_u64 t.mem (regs.(base) +% Int64.of_int off);
     th.pc <- next
   | Store (s, base, off) ->
-    Memory.write_u64 t.mem (get base +% Int64.of_int off) (get s);
+    Memory.write_u64 t.mem (regs.(base) +% Int64.of_int off) regs.(s);
     th.pc <- next
   | Load8 (d, base, off) ->
-    set d (Int64.of_int (Memory.read_u8 t.mem (get base +% Int64.of_int off)));
+    regs.(d) <- Int64.of_int (Memory.read_u8 t.mem (regs.(base) +% Int64.of_int off));
     th.pc <- next
   | Store8 (s, base, off) ->
-    Memory.write_u8 t.mem (get base +% Int64.of_int off) (Int64.to_int (get s) land 0xFF);
+    Memory.write_u8 t.mem (regs.(base) +% Int64.of_int off) (Int64.to_int regs.(s) land 0xFF);
     th.pc <- next
   | Load_pair (d1, d2, base, off) ->
-    let b = get base in
-    set d1 (Memory.read_u64 t.mem (b +% Int64.of_int off));
-    set d2 (Memory.read_u64 t.mem (b +% Int64.of_int (off + 8)));
+    let b = regs.(base) in
+    regs.(d1) <- Memory.read_u64 t.mem (b +% Int64.of_int off);
+    regs.(d2) <- Memory.read_u64 t.mem (b +% Int64.of_int (off + 8));
     th.pc <- next
   | Store_pair (s1, s2, base, off) ->
-    let b = get base in
-    Memory.write_u64 t.mem (b +% Int64.of_int off) (get s1);
-    Memory.write_u64 t.mem (b +% Int64.of_int (off + 8)) (get s2);
+    let b = regs.(base) in
+    Memory.write_u64 t.mem (b +% Int64.of_int off) regs.(s1);
+    Memory.write_u64 t.mem (b +% Int64.of_int (off + 8)) regs.(s2);
     th.pc <- next
-  | Tls_get d -> set d th.tls; th.pc <- next
+  | Tls_get d -> regs.(d) <- th.tls; th.pc <- next
   | Call target ->
     (match t.arch with
      | Arch.X86_64 ->
-       let sp = get (Arch.sp t.arch) -% 8L in
-       set (Arch.sp t.arch) sp;
+       let sp = regs.(Arch.sp t.arch) -% 8L in
+       regs.(Arch.sp t.arch) <- sp;
        Memory.write_u64 t.mem sp next
-     | Arch.Aarch64 -> set 30 next);
+     | Arch.Aarch64 -> regs.(30) <- next);
     th.pc <- target
   | Call_reg s ->
-    let target = get s in
+    let target = regs.(s) in
     (match t.arch with
      | Arch.X86_64 ->
-       let sp = get (Arch.sp t.arch) -% 8L in
-       set (Arch.sp t.arch) sp;
+       let sp = regs.(Arch.sp t.arch) -% 8L in
+       regs.(Arch.sp t.arch) <- sp;
        Memory.write_u64 t.mem sp next
-     | Arch.Aarch64 -> set 30 next);
+     | Arch.Aarch64 -> regs.(30) <- next);
     th.pc <- target
   | Ret ->
     (match t.arch with
      | Arch.X86_64 ->
-       let sp = get (Arch.sp t.arch) in
+       let sp = regs.(Arch.sp t.arch) in
        th.pc <- Memory.read_u64 t.mem sp;
-       set (Arch.sp t.arch) (sp +% 8L)
-     | Arch.Aarch64 -> th.pc <- get 30)
+       regs.(Arch.sp t.arch) <- sp +% 8L
+     | Arch.Aarch64 -> th.pc <- regs.(30))
   | Jmp target -> th.pc <- target
-  | Jz (c, target) -> th.pc <- (if Int64.equal (get c) 0L then target else next)
-  | Jnz (c, target) -> th.pc <- (if Int64.equal (get c) 0L then next else target)
+  | Jz (c, target) -> th.pc <- (if Int64.equal regs.(c) 0L then target else next)
+  | Jnz (c, target) -> th.pc <- (if Int64.equal regs.(c) 0L then next else target)
   | Adjust_sp d ->
-    set (Arch.sp t.arch) (get (Arch.sp t.arch) +% Int64.of_int d);
+    regs.(Arch.sp t.arch) <- regs.(Arch.sp t.arch) +% Int64.of_int d;
     th.pc <- next
   | Trap ->
     th.status <- Trapped;
     th.pc <- next
   | Syscall num -> if exec_syscall t th num then th.pc <- next
+
+(* An instruction counts once it has been fetched: one that faults is
+   counted, one that cannot be fetched is not. *)
+let step_thread t (th : thread) =
+  let (i, sz) = fetch t th in
+  t.total_instrs <- Int64.succ t.total_instrs;
+  exec t th i sz
 
 type run_result =
   | Progress
@@ -562,6 +601,11 @@ let poll_blocked t (th : thread) =
     if Int64.equal (Memory.read_u64 t.mem addr) 0L then th.status <- Runnable
   | Runnable | Trapped | Stopped | Exited _ -> ()
 
+let is_runnable th = match th.status with Runnable -> true | _ -> false
+
+(* A slice counts its instructions in a local [int] and adds them to
+   [total_instrs] at its end, before a syscall executes (clock and the
+   nondet tap read the count) and before an exception leaves it. *)
 let run t ~max_instrs =
   let budget = ref max_instrs in
   let result = ref None in
@@ -572,14 +616,31 @@ let run t ~max_instrs =
       (fun th ->
         if !result = None then begin
           poll_blocked t th;
-          if th.status = Runnable then begin
+          if is_runnable th then begin
             let slice = min quantum !budget in
-            (try
-               let n = ref 0 in
-               while !n < slice && th.status = Runnable && t.exit_code = None do
-                 step_thread t th;
-                 incr n
-               done;
+            let base = t.total_instrs in
+            let n = ref 0 in
+            let fault =
+              match
+                while !n < slice && is_runnable th && Option.is_none t.exit_code do
+                  let (i, sz) = fetch t th in
+                  incr n;
+                  (match i with
+                   | Syscall _ -> t.total_instrs <- base +% Int64.of_int !n
+                   | _ -> ());
+                  exec t th i sz
+                done
+              with
+              | () -> None
+              | exception Memory.Segfault addr -> Some (Printf.sprintf "segfault at 0x%Lx" addr)
+              | exception Exec_error msg -> Some msg
+              | exception e ->
+                t.total_instrs <- base +% Int64.of_int !n;
+                raise e
+            in
+            t.total_instrs <- base +% Int64.of_int !n;
+            (match fault with
+             | None ->
                (* scheduler decision: this thread retired !n instructions
                   before the round-robin moved on — the interleaving a
                   same-ISA replay must reproduce *)
@@ -588,16 +649,8 @@ let run t ~max_instrs =
                 | _ -> ());
                if !n > 0 then progressed := true;
                budget := !budget - !n
-             with
-             | Memory.Segfault addr ->
-               let c =
-                 { cr_tid = th.tid; cr_pc = th.pc;
-                   cr_reason = Printf.sprintf "segfault at 0x%Lx" addr }
-               in
-               t.crash <- Some c;
-               result := Some (Crashed c)
-             | Exec_error msg ->
-               let c = { cr_tid = th.tid; cr_pc = th.pc; cr_reason = msg } in
+             | Some reason ->
+               let c = { cr_tid = th.tid; cr_pc = th.pc; cr_reason = reason } in
                t.crash <- Some c;
                result := Some (Crashed c));
             match t.exit_code with

@@ -22,7 +22,6 @@ type thread = {
   mutable pc : int64;
   mutable tls : int64;         (** TLS base register (FS base / TPIDR) *)
   mutable status : thread_status;
-  mutable instrs : int64;      (** instructions retired by this thread *)
 }
 
 type crash = { cr_tid : int; cr_pc : int64; cr_reason : string }
@@ -56,8 +55,22 @@ type t = {
   mutable exit_code : int64 option;
   mutable crash : crash option;
   mutable total_instrs : int64;
+      (** instructions retired by all threads. {!run} counts a slice's
+          instructions locally, so the field is exact whenever {!run} or
+          {!step_thread} returns and whenever a syscall executes (the
+          clock syscall and the nondet tap read it), not mid-slice. *)
   mutable nondet : nondet option;  (** record/replay tap; [None] = untapped *)
   decode_cache : (int64, Minstr.t * int) Hashtbl.t;
+      (** every pc ever decoded, with its instruction and size. Neither
+          cache is ever invalidated: a live process's code bytes never
+          change after their first fetch, and DSU, rerandomization and
+          migration restore into a fresh process whose caches start
+          empty. *)
+  fetch_pcs : int array;
+  fetch_ops : (Minstr.t * int) array;
+      (** a direct-mapped table in front of [decode_cache]: slot [s]
+          holds pc [fetch_pcs.(s)] and its [decode_cache] entry. Internal
+          to the interpreter. *)
 }
 
 exception Exec_error of string
