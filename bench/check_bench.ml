@@ -10,7 +10,8 @@ let required_names =
     "dapper/fig5-rewrite-warm-memo"; "dapper/fig5-pipeline-schedule";
     "dapper/fig5-criu-restore"; "dapper/redis-recode-x86-to-arm";
     "dapper/event-heap-churn"; "dapper/fig8-xl-sched-overhead";
-    "dapper/replay-record"; "dapper/replay-run" ]
+    "dapper/replay-record"; "dapper/replay-run"; "dapper/transfer-verify";
+    "dapper/commit-observe" ]
 
 (* Placement policies every fig8-xl sweep must cover, and the numeric
    fields every row must carry. *)

@@ -59,6 +59,9 @@ let tests () =
     Dapper_util.Dapper_error.ok_exn
       (Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm)
   in
+  let arm_files = Dapper_criu.Images.to_files image_arm in
+  let arm_bytes = Dapper_criu.Images.total_bytes image_arm in
+  let scp = Dapper_net.Transport.scp Dapper_net.Link.infiniband in
   let rc, rimage = redis_fixture () in
   let rmaps = rc.Link.cp_x86.bin_stackmaps in
   let rix = Dapper_binary.Stackmap_index.build rmaps in
@@ -91,6 +94,19 @@ let tests () =
           ignore (Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm)));
       Test.make ~name:"fig5-criu-restore" (Staged.stage (fun () ->
           ignore (Dapper_criu.Restore.restore image_arm c.Link.cp_arm)));
+      (* The checksummed wire: a clean transmit of the recoded image
+         hashes every byte of every file twice (sender manifest, arrival
+         check) and charges its modeled time without sleeping, so this is
+         the digest cost of the transfer stage. *)
+      Test.make ~name:"transfer-verify" (Staged.stage (fun () ->
+          ignore
+            (Dapper_net.Transport.transmit scp
+               ~stats:(Dapper_net.Transport.fresh_tx_stats ()) ~bytes:arm_bytes
+               arm_files)));
+      (* The commit acknowledgement's state digest: every data, heap and
+         TLS page of the paused fixture. *)
+      Test.make ~name:"commit-observe" (Staged.stage (fun () ->
+          ignore (Process.observe p)));
       (* Incremental recode: every rewrite after the first hits the
          output memo (unchanged fixture), so this measures the digest +
          patch-replay fast path against fig5-rewrite-x86-to-arm above. *)

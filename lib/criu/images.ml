@@ -142,7 +142,7 @@ let to_files is =
       ("pages-1.img", is.is_pages);
       ("files.img", encode_files is.is_files) ]
 
-let of_files files =
+let parse_files files =
   (* One pass over the file list: hash every image by name (first
      occurrence wins, like [List.assoc_opt]) and collect the per-thread
      cores, instead of a linear scan per named image plus a filter_map
@@ -168,6 +168,11 @@ let of_files files =
     is_pagemap = decode_pagemap (find "pagemap.img");
     is_pages = find "pages-1.img";
     is_files = decode_files (find "files.img") }
+
+let of_files files =
+  (* Malformed protobuf inside any file is malformed input like any
+     other: the decoders' error becomes [Image_error] here. *)
+  try parse_files files with Proto.Decode_error msg -> fail "malformed image: %s" msg
 
 let total_bytes is =
   List.fold_left (fun acc (_, bytes) -> acc + String.length bytes) 0 (to_files is)
@@ -240,27 +245,6 @@ let page_offset_in_dump is pn =
     | Some (lo, _, base) -> Some (base + Int64.to_int (Int64.sub target lo))
     | None -> None
   else page_offset_linear is.is_pagemap target
-
-(* ----- content checksums -----
-   FNV-1a digests at two granularities: per dumped page (what a lazy
-   page fetch must deliver intact) and per image file / whole image set
-   (what an eager transfer must deliver intact). The transfer layer
-   verifies these on arrival and retransmits on mismatch. *)
-
-let page_checksum is pn =
-  match page_offset_in_dump is pn with
-  | None -> None
-  | Some off ->
-    Some (Dapper_util.Bytebuf.fnv64 (String.sub is.is_pages off Layout.page_size))
-
-let file_checksums is =
-  List.map (fun (name, data) -> (name, Dapper_util.Bytebuf.fnv64 data)) (to_files is)
-
-let checksum is =
-  List.fold_left
-    (fun h (name, data) ->
-      Dapper_util.Bytebuf.fnv64_fold (Dapper_util.Bytebuf.fnv64_fold h name) data)
-    0xcbf29ce484222325L (to_files is)
 
 let read_page is pn =
   match page_offset_in_dump is pn with

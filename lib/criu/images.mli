@@ -70,22 +70,6 @@ val total_bytes : image_set -> int
 (** Offset of a page's contents within [is_pages], if dumped. *)
 val page_offset_in_dump : image_set -> int -> int option
 
-(** {1 Content checksums}
-
-    FNV-1a digests the transfer layer verifies on arrival (and
-    retransmits on mismatch): per dumped page, per named image file,
-    and over the whole serialized image set. *)
-
-(** Digest of one dumped page's contents ([None] if lazy/unmapped). *)
-val page_checksum : image_set -> int -> int64 option
-
-(** The sender-side manifest: one digest per named image file. *)
-val file_checksums : image_set -> (string * int64) list
-
-(** A single digest over every file name and its contents, in
-    [to_files] order — the whole-image integrity check. *)
-val checksum : image_set -> int64
-
 (** Convenience: read/overwrite one dumped page. *)
 val read_page : image_set -> int -> string option
 val write_page : image_set -> int -> string -> image_set

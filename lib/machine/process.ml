@@ -224,26 +224,31 @@ let fnv_int h n =
   let rec go h i = if i = 8 then h else go (fnv_byte h ((n lsr (i * 8)) land 0xff)) (i + 1) in
   go h 0
 
+let zero_word = String.make 8 '\000'
+
+(* One page's digest continued from [h]: its page number, then its bytes
+   on the shared kernel. The transformation flag is runtime-monitor
+   state, not program state: it is raised on the source during a pause
+   and dropped again by restore, so on the flag's page the 8 bytes at
+   [flag_off] (clamped to the page) are hashed as zeros. *)
+let digest_page ~flag_off ~mask_flag h pn page =
+  let h = fnv_int h pn in
+  (* the page is not mutated during the call and the alias does not escape *)
+  let s = Bytes.unsafe_to_string page in
+  let n = String.length s in
+  if not mask_flag then Dapper_util.Bytebuf.fnv64_sub h s 0 n
+  else begin
+    let lo = min flag_off n in
+    let hi = min (flag_off + 8) n in
+    let h = Dapper_util.Bytebuf.fnv64_sub h s 0 lo in
+    let h = Dapper_util.Bytebuf.fnv64_sub h zero_word 0 (hi - lo) in
+    Dapper_util.Bytebuf.fnv64_sub h s hi (n - hi)
+  end
+
 let observe t =
   let flag = t.binary.Binary.bin_anchors.Binary.a_flag in
   let flag_page = Layout.page_of_addr flag in
   let flag_off = Layout.page_offset flag in
-  (* The transformation flag is runtime-monitor state, not program state:
-     it is raised on the source during a pause and dropped again by
-     restore, so its 8 bytes are masked out of the data digest. *)
-  let digest_page ~mask_flag h pn page =
-    let h = fnv_int h pn in
-    let n = Bytes.length page in
-    let h = ref h in
-    for idx = 0 to n - 1 do
-      let b =
-        if mask_flag && idx >= flag_off && idx < flag_off + 8 then 0
-        else Char.code (Bytes.unsafe_get page idx)
-      in
-      h := fnv_byte !h b
-    done;
-    !h
-  in
   let data = ref fnv_offset and heap = ref fnv_offset and tls = ref fnv_offset in
   Array.iter
     (fun pn ->
@@ -251,7 +256,7 @@ let observe t =
         (* page_contents never consults the fault handler: observing a
            process must not fault pages in or perturb fault accounting *)
         match Memory.page_contents t.mem pn with
-        | Some page -> acc := digest_page ~mask_flag !acc pn page
+        | Some page -> acc := digest_page ~flag_off ~mask_flag !acc pn page
         | None -> ()
       in
       match vma_kind_of_page t pn with
@@ -276,24 +281,15 @@ let observe_pages t =
   let flag = t.binary.Binary.bin_anchors.Binary.a_flag in
   let flag_page = Layout.page_of_addr flag in
   let flag_off = Layout.page_offset flag in
-  let digest ~mask_flag pn page =
-    let h = ref (fnv_int fnv_offset pn) in
-    for idx = 0 to Bytes.length page - 1 do
-      let b =
-        if mask_flag && idx >= flag_off && idx < flag_off + 8 then 0
-        else Char.code (Bytes.unsafe_get page idx)
-      in
-      h := fnv_byte !h b
-    done;
-    !h
-  in
   Array.fold_left
     (fun acc pn ->
       match vma_kind_of_page t pn with
       | Some ((Vma_data | Vma_heap | Vma_tls) as kind) ->
         (match Memory.page_contents t.mem pn with
          | Some page ->
-           (kind, pn, digest ~mask_flag:(pn = flag_page) pn page) :: acc
+           (kind, pn,
+            digest_page ~flag_off ~mask_flag:(pn = flag_page) fnv_offset pn page)
+           :: acc
          | None -> acc)
       | Some Vma_code | Some (Vma_stack _) | None -> acc)
     []

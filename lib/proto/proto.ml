@@ -91,8 +91,12 @@ let decode s =
       | 2 ->
         let len, n = decode_varint s !pos in
         pos := !pos + n;
+        (* compared as Int64: a length of 2^62 or more would wrap
+           negative as an int and slip past the bound *)
+        if Int64.compare len 0L < 0 then fail "negative delimited length";
+        if Int64.compare len (Int64.of_int (String.length s - !pos)) > 0 then
+          fail "truncated delimited field";
         let len = Int64.to_int len in
-        if !pos + len > String.length s then fail "truncated delimited field";
         let v = String.sub s !pos len in
         pos := !pos + len;
         Delim v

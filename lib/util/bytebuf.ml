@@ -66,15 +66,25 @@ let patch_i64 buf off v =
 
 (* FNV-1a (64-bit). The canonical content digest of the tree: image
    files, page payloads and transfer manifests all hash with it, so a
-   checksum computed on one side of a link is comparable on the other. *)
+   checksum computed on one side of a link is comparable on the other.
+
+   The kernel is one loop over unchecked reads with the accumulator in
+   a local ref that no closure captures, so ocamlopt keeps it unboxed:
+   a digest allocates only its boxed result, whatever the length. *)
 let fnv64_offset = 0xcbf29ce484222325L
 let fnv64_prime = 0x100000001b3L
 
-let fnv64_fold h s =
+let fnv64_sub h s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Bytebuf.fnv64_sub";
   let h = ref h in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv64_prime)
-    s;
+  for i = off to off + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv64_prime
+  done;
   !h
 
+let fnv64_fold h s = fnv64_sub h s 0 (String.length s)
 let fnv64 s = fnv64_fold fnv64_offset s

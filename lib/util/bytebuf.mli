@@ -35,11 +35,21 @@ val patch_i64 : t -> int -> int64 -> unit
 (** {1 Content checksums}
 
     FNV-1a (64-bit) — the tree's canonical content digest, used for
-    per-page and per-image checksums on image transfers. *)
+    per-page and per-image checksums on image transfers and for the
+    state digests of [Process.observe]. Every entry point runs on one
+    kernel that reads each byte once and allocates nothing but the
+    boxed result. *)
 
 (** [fnv64 s] digests [s] from the standard offset basis. *)
 val fnv64 : string -> int64
 
 (** [fnv64_fold h s] continues a digest [h] over [s], for multi-part
-    payloads (file name + contents, page runs). *)
+    payloads (file name + contents, page runs):
+    [fnv64_fold (fnv64 a) b = fnv64 (a ^ b)]. *)
 val fnv64_fold : int64 -> string -> int64
+
+(** [fnv64_sub h s off len] continues a digest [h] over the [len] bytes
+    of [s] from [off], without copying them out: it equals
+    [fnv64_fold h (String.sub s off len)]. Raises [Invalid_argument]
+    unless [0 <= off], [0 <= len] and [off + len <= String.length s]. *)
+val fnv64_sub : int64 -> string -> int -> int -> int64

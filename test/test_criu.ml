@@ -69,8 +69,42 @@ let test_image_file_errors () =
   in
   check Alcotest.bool "corrupt mm.img" true
     (match Images.of_files corrupt with
-     | exception (Images.Image_error _ | Dapper_proto.Proto.Decode_error _) -> true
+     | exception Images.Image_error _ -> true
      | _ -> false)
+
+(* Malformed protobuf inside one file of an otherwise valid set must
+   surface as [Image_error], the one error [of_files] promises. One case
+   per input, each replacing one file of a tiny well-formed image. *)
+let malformed_image_files =
+  let module P = Dapper_proto.Proto in
+  let tiny =
+    { Images.is_cores =
+        [ { Images.tc_tid = 0; tc_arch = Dapper_isa.Arch.X86_64; tc_regs = [| 1L |];
+            tc_pc = 0x1000L; tc_tls = 0L } ];
+      is_mm = { Images.mm_brk = 0x2000L; mm_vmas = [] };
+      is_pagemap = [];
+      is_pages = "";
+      is_files = { Images.fi_app = "tiny"; fi_arch = Dapper_isa.Arch.X86_64 } }
+  in
+  List.map
+    (fun (what, name, bytes) ->
+      Alcotest.test_case ("of_files rejects " ^ what) `Quick (fun () ->
+          let files =
+            List.map
+              (fun (n, b) -> if n = name then (n, bytes) else (n, b))
+              (Images.to_files tiny)
+          in
+          check Alcotest.bool what true
+            (match Images.of_files files with
+             | exception Images.Image_error _ -> true
+             | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+             | _ -> false)))
+    [ ("a truncated mm.img", "mm.img", "\x08");
+      ( "an mm.img without its brk tag", "mm.img",
+        P.encode
+          [ P.v_msg 2 [ P.v_fix 1 0x1000L; P.v_int 2 1L; P.v_int 3 1L; P.v_int 4 0L ] ] );
+      ( "a core-0.img with a 2^62-byte field", "core-0.img",
+        "\x0a\x80\x80\x80\x80\x80\x80\x80\x80\x40" ) ]
 
 let test_restore_rejects_wrong_app () =
   let _, p = paused_process () in
@@ -126,4 +160,5 @@ let suites =
         Alcotest.test_case "lazy restore needs server" `Quick test_lazy_restore_without_server_faults;
         Alcotest.test_case "crit pages are raw" `Quick test_crit_rejects_pages_encode;
         Alcotest.test_case "identity checkpoint/restore" `Quick
-          test_checkpoint_restore_preserves_everything ] ) ]
+          test_checkpoint_restore_preserves_everything ]
+      @ malformed_image_files ) ]

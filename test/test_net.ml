@@ -169,6 +169,27 @@ let test_transmit_corruption_detected () =
    | Ok _ -> Alcotest.fail "corruption must not deliver");
   check Alcotest.bool "corruption detected" true (stats.Transport.tx_corrupt > 0)
 
+(* Every byte of every file is under the checksum: with certain
+   corruption and no retry policy, a one-file set of each length is
+   rejected whichever byte the fault plane flips, tail bytes included. *)
+let test_transmit_corruption_every_length () =
+  let t = Transport.scp Link.infiniband in
+  List.iter
+    (fun len ->
+      let files =
+        [ ("core-1.img", String.init len (fun i -> Char.chr ((i * 131 + 7) land 0xFF))) ]
+      in
+      for seed = 1 to 200 do
+        let stats = Transport.fresh_tx_stats () in
+        let fault = Fault.make ~seed { Fault.calm with Fault.fs_corrupt = 1.0 } in
+        match Transport.transmit t ~fault ~stats ~bytes:len files with
+        | Error (Derr.Checksum_mismatch _) -> ()
+        | Error e ->
+          Alcotest.failf "%d bytes, seed %d: wrong error: %s" len seed (Derr.to_string e)
+        | Ok _ -> Alcotest.failf "%d bytes, seed %d: corruption delivered" len seed
+      done)
+    (List.init 17 (fun i -> i + 1) @ [ 4099 ])
+
 let test_transmit_delay_survives () =
   (* certain delay: delivery succeeds, the added latency is accounted *)
   let t = Transport.scp Link.infiniband in
@@ -211,6 +232,16 @@ let test_fetch_page_paths () =
    | Error e -> Alcotest.fail ("wrong error: " ^ Derr.to_string e)
    | Ok _ -> Alcotest.fail "certain drop cannot deliver");
   check Alcotest.int "two retransmissions" 2 stats.Transport.srv_retransmits;
+  (* certain corruption: every copy fails its checksum on arrival, so
+     nothing damaged is delivered; the fetch retries, then times out *)
+  let cstats = Transport.fresh_page_stats () in
+  let fault = Fault.make ~seed:3 { Fault.calm with Fault.fs_corrupt = 1.0 } in
+  (match Transport.fetch_page t ~fault cstats ~page_bytes:4096 fetch 7 with
+   | Error (Derr.Transfer_timeout _) -> ()
+   | Error e -> Alcotest.fail ("wrong error: " ^ Derr.to_string e)
+   | Ok _ -> Alcotest.fail "certain corruption cannot deliver");
+  check Alcotest.int "corrupt copies retransmitted" 2 cstats.Transport.srv_retransmits;
+  check Alcotest.int "no page served" 0 cstats.Transport.srv_pages;
   (* source crash: the page server is gone; structural, migration must
      roll back rather than retry against a dead node *)
   let fault = Fault.make ~seed:3 { Fault.calm with Fault.fs_crash_source = 1.0 } in
@@ -440,6 +471,8 @@ let suites =
         Alcotest.test_case "backoff closed form" `Quick test_backoff_closed_form;
         Alcotest.test_case "transmit: corruption detected" `Quick
           test_transmit_corruption_detected;
+        Alcotest.test_case "transmit: corruption detected at every length" `Quick
+          test_transmit_corruption_every_length;
         Alcotest.test_case "transmit: delay survives" `Quick test_transmit_delay_survives;
         Alcotest.test_case "fetch_page: fault paths" `Quick test_fetch_page_paths;
         Alcotest.test_case "shard queue: round robin" `Quick

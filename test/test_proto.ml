@@ -63,6 +63,21 @@ let test_truncated_message () =
      | exception Proto.Decode_error _ -> true
      | _ -> false)
 
+(* A delimited field whose length varint is 2^62 or -1 wraps negative
+   as an int; decoding must reject it with [Decode_error], never let
+   [String.sub] raise [Invalid_argument]. One case per input. *)
+let hostile_delimited_lengths =
+  List.map
+    (fun (what, bytes) ->
+      Alcotest.test_case ("hostile delimited " ^ what) `Quick (fun () ->
+          check Alcotest.bool what true
+            (match Proto.decode bytes with
+             | exception Proto.Decode_error _ -> true
+             | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+             | _ -> false)))
+    [ ("length 2^62", "\x0a\x80\x80\x80\x80\x80\x80\x80\x80\x40");
+      ("length -1", "\x0a" ^ String.make 9 '\xff' ^ "\x01") ]
+
 let test_zigzag_boundaries () =
   (* The whole point of zigzag: small-magnitude signed values map to
      small unsigned varints. *)
@@ -155,4 +170,5 @@ let suites =
         Alcotest.test_case "zigzag boundaries" `Quick test_zigzag_boundaries;
         QCheck_alcotest.to_alcotest qcheck_varint_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_zigzag_roundtrip;
-        QCheck_alcotest.to_alcotest qcheck_field_roundtrip ] ) ]
+        QCheck_alcotest.to_alcotest qcheck_field_roundtrip ]
+      @ hostile_delimited_lengths ) ]

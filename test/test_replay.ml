@@ -131,6 +131,21 @@ let test_log_wire_round_trip () =
      | exception Log.Log_error _ -> true
      | _ -> false)
 
+(* The recorded mini-quickstart log on each ISA, pinned as absolute
+   values: the log carries every anchor's per-page digests
+   ([Process.observe_pages]), so a change to any digest on that path
+   moves these fingerprints even where two recordings still agree. *)
+let test_log_fingerprint_pins () =
+  let c = Option.get (Corpus.find "mini-quickstart") in
+  List.iter
+    (fun (arch, bin, want) ->
+      check Alcotest.string
+        (Printf.sprintf "mini-quickstart %s log fingerprint" (Arch.name arch))
+        want
+        (Printf.sprintf "%016Lx" (Log.fingerprint (record_exn bin))))
+    [ (Arch.X86_64, c.Link.cp_x86, "955eacbb58eb3c96");
+      (Arch.Aarch64, c.Link.cp_arm, "9a8bcda20b30510f") ]
+
 (* Shadow replay localizes a seeded rewriter corruption: a clean
    migration's shadow matches, and a byte flipped in the rewritten
    image is pinned to the restore point with the diverging page named. *)
@@ -166,5 +181,7 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_generated_round_trip;
         Alcotest.test_case "log wire-format round-trip + checksum" `Quick
           test_log_wire_round_trip;
+        Alcotest.test_case "log fingerprints pinned on both ISAs" `Quick
+          test_log_fingerprint_pins;
         Alcotest.test_case "shadow localizes injected corruption" `Quick
           test_shadow_localizes_corruption ] ) ]

@@ -81,7 +81,83 @@ let test_fnv64 () =
   check Alcotest.bool "fold composes" true
     (Int64.equal
        (Bytebuf.fnv64_fold (Bytebuf.fnv64 "ab") "cd")
-       (Bytebuf.fnv64 "abcd"))
+       (Bytebuf.fnv64 "abcd"));
+  (* the published FNV-1a-64 test vectors *)
+  List.iter
+    (fun (s, want) ->
+      check Alcotest.string (Printf.sprintf "fnv64 %S" s) want
+        (Printf.sprintf "%016Lx" (Bytebuf.fnv64 s)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8") ]
+
+(* FNV-1a by its definition, one byte at a time, kept apart from the
+   library's kernel so the two can be compared. *)
+let fnv64_reference h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) 0x100000001b3L
+  done;
+  !h
+
+(* 0-300 bytes over the full byte range, so the high-bit bytes and
+   every tail length past a word boundary are covered. *)
+let fnv_string =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(string_size ~gen:char (int_range 0 300))
+
+let qcheck_fnv64_reference =
+  QCheck.Test.make ~count:300
+    ~name:"fnv64 = per-byte reference, folds at every split, sees every byte"
+    fnv_string (fun s ->
+      let n = String.length s in
+      let whole = Bytebuf.fnv64 s in
+      Int64.equal whole (fnv64_reference 0xcbf29ce484222325L s)
+      && List.for_all
+           (fun i ->
+             Int64.equal whole
+               (Bytebuf.fnv64_fold (Bytebuf.fnv64 (String.sub s 0 i))
+                  (String.sub s i (n - i))))
+           (List.init (n + 1) Fun.id)
+      && List.for_all
+           (fun i ->
+             let b = Bytes.of_string s in
+             Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 + (i mod 255))));
+             not (Int64.equal whole (Bytebuf.fnv64 (Bytes.to_string b))))
+           (List.init n Fun.id))
+
+(* [fnv64_sub] hashes a window of a string in place: the same digest
+   as copying the window out, from any starting digest. *)
+let qcheck_fnv64_sub =
+  QCheck.Test.make ~count:300 ~name:"fnv64_sub = fnv64_fold over String.sub"
+    (QCheck.make
+       ~print:(fun (h, s, off, len) -> Printf.sprintf "%Lx %S %d %d" h s off len)
+       QCheck.Gen.(
+         let* h = ui64 in
+         let* s = string_size ~gen:char (int_range 0 300) in
+         let n = String.length s in
+         let* off = int_range 0 n in
+         let+ len = int_range 0 (n - off) in
+         (h, s, off, len)))
+    (fun (h, s, off, len) ->
+      Int64.equal (Bytebuf.fnv64_sub h s off len)
+        (Bytebuf.fnv64_fold h (String.sub s off len)))
+
+let test_fnv64_sub_bounds () =
+  let s = "0123456789" in
+  check Alcotest.bool "whole string" true
+    (Int64.equal (Bytebuf.fnv64_sub 0xcbf29ce484222325L s 0 10) (Bytebuf.fnv64 s));
+  check Alcotest.bool "empty window at the end" true
+    (Int64.equal (Bytebuf.fnv64_sub 7L s 10 0) 7L);
+  List.iter
+    (fun (off, len) ->
+      check Alcotest.bool
+        (Printf.sprintf "off %d len %d rejected" off len)
+        true
+        (match Bytebuf.fnv64_sub 0L s off len with
+         | exception Invalid_argument _ -> true
+         | _ -> false))
+    [ (-1, 1); (0, -1); (0, 11); (10, 1); (11, 0); (5, 6); (1, max_int);
+      (max_int, 1); (min_int, 0) ]
 
 (* ----- unified error classification -----
 
@@ -319,6 +395,11 @@ let suites =
         Alcotest.test_case "fault corrupt_byte" `Quick test_fault_corrupt_byte;
         Alcotest.test_case "event heap basics" `Quick test_event_heap_basics;
         Alcotest.test_case "event heap tie-break" `Quick test_event_heap_tie_break;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 64 |])
+          qcheck_fnv64_reference;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 65 |])
+          qcheck_fnv64_sub;
+        Alcotest.test_case "fnv64_sub bounds" `Quick test_fnv64_sub_bounds;
         QCheck_alcotest.to_alcotest qcheck_event_heap_model;
         QCheck_alcotest.to_alcotest qcheck_event_heap_interleaved;
         QCheck_alcotest.to_alcotest qcheck_event_heap_merge;
