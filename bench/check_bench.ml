@@ -42,8 +42,50 @@ let required_chaos_fields =
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("check_bench: " ^ s); exit 1) fmt
 
+let file = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_RESULTS.json"
+
+(* Top-level key [key] of [doc], converted by [conv]; [kind] names the
+   expected JSON type in the error. *)
+let top doc key conv kind =
+  match J.member_opt key doc with
+  | Some v -> (try conv v with _ -> die "%s: %S is not a %s" file key kind)
+  | None -> die "%s: missing key %S" file key
+
+(* Numeric [field] of the row of section [key] whose id is [id]. *)
+let number key id row field =
+  match J.member_opt field row with
+  | Some v -> (try J.to_float v with _ -> die "%s: %s %s: %S is not a number" file key id field)
+  | None -> die "%s: %s %s: missing %S" file key id field
+
+(* One row section: [key] must be a non-empty list whose rows each carry
+   a string [id_field] and every numeric field in [fields], with
+   [nonzero] above zero, then pass [each]; every id in [required] (a
+   [noun] in the errors) must appear. Returns the rows by id. *)
+let section doc key ~id_field ~noun ~fields ~nonzero ~required ~each =
+  let rows = top doc key J.to_list "list" in
+  if rows = [] then die "%s: %S is empty" file key;
+  let by_id =
+    List.map
+      (fun row ->
+        let id =
+          match J.member_opt id_field row with
+          | Some v ->
+            (try J.to_str v with _ -> die "%s: %s row %S is not a string" file key id_field)
+          | None -> die "%s: %s row missing %S" file key id_field
+        in
+        List.iter (fun f -> ignore (number key id row f)) fields;
+        if number key id row nonzero <= 0.0 then die "%s: %s %s: %s is zero" file key id nonzero;
+        each id row;
+        (id, row))
+      rows
+  in
+  List.iter
+    (fun want ->
+      if not (List.mem_assoc want by_id) then die "%s: %s missing %s %S" file key noun want)
+    required;
+  by_id
+
 let () =
-  let file = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_RESULTS.json" in
   let contents =
     try
       let ic = open_in_bin file in
@@ -54,20 +96,10 @@ let () =
     with Sys_error e -> die "cannot read %s: %s" file e
   in
   let doc = try J.of_string contents with J.Parse_error e -> die "%s: %s" file e in
-  let suite =
-    match J.member_opt "suite" doc with
-    | Some s -> (try J.to_str s with _ -> die "%s: \"suite\" is not a string" file)
-    | None -> die "%s: missing key \"suite\"" file
-  in
+  let suite = top doc "suite" J.to_str "string" in
   if suite <> "dapper-micro" then die "%s: unexpected suite %S" file suite;
-  (match J.member_opt "smoke" doc with
-   | Some b -> (try ignore (J.to_bool b) with _ -> die "%s: \"smoke\" is not a bool" file)
-   | None -> die "%s: missing key \"smoke\"" file);
-  let entries =
-    match J.member_opt "benchmarks" doc with
-    | Some l -> (try J.to_list l with _ -> die "%s: \"benchmarks\" is not a list" file)
-    | None -> die "%s: missing key \"benchmarks\"" file
-  in
+  ignore (top doc "smoke" J.to_bool "bool");
+  let entries = top doc "benchmarks" J.to_list "list" in
   let names =
     List.map
       (fun e ->
@@ -91,132 +123,38 @@ let () =
       if not (List.mem want names) then die "%s: missing benchmark %S" file want)
     required_names;
   let xl_rows =
-    match J.member_opt "fig8_xl" doc with
-    | Some l -> (try J.to_list l with _ -> die "%s: \"fig8_xl\" is not a list" file)
-    | None -> die "%s: missing key \"fig8_xl\"" file
+    section doc "fig8_xl" ~id_field:"policy" ~noun:"policy" ~fields:required_xl_fields
+      ~nonzero:"jobs_done" ~required:required_xl_policies ~each:(fun _ _ -> ())
   in
-  if xl_rows = [] then die "%s: \"fig8_xl\" is empty" file;
-  let xl_policies =
-    List.map
-      (fun row ->
-        let policy =
-          match J.member_opt "policy" row with
-          | Some p ->
-            (try J.to_str p
-             with _ -> die "%s: fig8_xl row \"policy\" is not a string" file)
-          | None -> die "%s: fig8_xl row missing \"policy\"" file
-        in
-        List.iter
-          (fun field ->
-            match J.member_opt field row with
-            | Some v ->
-              (try ignore (J.to_float v)
-               with _ ->
-                 die "%s: fig8_xl %s: %S is not a number" file policy field)
-            | None -> die "%s: fig8_xl %s: missing %S" file policy field)
-          required_xl_fields;
-        (match J.member_opt "jobs_done" row with
-         | Some v when (try J.to_float v <= 0.0 with _ -> false) ->
-           die "%s: fig8_xl %s: jobs_done is zero" file policy
-         | _ -> ());
-        policy)
-      xl_rows
-  in
-  List.iter
-    (fun want ->
-      if not (List.mem want xl_policies) then
-        die "%s: fig8_xl missing policy %S" file want)
-    required_xl_policies;
   let live_rows =
-    match J.member_opt "fig7_live" doc with
-    | Some l -> (try J.to_list l with _ -> die "%s: \"fig7_live\" is not a list" file)
-    | None -> die "%s: missing key \"fig7_live\"" file
+    section doc "fig7_live" ~id_field:"mechanism" ~noun:"mechanism"
+      ~fields:required_live_fields ~nonzero:"requests" ~required:required_live_mechanisms
+      ~each:(fun mech row ->
+        match J.member_opt "fingerprint" row with
+        | Some f ->
+          (try
+             if String.length (J.to_str f) <> 16 then
+               die "%s: fig7_live %s: fingerprint is not 16 hex chars" file mech
+           with _ -> die "%s: fig7_live %s: \"fingerprint\" is not a string" file mech)
+        | None -> die "%s: fig7_live %s: missing \"fingerprint\"" file mech)
   in
-  if live_rows = [] then die "%s: \"fig7_live\" is empty" file;
-  let live_mechanisms =
-    List.map
-      (fun row ->
-        let mech =
-          match J.member_opt "mechanism" row with
-          | Some m ->
-            (try J.to_str m
-             with _ -> die "%s: fig7_live row \"mechanism\" is not a string" file)
-          | None -> die "%s: fig7_live row missing \"mechanism\"" file
-        in
-        List.iter
-          (fun field ->
-            match J.member_opt field row with
-            | Some v ->
-              (try ignore (J.to_float v)
-               with _ ->
-                 die "%s: fig7_live %s: %S is not a number" file mech field)
-            | None -> die "%s: fig7_live %s: missing %S" file mech field)
-          required_live_fields;
-        (match J.member_opt "requests" row with
-         | Some v when (try J.to_float v <= 0.0 with _ -> false) ->
-           die "%s: fig7_live %s: requests is zero" file mech
-         | _ -> ());
-        (match J.member_opt "fingerprint" row with
-         | Some f ->
-           (try
-              if String.length (J.to_str f) <> 16 then
-                die "%s: fig7_live %s: fingerprint is not 16 hex chars" file mech
-            with _ -> die "%s: fig7_live %s: \"fingerprint\" is not a string" file mech)
-         | None -> die "%s: fig7_live %s: missing \"fingerprint\"" file mech);
-        mech)
-      live_rows
-  in
-  List.iter
-    (fun want ->
-      if not (List.mem want live_mechanisms) then
-        die "%s: fig7_live missing mechanism %S" file want)
-    required_live_mechanisms;
   let chaos_rows =
-    match J.member_opt "fig9_chaos" doc with
-    | Some l ->
-      (try J.to_list l with _ -> die "%s: \"fig9_chaos\" is not a list" file)
-    | None -> die "%s: missing key \"fig9_chaos\"" file
-  in
-  if chaos_rows = [] then die "%s: \"fig9_chaos\" is empty" file;
-  let chaos_field arm row field =
-    match J.member_opt field row with
-    | Some v ->
-      (try J.to_float v
-       with _ -> die "%s: fig9_chaos %s: %S is not a number" file arm field)
-    | None -> die "%s: fig9_chaos %s: missing %S" file arm field
-  in
-  let chaos_arms =
-    List.map
-      (fun row ->
-        let arm =
-          match J.member_opt "control" row with
-          | Some c ->
-            (try J.to_str c
-             with _ -> die "%s: fig9_chaos row \"control\" is not a string" file)
-          | None -> die "%s: fig9_chaos row missing \"control\"" file
-        in
-        List.iter (fun f -> ignore (chaos_field arm row f)) required_chaos_fields;
-        let seeds = chaos_field arm row "seeds" in
-        if seeds <= 0.0 then die "%s: fig9_chaos %s: seeds is zero" file arm;
-        let verdicts =
-          chaos_field arm row "committed"
-          +. chaos_field arm row "degraded"
-          +. chaos_field arm row "rolled_back"
-        in
+    section doc "fig9_chaos" ~id_field:"control" ~noun:"control arm"
+      ~fields:required_chaos_fields ~nonzero:"seeds" ~required:required_chaos_arms
+      ~each:(fun arm row ->
+        let field = number "fig9_chaos" arm row in
+        let seeds = field "seeds" in
+        let verdicts = field "committed" +. field "degraded" +. field "rolled_back" in
         if verdicts <> seeds then
           die
             "%s: fig9_chaos %s: committed+degraded+rolled_back = %g <> %g \
              seeds (a run ended without an explicit verdict)"
-            file arm verdicts seeds;
-        (arm, chaos_field arm row "mig_p99_ms"))
-      chaos_rows
+            file arm verdicts seeds)
   in
-  List.iter
-    (fun want ->
-      if not (List.mem_assoc want chaos_arms) then
-        die "%s: fig9_chaos missing control arm %S" file want)
-    required_chaos_arms;
-  (match (List.assoc_opt "on" chaos_arms, List.assoc_opt "off" chaos_arms) with
+  let p99 arm =
+    Option.map (fun row -> number "fig9_chaos" arm row "mig_p99_ms") (List.assoc_opt arm chaos_rows)
+  in
+  (match (p99 "on", p99 "off") with
    | Some p_on, Some p_off when p_on > p_off ->
      die
        "%s: fig9_chaos: control-on during-migration p99 (%.2f ms) worse than \

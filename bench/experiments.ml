@@ -45,12 +45,12 @@ let migrate_at ?lazy_pages ?recode_on ?pipeline ?chunk_bytes ?recode_workers ?me
    | Process.Progress -> ()
    | _ -> failwith (c.Link.cp_app ^ ": finished before migration point"));
   match
-    Migrate.migrate ?lazy_pages ?recode_on ?pipeline ?chunk_bytes ?recode_workers
+    Session.migrate ?lazy_pages ?recode_on ?pipeline ?chunk_bytes ?recode_workers
       ?memo ~bytes_scale ~src_node:Node.xeon ~dst_node:Node.rpi
       ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm p
   with
   | Ok r -> (p, r)
-  | Error e -> failwith (c.Link.cp_app ^ ": " ^ Migrate.error_to_string e)
+  | Error e -> failwith (c.Link.cp_app ^ ": " ^ Dapper_error.to_string e)
 
 (* ----- Fig. 5: cross-ISA transformation cost breakdown ----- *)
 
@@ -66,9 +66,9 @@ let fig5 () =
         let total = native_instrs c Arch.X86_64 in
         let _, r = migrate_at c ~total_instrs:total ~frac:0.5 in
         let recode_arm =
-          Migrate.recode_ns Node.rpi
-            ~bytes:(int_of_float (float_of_int r.Migrate.r_image_bytes *. bytes_scale))
-            r.Migrate.r_rewrite
+          Session.recode_ns Node.rpi
+            ~bytes:(int_of_float (float_of_int r.Session.r_image_bytes *. bytes_scale))
+            r.Session.r_rewrite
           /. 1e6
         in
         (name, r, recode_arm))
@@ -77,10 +77,10 @@ let fig5 () =
   let rows =
     List.map
       (fun (name, r, recode_arm) ->
-        let t = r.Migrate.r_times in
+        let t = r.Session.r_times in
         [ name; Tbl.ms t.t_checkpoint_ms; Tbl.ms t.t_recode_ms; Tbl.ms recode_arm;
-          Tbl.ms t.t_scp_ms; Tbl.ms t.t_restore_ms; Tbl.ms (Migrate.total_ms t);
-          Printf.sprintf "%d KiB" (r.Migrate.r_image_bytes / 1024) ])
+          Tbl.ms t.t_scp_ms; Tbl.ms t.t_restore_ms; Tbl.ms (Session.total_ms t);
+          Printf.sprintf "%d KiB" (r.Session.r_image_bytes / 1024) ])
       measured
   in
   Tbl.print
@@ -90,7 +90,7 @@ let fig5 () =
     rows;
   let n = float_of_int (List.length measured) in
   let rx =
-    List.fold_left (fun a (_, r, _) -> a +. r.Migrate.r_times.t_recode_ms) 0.0 measured /. n
+    List.fold_left (fun a (_, r, _) -> a +. r.Session.r_times.t_recode_ms) 0.0 measured /. n
   in
   let ra = List.fold_left (fun a (_, _, x) -> a +. x) 0.0 measured /. n in
   Printf.printf
@@ -133,14 +133,14 @@ let fig5_pipelined () =
   let rows =
     List.map
       (fun (name, seq, pipe, par, warm) ->
-        let st = seq.Migrate.r_times and pt = pipe.Migrate.r_times in
+        let st = seq.Session.r_times and pt = pipe.Session.r_times in
         let hidden =
           (st.t_recode_ms +. st.t_scp_ms) -. (pt.t_recode_ms +. pt.t_scp_ms)
         in
-        let wrw = warm.Migrate.r_rewrite in
-        [ name; Tbl.ms (Migrate.total_ms st); Tbl.ms (Migrate.total_ms pt);
-          Tbl.ms hidden; Tbl.ms (Migrate.total_ms par.Migrate.r_times);
-          Tbl.ms (Migrate.total_ms warm.Migrate.r_times);
+        let wrw = warm.Session.r_rewrite in
+        [ name; Tbl.ms (Session.total_ms st); Tbl.ms (Session.total_ms pt);
+          Tbl.ms hidden; Tbl.ms (Session.total_ms par.Session.r_times);
+          Tbl.ms (Session.total_ms warm.Session.r_times);
           Printf.sprintf "%d/%d"
             (Rewrite.(wrw.st_memo_thread_hits))
             (Rewrite.(wrw.st_memo_page_hits)) ])
@@ -156,10 +156,10 @@ let fig5_pipelined () =
     rows;
   let n = float_of_int (List.length measured) in
   let avg f = List.fold_left (fun a x -> a +. f x) 0.0 measured /. n in
-  let seq_avg = avg (fun (_, s, _, _, _) -> Migrate.total_ms s.Migrate.r_times) in
-  let pipe_avg = avg (fun (_, _, p, _, _) -> Migrate.total_ms p.Migrate.r_times) in
-  let par_avg = avg (fun (_, _, _, p, _) -> Migrate.total_ms p.Migrate.r_times) in
-  let warm_avg = avg (fun (_, _, _, _, w) -> Migrate.total_ms w.Migrate.r_times) in
+  let seq_avg = avg (fun (_, s, _, _, _) -> Session.total_ms s.Session.r_times) in
+  let pipe_avg = avg (fun (_, _, p, _, _) -> Session.total_ms p.Session.r_times) in
+  let par_avg = avg (fun (_, _, _, p, _) -> Session.total_ms p.Session.r_times) in
+  let warm_avg = avg (fun (_, _, _, _, w) -> Session.total_ms w.Session.r_times) in
   Printf.printf
     "avg end-to-end: %.1f ms sequential -> %.1f ms pipelined (%.1f%%), %.1f ms \
      with 4 recode workers (%.1f%%), %.1f ms warm-incremental (%.1f%%)\n\n"
@@ -184,13 +184,13 @@ let fig6 () =
         (* run half on x86, migrate, finish on arm *)
         let src, r = migrate_at c ~total_instrs:ix ~frac:0.5 in
         let after =
-          match Process.run_to_completion r.Migrate.r_process ~fuel with
-          | Process.Exited_run _ -> r.Migrate.r_process.Process.total_instrs
+          match Process.run_to_completion r.Session.r_process ~fuel with
+          | Process.Exited_run _ -> r.Session.r_process.Process.total_instrs
           | _ -> failwith (name ^ ": migrated run failed")
         in
         let t_dapper =
           exec_ms_scaled Arch.X86_64 src.Process.total_instrs
-          +. Migrate.total_ms r.Migrate.r_times
+          +. Session.total_ms r.Session.r_times
           +. exec_ms_scaled Arch.Aarch64 after
         in
         let sec v = Printf.sprintf "%.1f s" (v /. 1000.0) in
@@ -213,21 +213,21 @@ let fig7 () =
         let _, r = migrate_at ~lazy_pages c ~total_instrs:total ~frac in
         (* drive the restored process to completion so lazy page fetches
            actually happen; their cost is the indirect restore *)
-        (match Process.run_to_completion r.Migrate.r_process ~fuel with
+        (match Process.run_to_completion r.Session.r_process ~fuel with
          | Process.Exited_run _ | Process.Idle -> ()
          | Process.Crashed cr -> failwith (name ^ ": " ^ cr.cr_reason)
          | Process.Progress -> failwith (name ^ ": fuel"));
-        let t = r.Migrate.r_times in
+        let t = r.Session.r_times in
         let indirect =
-          match r.Migrate.r_page_server with
-          | Some s -> s.Migrate.srv_ns /. 1e6
+          match r.Session.r_page_server with
+          | Some s -> s.Transport.srv_ns /. 1e6
           | None -> 0.0
         in
         [ name; (if lazy_pages then "lazy" else "vanilla");
           Tbl.ms t.t_checkpoint_ms; Tbl.ms t.t_recode_ms; Tbl.ms t.t_scp_ms;
           Tbl.ms (t.t_restore_ms +. indirect);
-          Tbl.ms (Migrate.total_ms t +. indirect);
-          Printf.sprintf "%d KiB" (r.Migrate.r_image_bytes / 1024) ])
+          Tbl.ms (Session.total_ms t +. indirect);
+          Printf.sprintf "%d KiB" (r.Session.r_image_bytes / 1024) ])
       [ false; true ]
   in
   let rows =
@@ -256,21 +256,21 @@ let fig7 () =
         List.map
           (fun lazy_pages ->
             let _, r = migrate_at ~lazy_pages c ~total_instrs:total ~frac:0.7 in
-            (match Process.run_to_completion r.Migrate.r_process ~fuel with
+            (match Process.run_to_completion r.Session.r_process ~fuel with
              | Process.Exited_run _ -> ()
              | _ -> failwith "redis migrated run failed");
-            let t = r.Migrate.r_times in
+            let t = r.Session.r_times in
             let indirect =
-              match r.Migrate.r_page_server with
-              | Some s -> s.Migrate.srv_ns /. 1e6
+              match r.Session.r_page_server with
+              | Some s -> s.Transport.srv_ns /. 1e6
               | None -> 0.0
             in
             [ Printf.sprintf "redis %d keys" keys;
               (if lazy_pages then "lazy" else "vanilla");
               Tbl.ms t.t_checkpoint_ms; Tbl.ms t.t_recode_ms; Tbl.ms t.t_scp_ms;
               Tbl.ms (t.t_restore_ms +. indirect);
-              Tbl.ms (Migrate.total_ms t +. indirect);
-              Printf.sprintf "%d KiB" (r.Migrate.r_image_bytes / 1024) ])
+              Tbl.ms (Session.total_ms t +. indirect);
+              Printf.sprintf "%d KiB" (r.Session.r_image_bytes / 1024) ])
           [ false; true ])
       [ 2048; 8192; 32768 ]
   in
@@ -370,7 +370,7 @@ let live_stats ?(seed = live_seed) ?(requests = 1_000_000) ?(reverse = false)
   in
   match Tr.Loadgen.run lg scfg p mech with
   | Ok st -> st
-  | Error e -> failwith (c.Link.cp_app ^ ": " ^ Migrate.error_to_string e)
+  | Error e -> failwith (c.Link.cp_app ^ ": " ^ Dapper_error.to_string e)
 
 let live_row_of label (st : Tr.Loadgen.stats) =
   let q s p =
@@ -513,7 +513,7 @@ let fig8_kinds () =
       Scheduler.job_kind_of_session ~name
         ~xeon_ms:(exec_ms_scaled Arch.X86_64 ix /. 10.0)
         ~rpi_ms:(exec_ms_scaled Arch.Aarch64 ia /. 10.0)
-        ~times:r.Migrate.r_times)
+        ~times:r.Session.r_times)
     [ "npb-ep.B"; "npb-cg.B"; "npb-mg.B"; "npb-ft.B" ]
 
 let fig8 () =
@@ -696,7 +696,7 @@ let fig9 () =
             (* checkpoint/restore costs at their calibration anchors (the
                nodes the paper measured each phase on) *)
             let checkpoint_ms =
-              Migrate.checkpoint_ms ~node:Node.xeon
+              Session.checkpoint_ms ~node:Node.xeon
                 ~bytes:(int_of_float
                           (float_of_int
                              (dump_stats.Dapper_criu.Dump.pages_dumped
@@ -705,14 +705,14 @@ let fig9 () =
             in
             let shuffle_ms = shuffle_ns node (Dapper_binary.Binary.text_size bin) /. 1e6 in
             let recode_ms =
-              Migrate.recode_ns node
+              Session.recode_ns node
                 ~bytes:(int_of_float (float_of_int (Dapper_criu.Images.total_bytes image')
                                       *. bytes_scale))
                 rw
               /. 1e6
             in
             let restore_ms =
-              Migrate.restore_ms ~node:Node.rpi
+              Session.restore_ms ~node:Node.rpi
                 ~bytes:(int_of_float (float_of_int (Dapper_criu.Images.total_bytes image')
                                       *. bytes_scale))
             in
@@ -1084,11 +1084,11 @@ let rerand () =
   let q = Process.load bin in
   ignore (Process.run q ~max_instrs:100_000);
   match
-    Migrate.migrate ~src_node:Node.xeon ~dst_node:Node.rpi ~src_bin:bin
+    Session.migrate ~src_node:Node.xeon ~dst_node:Node.rpi ~src_bin:bin
       ~dst_bin:c.Link.cp_arm q
   with
-  | Ok r -> Printf.printf "cross-ISA migration: %s\n\n" (Migrate.cost_report r)
-  | Error e -> failwith (Migrate.error_to_string e)
+  | Ok r -> Printf.printf "cross-ISA migration: %s\n\n" (Session.cost_report r)
+  | Error e -> failwith (Dapper_error.to_string e)
 
 let all () =
   fig5 ();

@@ -218,14 +218,14 @@ let run_trace file =
   ignore (Process.run p ~max_instrs:400_000);
   Trace.start ();
   match
-    Migrate.migrate ~src_node:Dapper_net.Node.xeon ~dst_node:Dapper_net.Node.rpi
+    Session.migrate ~src_node:Dapper_net.Node.xeon ~dst_node:Dapper_net.Node.rpi
       ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm p
   with
-  | Error e -> failwith ("traced migration failed: " ^ Migrate.error_to_string e)
+  | Error e -> failwith ("traced migration failed: " ^ Dapper_util.Dapper_error.to_string e)
   | Ok r ->
     Trace.stop ();
     Trace.export ~file;
-    print_endline (Migrate.cost_report ~stage_histograms:true r);
+    print_endline (Session.cost_report ~stage_histograms:true r);
     print_string (Trace.flame_summary ());
     Printf.printf "wrote %s (%d trace events)\n" file
       (List.length (Trace.events ()))

@@ -27,15 +27,15 @@ let () =
   Printf.printf "npb-cg.A on xeon/x86-64: %Ld instructions in, migrating...\n"
     p.Process.total_instrs;
   match
-    Migrate.migrate ~bytes_scale:1500.0 ~src_node:Node.xeon ~dst_node:Node.rpi
+    Session.migrate ~bytes_scale:1500.0 ~src_node:Node.xeon ~dst_node:Node.rpi
       ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm p
   with
-  | Error e -> failwith (Migrate.error_to_string e)
+  | Error e -> failwith (Dapper_util.Dapper_error.to_string e)
   | Ok r ->
-    let t = r.Migrate.r_times in
+    let t = r.Session.r_times in
     Printf.printf
       "  checkpoint %.1f ms | recode %.1f ms | scp %.1f ms | restore %.1f ms | total %.1f ms\n"
-      t.t_checkpoint_ms t.t_recode_ms t.t_scp_ms t.t_restore_ms (Migrate.total_ms t);
+      t.t_checkpoint_ms t.t_recode_ms t.t_scp_ms t.t_restore_ms (Session.total_ms t);
     Printf.printf "  image: %d KiB; %d frames rewritten, %d live values, %d pointers fixed\n"
       (r.r_image_bytes / 1024) r.r_rewrite.Rewrite.st_frames r.r_rewrite.Rewrite.st_values
       r.r_rewrite.Rewrite.st_ptrs_translated;

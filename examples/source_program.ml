@@ -45,10 +45,10 @@ let () =
   Printf.printf "running on x86-64 (%Ld instructions); migrating to aarch64...\n"
     p.Process.total_instrs;
   match
-    Migrate.migrate ~src_node:Node.xeon ~dst_node:Node.rpi ~src_bin:compiled.cp_x86
+    Session.migrate ~src_node:Node.xeon ~dst_node:Node.rpi ~src_bin:compiled.cp_x86
       ~dst_bin:compiled.cp_arm p
   with
-  | Error e -> failwith (Migrate.error_to_string e)
+  | Error e -> failwith (Dapper_util.Dapper_error.to_string e)
   | Ok r ->
     (match Process.run_to_completion r.r_process ~fuel:50_000_000 with
      | Process.Exited_run _ ->

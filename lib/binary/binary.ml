@@ -109,59 +109,49 @@ let serialize b =
 
 let size_bytes b = String.length (serialize b)
 
-type reader = { src : string; mutable pos : int }
-
-let ru8 r = let v = Bytebuf.get_u8 r.src r.pos in r.pos <- r.pos + 1; v
-let ru32 r = let v = Bytebuf.get_u32 r.src r.pos in r.pos <- r.pos + 4; v
-let ri64 r = let v = Bytebuf.get_i64 r.src r.pos in r.pos <- r.pos + 8; v
-
-let rstr r =
-  let n = ru32 r in
-  let s = String.sub r.src r.pos n in
-  r.pos <- r.pos + n;
-  s
+module R = Byte_reader
 
 let deserialize s =
-  let r = { src = s; pos = 0 } in
-  let magic = rstr r in
-  if magic <> "DAPPERELF" then invalid_arg "Binary.deserialize: bad magic";
-  let bin_app = rstr r in
-  let arch_name = rstr r in
+  R.decode s @@ fun r ->
+  let magic = R.str r in
+  if magic <> "DAPPERELF" then R.malformed "Binary.deserialize: bad magic";
+  let bin_app = R.str r in
+  let arch_name = R.str r in
   let bin_arch =
     match Arch.of_name arch_name with
     | Some a -> a
-    | None -> invalid_arg ("Binary.deserialize: bad arch " ^ arch_name)
+    | None -> R.malformed "Binary.deserialize: bad arch %S" arch_name
   in
   let bin_sections =
-    List.init (ru32 r) (fun _ ->
-        let sec_name = rstr r in
-        let sec_addr = ri64 r in
-        let sec_exec = ru8 r = 1 in
-        let sec_write = ru8 r = 1 in
-        let sec_data = rstr r in
+    R.list r (fun r ->
+        let sec_name = R.str r in
+        let sec_addr = R.i64 r in
+        let sec_exec = R.u8 r = 1 in
+        let sec_write = R.u8 r = 1 in
+        let sec_data = R.str r in
         { sec_name; sec_addr; sec_data; sec_exec; sec_write })
   in
   let bin_symbols =
-    List.init (ru32 r) (fun _ ->
-        let sym_name = rstr r in
-        let sym_addr = ri64 r in
-        let sym_size = ru32 r in
+    R.list r (fun r ->
+        let sym_name = R.str r in
+        let sym_addr = R.i64 r in
+        let sym_size = R.u32 r in
         let sym_kind =
-          match ru8 r with
+          match R.u8 r with
           | 0 -> Sym_func
           | 1 -> Sym_object
           | 2 -> Sym_tls
-          | n -> invalid_arg (Printf.sprintf "Binary.deserialize: bad sym kind %d" n)
+          | n -> R.malformed "Binary.deserialize: bad sym kind %d" n
         in
         { sym_name; sym_addr; sym_size; sym_kind })
   in
-  let bin_stackmaps = Stackmap.deserialize (rstr r) in
-  let bin_tls_size = ru32 r in
-  let bin_tls_init = rstr r in
-  let a_entry = ri64 r in
-  let a_exit_stub = ri64 r in
-  let a_thread_exit_stub = ri64 r in
-  let a_flag = ri64 r in
+  let bin_stackmaps = Stackmap.deserialize (R.str r) in
+  let bin_tls_size = R.u32 r in
+  let bin_tls_init = R.str r in
+  let a_entry = R.i64 r in
+  let a_exit_stub = R.i64 r in
+  let a_thread_exit_stub = R.i64 r in
+  let a_flag = R.i64 r in
   { bin_app; bin_arch; bin_sections; bin_symbols; bin_stackmaps; bin_tls_size;
     bin_tls_init;
     bin_anchors = { a_entry; a_exit_stub; a_thread_exit_stub; a_flag } }

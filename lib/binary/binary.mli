@@ -61,7 +61,8 @@ val section_of_addr : t -> int64 -> section option
 val code_bytes : t -> int64 -> int -> string
 
 (** Serialize / parse (used for on-disk storage and network transfer
-    accounting). *)
+    accounting). [deserialize] raises [Byte_reader.Malformed] on any
+    input [serialize] could not have produced. *)
 val serialize : t -> string
 val deserialize : string -> t
 

@@ -56,11 +56,13 @@ let add_pairs b pairs =
 
 let ty_code = function Lv_i64 -> 0 | Lv_f64 -> 1 | Lv_ptr -> 2
 
+module R = Byte_reader
+
 let ty_of_code = function
   | 0 -> Lv_i64
   | 1 -> Lv_f64
   | 2 -> Lv_ptr
-  | n -> invalid_arg (Printf.sprintf "Stackmap: bad type code %d" n)
+  | n -> R.malformed "Stackmap: bad type code %d" n
 
 let serialize maps =
   let b = Bytebuf.create 4096 in
@@ -101,67 +103,52 @@ let serialize maps =
     maps;
   Bytebuf.contents b
 
-type reader = { src : string; mutable pos : int }
-
-let ru8 r = let v = Bytebuf.get_u8 r.src r.pos in r.pos <- r.pos + 1; v
-let ru32 r = let v = Bytebuf.get_u32 r.src r.pos in r.pos <- r.pos + 4; v
-let rs32 r = let v = ru32 r in if v land 0x8000_0000 <> 0 then v - (1 lsl 32) else v
-let ri64 r = let v = Bytebuf.get_i64 r.src r.pos in r.pos <- r.pos + 8; v
-
-let rstr r =
-  let n = ru32 r in
-  let s = String.sub r.src r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let rlist r f = List.init (ru32 r) (fun _ -> f r)
-
-let rpairs r = rlist r (fun r -> let a = rs32 r in let o = rs32 r in (a, o))
+let rpairs r = R.list r (fun r -> let a = R.s32 r in let o = R.s32 r in (a, o))
 
 let deserialize s =
-  let r = { src = s; pos = 0 } in
-  rlist r (fun r ->
-      let fm_name = rstr r in
-      let fm_addr = ri64 r in
-      let fm_code_size = rs32 r in
-      let fm_frame_size = rs32 r in
+  R.decode s @@ fun r ->
+  R.list r (fun r ->
+      let fm_name = R.str r in
+      let fm_addr = R.i64 r in
+      let fm_code_size = R.s32 r in
+      let fm_frame_size = R.s32 r in
       let fm_saved = rpairs r in
       let fm_promoted = rpairs r in
-      let fm_leaf = ru8 r = 1 in
+      let fm_leaf = R.u8 r = 1 in
       let fm_eqpoints =
-        rlist r (fun r ->
-            let ep_id = rs32 r in
-            let kind_code = ru8 r in
-            let kind_arg = rs32 r in
+        R.list r (fun r ->
+            let ep_id = R.s32 r in
+            let kind_code = R.u8 r in
+            let kind_arg = R.s32 r in
             let ep_kind =
               match kind_code with
               | 0 -> Entry
               | 1 -> Call_site { cs_nargs = kind_arg }
               | 2 -> Backedge
-              | n -> invalid_arg (Printf.sprintf "Stackmap: bad ep kind %d" n)
+              | n -> R.malformed "Stackmap: bad ep kind %d" n
             in
-            let ep_addr = ri64 r in
-            let ep_resume = ri64 r in
+            let ep_addr = R.i64 r in
+            let ep_resume = R.i64 r in
             let ep_live =
-              rlist r (fun r ->
-                  let key_code = ru8 r in
-                  let key_arg = rs32 r in
+              R.list r (fun r ->
+                  let key_code = R.u8 r in
+                  let key_arg = R.s32 r in
                   let lv_key =
                     match key_code with
                     | 0 -> Slot key_arg
                     | 1 -> Temp key_arg
-                    | n -> invalid_arg (Printf.sprintf "Stackmap: bad lv key %d" n)
+                    | n -> R.malformed "Stackmap: bad lv key %d" n
                   in
-                  let lv_name = rstr r in
-                  let lv_ty = ty_of_code (ru8 r) in
-                  let lv_size = rs32 r in
-                  let loc_code = ru8 r in
-                  let loc_arg = rs32 r in
+                  let lv_name = R.str r in
+                  let lv_ty = ty_of_code (R.u8 r) in
+                  let lv_size = R.s32 r in
+                  let loc_code = R.u8 r in
+                  let loc_arg = R.s32 r in
                   let lv_loc =
                     match loc_code with
                     | 0 -> Reg loc_arg
                     | 1 -> Frame loc_arg
-                    | n -> invalid_arg (Printf.sprintf "Stackmap: bad loc %d" n)
+                    | n -> R.malformed "Stackmap: bad loc %d" n
                   in
                   { lv_key; lv_name; lv_ty; lv_size; lv_loc })
             in

@@ -52,7 +52,9 @@ type func_map = {
   fm_eqpoints : eqpoint list;
 }
 
-(** Binary serialization for the [.stackmaps] ELF section. *)
+(** Binary serialization for the [.stackmaps] ELF section.
+    [deserialize] raises [Byte_reader.Malformed] on any input [serialize]
+    could not have produced. *)
 val serialize : func_map list -> string
 val deserialize : string -> func_map list
 

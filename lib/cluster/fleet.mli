@@ -20,9 +20,9 @@
     than per-quantum scans over every slot. Within a timestamp, event
     keys replay the old scan's phase order exactly (boundary
     bookkeeping, then evictions in Pi-slot order, then advances in
-    global slot order), so results — including trace and metrics
-    output — are identical to the former quantum-scan loop; only idle
-    slots no longer cost work. *)
+    global slot order), so results — including trace output — are
+    identical to the former quantum-scan loop; only idle slots no
+    longer cost work. *)
 
 open Dapper_util
 open Dapper_net

@@ -171,18 +171,13 @@ let stage_log s = List.rev s.s_log
 let times s = times_of_log s.s_log
 let transfer_stats s = s.s_tx
 
-let m_commits = Metrics.counter "session.commits"
-let m_rollbacks = Metrics.counter "session.rollbacks"
-let m_stage_errors = Metrics.counter "session.stage_errors"
-
-let stage_ms_hist stage =
-  Metrics.histogram ("session.stage_ms." ^ Dapper_error.stage_name stage)
+let stage_ms_name stage = "session.stage_ms." ^ Dapper_error.stage_name stage
+let stage_ms_hist stage = Metrics.histogram (stage_ms_name stage)
 
 let rollback s =
   match s.s_source.Process.exit_code with
   | Some _ -> ()  (* nothing left to resume *)
   | None ->
-    Metrics.inc m_rollbacks;
     Trace.leaf ~cat:"session" "rollback" ~dur_ns:0.0;
     Monitor.resume s.s_source
 
@@ -204,23 +199,21 @@ let guard s f =
     err
 
 (* Wrap one staged transition in a trace span and feed the stage's
-   modeled cost into its metrics histogram. Metrics always record (the
-   aggregate accounting plane is cheap and replayable); the span only
-   exists while tracing. A span's duration is the stage's charged ms —
-   since the trace clock never moves backwards, a span containing
-   charged sub-work (a lazy restore serving pages, a draining commit)
-   ends at that sub-work's end if it exceeds the stage's own cost. *)
+   modeled cost into its registry histogram (always recorded, for
+   [stage_histogram_table]); the span only exists while tracing. A
+   span's duration is the stage's charged ms — since the trace clock
+   never moves backwards, a span containing charged sub-work (a lazy
+   restore serving pages, a draining commit) ends at that sub-work's
+   end if it exceeds the stage's own cost. *)
 let staged stage f (s : _ t) =
   Trace.with_span ~cat:"session" (Dapper_error.stage_name stage) (fun cl ->
       match f s with
       | Ok s' as ok ->
         let ms = match s'.s_log with r :: _ -> r.sr_ms | [] -> 0.0 in
         Metrics.observe (stage_ms_hist stage) ms;
-        if stage = Dapper_error.Commit then Metrics.inc m_commits;
         Trace.set_dur cl (ms *. 1e6);
         ok
       | Error e ->
-        Metrics.inc m_stage_errors;
         Trace.add_arg cl "error" (Dapper_error.to_string e);
         Error e)
 
@@ -242,9 +235,10 @@ type precopy_stats = {
   pcs_residual : int list;
 }
 
+(* Rounds and pages across every pre-copy, read by the wall-clock
+   benchmark; each run's own are in its [precopy_stats]. *)
 let m_precopy_rounds = Metrics.counter "session.precopy.rounds"
 let m_precopy_pages = Metrics.counter "session.precopy.pages"
-let m_precopy_round_ms = Metrics.histogram "session.precopy.round_ms"
 
 (* Pages worth shipping ahead of the blackout: everything the dump would
    carry except clean code pages, which the destination demand-loads from
@@ -291,7 +285,6 @@ let precopy cfg p ~advance ~max_rounds ~downtime_budget_ms =
       rounds := { pr_round = r; pr_pages = n; pr_bytes = bytes; pr_ms = ms } :: !rounds;
       Metrics.inc m_precopy_rounds;
       Metrics.inc m_precopy_pages ~by:n;
-      Metrics.observe m_precopy_round_ms ms;
       Trace.leaf ~cat:"session" "precopy-round" ~dur_ns:(ms *. 1e6)
         ~args:[ ("round", string_of_int r); ("pages", string_of_int n) ];
       Memory.clear_dirty mem;
@@ -647,3 +640,73 @@ let run cfg p =
   let* s = transfer s in
   let* s = restore s in
   commit s
+
+let migrate ?(lazy_pages = false) ?recode_on ?bytes_scale ?pipeline ?chunk_bytes
+    ?recode_workers ?memo ~src_node ~dst_node ~dst_bin ~src_bin p =
+  let d = default_config ~src_bin ~dst_bin in
+  let cfg =
+    { d with
+      cfg_src_node = src_node;
+      cfg_dst_node = dst_node;
+      cfg_recode_node = Option.value ~default:src_node recode_on;
+      cfg_transport =
+        (if lazy_pages then Transport.page_server Link.infiniband else d.cfg_transport);
+      cfg_bytes_scale = Option.value ~default:d.cfg_bytes_scale bytes_scale;
+      cfg_pipeline = Option.value ~default:d.cfg_pipeline pipeline;
+      cfg_chunk_bytes = Option.value ~default:d.cfg_chunk_bytes chunk_bytes;
+      cfg_recode_workers = Option.value ~default:d.cfg_recode_workers recode_workers;
+      cfg_recode_memo = memo }
+  in
+  Result.map finish (run cfg p)
+
+(* ----- reports ----- *)
+
+(* Per-stage cost histograms accumulated by [staged] across every session
+   run since the last [Metrics.reset]. Empty stages are omitted; an empty
+   registry yields just the header. *)
+let stage_histogram_table () =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "stage cost histograms (ms):\n";
+  List.iter
+    (fun stage ->
+      match Metrics.find (stage_ms_name stage) with
+      | Some (Metrics.Histogram h) when Metrics.histogram_count h > 0 ->
+        Buffer.add_string buf
+          (Printf.sprintf "  %-8s n=%-4d sum=%10.2f ms  " (Dapper_error.stage_name stage)
+             (Metrics.histogram_count h) (Metrics.histogram_sum h));
+        Metrics.histogram_buckets h
+        |> List.filter (fun (_, c) -> c > 0)
+        |> List.map (fun (bound, c) ->
+               if bound = infinity then Printf.sprintf "le=inf:%d" c
+               else Printf.sprintf "le=%g:%d" bound c)
+        |> String.concat " " |> Buffer.add_string buf;
+        Buffer.add_char buf '\n'
+      | _ -> ())
+    Dapper_error.[ Pause; Dump; Recode; Transfer; Restore; Commit ];
+  Buffer.contents buf
+
+let cost_report ?(stage_histograms = false) r =
+  let t = r.r_times in
+  let rw = r.r_rewrite in
+  let line =
+    Printf.sprintf
+      "checkpoint %.2f ms, recode %.2f ms, scp %.2f ms, restore %.2f ms, total %.2f ms \
+       | plan cache %d hit%s / %d miss%s, %d index lookups, %d interval probes"
+      t.t_checkpoint_ms t.t_recode_ms t.t_scp_ms t.t_restore_ms (total_ms t)
+      rw.Rewrite.st_plan_hits
+      (if rw.Rewrite.st_plan_hits = 1 then "" else "s")
+      rw.Rewrite.st_plan_misses
+      (if rw.Rewrite.st_plan_misses = 1 then "" else "es")
+      rw.Rewrite.st_index_lookups rw.Rewrite.st_interval_lookups
+  in
+  (* Memo surfaces only when it did something, keeping the line
+     byte-identical for non-memoized runs. *)
+  let line =
+    if rw.Rewrite.st_memo_thread_hits > 0 || rw.Rewrite.st_memo_page_hits > 0 then
+      line
+      ^ Printf.sprintf ", memo %d thread / %d page hits (%d bytes skipped)"
+          rw.Rewrite.st_memo_thread_hits rw.Rewrite.st_memo_page_hits
+          rw.Rewrite.st_skipped_bytes
+    else line
+  in
+  if stage_histograms then line ^ "\n" ^ stage_histogram_table () else line

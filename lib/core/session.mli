@@ -318,3 +318,41 @@ val finish : committed t -> outcome
 (** Run all six stages in order. On any stage failure the source is
     resumed ({!rollback}) and the stage's error returned. *)
 val run : config -> Process.t -> (committed t, Dapper_error.t) result
+
+(** [migrate ~src_node ~dst_node ~dst_bin ~src_bin p] is {!run} then
+    {!finish} over {!default_config} with these fields replaced:
+    [src_node]/[dst_node] price checkpoint and restore; [recode_on]
+    (default [src_node]) runs the recode; [lazy_pages] (default off)
+    swaps scp for a page server over the same infiniband link;
+    [bytes_scale], [pipeline], [chunk_bytes], [recode_workers] and
+    [memo] set the config fields of the same names, keeping
+    {!default_config}'s value when omitted. {!Dapper_error.stage_of}
+    tells which stage failed. *)
+val migrate :
+  ?lazy_pages:bool ->
+  ?recode_on:Node.t ->
+  ?bytes_scale:float ->
+  ?pipeline:bool ->
+  ?chunk_bytes:int ->
+  ?recode_workers:int ->
+  ?memo:Plan_cache.memo ->
+  src_node:Node.t ->
+  dst_node:Node.t ->
+  dst_bin:Binary.t ->
+  src_bin:Binary.t ->
+  Process.t ->
+  (outcome, Dapper_error.t) result
+
+(** {1 Reports} *)
+
+(** One-line migration cost report: phase times plus the index and
+    rewrite-plan-cache counters of {!Rewrite.stats}; when the run used a
+    recode memo that hit, an extra memo clause. With [stage_histograms],
+    appends {!stage_histogram_table}. *)
+val cost_report : ?stage_histograms:bool -> outcome -> string
+
+(** Plain-text table of the per-stage cost histograms
+    ([session.stage_ms.<stage>] in the {!Dapper_obs.Metrics} registry),
+    accumulated over every session run since the last registry reset.
+    Stages never run are omitted. *)
+val stage_histogram_table : unit -> string

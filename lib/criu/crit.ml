@@ -118,7 +118,7 @@ let is_core_file name =
 let is_pages_file name =
   String.length name > 6 && String.sub name 0 6 = "pages-"
 
-let decode_file name bytes =
+let decode_image name bytes =
   if is_core_file name then json_of_core (Images.decode_core bytes)
   else if is_pages_file name then
     Json.Obj [ ("raw_len", Json.Int (Int64.of_int (String.length bytes))) ]
@@ -128,6 +128,13 @@ let decode_file name bytes =
     | "pagemap.img" -> json_of_pagemap (Images.decode_pagemap bytes)
     | "files.img" -> json_of_files (Images.decode_files bytes)
     | _ -> fail "unknown image file %s" name
+
+(* Malformed bytes are this tool's error like any other, as in
+   [Images.of_files]. *)
+let decode_file name bytes =
+  try decode_image name bytes with
+  | Dapper_proto.Proto.Decode_error msg | Images.Image_error msg ->
+    fail "malformed %s: %s" name msg
 
 let encode_file name json =
   if is_core_file name then Images.encode_core (core_of_json json)

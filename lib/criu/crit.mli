@@ -10,7 +10,8 @@ open Dapper_util
 
 exception Crit_error of string
 
-(** [decode_file name bytes] pretty-decodes one image file. *)
+(** [decode_file name bytes] pretty-decodes one image file. Raises
+    {!Crit_error} on an unknown file name or malformed bytes. *)
 val decode_file : string -> string -> Json.t
 
 (** [encode_file name json] re-encodes; inverse of [decode_file]. *)

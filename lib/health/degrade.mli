@@ -14,10 +14,8 @@
     + [Postponed] — do not migrate now; back off and retry after
       {!postpone_backoff_ms}.
 
-    Each rung taken is recorded in [Metrics]
-    ([health.degrade.hybrid|precopy|postponed]) and by the callers in
-    their outcome records, so a degraded fleet is visible, never
-    silent. *)
+    Each rung taken is recorded by the callers in their outcome
+    records, so a degraded fleet is visible, never silent. *)
 
 type rung = Full | Hybrid_only | Precopy_only | Postponed
 
@@ -27,9 +25,6 @@ val all_rungs : rung list
 (** One rung down; [None] past [Postponed] (the caller rolls back —
     explicitly, with the source intact). *)
 val next : rung -> rung option
-
-(** Bump the rung's metrics counter ([Full] records nothing). *)
-val record : rung -> unit
 
 (** The copy mechanism a rung pins, [None] when the budget picker (or
     the caller's schedule) decides. *)

@@ -6,7 +6,6 @@ module Sketch = Dapper_traffic.Sketch
 module Arrival = Dapper_traffic.Arrival
 module Loadgen = Dapper_traffic.Loadgen
 module Placement = Dapper_cluster.Placement
-module Metrics = Dapper_obs.Metrics
 module Derr = Dapper_error
 
 type cfg = {
@@ -127,11 +126,6 @@ type run = {
   r_fingerprint : int64;
 }
 
-let m_runs = Metrics.counter "health.sustained.runs"
-let m_committed = Metrics.counter "health.sustained.committed"
-let m_degraded = Metrics.counter "health.sustained.degraded"
-let m_rolled_back = Metrics.counter "health.sustained.rolled_back"
-
 (* Marginal wire cost of the transport at hand, as the budget picker
    wants it: slope of [transfer_ns] over a 1 MiB span (the fixed
    per-transfer latency cancels out). *)
@@ -216,7 +210,6 @@ let run c (scfg : Session.config) ~fresh ~seed =
   let degrade_to ~ms r =
     rung := r;
     sink r;
-    Degrade.record r;
     event ~ms "degrade" (Degrade.rung_name r)
   in
   let p = fresh () in
@@ -276,7 +269,6 @@ let run c (scfg : Session.config) ~fresh ~seed =
   let postpone () =
     incr postpones;
     sink Degrade.Postponed;
-    Degrade.record Degrade.Postponed;
     let back = Degrade.postpone_backoff_ms ~attempt:(!postpones - 1) () in
     event ~ms:!now "postpone" (Printf.sprintf "backoff=%.0fms" back);
     now := !now +. back;
@@ -440,13 +432,8 @@ let run c (scfg : Session.config) ~fresh ~seed =
     | None -> Rolled_back
     | Some _ -> if !deepest = Degrade.Full then Committed else Degraded !deepest
   in
-  (match verdict with
-   | Committed -> Metrics.inc m_committed
-   | Degraded _ -> Metrics.inc m_degraded
-   | Rolled_back ->
-     event ~ms:!now "rollback" "attempts exhausted; source kept running");
-  if verdict = Rolled_back then Metrics.inc m_rolled_back;
-  Metrics.inc m_runs;
+  if verdict = Rolled_back then
+    event ~ms:!now "rollback" "attempts exhausted; source kept running";
   (* ---------------- the open-loop request plane ---------------- *)
   let windows = List.rev !windows in
   let blackout_total =

@@ -1,6 +1,5 @@
 open Dapper_util
 module Trace = Dapper_obs.Trace
-module Metrics = Dapper_obs.Metrics
 
 type page_stats = {
   mutable srv_pages : int;
@@ -18,17 +17,9 @@ type tx_stats = {
   mutable tx_backoff_ns : float;
 }
 
-(* Fleet-wide accounting plane; the per-session records above are thin
-   per-run views over the same events. *)
-let m_tx_attempts = Metrics.counter "transport.tx.attempts"
-let m_tx_retransmits = Metrics.counter "transport.tx.retransmits"
-let m_tx_corrupt = Metrics.counter "transport.tx.corrupt"
-let m_tx_dropped = Metrics.counter "transport.tx.dropped"
-let m_tx_fault_ms = Metrics.gauge "transport.tx.fault_ms"
-let m_tx_backoff_ms = Metrics.gauge "transport.tx.backoff_ms"
-let m_pages_served = Metrics.counter "transport.page.served"
-let m_page_retransmits = Metrics.counter "transport.page.retransmits"
-let m_page_fetch_ms = Metrics.histogram "transport.page.fetch_ms"
+(* Transmit attempts across every session, read by the wall-clock
+   benchmark; everything else is counted in the per-run records above. *)
+let m_tx_attempts = Dapper_obs.Metrics.counter "transport.tx.attempts"
 
 type retry = {
   r_attempts : int;
@@ -128,8 +119,6 @@ let serve_pages t stats ~page_bytes fetch =
       let ns = page_fetch_ns t page_bytes in
       stats.srv_pages <- stats.srv_pages + 1;
       stats.srv_ns <- stats.srv_ns +. ns;
-      Metrics.inc m_pages_served;
-      Metrics.observe m_page_fetch_ms (ns /. 1e6);
       Trace.leaf ~cat:"transport" "page-serve"
         ~args:[ ("page", string_of_int pn) ] ~dur_ns:ns;
       Some data
@@ -183,7 +172,6 @@ let transmit_once ?fault ~stats ~manifest files cost =
           (name, Bytes.to_string b)
         | Some (Fault.Delay ns) ->
           stats.tx_fault_ns <- stats.tx_fault_ns +. ns;
-          Metrics.add m_tx_fault_ms (ns /. 1e6);
           Trace.advance ns;
           cost := !cost +. ns;
           (name, data)
@@ -193,7 +181,6 @@ let transmit_once ?fault ~stats ~manifest files cost =
   match !dropped with
   | Some name ->
     stats.tx_dropped <- stats.tx_dropped + 1;
-    Metrics.inc m_tx_dropped;
     Lost name
   | None ->
     let damaged =
@@ -204,7 +191,6 @@ let transmit_once ?fault ~stats ~manifest files cost =
     (match damaged with
      | Some (name, _) ->
        stats.tx_corrupt <- stats.tx_corrupt + 1;
-       Metrics.inc m_tx_corrupt;
        Damaged name
      | None -> Delivered received)
 
@@ -219,7 +205,7 @@ let transmit t ?fault ~stats ~bytes files =
   let max_attempts = attempts t in
   let rec go k =
     stats.tx_attempts <- stats.tx_attempts + 1;
-    Metrics.inc m_tx_attempts;
+    Dapper_obs.Metrics.inc m_tx_attempts;
     let outcome =
       Trace.with_span ~cat:"transport" "tx-attempt"
         ~args:[ ("attempt", string_of_int (k + 1)) ]
@@ -238,10 +224,8 @@ let transmit t ?fault ~stats ~bytes files =
          surfaces immediately. *)
       if k + 1 < max_attempts then begin
         stats.tx_retransmits <- stats.tx_retransmits + 1;
-        Metrics.inc m_tx_retransmits;
         let b = backoff_ns t k in
         stats.tx_backoff_ns <- stats.tx_backoff_ns +. b;
-        Metrics.add m_tx_backoff_ms (b /. 1e6);
         cost := !cost +. b;
         Trace.leaf ~cat:"transport" "tx-backoff"
           ~args:[ ("retry", string_of_int (k + 1)) ] ~dur_ns:b;
@@ -288,10 +272,6 @@ type pipe_stats = {
   pp_hidden_ns : float;
   pp_schedule : chunk list;
 }
-
-let m_pipe_chunks = Metrics.counter "transport.pipe.chunks"
-let m_pipe_hidden_ms = Metrics.gauge "transport.pipe.hidden_ms"
-let m_pipe_stall_ms = Metrics.gauge "transport.pipe.stall_ms"
 
 (* The overlap cost model: recode produces the image in [chunk_bytes]
    slices (each slice's share of the total [recode_ns] is proportional
@@ -369,9 +349,6 @@ let transmit_pipelined t ?fault ~stats ~bytes ~chunk_bytes ~recode_ns files =
     (* surcharge over a clean single-attempt wire: injected delays,
        backoff, extra attempts *)
     let extra = Float.max 0.0 (actual_ns -. transfer_ns t bytes) in
-    Metrics.inc m_pipe_chunks ~by:sched.pp_chunks;
-    Metrics.add m_pipe_hidden_ms (sched.pp_hidden_ns /. 1e6);
-    Metrics.add m_pipe_stall_ms (sched.pp_stall_ns /. 1e6);
     Ok (received, sched.pp_exposed_ns +. extra, sched)
 
 let fetch_page t ?fault stats ~page_bytes fetch pn =
@@ -395,7 +372,6 @@ let fetch_page t ?fault stats ~page_bytes fetch pn =
            charge ();  (* the failed round trip still cost a round trip *)
            if k + 1 < max_attempts then begin
              stats.srv_retransmits <- stats.srv_retransmits + 1;
-             Metrics.inc m_page_retransmits;
              (* as in [transmit]: backoff only when a retry follows *)
              let b = backoff_ns t k in
              stats.srv_ns <- stats.srv_ns +. b;
@@ -434,13 +410,8 @@ let fetch_page t ?fault stats ~page_bytes fetch pn =
   (* One leaf span per fetch whose duration is exactly what this fetch
      added to [srv_ns] (round trips, injected delays, retry backoff). *)
   let ns0 = stats.srv_ns in
-  let pages0 = stats.srv_pages in
   let r = go 0 in
   let ns = stats.srv_ns -. ns0 in
-  if stats.srv_pages > pages0 then begin
-    Metrics.inc m_pages_served ~by:(stats.srv_pages - pages0);
-    Metrics.observe m_page_fetch_ms (ns /. 1e6)
-  end;
   Trace.leaf ~cat:"transport" "page-fetch"
     ~args:[ ("page", string_of_int pn) ] ~dur_ns:ns;
   r

@@ -1,161 +1,75 @@
-open Dapper_util
-
-type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : float }
+type counter = { mutable c_value : int }
 
 type histogram = {
-  h_name : string;
-  h_bounds : float array;        (* upper bucket bounds, strictly increasing *)
-  h_counts : int array;          (* length = Array.length h_bounds + 1 *)
+  h_counts : int array;          (* length = Array.length bounds + 1 *)
   mutable h_sum : float;
   mutable h_count : int;
 }
 
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
+type metric = Counter of counter | Histogram of histogram
 
-(* Registration order is preserved so dumps are stable across runs. *)
-let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
-let order : string list ref = ref []
+let registry : (string, metric) Hashtbl.t = Hashtbl.create 16
 
 let register name m =
   match Hashtbl.find_opt registry name with
   | Some existing ->
     (match (existing, m) with
-     | Counter _, Counter _ | Gauge _, Gauge _ | Histogram _, Histogram _ -> existing
+     | Counter _, Counter _ | Histogram _, Histogram _ -> existing
      | _ -> invalid_arg (Printf.sprintf "Metrics: %s re-registered with another type" name))
   | None ->
     Hashtbl.add registry name m;
-    order := name :: !order;
     m
 
 let counter name =
-  match register name (Counter { c_name = name; c_value = 0 }) with
+  match register name (Counter { c_value = 0 }) with
   | Counter c -> c
   | _ -> assert false
 
-let gauge name =
-  match register name (Gauge { g_name = name; g_value = 0.0 }) with
-  | Gauge g -> g
-  | _ -> assert false
-
-(* Millisecond-oriented default bounds: migrations span ~0.01 ms page
-   fetches to multi-second fleet windows. *)
-let default_bounds =
+(* Millisecond-oriented upper bucket bounds, strictly increasing:
+   migration stages span ~0.01 ms to multi-second transfers. *)
+let bounds =
   [| 0.01; 0.05; 0.1; 0.5; 1.0; 5.0; 10.0; 50.0; 100.0; 500.0; 1000.0; 5000.0 |]
 
-let histogram ?(bounds = default_bounds) name =
-  Array.iteri
-    (fun i b ->
-      if i > 0 && b <= bounds.(i - 1) then
-        invalid_arg "Metrics.histogram: bounds not strictly increasing")
-    bounds;
+let histogram name =
   match
     register name
       (Histogram
-         { h_name = name; h_bounds = bounds;
-           h_counts = Array.make (Array.length bounds + 1) 0;
-           h_sum = 0.0; h_count = 0 })
+         { h_counts = Array.make (Array.length bounds + 1) 0; h_sum = 0.0; h_count = 0 })
   with
   | Histogram h -> h
   | _ -> assert false
 
 let inc ?(by = 1) c = c.c_value <- c.c_value + by
 let counter_value c = c.c_value
-let counter_name c = c.c_name
 
-let set g v = g.g_value <- v
-let add g v = g.g_value <- g.g_value +. v
-let gauge_value g = g.g_value
-let gauge_name g = g.g_name
-
-let bucket_of h v =
-  let n = Array.length h.h_bounds in
-  let rec go i = if i >= n || v <= h.h_bounds.(i) then i else go (i + 1) in
+let bucket_of v =
+  let n = Array.length bounds in
+  let rec go i = if i >= n || v <= bounds.(i) then i else go (i + 1) in
   go 0
 
 let observe h v =
-  let i = bucket_of h v in
+  let i = bucket_of v in
   h.h_counts.(i) <- h.h_counts.(i) + 1;
   h.h_sum <- h.h_sum +. v;
   h.h_count <- h.h_count + 1
 
 let histogram_sum h = h.h_sum
 let histogram_count h = h.h_count
-let histogram_name h = h.h_name
 
-(* Bucket-resolution quantile: the upper bound of the bucket holding the
-   q-th observation (nearest-rank over cumulative counts). Coarse by
-   construction — dashboards, not the sketch the traffic plane uses for
-   CDFs — but deterministic and O(buckets). The overflow bucket reports
-   the largest finite bound. *)
-let histogram_quantile h q =
-  if q < 0.0 || q > 1.0 then invalid_arg "Metrics.histogram_quantile: q outside [0,1]";
-  if h.h_count = 0 then nan
-  else begin
-    let rank = int_of_float (ceil (q *. float_of_int h.h_count)) in
-    let rank = max 1 rank in
-    let n = Array.length h.h_bounds in
-    let rec go i acc =
-      if i >= n then (if n = 0 then infinity else h.h_bounds.(n - 1))
-      else
-        let acc = acc + h.h_counts.(i) in
-        if acc >= rank then h.h_bounds.(i) else go (i + 1) acc
-    in
-    go 0 0
-  end
 let histogram_buckets h =
   List.init (Array.length h.h_counts) (fun i ->
-      let bound = if i < Array.length h.h_bounds then h.h_bounds.(i) else infinity in
+      let bound = if i < Array.length bounds then bounds.(i) else infinity in
       (bound, h.h_counts.(i)))
 
 let find name = Hashtbl.find_opt registry name
-
-let names () = List.rev !order
 
 let reset () =
   Hashtbl.iter
     (fun _ m ->
       match m with
       | Counter c -> c.c_value <- 0
-      | Gauge g -> g.g_value <- 0.0
       | Histogram h ->
         Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
         h.h_sum <- 0.0;
         h.h_count <- 0)
     registry
-
-let dump () =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun name ->
-      match Hashtbl.find registry name with
-      | Counter c -> Buffer.add_string b (Printf.sprintf "%-40s %d\n" name c.c_value)
-      | Gauge g -> Buffer.add_string b (Printf.sprintf "%-40s %g\n" name g.g_value)
-      | Histogram h ->
-        Buffer.add_string b
-          (Printf.sprintf "%-40s count=%d sum=%.3f\n" name h.h_count h.h_sum))
-    (names ());
-  Buffer.contents b
-
-let to_json () =
-  let entry name =
-    match Hashtbl.find registry name with
-    | Counter c ->
-      Json.Obj
-        [ ("name", Json.String name); ("type", Json.String "counter");
-          ("value", Json.Int (Int64.of_int c.c_value)) ]
-    | Gauge g ->
-      Json.Obj
-        [ ("name", Json.String name); ("type", Json.String "gauge");
-          ("value", Json.Float g.g_value) ]
-    | Histogram h ->
-      Json.Obj
-        [ ("name", Json.String name); ("type", Json.String "histogram");
-          ("count", Json.Int (Int64.of_int h.h_count));
-          ("sum", Json.Float h.h_sum);
-          ("bounds", Json.List (Array.to_list (Array.map (fun b -> Json.Float b) h.h_bounds)));
-          ("counts",
-           Json.List
-             (Array.to_list (Array.map (fun c -> Json.Int (Int64.of_int c)) h.h_counts))) ]
-  in
-  Json.List (List.map entry (names ()))

@@ -1,77 +1,50 @@
-(** A process-wide metrics registry: named counters, gauges and
-    fixed-bucket histograms.
+(** A process-wide registry of named counters and fixed-bucket
+    histograms.
 
-    This is the accounting plane behind the pipeline's cost reporting:
-    {!Transport}-level transfer/retry counters, per-stage session cost
-    histograms, rewrite work counters and fleet eviction counters all
-    land here, replacing scattered ad-hoc tallies as the aggregate
-    source of truth. The legacy per-session records ([Rewrite.stats],
-    [Transport.tx_stats], fleet [stats]) remain as thin per-run views —
-    their reports are byte-identical — while the registry accumulates
-    across runs (reset with {!reset}).
+    Every number a migration reports lives in its per-run record
+    ([Session.outcome], [Rewrite.stats], [Transport.tx_stats]
+    and [page_stats], the fleet and health stats). The registry keeps
+    only the few aggregates something reads across runs:
+
+    - [transport.tx.attempts], [session.precopy.rounds] and
+      [session.precopy.pages] — counters the wall-clock benchmark
+      (perfbench) reads by name, as deltas around each activity;
+    - [session.stage_ms.<stage>] — one histogram per session stage of
+      the modeled stage cost, printed by
+      [Session.stage_histogram_table] ([micro --trace]).
 
     Like {!Trace}, every recorded value derives from the simulated
-    cost model, never the wall clock, so metrics are replayable: the
-    same seeded run always produces the same registry contents.
+    cost model, never the wall clock, so the registry is replayable:
+    the same seeded runs always produce the same contents.
 
     Metrics are registered on first use; re-requesting a name returns
-    the same metric (re-registering a name as a different type raises
-    [Invalid_argument]). Registration order is preserved in {!names},
-    {!dump} and {!to_json} so outputs are stable. *)
+    the same metric (re-registering a name as the other type raises
+    [Invalid_argument]). *)
 
 type counter
-type gauge
 type histogram
 
 (** Get or create. *)
 val counter : string -> counter
 
-val gauge : string -> gauge
-
-(** [histogram name] with millisecond-oriented default [bounds]
-    (upper bucket bounds, strictly increasing; one overflow bucket is
-    added past the last bound). *)
-val histogram : ?bounds:float array -> string -> histogram
-
-val default_bounds : float array
+(** Get or create, with millisecond-oriented upper bucket bounds
+    (0.01 ms to 5 s) plus one overflow bucket. *)
+val histogram : string -> histogram
 
 val inc : ?by:int -> counter -> unit
 val counter_value : counter -> int
-val counter_name : counter -> string
-
-val set : gauge -> float -> unit
-val add : gauge -> float -> unit
-val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 
 val observe : histogram -> float -> unit
 val histogram_sum : histogram -> float
 val histogram_count : histogram -> int
-val histogram_name : histogram -> string
 
 (** [(upper_bound, count)] per bucket, ending with the [infinity]
     overflow bucket. *)
 val histogram_buckets : histogram -> (float * int) list
 
-(** [histogram_quantile h q] is the upper bound of the bucket holding
-    the [q]-th observation (nearest-rank over cumulative counts) —
-    bucket-resolution, for dashboards; the traffic plane's CDFs use the
-    dedicated quantile sketch instead. [nan] on an empty histogram;
-    observations past the last bound report the largest finite bound.
-    Raises [Invalid_argument] if [q] is outside [0, 1]. *)
-val histogram_quantile : histogram -> float -> float
-
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
+type metric = Counter of counter | Histogram of histogram
 
 val find : string -> metric option
 
-(** Registered names, in registration order. *)
-val names : unit -> string list
-
 (** Zero every metric's value (registrations persist). *)
 val reset : unit -> unit
-
-(** Plain-text table of every metric. *)
-val dump : unit -> string
-
-val to_json : unit -> Dapper_util.Json.t

@@ -1,5 +1,3 @@
-module Metrics = Dapper_obs.Metrics
-
 type mechanism = Vanilla | Precopy | Hybrid | Postcopy
 
 let mechanism_name = function
@@ -36,8 +34,6 @@ let downtime_ms e = function
   | Precopy -> e.e_fixed_ms +. wire_ms e e.e_residual_bytes
   | Hybrid | Postcopy -> e.e_lazy_fixed_ms
 
-let m_budget_infeasible = Metrics.counter "traffic.budget.infeasible"
-
 let choose_detail ~budget_ms e =
   if budget_ms < 0.0 then invalid_arg "Budget.choose: negative budget";
   match
@@ -47,7 +43,6 @@ let choose_detail ~budget_ms e =
   | None ->
     (* nothing fits: least-bad blackout, earliest in preference order
        on ties (strict <, first kept) *)
-    Metrics.inc m_budget_infeasible;
     ( List.fold_left
         (fun best m -> if downtime_ms e m < downtime_ms e best then m else best)
         Vanilla all_mechanisms,

@@ -55,9 +55,8 @@ val downtime_ms : estimate -> mechanism -> float
 
 (** The first mechanism in [Vanilla; Precopy; Hybrid; Postcopy] order
     whose {!downtime_ms} is within [budget_ms]; when none fits, the one
-    with the smallest projected downtime (earliest in order on ties) —
-    and the ["traffic.budget.infeasible"] metrics counter is bumped, so
-    the silent least-bad fallback is observable fleet-wide. Raises
+    with the smallest projected downtime (earliest in order on ties);
+    {!choose_detail} tells that fallback apart. Raises
     [Invalid_argument] on a negative budget. *)
 val choose : budget_ms:float -> estimate -> mechanism
 

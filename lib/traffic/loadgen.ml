@@ -5,7 +5,6 @@ open Dapper_criu
 open Dapper_net
 module Session = Dapper.Session
 module Trace = Dapper_obs.Trace
-module Metrics = Dapper_obs.Metrics
 
 type cfg = {
   lg_seed : int64;
@@ -43,11 +42,6 @@ type stats = {
   ls_fingerprint : int64;
   ls_outcome : Session.outcome;
 }
-
-let m_requests = Metrics.counter "traffic.requests"
-let m_stalled = Metrics.counter "traffic.stalled"
-let m_faults = Metrics.counter "traffic.page_faults"
-let m_request_ms = Metrics.histogram "traffic.request_ms"
 
 (* Request mix over the Redis-style op classes (GET/SET/INCR at
    60/30/10%), with per-class cost multipliers chosen to preserve the
@@ -238,12 +232,9 @@ let run c scfg p mech =
       { tl_start = mig_start; tl_blackouts = [ (black_start, resume) ];
         tl_resume = resume; tl_end = resume }
       ~lazy_left:(if Budget.needs_lazy mech then lazy_left else 0)
-      ~hot_pages ~fault_stall ~on_latency:(Metrics.observe m_request_ms)
+      ~hot_pages ~fault_stall ~on_latency:ignore
   in
   let stalled = Sketch.count during in
-  Metrics.inc m_requests ~by:c.lg_requests;
-  Metrics.inc m_stalled ~by:stalled;
-  Metrics.inc m_faults ~by:faulted;
   Ok
     { ls_mechanism = mech;
       ls_requests = c.lg_requests;

@@ -134,6 +134,19 @@ let test_crit_rejects_pages_encode () =
      | exception Crit.Crit_error _ -> true
      | _ -> false)
 
+(* Regression: malformed bytes let the decoders' Proto.Decode_error out
+   of Crit.decode_file, which declares only Crit_error. *)
+let malformed_crit_files =
+  List.map
+    (fun (name, bytes) ->
+      Alcotest.test_case ("crit rejects malformed " ^ name) `Quick (fun () ->
+          check Alcotest.bool name true
+            (match Crit.decode_file name bytes with
+             | exception Crit.Crit_error _ -> true
+             | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+             | _ -> false)))
+    [ ("mm.img", "\x08"); ("pagemap.img", "\x08"); ("core-0.img", "\x0a\xff") ]
+
 let test_checkpoint_restore_preserves_everything () =
   (* identity: dump + restore on the same binary continues exactly *)
   let c, p = paused_process () in
@@ -161,4 +174,4 @@ let suites =
         Alcotest.test_case "crit pages are raw" `Quick test_crit_rejects_pages_encode;
         Alcotest.test_case "identity checkpoint/restore" `Quick
           test_checkpoint_restore_preserves_everything ]
-      @ malformed_image_files ) ]
+      @ malformed_image_files @ malformed_crit_files ) ]

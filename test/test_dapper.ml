@@ -94,10 +94,10 @@ let migrate_run ?lazy_pages compiled ~src ~dst ~warmup ~fuel =
    | Process.Idle -> Alcotest.fail "deadlock before migration"
    | Process.Crashed c -> Alcotest.fail ("crash before migration: " ^ c.cr_reason));
   match
-    Migrate.migrate ?lazy_pages ~src_node:(node_of src) ~dst_node:(node_of dst)
+    Session.migrate ?lazy_pages ~src_node:(node_of src) ~dst_node:(node_of dst)
       ~src_bin ~dst_bin p
   with
-  | Error e -> Alcotest.fail (Migrate.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok r ->
     let out_before = Process.stdout_contents p in
     (match Process.run_to_completion r.r_process ~fuel with
@@ -289,18 +289,18 @@ let test_migration_time_breakdown_sane () =
   let p = Process.load compiled.Link.cp_x86 in
   ignore (Process.run p ~max_instrs:100_000);
   match
-    Migrate.migrate ~src_node:Node.xeon ~dst_node:Node.rpi
+    Session.migrate ~src_node:Node.xeon ~dst_node:Node.rpi
       ~src_bin:compiled.Link.cp_x86 ~dst_bin:compiled.Link.cp_arm p
   with
-  | Error e -> Alcotest.fail (Migrate.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok r ->
     let t = r.r_times in
     check Alcotest.bool "all phases positive" true
       (t.t_checkpoint_ms > 0.0 && t.t_recode_ms > 0.0 && t.t_scp_ms > 0.0
        && t.t_restore_ms > 0.0);
     (* recode on the Pi is ~4x slower than on the Xeon (Fig. 5) *)
-    let on_xeon = Migrate.recode_ns Node.xeon ~bytes:0 r.r_rewrite in
-    let on_rpi = Migrate.recode_ns Node.rpi ~bytes:0 r.r_rewrite in
+    let on_xeon = Session.recode_ns Node.xeon ~bytes:0 r.r_rewrite in
+    let on_rpi = Session.recode_ns Node.rpi ~bytes:0 r.r_rewrite in
     check Alcotest.bool "recode slower on rpi" true (on_rpi > 3.0 *. on_xeon)
 
 let suites =

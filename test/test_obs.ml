@@ -1,6 +1,6 @@
 (* Observability plane: trace well-formedness on the simulated clock,
-   the metrics registry, agreement between the new accounting plane and
-   the legacy per-run stats records, and replay determinism. *)
+   the metrics registry, agreement between the registry entries kept and
+   the per-run records, and replay determinism. *)
 
 open Dapper_machine
 open Dapper
@@ -41,10 +41,10 @@ let migrate_once () =
   let p = Process.load c.Link.cp_x86 in
   ignore (Process.run p ~max_instrs:120_000);
   match
-    Migrate.migrate ~src_node:Node.xeon ~dst_node:Node.rpi
+    Session.migrate ~src_node:Node.xeon ~dst_node:Node.rpi
       ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm p
   with
-  | Error e -> Alcotest.fail (Migrate.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok r -> r
 
 (* ----- the trace sink ----- *)
@@ -135,7 +135,7 @@ let test_traced_migration_well_formed () =
   check_well_formed events;
   (* per-stage span totals agree with the session's phase times (eager
      scp: nothing charges the clock outside the stage spans) *)
-  let t = r.Migrate.r_times in
+  let t = r.Session.r_times in
   let close what want got =
     check Alcotest.bool
       (Printf.sprintf "%s: %.6f ~ %.6f" what want got)
@@ -143,11 +143,11 @@ let test_traced_migration_well_formed () =
       (abs_float (want -. got) < 1e-6)
   in
   let stage s = Trace.total_ms ~cat:"session" s in
-  close "checkpoint = pause + dump spans" t.Migrate.t_checkpoint_ms
+  close "checkpoint = pause + dump spans" t.Session.t_checkpoint_ms
     (stage "pause" +. stage "dump");
-  close "recode span" t.Migrate.t_recode_ms (stage "recode");
-  close "transfer span" t.Migrate.t_scp_ms (stage "transfer");
-  close "restore = restore + commit spans" t.Migrate.t_restore_ms
+  close "recode span" t.Session.t_recode_ms (stage "recode");
+  close "transfer span" t.Session.t_scp_ms (stage "transfer");
+  close "restore = restore + commit spans" t.Session.t_restore_ms
     (stage "restore" +. stage "commit");
   (* the Chrome export carries one object per event *)
   (match Trace.to_chrome_json () with
@@ -170,35 +170,27 @@ let test_metrics_registry () =
   check Alcotest.bool "re-request returns the same metric" true
     (Metrics.counter "obs.test.counter" == c);
   check Alcotest.bool "re-registering as another type rejected" true
-    (match Metrics.gauge "obs.test.counter" with
+    (match Metrics.histogram "obs.test.counter" with
      | exception Invalid_argument _ -> true
      | _ -> false);
-  let g = Metrics.gauge "obs.test.gauge" in
-  Metrics.set g 2.0;
-  Metrics.add g 1.5;
-  check (Alcotest.float 0.0) "gauge set + add" 3.5 (Metrics.gauge_value g);
-  let h = Metrics.histogram ~bounds:[| 1.0; 10.0 |] "obs.test.hist" in
-  List.iter (Metrics.observe h) [ 0.5; 5.0; 50.0; 0.2 ];
-  check Alcotest.int "histogram count" 4 (Metrics.histogram_count h);
-  check (Alcotest.float 1e-9) "histogram sum" 55.7 (Metrics.histogram_sum h);
-  (match Metrics.histogram_buckets h with
-   | [ (b1, c1); (b2, c2); (b3, c3) ] ->
-     check (Alcotest.float 0.0) "first bound" 1.0 b1;
-     check Alcotest.int "le 1" 2 c1;
-     check (Alcotest.float 0.0) "second bound" 10.0 b2;
-     check Alcotest.int "le 10" 1 c2;
-     check Alcotest.bool "overflow bucket unbounded" true (b3 = infinity);
-     check Alcotest.int "overflow" 1 c3
-   | _ -> Alcotest.fail "expected 3 buckets");
-  check Alcotest.bool "descending bounds rejected" true
-    (match Metrics.histogram ~bounds:[| 2.0; 1.0 |] "obs.test.bad" with
-     | exception Invalid_argument _ -> true
-     | _ -> false);
+  let h = Metrics.histogram "obs.test.hist" in
+  List.iter (Metrics.observe h) [ 0.5; 5.0; 50.0; 0.2; 6000.0 ];
+  check Alcotest.int "histogram count" 5 (Metrics.histogram_count h);
+  check (Alcotest.float 1e-9) "histogram sum" 6055.7 (Metrics.histogram_sum h);
+  let buckets = Metrics.histogram_buckets h in
+  check Alcotest.int "12 bounds + overflow" 13 (List.length buckets);
+  check
+    Alcotest.(list (pair (float 0.0) int))
+    "occupied buckets (default bounds)"
+    [ (0.5, 2); (5.0, 1); (50.0, 1); (infinity, 1) ]
+    (List.filter (fun (_, n) -> n > 0) buckets);
   Metrics.reset ();
   check Alcotest.int "reset zeroes counters" 0 (Metrics.counter_value c);
   check Alcotest.int "reset zeroes histograms" 0 (Metrics.histogram_count h);
   check Alcotest.bool "reset keeps registrations" true
-    (List.mem "obs.test.counter" (Metrics.names ()))
+    (match Metrics.find "obs.test.counter" with
+     | Some (Metrics.Counter c') -> c' == c
+     | _ -> false)
 
 let find_counter name =
   match Metrics.find name with
@@ -210,15 +202,14 @@ let find_histogram name =
   | Some (Metrics.Histogram h) -> h
   | _ -> Alcotest.failf "missing histogram %s" name
 
-(* The registry is the aggregate view over the same events the legacy
-   per-run records tally: after a registry reset, one migration per
-   corpus program must leave registry totals equal to the sum of the
-   per-run stats. *)
-let test_metrics_match_legacy_stats () =
+(* The registry entries kept count the same events as the per-run
+   records: after a registry reset, one migration per corpus program must
+   leave the transmit-attempt counter and the stage histograms equal to
+   the sums of the per-run records, and pre-copy runs must move the
+   pre-copy counters the wall-clock benchmark reads by exactly their
+   rounds and pages. *)
+let test_kept_metrics_match_records () =
   Metrics.reset ();
-  let frames = ref 0 and values = ref 0 and ptrs = ref 0 in
-  let hits = ref 0 and misses = ref 0 in
-  let index = ref 0 and interval = ref 0 in
   let attempts = ref 0 in
   let checkpoint = ref 0.0 and recode = ref 0.0 in
   let scp = ref 0.0 and restore = ref 0.0 in
@@ -229,44 +220,22 @@ let test_metrics_match_legacy_stats () =
       if not (Oracle.advance_to_point p ~budget:30_000_000 0) then
         Alcotest.failf "%s exited before its first equivalence point" name;
       match
-        Migrate.migrate ~src_node:Node.xeon ~dst_node:Node.rpi
+        Session.migrate ~src_node:Node.xeon ~dst_node:Node.rpi
           ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm p
       with
-      | Error e -> Alcotest.fail (Migrate.error_to_string e)
+      | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
       | Ok r ->
         incr migrated;
-        let rw = r.Migrate.r_rewrite in
-        frames := !frames + rw.Rewrite.st_frames;
-        values := !values + rw.Rewrite.st_values;
-        ptrs := !ptrs + rw.Rewrite.st_ptrs_translated;
-        hits := !hits + rw.Rewrite.st_plan_hits;
-        misses := !misses + rw.Rewrite.st_plan_misses;
-        index := !index + rw.Rewrite.st_index_lookups;
-        interval := !interval + rw.Rewrite.st_interval_lookups;
-        attempts := !attempts + r.Migrate.r_transfer.Transport.tx_attempts;
-        let t = r.Migrate.r_times in
-        checkpoint := !checkpoint +. t.Migrate.t_checkpoint_ms;
-        recode := !recode +. t.Migrate.t_recode_ms;
-        scp := !scp +. t.Migrate.t_scp_ms;
-        restore := !restore +. t.Migrate.t_restore_ms)
+        attempts := !attempts + r.Session.r_transfer.Transport.tx_attempts;
+        let t = r.Session.r_times in
+        checkpoint := !checkpoint +. t.Session.t_checkpoint_ms;
+        recode := !recode +. t.Session.t_recode_ms;
+        scp := !scp +. t.Session.t_scp_ms;
+        restore := !restore +. t.Session.t_restore_ms)
     (Corpus.all ());
   check Alcotest.bool "corpus migrated" true (!migrated > 0);
-  check Alcotest.int "rewrite.runs" !migrated (find_counter "rewrite.runs");
-  check Alcotest.int "rewrite.frames" !frames (find_counter "rewrite.frames");
-  check Alcotest.int "rewrite.values" !values (find_counter "rewrite.values");
-  check Alcotest.int "rewrite.ptrs_translated" !ptrs
-    (find_counter "rewrite.ptrs_translated");
-  check Alcotest.int "rewrite.plan_hits" !hits (find_counter "rewrite.plan_hits");
-  check Alcotest.int "rewrite.plan_misses" !misses
-    (find_counter "rewrite.plan_misses");
-  check Alcotest.int "rewrite.index_lookups" !index
-    (find_counter "rewrite.index_lookups");
-  check Alcotest.int "rewrite.interval_lookups" !interval
-    (find_counter "rewrite.interval_lookups");
   check Alcotest.int "transport.tx.attempts" !attempts
     (find_counter "transport.tx.attempts");
-  check Alcotest.int "session.commits" !migrated (find_counter "session.commits");
-  check Alcotest.int "session.rollbacks" 0 (find_counter "session.rollbacks");
   let stage s = Metrics.histogram_sum (find_histogram ("session.stage_ms." ^ s)) in
   let close what want got =
     check Alcotest.bool
@@ -281,14 +250,41 @@ let test_metrics_match_legacy_stats () =
   check Alcotest.int "one observation per stage per migration" !migrated
     (Metrics.histogram_count (find_histogram "session.stage_ms.commit"));
   (* the cost_report histogram table reflects the same registry *)
-  let table = Migrate.stage_histogram_table () in
+  let table = Session.stage_histogram_table () in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
   check Alcotest.bool "histogram table lists the commit stage" true
-    (contains table "commit")
+    (contains table "commit");
+  (* pre-copy: a source that keeps running between rounds re-dirties
+     pages, so some runs take more than one round *)
+  let rounds = ref 0 and pages = ref 0 and multi_round = ref false in
+  let rounds0 = find_counter "session.precopy.rounds"
+  and pages0 = find_counter "session.precopy.pages" in
+  List.iter
+    (fun c ->
+      let p = Process.load c.Link.cp_x86 in
+      ignore (Process.run p ~max_instrs:120_000);
+      let st =
+        Session.precopy
+          (Session.default_config ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm)
+          p
+          ~advance:(fun _ -> ignore (Process.run p ~max_instrs:20_000))
+          ~max_rounds:4 ~downtime_budget_ms:0.0
+      in
+      let n = List.length st.Session.pcs_rounds in
+      if n > 1 then multi_round := true;
+      rounds := !rounds + n;
+      pages :=
+        List.fold_left (fun acc r -> acc + r.Session.pr_pages) !pages st.Session.pcs_rounds)
+    [ Registry_helpers.compute (); Registry_helpers.other_app () ];
+  check Alcotest.bool "some pre-copy took several rounds" true !multi_round;
+  check Alcotest.int "session.precopy.rounds delta = rounds run" !rounds
+    (find_counter "session.precopy.rounds" - rounds0);
+  check Alcotest.int "session.precopy.pages delta = pages shipped" !pages
+    (find_counter "session.precopy.pages" - pages0)
 
 (* ----- replay determinism ----- *)
 
@@ -324,7 +320,7 @@ let suites =
         Alcotest.test_case "traced migration well-formed" `Quick
           test_traced_migration_well_formed;
         Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
-        Alcotest.test_case "metrics match legacy stats (corpus)" `Quick
-          test_metrics_match_legacy_stats;
+        Alcotest.test_case "kept metrics match per-run records (corpus)" `Quick
+          test_kept_metrics_match_records;
         Alcotest.test_case "chaos replay: byte-identical traces" `Quick
           test_chaos_replay_trace_identical ] ) ]

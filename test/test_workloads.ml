@@ -39,17 +39,17 @@ let test_migration (sp : Registry.spec) () =
    | Process.Progress -> ()
    | _ -> Alcotest.fail "finished before migration point");
   match
-    Migrate.migrate ~src_node:Node.xeon ~dst_node:Node.rpi ~src_bin:c.Link.cp_x86
+    Session.migrate ~src_node:Node.xeon ~dst_node:Node.rpi ~src_bin:c.Link.cp_x86
       ~dst_bin:c.Link.cp_arm p
   with
-  | Error e -> Alcotest.fail (Migrate.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok r ->
     let before = Process.stdout_contents p in
-    (match Process.run_to_completion r.Migrate.r_process ~fuel with
+    (match Process.run_to_completion r.Session.r_process ~fuel with
      | Process.Exited_run code ->
        check Alcotest.bool "exit equal" true (Int64.equal code expected_code);
        check Alcotest.string "stdout equal" expected
-         (before ^ Process.stdout_contents r.Migrate.r_process)
+         (before ^ Process.stdout_contents r.Session.r_process)
      | Process.Crashed cr ->
        Alcotest.fail
          (Printf.sprintf "crashed after migration: pc=0x%Lx %s" cr.cr_pc cr.cr_reason)
