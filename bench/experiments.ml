@@ -285,12 +285,10 @@ let fig7 () =
 
 module Tr = Dapper_traffic
 
-(* One row of the live-traffic experiment, shared between the printed
-   tables and the BENCH_RESULTS.json fig7_live entries. *)
+(* One row of the live-traffic table. *)
 type live_row = {
   lv_label : string;
   lv_mechanism : string;
-  lv_requests : int;
   lv_stalled : int;
   lv_faulted : int;
   lv_precopy_ms : float;
@@ -301,13 +299,13 @@ type live_row = {
   lv_mig_p50 : float;
   lv_mig_p99 : float;
   lv_mig_p999 : float;
-  lv_fingerprint : string;
 }
 
 let live_lanes = 4
 let live_util = 0.15    (* offered load as a fraction of lane capacity *)
 let live_rps = 0.25     (* per-client request rate: populations in the millions *)
 let live_seed = 0x11AFFE17L
+let live_requests = 1_000_000
 
 (* Per-request cost floor for the service-time calibration: the replayed
    IR services spend a few hundred interpreted instructions per op, but a
@@ -322,8 +320,7 @@ let live_floor_instrs = 20_000.0
    run ([total] instructions over [ops] requests); the client population
    is whatever it takes to offer [live_util] of lane capacity at
    [live_rps] per client. *)
-let live_stats ?(seed = live_seed) ?(requests = 1_000_000) ?(reverse = false)
-    c ~ops ~total mech =
+let live_stats ~reverse c ~ops ~total mech =
   let src_arch, dst_arch =
     if reverse then (Arch.Aarch64, Arch.X86_64) else (Arch.X86_64, Arch.Aarch64)
   in
@@ -342,7 +339,7 @@ let live_stats ?(seed = live_seed) ?(requests = 1_000_000) ?(reverse = false)
   let s_dst = Tr.Loadgen.service_ms ~node:dst_node ~instrs_per_req in
   let rate = live_util *. float_of_int live_lanes /. s_src in
   let clients = int_of_float (Float.ceil (rate *. 1000.0 /. live_rps)) in
-  let window = float_of_int requests /. rate in
+  let window = float_of_int live_requests /. rate in
   let scfg =
     { (Session.default_config ~src_bin ~dst_bin) with
       Session.cfg_src_node = src_node;
@@ -351,8 +348,8 @@ let live_stats ?(seed = live_seed) ?(requests = 1_000_000) ?(reverse = false)
       cfg_bytes_scale = bytes_scale }
   in
   let lg =
-    { Tr.Loadgen.lg_seed = seed;
-      lg_requests = requests;
+    { Tr.Loadgen.lg_seed = live_seed;
+      lg_requests = live_requests;
       lg_clients = clients;
       lg_client_rps = live_rps;
       (* quiet/burst modulation averaging exactly the base rate:
@@ -378,7 +375,6 @@ let live_row_of label (st : Tr.Loadgen.stats) =
   in
   { lv_label = label;
     lv_mechanism = Tr.Budget.mechanism_name st.Tr.Loadgen.ls_mechanism;
-    lv_requests = st.Tr.Loadgen.ls_requests;
     lv_stalled = st.Tr.Loadgen.ls_stalled;
     lv_faulted = st.Tr.Loadgen.ls_faulted;
     lv_precopy_ms = st.Tr.Loadgen.ls_precopy_ms;
@@ -388,21 +384,9 @@ let live_row_of label (st : Tr.Loadgen.stats) =
     lv_p999 = q st.Tr.Loadgen.ls_all 0.999;
     lv_mig_p50 = q st.Tr.Loadgen.ls_during 0.5;
     lv_mig_p99 = q st.Tr.Loadgen.ls_during 0.99;
-    lv_mig_p999 = q st.Tr.Loadgen.ls_during 0.999;
-    lv_fingerprint = Printf.sprintf "%016Lx" st.Tr.Loadgen.ls_fingerprint }
+    lv_mig_p999 = q st.Tr.Loadgen.ls_during 0.999 }
 
 let live_mechanisms = Tr.Budget.[ Vanilla; Postcopy; Hybrid ]
-
-(* The BENCH_RESULTS.json sweep: redis under load, forward direction,
-   all three mechanisms. *)
-let fig7_live_sweep ?(requests = 1_000_000) () =
-  let m = Servers.redis ~keys:4096 ~ops:6000 () in
-  let c = Link.compile ~app:"redis-live" m in
-  let total = native_instrs c Arch.X86_64 in
-  List.map
-    (fun mech ->
-      live_row_of "redis x86->arm" (live_stats ~requests c ~ops:6000 ~total mech))
-    live_mechanisms
 
 let fig7_live () =
   let workloads =
@@ -580,13 +564,6 @@ let fig8_fleet () =
 
 (* ----- Fig. 8 XL: the eviction scheduler at datacenter scale ----- *)
 
-type xl_row = {
-  xr_policy : string;
-  xr_nodes : int;
-  xr_jobs : int;
-  xr_stats : Fleet_xl.stats;
-}
-
 let fig8_xl_policies = Placement.[ First_fit; Energy_aware; Slo_aware ]
 
 (* Slow tier split 20% Jetson-class / 30% Pi 5 / 50% Pi 4. The fastest
@@ -618,42 +595,32 @@ let fig8_xl_config ~nodes ~jobs ~policy =
 let fig8_xl_scales =
   [ (10, 1_000); (100, 10_000); (1_000, 100_000); (10_000, 1_000_000) ]
 
-(* [max_nodes] trims the sweep (CI smoke stops at 1k nodes; the full
-   figure goes to 10k nodes / 1M jobs). *)
-let fig8_xl_sweep ?(max_nodes = 10_000) () =
+let fig8_xl () =
   let kinds = fig8_kinds () in
-  List.concat_map
-    (fun (nodes, jobs) ->
-      if nodes > max_nodes then []
-      else
+  let rows =
+    List.concat_map
+      (fun (nodes, jobs) ->
         List.map
           (fun policy ->
-            let stats = Fleet_xl.run (fig8_xl_config ~nodes ~jobs ~policy) kinds in
-            { xr_policy = Placement.name policy; xr_nodes = nodes; xr_jobs = jobs;
-              xr_stats = stats })
+            let s = Fleet_xl.run (fig8_xl_config ~nodes ~jobs ~policy) kinds in
+            [ Placement.name policy; string_of_int nodes; string_of_int jobs;
+              string_of_int s.Fleet_xl.x_jobs_done; string_of_int s.x_jobs_slow;
+              string_of_int s.x_nodes_powered;
+              Printf.sprintf "%d/%d" s.x_slo_met (s.x_slo_met + s.x_slo_missed);
+              Printf.sprintf "%.3f" s.x_jobs_per_kj;
+              Printf.sprintf "%.0f" s.x_throughput_per_min;
+              Printf.sprintf "%.0f" s.x_events_per_sim_s;
+              Printf.sprintf "%.0f" (s.x_makespan_ms /. 1000.0) ])
           fig8_xl_policies)
-    fig8_xl_scales
-
-let fig8_xl () =
-  let rows = fig8_xl_sweep () in
+      fig8_xl_scales
+  in
   Tbl.print
     ~title:
       "Fig 8 XL: eviction fleet at scale (heterogeneous slow tier, per-rack page servers)"
     ~header:
       [ "policy"; "nodes"; "jobs"; "done"; "slow"; "boards on"; "slo met"; "jobs/kJ";
         "thr/min"; "events/sim-s"; "makespan s" ]
-    (List.map
-       (fun r ->
-         let s = r.xr_stats in
-         [ r.xr_policy; string_of_int r.xr_nodes; string_of_int r.xr_jobs;
-           string_of_int s.Fleet_xl.x_jobs_done; string_of_int s.x_jobs_slow;
-           string_of_int s.x_nodes_powered;
-           Printf.sprintf "%d/%d" s.x_slo_met (s.x_slo_met + s.x_slo_missed);
-           Printf.sprintf "%.3f" s.x_jobs_per_kj;
-           Printf.sprintf "%.0f" s.x_throughput_per_min;
-           Printf.sprintf "%.0f" s.x_events_per_sim_s;
-           Printf.sprintf "%.0f" (s.x_makespan_ms /. 1000.0) ])
-       rows);
+    rows;
   Printf.printf
     "event-driven engine: cost scales with events, not nodes x quanta; first-fit packs the fast boards, energy-aware holds the efficient ones, slo-aware pays exactly for deadlines\n\n"
 
@@ -757,22 +724,12 @@ let fig9_chaos_setup () =
   in
   (scfg, fresh)
 
-(* Both arms replay the same seeds — the same scenarios, the same fault
-   schedules — so the control-on vs control-off contrast is paired. *)
-let fig9_chaos_sweep ?(seeds = 200) ?(requests = 20_000) () =
-  let scfg, fresh = fig9_chaos_setup () in
-  List.map
-    (fun control ->
-      let cfg =
-        { Health.Sustained.default_cfg with
-          Health.Sustained.su_requests = requests;
-          su_control = control }
-      in
-      Health.Sustained.sweep cfg scfg ~fresh ~seeds ~seed0:fig9_chaos_seed0)
-    [ true; false ]
-
 let fig9_chaos_sustained () =
-  let arms = fig9_chaos_sweep () in
+  let scfg, fresh = fig9_chaos_setup () in
+  let on, off, violations =
+    Health.Sustained.paired Health.Sustained.default_cfg scfg ~fresh ~seeds:200
+      ~seed0:fig9_chaos_seed0
+  in
   let q s p =
     if Tr.Sketch.count s = 0 then 0.0 else Tr.Sketch.quantile s p
   in
@@ -798,23 +755,20 @@ let fig9_chaos_sustained () =
            Printf.sprintf "%.4f" y.Health.Sustained.y_availability;
            Tbl.ms (Health.Sustained.mig_p99 y);
            Tbl.ms (q y.Health.Sustained.y_all 0.99) ])
-       arms);
+       [ on; off ]);
   (* one sample degradation trace, so the event plumbing is visible *)
-  (match arms with
-   | (runs, _) :: _ ->
-     (match
-        List.find_opt
-          (fun r -> r.Health.Sustained.r_events <> [])
-          runs
-      with
-      | Some r ->
-        Printf.printf "sample degradation trace (seed %016Lx, %s):\n"
-          r.Health.Sustained.r_seed
-          (Health.Sustained.verdict_name r.Health.Sustained.r_verdict);
-        List.iter print_endline (Health.Sustained.event_lines r)
-      | None -> ())
-   | [] -> ());
-  print_newline ()
+  (match List.find_opt (fun r -> r.Health.Sustained.r_events <> []) (fst on) with
+   | Some r ->
+     Printf.printf "sample degradation trace (seed %016Lx, %s):\n"
+       r.Health.Sustained.r_seed
+       (Health.Sustained.verdict_name r.Health.Sustained.r_verdict);
+     List.iter print_endline (Health.Sustained.event_lines r)
+   | None -> ());
+  print_newline ();
+  if violations <> [] then begin
+    List.iter prerr_endline violations;
+    exit 1
+  end
 
 let fig10 () =
   let per_arch arch =

@@ -267,103 +267,16 @@ let run_micro ?(json = false) ?(smoke = false) ?trace () =
               ("ns_per_run", match est with Some e -> J.Float e | None -> J.Null) ])
         rows
     in
-    (* fig8-xl sweep rows ride along in the same results file so the
-       schema gate can hold the scaled-fleet numbers to account. Smoke
-       (CI) trims the sweep to <= 1k nodes; a full run covers the 10k /
-       1M point too. *)
-    let xl_rows =
-      Experiments.fig8_xl_sweep ~max_nodes:(if smoke then 1_000 else 10_000) ()
-    in
-    let xl_entries =
-      List.map
-        (fun (r : Experiments.xl_row) ->
-          let s = r.Experiments.xr_stats in
-          J.Obj
-            [ ("policy", J.String r.Experiments.xr_policy);
-              ("nodes", J.Float (float r.Experiments.xr_nodes));
-              ("jobs", J.Float (float r.Experiments.xr_jobs));
-              ("jobs_done", J.Float (float s.Fleet_xl.x_jobs_done));
-              ("slo_met", J.Float (float s.Fleet_xl.x_slo_met));
-              ("slo_missed", J.Float (float s.Fleet_xl.x_slo_missed));
-              ("nodes_powered", J.Float (float s.Fleet_xl.x_nodes_powered));
-              ("jobs_per_kj", J.Float s.Fleet_xl.x_jobs_per_kj);
-              ("throughput_per_min", J.Float s.Fleet_xl.x_throughput_per_min);
-              ("events", J.Float (float s.Fleet_xl.x_events));
-              ("events_per_sim_s", J.Float s.Fleet_xl.x_events_per_sim_s);
-              ("makespan_ms", J.Float s.Fleet_xl.x_makespan_ms) ])
-        xl_rows
-    in
-    (* fig7-live rows: tail latency across a live migration. Smoke trims
-       the open-loop request count so CI stays fast; a full run plays the
-       1M-request plane. *)
-    let live_rows =
-      Experiments.fig7_live_sweep
-        ~requests:(if smoke then 120_000 else 1_000_000) ()
-    in
-    let live_entries =
-      List.map
-        (fun (r : Experiments.live_row) ->
-          J.Obj
-            [ ("workload", J.String r.Experiments.lv_label);
-              ("mechanism", J.String r.Experiments.lv_mechanism);
-              ("requests", J.Float (float r.Experiments.lv_requests));
-              ("stalled", J.Float (float r.Experiments.lv_stalled));
-              ("faulted", J.Float (float r.Experiments.lv_faulted));
-              ("precopy_ms", J.Float r.Experiments.lv_precopy_ms);
-              ("blackout_ms", J.Float r.Experiments.lv_blackout_ms);
-              ("p50_ms", J.Float r.Experiments.lv_p50);
-              ("p99_ms", J.Float r.Experiments.lv_p99);
-              ("p999_ms", J.Float r.Experiments.lv_p999);
-              ("mig_p50_ms", J.Float r.Experiments.lv_mig_p50);
-              ("mig_p99_ms", J.Float r.Experiments.lv_mig_p99);
-              ("mig_p999_ms", J.Float r.Experiments.lv_mig_p999);
-              ("fingerprint", J.String r.Experiments.lv_fingerprint) ])
-        live_rows
-    in
-    (* fig9-chaos rows: the self-healing control plane under sustained
-       correlated faults, one row per arm (control on / off) over the
-       same seeds. Smoke trims the seed count and request plane. *)
-    let chaos_arms =
-      Experiments.fig9_chaos_sweep
-        ~seeds:(if smoke then 12 else 200)
-        ~requests:(if smoke then 6_000 else 20_000)
-        ()
-    in
-    let chaos_entries =
-      List.map
-        (fun ((_, y) : _ * Experiments.Health.Sustained.summary) ->
-          let module S = Experiments.Health.Sustained in
-          J.Obj
-            [ ("control", J.String (if y.S.y_control then "on" else "off"));
-              ("seeds", J.Float (float y.S.y_seeds));
-              ("committed", J.Float (float y.S.y_committed));
-              ("degraded", J.Float (float y.S.y_degraded));
-              ("rolled_back", J.Float (float y.S.y_rolled_back));
-              ("postponed", J.Float (float y.S.y_postponed));
-              ("attempts", J.Float (float y.S.y_attempts));
-              ("sheds", J.Float (float y.S.y_sheds));
-              ("breaker_trips", J.Float (float y.S.y_trips));
-              ("deadline_cancels", J.Float (float y.S.y_cancels));
-              ("availability", J.Float y.S.y_availability);
-              ("mig_p99_ms", J.Float (S.mig_p99 y)) ])
-        chaos_arms
-    in
     let doc =
       J.Obj
         [ ("suite", J.String "dapper-micro"); ("smoke", J.Bool smoke);
-          ("benchmarks", J.List entries); ("fig8_xl", J.List xl_entries);
-          ("fig7_live", J.List live_entries);
-          ("fig9_chaos", J.List chaos_entries) ]
+          ("benchmarks", J.List entries) ]
     in
     let oc = open_out results_file in
     output_string oc (J.to_string doc);
     output_char oc '\n';
     close_out oc;
-    Printf.printf
-      "wrote %s (%d benchmarks, %d fig8-xl rows, %d fig7-live rows, %d \
-       fig9-chaos rows)\n"
-      results_file (List.length entries) (List.length xl_entries)
-      (List.length live_entries) (List.length chaos_entries)
+    Printf.printf "wrote %s (%d benchmarks)\n" results_file (List.length entries)
   end;
   Option.iter run_trace trace
 

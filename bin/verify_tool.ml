@@ -231,72 +231,29 @@ let sustained_setup () =
   in
   (scfg, fresh)
 
-(* Two-arm sustained sweep over the same seeds, with the gate's
-   invariants enforced: every run ends in an explicit commit, degraded
-   commit, or rollback (no lost states), attempts stay bounded, and the
-   control plane must not worsen the during-migration tail. *)
+(* Two-arm sustained sweep over the same seeds; [Sustained.paired]
+   checks the gate's invariants (no lost states, bounded attempts, no
+   worse during-migration tail with the control plane on). *)
 let run_sustained seeds events_file =
   let scfg, fresh = sustained_setup () in
-  let arms =
-    List.map
-      (fun control ->
-        let cfg = { Sustained.default_cfg with Sustained.su_control = control } in
-        Sustained.sweep cfg scfg ~fresh ~seeds ~seed0:0x5EED5EEDL)
-      [ true; false ]
+  let on, off, violations =
+    Sustained.paired Sustained.default_cfg scfg ~fresh ~seeds ~seed0:0x5EED5EEDL
   in
-  let ok = ref true in
-  List.iter
-    (fun ((runs, y) : Sustained.run list * Sustained.summary) ->
-      print_endline (Sustained.summary_line y);
-      let arm = if y.Sustained.y_control then "control-on" else "control-off" in
-      let verdicts =
-        y.Sustained.y_committed + y.Sustained.y_degraded + y.Sustained.y_rolled_back
-      in
-      if verdicts <> seeds then begin
-        ok := false;
-        Printf.printf
-          "sustained FAILED (%s): %d explicit verdicts <> %d seeds — a run \
-           ended without committing or rolling back\n%!"
-          arm verdicts seeds
-      end;
-      List.iter
-        (fun (r : Sustained.run) ->
-          if r.Sustained.r_attempts > Sustained.default_cfg.Sustained.su_max_attempts
-          then begin
-            ok := false;
-            Printf.printf
-              "sustained FAILED (%s): seed %016Lx took %d attempts (bound %d)\n%!"
-              arm r.Sustained.r_seed r.Sustained.r_attempts
-              Sustained.default_cfg.Sustained.su_max_attempts
-          end)
-        runs)
-    arms;
-  (match arms with
-   | [ (_, on); (_, off) ] ->
-     let p_on = Sustained.mig_p99 on and p_off = Sustained.mig_p99 off in
-     Printf.printf "during-migration p99: %.2f ms on vs %.2f ms off\n%!" p_on p_off;
-     if p_on > p_off then begin
-       ok := false;
-       Printf.printf
-         "sustained FAILED: control plane worsened the during-migration p99\n%!"
-     end
-   | _ -> ());
+  print_endline (Sustained.summary_line (snd on));
+  print_endline (Sustained.summary_line (snd off));
+  Printf.printf "during-migration p99: %.2f ms on vs %.2f ms off\n%!"
+    (Sustained.mig_p99 (snd on)) (Sustained.mig_p99 (snd off));
+  List.iter print_endline violations;
   (match events_file with
    | None -> ()
    | Some file ->
      let oc = open_out file in
-     (match arms with
-      | (runs, _) :: _ ->
-        List.iter
-          (fun (r : Sustained.run) ->
-            List.iter
-              (fun l -> output_string oc (l ^ "\n"))
-              (Sustained.event_lines r))
-          runs
-      | [] -> ());
+     List.iter
+       (fun r -> List.iter (fun l -> output_string oc (l ^ "\n")) (Sustained.event_lines r))
+       (fst on);
      close_out oc;
      Printf.printf "degradation-event trace written to %s\n%!" file);
-  !ok
+  violations = []
 
 (* ----- record / replay / shadow ----- *)
 

@@ -7,27 +7,30 @@ module Trace = Dapper_obs.Trace
 
 type config = {
   f_window_ms : float;
-  f_quantum_ms : float;
   f_xeon_slots : int;
   f_rpis : int;
   f_rpi_slots_each : int;
   f_evict : bool;
   f_bytes_scale : float;
-  f_job_fuel : int;
-  f_speed_scale : float;
   f_pause_budget : int;
   f_transport : Transport.t;
   f_fault : Fault.t option;
-  f_placement : Placement.t;
-  f_node_gate : (node:int -> now_ms:float -> bool) option;
 }
 
 let default_config =
-  { f_window_ms = 30_000.0; f_quantum_ms = 50.0; f_xeon_slots = 7; f_rpis = 3;
-    f_rpi_slots_each = 3; f_evict = true; f_bytes_scale = 1.0;
-    f_job_fuel = 50_000_000; f_speed_scale = 4200.0; f_pause_budget = 50_000_000;
-    f_transport = Transport.scp Dapper_net.Link.infiniband; f_fault = None;
-    f_placement = Placement.Latest_start; f_node_gate = None }
+  { f_window_ms = 30_000.0; f_xeon_slots = 7; f_rpis = 3; f_rpi_slots_each = 3;
+    f_evict = true; f_bytes_scale = 1.0; f_pause_budget = 50_000_000;
+    f_transport = Transport.scp Dapper_net.Link.infiniband; f_fault = None }
+
+let quantum_ms = 50.0
+
+(* Node speeds are divided by this factor so that downscaled jobs take
+   realistic multiples of the quantum (the Xeon interprets 1000
+   instructions per simulated millisecond); relative speeds stand. *)
+let speed_scale = 4200.0
+
+(* Per-quantum interpreter safety cap. *)
+let job_fuel = 50_000_000
 
 type stats = {
   f_jobs_done : int;
@@ -41,7 +44,6 @@ type stats = {
   f_energy_kj : float;
   f_jobs_per_kj : float;
   f_events : int;
-  f_deferred : int;
 }
 
 exception Fleet_error of string
@@ -118,10 +120,10 @@ let run config (jobs : Link.compiled list) =
     slot.s_job <-
       Some { r_proc = Process.load bin; r_compiled = compiled; r_started_quantum = quantum }
   in
-  let quanta = int_of_float (config.f_window_ms /. config.f_quantum_ms) in
+  let quanta = int_of_float (config.f_window_ms /. quantum_ms) in
   let all_slots = Array.append xeon_slots rpi_slots in
   let heap : (int * event) Event_heap.t = Event_heap.create () in
-  let time_of q = float_of_int q *. config.f_quantum_ms in
+  let time_of q = float_of_int q *. quantum_ms in
   let push_ev q key ev = Event_heap.push heap ~key ~time:(time_of q) (q, ev) in
   let events = ref 0 in
   (* One eviction attempt onto free Pi slot [pi] during quantum [q] —
@@ -129,123 +131,95 @@ let run config (jobs : Link.compiled list) =
      armed conditions are re-checked here; between arming (at the
      boundary) and firing, only earlier evictions of the same quantum
      run, and those never free a Xeon slot or touch another Pi. *)
-  let deferred = ref 0 in
   let attempt_eviction q pi =
     if
       pi.s_job = None && (not pi.s_dead)
       && Array.for_all (fun s -> s.s_job <> None) xeon_slots
     then
-      (* health admission: a closed destination gate defers the
-         eviction — the slot stays free and the next boundary re-arms
-         it, so deferral is backoff, not loss *)
-      let admitted =
-        match config.f_node_gate with
-        | Some gate -> gate ~node:pi.s_idx ~now_ms:(time_of q)
-        | None -> true
-      in
-      if not admitted then incr deferred
-      else begin
-      (* the policy picks the victim among busy xeon slots (in slot
-         order); the default [Latest_start] reproduces the old
-         hardcoded most-recently-started fold exactly *)
-      let candidates =
-        Array.to_list xeon_slots
-        |> List.filter_map (fun s ->
-               match s.s_job with
-               | None -> None
-               | Some j ->
-                 Some
-                   { Placement.vc_index = s.s_idx;
-                     vc_started_ms =
-                       float_of_int j.r_started_quantum *. config.f_quantum_ms })
-      in
+      (* the victim is the most recently started job (least sunk cost):
+         the latest start wins, the first slot in slot order on ties *)
       let victim =
-        Option.map
-          (fun v -> xeon_slots.(v.Placement.vc_index))
-          (Placement.choose_victim config.f_placement candidates)
+        Array.fold_left
+          (fun best s ->
+            match (best, s.s_job) with
+            | Some (_, b), Some j when j.r_started_quantum <= b.r_started_quantum -> best
+            | _, Some j -> Some (s, j)
+            | _, None -> best)
+          None xeon_slots
       in
       match victim with
       | None -> ()
-      | Some vs ->
-              let job = Option.get vs.s_job in
-              let src_bin =
-                Link.binary_for job.r_compiled Dapper_isa.Arch.X86_64
-              in
-              let dst_bin =
-                Link.binary_for job.r_compiled Dapper_isa.Arch.Aarch64
-              in
-              let scfg =
-                { (Session.default_config ~src_bin ~dst_bin) with
-                  Session.cfg_bytes_scale = config.f_bytes_scale;
-                  cfg_pause_budget = config.f_pause_budget;
-                  cfg_transport = config.f_transport;
-                  cfg_fault = config.f_fault }
-              in
-              (* the fault plane may kill the destination node outright
-                 mid-eviction: the node leaves the pool and the job —
-                 never having left the source — re-enters the queue of
-                 eviction candidates, to be retried on another node *)
-              let node_killed =
-                match
-                  Option.bind config.f_fault (fun f -> Fault.draw f Fault.Dest_node)
-                with
-                | Some Fault.Crash ->
-                  pi.s_dead <- true;
-                  incr nodes_lost;
-                  true
-                | _ -> false
-              in
-              if node_killed then begin
-                incr eviction_retries;
-                recover job.r_compiled.Link.cp_app
-              end
-              else
-                Trace.with_span ~cat:"fleet" "eviction"
-                  ~args:[ ("app", job.r_compiled.Link.cp_app) ]
-                @@ fun _ ->
-                (match Session.run scfg job.r_proc with
-                 | Ok st ->
-                   let r = Session.finish st in
-                   incr evictions;
-                   let cost = Session.total_ms r.Session.r_times in
-                   migration_ms := !migration_ms +. cost;
-                   (* the migration's cost stalls the destination slot; the
-                      victim slot hands its job over and owes nothing *)
-                   pi.s_stall_ms <- pi.s_stall_ms +. cost;
-                   pi.s_job <-
-                     Some { r_proc = r.Session.r_process; r_compiled = job.r_compiled;
-                            r_started_quantum = q };
-                   vs.s_job <- None;
-                   start_job vs q;
-                   (* the destination starts progressing this same quantum,
-                      as the old advance pass gave it; the victim's pending
-                      advance covers its replacement job *)
-                   push_ev q (key_advance pi.s_idx) (Advance pi.s_idx)
-                 | Error e ->
-                   (* The session's rollback already resumed the source. A
-                      transient failure (drain budget exhausted, transfer
-                      timed out, node lost) leaves the job in place to
-                      retry at a later quantum — possibly on a different
-                      node; only structural failures count as lost
-                      evictions. Either way the recovery is charged to the
-                      job so flaky applications are visible per name. *)
-                   if Dapper_error.retriable e then incr eviction_retries
-                   else incr eviction_failures;
-                   recover job.r_compiled.Link.cp_app;
-                   (match job.r_proc.Process.exit_code with
-                    | Some _ ->
-                      (* the job finished during the pause *)
-                      incr done_total;
-                      vs.s_job <- None;
-                      start_job vs q
-                    | None ->
-                      (* no migration happened, so this attempt charged the
-                         victim slot nothing — give back exactly that, not
-                         the slot's whole stall ledger *)
-                      vs.s_stall_ms <-
-                        settle_failed_eviction ~owed_ms:vs.s_stall_ms
-                          ~charged_ms:0.0))
-    end
+      | Some (vs, job) ->
+        let src_bin = Link.binary_for job.r_compiled Dapper_isa.Arch.X86_64 in
+        let dst_bin = Link.binary_for job.r_compiled Dapper_isa.Arch.Aarch64 in
+        let scfg =
+          { (Session.default_config ~src_bin ~dst_bin) with
+            Session.cfg_bytes_scale = config.f_bytes_scale;
+            cfg_pause_budget = config.f_pause_budget;
+            cfg_transport = config.f_transport;
+            cfg_fault = config.f_fault }
+        in
+        (* the fault plane may kill the destination node outright
+           mid-eviction: the node leaves the pool and the job — never
+           having left the source — re-enters the queue of eviction
+           candidates, to be retried on another node *)
+        let node_killed =
+          match Option.bind config.f_fault (fun f -> Fault.draw f Fault.Dest_node) with
+          | Some Fault.Crash ->
+            pi.s_dead <- true;
+            incr nodes_lost;
+            true
+          | _ -> false
+        in
+        if node_killed then begin
+          incr eviction_retries;
+          recover job.r_compiled.Link.cp_app
+        end
+        else
+          Trace.with_span ~cat:"fleet" "eviction"
+            ~args:[ ("app", job.r_compiled.Link.cp_app) ]
+          @@ fun _ ->
+          (match Session.run scfg job.r_proc with
+           | Ok st ->
+             let r = Session.finish st in
+             incr evictions;
+             let cost = Session.total_ms r.Session.r_times in
+             migration_ms := !migration_ms +. cost;
+             (* the migration's cost stalls the destination slot; the
+                victim slot hands its job over and owes nothing *)
+             pi.s_stall_ms <- pi.s_stall_ms +. cost;
+             pi.s_job <-
+               Some { r_proc = r.Session.r_process; r_compiled = job.r_compiled;
+                      r_started_quantum = q };
+             vs.s_job <- None;
+             start_job vs q;
+             (* the destination starts progressing this same quantum,
+                as the old advance pass gave it; the victim's pending
+                advance covers its replacement job *)
+             push_ev q (key_advance pi.s_idx) (Advance pi.s_idx)
+           | Error e ->
+             (* The session's rollback already resumed the source. A
+                transient failure (drain budget exhausted, transfer
+                timed out, node lost) leaves the job in place to
+                retry at a later quantum — possibly on a different
+                node; only structural failures count as lost
+                evictions. Either way the recovery is charged to the
+                job so flaky applications are visible per name. *)
+             if Dapper_error.retriable e then incr eviction_retries
+             else incr eviction_failures;
+             recover job.r_compiled.Link.cp_app;
+             (match job.r_proc.Process.exit_code with
+              | Some _ ->
+                (* the job finished during the pause *)
+                incr done_total;
+                vs.s_job <- None;
+                start_job vs q
+              | None ->
+                (* no migration happened, so this attempt charged the
+                   victim slot nothing — give back exactly that, not
+                   the slot's whole stall ledger *)
+                vs.s_stall_ms <-
+                  settle_failed_eviction ~owed_ms:vs.s_stall_ms ~charged_ms:0.0))
   in
   (* Advance the job on slot [s] through quantum [q] — the old
      per-quantum progress pass, now one heap event per busy slot per
@@ -256,18 +230,17 @@ let run config (jobs : Link.compiled list) =
     match s.s_job with
     | None -> ()
     | Some job ->
-      s.s_busy_ms <- s.s_busy_ms +. config.f_quantum_ms;
-      (if s.s_stall_ms >= config.f_quantum_ms then
-         s.s_stall_ms <- s.s_stall_ms -. config.f_quantum_ms
+      s.s_busy_ms <- s.s_busy_ms +. quantum_ms;
+      (if s.s_stall_ms >= quantum_ms then s.s_stall_ms <- s.s_stall_ms -. quantum_ms
        else begin
-         let effective_ms = config.f_quantum_ms -. s.s_stall_ms in
+         let effective_ms = quantum_ms -. s.s_stall_ms in
          s.s_stall_ms <- 0.0;
          let instrs =
            int_of_float
              (effective_ms *. s.s_node.Node.n_ops_per_ns *. 1e6
-              /. config.f_speed_scale)
+              /. speed_scale)
          in
-         match Process.run job.r_proc ~max_instrs:(min instrs config.f_job_fuel) with
+         match Process.run job.r_proc ~max_instrs:(min instrs job_fuel) with
          | Process.Exited_run _ ->
            incr done_total;
            if s.s_node.Node.n_arch = Dapper_isa.Arch.Aarch64 then incr done_rpi;
@@ -301,7 +274,7 @@ let run config (jobs : Link.compiled list) =
     if q + 1 < quanta then push_ev (q + 1) key_boundary Boundary
   in
   (* Drain the heap one quantum at a time, each quantum's events inside
-     one trace span that accounts for [f_quantum_ms] of window wall time
+     one trace span that accounts for [quantum_ms] of window wall time
      (an eviction's session spans may already have charged more). *)
   let rec run_quantum q =
     match Event_heap.peek heap with
@@ -321,7 +294,7 @@ let run config (jobs : Link.compiled list) =
     | Some (_, (q, _)) ->
       Trace.with_span ~cat:"fleet" "quantum" ~args:[ ("q", string_of_int q) ]
         (fun cl ->
-          Trace.set_dur cl (config.f_quantum_ms *. 1e6);
+          Trace.set_dur cl (quantum_ms *. 1e6);
           run_quantum q);
       drain ()
   in
@@ -352,5 +325,4 @@ let run config (jobs : Link.compiled list) =
     f_migration_ms_total = !migration_ms;
     f_energy_kj = energy_j /. 1000.0;
     f_jobs_per_kj = float_of_int !done_total /. (energy_j /. 1000.0);
-    f_events = !events;
-    f_deferred = !deferred }
+    f_events = !events }

@@ -30,18 +30,11 @@ open Dapper_codegen
 
 type config = {
   f_window_ms : float;
-  f_quantum_ms : float;
   f_xeon_slots : int;
   f_rpis : int;
   f_rpi_slots_each : int;
   f_evict : bool;          (** false: Pis stay idle (baseline) *)
   f_bytes_scale : float;
-  f_job_fuel : int;        (** per-quantum interpreter safety cap *)
-  f_speed_scale : float;
-      (** divide node speeds by this factor so that downscaled jobs take
-          realistic multiples of the quantum; relative Xeon/Pi speed is
-          preserved (default 4200: the Xeon interprets 1000
-          instructions per simulated millisecond) *)
   f_pause_budget : int;
       (** drain budget for eviction pauses; a budget too small to
           quiesce a job makes the eviction retry at a later quantum *)
@@ -53,18 +46,14 @@ type config = {
       (** chaos plane threaded into every eviction session; also drawn
           at {!Fault.Dest_node} before each eviction — a crash kills the
           destination node for the rest of the window *)
-  f_placement : Placement.t;
-      (** victim-selection policy for evictions (default
-          {!Placement.Latest_start}, the seed behaviour) *)
-  f_node_gate : (node:int -> now_ms:float -> bool) option;
-      (** health admission gate consulted before each eviction attempt:
-          [false] defers the attempt (the slot stays free; the next
-          quantum boundary re-arms it). Wire [Dapper_health.Quarantine]
-          here. [None] (default): every attempt admitted — byte-identical
-          to the pre-health engine. *)
 }
 
 val default_config : config
+
+(** The fixed quantum, 50 ms. Node speeds are divided by 4200, so the
+    Xeon interprets 1000 instructions per simulated millisecond and
+    downscaled jobs take realistic multiples of the quantum. *)
+val quantum_ms : float
 
 type stats = {
   f_jobs_done : int;
@@ -90,9 +79,6 @@ type stats = {
   f_events : int;
       (** heap events processed over the window — the engine's work, in
           place of the former [quanta x slots] scan cost *)
-  f_deferred : int;
-      (** eviction attempts deferred by the health gate ([f_node_gate]) —
-          backoff, not loss: the slot re-arms at the next boundary *)
 }
 
 exception Fleet_error of string

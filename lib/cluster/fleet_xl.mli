@@ -56,14 +56,12 @@ type config = {
   x_rack_gate : (rack:int -> now_ms:float -> bool) option;
       (** health admission per rack: [false] removes the rack's free
           slots from the candidate set, shedding its load to the other
-          racks until the health plane re-admits it. Wire
-          [Dapper_health.Quarantine]/[Breaker] here. [None] (default
-          semantics): every rack admitted — byte-identical to the
-          pre-health engine. *)
+          racks. Unwired: every caller passes [None] (every rack
+          admitted); nothing connects [Dapper_health.Quarantine] here. *)
   x_rack_report : (rack:int -> now_ms:float -> ok:bool -> unit) option;
       (** outcome feedback per rack: [ok:false] when a node on the rack
           is killed by the chaos plane, [ok:true] when a slow-tier job
-          completes there — the failure-EWMA input. *)
+          completes there. Unwired, like [x_rack_gate]. *)
 }
 
 type stats = {

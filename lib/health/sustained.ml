@@ -573,6 +573,37 @@ let sweep c scfg ~fresh ~seeds ~seed0 =
 let mig_p99 y =
   if Sketch.count y.y_during = 0 then 0.0 else Sketch.quantile y.y_during 0.99
 
+(* Both arms replay the same seeds — the same scenarios, the same fault
+   schedules — so the control-on vs control-off contrast is paired. *)
+let paired c scfg ~fresh ~seeds ~seed0 =
+  let arm control = sweep { c with su_control = control } scfg ~fresh ~seeds ~seed0 in
+  let on = arm true in
+  let off = arm false in
+  let breaches (runs, y) =
+    let name = if y.y_control then "control-on" else "control-off" in
+    let verdicts = y.y_committed + y.y_degraded + y.y_rolled_back in
+    (if verdicts <> seeds then
+       [ Printf.sprintf
+           "sustained FAILED (%s): %d explicit verdicts <> %d seeds — a run \
+            ended without committing or rolling back"
+           name verdicts seeds ]
+     else [])
+    @ List.filter_map
+        (fun r ->
+          if r.r_attempts <= c.su_max_attempts then None
+          else
+            Some
+              (Printf.sprintf "sustained FAILED (%s): seed %016Lx took %d attempts (bound %d)"
+                 name r.r_seed r.r_attempts c.su_max_attempts))
+        runs
+  in
+  let tail =
+    if mig_p99 (snd on) > mig_p99 (snd off) then
+      [ "sustained FAILED: control plane worsened the during-migration p99" ]
+    else []
+  in
+  (on, off, breaches on @ breaches off @ tail)
+
 let summary_line y =
   Printf.sprintf
     "control=%s seeds=%d committed=%d degraded=%d rolled-back=%d postponed=%d \

@@ -138,6 +138,23 @@ val sweep :
 (** p99 of the merged during-migration sketch (0 when empty). *)
 val mig_p99 : summary -> float
 
+(** [paired cfg scfg ~fresh ~seeds ~seed0] — {!sweep} the same seeds
+    with the health plane on, then off (whatever [cfg.su_control]
+    says), and check the invariants every such pair must hold. Returns
+    the control-on arm, the control-off arm, and one message per breach
+    (none when all hold):
+    - each arm's explicit verdicts (committed + degraded + rolled
+      back) account for all [seeds], so no run was lost;
+    - no run took more than [cfg.su_max_attempts] attempts;
+    - control-on's {!mig_p99} is at most control-off's. *)
+val paired :
+  cfg ->
+  Dapper.Session.config ->
+  fresh:(unit -> Dapper_machine.Process.t) ->
+  seeds:int ->
+  seed0:int64 ->
+  (run list * summary) * (run list * summary) * string list
+
 val summary_line : summary -> string
 
 (** The run's degradation trace, one formatted line per event. *)

@@ -1,0 +1,126 @@
+(* Decoder mutation suite: every decoder that reads untrusted bytes is
+   fed fixed-seed mutants of well-formed input (a flipped byte, a
+   truncation, a length word inflated with 0xFF) and may only answer
+   with a value or its own typed error — never another exception. *)
+
+open Dapper_machine
+open Dapper_criu
+module Link = Dapper_codegen.Link
+module Proto = Dapper_proto.Proto
+module Binary = Dapper_binary.Binary
+module Stackmap = Dapper_binary.Stackmap
+module Byte_reader = Dapper_util.Byte_reader
+module Rng = Dapper_util.Rng
+module Log = Dapper_replay.Log
+
+let seed = 2024L
+let mutants_per_input = 3000
+
+let mutate rng s =
+  let n = String.length s in
+  let i = Rng.int rng n in
+  match Rng.int rng 3 with
+  | 0 ->
+    let b = Bytes.of_string s in
+    Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 + Rng.int rng 255)));
+    (Printf.sprintf "byte %d flipped" i, Bytes.to_string b)
+  | 1 -> (Printf.sprintf "truncated to %d bytes" i, String.sub s 0 i)
+  | _ ->
+    let b = Bytes.of_string s in
+    Bytes.fill b i (min 4 (n - i)) '\xff';
+    (Printf.sprintf "0xff word at %d" i, Bytes.to_string b)
+
+(* Decode [mutants_per_input] mutants of [input]; [typed] recognises the
+   decoder's own error. *)
+let survives ~what ~typed decode input =
+  let rng = Rng.create seed in
+  for _ = 1 to mutants_per_input do
+    let kind, bytes = mutate rng input in
+    match decode bytes with
+    | () -> ()
+    | exception e when typed e -> ()
+    | exception e -> Alcotest.failf "%s, %s: raised %s" what kind (Printexc.to_string e)
+  done
+
+let quickstart () = Option.get (Dapper_verify.Corpus.find "mini-quickstart")
+
+let image_files () =
+  let c = quickstart () in
+  let p = Process.load c.Link.cp_x86 in
+  ignore (Process.run p ~max_instrs:2_000);
+  (match Dapper.Monitor.request_pause p ~budget:1_000_000 with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail (Dapper.Monitor.error_to_string e));
+  Images.to_files (Dapper_util.Dapper_error.ok_exn (Dump.dump p))
+
+let proto_files () = List.filter (fun (name, _) -> name <> "pages-1.img") (image_files ())
+
+let test_proto () =
+  List.iter
+    (fun (name, bytes) ->
+      survives ~what:name
+        ~typed:(function Proto.Decode_error _ -> true | _ -> false)
+        (fun b -> ignore (Proto.decode b))
+        bytes)
+    (proto_files ())
+
+let test_images () =
+  let files = image_files () in
+  List.iter
+    (fun (name, bytes) ->
+      survives ~what:name
+        ~typed:(function Images.Image_error _ -> true | _ -> false)
+        (fun b ->
+          ignore
+            (Images.of_files
+               (List.map (fun (n, v) -> if n = name then (n, b) else (n, v)) files)))
+        bytes)
+    files
+
+let test_crit () =
+  List.iter
+    (fun (name, bytes) ->
+      survives ~what:name
+        ~typed:(function Crit.Crit_error _ -> true | _ -> false)
+        (fun b -> ignore (Crit.decode_file name b))
+        bytes)
+    (proto_files ())
+
+let test_replay_log () =
+  let c = quickstart () in
+  match Dapper_replay.Replayer.record c.Link.cp_x86 with
+  | Error e -> Alcotest.failf "record failed: %s" e
+  | Ok log ->
+    survives ~what:"mini-quickstart log"
+      ~typed:(function Log.Log_error _ -> true | _ -> false)
+      (fun b -> ignore (Log.decode b))
+      (Log.encode log)
+
+let malformed = function Byte_reader.Malformed _ -> true | _ -> false
+
+let test_binary () =
+  let c = quickstart () in
+  List.iter
+    (fun bin ->
+      survives ~what:"mini-quickstart binary" ~typed:malformed
+        (fun b -> ignore (Binary.deserialize b))
+        (Binary.serialize bin))
+    [ c.Link.cp_x86; c.Link.cp_arm ]
+
+let test_stackmap () =
+  let c = quickstart () in
+  List.iter
+    (fun (bin : Binary.t) ->
+      survives ~what:"mini-quickstart stack maps" ~typed:malformed
+        (fun b -> ignore (Stackmap.deserialize b))
+        (Stackmap.serialize bin.Binary.bin_stackmaps))
+    [ c.Link.cp_x86; c.Link.cp_arm ]
+
+let suites =
+  [ ( "decoders",
+      [ Alcotest.test_case "Proto.decode, each image file" `Quick test_proto;
+        Alcotest.test_case "Images.of_files, each file mutated" `Quick test_images;
+        Alcotest.test_case "Crit.decode_file, each protobuf file" `Quick test_crit;
+        Alcotest.test_case "Replay.Log.decode" `Quick test_replay_log;
+        Alcotest.test_case "Binary.deserialize, both ISAs" `Quick test_binary;
+        Alcotest.test_case "Stackmap.deserialize, both ISAs" `Quick test_stackmap ] ) ]

@@ -14,7 +14,6 @@ module Link = Dapper_codegen.Link
 module Netlink = Dapper_net.Link
 module Session = Dapper.Session
 module Budget = Dapper_traffic.Budget
-module Fleet = Dapper_cluster.Fleet
 module Derr = Dapper_util.Dapper_error
 module Fault = Dapper_util.Fault
 module Arch = Dapper_isa.Arch
@@ -368,31 +367,6 @@ let test_jittered_backoff_envelope () =
   check (Alcotest.float 0.0) "jitter replayable from seed"
     s_jit.Transport.tx_backoff_ns s_jit2.Transport.tx_backoff_ns
 
-(* ----- fleet admission gate ----- *)
-
-let test_fleet_gate_defers () =
-  let jobs = [ Registry_helpers.compute () ] in
-  let cfg =
-    { Fleet.default_config with
-      Fleet.f_window_ms = 14_000.0; f_quantum_ms = 50.0; f_xeon_slots = 3;
-      f_rpis = 1; f_rpi_slots_each = 2; f_speed_scale = 4200.0 }
-  in
-  let open_run = Fleet.run cfg jobs in
-  check Alcotest.bool "evictions happen ungated" true
-    (open_run.Fleet.f_evictions > 0);
-  check Alcotest.int "no gate, no deferrals" 0 open_run.Fleet.f_deferred;
-  let gated =
-    Fleet.run
-      { cfg with Fleet.f_node_gate = Some (fun ~node:_ ~now_ms:_ -> false) }
-      jobs
-  in
-  check Alcotest.int "a closed gate stops every eviction" 0
-    gated.Fleet.f_evictions;
-  check Alcotest.bool "deferrals are counted, not lost" true
-    (gated.Fleet.f_deferred > 0);
-  check Alcotest.bool "jobs still finish on the xeon" true
-    (gated.Fleet.f_jobs_done > 0)
-
 (* ----- sustained chaos: tiny-sweep invariants ----- *)
 
 let test_sustained_invariants () =
@@ -485,7 +459,5 @@ let suites =
           test_budget_infeasible_fallback;
         Alcotest.test_case "jittered backoff inside the envelope" `Quick
           test_jittered_backoff_envelope;
-        Alcotest.test_case "fleet admission gate defers evictions" `Quick
-          test_fleet_gate_defers;
         Alcotest.test_case "sustained sweep invariants (3 seeds)" `Quick
           test_sustained_invariants ] ) ]

@@ -339,8 +339,8 @@ let qcheck_event_heap_interleaved =
           match op with
           | Some (t, k) ->
             Event_heap.push h ~key:k ~time:(float_of_int t) !seq;
-            model :=
-              List.stable_sort compare ((float_of_int t, k, !seq) :: !model);
+            (* [model] stays sorted, and every [seq] is distinct *)
+            model := List.merge compare [ (float_of_int t, k, !seq) ] !model;
             incr seq
           | None -> (
             match (Event_heap.pop h, !model) with
