@@ -764,6 +764,19 @@ let fig9_chaos_sustained () =
        (Health.Sustained.verdict_name r.Health.Sustained.r_verdict);
      List.iter print_endline (Health.Sustained.event_lines r)
    | None -> ());
+  (* every run of both arms, folded in seed order: any change to a
+     single run's outcome moves this line *)
+  let digest =
+    List.fold_left
+      (fun h (r : Health.Sustained.run) ->
+        List.fold_left Tr.Loadgen.fnv_mix h
+          [ r.r_fingerprint; Int64.of_int r.r_attempts; Int64.of_int r.r_sheds;
+            Int64.of_int r.r_trips; Int64.of_int r.r_cancels;
+            Int64.of_int r.r_postpones; Int64.of_int r.r_ok ])
+      0xcbf29ce484222325L
+      (fst on @ fst off)
+  in
+  Printf.printf "runs digest: %016Lx\n" digest;
   print_newline ();
   if violations <> [] then begin
     List.iter prerr_endline violations;

@@ -153,7 +153,7 @@ let run config kinds =
      free slot. Slo-aware refuses destinations that would blow the
      job's deadline (better to wait for a fast or faster slot);
      energy-aware refuses boards whose watts-per-speed is far off the
-     fleet's best class. First-fit and latest-start take anything. *)
+     fleet's best class. First-fit takes anything. *)
   let best_wps =
     Array.fold_left
       (fun acc c ->
@@ -164,8 +164,7 @@ let run config kinds =
     match config.x_placement with
     | Placement.Slo_aware -> d.Placement.dc_est_ms <= deadline
     | Placement.Energy_aware -> Placement.watts_per_speed d <= 1.25 *. best_wps
-    | Placement.Latest_start | Placement.First_fit | Placement.Latency_aware ->
-      true
+    | Placement.First_fit -> true
   in
   (* Dispatch as much queued work as capacity and admission allow at
      time [now]: fast slots first (lowest id), then one slow
@@ -196,10 +195,6 @@ let run config kinds =
           let shard = !slow_dispatches mod config.x_shards in
           let kind = Option.get (Shard_queue.peek queue ~shard) in
           let deadline = config.x_slo_factor *. kind.Scheduler.jk_xeon_ms in
-          (* remembered per class so the latency-aware scoring hook can
-             recover the pure rack wait (dc_est_ms folds it into the
-             total estimate) *)
-          let class_waits = Array.make (Array.length classes) 0.0 in
           let candidates =
             List.filter_map
               (fun (ci, id) ->
@@ -207,21 +202,19 @@ let run config kinds =
                 let rack =
                   Rack.rack_of_node ~racks:config.x_racks ~node:(slot id).s_node_id
                 in
-                (* a quarantined rack sheds its load to the others: its
-                   free slots simply stop being candidates until the
-                   health plane re-admits it *)
+                (* a gated rack sheds its load to the others: its free
+                   slots simply stop being candidates until the gate
+                   re-admits it *)
                 match config.x_rack_gate with
                 | Some g when not (g ~rack ~now_ms:now) -> None
                 | _ ->
-                  let wait = Rack.wait_ms racks ~rack ~now_ms:now in
-                  class_waits.(ci) <- wait;
                   Some
                     { Placement.dc_index = ci;
                       dc_lowest_slot = id;
                       dc_ops_per_ns = c.xc_node.Node.n_ops_per_ns;
                       dc_core_w = c.xc_node.Node.n_core_w;
                       dc_est_ms =
-                        wait
+                        Rack.wait_ms racks ~rack ~now_ms:now
                         +. kind.Scheduler.jk_migration_ms
                         +. exec_ms_on c.xc_node kind })
               free_classes
@@ -229,7 +222,6 @@ let run config kinds =
           in
           match
             Placement.choose_dest config.x_placement ~deadline_ms:deadline
-              ~page_wait_ms:(fun d -> class_waits.(d.Placement.dc_index))
               candidates
           with
           | None -> ()  (* defer: no admissible destination right now *)

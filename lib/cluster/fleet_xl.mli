@@ -57,7 +57,7 @@ type config = {
       (** health admission per rack: [false] removes the rack's free
           slots from the candidate set, shedding its load to the other
           racks. Unwired: every caller passes [None] (every rack
-          admitted); nothing connects [Dapper_health.Quarantine] here. *)
+          admitted). *)
   x_rack_report : (rack:int -> now_ms:float -> ok:bool -> unit) option;
       (** outcome feedback per rack: [ok:false] when a node on the rack
           is killed by the chaos plane, [ok:true] when a slow-tier job

@@ -1,32 +1,21 @@
 (** Pluggable destination policies for eviction scheduling: which
     slow-tier node class hosts an evicted job ({!choose_dest}, used by
     the datacenter-scale {!Fleet_xl}, whose slow tier is
-    heterogeneous, and by the health plane's rack shedding).
+    heterogeneous).
 
     Every choice is deterministic: candidates are presented in class
     order and every rule breaks ties on the earliest candidate, so two
     runs of the same configuration place identically. *)
 
 type t =
-  | Latest_start  (** first free destination, the seed fleet's rule *)
   | First_fit
       (** pack onto the lowest-numbered free slot (bin-packing) *)
   | Energy_aware  (** lowest active watts per unit of speed *)
   | Slo_aware
       (** cheapest destination whose estimated completion meets the
           job's deadline, else the fastest *)
-  | Latency_aware
-      (** destination whose rack's page servers are the least backed up
-          ([page_wait_ms] hook), so requests faulting against the
-          migrating job stall least — the policy the live-traffic plane
-          feeds (ties on [dc_est_ms]) *)
 
 val name : t -> string
-
-(** Inverse of {!name}; [None] for unknown names. *)
-val of_string : string -> t option
-
-val all : t list
 
 (** A destination candidate: a slow-tier node class with at least one
     free slot. [dc_lowest_slot] is the smallest free slot id in the
@@ -47,11 +36,5 @@ val watts_per_speed : dest -> float
 (** The chosen destination, or [None] when there are no candidates.
     [deadline_ms] only affects [Slo_aware]: prefer the cheapest
     candidate with [dc_est_ms <= deadline_ms], falling back to the
-    fastest when none meets it. [page_wait_ms] only affects
-    [Latency_aware]: the estimated page-server queue wait at the
-    candidate's rack (e.g. {!Rack.wait_ms}) — the stall a request
-    faulting mid-migration would be charged; when absent,
-    [Latency_aware] falls back to minimizing [dc_est_ms]. *)
-val choose_dest :
-  t -> ?deadline_ms:float -> ?page_wait_ms:(dest -> float) -> dest list ->
-  dest option
+    fastest when none meets it. *)
+val choose_dest : t -> ?deadline_ms:float -> dest list -> dest option

@@ -11,12 +11,9 @@
     - {e half-open}: serving probes; [b_probe_successes] consecutive
       wins re-close it, any failure re-opens it for another cooldown.
 
-    Every transition happens on the caller-supplied simulated time, and
-    the only randomness is the optional seeded cooldown jitter (one
-    draw per trip, spreading probe schedules across breakers so a
-    correlated fault does not re-trip a whole fleet in lockstep) — so a
-    breaker's full trip/probe history is replayable from its seed and
-    the event sequence fed to it. *)
+    Every transition happens on the caller-supplied simulated time and
+    nothing is random, so a breaker's full trip/probe history is a pure
+    function of the event sequence fed to it. *)
 
 type state = Closed | Open | Half_open
 
@@ -26,19 +23,16 @@ type cfg = {
   b_failure_threshold : int;  (** consecutive failures that trip *)
   b_open_ms : float;          (** cooldown before the half-open probe *)
   b_probe_successes : int;    (** half-open wins needed to re-close *)
-  b_cooldown_jitter : float;
-      (** fraction in [0, 1): each trip's cooldown is scaled by a
-          seeded uniform draw in [1 - j, 1 + j). 0 = deterministic. *)
 }
 
-(** threshold 3, 250 ms cooldown, 2 probe wins, no jitter. *)
+(** threshold 3, 250 ms cooldown, 2 probe wins. *)
 val default_cfg : cfg
 
 type t
 
 (** Raises [Invalid_argument] on a non-positive threshold or probe
-    count, negative cooldown, or jitter outside [0, 1). *)
-val create : ?seed:int64 -> ?cfg:cfg -> unit -> t
+    count, or a negative cooldown. *)
+val create : ?cfg:cfg -> unit -> t
 
 val state : t -> state
 

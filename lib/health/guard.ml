@@ -7,7 +7,6 @@ type attempt = {
   ga_outcome : (Session.outcome, Derr.t) result;
   ga_blackout_ms : float;
   ga_cancelled : Derr.stage option;
-  ga_budget_ms : float;
   ga_hot_pages : int;
   ga_lazy_left : int;
 }
@@ -17,59 +16,29 @@ let ( let* ) = Result.bind
 let spent s =
   List.fold_left (fun acc r -> acc +. r.Session.sr_ms) 0.0 (Session.stage_log s)
 
-let last_stage_ms s =
-  match s.Session.s_log with r :: _ -> r.Session.sr_ms | [] -> 0.0
-
-let run ?deadlines ?(margin = 1.0) ?budget_ms (cfg : Session.config) p =
-  let dl = match deadlines with Some d -> d | None -> Deadline.create () in
-  let budget =
-    match budget_ms with
-    | Some b -> b
-    | None ->
-      Deadline.budget_ms ~margin
-        ~ops_per_ns:cfg.Session.cfg_src_node.Node.n_ops_per_ns
-        ~pause_budget:cfg.Session.cfg_pause_budget ()
-  in
+let run ~budget_ms (cfg : Session.config) p =
   let cancelled = ref None in
   let blackout = ref 0.0 in
-  (* Cancel [stage] before running it when its projection no longer fits
-     the remaining budget. The session has real paused state by then, so
-     cancellation is a rollback through the ordinary 2PC path — the
-     source resumes, nothing is stranded — charged as the retriable
-     [Deadline_exceeded] instead of a blown blackout. *)
-  let check stage projected s =
-    match projected with
-    | Some ms when spent s +. ms > budget ->
-      cancelled := Some stage;
-      Session.rollback s;
-      Error (Derr.Deadline_exceeded (stage, ms))
-    | _ -> Ok ()
-  in
-  let observe stage s =
-    Deadline.observe dl stage (last_stage_ms s);
-    blackout := spent s
-  in
-  let step stage next s =
-    let* () = check stage (Deadline.projected dl stage) s in
+  let step next s =
     let* s = next s in
-    observe stage s;
+    blackout := spent s;
     Ok s
   in
   let hot_pages = ref 0 in
   let lazy_left = ref 0 in
   let outcome =
     let s = Session.start cfg p in
-    let* s = step Derr.Pause Session.pause s in
-    let* s = step Derr.Dump Session.dump s in
+    let* s = step Session.pause s in
+    let* s = step Session.dump s in
     (let d = s.Session.s_state.Session.sd_dump in
      hot_pages := d.Dump.pages_dumped + d.Dump.pages_lazy);
-    let* s = step Derr.Recode Session.recode s in
+    let* s = step Session.recode s in
     (* The transfer is projected analytically from the image at hand and
-       the transport's current cost model — not from history — so a
-       degraded or congested link is caught on the very first attempt,
-       before any bytes move. Lazy transports still charge the full
-       non-resident image here, i.e. the projection is conservative: a
-       cancel can only be pessimistic by the post-copy share. *)
+       the transport's current cost model, so a degraded or congested
+       link is caught on the very first attempt, before any bytes move.
+       Lazy transports still charge the full non-resident image here,
+       i.e. the projection is conservative: a cancel can only be
+       pessimistic by the post-copy share. *)
     (* [sc_image_bytes] is the unscaled footprint; the wire discounts
        pre-copied resident pages and charges the byte-scale factor, so
        the projection approximates both *)
@@ -86,16 +55,27 @@ let run ?deadlines ?(margin = 1.0) ?budget_ms (cfg : Session.config) p =
     let tx_projected_ms =
       Transport.transfer_ns cfg.Session.cfg_transport bytes /. 1e6
     in
-    let* () = check Derr.Transfer (Some tx_projected_ms) s in
+    (* Cancelling means rolling back real paused state through the
+       ordinary 2PC path — the source resumes, nothing is stranded —
+       charged as the retriable [Deadline_exceeded] instead of a blown
+       blackout. *)
+    let* () =
+      if spent s +. tx_projected_ms > budget_ms then begin
+        cancelled := Some Derr.Transfer;
+        Session.rollback s;
+        Error (Derr.Deadline_exceeded (Derr.Transfer, tx_projected_ms))
+      end
+      else Ok ()
+    in
     let tx = s.Session.s_tx in
     let attempts0 = tx.Transport.tx_attempts in
     let surcharge0 = tx.Transport.tx_backoff_ns +. tx.Transport.tx_fault_ns in
     (match Session.transfer s with
      | Ok s ->
-       observe Derr.Transfer s;
-       let* s = step Derr.Restore Session.restore s in
+       blackout := spent s;
+       let* s = step Session.restore s in
        lazy_left := List.length s.Session.s_state.Session.sf_lazy_pages;
-       let* s = step Derr.Commit Session.commit s in
+       let* s = step Session.commit s in
        lazy_left := !lazy_left - s.Session.s_state.Session.sm_drained;
        Ok (Session.finish s)
      | Error e ->
@@ -111,5 +91,5 @@ let run ?deadlines ?(margin = 1.0) ?budget_ms (cfg : Session.config) p =
        Error e)
   in
   { ga_outcome = outcome; ga_blackout_ms = !blackout;
-    ga_cancelled = !cancelled; ga_budget_ms = budget;
-    ga_hot_pages = !hot_pages; ga_lazy_left = !lazy_left }
+    ga_cancelled = !cancelled; ga_hot_pages = !hot_pages;
+    ga_lazy_left = !lazy_left }

@@ -5,52 +5,32 @@ module Budget = Dapper_traffic.Budget
 module Sketch = Dapper_traffic.Sketch
 module Arrival = Dapper_traffic.Arrival
 module Loadgen = Dapper_traffic.Loadgen
-module Placement = Dapper_cluster.Placement
 module Derr = Dapper_error
 
 type cfg = {
   su_requests : int;
-  su_lanes : int;
-  su_rate_per_ms : float;
-  su_service_src_ms : float;
-  su_service_dst_ms : float;
-  su_slo_ms : float;
   su_migrate_at_ms : float;
-  su_budget_ms : float;
-  su_racks : int;
-  su_servers_each : int;
-  su_max_attempts : int;
-  su_round_instrs : int;
-  su_max_rounds : int;
   su_control : bool;
 }
 
 let default_cfg =
-  { su_requests = 20_000;
-    su_lanes = 8;
-    su_rate_per_ms = 4.0;
-    su_service_src_ms = 1.2;
-    su_service_dst_ms = 1.0;
-    su_slo_ms = 25.0;
-    su_migrate_at_ms = 1_000.0;
-    su_budget_ms = 0.0;
-    su_racks = 4;
-    su_servers_each = 2;
-    su_max_attempts = 16;
-    su_round_instrs = 20_000;
-    su_max_rounds = 6;
-    su_control = true }
+  { su_requests = 20_000; su_migrate_at_ms = 1_000.0; su_control = true }
+
+(* The fixed shape of every run: the request plane, the destination
+   racks, and the bounds on the migration loop. *)
+let lanes = 8
+let rate_per_ms = 4.0
+let service_src_ms = 1.2
+let service_dst_ms = 1.0
+let slo_ms = 25.0
+let racks = 4
+let servers_each = 2
+let max_attempts = 16
+let round_instrs = 20_000
+let max_rounds = 6
 
 let validate c =
-  if c.su_requests <= 0 then invalid_arg "Sustained: su_requests <= 0";
-  if c.su_lanes <= 0 then invalid_arg "Sustained: su_lanes <= 0";
-  if c.su_rate_per_ms <= 0.0 then invalid_arg "Sustained: su_rate_per_ms <= 0";
-  if c.su_service_src_ms <= 0.0 || c.su_service_dst_ms <= 0.0 then
-    invalid_arg "Sustained: service means must be positive";
-  if c.su_slo_ms <= 0.0 then invalid_arg "Sustained: su_slo_ms <= 0";
-  if c.su_budget_ms < 0.0 then invalid_arg "Sustained: su_budget_ms < 0";
-  if c.su_racks <= 0 then invalid_arg "Sustained: su_racks <= 0";
-  if c.su_max_attempts <= 0 then invalid_arg "Sustained: su_max_attempts <= 0"
+  if c.su_requests <= 0 then invalid_arg "Sustained: su_requests <= 0"
 
 (* ------------------------------------------------------------------ *)
 (* Scenario: one correlated fault drawn per seed                       *)
@@ -66,7 +46,7 @@ type scenario = {
 }
 
 let scenario_of c rng =
-  let bad_rack = Rng.int rng c.su_racks in
+  let bad_rack = Rng.int rng racks in
   let all_bad = Rng.float rng < 0.25 in
   let degrade = 4.0 +. 4.0 *. Rng.float rng in
   let fprob = 0.15 +. 0.2 *. Rng.float rng in
@@ -97,11 +77,32 @@ let fault_spec sc =
 (* Outcomes                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type verdict = Committed | Degraded of Degrade.rung | Rolled_back
+type rung = Full | Hybrid_only | Postponed
+
+let rung_name = function
+  | Full -> "full"
+  | Hybrid_only -> "hybrid"
+  | Postponed -> "postponed"
+
+(* Full lets the budget picker choose freely; the hybrid rung pins the
+   minimum-blackout mechanism. *)
+let rung_mechanism = function
+  | Hybrid_only -> Some Budget.Hybrid
+  | Full | Postponed -> None
+
+let rung_rank = function Full -> 0 | Hybrid_only -> 1 | Postponed -> 2
+
+(* Exponential backoff for postponed evictions, capped so a repeatedly
+   postponed job re-attempts at a bounded cadence rather than never. *)
+let postpone_backoff_ms ~attempt =
+  if attempt < 0 then invalid_arg "Sustained.postpone_backoff_ms: attempt < 0";
+  Float.min 8_000.0 (500.0 *. (2.0 ** float_of_int attempt))
+
+type verdict = Committed | Degraded of rung | Rolled_back
 
 let verdict_name = function
   | Committed -> "committed"
-  | Degraded r -> "degraded:" ^ Degrade.rung_name r
+  | Degraded r -> "degraded:" ^ rung_name r
   | Rolled_back -> "rolled-back"
 
 type event = { ev_ms : float; ev_kind : string; ev_detail : string }
@@ -173,10 +174,7 @@ let calibrate (scfg : Session.config) p =
 let redo_pause_ms = 50.0
 
 let breaker_cfg =
-  { Breaker.b_failure_threshold = 2;
-    b_open_ms = 400.0;
-    b_probe_successes = 1;
-    b_cooldown_jitter = 0.2 }
+  { Breaker.b_failure_threshold = 2; b_open_ms = 400.0; b_probe_successes = 1 }
 
 let run c (scfg : Session.config) ~fresh ~seed =
   validate c;
@@ -188,30 +186,15 @@ let run c (scfg : Session.config) ~fresh ~seed =
   let est0 = calibrate scfg (fresh ()) in
   let planned = sc.sc_bad_rack in
   let link = Transport.link scfg.Session.cfg_transport in
-  let pool = Rack.create ~racks:c.su_racks ~servers_each:c.su_servers_each in
-  let breakers =
-    Array.init c.su_racks (fun r ->
-        Breaker.create
-          ~seed:(Int64.add seed (Int64.of_int ((r * 7) + 1)))
-          ~cfg:breaker_cfg ())
-  in
-  let quarantine = Quarantine.create () in
-  let deadlines = Deadline.create () in
+  let pool = Rack.create ~racks ~servers_each in
+  let breakers = Array.init racks (fun _ -> Breaker.create ~cfg:breaker_cfg ()) in
   let events = ref [] in
   let event ~ms kind detail =
     events := { ev_ms = ms; ev_kind = kind; ev_detail = detail } :: !events
   in
-  let rung = ref Degrade.Full in
-  let deepest = ref Degrade.Full in
-  let rung_rank = function
-    | Degrade.Full -> 0 | Hybrid_only -> 1 | Precopy_only -> 2 | Postponed -> 3
-  in
+  let rung = ref Full in
+  let deepest = ref Full in
   let sink r = if rung_rank r > rung_rank !deepest then deepest := r in
-  let degrade_to ~ms r =
-    rung := r;
-    sink r;
-    event ~ms "degrade" (Degrade.rung_name r)
-  in
   let p = fresh () in
   let windows = ref [] in           (* (start, stop), chronological, disjoint *)
   let now = ref c.su_migrate_at_ms in
@@ -246,13 +229,10 @@ let run c (scfg : Session.config) ~fresh ~seed =
     { est0 with
       Budget.e_wire_ns_per_byte = wire_ns_per_byte (Transport.scp link) }
   in
-  (* Auto budget: comfortably above the calibrated healthy stop-and-copy
-     blackout, so a clean migration always fits — and a 4-8x degraded
-     wire does not. *)
-  let budget =
-    if c.su_budget_ms > 0.0 then c.su_budget_ms
-    else 1.2 *. Budget.downtime_ms healthy_est Budget.Vanilla
-  in
+  (* The blackout budget sits comfortably above the calibrated healthy
+     stop-and-copy blackout, so a clean migration always fits — and a
+     4-8x degraded wire does not. *)
+  let budget = 1.2 *. Budget.downtime_ms healthy_est Budget.Vanilla in
   (* fixed-mechanism baseline for the control-off arm: whatever the
      budget picker would choose on the healthy calibration numbers *)
   let off_mech = Budget.choose ~budget_ms:budget healthy_est in
@@ -262,175 +242,101 @@ let run c (scfg : Session.config) ~fresh ~seed =
     if (not was_open) && Breaker.state breakers.(rack) = Breaker.Open then
       event ~ms "breaker-trip" (Printf.sprintf "rack=%d" rack)
   in
-  let admissible_rack r ~now_ms =
-    Breaker.allow breakers.(r) ~now_ms
-    && Quarantine.admits quarantine ~key:r ~now_ms
+  (* The planned rack while its breaker admits work, else the lowest
+     rack whose breaker does; [None] when every breaker is open. Every
+     breaker is asked, since [allow] is what moves an open breaker past
+     its cooldown to half-open. *)
+  let place () =
+    let admissible =
+      List.filter
+        (fun r -> Breaker.allow breakers.(r) ~now_ms:!now)
+        (List.init racks Fun.id)
+    in
+    if List.mem planned admissible then Some planned
+    else List.nth_opt admissible 0
   in
   let postpone () =
     incr postpones;
-    sink Degrade.Postponed;
-    let back = Degrade.postpone_backoff_ms ~attempt:(!postpones - 1) () in
+    sink Postponed;
+    let back = postpone_backoff_ms ~attempt:(!postpones - 1) in
     event ~ms:!now "postpone" (Printf.sprintf "backoff=%.0fms" back);
     now := !now +. back;
     (* conditions are re-evaluated from scratch after the wait *)
-    rung := Degrade.Full
+    rung := Full
   in
-  while !committed = None && !attempts < c.su_max_attempts do
+  while !committed = None && !attempts < max_attempts do
     incr attempts;
     let attempt = !attempts in
-    if c.su_control && !rung = Degrade.Postponed then postpone ()
-    else begin
-      (* --- placement: shed away from open breakers / quarantine --- *)
-      let dest =
-        if not c.su_control then Some planned
-        else begin
-          let admissible =
-            List.filter
-              (fun r -> admissible_rack r ~now_ms:!now)
-              (List.init c.su_racks (fun i -> i))
-          in
-          (* planned rack first so placement prefers it on ties *)
-          let ordered =
-            List.filter (fun r -> r = planned) admissible
-            @ List.filter (fun r -> r <> planned) admissible
-          in
-          let healthy_est_ms =
-            Transport.transfer_ns (Transport.scp link)
-              est0.Budget.e_image_bytes
-            /. 1e6
-          in
-          let cands =
-            List.map
-              (fun r ->
-                { Placement.dc_index = r;
-                  dc_lowest_slot = r;
-                  dc_ops_per_ns =
-                    scfg.Session.cfg_dst_node.Node.n_ops_per_ns;
-                  dc_core_w = scfg.Session.cfg_dst_node.Node.n_core_w;
-                  dc_est_ms = healthy_est_ms })
-              ordered
-          in
-          Option.map
-            (fun d -> d.Placement.dc_index)
-            (Placement.choose_dest Placement.Latency_aware
-               ~page_wait_ms:(fun d ->
-                 Rack.wait_ms pool ~rack:d.Placement.dc_index ~now_ms:!now)
-               cands)
-        end
+    match if c.su_control then place () else Some planned with
+    | None -> postpone ()
+    | Some rack ->
+      if rack <> planned then begin
+        incr sheds;
+        event ~ms:!now "shed" (Printf.sprintf "rack=%d" rack)
+      end;
+      (* --- mechanism: the hybrid pin, or the budget picker on the
+         wire this rack shows now --- *)
+      let mech =
+        if not c.su_control then off_mech
+        else
+          match rung_mechanism !rung with
+          | Some m -> m
+          | None ->
+            let probe = transport_for ~rack ~lazy_:false ~attempt in
+            Budget.choose ~budget_ms:budget
+              { est0 with Budget.e_wire_ns_per_byte = wire_ns_per_byte probe }
       in
-      match dest with
-      | None -> postpone ()
-      | Some rack ->
-        if c.su_control && rack <> planned then begin
-          incr sheds;
-          event ~ms:!now "shed" (Printf.sprintf "rack=%d" rack)
-        end;
-        (* --- mechanism: ladder pin, or the budget picker at Full --- *)
-        let probe_wire =
-          wire_ns_per_byte (transport_for ~rack ~lazy_:false ~attempt)
-        in
-        let mech =
-          if not c.su_control then Some off_mech
-          else
-            match Degrade.mechanism !rung with
-            | Some m -> Some m
-            | None ->
-              let m, fits =
-                Budget.choose_detail ~budget_ms:budget
-                  { est0 with Budget.e_wire_ns_per_byte = probe_wire }
-              in
-              if fits then Some m
-              else begin
-                (* The observed wire on this rack fits nothing — that is
-                   evidence against the rack. Shed if anywhere else will
-                   take the job; degrade the mechanism only when every
-                   rack looks this bad. *)
-                breaker_fail rack ~ms:!now;
-                let alternative =
-                  List.exists
-                    (fun r -> r <> rack && admissible_rack r ~now_ms:!now)
-                    (List.init c.su_racks (fun i -> i))
-                in
-                if alternative then begin
-                  now := !now +. redo_pause_ms;
-                  None (* skip the session; the next attempt sheds *)
-                end
-                else begin
-                  degrade_to ~ms:!now Degrade.Hybrid_only;
-                  Degrade.mechanism Degrade.Hybrid_only
-                end
-              end
-        in
-        match mech with
-        | None -> ()
-        | Some mech ->
-        let transport =
-          transport_for ~rack ~lazy_:(Budget.needs_lazy mech) ~attempt
-        in
-        let fault = fault_for ~rack ~attempt in
-        let scfg', pre =
-          Loadgen.precopy
-            { scfg with Session.cfg_transport = transport; cfg_fault = fault }
-            p mech ~round_instrs:c.su_round_instrs ~max_rounds:c.su_max_rounds
-            ~downtime_budget_ms:budget
-        in
-        let precopy_ms =
-          match pre with Some s -> s.Session.pcs_ms | None -> 0.0
-        in
-        let att =
-          Guard.run ~deadlines
-            ~budget_ms:(if c.su_control then budget else infinity)
-            scfg' p
-        in
-        let black_start = !now +. precopy_ms in
-        let black_stop = black_start +. att.Guard.ga_blackout_ms in
-        if att.Guard.ga_blackout_ms > 0.0 then
-          windows := (black_start, black_stop) :: !windows;
-        (* the eager window occupies a page server on the dest rack, so
-           repeated attempts congest the pool other tenants share *)
-        ignore
-          (Rack.acquire pool ~rack ~now_ms:black_start
-             ~service_ms:att.Guard.ga_blackout_ms);
-        (match att.Guard.ga_outcome with
-         | Ok _ ->
-           if c.su_control then begin
-             Breaker.record_success breakers.(rack) ~now_ms:!now;
-             Quarantine.report quarantine ~key:rack ~now_ms:!now ~ok:true
-           end;
-           event ~ms:black_stop "commit"
-             (Printf.sprintf "rack=%d mech=%s rung=%s attempt=%d" rack
-                (Budget.mechanism_name mech)
-                (Degrade.rung_name !rung)
-                attempt);
-           committed :=
-             Some (rack, mech, transport, fault, att, black_stop)
-         | Error e ->
-           if c.su_control then begin
-             breaker_fail rack ~ms:black_stop;
-             Quarantine.report quarantine ~key:rack ~now_ms:!now ~ok:false
-           end;
-           (match att.Guard.ga_cancelled with
-            | Some stage ->
-              incr cancels;
-              event ~ms:black_stop "deadline-cancel"
-                (Printf.sprintf "rack=%d stage=%s" rack (Derr.stage_name stage))
-            | None ->
-              event ~ms:black_stop "rollback"
-                (Printf.sprintf "rack=%d error=%s" rack (Derr.to_string e)));
-           (* walk the ladder on the won't-fit signals only: a deadline
-              cancel means the projection no longer fits; plain wire
-              failures are the breaker's problem, not the mechanism's *)
-           if c.su_control && att.Guard.ga_cancelled <> None then
-             (match Degrade.next !rung with
-              | Some r -> degrade_to ~ms:black_stop r
-              | None -> ());
-           now := black_stop +. redo_pause_ms)
-    end
+      let transport =
+        transport_for ~rack ~lazy_:(Budget.needs_lazy mech) ~attempt
+      in
+      let fault = fault_for ~rack ~attempt in
+      let scfg', pre =
+        Loadgen.precopy
+          { scfg with Session.cfg_transport = transport; cfg_fault = fault }
+          p mech ~round_instrs ~max_rounds ~downtime_budget_ms:budget
+      in
+      let precopy_ms =
+        match pre with Some s -> s.Session.pcs_ms | None -> 0.0
+      in
+      let att =
+        Guard.run ~budget_ms:(if c.su_control then budget else infinity) scfg' p
+      in
+      let black_start = !now +. precopy_ms in
+      let black_stop = black_start +. att.Guard.ga_blackout_ms in
+      if att.Guard.ga_blackout_ms > 0.0 then
+        windows := (black_start, black_stop) :: !windows;
+      (match att.Guard.ga_outcome with
+       | Ok _ ->
+         if c.su_control then Breaker.record_success breakers.(rack) ~now_ms:!now;
+         event ~ms:black_stop "commit"
+           (Printf.sprintf "rack=%d mech=%s rung=%s attempt=%d" rack
+              (Budget.mechanism_name mech) (rung_name !rung) attempt);
+         committed := Some (rack, mech, transport, fault, att, black_stop)
+       | Error e ->
+         if c.su_control then breaker_fail rack ~ms:black_stop;
+         (match att.Guard.ga_cancelled with
+          | Some stage ->
+            incr cancels;
+            event ~ms:black_stop "deadline-cancel"
+              (Printf.sprintf "rack=%d stage=%s" rack (Derr.stage_name stage))
+          | None ->
+            event ~ms:black_stop "rollback"
+              (Printf.sprintf "rack=%d error=%s" rack (Derr.to_string e)));
+         (* a deadline cancel means the picker's choice no longer fits:
+            pin hybrid from here on. Plain wire failures are the
+            breaker's problem, not the mechanism's. *)
+         if c.su_control && att.Guard.ga_cancelled <> None && !rung = Full
+         then begin
+           rung := Hybrid_only;
+           sink Hybrid_only;
+           event ~ms:black_stop "degrade" (rung_name Hybrid_only)
+         end;
+         now := black_stop +. redo_pause_ms)
   done;
   let verdict =
     match !committed with
     | None -> Rolled_back
-    | Some _ -> if !deepest = Degrade.Full then Committed else Degraded !deepest
+    | Some _ -> if !deepest = Full then Committed else Degraded !deepest
   in
   if verdict = Rolled_back then
     event ~ms:!now "rollback" "attempts exhausted; source kept running";
@@ -469,14 +375,13 @@ let run c (scfg : Session.config) ~fresh ~seed =
   in
   let ok_n = ref 0 in
   let all, during, _faulted, fp =
-    Loadgen.serve ~requests:c.su_requests ~lanes:c.su_lanes
-      ~service_src_ms:c.su_service_src_ms ~service_dst_ms:c.su_service_dst_ms
-      ~arrivals:(Arrival.poisson ~seed:arrival_seed ~rate_per_ms:c.su_rate_per_ms)
+    Loadgen.serve ~requests:c.su_requests ~lanes ~service_src_ms
+      ~service_dst_ms ~arrivals:(Arrival.poisson ~seed:arrival_seed ~rate_per_ms)
       ~service_rng ~fault_rng
       { Loadgen.tl_start = c.su_migrate_at_ms; tl_blackouts = windows;
         tl_resume = resume; tl_end = mig_end }
       ~lazy_left ~hot_pages ~fault_stall
-      ~on_latency:(fun lat -> if lat <= c.su_slo_ms then incr ok_n)
+      ~on_latency:(fun lat -> if lat <= slo_ms then incr ok_n)
   in
   let fp = Loadgen.fnv_mix fp (Int64.of_int !attempts) in
   let fp = Loadgen.fnv_mix fp (Int64.of_int (rung_rank !deepest)) in
@@ -590,11 +495,11 @@ let paired c scfg ~fresh ~seeds ~seed0 =
      else [])
     @ List.filter_map
         (fun r ->
-          if r.r_attempts <= c.su_max_attempts then None
+          if r.r_attempts <= max_attempts then None
           else
             Some
               (Printf.sprintf "sustained FAILED (%s): seed %016Lx took %d attempts (bound %d)"
-                 name r.r_seed r.r_attempts c.su_max_attempts))
+                 name r.r_seed r.r_attempts max_attempts))
         runs
   in
   let tail =

@@ -11,45 +11,45 @@
     post-copy fault tail in the path), availability against an SLO,
     and the during-migration tail.
 
-    With [su_control = true], the loop runs the full self-healing
-    plane: per-rack {!Breaker}s (tripped racks are shed via
-    {!Dapper_cluster.Placement.Latency_aware}), rack {!Quarantine},
-    the {!Guard} watchdog with a shared {!Deadline} store (cancel +
-    rollback instead of a blown blackout), the {!Degrade} ladder
-    (budget-infeasible and deadline-cancel signals walk it down;
-    bottoming out postpones with capped exponential backoff and
-    re-evaluates from scratch). With [su_control = false], the same
-    scenario is replayed against a naive loop: always the planned
-    rack, one fixed mechanism, no cancellation — only the transport's
-    own retries between attempts.
+    With [su_control = true], the loop runs the self-healing plane:
+    - placement takes the planned rack while its {!Breaker} admits
+      work, else sheds to the lowest rack whose breaker does; with every
+      breaker open it postpones for {!postpone_backoff_ms} and
+      re-evaluates from scratch;
+    - the budget picker chooses the mechanism from the wire the chosen
+      rack shows now;
+    - the {!Guard} watchdog cancels an attempt whose transfer no longer
+      fits the blackout budget (a rollback instead of a blown
+      blackout), and a cancel pins hybrid pre+post-copy for every later
+      attempt;
+    - the transport's retry backoff is jittered per attempt.
 
-    Either way every attempt is bounded ([su_max_attempts]) and ends
-    in an explicit commit or an explicit 2PC rollback with the source
-    still running — there are no lost states and no unbounded retry
-    loops, by construction. *)
+    With [su_control = false], the same scenario is replayed against a
+    naive loop: always the planned rack, one fixed mechanism, no
+    cancellation — only the transport's own retries between attempts.
+
+    Either way every attempt is bounded ({!max_attempts}) and ends in an
+    explicit commit or an explicit 2PC rollback with the source still
+    running — there are no lost states and no unbounded retry loops, by
+    construction.
+
+    Every run serves 8 lanes at 4 requests/ms (mean service 1.2 ms on
+    the source, 1.0 ms on the destination) against a 25 ms SLO, places
+    across 4 racks of 2 page servers each, pre-copies at most 6 rounds
+    of 20k source instructions, and holds each attempt's blackout to
+    1.2x the calibrated healthy stop-and-copy blackout. *)
 
 type cfg = {
   su_requests : int;          (** request-plane draws per run *)
-  su_lanes : int;             (** concurrent service lanes *)
-  su_rate_per_ms : float;     (** Poisson arrival rate *)
-  su_service_src_ms : float;  (** mean service on the source *)
-  su_service_dst_ms : float;  (** mean service on the destination *)
-  su_slo_ms : float;          (** per-request latency SLO *)
   su_migrate_at_ms : float;   (** when the eviction is scheduled *)
-  su_budget_ms : float;
-      (** blackout budget for the picker and the watchdog; 0 = auto,
-          1.2x the calibrated healthy stop-and-copy blackout *)
-  su_racks : int;             (** destination racks to place across *)
-  su_servers_each : int;      (** page servers per rack *)
-  su_max_attempts : int;      (** hard bound on migration attempts *)
-  su_round_instrs : int;      (** source progress per pre-copy round *)
-  su_max_rounds : int;        (** pre-copy round cap *)
   su_control : bool;          (** health plane on or off *)
 }
 
-(** 20k requests, 8 lanes, 4/ms, SLO 25 ms, migrate at 1 s, auto
-    budget, 4 racks x 2 servers, 16 attempts, control on. *)
+(** 20k requests, migrate at 1 s, control on. *)
 val default_cfg : cfg
+
+(** Hard bound on migration attempts per run: 16. *)
+val max_attempts : int
 
 type scenario = {
   sc_bad_rack : int;
@@ -63,7 +63,24 @@ type scenario = {
 (** Is [rack] inside its bad window at [now_ms]? *)
 val rack_bad : scenario -> rack:int -> now_ms:float -> bool
 
-type verdict = Committed | Degraded of Degrade.rung | Rolled_back
+(** How far a run fell back from a free choice of mechanism: [Full],
+    the budget picker chose; [Hybrid_only], a deadline cancel pinned
+    hybrid pre+post-copy, the minimum-blackout mechanism; [Postponed],
+    every breaker was open and the run waited before trying again. *)
+type rung = Full | Hybrid_only | Postponed
+
+val rung_name : rung -> string
+
+(** The copy mechanism a rung pins, [None] when the budget picker
+    decides. *)
+val rung_mechanism : rung -> Dapper_traffic.Budget.mechanism option
+
+(** Capped exponential backoff before re-attempting a postponed
+    eviction: [min 8000 (500 * 2^attempt)] ms. Raises
+    [Invalid_argument] on a negative attempt. *)
+val postpone_backoff_ms : attempt:int -> float
+
+type verdict = Committed | Degraded of rung | Rolled_back
 
 val verdict_name : verdict -> string
 
@@ -145,7 +162,7 @@ val mig_p99 : summary -> float
     (none when all hold):
     - each arm's explicit verdicts (committed + degraded + rolled
       back) account for all [seeds], so no run was lost;
-    - no run took more than [cfg.su_max_attempts] attempts;
+    - no run took more than {!max_attempts} attempts;
     - control-on's {!mig_p99} is at most control-off's. *)
 val paired :
   cfg ->

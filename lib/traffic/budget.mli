@@ -61,6 +61,6 @@ val downtime_ms : estimate -> mechanism -> float
 val choose : budget_ms:float -> estimate -> mechanism
 
 (** Like {!choose}, also reporting whether the pick actually fits the
-    budget ([false] means the least-bad fallback was taken — the
-    degradation ladder's cue to postpone instead of blowing the SLO). *)
+    budget ([false] means the least-bad fallback was taken, which the
+    fig7-live budget table reports as infeasible). *)
 val choose_detail : budget_ms:float -> estimate -> mechanism * bool

@@ -270,8 +270,6 @@ let test_placement_dests () =
   in
   check Alcotest.int "first-fit packs the lowest slot" 0
     (pick Placement.First_fit).Placement.dc_index;
-  check Alcotest.int "latest-start places first-free" 0
-    (pick Placement.Latest_start).Placement.dc_index;
   check Alcotest.int "energy-aware: best watts-per-speed" 2
     (pick Placement.Energy_aware).Placement.dc_index;
   check Alcotest.int "slo-aware: cheapest meeting the deadline" 1
@@ -279,32 +277,7 @@ let test_placement_dests () =
   check Alcotest.int "slo-aware: loose deadline, cheapest overall" 2
     (pick ~deadline_ms:1000.0 Placement.Slo_aware).Placement.dc_index;
   check Alcotest.int "slo-aware: hopeless deadline, fastest" 0
-    (pick ~deadline_ms:10.0 Placement.Slo_aware).Placement.dc_index;
-  check Alcotest.bool "name/of_string roundtrip" true
-    (List.for_all
-       (fun p -> Placement.of_string (Placement.name p) = Some p)
-       Placement.all)
-
-(* Latency-aware placement: minimize the rack page-server wait a
-   faulting request would be charged, falling back to [dc_est_ms]. *)
-let test_placement_latency_aware () =
-  let pick ?page_wait_ms () =
-    Option.get (Placement.choose_dest Placement.Latency_aware ?page_wait_ms dests)
-  in
-  (* fastest class sits behind the most backed-up rack *)
-  let waits = [| 12.0; 3.0; 7.0 |] in
-  let wait d = waits.(d.Placement.dc_index) in
-  check Alcotest.int "least page-server wait wins" 1
-    (pick ~page_wait_ms:wait ()).Placement.dc_index;
-  (* equal waits: tie broken on estimated completion *)
-  let flat _ = 5.0 in
-  check Alcotest.int "flat waits tie-break on dc_est_ms" 0
-    (pick ~page_wait_ms:flat ()).Placement.dc_index;
-  check Alcotest.int "no hook: falls back to dc_est_ms" 0
-    (pick ()).Placement.dc_index;
-  check Alcotest.bool "listed and parseable" true
-    (List.mem Placement.Latency_aware Placement.all
-     && Placement.of_string "latency-aware" = Some Placement.Latency_aware)
+    (pick ~deadline_ms:10.0 Placement.Slo_aware).Placement.dc_index
 
 (* ----- the datacenter-scale engine ----- *)
 
@@ -399,8 +372,6 @@ let suites =
         Alcotest.test_case "fleet: event accounting" `Slow test_fleet_event_accounting;
         Alcotest.test_case "placement: destination selection" `Quick
           test_placement_dests;
-        Alcotest.test_case "placement: latency-aware" `Quick
-          test_placement_latency_aware;
         Alcotest.test_case "xl: deterministic drain" `Quick test_xl_deterministic;
         Alcotest.test_case "xl: policies diverge" `Quick test_xl_policies_diverge;
         Alcotest.test_case "xl: node loss as heap events" `Quick

@@ -1,11 +1,10 @@
 (* Health-plane tests: model-based circuit-breaker properties (never
-   serves while open, re-closes after the configured probe wins,
-   replayable from seed), quarantine safety (zero failures => never
-   quarantined) and heal-window release, watchdog deadline cancellation
-   through the 2PC rollback path, the degradation ladder, the
+   serves while open, re-closes after the configured probe wins),
+   watchdog transfer-deadline cancellation through the 2PC rollback
+   path, the degradation rungs and postponement backoff, the
    budget-infeasible fallback, jittered retry backoff staying inside the
-   closed-form envelope, fleet admission-gate deferral, and invariants
-   of a tiny sustained-chaos sweep. *)
+   closed-form envelope, and invariants of a tiny sustained-chaos
+   sweep. *)
 
 open Dapper_machine
 open Dapper_net
@@ -22,8 +21,8 @@ let check = Alcotest.check
 
 (* ----- breaker: model-based properties ----- *)
 
-(* Reference model of the jitter-free three-state machine, straight from
-   the breaker's documented contract. Outcomes are only ever recorded
+(* Reference model of the three-state machine, straight from the
+   breaker's documented contract. Outcomes are only ever recorded
    for work the breaker allowed, mirroring real callers. *)
 type model =
   | M_closed of int          (* consecutive-failure streak *)
@@ -77,8 +76,7 @@ let qcheck_breaker_model =
       let cfg =
         { Breaker.b_failure_threshold = threshold;
           b_probe_successes = probes;
-          b_open_ms = 200.0;
-          b_cooldown_jitter = 0.0 }
+          b_open_ms = 200.0 }
       in
       let b = Breaker.create ~cfg () in
       let model = ref (M_closed 0) in
@@ -116,8 +114,7 @@ let qcheck_breaker_model =
 
 let test_breaker_recloses () =
   let cfg =
-    { Breaker.default_cfg with
-      Breaker.b_failure_threshold = 2; b_probe_successes = 2;
+    { Breaker.b_failure_threshold = 2; b_probe_successes = 2;
       b_open_ms = 100.0 }
   in
   let b = Breaker.create ~cfg () in
@@ -150,76 +147,6 @@ let test_breaker_recloses () =
   check Alcotest.bool "re-opened breaker refuses" false
     (Breaker.allow b ~now_ms:320.0)
 
-let qcheck_breaker_replayable =
-  QCheck.Test.make ~count:200
-    ~name:"jittered breaker schedule is replayable from its seed"
-    (QCheck.pair arb_ops QCheck.int)
-    (fun (ops, seed) ->
-      let cfg =
-        { Breaker.default_cfg with
-          Breaker.b_failure_threshold = 2; b_open_ms = 150.0;
-          b_cooldown_jitter = 0.4 }
-      in
-      let seed = Int64.of_int seed in
-      let run () =
-        let b = Breaker.create ~seed ~cfg () in
-        let now = ref 0.0 in
-        List.map
-          (fun (dt, fail) ->
-            now := !now +. float_of_int dt;
-            let now_ms = !now in
-            let served = Breaker.allow b ~now_ms in
-            if served then
-              if fail then Breaker.record_failure b ~now_ms
-              else Breaker.record_success b ~now_ms;
-            (served, Breaker.state b, Breaker.trips b))
-          ops
-      in
-      run () = run ())
-
-(* ----- quarantine ----- *)
-
-let qcheck_quarantine_zero_failures =
-  QCheck.Test.make ~count:300
-    ~name:"a key with zero failures is never quarantined"
-    (QCheck.list_of_size
-       QCheck.Gen.(int_range 0 200)
-       (QCheck.pair (QCheck.int_range 0 7) (QCheck.int_range 0 500)))
-    (fun reports ->
-      let q = Quarantine.create () in
-      let now = ref 0.0 in
-      List.for_all
-        (fun (key, dt) ->
-          now := !now +. float_of_int dt;
-          Quarantine.report q ~key ~now_ms:!now ~ok:true;
-          Quarantine.admits q ~key ~now_ms:!now
-          && Quarantine.quarantined q ~now_ms:!now = []
-          && Quarantine.entered q = 0
-          && Quarantine.failure_ewma q ~key = 0.0)
-        reports)
-
-let test_quarantine_trip_and_heal () =
-  let q = Quarantine.create () in
-  (* default cfg: alpha 0.3, threshold 0.5, 3 reports, 5 s heal *)
-  Quarantine.report q ~key:3 ~now_ms:0.0 ~ok:false;
-  Quarantine.report q ~key:3 ~now_ms:1.0 ~ok:false;
-  check Alcotest.bool "too few reports to trust the EWMA" true
-    (Quarantine.admits q ~key:3 ~now_ms:1.0);
-  Quarantine.report q ~key:3 ~now_ms:2.0 ~ok:false;
-  check Alcotest.bool "three failures quarantine" false
-    (Quarantine.admits q ~key:3 ~now_ms:2.0);
-  check (Alcotest.list Alcotest.int) "listed" [ 3 ]
-    (Quarantine.quarantined q ~now_ms:2.0);
-  check Alcotest.int "one entry" 1 (Quarantine.entered q);
-  check Alcotest.bool "other keys unaffected" true
-    (Quarantine.admits q ~key:0 ~now_ms:2.0);
-  check Alcotest.bool "still quarantined inside the heal window" false
-    (Quarantine.admits q ~key:3 ~now_ms:4_000.0);
-  check Alcotest.bool "healed after the quiet window" true
-    (Quarantine.admits q ~key:3 ~now_ms:5_100.0);
-  check Alcotest.bool "released on half trust, ready to re-trip" true
-    (Quarantine.failure_ewma q ~key:3 > 0.0)
-
 (* ----- watchdog: early cancel through the 2PC rollback path ----- *)
 
 let session_cfg () =
@@ -248,17 +175,6 @@ let test_guard_cancel_rolls_back () =
    | Process.Exited_run _ -> ()
    | _ -> Alcotest.fail "rolled-back source did not complete")
 
-let test_guard_warm_history_cancels_early () =
-  let cfg = session_cfg () in
-  let p = Process.load cfg.Session.cfg_src_bin in
-  let dl = Deadline.create () in
-  Deadline.observe dl Derr.Recode 1e9;
-  let att = Guard.run ~deadlines:dl ~budget_ms:50.0 cfg p in
-  check Alcotest.bool "cancelled before the projected-over-budget stage"
-    true
-    (att.Guard.ga_cancelled = Some Derr.Recode);
-  check Alcotest.bool "source survives" false (Process.all_quiescent p)
-
 let test_guard_commit_within_budget () =
   let cfg = session_cfg () in
   let p = Process.load cfg.Session.cfg_src_bin in
@@ -270,30 +186,20 @@ let test_guard_commit_within_budget () =
   check Alcotest.bool "blackout accounted" true (att.Guard.ga_blackout_ms > 0.0);
   check Alcotest.bool "dump footprint recorded" true (att.Guard.ga_hot_pages > 0)
 
-(* ----- degradation ladder ----- *)
+(* ----- degradation rungs ----- *)
 
 let test_degrade_ladder () =
-  check Alcotest.bool "full -> hybrid" true
-    (Degrade.next Degrade.Full = Some Degrade.Hybrid_only);
-  check Alcotest.bool "hybrid -> precopy" true
-    (Degrade.next Degrade.Hybrid_only = Some Degrade.Precopy_only);
-  check Alcotest.bool "precopy -> postponed" true
-    (Degrade.next Degrade.Precopy_only = Some Degrade.Postponed);
-  check Alcotest.bool "ladder bottoms out" true
-    (Degrade.next Degrade.Postponed = None);
   check Alcotest.bool "full leaves the picker free" true
-    (Degrade.mechanism Degrade.Full = None);
+    (Sustained.rung_mechanism Sustained.Full = None);
   check Alcotest.bool "hybrid rung pins hybrid" true
-    (Degrade.mechanism Degrade.Hybrid_only = Some Budget.Hybrid);
-  check Alcotest.bool "precopy rung pins precopy" true
-    (Degrade.mechanism Degrade.Precopy_only = Some Budget.Precopy);
+    (Sustained.rung_mechanism Sustained.Hybrid_only = Some Budget.Hybrid);
   check (Alcotest.float 1e-9) "backoff doubles" 2000.0
-    (Degrade.postpone_backoff_ms ~base_ms:500.0 ~cap_ms:8000.0 ~attempt:2 ());
+    (Sustained.postpone_backoff_ms ~attempt:2);
   check (Alcotest.float 1e-9) "backoff caps" 8000.0
-    (Degrade.postpone_backoff_ms ~base_ms:500.0 ~cap_ms:8000.0 ~attempt:9 ());
+    (Sustained.postpone_backoff_ms ~attempt:9);
   Alcotest.check_raises "negative attempt rejected"
-    (Invalid_argument "Degrade.postpone_backoff_ms: attempt < 0") (fun () ->
-      ignore (Degrade.postpone_backoff_ms ~attempt:(-1) ()))
+    (Invalid_argument "Sustained.postpone_backoff_ms: attempt < 0") (fun () ->
+      ignore (Sustained.postpone_backoff_ms ~attempt:(-1)))
 
 (* ----- budget: the infeasible counter ----- *)
 
@@ -388,7 +294,7 @@ let test_sustained_invariants () =
     (fun (r : Sustained.run) ->
       check Alcotest.bool "attempts bounded" true
         (r.Sustained.r_attempts >= 1
-         && r.Sustained.r_attempts <= cfg.Sustained.su_max_attempts);
+         && r.Sustained.r_attempts <= Sustained.max_attempts);
       check Alcotest.bool "availability in [0, 1]" true
         (r.Sustained.r_availability >= 0.0 && r.Sustained.r_availability <= 1.0);
       (* a landed job names its rack; a rolled-back one does not *)
@@ -444,14 +350,8 @@ let suites =
       [ QCheck_alcotest.to_alcotest qcheck_breaker_model;
         Alcotest.test_case "breaker trips, probes, re-closes" `Quick
           test_breaker_recloses;
-        QCheck_alcotest.to_alcotest qcheck_breaker_replayable;
-        QCheck_alcotest.to_alcotest qcheck_quarantine_zero_failures;
-        Alcotest.test_case "quarantine trips and heals" `Quick
-          test_quarantine_trip_and_heal;
         Alcotest.test_case "watchdog cancel rolls back cleanly" `Quick
           test_guard_cancel_rolls_back;
-        Alcotest.test_case "warm history cancels before the stage" `Quick
-          test_guard_warm_history_cancels_early;
         Alcotest.test_case "generous budget commits" `Quick
           test_guard_commit_within_budget;
         Alcotest.test_case "degradation ladder" `Quick test_degrade_ladder;
