@@ -21,12 +21,13 @@ let index_of (p : Process.t) =
    against maliciously raised SIGTRAPs). *)
 let validate_trap p (th : Process.thread) =
   let ix = index_of p in
-  match Stackmap_index.func_of_addr ix th.pc with
-  | None -> Error (Dapper_error.Not_at_equivalence_point (th.tid, th.pc))
+  let pc = Process.pc th in
+  match Stackmap_index.func_of_addr ix pc with
+  | None -> Error (Dapper_error.Not_at_equivalence_point (th.tid, pc))
   | Some fm ->
-    (match Stackmap_index.eqpoint_by_resume ix fm.fm_name th.pc with
+    (match Stackmap_index.eqpoint_by_resume ix fm.fm_name pc with
      | Some _ -> Ok ()
-     | None -> Error (Dapper_error.Not_at_equivalence_point (th.tid, th.pc)))
+     | None -> Error (Dapper_error.Not_at_equivalence_point (th.tid, pc)))
 
 (* Roll a thread blocked inside a syscall wrapper back to the call-site
    equivalence point in its caller: pop the wrapper frame (frameless
@@ -37,10 +38,10 @@ let rollback_blocked p (th : Process.thread) =
   let ret_addr, undo =
     match arch with
     | Arch.X86_64 ->
-      let sp = th.regs.(Arch.sp arch) in
+      let sp = Process.reg th (Arch.sp arch) in
       let ret = Process.peek_data p sp in
-      (ret, fun () -> th.regs.(Arch.sp arch) <- Int64.add sp 8L)
-    | Arch.Aarch64 -> (th.regs.(30), fun () -> ())
+      (ret, fun () -> Process.set_reg th (Arch.sp arch) (Int64.add sp 8L))
+    | Arch.Aarch64 -> (Process.reg th 30, fun () -> ())
   in
   let ix = index_of p in
   match Stackmap_index.func_of_addr ix ret_addr with
@@ -49,7 +50,7 @@ let rollback_blocked p (th : Process.thread) =
     (match Stackmap_index.eqpoint_by_resume ix fm.fm_name ret_addr with
      | Some ep ->
        undo ();
-       th.pc <- ep.Stackmap.ep_addr;
+       Process.set_pc th ep.Stackmap.ep_addr;
        th.status <- Process.Stopped;
        Ok ()
      | None -> Error (Dapper_error.Not_at_equivalence_point (th.tid, ret_addr)))

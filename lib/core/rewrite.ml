@@ -307,7 +307,7 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
   let values_count = ref 0 in
   let rewrite_thread (ts : Unwind.thread_stack) (dframes : dst_frame list) =
     let tid = ts.Unwind.ts_tid in
-    let ctx = Array.make 33 0L in
+    let ctx = Array.make Dapper_machine.Process.reg_count 0L in
     let caller_fp = ref 0L in
     let ret_addr =
       ref

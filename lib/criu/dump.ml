@@ -17,7 +17,7 @@ let dump_exn ?(lazy_pages = false) (p : Process.t) =
   let live = Process.live_threads p in
   (* Execution-context pages: where each live thread's pc points. *)
   let pc_pages =
-    List.map (fun (th : Process.thread) -> Layout.page_of_addr th.pc) live
+    List.map (fun th -> Layout.page_of_addr (Process.pc th)) live
   in
   let pages = Memory.page_numbers p.Process.mem in
   let classified =
@@ -95,7 +95,7 @@ let dump_exn ?(lazy_pages = false) (p : Process.t) =
     List.map
       (fun (th : Process.thread) ->
         { Images.tc_tid = th.tid; tc_arch = p.Process.arch;
-          tc_regs = Array.copy th.regs; tc_pc = th.pc; tc_tls = th.tls })
+          tc_regs = Process.regs_array th; tc_pc = Process.pc th; tc_tls = th.tls })
       live
   in
   { Images.is_cores = cores;

@@ -66,9 +66,12 @@ let decode_core bytes =
         else None)
       fs
   in
+  let tc_regs = Array.of_list regs in
+  let expected = Dapper_machine.Process.reg_count in
+  if Array.length tc_regs <> expected then
+    fail "core: %d registers, expected %d" (Array.length tc_regs) expected;
   { tc_tid = Int64.to_int (Proto.get_int fs 1); tc_arch;
-    tc_pc = Proto.get_fix fs 3; tc_tls = Proto.get_fix fs 4;
-    tc_regs = Array.of_list regs }
+    tc_pc = Proto.get_fix fs 3; tc_tls = Proto.get_fix fs 4; tc_regs }
 
 let kind_code = function
   | Vk_code -> 0 | Vk_data -> 1 | Vk_tls -> 2 | Vk_heap -> 3 | Vk_stack _ -> 4

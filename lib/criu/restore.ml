@@ -18,7 +18,10 @@ let restore_exn ?page_source (is : Images.image_set) (binary : Binary.t) =
       if not (Arch.equal tc.tc_arch binary.Binary.bin_arch) then
         fail "thread %d register set is %s, binary is %s" tc.tc_tid
           (Arch.name tc.tc_arch)
-          (Arch.name binary.Binary.bin_arch))
+          (Arch.name binary.Binary.bin_arch);
+      if Array.length tc.tc_regs <> Process.reg_count then
+        fail "thread %d has %d registers, expected %d" tc.tc_tid
+          (Array.length tc.tc_regs) Process.reg_count)
     is.is_cores;
   let mem = Memory.create () in
   (* Map dumped pages; remember which pages are lazy. *)
@@ -40,8 +43,8 @@ let restore_exn ?page_source (is : Images.image_set) (binary : Binary.t) =
   let threads =
     List.map
       (fun (tc : Images.thread_core) ->
-        { Process.tid = tc.tc_tid; regs = Array.copy tc.tc_regs; pc = tc.tc_pc;
-          tls = tc.tc_tls; status = Process.Runnable })
+        Process.restored_thread ~tid:tc.tc_tid ~regs:tc.tc_regs ~pc:tc.tc_pc
+          ~tls:tc.tc_tls)
       is.is_cores
   in
   let p = Process.reconstruct binary mem ~threads ~brk:is.is_mm.mm_brk in

@@ -124,6 +124,16 @@ let page t addr =
     p
   end
 
+let cached_page t pn =
+  let slot = pn land (cache_slots - 1) in
+  if Array.unsafe_get t.cache_pns slot = pn then Array.unsafe_get t.cache_pages slot
+  else Bytes.empty
+
+(* A write through the page bytes skips [mark_dirty], so while pages are
+   tracked every write misses. *)
+let cached_page_for_write t pn =
+  match t.dirty with None -> cached_page t pn | Some _ -> Bytes.empty
+
 let read_u8 t addr =
   let p = page t addr in
   Char.code (Bytes.get p (Layout.page_offset addr))

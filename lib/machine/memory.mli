@@ -59,6 +59,18 @@ val dirty_pages : t -> int list
 (** Empty the dirty set, keeping tracking on. *)
 val clear_dirty : t -> unit
 
+(** [cached_page t pn] is page [pn]'s bytes if the page cache holds it,
+    else [Bytes.empty]. It never faults, fills the cache or marks a page
+    dirty: a caller that gets [Bytes.empty] must take [read_*]. The
+    interpreter reads page bytes through it without passing a boxed
+    [int64] across the module boundary. *)
+val cached_page : t -> int -> bytes
+
+(** As {!cached_page}, for a write the caller makes in place: also
+    [Bytes.empty] while dirty pages are tracked, so a tracked write goes
+    through [write_*] and marks its page. *)
+val cached_page_for_write : t -> int -> bytes
+
 val read_u8 : t -> int64 -> int
 val read_u64 : t -> int64 -> int64
 val write_u8 : t -> int64 -> int -> unit

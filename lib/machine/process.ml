@@ -9,10 +9,11 @@ type thread_status =
   | Stopped
   | Exited of int64
 
+type regfile = bytes
+
 type thread = {
   tid : int;
-  regs : int64 array;
-  mutable pc : int64;
+  regfile : regfile;
   mutable tls : int64;
   mutable status : thread_status;
 }
@@ -45,6 +46,46 @@ exception Exec_error of string
 
 let ( +% ) = Int64.add
 let ( -% ) = Int64.sub
+
+(* ----- the register file -----
+
+   A thread's registers and pc live unboxed in one [Bytes]: register [r]
+   (its DWARF number) at byte [8r], the pc in the slot after the last
+   register. The pc keeps all 64 bits. Inside the interpreter register
+   numbers come from [Encoding.decode], which accepts only 0-31, so the
+   unchecked accesses stay in bounds. *)
+
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external big_endian : unit -> bool = "%big_endian"
+
+let reg_count = 33
+let pc_off = 8 * reg_count
+
+let[@inline] rd rf r = get64u rf (r lsl 3)
+let[@inline] wr rf r v = set64u rf (r lsl 3) v
+
+let check_reg r =
+  if r < 0 || r >= reg_count then invalid_arg "Process: register out of range"
+
+let reg th r = check_reg r; rd th.regfile r
+let set_reg th r v = check_reg r; wr th.regfile r v
+let pc th = get64u th.regfile pc_off
+let set_pc th v = set64u th.regfile pc_off v
+let regs_array th = Array.init reg_count (rd th.regfile)
+
+let new_thread ~tid ~pc ~tls =
+  let th = { tid; regfile = Bytes.make (pc_off + 8) '\000'; tls; status = Runnable } in
+  set_pc th pc;
+  th
+
+let restored_thread ~tid ~regs ~pc ~tls =
+  if Array.length regs <> reg_count then
+    invalid_arg "Process.restored_thread: wrong register count";
+  let th = new_thread ~tid ~pc ~tls in
+  Array.iteri (wr th.regfile) regs;
+  th
 
 (* ----- demand paging: code pages from the binary, stack growth ----- *)
 
@@ -121,13 +162,11 @@ let setup_stack t tid ~stub =
   | Arch.Aarch64 -> sp
 
 let make_thread t ~tid ~pc ~stub =
-  let th =
-    { tid; regs = Array.make 33 0L; pc; tls = 0L; status = Runnable }
-  in
+  let th = new_thread ~tid ~pc ~tls:0L in
   let sp = setup_stack t tid ~stub in
-  th.regs.(Arch.sp t.arch) <- sp;
+  set_reg th (Arch.sp t.arch) sp;
   (match Arch.link_reg t.arch with
-   | Some lr -> th.regs.(lr) <- stub
+   | Some lr -> set_reg th lr stub
    | None -> ());
   th.tls <- setup_tls t tid;
   th
@@ -347,7 +386,7 @@ let decode t pc =
 let align_bits = function Arch.X86_64 -> 0 | Arch.Aarch64 -> 3
 
 let fetch t (th : thread) =
-  let pc = th.pc in
+  let pc = pc th in
   let ipc = Int64.to_int pc in
   let slot = (ipc lsr align_bits t.arch) land (fetch_slots - 1) in
   let in_table = Int64.shift_right_logical pc 62 = 0L in
@@ -362,52 +401,11 @@ let fetch t (th : thread) =
     r
   end
 
-let f64 v = Int64.float_of_bits v
-let of_f64 v = Int64.bits_of_float v
-let bool64 b = if b then 1L else 0L
-
-let eval_binop (op : Minstr.binop) a b =
-  match op with
-  | Add -> a +% b
-  | Sub -> a -% b
-  | Mul -> Int64.mul a b
-  | Div -> if Int64.equal b 0L then raise (Exec_error "division by zero") else Int64.div a b
-  | Rem -> if Int64.equal b 0L then raise (Exec_error "division by zero") else Int64.rem a b
-  | And -> Int64.logand a b
-  | Or -> Int64.logor a b
-  | Xor -> Int64.logxor a b
-  | Shl -> Int64.shift_left a (Int64.to_int b land 63)
-  | Shr -> Int64.shift_right_logical a (Int64.to_int b land 63)
-  | Sar -> Int64.shift_right a (Int64.to_int b land 63)
-  | Fadd -> of_f64 (f64 a +. f64 b)
-  | Fsub -> of_f64 (f64 a -. f64 b)
-  | Fmul -> of_f64 (f64 a *. f64 b)
-  | Fdiv -> of_f64 (f64 a /. f64 b)
-  | Cmpeq -> bool64 (Int64.equal a b)
-  | Cmpne -> bool64 (not (Int64.equal a b))
-  | Cmplt -> bool64 (Int64.compare a b < 0)
-  | Cmple -> bool64 (Int64.compare a b <= 0)
-  | Cmpgt -> bool64 (Int64.compare a b > 0)
-  | Cmpge -> bool64 (Int64.compare a b >= 0)
-  | Cmpult -> bool64 (Int64.unsigned_compare a b < 0)
-  | Fcmpeq -> bool64 (Float.equal (f64 a) (f64 b))
-  | Fcmplt -> bool64 (f64 a < f64 b)
-  | Fcmple -> bool64 (f64 a <= f64 b)
-
-let eval_unop (op : Minstr.unop) a =
-  match op with
-  | Neg -> Int64.neg a
-  | Not -> Int64.lognot a
-  | Fneg -> of_f64 (-.f64 a)
-  | Sitofp -> of_f64 (Int64.to_float a)
-  | Fptosi -> Int64.of_float (f64 a)
-  | Fsqrt -> of_f64 (Float.sqrt (f64 a))
-
 (* Executes a syscall for [th]. Returns [true] if the pc should advance
    (non-blocking path) or [false] if the thread blocked (pc stays on the
    syscall so it retries when rescheduled). *)
 let exec_syscall t (th : thread) num =
-  let arg i = th.regs.(List.nth (Arch.arg_regs t.arch) i) in
+  let arg i = reg th (List.nth (Arch.arg_regs t.arch) i) in
   (* Completed syscall results flow through the nondet tap: a recorder
      logs the value unchanged, a replayer validates it (or substitutes
      it, for the genuinely nondeterministic clock). Blocked paths never
@@ -415,7 +413,7 @@ let exec_syscall t (th : thread) num =
   let tap sys v =
     match t.nondet with None -> v | Some h -> h.nd_syscall ~tid:th.tid ~sys v
   in
-  let ret sys v = th.regs.(Arch.ret_reg t.arch) <- tap sys v in
+  let ret sys v = set_reg th (Arch.ret_reg t.arch) (tap sys v) in
   match Arch.syscall_of_number t.arch num with
   | None -> raise (Exec_error (Printf.sprintf "unknown syscall %d" num))
   | Some `Exit ->
@@ -457,7 +455,7 @@ let exec_syscall t (th : thread) num =
       let tid = t.next_tid in
       t.next_tid <- tid + 1;
       let child = make_thread t ~tid ~pc:fn ~stub:t.binary.bin_anchors.a_thread_exit_stub in
-      child.regs.(List.hd (Arch.arg_regs t.arch)) <- a0;
+      set_reg child (List.hd (Arch.arg_regs t.arch)) a0;
       t.threads <- t.threads @ [ child ];
       ret "spawn" (Int64.of_int tid);
       true
@@ -496,79 +494,171 @@ let exec_syscall t (th : thread) num =
     ret "yield" 0L;
     true
 
+(* ----- loads and stores -----
+
+   An access whose address is in [0, 2^62) (an [int] holds it exactly),
+   that fits in one page and whose page is in [Memory]'s page cache reads
+   or writes the page bytes here, little-endian as [Memory] does. Every
+   other access takes [Memory.read_*]/[write_*], so faults, [Segfault]
+   addresses and dirty marking stay [Memory]'s. [Memory]'s functions are
+   compiled in another unit and never inlined here, so an [int64] passed
+   to or returned from one is boxed: the cache lookups take and return
+   only an [int] and the page bytes. *)
+
+let page_bits = 12
+let page_mask = (1 lsl page_bits) - 1
+let () = assert (Layout.page_size = 1 lsl page_bits)
+
+let[@inline] le64 v = if big_endian () then bswap64 v else v
+
+(* The cached page holding [addr], for an access of [width] bytes, or
+   [Bytes.empty]. *)
+let[@inline] hit_page lookup mem addr width =
+  let a = Int64.to_int addr in
+  if Int64.shift_right_logical addr 62 = 0L && a land page_mask <= page_mask + 1 - width
+  then lookup mem (a lsr page_bits)
+  else Bytes.empty
+
+(* Loads into byte [dst] of a register file. Each branch stores its own
+   value: a value chosen between the fast and the slow path would be
+   boxed. *)
+let[@inline] load64 t rf dst addr =
+  let page = hit_page Memory.cached_page t.mem addr 8 in
+  if Bytes.length page <> 0 then
+    set64u rf dst (le64 (get64u page (Int64.to_int addr land page_mask)))
+  else set64u rf dst (Memory.read_u64 t.mem addr)
+
+let[@inline] store64 t addr v =
+  let page = hit_page Memory.cached_page_for_write t.mem addr 8 in
+  if Bytes.length page <> 0 then set64u page (Int64.to_int addr land page_mask) (le64 v)
+  else Memory.write_u64 t.mem addr v
+
+let[@inline] load8 t addr =
+  let page = hit_page Memory.cached_page t.mem addr 1 in
+  if Bytes.length page <> 0 then
+    Char.code (Bytes.unsafe_get page (Int64.to_int addr land page_mask))
+  else Memory.read_u8 t.mem addr
+
+let[@inline] store8 t addr v =
+  let page = hit_page Memory.cached_page_for_write t.mem addr 1 in
+  if Bytes.length page <> 0 then
+    Bytes.unsafe_set page (Int64.to_int addr land page_mask) (Char.unsafe_chr v)
+  else Memory.write_u8 t.mem addr v
+
+(* ----- arithmetic -----
+
+   Each operation computes its result in its own arm and stores it
+   unboxed into register [d]. *)
+
+let[@inline] binop rf (op : Minstr.binop) d (a : int64) (b : int64) =
+  match op with
+  | Add -> wr rf d (Int64.add a b)
+  | Sub -> wr rf d (Int64.sub a b)
+  | Mul -> wr rf d (Int64.mul a b)
+  | Div -> if b = 0L then raise (Exec_error "division by zero") else wr rf d (Int64.div a b)
+  | Rem -> if b = 0L then raise (Exec_error "division by zero") else wr rf d (Int64.rem a b)
+  | And -> wr rf d (Int64.logand a b)
+  | Or -> wr rf d (Int64.logor a b)
+  | Xor -> wr rf d (Int64.logxor a b)
+  | Shl -> wr rf d (Int64.shift_left a (Int64.to_int b land 63))
+  | Shr -> wr rf d (Int64.shift_right_logical a (Int64.to_int b land 63))
+  | Sar -> wr rf d (Int64.shift_right a (Int64.to_int b land 63))
+  | Fadd -> wr rf d (Int64.bits_of_float (Int64.float_of_bits a +. Int64.float_of_bits b))
+  | Fsub -> wr rf d (Int64.bits_of_float (Int64.float_of_bits a -. Int64.float_of_bits b))
+  | Fmul -> wr rf d (Int64.bits_of_float (Int64.float_of_bits a *. Int64.float_of_bits b))
+  | Fdiv -> wr rf d (Int64.bits_of_float (Int64.float_of_bits a /. Int64.float_of_bits b))
+  | Cmpeq -> wr rf d (if a = b then 1L else 0L)
+  | Cmpne -> wr rf d (if a <> b then 1L else 0L)
+  | Cmplt -> wr rf d (if a < b then 1L else 0L)
+  | Cmple -> wr rf d (if a <= b then 1L else 0L)
+  | Cmpgt -> wr rf d (if a > b then 1L else 0L)
+  | Cmpge -> wr rf d (if a >= b then 1L else 0L)
+  | Cmpult ->
+    wr rf d (if Int64.sub a Int64.min_int < Int64.sub b Int64.min_int then 1L else 0L)
+  | Fcmpeq ->
+    let eq = Float.compare (Int64.float_of_bits a) (Int64.float_of_bits b) = 0 in
+    wr rf d (if eq then 1L else 0L)
+  | Fcmplt -> wr rf d (if Int64.float_of_bits a < Int64.float_of_bits b then 1L else 0L)
+  | Fcmple -> wr rf d (if Int64.float_of_bits a <= Int64.float_of_bits b then 1L else 0L)
+
+let[@inline] unop rf (op : Minstr.unop) d (a : int64) =
+  match op with
+  | Neg -> wr rf d (Int64.neg a)
+  | Not -> wr rf d (Int64.lognot a)
+  | Fneg -> wr rf d (Int64.bits_of_float (-.Int64.float_of_bits a))
+  | Sitofp -> wr rf d (Int64.bits_of_float (Int64.to_float a))
+  | Fptosi -> wr rf d (Int64.of_float (Int64.float_of_bits a))
+  | Fsqrt -> wr rf d (Int64.bits_of_float (Float.sqrt (Int64.float_of_bits a)))
+
+(* A call's return address: pushed on x86, in the link register on
+   aarch64. *)
+let[@inline] link t rf ret =
+  match t.arch with
+  | Arch.X86_64 ->
+    let sp = Int64.sub (rd rf (Arch.sp t.arch)) 8L in
+    wr rf (Arch.sp t.arch) sp;
+    store64 t sp ret
+  | Arch.Aarch64 -> wr rf 30 ret
+
 (* Executes one fetched instruction of [sz] bytes. *)
 let exec t (th : thread) (i : Minstr.t) sz =
-  let next = th.pc +% Int64.of_int sz in
-  (* registers are read and written in place: local get/set helpers
-     would allocate two closures per instruction *)
-  let regs = th.regs in
+  let rf = th.regfile in
+  let next = Int64.add (get64u rf pc_off) (Int64.of_int sz) in
   match i with
-  | Nop -> th.pc <- next
-  | Mov (d, s) -> regs.(d) <- regs.(s); th.pc <- next
-  | Movi (d, v) -> regs.(d) <- v; th.pc <- next
+  | Nop -> set64u rf pc_off next
+  | Mov (d, s) -> wr rf d (rd rf s); set64u rf pc_off next
+  | Movi (d, v) -> wr rf d v; set64u rf pc_off next
   | Movk (d, v) ->
-    regs.(d) <- Int64.logor (Int64.logand regs.(d) 0xFFFFFFFFL) (Int64.shift_left v 32);
-    th.pc <- next
-  | Binop (op, d, a, b) -> regs.(d) <- eval_binop op regs.(a) regs.(b); th.pc <- next
-  | Binopi (op, d, a, v) -> regs.(d) <- eval_binop op regs.(a) v; th.pc <- next
-  | Unop (op, d, a) -> regs.(d) <- eval_unop op regs.(a); th.pc <- next
+    wr rf d (Int64.logor (Int64.logand (rd rf d) 0xFFFFFFFFL) (Int64.shift_left v 32));
+    set64u rf pc_off next
+  | Binop (op, d, a, b) -> binop rf op d (rd rf a) (rd rf b); set64u rf pc_off next
+  | Binopi (op, d, a, v) -> binop rf op d (rd rf a) v; set64u rf pc_off next
+  | Unop (op, d, a) -> unop rf op d (rd rf a); set64u rf pc_off next
   | Load (d, base, off) ->
-    regs.(d) <- Memory.read_u64 t.mem (regs.(base) +% Int64.of_int off);
-    th.pc <- next
+    load64 t rf (d lsl 3) (Int64.add (rd rf base) (Int64.of_int off));
+    set64u rf pc_off next
   | Store (s, base, off) ->
-    Memory.write_u64 t.mem (regs.(base) +% Int64.of_int off) regs.(s);
-    th.pc <- next
+    store64 t (Int64.add (rd rf base) (Int64.of_int off)) (rd rf s);
+    set64u rf pc_off next
   | Load8 (d, base, off) ->
-    regs.(d) <- Int64.of_int (Memory.read_u8 t.mem (regs.(base) +% Int64.of_int off));
-    th.pc <- next
+    wr rf d (Int64.of_int (load8 t (Int64.add (rd rf base) (Int64.of_int off))));
+    set64u rf pc_off next
   | Store8 (s, base, off) ->
-    Memory.write_u8 t.mem (regs.(base) +% Int64.of_int off) (Int64.to_int regs.(s) land 0xFF);
-    th.pc <- next
+    store8 t (Int64.add (rd rf base) (Int64.of_int off)) (Int64.to_int (rd rf s) land 0xFF);
+    set64u rf pc_off next
   | Load_pair (d1, d2, base, off) ->
-    let b = regs.(base) in
-    regs.(d1) <- Memory.read_u64 t.mem (b +% Int64.of_int off);
-    regs.(d2) <- Memory.read_u64 t.mem (b +% Int64.of_int (off + 8));
-    th.pc <- next
+    let b = rd rf base in
+    load64 t rf (d1 lsl 3) (Int64.add b (Int64.of_int off));
+    load64 t rf (d2 lsl 3) (Int64.add b (Int64.of_int (off + 8)));
+    set64u rf pc_off next
   | Store_pair (s1, s2, base, off) ->
-    let b = regs.(base) in
-    Memory.write_u64 t.mem (b +% Int64.of_int off) regs.(s1);
-    Memory.write_u64 t.mem (b +% Int64.of_int (off + 8)) regs.(s2);
-    th.pc <- next
-  | Tls_get d -> regs.(d) <- th.tls; th.pc <- next
-  | Call target ->
-    (match t.arch with
-     | Arch.X86_64 ->
-       let sp = regs.(Arch.sp t.arch) -% 8L in
-       regs.(Arch.sp t.arch) <- sp;
-       Memory.write_u64 t.mem sp next
-     | Arch.Aarch64 -> regs.(30) <- next);
-    th.pc <- target
+    let b = rd rf base in
+    store64 t (Int64.add b (Int64.of_int off)) (rd rf s1);
+    store64 t (Int64.add b (Int64.of_int (off + 8))) (rd rf s2);
+    set64u rf pc_off next
+  | Tls_get d -> wr rf d th.tls; set64u rf pc_off next
+  | Call target -> link t rf next; set64u rf pc_off target
   | Call_reg s ->
-    let target = regs.(s) in
-    (match t.arch with
-     | Arch.X86_64 ->
-       let sp = regs.(Arch.sp t.arch) -% 8L in
-       regs.(Arch.sp t.arch) <- sp;
-       Memory.write_u64 t.mem sp next
-     | Arch.Aarch64 -> regs.(30) <- next);
-    th.pc <- target
+    let target = rd rf s in
+    link t rf next;
+    set64u rf pc_off target
   | Ret ->
     (match t.arch with
      | Arch.X86_64 ->
-       let sp = regs.(Arch.sp t.arch) in
-       th.pc <- Memory.read_u64 t.mem sp;
-       regs.(Arch.sp t.arch) <- sp +% 8L
-     | Arch.Aarch64 -> th.pc <- regs.(30))
-  | Jmp target -> th.pc <- target
-  | Jz (c, target) -> th.pc <- (if Int64.equal regs.(c) 0L then target else next)
-  | Jnz (c, target) -> th.pc <- (if Int64.equal regs.(c) 0L then next else target)
+       let sp = rd rf (Arch.sp t.arch) in
+       load64 t rf pc_off sp;
+       wr rf (Arch.sp t.arch) (Int64.add sp 8L)
+     | Arch.Aarch64 -> set64u rf pc_off (rd rf 30))
+  | Jmp target -> set64u rf pc_off target
+  | Jz (c, target) -> set64u rf pc_off (if rd rf c = 0L then target else next)
+  | Jnz (c, target) -> set64u rf pc_off (if rd rf c = 0L then next else target)
   | Adjust_sp d ->
-    regs.(Arch.sp t.arch) <- regs.(Arch.sp t.arch) +% Int64.of_int d;
-    th.pc <- next
+    wr rf (Arch.sp t.arch) (Int64.add (rd rf (Arch.sp t.arch)) (Int64.of_int d));
+    set64u rf pc_off next
   | Trap ->
     th.status <- Trapped;
-    th.pc <- next
-  | Syscall num -> if exec_syscall t th num then th.pc <- next
+    set64u rf pc_off next
+  | Syscall num -> if exec_syscall t th num then set64u rf pc_off next
 
 (* An instruction counts once it has been fetched: one that faults is
    counted, one that cannot be fetched is not. *)
@@ -646,7 +736,7 @@ let run t ~max_instrs =
                if !n > 0 then progressed := true;
                budget := !budget - !n
              | Some reason ->
-               let c = { cr_tid = th.tid; cr_pc = th.pc; cr_reason = reason } in
+               let c = { cr_tid = th.tid; cr_pc = pc th; cr_reason = reason } in
                t.crash <- Some c;
                result := Some (Crashed c));
             match t.exit_code with

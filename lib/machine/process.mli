@@ -16,13 +16,40 @@ type thread_status =
   | Stopped                 (** SIGSTOP *)
   | Exited of int64
 
+(** A thread's registers and pc, unboxed; read and written through
+    {!reg}, {!set_reg}, {!pc} and {!set_pc}. *)
+type regfile
+
 type thread = {
   tid : int;
-  regs : int64 array;          (** indexed by DWARF register number *)
-  mutable pc : int64;
+  regfile : regfile;
   mutable tls : int64;         (** TLS base register (FS base / TPIDR) *)
   mutable status : thread_status;
 }
+
+(** Registers in a thread's context, indexed by DWARF number: 33 on both
+    ISAs, so a context is recoded in place. Core images and recoded
+    contexts hold exactly this many. *)
+val reg_count : int
+
+(** [reg th r] is register [r] (a DWARF number); [Invalid_argument]
+    unless [0 <= r < reg_count]. *)
+val reg : thread -> int -> int64
+
+val set_reg : thread -> int -> int64 -> unit
+
+(** The pc, all 64 bits. *)
+val pc : thread -> int64
+
+val set_pc : thread -> int64 -> unit
+
+(** A fresh array of the [reg_count] registers — a dump's view. *)
+val regs_array : thread -> int64 array
+
+(** [restored_thread ~tid ~regs ~pc ~tls] is a [Runnable] thread with
+    this context — the restore path's one constructor. [Invalid_argument]
+    unless [regs] has [reg_count] entries. *)
+val restored_thread : tid:int -> regs:int64 array -> pc:int64 -> tls:int64 -> thread
 
 type crash = { cr_tid : int; cr_pc : int64; cr_reason : string }
 

@@ -79,12 +79,16 @@ let malformed_image_files =
   let module P = Dapper_proto.Proto in
   let tiny =
     { Images.is_cores =
-        [ { Images.tc_tid = 0; tc_arch = Dapper_isa.Arch.X86_64; tc_regs = [| 1L |];
-            tc_pc = 0x1000L; tc_tls = 0L } ];
+        [ { Images.tc_tid = 0; tc_arch = Dapper_isa.Arch.X86_64;
+            tc_regs = Array.make Process.reg_count 1L; tc_pc = 0x1000L; tc_tls = 0L } ];
       is_mm = { Images.mm_brk = 0x2000L; mm_vmas = [] };
       is_pagemap = [];
       is_pages = "";
       is_files = { Images.fi_app = "tiny"; fi_arch = Dapper_isa.Arch.X86_64 } }
+  in
+  let core_with_regs n =
+    let core = { (List.hd tiny.Images.is_cores) with Images.tc_regs = Array.make n 1L } in
+    List.assoc "core-0.img" (Images.to_files { tiny with Images.is_cores = [ core ] })
   in
   List.map
     (fun (what, name, bytes) ->
@@ -104,7 +108,50 @@ let malformed_image_files =
         P.encode
           [ P.v_msg 2 [ P.v_fix 1 0x1000L; P.v_int 2 1L; P.v_int 3 1L; P.v_int 4 0L ] ] );
       ( "a core-0.img with a 2^62-byte field", "core-0.img",
-        "\x0a\x80\x80\x80\x80\x80\x80\x80\x80\x40" ) ]
+        "\x0a\x80\x80\x80\x80\x80\x80\x80\x80\x40" );
+      ("8 registers in a core-0.img", "core-0.img", core_with_regs 8);
+      ("0 registers in a core-0.img", "core-0.img", core_with_regs 0) ]
+
+(* An in-memory image never passes through [decode_core], so restore
+   checks the register count itself. *)
+let test_restore_rejects_short_context () =
+  let c, p = paused_process () in
+  let image = ok (Dump.dump p) in
+  let short (tc : Images.thread_core) = { tc with tc_regs = Array.sub tc.tc_regs 0 8 } in
+  let image = { image with Images.is_cores = List.map short image.Images.is_cores } in
+  check Alcotest.bool "8-register context rejected" true
+    (match Restore.restore image c.Link.cp_x86 with
+     | Error (Dapper_util.Dapper_error.Restore_failed _) -> true
+     | _ -> false)
+
+(* Every thread's 33 registers and its pc, all 64 bits, come back from
+   dump, the image files and restore exactly as they were. *)
+let test_registers_round_trip () =
+  let c = Dapper_workloads.Registry.(compiled (find "blackscholes")) in
+  List.iter
+    (fun arch ->
+      let bin = Link.binary_for c arch in
+      let p = Process.load bin in
+      ignore (Process.run p ~max_instrs:300_000);
+      (match Monitor.request_pause p ~budget:20_000_000 with
+       | Ok _ -> ()
+       | Error e -> Alcotest.fail (Monitor.error_to_string e));
+      let image = Images.of_files (Images.to_files (ok (Dump.dump p))) in
+      let q = ok (Restore.restore image bin) in
+      let label = Dapper_isa.Arch.name arch in
+      let src = Process.live_threads p in
+      check Alcotest.int (label ^ ": main and four workers") 5 (List.length src);
+      check Alcotest.int (label ^ ": threads restored") (List.length src)
+        (List.length q.Process.threads);
+      List.iter
+        (fun (th : Process.thread) ->
+          let th' = Process.thread q th.tid in
+          let what = Printf.sprintf "%s: thread %d" label th.tid in
+          check Alcotest.(array int64) (what ^ " registers") (Process.regs_array th)
+            (Process.regs_array th');
+          check Alcotest.int64 (what ^ " pc") (Process.pc th) (Process.pc th'))
+        src)
+    Dapper_isa.Arch.all
 
 let test_restore_rejects_wrong_app () =
   let _, p = paused_process () in
@@ -173,5 +220,9 @@ let suites =
         Alcotest.test_case "lazy restore needs server" `Quick test_lazy_restore_without_server_faults;
         Alcotest.test_case "crit pages are raw" `Quick test_crit_rejects_pages_encode;
         Alcotest.test_case "identity checkpoint/restore" `Quick
-          test_checkpoint_restore_preserves_everything ]
+          test_checkpoint_restore_preserves_everything;
+        Alcotest.test_case "restore rejects a short register context" `Quick
+          test_restore_rejects_short_context;
+        Alcotest.test_case "registers and pc survive dump and restore" `Quick
+          test_registers_round_trip ]
       @ malformed_image_files @ malformed_crit_files ) ]

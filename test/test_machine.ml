@@ -243,6 +243,24 @@ let test_interpreter_pins () =
       check Alcotest.string (label ^ ": snapshot") snap got_snap)
     interpreter_pins
 
+(* An instruction that hits the decode table and the page cache
+   allocates nothing, so a whole run stays far below one minor word per
+   instruction: what remains is set-up, syscalls, faults, decoding and
+   the per-slice bookkeeping. *)
+let test_interpreter_allocation () =
+  List.iter
+    (fun (name, arch, _, _) ->
+      let c = Dapper_workloads.Registry.(compiled (find name)) in
+      let p = Process.load (Link.binary_for c arch) in
+      let before = Gc.minor_words () in
+      ignore (Process.run_to_completion p ~fuel:200_000_000);
+      let words = Gc.minor_words () -. before in
+      let per_instr = words /. Int64.to_float p.Process.total_instrs in
+      if per_instr >= 1.0 then
+        Alcotest.failf "%s on %s: %.2f minor words per instruction" name
+          (Arch.name arch) per_instr)
+    interpreter_pins
+
 (* Three threads each read clock() four times and print "tid:value ";
    the values expose exactly when retired instructions reach
    [total_instrs], and the interleaving of the threads' writes is pinned
@@ -378,9 +396,17 @@ let test_jump_to_high_pc () =
   let c = Link.compile ~app:"high_pc" (finish m) in
   List.iter
     (fun arch ->
-      let p = Process.load (Link.binary_for c arch) in
+      let bin = Link.binary_for c arch in
+      let p = Process.load bin in
       match Process.run_to_completion p ~fuel:1_000_000 with
-      | Process.Crashed _ -> ()
+      | Process.Crashed cr ->
+        let seven =
+          match Binary.find_symbol bin "seven" with
+          | Some s -> s.Binary.sym_addr
+          | None -> Alcotest.fail "no symbol seven"
+        in
+        check Alcotest.int64 "the crash keeps all 64 bits of the pc"
+          (Int64.logor seven Int64.min_int) cr.cr_pc
       | _ -> Alcotest.fail "a call to pc + 2^63 should fault")
     Arch.all
 
@@ -650,4 +676,5 @@ let suites =
         Alcotest.test_case "sbrk past the heap region" `Quick test_sbrk_past_heap ] );
     ( "machine-pins",
       [ Alcotest.test_case "interpreter pins" `Quick test_interpreter_pins;
-        Alcotest.test_case "clock pins" `Quick test_clock_pins ] ) ]
+        Alcotest.test_case "clock pins" `Quick test_clock_pins;
+        Alcotest.test_case "interpreter allocation" `Quick test_interpreter_allocation ] ) ]

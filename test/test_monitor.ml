@@ -69,7 +69,7 @@ let test_tampered_trap_rejected () =
   ignore (Process.run p ~max_instrs:10_000);
   let th = Process.thread p 0 in
   th.Process.status <- Process.Trapped;
-  th.Process.pc <- Int64.add c.Link.cp_x86.bin_anchors.a_entry 1L;
+  Process.set_pc th (Int64.add c.Link.cp_x86.bin_anchors.a_entry 1L);
   match Monitor.request_pause p ~budget:1_000_000 with
   | Error (Dapper_util.Dapper_error.Not_at_equivalence_point _) -> ()
   | Error e -> Alcotest.fail (Monitor.error_to_string e)
