@@ -25,45 +25,42 @@ let work_items s =
   s.st_frames + s.st_values + s.st_ptrs_translated + (s.st_code_pages * 8)
   + (s.st_stack_bytes / 256)
 
-(* ----- mutable page store used while rebuilding the image ----- *)
+(* ----- pages while rebuilding the image -----
+   The output shares every page it does not write with the source
+   image. A page is copied on its first write; [commit] hands the
+   written copies to the table, after which nothing mutates them. *)
 
 type store = {
-  pages : (int, Bytes.t) Hashtbl.t;            (* dumped pages *)
-  mutable lazies : Images.pagemap_entry list;  (* entries left on the source node *)
+  mutable table : string Images.Pages.t;
+  written : (int, Bytes.t) Hashtbl.t;  (* pages written since the last commit *)
 }
 
-let store_of_image (is : Images.image_set) =
-  let pages = Hashtbl.create 256 in
-  let lazies = ref [] in
-  let cursor = ref 0 in
-  List.iter
-    (fun (e : Images.pagemap_entry) ->
-      if e.pm_in_dump then
-        for k = 0 to e.pm_npages - 1 do
-          let pn = Layout.page_of_addr e.pm_vaddr + k in
-          let b = Bytes.create Layout.page_size in
-          Bytes.blit_string is.is_pages !cursor b 0 Layout.page_size;
-          cursor := !cursor + Layout.page_size;
-          Hashtbl.replace pages pn b
-        done
-      else lazies := e :: !lazies)
-    is.is_pagemap;
-  { pages; lazies = List.rev !lazies }
-
-let store_page st pn =
-  match Hashtbl.find_opt st.pages pn with
+let page_for_write st pn =
+  match Hashtbl.find_opt st.written pn with
   | Some b -> b
-  | None -> fail "rewriter touched page %d which is not in the dump" pn
+  | None ->
+    (match Images.Pages.find_opt pn st.table with
+     | Some page ->
+       let b = Bytes.of_string page in
+       Hashtbl.replace st.written pn b;
+       b
+     | None -> fail "rewriter touched page %d which is not in the dump" pn)
+
+let commit st =
+  Hashtbl.iter
+    (fun pn b -> st.table <- Images.Pages.add pn (Bytes.unsafe_to_string b) st.table)
+    st.written;
+  Hashtbl.reset st.written
 
 let store_write_u64 st addr v =
   let pn = Layout.page_of_addr addr in
   let off = Layout.page_offset addr in
-  if off + 8 <= Layout.page_size then Bytes.set_int64_le (store_page st pn) off v
+  if off + 8 <= Layout.page_size then Bytes.set_int64_le (page_for_write st pn) off v
   else
     for k = 0 to 7 do
       let a = Int64.add addr (Int64.of_int k) in
       Bytes.set
-        (store_page st (Layout.page_of_addr a))
+        (page_for_write st (Layout.page_of_addr a))
         (Layout.page_offset a)
         (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xFF))
     done
@@ -72,49 +69,14 @@ let store_write_bytes st addr s =
   String.iteri
     (fun k c ->
       let a = Int64.add addr (Int64.of_int k) in
-      Bytes.set (store_page st (Layout.page_of_addr a)) (Layout.page_offset a) c)
+      Bytes.set (page_for_write st (Layout.page_of_addr a)) (Layout.page_offset a) c)
     s
+
+let zero_page = String.make Layout.page_size '\000'
 
 let is_code_page pn =
   let a = Layout.addr_of_page pn in
   Int64.compare a Layout.code_base >= 0 && Int64.compare a Layout.data_base < 0
-
-(* Emit a sorted pagemap + pages blob from the store. *)
-let store_to_image st =
-  let dumped =
-    Hashtbl.fold (fun pn _ acc -> pn :: acc) st.pages [] |> List.sort Int.compare
-  in
-  let entries_dumped =
-    let rec go acc = function
-      | [] -> List.rev acc
-      | pn :: rest ->
-        (match acc with
-         | { Images.pm_vaddr; pm_npages; pm_in_dump = true } :: acc_rest
-           when Layout.page_of_addr pm_vaddr + pm_npages = pn ->
-           go ({ Images.pm_vaddr; pm_npages = pm_npages + 1; pm_in_dump = true } :: acc_rest)
-             rest
-         | _ ->
-           go
-             ({ Images.pm_vaddr = Layout.addr_of_page pn; pm_npages = 1; pm_in_dump = true }
-              :: acc)
-             rest)
-    in
-    go [] dumped
-  in
-  let entries =
-    List.sort
-      (fun (a : Images.pagemap_entry) b -> Int64.compare a.pm_vaddr b.pm_vaddr)
-      (entries_dumped @ st.lazies)
-  in
-  let blob = Buffer.create (List.length dumped * Layout.page_size) in
-  List.iter
-    (fun (e : Images.pagemap_entry) ->
-      if e.pm_in_dump then
-        for k = 0 to e.pm_npages - 1 do
-          Buffer.add_bytes blob (Hashtbl.find st.pages (Layout.page_of_addr e.pm_vaddr + k))
-        done)
-    entries;
-  (entries, Buffer.contents blob)
 
 (* ----- destination frame placement ----- *)
 
@@ -237,14 +199,12 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
     Int64.compare v (Layout.stack_limit_of_thread (Layout.max_threads - 1)) >= 0
     && Int64.compare v Layout.stack_top < 0
   in
-  (* Build the new page store. *)
-  let st = store_of_image image in
-  (* Drop source execution-context code pages; the destination's are added
-     below. *)
-  let dropped =
-    Hashtbl.fold (fun pn _ acc -> if is_code_page pn then pn :: acc else acc) st.pages []
+  (* The new page table: the source's without its execution-context code
+     pages; the destination's are added below. *)
+  let st =
+    { table = Images.Pages.filter (fun pn _ -> not (is_code_page pn)) image.is_pages;
+      written = Hashtbl.create 16 }
   in
-  List.iter (Hashtbl.remove st.pages) dropped;
   (* Output-level memoization context: the environment digest pins the
      memo to this exact binary pair (stack-map contents, destination
      text, anchors, architectures); the interval-set digest captures the
@@ -291,7 +251,7 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
     let last = Layout.page_of_addr (Int64.sub (Layout.stack_base_of_thread tid) 1L) in
     let acc = ref [] in
     for pn = first to last do
-      if Hashtbl.mem st.pages pn then acc := pn :: !acc
+      if Images.Pages.mem pn st.table then acc := pn :: !acc
     done;
     List.rev !acc
   in
@@ -299,7 +259,7 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
   let zero_thread pages =
     List.iter
       (fun pn ->
-        Bytes.fill (Hashtbl.find st.pages pn) 0 Layout.page_size '\000';
+        st.table <- Images.Pages.add pn zero_page st.table;
         stack_bytes := !stack_bytes + Layout.page_size)
       pages
   in
@@ -409,10 +369,14 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
      memo hit skip both for an unchanged thread. *)
   let run_thread (ts : Unwind.thread_stack) dframes =
     let pages = thread_pages ts in
-    match memo_ctx with
-    | None ->
+    let rewrite () =
       zero_thread pages;
-      rewrite_thread ts dframes
+      let tc = rewrite_thread ts dframes in
+      commit st;
+      tc
+    in
+    match memo_ctx with
+    | None -> rewrite ()
     | Some (m, ivd) ->
       let digest = thread_digest ts pages ivd in
       (match Plan_cache.memo_thread_hit m ts.Unwind.ts_tid digest with
@@ -420,17 +384,15 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
          incr memo_thread_hits;
          List.iter
            (fun (pn, data) ->
-             Hashtbl.replace st.pages pn (Bytes.of_string data);
+             st.table <- Images.Pages.add pn data st.table;
              skipped_bytes := !skipped_bytes + String.length data)
            patch.Plan_cache.tp_pages;
          patch.Plan_cache.tp_core
        | None ->
-         zero_thread pages;
-         let tc = rewrite_thread ts dframes in
+         let tc = rewrite () in
          let patch =
            { Plan_cache.tp_core = tc;
-             tp_pages =
-               List.map (fun pn -> (pn, Bytes.to_string (Hashtbl.find st.pages pn))) pages }
+             tp_pages = List.map (fun pn -> (pn, Images.Pages.find pn st.table)) pages }
          in
          Plan_cache.memo_thread_store m ts.Unwind.ts_tid digest patch;
          tc)
@@ -441,7 +403,7 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
   List.iter
     (fun (tc : Images.thread_core) ->
       let pn = Layout.page_of_addr tc.tc_pc in
-      if not (Hashtbl.mem st.pages pn) then begin
+      if not (Images.Pages.mem pn st.table) then begin
         incr code_pages;
         let page = Bytes.make Layout.page_size '\000' in
         (match Binary.find_section dst ".text" with
@@ -451,15 +413,17 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
            if off >= 0 && off < len then
              Bytes.blit_string s.sec_data off page 0 (min Layout.page_size (len - off))
          | None -> fail "destination binary has no text section");
-        Hashtbl.replace st.pages pn page
+        st.table <- Images.Pages.add pn (Bytes.unsafe_to_string page) st.table
       end)
     new_cores;
   (* Lower the transformation flag inside the image so restored threads do
      not immediately re-trap. In lazy mode the flag's data page may not be
      in the dump; the restorer also clears the flag in memory, which pulls
      the page from the page server first. *)
-  if Hashtbl.mem st.pages (Layout.page_of_addr dst.bin_anchors.a_flag) then
+  if Images.Pages.mem (Layout.page_of_addr dst.bin_anchors.a_flag) st.table then begin
     store_write_u64 st dst.bin_anchors.a_flag 0L;
+    commit st
+  end;
   (* Pass-through page memoization: data/heap/TLS pages the rewriter
      copies verbatim. A content-digest hit means the page's encoded
      output is byte-identical to the previous run and need not be
@@ -471,22 +435,28 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
    | None -> ()
    | Some (m, _) ->
      let flag_pn = Layout.page_of_addr dst.bin_anchors.a_flag in
-     Hashtbl.iter
+     Images.Pages.iter
        (fun pn page ->
          if
            (not (is_code_page pn))
            && (not (in_stack_region (Layout.addr_of_page pn)))
            && pn <> flag_pn
          then begin
-           let d = Digest.bytes page in
+           let d = Digest.string page in
            if Plan_cache.memo_page_hit m pn d then begin
              incr memo_page_hits;
              skipped_bytes := !skipped_bytes + Layout.page_size
            end
            else Plan_cache.memo_page_store m pn d
          end)
-       st.pages);
-  let entries, blob = store_to_image st in
+       st.table);
+  let entries =
+    Images.pagemap_of_pages
+      (List.merge
+         (fun (a, _) (b, _) -> Int.compare a b)
+         (List.map (fun (pn, _) -> (pn, true)) (Images.Pages.bindings st.table))
+         (List.map (fun pn -> (pn, false)) (Images.lazy_pages image)))
+  in
   (* VMA list: recompute the code VMAs, keep the rest. *)
   let vmas =
     List.filter
@@ -505,7 +475,7 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
     { Images.is_cores = new_cores;
       is_mm = { image.is_mm with mm_vmas = vmas };
       is_pagemap = entries;
-      is_pages = blob;
+      is_pages = st.table;
       is_files = { Images.fi_app = dst.bin_app; fi_arch = dst_arch } }
   in
   ( image',

@@ -318,26 +318,9 @@ let precopy cfg p ~advance ~max_rounds ~downtime_budget_ms =
    those already crossed the wire during pre-copy rounds, so transfer
    and eager restore charge for the image minus this overlap. *)
 let resident_dump_bytes cfg (is : Images.image_set) =
-  match cfg.cfg_resident_pages with
-  | [] -> 0
-  | resident ->
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun pn -> Hashtbl.replace tbl pn ()) resident;
-    let pages =
-      List.fold_left
-        (fun acc (e : Images.pagemap_entry) ->
-          if not e.pm_in_dump then acc
-          else begin
-            let base = Layout.page_of_addr e.pm_vaddr in
-            let c = ref 0 in
-            for k = 0 to e.pm_npages - 1 do
-              if Hashtbl.mem tbl (base + k) then incr c
-            done;
-            acc + !c
-          end)
-        0 is.Images.is_pagemap
-    in
-    pages * Layout.page_size
+  List.length
+    (List.filter (fun pn -> Images.Pages.mem pn is.Images.is_pages) cfg.cfg_resident_pages)
+  * Layout.page_size
 
 let pause_run (s : ready t) =
   guard s (fun () ->
@@ -448,13 +431,6 @@ let transfer_run (s : recoded t) =
 
 let transfer s = staged Dapper_error.Transfer transfer_run s
 
-let lazy_page_numbers (is : Images.image_set) =
-  List.concat_map
-    (fun (e : Images.pagemap_entry) ->
-      if e.pm_in_dump then []
-      else List.init e.pm_npages (fun k -> Layout.page_of_addr e.pm_vaddr + k))
-    is.Images.is_pagemap
-
 let restore_run (s : transferred t) =
   guard s (fun () ->
       let { sx_pause; sx_image; sx_rewrite; sx_image_bytes } = s.s_state in
@@ -509,13 +485,13 @@ let restore_run (s : transferred t) =
                    | None -> ())
                resident;
            let lazy_left =
-             if resident = [] then lazy_page_numbers sx_image
+             if resident = [] then Images.lazy_pages sx_image
              else
                let res = Hashtbl.create 64 in
                List.iter (fun pn -> Hashtbl.replace res pn ()) resident;
                List.filter
                  (fun pn -> not (Hashtbl.mem res pn))
-                 (lazy_page_numbers sx_image)
+                 (Images.lazy_pages sx_image)
            in
            Ok
              (step s Dapper_error.Restore ~bytes ~ms

@@ -20,12 +20,16 @@ type thread_stack = {
   ts_tls : int64;
 }
 
+(* A frame or slot outside the dump is a failed unwind. *)
+let read_u64 image addr =
+  try Images.read_u64 image addr with Images.Image_error msg -> fail "%s" msg
+
 let read_bytes image addr len =
   let b = Bytes.create len in
   (* read in 8-byte chunks through the image accessor *)
   let full = len / 8 in
   for k = 0 to full - 1 do
-    Bytes.set_int64_le b (k * 8) (Images.read_u64 image (Int64.add addr (Int64.of_int (k * 8))))
+    Bytes.set_int64_le b (k * 8) (read_u64 image (Int64.add addr (Int64.of_int (k * 8))))
   done;
   if len mod 8 <> 0 then fail "live value size %d not a multiple of 8" len;
   Bytes.to_string b
@@ -77,14 +81,14 @@ let unwind_exn image maps ~(anchors : Binary.anchors) (tc : Images.thread_core) 
        (only possible for the innermost, trapped frame). *)
     let ret_addr =
       if arch = Arch.Aarch64 && fm.fm_leaf && innermost && not at_call then ctx.(30)
-      else Images.read_u64 image (Int64.add fp 8L)
+      else read_u64 image (Int64.add fp 8L)
     in
     (* Recover the caller's callee-saved register context from this
        frame's save area, and the caller's frame pointer. *)
     List.iter
-      (fun (r, off) -> ctx.(r) <- Images.read_u64 image (Int64.add fp (Int64.of_int off)))
+      (fun (r, off) -> ctx.(r) <- read_u64 image (Int64.add fp (Int64.of_int off)))
       fm.fm_saved;
-    let caller_fp = Images.read_u64 image fp in
+    let caller_fp = read_u64 image fp in
     if is_bottom ret_addr then List.rev acc
     else
       match Stackmap_index.func_of_addr ix ret_addr with

@@ -43,36 +43,18 @@ let dump_exn ?(lazy_pages = false) (p : Process.t) =
       (fun (pn, kind) -> kind <> Images.Vk_code || List.mem pn pc_pages)
       classified
   in
-  (* Merge consecutive pages with the same dump disposition. *)
-  let entries, dumped_pages =
-    let rec go acc dump_acc = function
-      | [] -> (List.rev acc, List.rev dump_acc)
-      | ((pn, _) as page) :: rest ->
-        let d = in_dump page in
-        let dump_acc = if d then pn :: dump_acc else dump_acc in
-        (match acc with
-         | { Images.pm_vaddr; pm_npages; pm_in_dump } :: acc_rest
-           when pm_in_dump = d
-                && Int64.equal
-                     (Int64.add pm_vaddr (Int64.of_int (pm_npages * Layout.page_size)))
-                     (Layout.addr_of_page pn) ->
-           go ({ Images.pm_vaddr; pm_npages = pm_npages + 1; pm_in_dump = d } :: acc_rest)
-             dump_acc rest
-         | _ ->
-           go
-             ({ Images.pm_vaddr = Layout.addr_of_page pn; pm_npages = 1; pm_in_dump = d }
-              :: acc)
-             dump_acc rest)
-    in
-    go [] [] listed
+  let disposed = List.map (fun ((pn, _) as page) -> (pn, in_dump page)) listed in
+  (* One snapshot of each dumped page. *)
+  let snapshot =
+    List.fold_left
+      (fun acc (pn, d) ->
+        if not d then acc
+        else
+          match Memory.page_contents p.Process.mem pn with
+          | Some data -> Images.Pages.add pn (Bytes.to_string data) acc
+          | None -> fail "page %d vanished" pn)
+      Images.Pages.empty disposed
   in
-  let pages_blob = Buffer.create (List.length dumped_pages * Layout.page_size) in
-  List.iter
-    (fun pn ->
-      match Memory.page_contents p.Process.mem pn with
-      | Some data -> Buffer.add_bytes pages_blob data
-      | None -> fail "page %d vanished" pn)
-    dumped_pages;
   (* VMAs: contiguous same-kind runs over all mapped pages. *)
   let vmas =
     let rec go acc = function
@@ -100,8 +82,8 @@ let dump_exn ?(lazy_pages = false) (p : Process.t) =
   in
   { Images.is_cores = cores;
     is_mm = { Images.mm_brk = p.Process.brk; mm_vmas = vmas };
-    is_pagemap = entries;
-    is_pages = Buffer.contents pages_blob;
+    is_pagemap = Images.pagemap_of_pages disposed;
+    is_pages = snapshot;
     is_files = { Images.fi_app = p.Process.binary.Dapper_binary.Binary.bin_app;
                  fi_arch = p.Process.arch } }
 

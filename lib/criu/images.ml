@@ -24,11 +24,13 @@ type pagemap_entry = {
 
 type files_img = { fi_app : string; fi_arch : Arch.t }
 
+module Pages = Map.Make (Int)
+
 type image_set = {
   is_cores : thread_core list;
   is_mm : mm;
   is_pagemap : pagemap_entry list;
-  is_pages : string;
+  is_pages : string Pages.t;
   is_files : files_img;
 }
 
@@ -136,14 +138,77 @@ let decode_files bytes =
   | Some a -> { fi_app = Proto.get_str fs 1; fi_arch = a }
   | None -> fail "files: bad arch %s" arch_name
 
-let to_files is =
+let pagemap_of_pages pages =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | (pn, d) :: rest ->
+      (match acc with
+       | e :: acc_rest
+         when e.pm_in_dump = d && Layout.page_of_addr e.pm_vaddr + e.pm_npages = pn ->
+         go ({ e with pm_npages = e.pm_npages + 1 } :: acc_rest) rest
+       | _ -> go ({ pm_vaddr = Layout.addr_of_page pn; pm_npages = 1; pm_in_dump = d } :: acc) rest)
+  in
+  go [] pages
+
+(* Page numbers of the dumped ([d] true) or lazy pages, ascending. *)
+let pages_where d pagemap =
+  List.concat_map
+    (fun e ->
+      if e.pm_in_dump <> d then []
+      else List.init e.pm_npages (fun k -> Layout.page_of_addr e.pm_vaddr + k))
+    pagemap
+
+let lazy_pages is = pages_where false is.is_pagemap
+
+(* The named files around a given pages-1.img. *)
+let files_with pages_file is =
   List.map
     (fun tc -> (Printf.sprintf "core-%d.img" tc.tc_tid, encode_core tc))
     is.is_cores
   @ [ ("mm.img", encode_mm is.is_mm);
       ("pagemap.img", encode_pagemap is.is_pagemap);
-      ("pages-1.img", is.is_pages);
+      ("pages-1.img", pages_file);
       ("files.img", encode_files is.is_files) ]
+
+(* pages-1.img: the dumped pages in page order, which is pagemap order. *)
+let to_files is =
+  let b = Bytes.create (Pages.cardinal is.is_pages * Layout.page_size) in
+  ignore
+    (Pages.fold
+       (fun _ page off ->
+         Bytes.blit_string page 0 b off Layout.page_size;
+         off + Layout.page_size)
+       is.is_pages 0);
+  files_with (Bytes.unsafe_to_string b) is
+
+let total_bytes is =
+  List.fold_left
+    (fun acc (_, bytes) -> acc + String.length bytes)
+    (Pages.cardinal is.is_pages * Layout.page_size)
+    (files_with "" is)
+
+(* Untrusted bytes meet the page table's invariant here: entries are
+   page-aligned, hold at least one page, ascend without overlap from
+   address 0 and end by the stack top, and pages-1.img holds exactly the
+   pages they list as dumped. *)
+let check_entry prev_end e =
+  if Layout.page_offset e.pm_vaddr <> 0 then
+    fail "pagemap: entry at 0x%Lx is not page-aligned" e.pm_vaddr;
+  if e.pm_npages < 1 then fail "pagemap: entry at 0x%Lx holds %d pages" e.pm_vaddr e.pm_npages;
+  if Int64.compare e.pm_vaddr prev_end < 0 then
+    fail "pagemap: entry at 0x%Lx starts before 0x%Lx" e.pm_vaddr prev_end;
+  if e.pm_npages > Layout.page_of_addr (Int64.sub Layout.stack_top e.pm_vaddr) then
+    fail "pagemap: entry at 0x%Lx of %d pages ends past the stack top" e.pm_vaddr e.pm_npages;
+  Int64.add e.pm_vaddr (Int64.of_int (e.pm_npages * Layout.page_size))
+
+let split_pages pagemap file =
+  ignore (List.fold_left check_entry 0L pagemap : int64);
+  let dumped = pages_where true pagemap in
+  let n = List.length dumped in
+  if String.length file <> n * Layout.page_size then
+    fail "pages-1.img: %d bytes for %d dumped pages" (String.length file) n;
+  List.mapi (fun i pn -> (pn, String.sub file (i * Layout.page_size) Layout.page_size)) dumped
+  |> List.to_seq |> Pages.of_seq
 
 let parse_files files =
   (* One pass over the file list: hash every image by name (first
@@ -166,10 +231,11 @@ let parse_files files =
   let cores =
     List.sort (fun a b -> Int.compare a.tc_tid b.tc_tid) (List.rev !cores)
   in
+  let pagemap = decode_pagemap (find "pagemap.img") in
   { is_cores = cores;
     is_mm = decode_mm (find "mm.img");
-    is_pagemap = decode_pagemap (find "pagemap.img");
-    is_pages = find "pages-1.img";
+    is_pagemap = pagemap;
+    is_pages = split_pages pagemap (find "pages-1.img");
     is_files = decode_files (find "files.img") }
 
 let of_files files =
@@ -177,131 +243,27 @@ let of_files files =
      other: the decoders' error becomes [Image_error] here. *)
   try parse_files files with Proto.Decode_error msg -> fail "malformed image: %s" msg
 
-let total_bytes is =
-  List.fold_left (fun acc (_, bytes) -> acc + String.length bytes) 0 (to_files is)
-
-let page_offset_linear pagemap target =
-  let rec go entries off =
-    match entries with
-    | [] -> None
-    | e :: rest ->
-      let size = e.pm_npages * Layout.page_size in
-      if e.pm_in_dump then begin
-        let rel = Int64.sub target e.pm_vaddr in
-        if Int64.compare rel 0L >= 0 && Int64.compare rel (Int64.of_int size) < 0 then
-          Some (off + Int64.to_int rel)
-        else go rest (off + size)
-      end
-      else go rest off
-  in
-  go pagemap 0
-
-(* Page-offset index: the pagemap walk above runs once per [read_u64]
-   during unwinding, making address resolution O(pagemap entries). Build
-   an interval map (dumped vaddr range -> cumulative blob offset) once
-   per pagemap and memoize it by physical identity — pagemap lists are
-   immutable and shared by the functional [write_*] updates, so identity
-   survives everything except an actual remap. *)
-let offset_index_capacity = 8
-
-let offset_index_cache :
-    (pagemap_entry list * int Dapper_util.Interval_map.t) list ref =
-  ref []
-
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let build_offset_index pagemap =
-  let off = ref 0 in
-  let triples =
-    List.filter_map
-      (fun e ->
-        if e.pm_in_dump then begin
-          let size = e.pm_npages * Layout.page_size in
-          let t = (e.pm_vaddr, Int64.add e.pm_vaddr (Int64.of_int size), !off) in
-          off := !off + size;
-          Some t
-        end
-        else None)
-      pagemap
-  in
-  Dapper_util.Interval_map.of_list triples
-
-let offset_index pagemap =
-  match List.find_opt (fun (pm, _) -> pm == pagemap) !offset_index_cache with
-  | Some ((_, m) as hit) ->
-    offset_index_cache :=
-      hit :: List.filter (fun (pm, _) -> pm != pagemap) !offset_index_cache;
-    m
-  | None ->
-    let m = build_offset_index pagemap in
-    offset_index_cache := take offset_index_capacity ((pagemap, m) :: !offset_index_cache);
-    m
-
-let page_offset_in_dump is pn =
-  let target = Layout.addr_of_page pn in
-  let m = offset_index is.is_pagemap in
-  if Dapper_util.Interval_map.disjoint m then
-    match Dapper_util.Interval_map.find_interval m target with
-    | Some (lo, _, base) -> Some (base + Int64.to_int (Int64.sub target lo))
-    | None -> None
-  else page_offset_linear is.is_pagemap target
-
-let read_page is pn =
-  match page_offset_in_dump is pn with
-  | Some off -> Some (String.sub is.is_pages off Layout.page_size)
-  | None -> None
+let read_page is pn = Pages.find_opt pn is.is_pages
 
 let write_page is pn data =
   if String.length data <> Layout.page_size then fail "write_page: bad size";
-  match page_offset_in_dump is pn with
-  | None -> fail "write_page: page %d not in dump" pn
-  | Some off ->
-    let b = Bytes.of_string is.is_pages in
-    Bytes.blit_string data 0 b off Layout.page_size;
-    { is with is_pages = Bytes.to_string b }
+  if not (Pages.mem pn is.is_pages) then fail "write_page: page %d not in dump" pn;
+  { is with is_pages = Pages.add pn data is.is_pages }
 
 let read_u64 is addr =
-  let pn = Layout.page_of_addr addr in
-  match page_offset_in_dump is pn with
-  | None -> fail "read_u64: address 0x%Lx not in dump" addr
-  | Some off ->
-    let within = Layout.page_offset addr in
-    if within + 8 > Layout.page_size then begin
-      (* crosses a page boundary: read bytewise *)
-      let byte i =
-        let a = Int64.add addr (Int64.of_int i) in
-        let pn = Layout.page_of_addr a in
-        match page_offset_in_dump is pn with
-        | None -> fail "read_u64: address 0x%Lx not in dump" a
-        | Some o -> Char.code is.is_pages.[o + Layout.page_offset a]
-      in
-      let v = ref 0L in
-      for i = 7 downto 0 do
-        v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (byte i))
-      done;
-      !v
-    end
-    else Dapper_util.Bytebuf.get_i64 is.is_pages (off + within)
-
-let write_u64 is addr value =
-  let pn = Layout.page_of_addr addr in
-  match page_offset_in_dump is pn with
-  | None -> fail "write_u64: address 0x%Lx not in dump" addr
-  | Some off ->
-    let within = Layout.page_offset addr in
-    let b = Bytes.of_string is.is_pages in
-    if within + 8 > Layout.page_size then
-      for i = 0 to 7 do
-        let a = Int64.add addr (Int64.of_int i) in
-        let pn = Layout.page_of_addr a in
-        match page_offset_in_dump is pn with
-        | None -> fail "write_u64: address 0x%Lx not in dump" a
-        | Some o ->
-          Bytes.set b (o + Layout.page_offset a)
-            (Char.chr (Int64.to_int (Int64.shift_right_logical value (8 * i)) land 0xFF))
-      done
-    else Bytes.set_int64_le b (off + within) value;
-    { is with is_pages = Bytes.to_string b }
+  let page a =
+    match Pages.find_opt (Layout.page_of_addr a) is.is_pages with
+    | Some page when Int64.compare a 0L >= 0 -> page
+    | _ -> fail "read_u64: address 0x%Lx not in dump" a
+  in
+  let within = Layout.page_offset addr in
+  if within + 8 <= Layout.page_size then Dapper_util.Bytebuf.get_i64 (page addr) within
+  else begin
+    (* crosses a page boundary: read bytewise *)
+    let v = ref 0L in
+    for i = 7 downto 0 do
+      let a = Int64.add addr (Int64.of_int i) in
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (page a).[Layout.page_offset a]))
+    done;
+    !v
+  end

@@ -7,7 +7,8 @@
     - [mm.img]          — brk and VMA list
     - [pagemap.img]     — which virtual pages are populated, and whether
                           their contents are in the dump or left lazy
-    - [pages-1.img]     — raw page contents (not protobuf)
+    - [pages-1.img]     — raw contents of the dumped pages, in page
+                          order (not protobuf)
     - [files.img]       — the executable identity (app name, architecture)
 
     The Dapper rewriter transforms a serialized image set into another
@@ -37,11 +38,20 @@ type pagemap_entry = {
 
 type files_img = { fi_app : string; fi_arch : Arch.t }
 
+(** Tables keyed by page number. *)
+module Pages : Map.S with type key = int
+
+(** In memory, an image holds its pages in one immutable table; the
+    concatenated [pages-1.img] exists only as the wire file. The table
+    maps each page [is_pagemap] lists as dumped, and no other, to that
+    page's [Layout.page_size] bytes. [Dump.dump], [Rewrite.rewrite] and
+    [of_files] build images that keep this invariant; an image changed
+    by hand must keep it too. *)
 type image_set = {
   is_cores : thread_core list;
   is_mm : mm;
   is_pagemap : pagemap_entry list;
-  is_pages : string;   (** raw contents of dumped pages, in pagemap order *)
+  is_pages : string Pages.t;
   is_files : files_img;
 }
 
@@ -58,23 +68,38 @@ val decode_pagemap : string -> pagemap_entry list
 val encode_files : files_img -> string
 val decode_files : string -> files_img
 
-(** Serialize to the named-file representation (protobuf per file). *)
+(** The pagemap of ascending page numbers, each with its disposition
+    ([true]: in the dump), coalesced into runs of contiguous pages with
+    one disposition. Every pagemap Dump and Rewrite make comes from
+    here. *)
+val pagemap_of_pages : (int * bool) list -> pagemap_entry list
+
+(** Page numbers the pagemap lists as lazy, ascending. *)
+val lazy_pages : image_set -> int list
+
+(** Serialize to the named-file representation (protobuf per file);
+    [pages-1.img] concatenates the table's pages in page order. *)
 val to_files : image_set -> (string * string) list
 
-(** Parse back from files. Raises [Image_error] on malformed input. *)
+(** Parse back from files. Raises [Image_error] on malformed input:
+    malformed protobuf, a missing file, or a pagemap and [pages-1.img]
+    that break the table's invariant: a pagemap entry that is not
+    page-aligned, holds no page, starts before the previous entry ends
+    (or below address 0) or ends past [Layout.stack_top]; or a
+    [pages-1.img] whose length is not [Layout.page_size] times the
+    number of pages listed as dumped. *)
 val of_files : (string * string) list -> image_set
 
-(** Total byte size — the quantity the scp cost model charges. *)
+(** Total byte size of the files — the quantity the scp cost model
+    charges — without concatenating the pages. *)
 val total_bytes : image_set -> int
 
-(** Offset of a page's contents within [is_pages], if dumped. *)
-val page_offset_in_dump : image_set -> int -> int option
-
-(** Convenience: read/overwrite one dumped page. *)
+(** One dumped page's contents. [write_page] replaces a dumped page
+    (raises [Image_error] for a page not in the dump or of the wrong
+    size). *)
 val read_page : image_set -> int -> string option
 val write_page : image_set -> int -> string -> image_set
 
-(** Read/write a 64-bit value inside a dumped page (fails on lazy or
-    unmapped addresses). *)
+(** Read a little-endian 64-bit value inside dumped pages; raises
+    [Image_error] on a lazy or unmapped address. *)
 val read_u64 : image_set -> int64 -> int64
-val write_u64 : image_set -> int64 -> int64 -> image_set

@@ -23,23 +23,15 @@ let restore_exn ?page_source (is : Images.image_set) (binary : Binary.t) =
         fail "thread %d has %d registers, expected %d" tc.tc_tid
           (Array.length tc.tc_regs) Process.reg_count)
     is.is_cores;
-  let mem = Memory.create () in
-  (* Map dumped pages; remember which pages are lazy. *)
   let lazy_pages = Hashtbl.create 64 in
-  let cursor = ref 0 in
-  List.iter
-    (fun (e : Images.pagemap_entry) ->
-      for k = 0 to e.pm_npages - 1 do
-        let pn = Layout.page_of_addr e.pm_vaddr + k in
-        if e.pm_in_dump then begin
-          let data = Bytes.create Layout.page_size in
-          Bytes.blit_string is.is_pages !cursor data 0 Layout.page_size;
-          cursor := !cursor + Layout.page_size;
-          Memory.map_page mem pn data
-        end
-        else Hashtbl.replace lazy_pages pn ()
-      done)
-    is.is_pagemap;
+  List.iter (fun pn -> Hashtbl.replace lazy_pages pn ()) (Images.lazy_pages is);
+  (* Restore lowers the transformation-request flag below, so its page
+     must come with the image, dumped or lazy. *)
+  let flag_pn = Layout.page_of_addr binary.Binary.bin_anchors.a_flag in
+  if not (Images.Pages.mem flag_pn is.is_pages || Hashtbl.mem lazy_pages flag_pn) then
+    fail "page %d, which holds the transformation flag, is neither dumped nor lazy" flag_pn;
+  let mem = Memory.create () in
+  Images.Pages.iter (fun pn data -> Memory.map_page mem pn (Bytes.of_string data)) is.is_pages;
   let threads =
     List.map
       (fun (tc : Images.thread_core) ->

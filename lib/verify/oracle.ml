@@ -429,15 +429,7 @@ let corruption_target (image : Images.image_set) (dst_bin : Binary.t) =
         else None)
       image.Images.is_mm.Images.mm_vmas
   in
-  let dumped =
-    List.concat_map
-      (fun (pm : Images.pagemap_entry) ->
-        if not pm.Images.pm_in_dump then []
-        else
-          List.init pm.Images.pm_npages (fun i ->
-              Layout.page_of_addr pm.Images.pm_vaddr + i))
-      image.Images.is_pagemap
-  in
+  let dumped = List.map fst (Images.Pages.bindings image.Images.is_pages) in
   let observable pn =
     pn <> flag_page
     &&

@@ -1,6 +1,7 @@
 open Dapper_machine
 open Dapper_criu
 open Dapper
+module Layout = Dapper_binary.Layout
 module Link = Dapper_codegen.Link
 
 let check = Alcotest.check
@@ -39,16 +40,35 @@ let test_dump_stats () =
 let test_image_read_write_u64 () =
   let _, p = paused_process () in
   let image = ok (Dump.dump p) in
-  (* find a dumped data page and poke it *)
+  (* two consecutive dumped pages: write through write_page, read back
+     through read_u64 *)
   let e =
-    List.find (fun (e : Images.pagemap_entry) -> e.pm_in_dump) image.Images.is_pagemap
+    List.find
+      (fun (e : Images.pagemap_entry) -> e.pm_in_dump && e.pm_npages >= 2)
+      image.Images.is_pagemap
   in
+  let pn = Layout.page_of_addr e.pm_vaddr in
+  let page pn = Bytes.of_string (Option.get (Images.read_page image pn)) in
+  let first = page pn in
+  Bytes.set_int64_le first 16 0xC0FFEEL;
+  let image' = Images.write_page image pn (Bytes.to_string first) in
   let addr = Int64.add e.pm_vaddr 16L in
-  let image' = Images.write_u64 image addr 0xC0FFEEL in
-  check Alcotest.bool "readback" true (Int64.equal (Images.read_u64 image' addr) 0xC0FFEEL);
-  check Alcotest.bool "others untouched" true
-    (Int64.equal (Images.read_u64 image' (Int64.add addr 8L))
-       (Images.read_u64 image (Int64.add addr 8L)))
+  check Alcotest.int64 "readback" 0xC0FFEEL (Images.read_u64 image' addr);
+  check Alcotest.int64 "others untouched"
+    (Images.read_u64 image (Int64.add addr 8L))
+    (Images.read_u64 image' (Int64.add addr 8L));
+  (* a u64 that straddles the two pages: its low half ends the first,
+     its high half starts the second *)
+  Bytes.set_int32_le first (Layout.page_size - 4) 0x04030201l;
+  let second = page (pn + 1) in
+  Bytes.set_int32_le second 0 0x08070605l;
+  let image'' =
+    Images.write_page
+      (Images.write_page image' pn (Bytes.to_string first))
+      (pn + 1) (Bytes.to_string second)
+  in
+  check Alcotest.int64 "read across the page boundary" 0x0807060504030201L
+    (Images.read_u64 image'' (Int64.sub (Layout.addr_of_page (pn + 1)) 4L))
 
 let test_image_file_errors () =
   let _, p = paused_process () in
@@ -72,9 +92,11 @@ let test_image_file_errors () =
      | exception Images.Image_error _ -> true
      | _ -> false)
 
-(* Malformed protobuf inside one file of an otherwise valid set must
-   surface as [Image_error], the one error [of_files] promises. One case
-   per input, each replacing one file of a tiny well-formed image. *)
+(* Malformed input in an otherwise valid set must surface as
+   [Image_error], the one error [of_files] promises: malformed protobuf
+   in one file, or a pagemap and pages-1.img that break the page
+   table's invariant. Each case replaces one or two files of a tiny
+   well-formed image. *)
 let malformed_image_files =
   let module P = Dapper_proto.Proto in
   let tiny =
@@ -83,19 +105,30 @@ let malformed_image_files =
             tc_regs = Array.make Process.reg_count 1L; tc_pc = 0x1000L; tc_tls = 0L } ];
       is_mm = { Images.mm_brk = 0x2000L; mm_vmas = [] };
       is_pagemap = [];
-      is_pages = "";
+      is_pages = Images.Pages.empty;
       is_files = { Images.fi_app = "tiny"; fi_arch = Dapper_isa.Arch.X86_64 } }
   in
   let core_with_regs n =
     let core = { (List.hd tiny.Images.is_cores) with Images.tc_regs = Array.make n 1L } in
     List.assoc "core-0.img" (Images.to_files { tiny with Images.is_cores = [ core ] })
   in
+  (* a pagemap of (vaddr, pages, in dump) entries and [n] pages of zeros *)
+  let pagemap entries =
+    ( "pagemap.img",
+      Images.encode_pagemap
+        (List.map
+           (fun (pm_vaddr, pm_npages, pm_in_dump) ->
+             { Images.pm_vaddr; pm_npages; pm_in_dump })
+           entries) )
+  in
+  let pages n = ("pages-1.img", String.make (n * Layout.page_size) '\000') in
+  let data = Layout.data_base in
   List.map
-    (fun (what, name, bytes) ->
+    (fun (what, replaced) ->
       Alcotest.test_case ("of_files rejects " ^ what) `Quick (fun () ->
           let files =
             List.map
-              (fun (n, b) -> if n = name then (n, bytes) else (n, b))
+              (fun (n, b) -> (n, Option.value (List.assoc_opt n replaced) ~default:b))
               (Images.to_files tiny)
           in
           check Alcotest.bool what true
@@ -103,14 +136,26 @@ let malformed_image_files =
              | exception Images.Image_error _ -> true
              | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
              | _ -> false)))
-    [ ("a truncated mm.img", "mm.img", "\x08");
-      ( "an mm.img without its brk tag", "mm.img",
-        P.encode
-          [ P.v_msg 2 [ P.v_fix 1 0x1000L; P.v_int 2 1L; P.v_int 3 1L; P.v_int 4 0L ] ] );
-      ( "a core-0.img with a 2^62-byte field", "core-0.img",
-        "\x0a\x80\x80\x80\x80\x80\x80\x80\x80\x40" );
-      ("8 registers in a core-0.img", "core-0.img", core_with_regs 8);
-      ("0 registers in a core-0.img", "core-0.img", core_with_regs 0) ]
+    [ ("a truncated mm.img", [ ("mm.img", "\x08") ]);
+      ( "an mm.img without its brk tag",
+        [ ( "mm.img",
+            P.encode
+              [ P.v_msg 2 [ P.v_fix 1 0x1000L; P.v_int 2 1L; P.v_int 3 1L; P.v_int 4 0L ] ] ) ] );
+      ( "a core-0.img with a 2^62-byte field",
+        [ ("core-0.img", "\x0a\x80\x80\x80\x80\x80\x80\x80\x80\x40") ] );
+      ("8 registers in a core-0.img", [ ("core-0.img", core_with_regs 8) ]);
+      ("0 registers in a core-0.img", [ ("core-0.img", core_with_regs 0) ]);
+      ( "a pages-1.img one byte short",
+        [ pagemap [ (data, 1, true) ];
+          ("pages-1.img", String.make (Layout.page_size - 1) '\000') ] );
+      ("a pages-1.img one page short", [ pagemap [ (data, 2, true) ]; pages 1 ]);
+      ("a pages-1.img one page extra", [ pagemap [ (data, 1, true) ]; pages 2 ]);
+      ( "an overlapping pagemap entry",
+        [ pagemap [ (data, 2, true); (Int64.add data 4096L, 1, true) ]; pages 3 ] );
+      ("a 2^40-page lazy pagemap entry", [ pagemap [ (data, 1 lsl 40, false) ] ]);
+      ( "an unaligned pagemap entry",
+        [ pagemap [ (Int64.add data 8L, 1, true) ]; pages 1 ] );
+      ("an empty pagemap entry", [ pagemap [ (data, 0, true) ] ]) ]
 
 (* An in-memory image never passes through [decode_core], so restore
    checks the register count itself. *)
@@ -152,6 +197,27 @@ let test_registers_round_trip () =
           check Alcotest.int64 (what ^ " pc") (Process.pc th) (Process.pc th'))
         src)
     Dapper_isa.Arch.all
+
+(* Restore lowers the transformation flag in memory. With the flag's
+   page neither dumped nor lazy it cannot, and says so as
+   [Restore_failed] instead of letting the fault handler's [Segfault]
+   out. *)
+let test_restore_without_flag_page () =
+  let c, p = paused_process () in
+  let image = ok (Dump.dump p) in
+  let flag_pn = Layout.page_of_addr c.Link.cp_x86.Dapper_binary.Binary.bin_anchors.a_flag in
+  check Alcotest.bool "flag page dumped" true (Images.Pages.mem flag_pn image.Images.is_pages);
+  let pages = Images.Pages.remove flag_pn image.Images.is_pages in
+  let image =
+    { image with
+      Images.is_pages = pages;
+      is_pagemap =
+        Images.pagemap_of_pages (List.map (fun (pn, _) -> (pn, true)) (Images.Pages.bindings pages)) }
+  in
+  check Alcotest.bool "Restore_failed" true
+    (match Restore.restore image c.Link.cp_x86 with
+     | Error (Dapper_util.Dapper_error.Restore_failed _) -> true
+     | _ -> false)
 
 let test_restore_rejects_wrong_app () =
   let _, p = paused_process () in
@@ -225,4 +291,7 @@ let suites =
           test_restore_rejects_short_context;
         Alcotest.test_case "registers and pc survive dump and restore" `Quick
           test_registers_round_trip ]
-      @ malformed_image_files @ malformed_crit_files ) ]
+      @ malformed_image_files
+      @ [ Alcotest.test_case "restore without the flag's page" `Quick
+            test_restore_without_flag_page ]
+      @ malformed_crit_files ) ]

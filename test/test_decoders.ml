@@ -64,16 +64,30 @@ let test_proto () =
         bytes)
     (proto_files ())
 
+(* A mutant [Images.of_files] accepts goes on to [Restore.restore] and
+   [Rewrite.rewrite] (x86-64 -> aarch64), which may only answer [Ok] or
+   [Error]. *)
 let test_images () =
+  let c = quickstart () in
   let files = image_files () in
+  let answers what f =
+    match f () with
+    | Ok _ | Error _ -> ()
+    | exception e -> failwith (what ^ " raised " ^ Printexc.to_string e)
+  in
   List.iter
     (fun (name, bytes) ->
       survives ~what:name
-        ~typed:(function Images.Image_error _ -> true | _ -> false)
+        ~typed:(fun _ -> false)
         (fun b ->
-          ignore
-            (Images.of_files
-               (List.map (fun (n, v) -> if n = name then (n, b) else (n, v)) files)))
+          match
+            Images.of_files (List.map (fun (n, v) -> if n = name then (n, b) else (n, v)) files)
+          with
+          | exception Images.Image_error _ -> ()
+          | image ->
+            answers "Restore.restore" (fun () -> Restore.restore image c.Link.cp_x86);
+            answers "Rewrite.rewrite" (fun () ->
+                Dapper.Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm))
         bytes)
     files
 
