@@ -225,7 +225,7 @@ let run_trace file =
   | Ok r ->
     Trace.stop ();
     Trace.export ~file;
-    print_endline (Session.cost_report ~stage_histograms:true r);
+    print_endline (Session.cost_report r);
     print_string (Trace.flame_summary ());
     Printf.printf "wrote %s (%d trace events)\n" file
       (List.length (Trace.events ()))

@@ -21,8 +21,7 @@ let recode_flag =
   Arg.(value & flag & info [ "recode" ]
          ~doc:"Also rewrite the image for the other architecture and show the new cores.")
 
-let run bench warm recode =
-  let sp = Registry.find bench in
+let show sp warm recode =
   let c = Registry.compiled sp in
   let p = Process.load c.Link.cp_x86 in
   ignore (Process.run p ~max_instrs:warm);
@@ -49,9 +48,18 @@ let run bench warm recode =
       (Dapper_criu.Images.to_files image')
   end
 
+let run bench warm recode =
+  match Registry.find bench with
+  | exception Invalid_argument _ ->
+    Printf.eprintf "crit: unknown benchmark %S\n%!" bench;
+    1
+  | sp ->
+    show sp warm recode;
+    0
+
 let cmd =
   Cmd.v
     (Cmd.info "crit" ~doc:"Checkpoint a benchmark and decode its CRIU images")
     Term.(const run $ bench_arg $ warm_arg $ recode_flag)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

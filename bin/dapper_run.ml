@@ -32,21 +32,30 @@ let run_one sp arch =
 
 let run bench arch =
   let specs =
-    match bench with Some name -> [ Registry.find name ] | None -> Registry.all ()
+    match bench with
+    | None -> Some (Registry.all ())
+    | Some name -> (try Some [ Registry.find name ] with Invalid_argument _ -> None)
   in
   let arches =
     match arch with
-    | Some s ->
-      (match Arch.of_name s with
-       | Some a -> [ a ]
-       | None -> failwith ("unknown architecture " ^ s))
-    | None -> Arch.all
+    | None -> Some Arch.all
+    | Some s -> Option.map (fun a -> [ a ]) (Arch.of_name s)
   in
-  List.iter (fun sp -> List.iter (run_one sp) arches) specs
+  match (specs, arches) with
+  | None, _ ->
+    Printf.eprintf "dapper_run: unknown benchmark %S\n%!" (Option.get bench);
+    1
+  | _, None ->
+    Printf.eprintf "dapper_run: unknown architecture %S (expected x86-64 or aarch64)\n%!"
+      (Option.get arch);
+    1
+  | Some specs, Some arches ->
+    List.iter (fun sp -> List.iter (run_one sp) arches) specs;
+    0
 
 let cmd =
   Cmd.v
     (Cmd.info "dapper_run" ~doc:"Run benchmarks on the dual-ISA simulator")
     Term.(const run $ bench_arg $ arch_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

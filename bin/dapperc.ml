@@ -30,8 +30,7 @@ let disasm_arg =
   Arg.(value & opt (some string) None & info [ "disasm" ] ~docv:"FUNC"
          ~doc:"Disassemble one function.")
 
-let run bench arch symbols maps disasm =
-  let sp = Registry.find bench in
+let inspect sp arch symbols maps disasm =
   let c = Registry.compiled sp in
   let bin = Link.binary_for c arch in
   Printf.printf "%s for %s: %d bytes of text, %d symbols, %d functions with stack maps\n"
@@ -81,12 +80,20 @@ let run bench arch symbols maps disasm =
             Printf.printf "  0x%Lx: %s\n"
               (Int64.add fm.fm_addr (Int64.of_int off))
               (Minstr.to_string arch ins))
-          (Encoding.decode_all arch code)));
-  ()
+          (Encoding.decode_all arch code)))
+
+let run bench arch symbols maps disasm =
+  match Registry.find bench with
+  | exception Invalid_argument _ ->
+    Printf.eprintf "dapperc: unknown benchmark %S\n%!" bench;
+    1
+  | sp ->
+    inspect sp arch symbols maps disasm;
+    0
 
 let cmd =
   Cmd.v
     (Cmd.info "dapperc" ~doc:"Compile and inspect Dapper dual-ISA binaries")
     Term.(const run $ bench_arg $ arch_arg $ symbols_flag $ maps_flag $ disasm_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

@@ -39,13 +39,6 @@ type t = {
 let find_section b name = List.find_opt (fun s -> s.sec_name = name) b.bin_sections
 let find_symbol b name = List.find_opt (fun s -> s.sym_name = name) b.bin_symbols
 
-let section_of_addr b a =
-  List.find_opt
-    (fun s ->
-      Int64.compare a s.sec_addr >= 0
-      && Int64.compare a (Int64.add s.sec_addr (Int64.of_int (String.length s.sec_data))) < 0)
-    b.bin_sections
-
 let text_size b =
   match find_section b ".text" with
   | Some s -> String.length s.sec_data
@@ -106,8 +99,6 @@ let serialize b =
   Bytebuf.add_i64 buf b.bin_anchors.a_thread_exit_stub;
   Bytebuf.add_i64 buf b.bin_anchors.a_flag;
   Bytebuf.contents buf
-
-let size_bytes b = String.length (serialize b)
 
 module R = Byte_reader
 

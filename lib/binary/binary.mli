@@ -44,17 +44,11 @@ type t = {
   bin_anchors : anchors;
 }
 
-(** Total serialized size in bytes — the unit the scp cost model charges. *)
-val size_bytes : t -> int
-
 (** Size of the executable [.text] section (drives Fig. 9's shuffle cost). *)
 val text_size : t -> int
 
 val find_section : t -> string -> section option
 val find_symbol : t -> string -> symbol option
-
-(** Section containing address [a], if any. *)
-val section_of_addr : t -> int64 -> section option
 
 (** Code bytes for [\[addr, addr+len)], taken from the text section.
     Raises [Invalid_argument] if out of range. *)

@@ -18,9 +18,6 @@ val stack_top : int64
 val stack_region : int
 val max_threads : int
 
-(** TLS blocks are carved out of the TLS region, one per thread. *)
-val tls_block_region : int
-
 val stack_base_of_thread : int -> int64
 val stack_limit_of_thread : int -> int64
 val tls_block_of_thread : int -> int64

@@ -16,7 +16,6 @@ type expr =
   | E_bin of Minstr.binop * expr * expr
   | E_un of Minstr.unop * expr
   | E_deref of expr * Ir.ty
-  | E_deref8 of expr
   | E_idx of expr * expr
   | E_idx8 of expr * expr
   | E_call of string * expr list * Ir.ty
@@ -47,7 +46,6 @@ let lt a b = E_bin (Cmplt, a, b)
 let le a b = E_bin (Cmple, a, b)
 let gt a b = E_bin (Cmpgt, a, b)
 let ge a b = E_bin (Cmpge, a, b)
-let ult a b = E_bin (Cmpult, a, b)
 let fadd a b = E_bin (Fadd, a, b)
 let fsub a b = E_bin (Fsub, a, b)
 let fmul a b = E_bin (Fmul, a, b)
@@ -60,8 +58,6 @@ let sqrt_ a = E_un (Fsqrt, a)
 let i2f a = E_un (Sitofp, a)
 let f2i a = E_un (Fptosi, a)
 let deref p = E_deref (p, Ir.I64)
-let deref_p p = E_deref (p, Ir.Ptr)
-let deref8 p = E_deref8 p
 let idx p e = E_idx (p, e)
 let idx8 p e = E_idx8 (p, e)
 let call name args = E_call (name, args, Ir.I64)
@@ -216,11 +212,6 @@ let rec lower b (e : expr) : Ir.value * Ir.ty =
     let d = new_vreg b ty_ in
     push b (Ir.Load (d, vp));
     (Ir.Vreg d, ty_)
-  | E_deref8 p ->
-    let vp, _ = lower b p in
-    let d = new_vreg b Ir.I64 in
-    push b (Ir.Load8 (d, vp));
-    (Ir.Vreg d, Ir.I64)
   | E_idx (p, e) ->
     let a, _ = lower_index_addr b p e in
     let d = new_vreg b Ir.I64 in

@@ -42,7 +42,6 @@ val lt : expr -> expr -> expr
 val le : expr -> expr -> expr
 val gt : expr -> expr -> expr
 val ge : expr -> expr -> expr
-val ult : expr -> expr -> expr
 
 val fadd : expr -> expr -> expr
 val fsub : expr -> expr -> expr
@@ -57,9 +56,7 @@ val i2f : expr -> expr
 val f2i : expr -> expr
 
 val deref : expr -> expr             (* *p (64-bit) *)
-val deref_p : expr -> expr           (* *p where the loaded value is a pointer *)
 val idx : expr -> expr -> expr       (* p[e] with 8-byte scaling *)
-val deref8 : expr -> expr            (* byte load, zero-extended *)
 val idx8 : expr -> expr -> expr      (* byte load p[e], byte scaling *)
 val call : string -> expr list -> expr
 val callf : string -> expr list -> expr  (* call returning f64 *)

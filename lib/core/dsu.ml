@@ -112,8 +112,3 @@ let update ?(retries = 16) (p : Process.t) ~old_bin ~new_bin =
         Monitor.resume p;
         ignore (Process.run p ~max_instrs:1_000))
       attempt
-
-let update_compiled p ~old_version ~new_version ~arch =
-  update p
-    ~old_bin:(Dapper_codegen.Link.binary_for old_version arch)
-    ~new_bin:(Dapper_codegen.Link.binary_for new_version arch)

@@ -151,5 +151,3 @@ let memo_thread_hit m tid digest =
 
 let memo_thread_store m tid digest patch =
   Hashtbl.replace m.m_threads tid (digest, patch)
-
-let memo_size m = (Hashtbl.length m.m_pages, Hashtbl.length m.m_threads)

@@ -74,9 +74,6 @@ type memo
 
 val create_memo : unit -> memo
 
-(** Empty the memo (entries and environment binding). *)
-val memo_clear : memo -> unit
-
 (** Bind the memo to an environment digest, emptying it first when the
     environment changed; [true] when existing entries remain valid. *)
 val memo_bind : memo -> env:Digest.t -> bool
@@ -85,6 +82,3 @@ val memo_page_hit : memo -> int -> Digest.t -> bool
 val memo_page_store : memo -> int -> Digest.t -> unit
 val memo_thread_hit : memo -> int -> Digest.t -> thread_patch option
 val memo_thread_store : memo -> int -> Digest.t -> thread_patch -> unit
-
-(** [(pages, threads)] currently memoized. *)
-val memo_size : memo -> int * int

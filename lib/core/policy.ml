@@ -8,12 +8,6 @@ type t =
   | Reshuffle of Rng.t
   | Software_update of Binary.t
 
-let describe = function
-  | Identity -> "identity checkpoint/restore"
-  | Cross_isa b -> "cross-ISA migration to " ^ Dapper_isa.Arch.name b.Binary.bin_arch
-  | Reshuffle _ -> "stack re-randomization"
-  | Software_update b -> "software update onto " ^ b.Binary.bin_app
-
 type applied = {
   ap_process : Process.t;
   ap_binary : Binary.t;

@@ -25,8 +25,6 @@ type t =
   | Reshuffle of Rng.t
   | Software_update of Binary.t    (** new version, same architecture *)
 
-val describe : t -> string
-
 type applied = {
   ap_process : Process.t;
   ap_binary : Binary.t;   (** the binary the new process runs under *)

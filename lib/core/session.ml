@@ -171,9 +171,6 @@ let stage_log s = List.rev s.s_log
 let times s = times_of_log s.s_log
 let transfer_stats s = s.s_tx
 
-let stage_ms_name stage = "session.stage_ms." ^ Dapper_error.stage_name stage
-let stage_ms_hist stage = Metrics.histogram (stage_ms_name stage)
-
 let rollback s =
   match s.s_source.Process.exit_code with
   | Some _ -> ()  (* nothing left to resume *)
@@ -198,19 +195,16 @@ let guard s f =
     rollback s;
     err
 
-(* Wrap one staged transition in a trace span and feed the stage's
-   modeled cost into its registry histogram (always recorded, for
-   [stage_histogram_table]); the span only exists while tracing. A
-   span's duration is the stage's charged ms — since the trace clock
-   never moves backwards, a span containing charged sub-work (a lazy
-   restore serving pages, a draining commit) ends at that sub-work's
-   end if it exceeds the stage's own cost. *)
+(* Wrap one staged transition in a trace span; the span only exists
+   while tracing. A span's duration is the stage's charged ms — since
+   the trace clock never moves backwards, a span containing charged
+   sub-work (a lazy restore serving pages, a draining commit) ends at
+   that sub-work's end if it exceeds the stage's own cost. *)
 let staged stage f (s : _ t) =
   Trace.with_span ~cat:"session" (Dapper_error.stage_name stage) (fun cl ->
       match f s with
       | Ok s' as ok ->
         let ms = match s'.s_log with r :: _ -> r.sr_ms | [] -> 0.0 in
-        Metrics.observe (stage_ms_hist stage) ms;
         Trace.set_dur cl (ms *. 1e6);
         ok
       | Error e ->
@@ -637,31 +631,7 @@ let migrate ?(lazy_pages = false) ?recode_on ?bytes_scale ?pipeline ?chunk_bytes
 
 (* ----- reports ----- *)
 
-(* Per-stage cost histograms accumulated by [staged] across every session
-   run since the last [Metrics.reset]. Empty stages are omitted; an empty
-   registry yields just the header. *)
-let stage_histogram_table () =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "stage cost histograms (ms):\n";
-  List.iter
-    (fun stage ->
-      match Metrics.find (stage_ms_name stage) with
-      | Some (Metrics.Histogram h) when Metrics.histogram_count h > 0 ->
-        Buffer.add_string buf
-          (Printf.sprintf "  %-8s n=%-4d sum=%10.2f ms  " (Dapper_error.stage_name stage)
-             (Metrics.histogram_count h) (Metrics.histogram_sum h));
-        Metrics.histogram_buckets h
-        |> List.filter (fun (_, c) -> c > 0)
-        |> List.map (fun (bound, c) ->
-               if bound = infinity then Printf.sprintf "le=inf:%d" c
-               else Printf.sprintf "le=%g:%d" bound c)
-        |> String.concat " " |> Buffer.add_string buf;
-        Buffer.add_char buf '\n'
-      | _ -> ())
-    Dapper_error.[ Pause; Dump; Recode; Transfer; Restore; Commit ];
-  Buffer.contents buf
-
-let cost_report ?(stage_histograms = false) r =
+let cost_report r =
   let t = r.r_times in
   let rw = r.r_rewrite in
   let line =
@@ -677,12 +647,9 @@ let cost_report ?(stage_histograms = false) r =
   in
   (* Memo surfaces only when it did something, keeping the line
      byte-identical for non-memoized runs. *)
-  let line =
-    if rw.Rewrite.st_memo_thread_hits > 0 || rw.Rewrite.st_memo_page_hits > 0 then
-      line
-      ^ Printf.sprintf ", memo %d thread / %d page hits (%d bytes skipped)"
-          rw.Rewrite.st_memo_thread_hits rw.Rewrite.st_memo_page_hits
-          rw.Rewrite.st_skipped_bytes
-    else line
-  in
-  if stage_histograms then line ^ "\n" ^ stage_histogram_table () else line
+  if rw.Rewrite.st_memo_thread_hits > 0 || rw.Rewrite.st_memo_page_hits > 0 then
+    line
+    ^ Printf.sprintf ", memo %d thread / %d page hits (%d bytes skipped)"
+        rw.Rewrite.st_memo_thread_hits rw.Rewrite.st_memo_page_hits
+        rw.Rewrite.st_skipped_bytes
+  else line

@@ -105,7 +105,6 @@ val default_config : src_bin:Binary.t -> dst_bin:Binary.t -> config
 
 val checkpoint_ms : node:Node.t -> bytes:int -> float
 val restore_ms : node:Node.t -> bytes:int -> float
-val lazy_restore_ms : node:Node.t -> float
 
 (** [recode_ns node ~bytes stats] models the state rewrite: per-work-item
     and per-byte costs scaled by the node architecture's measured recode
@@ -180,11 +179,6 @@ val total_ms : phase_times -> float
     lazy restore, commit). Explicit byte accounting lets the overlap
     math and the sequential totals be reconciled from the log alone. *)
 type stage_record = { sr_stage : Dapper_error.stage; sr_ms : float; sr_bytes : int }
-
-(** Fold a stage log into the classic four-phase breakdown (pause and
-    dump both contribute to the checkpoint phase; commit contributes to
-    the restore phase). *)
-val times_of_log : stage_record list -> phase_times
 
 (** {1 The session state machine} *)
 
@@ -347,12 +341,5 @@ val migrate :
 
 (** One-line migration cost report: phase times plus the index and
     rewrite-plan-cache counters of {!Rewrite.stats}; when the run used a
-    recode memo that hit, an extra memo clause. With [stage_histograms],
-    appends {!stage_histogram_table}. *)
-val cost_report : ?stage_histograms:bool -> outcome -> string
-
-(** Plain-text table of the per-stage cost histograms
-    ([session.stage_ms.<stage>] in the {!Dapper_obs.Metrics} registry),
-    accumulated over every session run since the last registry reset.
-    Stages never run are omitted. *)
-val stage_histogram_table : unit -> string
+    recode memo that hit, an extra memo clause. *)
+val cost_report : outcome -> string

@@ -146,10 +146,8 @@ let encode_file name json =
     | "files.img" -> Images.encode_files (files_of_json json)
     | _ -> fail "unknown image file %s" name
 
-let decode_set is =
-  List.map (fun (name, bytes) -> (name, decode_file name bytes)) (Images.to_files is)
-
 let show is =
-  decode_set is
-  |> List.map (fun (name, j) -> Printf.sprintf "=== %s ===\n%s" name (Json.to_string j))
+  Images.to_files is
+  |> List.map (fun (name, bytes) ->
+         Printf.sprintf "=== %s ===\n%s" name (Json.to_string (decode_file name bytes)))
   |> String.concat "\n"

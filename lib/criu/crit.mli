@@ -17,8 +17,7 @@ val decode_file : string -> string -> Json.t
 (** [encode_file name json] re-encodes; inverse of [decode_file]. *)
 val encode_file : string -> Json.t -> string
 
-(** Whole-set conversions. JSON side: object mapping file name to
-    document; pages files are represented as [{"raw_len": n}] and carried
-    out-of-band. *)
-val decode_set : Images.image_set -> (string * Json.t) list
+(** [show set] decodes every file of the set, each under a
+    [=== name ===] header; pages files are represented as
+    [{"raw_len": n}]. *)
 val show : Images.image_set -> string

@@ -74,8 +74,11 @@ let restore_exn ?page_source (is : Images.image_set) (binary : Binary.t) =
     end
   in
   Memory.set_fault_handler mem (Some handler);
-  (* Drop the transformation-request flag so checkers do not re-trap. *)
-  Memory.write_u64 mem binary.Binary.bin_anchors.a_flag 0L;
+  (* Drop the transformation-request flag so checkers do not re-trap. A
+     lazy flag page that the page source cannot serve fails the restore. *)
+  (try Memory.write_u64 mem binary.Binary.bin_anchors.a_flag 0L
+   with Memory.Segfault _ ->
+     fail "page %d, which holds the transformation flag, could not be fetched" flag_pn);
   p
 
 let restore ?page_source is binary =

@@ -6,7 +6,9 @@
     is exactly why Dapper's rewriter exists.
 
     [page_source] serves lazily-migrated pages on first access (the page
-    server client); omit it for a vanilla (fully-copied) restore. *)
+    server client); omit it for a vanilla (fully-copied) restore. Restore
+    itself clears the transformation flag, so a lazy image whose flag
+    page [page_source] cannot serve is a [Restore_failed] too. *)
 
 open Dapper_util
 open Dapper_binary

@@ -60,16 +60,11 @@ type scenario = {
   sc_bad_until_ms : float;
 }
 
-(** Is [rack] inside its bad window at [now_ms]? *)
-val rack_bad : scenario -> rack:int -> now_ms:float -> bool
-
 (** How far a run fell back from a free choice of mechanism: [Full],
     the budget picker chose; [Hybrid_only], a deadline cancel pinned
     hybrid pre+post-copy, the minimum-blackout mechanism; [Postponed],
     every breaker was open and the run waited before trying again. *)
 type rung = Full | Hybrid_only | Postponed
-
-val rung_name : rung -> string
 
 (** The copy mechanism a rung pins, [None] when the budget picker
     decides. *)
@@ -139,8 +134,6 @@ type summary = {
   y_all : Dapper_traffic.Sketch.t;
   y_during : Dapper_traffic.Sketch.t;
 }
-
-val summarize : control:bool -> run list -> summary
 
 (** [sweep cfg scfg ~fresh ~seeds ~seed0] — seeds [seed0, seed0+1, ...]
     in order, plus their summary. *)

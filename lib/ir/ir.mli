@@ -14,7 +14,6 @@ open Dapper_isa
 
 type ty = I64 | F64 | Ptr
 
-val pp_ty : Format.formatter -> ty -> unit
 val ty_equal : ty -> ty -> bool
 
 type vreg = int
@@ -99,6 +98,3 @@ val liveness : func -> vreg list array array
 
 (** [block_live_in f] returns the vregs live at the entry of each block. *)
 val block_live_in : func -> vreg list array
-
-val pp_func : Format.formatter -> func -> unit
-val pp_modul : Format.formatter -> modul -> unit

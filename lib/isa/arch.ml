@@ -63,10 +63,6 @@ let tls_offset = function
   | X86_64 -> 16 (* FS base points past a 16-byte TCB header *)
   | Aarch64 -> 0 (* TPIDR_EL0 points at the block start *)
 
-let clock_ghz = function
-  | X86_64 -> 2.1 (* Xeon E5-2620 v4 *)
-  | Aarch64 -> 1.5 (* Cortex-A72 *)
-
 let recode_slowdown = function
   | X86_64 -> 1.0
   | Aarch64 -> 3.96 (* 1004.91 / 253.69 from the paper's Fig. 5 discussion *)

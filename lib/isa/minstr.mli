@@ -46,9 +46,6 @@ type t =
   | Syscall of int                   (** architecture-specific number *)
   | Nop
 
-val binop_name : binop -> string
-val unop_name : unop -> string
-
 val pp : Arch.t -> Format.formatter -> t -> unit
 val to_string : Arch.t -> t -> string
 
@@ -56,6 +53,3 @@ val to_string : Arch.t -> t -> string
     effects of call/ret/adjust_sp). *)
 val uses : Arch.t -> t -> reg list
 val defs : Arch.t -> t -> reg list
-
-(** True for instructions that end a basic block. *)
-val is_terminator : t -> bool

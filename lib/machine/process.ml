@@ -354,19 +354,6 @@ let snapshot_to_string s =
 let peek_data t addr = Memory.read_u64 t.mem addr
 let poke_data t addr v = Memory.write_u64 t.mem addr v
 
-let stop_thread t tid =
-  let th = thread t tid in
-  match th.status with
-  | Exited _ -> ()
-  | Runnable | Blocked_join _ | Blocked_lock _ | Trapped | Stopped ->
-    th.status <- Stopped
-
-let resume_thread t tid =
-  let th = thread t tid in
-  match th.status with
-  | Trapped | Stopped -> th.status <- Runnable
-  | Runnable | Blocked_join _ | Blocked_lock _ | Exited _ -> ()
-
 (* ----- interpreter ----- *)
 
 (* The only place a pc is decoded. *)

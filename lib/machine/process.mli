@@ -179,8 +179,6 @@ val observe_pages : t -> (vma_kind * int * int64) list
 
 val peek_data : t -> int64 -> int64
 val poke_data : t -> int64 -> int64 -> unit
-val stop_thread : t -> int -> unit
-val resume_thread : t -> int -> unit
 
 (** Raw single-step of one thread (used by tests and the monitor). *)
 val step_thread : t -> thread -> unit

@@ -34,6 +34,3 @@ val exec_ns : t -> int64 -> float
 
 (** Average power drawn with [busy] cores active. *)
 val power_w : t -> busy:int -> float
-
-(** Time to stream [bytes] through the node's memory system. *)
-val mem_ns : t -> int -> float

@@ -29,14 +29,9 @@ val add : t -> float -> unit
 
 val count : t -> int
 
-(** Exact extremes of the values added; [nan] while empty. *)
-val min_value : t -> float
-
-val max_value : t -> float
-
 (** [quantile t q] for [q] in [0, 1]: the bucket midpoint estimate of
     the nearest-rank q-quantile (rank [max 1 (ceil (q * count))]),
-    clamped into [[min_value, max_value]]. Raises [Invalid_argument] if
+    clamped into the exact range of the values added. Raises [Invalid_argument] if
     [q] is outside [0, 1] {e or if the sketch is empty} — an empty
     window has no quantiles, and the old silent [nan] leaked into
     fingerprint lines as [p50=nan]. Callers that can legitimately see

@@ -37,33 +37,6 @@ let get_i64 s off =
   done;
   !v
 
-(* Buffer has no in-place mutation; rebuild via to_bytes once would be slow,
-   so we keep a Bytes view trick: Buffer does not expose it, so we implement
-   patching by copying out, patching, and re-adding. Patch targets are rare
-   (branch fixups during emission), so emitters instead reserve and rewrite
-   through these helpers that operate on the final byte image. *)
-let patch buf off bytes =
-  let s = Buffer.to_bytes buf in
-  Bytes.blit_string bytes 0 s off (String.length bytes);
-  Buffer.clear buf;
-  Buffer.add_bytes buf s
-
-let patch_u8 buf off v = patch buf off (String.make 1 (Char.chr (v land 0xFF)))
-
-let patch_u32 buf off v =
-  let b = Bytes.create 4 in
-  for i = 0 to 3 do
-    Bytes.set b i (Char.chr ((v lsr (8 * i)) land 0xFF))
-  done;
-  patch buf off (Bytes.to_string b)
-
-let patch_i64 buf off v =
-  let b = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set b i (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF))
-  done;
-  patch buf off (Bytes.to_string b)
-
 (* FNV-1a (64-bit). The canonical content digest of the tree: image
    files, page payloads and transfer manifests all hash with it, so a
    checksum computed on one side of a link is comparable on the other.

@@ -26,12 +26,6 @@ val get_u16 : string -> int -> int
 val get_u32 : string -> int -> int
 val get_i64 : string -> int -> int64
 
-(** In-place patching of already-emitted bytes. *)
-
-val patch_u8 : t -> int -> int -> unit
-val patch_u32 : t -> int -> int -> unit
-val patch_i64 : t -> int -> int64 -> unit
-
 (** {1 Content checksums}
 
     FNV-1a (64-bit) — the tree's canonical content digest, used for

@@ -22,8 +22,6 @@ type site =
   | Dest_restore    (** destination materialization / pre-ack failure *)
   | Dest_node       (** a fleet destination node, mid-eviction *)
 
-val site_name : site -> string
-
 (** What strikes. [Corrupt salt] carries seed material the consumer uses
     to pick the byte to flip ({!corrupt_byte}); [Delay ns] charges extra
     simulated-clock latency; [Crash] is a node-level loss. *)
@@ -32,8 +30,6 @@ type action =
   | Corrupt of int64
   | Delay of float
   | Crash
-
-val action_name : action -> string
 
 (** Per-site-class fault probabilities. Payload sites (transfer chunks,
     page fetches) draw one of drop/corrupt/delay; node sites draw crash

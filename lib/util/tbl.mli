@@ -1,9 +1,5 @@
 (** Plain-text table rendering for benchmark and experiment reports. *)
 
-(** [render ~title ~header rows] lays out [rows] under [header] with
-    column widths fitted to the data. *)
-val render : title:string -> header:string list -> string list list -> string
-
 (** [print ~title ~header rows] renders and writes to stdout. *)
 val print : title:string -> header:string list -> string list list -> unit
 

@@ -70,9 +70,6 @@ val run_report_to_string : run_report -> string
 val failure_to_string : failure -> string
 val summary_to_string : summary -> string
 
-(** Dynamic equivalence points reachable by [bin], capped (default 6). *)
-val probe_points : ?cap:int -> budget:int -> Dapper_binary.Binary.t -> int
-
 (** One seeded chaos run of [c], migrating [src]→[dst] under [spec].
     Defaults: [fuel] 50M, [budget] 50M. With [pipeline], the transfer
     stage streams the image in page-sized chunks

@@ -170,6 +170,18 @@ let compare_snapshots ~point ~snapshots ~what ?(prefix = "") sa sb =
 
 (* ----- the oracle ----- *)
 
+let session_config ~budget ~src_bin ~dst_bin =
+  { (Session.default_config ~src_bin ~dst_bin) with Session.cfg_pause_budget = budget }
+
+(* One whole session over a source already parked at [point], so the
+   session's own pause finds every thread stopped there; the migrated
+   process, or a [Fail] naming the stage that failed. *)
+let migrated ~point cfg p =
+  match Session.run cfg p with
+  | Ok s -> (Session.finish s).Session.r_process
+  | Error e ->
+    fail point "%s failed: %s" (Derr.stage_name (Derr.stage_of e)) (Derr.to_string e)
+
 let run ?(fuel = 50_000_000) ?(budget = 50_000_000) ?(max_points = max_int) ~src ~dst
     (c : Link.compiled) =
   let src_bin = Link.binary_for c src and dst_bin = Link.binary_for c dst in
@@ -212,24 +224,11 @@ let run ?(fuel = 50_000_000) ?(budget = 50_000_000) ?(max_points = max_int) ~src
       let p = Process.load src_bin in
       if not (advance_to_point p ~budget k) then
         fail k "source exited before reaching point %d on replay" k;
-      let cfg =
-        { (Session.default_config ~src_bin ~dst_bin) with Session.cfg_pause_budget = budget }
-      in
-      let step what = function
-        | Ok s -> s
-        | Error e -> fail k "%s failed: %s" what (Derr.to_string e)
-      in
-      (* the source is already parked at point k, so the session's own
-         pause finds every thread stopped there *)
-      let s = Session.start cfg p in
-      let s = step "pause" (Session.pause s) in
+      let q = migrated ~point:k (session_config ~budget ~src_bin ~dst_bin) p in
+      (* a committed session leaves the source paused, dump writes no
+         source memory, and [observe] masks the flag word pause sets: this
+         is the source's state at the pause *)
       let snap_src = Process.observe p in
-      let s = step "dump" (Session.dump s) in
-      let s = step "recode" (Session.recode s) in
-      let s = step "transfer" (Session.transfer s) in
-      let s = step "restore" (Session.restore s) in
-      let s = step "commit" (Session.commit s) in
-      let q = (Session.finish s).Session.r_process in
       incr migrations;
       let prefix = snap_src.Process.sn_stdout in
       compare_snapshots ~point:k ~snapshots ~what:"restored vs paused source" ~prefix
@@ -311,9 +310,7 @@ let run_capturing ~point cfg p =
 let check_fastpaths ?(budget = 50_000_000) ?(points = 3) ~src ~dst
     (c : Link.compiled) =
   let src_bin = Link.binary_for c src and dst_bin = Link.binary_for c dst in
-  let base_cfg =
-    { (Session.default_config ~src_bin ~dst_bin) with Session.cfg_pause_budget = budget }
-  in
+  let base_cfg = session_config ~budget ~src_bin ~dst_bin in
   let memo = Plan_cache.create_memo () in
   let checked = ref 0 and thr_hits = ref 0 and page_hits = ref 0 in
   let saved = ref 0.0 in
@@ -464,19 +461,7 @@ let check_shadow ?(budget = 50_000_000) ?(max_points = 3) ?(corrupt = true) ~src
     in
     for k = 0 to points - 1 do
       (* a clean migration's destination must shadow-replay to MATCH *)
-      let p = parked k in
-      let cfg =
-        { (Session.default_config ~src_bin ~dst_bin) with
-          Session.cfg_pause_budget = budget }
-      in
-      let s = Session.start cfg p in
-      let s = step k "pause" (Session.pause s) in
-      let s = step k "dump" (Session.dump s) in
-      let s = step k "recode" (Session.recode s) in
-      let s = step k "transfer" (Session.transfer s) in
-      let s = step k "restore" (Session.restore s) in
-      let s = step k "commit" (Session.commit s) in
-      let q = (Session.finish s).Session.r_process in
+      let q = migrated ~point:k (session_config ~budget ~src_bin ~dst_bin) (parked k) in
       (match (Shadow.check ~budget ~log ~from_point:k q).Shadow.sh_verdict with
       | Shadow.Match -> incr clean
       | Shadow.Diverged d ->

@@ -14,8 +14,6 @@ type spec = {
 val all : unit -> spec list
 
 (** Subsets used by individual experiments. *)
-val npb_a : unit -> spec list
-val npb_b : unit -> spec list
 val parsec : unit -> spec list
 
 val find : string -> spec

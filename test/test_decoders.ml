@@ -44,14 +44,14 @@ let survives ~what ~typed decode input =
 
 let quickstart () = Option.get (Dapper_verify.Corpus.find "mini-quickstart")
 
-let image_files () =
+let image_files ?lazy_pages () =
   let c = quickstart () in
   let p = Process.load c.Link.cp_x86 in
   ignore (Process.run p ~max_instrs:2_000);
   (match Dapper.Monitor.request_pause p ~budget:1_000_000 with
    | Ok _ -> ()
    | Error e -> Alcotest.fail (Dapper.Monitor.error_to_string e));
-  Images.to_files (Dapper_util.Dapper_error.ok_exn (Dump.dump p))
+  Images.to_files (Dapper_util.Dapper_error.ok_exn (Dump.dump ?lazy_pages p))
 
 let proto_files () = List.filter (fun (name, _) -> name <> "pages-1.img") (image_files ())
 
@@ -66,10 +66,12 @@ let test_proto () =
 
 (* A mutant [Images.of_files] accepts goes on to [Restore.restore] and
    [Rewrite.rewrite] (x86-64 -> aarch64), which may only answer [Ok] or
-   [Error]. *)
-let test_images () =
+   [Error]. A lazy image's mutants are restored with a page source that
+   serves no page. *)
+let test_images ~lazy_pages () =
   let c = quickstart () in
-  let files = image_files () in
+  let files = image_files ~lazy_pages () in
+  let page_source = if lazy_pages then Some (fun _ -> None) else None in
   let answers what f =
     match f () with
     | Ok _ | Error _ -> ()
@@ -85,7 +87,8 @@ let test_images () =
           with
           | exception Images.Image_error _ -> ()
           | image ->
-            answers "Restore.restore" (fun () -> Restore.restore image c.Link.cp_x86);
+            answers "Restore.restore" (fun () ->
+                Restore.restore ?page_source image c.Link.cp_x86);
             answers "Rewrite.rewrite" (fun () ->
                 Dapper.Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm))
         bytes)
@@ -133,7 +136,10 @@ let test_stackmap () =
 let suites =
   [ ( "decoders",
       [ Alcotest.test_case "Proto.decode, each image file" `Quick test_proto;
-        Alcotest.test_case "Images.of_files, each file mutated" `Quick test_images;
+        Alcotest.test_case "Images.of_files, each file mutated" `Quick
+          (test_images ~lazy_pages:false);
+        Alcotest.test_case "Images.of_files, each lazy file mutated" `Quick
+          (test_images ~lazy_pages:true);
         Alcotest.test_case "Crit.decode_file, each protobuf file" `Quick test_crit;
         Alcotest.test_case "Replay.Log.decode" `Quick test_replay_log;
         Alcotest.test_case "Binary.deserialize, both ISAs" `Quick test_binary;
