@@ -67,29 +67,30 @@ let inspect sp arch symbols maps disasm =
           fm.fm_eqpoints)
       bin.bin_stackmaps
   end;
-  (match disasm with
-   | None -> ()
-   | Some fn ->
-     (match Stackmap.find_func bin.bin_stackmaps fn with
-      | None -> Printf.eprintf "no function %s\n" fn
-      | Some fm ->
-        Printf.printf "disassembly of %s:\n" fn;
-        let code = Binary.code_bytes bin fm.fm_addr fm.fm_code_size in
-        List.iter
-          (fun (off, ins) ->
-            Printf.printf "  0x%Lx: %s\n"
-              (Int64.add fm.fm_addr (Int64.of_int off))
-              (Minstr.to_string arch ins))
-          (Encoding.decode_all arch code)))
+  match disasm with
+  | None -> 0
+  | Some fn ->
+    (match Stackmap.find_func bin.bin_stackmaps fn with
+     | None ->
+       Printf.eprintf "dapperc: no function %S in %s\n%!" fn bin.Binary.bin_app;
+       1
+     | Some fm ->
+       Printf.printf "disassembly of %s:\n" fn;
+       let code = Binary.code_bytes bin fm.fm_addr fm.fm_code_size in
+       List.iter
+         (fun (off, ins) ->
+           Printf.printf "  0x%Lx: %s\n"
+             (Int64.add fm.fm_addr (Int64.of_int off))
+             (Minstr.to_string arch ins))
+         (Encoding.decode_all arch code);
+       0)
 
 let run bench arch symbols maps disasm =
   match Registry.find bench with
   | exception Invalid_argument _ ->
     Printf.eprintf "dapperc: unknown benchmark %S\n%!" bench;
     1
-  | sp ->
-    inspect sp arch symbols maps disasm;
-    0
+  | sp -> inspect sp arch symbols maps disasm
 
 let cmd =
   Cmd.v

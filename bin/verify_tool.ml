@@ -154,25 +154,29 @@ let run_fastpath points =
 (* ----- chaos runs ----- *)
 
 let run_chaos seeds prob verbose pipeline mechanism =
-  let spec = Dapper_util.Fault.uniform prob in
-  let progress r =
-    if verbose then print_endline (Dapper_verify.Chaos.run_report_to_string r)
-  in
-  let tag =
-    (if pipeline then " (pipelined)" else "")
-    ^ match mechanism with
-      | None -> ""
-      | Some m -> " [" ^ Dapper_traffic.Budget.mechanism_name m ^ "]"
-  in
-  match Dapper_verify.Chaos.sweep ~pipeline ?mechanism ~progress ~spec ~seeds () with
-  | Ok s ->
-    Printf.printf "chaos p=%g%s: %s\n%!" prob tag
-      (Dapper_verify.Chaos.summary_to_string s);
-    true
-  | Error f ->
-    Printf.printf "chaos p=%g%s FAILED %s\n%!" prob tag
-      (Dapper_verify.Chaos.failure_to_string f);
+  match Dapper_util.Fault.uniform prob with
+  | exception Invalid_argument _ ->
+    Printf.eprintf "verify: fault probability %g is outside [0,1]\n%!" prob;
     false
+  | spec ->
+    let progress r =
+      if verbose then print_endline (Dapper_verify.Chaos.run_report_to_string r)
+    in
+    let tag =
+      (if pipeline then " (pipelined)" else "")
+      ^ match mechanism with
+        | None -> ""
+        | Some m -> " [" ^ Dapper_traffic.Budget.mechanism_name m ^ "]"
+    in
+    (match Dapper_verify.Chaos.sweep ~pipeline ?mechanism ~progress ~spec ~seeds () with
+     | Ok s ->
+       Printf.printf "chaos p=%g%s: %s\n%!" prob tag
+         (Dapper_verify.Chaos.summary_to_string s);
+       true
+     | Error f ->
+       Printf.printf "chaos p=%g%s FAILED %s\n%!" prob tag
+         (Dapper_verify.Chaos.failure_to_string f);
+       false)
 
 (* Recovery-rate and added-latency table over a range of fault
    probabilities (the EXPERIMENTS.md "Fault injection & recovery"

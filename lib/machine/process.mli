@@ -163,8 +163,8 @@ type snapshot = {
 val observe : t -> snapshot
 
 (** ISA-independent state equivalence: data/heap/TLS digests, brk and
-    live-thread count. Output and exit status are compared separately by
-    the oracle because a migrated twin restarts with empty stdout. *)
+    live-thread count. Output and exit status are compared separately
+    because a migrated twin restarts with empty stdout. *)
 val state_equal : snapshot -> snapshot -> bool
 
 val snapshot_to_string : snapshot -> string

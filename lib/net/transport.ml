@@ -23,10 +23,12 @@ let m_tx_attempts = Dapper_obs.Metrics.counter "transport.tx.attempts"
 
 type retry = {
   r_attempts : int;
-  r_backoff_ns : float;
-  r_multiplier : float;
   r_jitter : Rng.t option;
 }
+
+(* The first retry's backoff, doubling for each retry after it. *)
+let backoff0_ns = 2.0e6
+let backoff_multiplier = 2.0
 
 type kind = Scp | Page_server
 
@@ -53,14 +55,11 @@ let degraded ~factor t =
     t_name = Printf.sprintf "%s (degraded x%g)" t.t_name factor;
     t_cost_factor = t.t_cost_factor *. factor }
 
-let retrying ?(attempts = 4) ?(backoff_ns = 2.0e6) ?(multiplier = 2.0) ?jitter t =
+let retrying ?(attempts = 4) ?jitter t =
   if attempts < 1 then invalid_arg "Transport.retrying: attempts < 1";
-  if multiplier < 1.0 then invalid_arg "Transport.retrying: multiplier < 1.0";
   { t with
     t_name = Printf.sprintf "retrying[%d](%s)" attempts t.t_name;
-    t_retry = Some { r_attempts = attempts; r_backoff_ns = backoff_ns;
-                     r_multiplier = multiplier;
-                     r_jitter = Option.map Rng.create jitter } }
+    t_retry = Some { r_attempts = attempts; r_jitter = Option.map Rng.create jitter } }
 
 let name t = t.t_name
 let link t = t.t_link
@@ -78,7 +77,7 @@ let backoff_ns t k =
   match t.t_retry with
   | None -> 0.0
   | Some r ->
-    let base = r.r_backoff_ns *. (r.r_multiplier ** float_of_int k) in
+    let base = backoff0_ns *. (backoff_multiplier ** float_of_int k) in
     (match r.r_jitter with
      | None -> base
      | Some rng -> base *. (0.5 +. Rng.float rng))
@@ -93,10 +92,10 @@ let backoff_ns t k =
 let total_backoff_ns t ~failures =
   match t.t_retry with
   | None -> 0.0
-  | Some r ->
+  | Some _ ->
     let rec go k acc =
       if k >= failures - 1 then acc
-      else go (k + 1) (acc +. (r.r_backoff_ns *. (r.r_multiplier ** float_of_int k)))
+      else go (k + 1) (acc +. (backoff0_ns *. (backoff_multiplier ** float_of_int k)))
     in
     if failures <= 1 then 0.0 else go 0 0.0
 

@@ -70,18 +70,15 @@ val page_server : Link.t -> t
 val degraded : factor:float -> t -> t
 
 (** [retrying t] arms bounded retransmission: up to [attempts] tries per
-    transfer / per page (default 4), with [backoff_ns] (default 2 ms)
-    growing by [multiplier] (default 2.0) between tries, charged to the
-    simulated clock. [jitter] seeds a decorrelation stream: each charged
-    backoff is the exponential envelope scaled by a seeded uniform
-    factor in [0.5, 1.5), so retries from transports armed with
-    different seeds never resynchronize while the whole schedule stays
-    replayable from the seed. Without [jitter] the backoff is the exact
-    deterministic doubling as before. Raises [Invalid_argument] for
-    [attempts < 1] or [multiplier < 1.0]. *)
-val retrying :
-  ?attempts:int -> ?backoff_ns:float -> ?multiplier:float -> ?jitter:int64 ->
-  t -> t
+    transfer / per page (default 4), with a 2 ms backoff that doubles
+    between tries, charged to the simulated clock. [jitter] seeds a
+    decorrelation stream: each charged backoff is the exponential
+    envelope scaled by a seeded uniform factor in [0.5, 1.5), so retries
+    from transports armed with different seeds never resynchronize
+    while the whole schedule stays replayable from the seed. Without
+    [jitter] the backoff is the exact deterministic doubling. Raises
+    [Invalid_argument] for [attempts < 1]. *)
+val retrying : ?attempts:int -> ?jitter:int64 -> t -> t
 
 val name : t -> string
 val link : t -> Link.t
@@ -95,7 +92,7 @@ val attempts : t -> int
 
 (** [total_backoff_ns t ~failures] is the closed-form total backoff a
     jitter-free transfer that failed [failures] times must have been
-    charged: [sum_{k=0}^{failures-2} backoff * multiplier^k] — one
+    charged: [sum_{k=0}^{failures-2} 2 ms * 2^k] — one
     backoff per retry, none after the final attempt. With jitter armed
     it is the envelope center: the actual charge lies within
     [0.5, 1.5) of this value. The accounting invariant the

@@ -45,7 +45,12 @@ let check ?(budget = default_budget) ~(log : Log.t) ~from_point (q : Process.t) 
           try Log.point log from_point
           with Log.Log_error e -> diverge ~point:from_point ~kind:"log" "%s" e
         in
-        let prefix_len = eq0.Log.eq_stdout_len in
+        (* the recorded stdout [q] did not print itself: all of it for a
+           restored twin, which restarts with an empty buffer; none for
+           a source resumed in place *)
+        let prefix_len =
+          max 0 (eq0.Log.eq_stdout_len - String.length (Process.stdout_contents q))
+        in
         seek_past c from_point;
         (* anchor 0: the restored state itself must be the recorded one *)
         compare_point ~log ~prefix_len eq0 q;

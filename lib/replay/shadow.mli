@@ -14,11 +14,14 @@
     the anchor (and pages) where the migrated twin's state function
     first departs from the recorded one.
 
-    [q] must be freshly restored (threads [Runnable], parked at the
-    resume address of anchor [from_point]): the first monitor pause then
+    [q] must be freshly restored, or a source resumed in place after a
+    rolled-back migration (threads [Runnable], parked at the resume
+    address of anchor [from_point]): the first monitor pause then
     advances it to anchor [from_point + 1], keeping the shadow walk
-    aligned with the recorder's. Cross-ISA shadows (the normal case — a
-    migration changes ISA) skip the recording's scheduler slices;
+    aligned with the recorder's. Its stdout buffer is taken as the tail
+    of the recorded output at that anchor — empty for a restored twin,
+    all of it for a resumed source. Cross-ISA shadows (the normal case —
+    a migration changes ISA) skip the recording's scheduler slices;
     same-ISA shadows validate them too. *)
 
 open Dapper_isa

@@ -2,7 +2,6 @@ open Dapper_isa
 open Dapper_machine
 module Link = Dapper_codegen.Link
 module Session = Dapper.Session
-module Monitor = Dapper.Monitor
 module Transport = Dapper_net.Transport
 module Netlink = Dapper_net.Link
 module Fault = Dapper_util.Fault
@@ -12,6 +11,7 @@ module Trace = Dapper_obs.Trace
 module Budget = Dapper_traffic.Budget
 module Replayer = Dapper_replay.Replayer
 module Shadow = Dapper_replay.Shadow
+module Log = Dapper_replay.Log
 
 type verdict = Committed | Rolled_back of Derr.t
 
@@ -36,7 +36,6 @@ type failure = {
   cf_dst : Arch.t;
   cf_seed : int;
   cf_what : string;
-  cf_shadow : string option;
 }
 
 type summary = {
@@ -64,9 +63,8 @@ let run_report_to_string r =
     r.cr_added_ms
 
 let failure_to_string f =
-  Printf.sprintf "seed %d %s %s->%s: %s%s" f.cf_seed f.cf_app (Arch.name f.cf_src)
+  Printf.sprintf "seed %d %s %s->%s: %s" f.cf_seed f.cf_app (Arch.name f.cf_src)
     (Arch.name f.cf_dst) f.cf_what
-    (match f.cf_shadow with None -> "" | Some r -> "\n" ^ r)
 
 let summary_to_string s =
   Printf.sprintf
@@ -78,23 +76,6 @@ let summary_to_string s =
 exception Fail of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Fail s)) fmt
-
-(* How many dynamic equivalence points the program reaches, up to [cap]
-   (migration targets beyond a small prefix add coverage but not new
-   failure modes, and replaying to deep points is linear per run). *)
-let probe_points ?(cap = 6) ~budget bin =
-  let p = Process.load bin in
-  let rec go k =
-    if k >= cap then k
-    else
-      match Monitor.request_pause p ~budget with
-      | Error Derr.Process_exited -> k
-      | Error e -> fail "point probe: pause failed: %s" (Derr.to_string e)
-      | Ok _ ->
-        Monitor.resume p;
-        go (k + 1)
-  in
-  go 0
 
 (* The seeded transport menu: eager scp or lazy post-copy, sometimes
    over a congested link, always armed with bounded retransmission.
@@ -121,32 +102,30 @@ let pick_transport ?mechanism rng =
 
 (* One chaos run: migrate a fresh source parked at a seeded equivalence
    point under a seeded fault schedule, then enforce the invariant — the
-   migration either commits with a destination observably identical to
-   the paused source (and which completes like the native run), or rolls
-   back to a source that is running and completes like the native run.
-   Either way, no process is ever lost or corrupted. *)
-let run_one ?(fuel = 50_000_000) ?(budget = 50_000_000) ?(pipeline = false)
-    ?mechanism ~spec ~seed ~src ~dst (c : Link.compiled) =
+   migration either commits with a destination that shadow-replays the
+   source's recording from that point to exit, or rolls back to a source
+   that is running and does the same. Either way, no process is ever
+   lost or corrupted. *)
+let run_one ?(budget = 50_000_000) ?(pipeline = false) ?mechanism ~spec ~seed ~src
+    ~dst (c : Link.compiled) =
   let src_bin = Link.binary_for c src and dst_bin = Link.binary_for c dst in
-  (* divergence-localizing autopsy attached to a state-mismatch failure *)
-  let shadow = ref None in
   let go () =
-    (* ground truth *)
-    let expected_code, expected_out =
-      let p = Process.load src_bin in
-      match Process.run_to_completion p ~fuel with
-      | Process.Exited_run code -> (code, Process.stdout_contents p)
-      | _ -> fail "native run did not complete"
+    (* the reference both outcomes are checked against *)
+    let log =
+      match Replayer.record ~budget src_bin with
+      | Ok log -> log
+      | Error e -> fail "recording failed: %s" e
     in
     let rng = Rng.create (Int64.of_int ((seed * 2) + 1)) in
-    let points = probe_points ~budget src_bin in
+    (* migration targets beyond a small prefix add coverage but not new
+       failure modes, and replaying to deep points is linear per run *)
+    let points = min 6 (Log.points log) in
     if points = 0 then fail "program reaches no equivalence point";
     let point = Rng.int rng points in
     let transport = pick_transport ?mechanism rng in
     let p = Process.load src_bin in
     if not (Oracle.advance_to_point p ~budget point) then
       fail "source exited before point %d on replay" point;
-    let snap_src = Process.observe p in
     let fault = Fault.make ~seed spec in
     let base_cfg =
       { (Session.default_config ~src_bin ~dst_bin) with
@@ -161,8 +140,8 @@ let run_one ?(fuel = 50_000_000) ?(budget = 50_000_000) ?(pipeline = false)
     in
     (* Mechanisms with a pre-copy prologue warm the destination first,
        fault-free, with a no-op advance: the parked source makes no
-       progress, so [snap_src] stays authoritative and the invariant
-       checks below are unchanged. *)
+       progress, so it stays at anchor [point] and the invariant checks
+       below are unchanged. *)
     let resident =
       match mechanism with
       | Some (Budget.Precopy | Budget.Hybrid) ->
@@ -192,35 +171,22 @@ let run_one ?(fuel = 50_000_000) ?(budget = 50_000_000) ?(pipeline = false)
       let* s = Session.commit s in
       Ok (Session.finish s)
     in
-    let prefix = snap_src.Process.sn_stdout in
+    (* a committed destination, or a rolled-back source (same ISA, so
+       its scheduler slices are validated too), must shadow-replay the
+       recording from the migration point to exit *)
+    let shadow what q =
+      match Shadow.check ~budget ~log ~from_point:point q with
+      | { Shadow.sh_verdict = Shadow.Match; _ } -> ()
+      | rep ->
+        fail "%s diverged from the recording\n%s" what (Shadow.report_to_string rep)
+    in
     let verdict, retransmits, drained =
       match outcome with
       | Ok r ->
-        let q = r.Session.r_process in
         (* commit acknowledged: the destination owns the process *)
-        if not (Process.state_equal snap_src (Process.observe q)) then begin
-          (* autopsy before failing: record a reference source run and
-             shadow the still-unrun destination against it, so the
-             failure names the first diverging anchor and pages instead
-             of just "differs" *)
-          (match Replayer.record ~budget src_bin with
-          | Ok log when point < Dapper_replay.Log.points log ->
-            let rep = Shadow.check ~budget ~log ~from_point:point q in
-            shadow := Some (Shadow.report_to_string rep)
-          | Ok _ | Error _ -> ());
-          fail "committed destination differs from the paused source"
-        end;
+        shadow "committed destination" r.Session.r_process;
         if not (Process.all_quiescent p) then
           fail "committed migration left the source running";
-        (match Process.run_to_completion q ~fuel with
-         | Process.Exited_run code ->
-           if not (Int64.equal code expected_code) then
-             fail "destination exit code %Ld <> native %Ld" code expected_code;
-           let out = prefix ^ Process.stdout_contents q in
-           if not (String.equal out expected_out) then
-             fail "destination output %S <> native %S" out expected_out
-         | Process.Crashed cr -> fail "destination crashed: %s" cr.Process.cr_reason
-         | _ -> fail "destination did not complete");
         let page_rt =
           match r.Session.r_page_server with
           | Some ps -> ps.Transport.srv_retransmits
@@ -229,21 +195,9 @@ let run_one ?(fuel = 50_000_000) ?(budget = 50_000_000) ?(pipeline = false)
         (Committed, tx.Transport.tx_retransmits + page_rt, r.Session.r_drained)
       | Error e ->
         (* rolled back: the source must be running again and unharmed *)
-        (match p.Process.exit_code with
-         | Some _ -> ()
-         | None ->
-           if Process.all_quiescent p then
-             fail "rollback left the source parked (error: %s)" (Derr.to_string e));
-        (match Process.run_to_completion p ~fuel with
-         | Process.Exited_run code ->
-           if not (Int64.equal code expected_code) then
-             fail "rolled-back source exit code %Ld <> native %Ld" code expected_code;
-           let out = Process.stdout_contents p in
-           if not (String.equal out expected_out) then
-             fail "rolled-back source output %S <> native %S" out expected_out
-         | Process.Crashed cr ->
-           fail "rolled-back source crashed: %s" cr.Process.cr_reason
-         | _ -> fail "rolled-back source did not complete");
+        if Process.all_quiescent p then
+          fail "rollback left the source parked (error: %s)" (Derr.to_string e);
+        shadow "rolled-back source" p;
         (Rolled_back e, tx.Transport.tx_retransmits, 0)
     in
     { cr_app = c.Link.cp_app;
@@ -272,13 +226,12 @@ let run_one ?(fuel = 50_000_000) ?(budget = 50_000_000) ?(pipeline = false)
   | report -> Ok report
   | exception Fail what ->
     Error { cf_app = c.Link.cp_app; cf_src = src; cf_dst = dst; cf_seed = seed;
-            cf_what = what; cf_shadow = !shadow }
+            cf_what = what }
 
 (* N seeded schedules swept over the whole example corpus, alternating
    migration direction: the chaos suite proper. Stops at the first
    invariant violation. *)
-let sweep ?fuel ?budget ?pipeline ?mechanism ?(progress = fun _ -> ()) ~spec
-    ~seeds () =
+let sweep ?budget ?pipeline ?mechanism ?(progress = fun _ -> ()) ~spec ~seeds () =
   let corpus = Corpus.all () in
   let n_programs = List.length corpus in
   let zero =
@@ -293,7 +246,7 @@ let sweep ?fuel ?budget ?pipeline ?mechanism ?(progress = fun _ -> ()) ~spec
         if seed / n_programs mod 2 = 0 then (Arch.X86_64, Arch.Aarch64)
         else (Arch.Aarch64, Arch.X86_64)
       in
-      match run_one ?fuel ?budget ?pipeline ?mechanism ~spec ~seed ~src ~dst c with
+      match run_one ?budget ?pipeline ?mechanism ~spec ~seed ~src ~dst c with
       | Error _ as e -> e
       | Ok r ->
         progress r;

@@ -1,18 +1,22 @@
 (** The chaos harness: the migration oracle's invariant under injected
     faults.
 
-    Each run parks a fresh source process at a seeded equivalence point
-    of an example program, picks a seeded transport (eager or post-copy,
-    possibly congested, always armed with {!Dapper_net.Transport.retrying}
-    retransmission), and drives the full two-phase-commit
-    {!Dapper.Session} pipeline under a seeded {!Dapper_util.Fault.t}
-    schedule. The invariant enforced on every run:
+    Each run records the source once ({!Dapper_replay.Replayer.record}),
+    parks a fresh source process at a seeded equivalence point of an
+    example program, picks a seeded transport (eager or post-copy,
+    possibly congested, always armed with
+    {!Dapper_net.Transport.retrying} retransmission), and drives the
+    full two-phase-commit {!Dapper.Session} pipeline under a seeded
+    {!Dapper_util.Fault.t} schedule. The invariant enforced on every
+    run:
 
     {e no injected fault ever loses or corrupts a process} — either the
-    migration {b commits}, and the destination is observably identical
-    to the paused source and runs to the native result; or it
-    {b rolls back}, and the source is running again and runs to the
-    native result. Anything else is a {!failure}.
+    migration {b commits}, and the destination shadow-replays the
+    recording from the migration point to exit
+    ({!Dapper_replay.Shadow.check}) while the source stays parked; or it
+    {b rolls back}, and the source is running again and shadow-replays
+    the recording the same way (same ISA, so its scheduler slices are
+    validated too). Anything else is a {!failure}.
 
     Both the fault schedule and the per-run choices derive from the run
     seed alone, so any chaos failure is replayable bit for bit from its
@@ -47,12 +51,9 @@ type failure = {
   cf_dst : Arch.t;
   cf_seed : int;
   cf_what : string;
-  cf_shadow : string option;
-      (** divergence-localizing autopsy: when a committed destination's
-          state differs from the paused source, the harness records a
-          reference source run and shadow-replays the destination
-          against it ({!Dapper_replay.Shadow.check}); the report names
-          the first diverging anchor, thread and pages *)
+      (** the broken invariant; a shadow that diverged appends its
+          {!Dapper_replay.Shadow.report_to_string}, naming the first
+          diverging anchor, thread, recorded frames and pages *)
 }
 
 type summary = {
@@ -71,17 +72,18 @@ val failure_to_string : failure -> string
 val summary_to_string : summary -> string
 
 (** One seeded chaos run of [c], migrating [src]→[dst] under [spec].
-    Defaults: [fuel] 50M, [budget] 50M. With [pipeline], the transfer
-    stage streams the image in page-sized chunks
-    ({!Dapper.Session.config.cfg_pipeline}) — faults landing mid-stream
-    must still commit-or-rollback exactly like the sequential path.
-    [mechanism] pins the copy style instead of drawing it from the run
-    stream (eager for vanilla/pre-copy, post-copy for lazy/hybrid;
-    pre-copy and hybrid warm the destination with fault-free rounds
-    first) — the congestion draw and fault schedule stay seed-aligned
-    with the unpinned run. *)
+    The source is recorded to exit first, so [c] must terminate (the
+    corpus programs do); the migration point is drawn from its first six
+    equivalence points. [budget] (default 50M) bounds each pause's
+    drain. With [pipeline], the transfer stage streams the image in
+    page-sized chunks ({!Dapper.Session.config.cfg_pipeline}) — faults
+    landing mid-stream must still commit-or-rollback exactly like the
+    sequential path. [mechanism] pins the copy style instead of drawing
+    it from the run stream (eager for vanilla/pre-copy, post-copy for
+    lazy/hybrid; pre-copy and hybrid warm the destination with
+    fault-free rounds first) — the congestion draw and fault schedule
+    stay seed-aligned with the unpinned run. *)
 val run_one :
-  ?fuel:int ->
   ?budget:int ->
   ?pipeline:bool ->
   ?mechanism:Dapper_traffic.Budget.mechanism ->
@@ -96,7 +98,6 @@ val run_one :
     example corpus, alternating migration direction, stopping at the
     first invariant violation. [progress] is called per completed run. *)
 val sweep :
-  ?fuel:int ->
   ?budget:int ->
   ?pipeline:bool ->
   ?mechanism:Dapper_traffic.Budget.mechanism ->

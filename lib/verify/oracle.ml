@@ -10,6 +10,10 @@ module Images = Dapper_criu.Images
 module Rewrite = Dapper.Rewrite
 module Plan_cache = Dapper.Plan_cache
 module Derr = Dapper_util.Dapper_error
+module Restore = Dapper_criu.Restore
+module Replayer = Dapper_replay.Replayer
+module Shadow = Dapper_replay.Shadow
+module Rlog = Dapper_replay.Log
 
 type report = {
   rp_app : string;
@@ -41,32 +45,18 @@ let failure_to_string f =
     (Arch.name f.fl_dst) f.fl_point f.fl_what
 
 (* Internal failure carrier: every check raises [Fail (point, what)] and
-   [run] converts it to a [failure] at its boundary. *)
+   [guarded] converts it to a [failure] at the entry point's boundary. *)
 exception Fail of int * string
 
 let fail point fmt = Printf.ksprintf (fun s -> raise (Fail (point, s))) fmt
 
-(* ----- native runs ----- *)
-
-let run_native ~fuel arch (c : Link.compiled) =
-  let p = Process.load (Link.binary_for c arch) in
-  match Process.run_to_completion p ~fuel with
-  | Process.Exited_run code -> (code, Process.stdout_contents p)
-  | Process.Crashed cr ->
-    fail (-1) "native %s crashed at 0x%Lx: %s" (Arch.name arch) cr.cr_pc cr.cr_reason
-  | Process.Idle -> fail (-1) "native %s deadlocked" (Arch.name arch)
-  | Process.Progress -> fail (-1) "native %s exceeded %d instruction fuel" (Arch.name arch) fuel
+let guarded (c : Link.compiled) ~src ~dst go =
+  match go () with
+  | r -> Ok r
+  | exception Fail (point, what) ->
+    Error { fl_app = c.Link.cp_app; fl_src = src; fl_dst = dst; fl_point = point; fl_what = what }
 
 (* ----- pause-point stepping ----- *)
-
-(* Advance a process to its next dynamic equivalence point. [`Point]
-   leaves every thread parked at the point; [`Exited] means the program
-   ran to completion instead. *)
-let next_point ~point ~budget p =
-  match Monitor.request_pause p ~budget with
-  | Ok _ -> `Point
-  | Error Derr.Process_exited -> `Exited
-  | Error e -> fail point "pause failed: %s" (Derr.to_string e)
 
 let advance_to_point p ~budget k =
   let rec go j =
@@ -77,7 +67,13 @@ let advance_to_point p ~budget k =
   in
   go 0
 
-(* ----- pointwise comparisons ----- *)
+let parked ~budget bin k =
+  let p = Process.load bin in
+  if not (advance_to_point p ~budget k) then
+    fail k "source exited before reaching point %d on replay" k;
+  p
+
+(* ----- live values across ISAs ----- *)
 
 (* Compare the unwound stacks of the two paused twins: same threads,
    same frames (function, equivalence point, at-call flag), and
@@ -155,123 +151,84 @@ let unwound ~point (bin : Binary.t) p =
      | Error e -> fail point "unwind for deep compare failed: %s" (Derr.to_string e)
      | Ok stacks -> stacks)
 
-(* State equivalence between two paused twins (or a twin and a restored
-   process): ISA-independent digests plus output-so-far. [prefix] is
-   output the reference process printed before the other one started
-   (migrated twins restart with an empty stdout buffer). *)
-let compare_snapshots ~point ~snapshots ~what ?(prefix = "") sa sb =
-  incr snapshots;
-  if not (Process.state_equal sa sb) then
-    fail point "%s: state snapshots differ (%s vs %s)" what
-      (Process.snapshot_to_string sa) (Process.snapshot_to_string sb);
-  if not (String.equal sa.Process.sn_stdout (prefix ^ sb.Process.sn_stdout)) then
-    fail point "%s: stdout differs (%S vs %S)" what sa.Process.sn_stdout
-      (prefix ^ sb.Process.sn_stdout)
-
 (* ----- the oracle ----- *)
 
 let session_config ~budget ~src_bin ~dst_bin =
   { (Session.default_config ~src_bin ~dst_bin) with Session.cfg_pause_budget = budget }
 
-(* One whole session over a source already parked at [point], so the
-   session's own pause finds every thread stopped there; the migrated
-   process, or a [Fail] naming the stage that failed. *)
-let migrated ~point cfg p =
-  match Session.run cfg p with
-  | Ok s -> (Session.finish s).Session.r_process
-  | Error e ->
-    fail point "%s failed: %s" (Derr.stage_name (Derr.stage_of e)) (Derr.to_string e)
+(* The one reference every check compares against: a complete recording
+   of the source twin. *)
+let recorded ~budget bin =
+  match Replayer.record ~budget bin with
+  | Ok log -> log
+  | Error e -> fail (-1) "recording failed: %s" e
 
-let run ?(fuel = 50_000_000) ?(budget = 50_000_000) ?(max_points = max_int) ~src ~dst
-    (c : Link.compiled) =
+let diverged ~what (d : Replayer.divergence) =
+  fail d.Replayer.dv_point "%s: %s" what (Replayer.divergence_report d)
+
+(* Force-migrate a fresh source parked at point [k] through one whole
+   session (its own pause finds every thread stopped there) and shadow
+   the destination against [log] from anchor [k] to exit: the anchors
+   compared, or a [Fail] at the first diverging one. *)
+let shadow_migration ~budget ~log cfg k =
+  let q =
+    match Session.run cfg (parked ~budget cfg.Session.cfg_src_bin k) with
+    | Ok s -> (Session.finish s).Session.r_process
+    | Error e ->
+      fail k "%s failed: %s" (Derr.stage_name (Derr.stage_of e)) (Derr.to_string e)
+  in
+  match Shadow.check ~budget ~log ~from_point:k q with
+  | { Shadow.sh_verdict = Shadow.Match; sh_points; _ } -> sh_points
+  | { Shadow.sh_verdict = Shadow.Diverged d; _ } ->
+    diverged ~what:(Printf.sprintf "restored twin (migrated at %d)" k) d
+
+let run ?(budget = 50_000_000) ?(max_points = max_int) ~src ~dst (c : Link.compiled) =
   let src_bin = Link.binary_for c src and dst_bin = Link.binary_for c dst in
-  let snapshots = ref 0 and values = ref 0 and migrations = ref 0 in
   let go () =
-    (* phase 1: native differential *)
-    let code_s, out_s = run_native ~fuel src c in
-    let code_d, out_d = run_native ~fuel dst c in
-    if not (Int64.equal code_s code_d) then
-      fail (-1) "native exit codes differ (%Ld vs %Ld)" code_s code_d;
-    if not (String.equal out_s out_d) then
-      fail (-1) "native outputs differ (%S vs %S)" out_s out_d;
-    (* phase 2: lockstep walk with pointwise deep comparison, recording
-       the source twin's snapshot at every point for phase 3 *)
-    let pa = Process.load src_bin and pb = Process.load dst_bin in
-    let snaps = ref [] in
-    let rec walk k =
-      if k >= max_points then (k, false)
-      else
-        match (next_point ~point:k ~budget pa, next_point ~point:k ~budget pb) with
-        | `Exited, `Exited -> (k, true)
-        | `Point, `Exited -> fail k "twin divergence: %s exited early" (Arch.name dst)
-        | `Exited, `Point -> fail k "twin divergence: %s exited early" (Arch.name src)
-        | `Point, `Point ->
-          let sa = Process.observe pa and sb = Process.observe pb in
-          compare_snapshots ~point:k ~snapshots ~what:"lockstep twins" sa sb;
-          compare_stacks ~point:k ~values (unwound ~point:k src_bin pa)
-            (unwound ~point:k dst_bin pb);
-          snaps := sa :: !snaps;
-          Monitor.resume pa;
-          Monitor.resume pb;
-          walk (k + 1)
+    (* phase 1: record the source twin, then replay the log on the
+       destination ISA *)
+    let log = recorded ~budget src_bin in
+    let replayed =
+      match Replayer.replay ~budget ~log dst_bin with
+      | Ok o -> o.Replayer.ro_points
+      | Error d -> diverged ~what:(Arch.name dst ^ " replay") d
     in
-    let points, complete = walk 0 in
-    let snaps = Array.of_list (List.rev !snaps) in
-    (* phase 3: force-migrate a fresh source twin at every point, then
-       require pointwise equivalence at every later point and an
-       end-of-execution result equal to the native run *)
+    let total = Rlog.points log in
+    let points = min max_points total in
+    (* phase 2: lockstep walk for the live values the log does not carry *)
+    let values = ref 0 in
+    let pa = Process.load src_bin and pb = Process.load dst_bin in
     for k = 0 to points - 1 do
-      let p = Process.load src_bin in
-      if not (advance_to_point p ~budget k) then
-        fail k "source exited before reaching point %d on replay" k;
-      let q = migrated ~point:k (session_config ~budget ~src_bin ~dst_bin) p in
-      (* a committed session leaves the source paused, dump writes no
-         source memory, and [observe] masks the flag word pause sets: this
-         is the source's state at the pause *)
-      let snap_src = Process.observe p in
-      incr migrations;
-      let prefix = snap_src.Process.sn_stdout in
-      compare_snapshots ~point:k ~snapshots ~what:"restored vs paused source" ~prefix
-        snap_src (Process.observe q);
-      (* walk the restored twin through the remaining recorded points *)
-      let rec chase j =
-        if j >= points then ()
-        else
-          match next_point ~point:j ~budget q with
-          | `Exited -> fail j "restored twin exited before point %d" j
-          | `Point ->
-            compare_snapshots ~point:j ~snapshots
-              ~what:(Printf.sprintf "restored twin (migrated at %d)" k)
-              ~prefix snaps.(j) (Process.observe q);
-            Monitor.resume q;
-            chase (j + 1)
-      in
-      chase (k + 1);
-      (match Process.run_to_completion q ~fuel with
-       | Process.Exited_run code ->
-         if not (Int64.equal code code_s) then
-           fail k "restored twin exit code %Ld <> native %Ld" code code_s;
-         let out = prefix ^ Process.stdout_contents q in
-         if not (String.equal out out_s) then
-           fail k "restored twin output %S <> native %S" out out_s
-       | Process.Crashed cr ->
-         fail k "restored twin crashed at 0x%Lx: %s" cr.cr_pc cr.cr_reason
-       | Process.Idle -> fail k "restored twin deadlocked"
-       | Process.Progress -> fail k "restored twin exceeded fuel")
+      List.iter
+        (fun p ->
+          match Monitor.request_pause p ~budget with
+          | Ok _ -> ()
+          | Error e ->
+            fail k "%s twin: pause failed: %s" (Arch.name p.Process.arch)
+              (Derr.to_string e))
+        [ pa; pb ];
+      compare_stacks ~point:k ~values (unwound ~point:k src_bin pa)
+        (unwound ~point:k dst_bin pb);
+      Monitor.resume pa;
+      Monitor.resume pb
+    done;
+    (* phase 3: force-migrate at every walked point and shadow the
+       destination against the recording *)
+    let cfg = session_config ~budget ~src_bin ~dst_bin in
+    let shadowed = ref 0 in
+    for k = 0 to points - 1 do
+      shadowed := !shadowed + shadow_migration ~budget ~log cfg k
     done;
     { rp_app = c.Link.cp_app;
       rp_src = src;
       rp_dst = dst;
       rp_points = points;
-      rp_complete = complete;
-      rp_migrations = !migrations;
-      rp_snapshots = !snapshots;
+      rp_complete = total <= max_points;
+      rp_migrations = points;
+      rp_snapshots = replayed + !shadowed;
       rp_values = !values }
   in
-  match go () with
-  | report -> Ok report
-  | exception Fail (point, what) ->
-    Error { fl_app = c.Link.cp_app; fl_src = src; fl_dst = dst; fl_point = point; fl_what = what }
+  guarded c ~src ~dst go
 
 (* ----- fast-path byte equivalence ----- *)
 
@@ -381,18 +338,9 @@ let check_fastpaths ?(budget = 50_000_000) ?(points = 3) ~src ~dst
       fp_memo_page_hits = !page_hits;
       fp_saved_transfer_ms = !saved }
   in
-  match go () with
-  | r -> Ok r
-  | exception Fail (point, what) ->
-    Error { fl_app = c.Link.cp_app; fl_src = src; fl_dst = dst; fl_point = point; fl_what = what }
+  guarded c ~src ~dst go
 
 (* ----- shadow replay: divergence-localizing verification ----- *)
-
-module Replayer = Dapper_replay.Replayer
-module Shadow = Dapper_replay.Shadow
-module Rlog = Dapper_replay.Log
-module Restore = Dapper_criu.Restore
-module Layout = Dapper_binary.Layout
 
 type shadow_report = {
   sr_app : string;
@@ -440,39 +388,23 @@ let check_shadow ?(budget = 50_000_000) ?(max_points = 3) ?(corrupt = true) ~src
     ~dst (c : Link.compiled) =
   let src_bin = Link.binary_for c src and dst_bin = Link.binary_for c dst in
   let go () =
-    (* the reference recording: one complete source-ISA run *)
-    let log =
-      match Replayer.record ~budget src_bin with
-      | Ok log -> log
-      | Error e -> fail (-1) "recording failed: %s" e
-    in
+    let log = recorded ~budget src_bin in
     if Rlog.points log = 0 then fail (-1) "program reaches no equivalence point";
     let points = min max_points (Rlog.points log) in
-    let clean = ref 0 and corrupted = ref 0 and reports = ref [] in
-    let parked k =
-      let p = Process.load src_bin in
-      if not (advance_to_point p ~budget k) then
-        fail k "source exited before reaching point %d on replay" k;
-      p
-    in
+    let cfg = session_config ~budget ~src_bin ~dst_bin in
+    let corrupted = ref 0 and reports = ref [] in
     let step k what = function
       | Ok s -> s
       | Error e -> fail k "%s failed: %s" what (Derr.to_string e)
     in
     for k = 0 to points - 1 do
-      (* a clean migration's destination must shadow-replay to MATCH *)
-      let q = migrated ~point:k (session_config ~budget ~src_bin ~dst_bin) (parked k) in
-      (match (Shadow.check ~budget ~log ~from_point:k q).Shadow.sh_verdict with
-      | Shadow.Match -> incr clean
-      | Shadow.Diverged d ->
-        fail k "clean migration's shadow diverged: %s"
-          (Replayer.divergence_to_string d));
+      ignore (shadow_migration ~budget ~log cfg k);
       if corrupt then begin
         (* corrupt one observable page of the rewritten image, restore it
            outside the session (whose commit check would refuse it), and
            require the shadow to localize the damage to this anchor and
            page *)
-        let p = parked k in
+        let p = parked ~budget src_bin k in
         let image = step k "dump" (Dump.dump p) in
         let rewritten, _ =
           step k "rewrite" (Rewrite.rewrite image ~src:src_bin ~dst:dst_bin)
@@ -509,13 +441,8 @@ let check_shadow ?(budget = 50_000_000) ?(max_points = 3) ?(corrupt = true) ~src
       sr_src = src;
       sr_dst = dst;
       sr_points = points;
-      sr_clean = !clean;
+      sr_clean = points;
       sr_corrupted = !corrupted;
       sr_divergences = List.rev !reports }
   in
-  match go () with
-  | r -> Ok r
-  | exception Fail (point, what) ->
-    Error
-      { fl_app = c.Link.cp_app; fl_src = src; fl_dst = dst; fl_point = point;
-        fl_what = what }
+  guarded c ~src ~dst go

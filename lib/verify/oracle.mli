@@ -2,38 +2,48 @@
 
     Runs one compiled program as two execution twins, one per ISA, and
     checks Dapper's central claim — that a process migrated at {e any}
-    equivalence point is observably identical afterwards — in three
-    phases:
+    equivalence point is observably identical afterwards — against one
+    reference: a recording of the source twin
+    ({!Dapper_replay.Replayer.record}), whose anchors hold the
+    {!Dapper_machine.Process.observe} snapshot, per-page digests, stdout
+    prefix and frames at every dynamic equivalence point. Three phases:
 
-    + {b native differential}: both twins run to completion and must
-      produce the same exit code and stdout;
-    + {b lockstep walk}: both twins are repeatedly paused; at every
-      dynamic equivalence point their read-only
-      {!Dapper_machine.Process.observe} snapshots must be state-equal
-      with identical output so far, and their dumped images must unwind
-      to pointwise-equal stacks (same functions, equivalence points and
-      live-value bytes per cross-ISA key; pointer-typed values are
-      exempt from the byte comparison because frame geometry legally
-      differs across ISAs until the rewriter translates them);
-    + {b migration sweep}: for every dynamic point [k], a fresh source
-      process is advanced to point [k] and force-migrated through the
-      full {!Dapper.Session} pipeline. The restored twin's snapshot
-      must be state-equal to the paused source, every later equivalence
-      point it passes must be state-equal to the source twin's recorded
-      snapshot at that point, and its final exit code and combined
-      stdout must equal the native run's.
+    + {b replay}: the source twin is recorded once, to exit, and the log
+      is replayed on the destination ISA ({!Dapper_replay.Replayer.replay}):
+      every completed syscall result, every anchor's snapshot and stdout
+      prefix, the exit code and the final state must match;
+    + {b lockstep walk}: both twins are paused at each of the first
+      [max_points] equivalence points and their dumped images must
+      unwind to pointwise-equal stacks (same functions, equivalence
+      points and live-value bytes per cross-ISA key; only scalar
+      temporaries are byte-compared, because pointer values legally
+      differ across ISAs until the rewriter translates them). The log
+      carries frames but no values, so this is the one check it cannot
+      make;
+    + {b migration sweep}: at each walked point [k], a fresh source is
+      advanced to [k], force-migrated through the full {!Dapper.Session}
+      pipeline, and the destination is shadow-replayed against the
+      recording from anchor [k] to exit ({!Dapper_replay.Shadow.check}):
+      the restored state must be anchor [k], and every later anchor, the
+      exit code and the combined stdout must match.
 
-    Programs under the oracle must be deterministic and single-threaded,
-    must not read the instruction-count clock (a pause perturbs it) and
-    must not store stack addresses into globals or the heap (frame
-    geometry differs across ISAs before translation). The generated
-    ({!Gen}) and example ({!Corpus}) corpora respect this by
+    A failure names the first diverging anchor as [fl_point], with the
+    frames recorded there and, for a snapshot mismatch, the diverging
+    pages.
+
+    Programs under the oracle must be deterministic, single-threaded and
+    terminating (the recording runs to exit, with no instruction
+    fuel), must not read the instruction-count clock (a pause perturbs
+    it) and must not store stack addresses into globals or the heap
+    (frame geometry differs across ISAs before translation). The
+    generated ({!Gen}) and example ({!Corpus}) corpora respect this by
     construction.
 
     The sweep replays from a fresh load for each point, so its cost is
     quadratic in the number of dynamic points; [max_points] caps the
-    walked prefix for large corpora (the qcheck properties use a small
-    cap, the example sweep runs uncapped). *)
+    lockstep walk and the sweep (the qcheck properties use a small cap,
+    the example sweep runs uncapped). The recording, the replay and each
+    shadow still run to exit. *)
 
 open Dapper_isa
 module Link = Dapper_codegen.Link
@@ -45,7 +55,12 @@ type report = {
   rp_points : int;       (** dynamic equivalence points walked *)
   rp_complete : bool;    (** false when [max_points] capped the walk *)
   rp_migrations : int;   (** forced migrations performed (one per point) *)
-  rp_snapshots : int;    (** pointwise snapshot equivalence checks *)
+  rp_snapshots : int;
+      (** anchors compared against the recording: the replay's, plus
+          each shadow's from its migration point (the restored state
+          included) to the last. Replay and shadows run to exit, so a
+          capped walk counts anchors past its cap too; a complete walk
+          over [n] points counts [n + n(n+1)/2]. *)
   rp_values : int;       (** live-value byte comparisons across ISAs *)
 }
 
@@ -53,7 +68,9 @@ type failure = {
   fl_app : string;
   fl_src : Arch.t;
   fl_dst : Arch.t;
-  fl_point : int;  (** dynamic point index; -1 for native-run failures *)
+  fl_point : int;
+      (** the first diverging anchor (the dynamic point index); -1 when
+          the source could not be recorded *)
   fl_what : string;
 }
 
@@ -61,10 +78,9 @@ val report_to_string : report -> string
 val failure_to_string : failure -> string
 
 (** [run ~src ~dst c] drives all three phases, migrating [src]→[dst].
-    Defaults: [fuel] 50M instructions, [budget] 50M drain instructions,
+    Defaults: [budget] 50M drain instructions per equivalence point,
     [max_points] unlimited. *)
 val run :
-  ?fuel:int ->
   ?budget:int ->
   ?max_points:int ->
   src:Arch.t ->
@@ -115,7 +131,8 @@ val check_fastpaths :
     ({!Dapper_replay}): record one complete source-ISA run, then at each
     of the first [max_points] equivalence points run a clean migration
     and require the committed destination to {e shadow-replay} the
-    recording to a match ({!Dapper_replay.Shadow.check}). With [corrupt]
+    recording to a match ({!Dapper_replay.Shadow.check}) — the same
+    per-point step as {!run}'s sweep. With [corrupt]
     (the default), each point additionally gets a deliberately damaged
     migration — one observable page of the rewritten image is flipped
     before an out-of-session restore — and the shadow must report its

@@ -1,0 +1,5 @@
+(* The planes built on migration: the fleet engines, live traffic, the
+   health plane and observability. *)
+let () =
+  Runner.run "dapper-fleet"
+    (Test_cluster.suites @ Test_obs.suites @ Test_traffic.suites @ Test_health.suites)

@@ -60,10 +60,6 @@ let test_retrying_policy () =
   check Alcotest.bool "attempts < 1 rejected" true
     (match Transport.retrying ~attempts:0 scp with
      | exception Invalid_argument _ -> true
-     | _ -> false);
-  check Alcotest.bool "multiplier < 1 rejected" true
-    (match Transport.retrying ~multiplier:0.5 scp with
-     | exception Invalid_argument _ -> true
      | _ -> false)
 
 (* ----- checksummed transmission under the fault plane ----- *)
@@ -113,10 +109,7 @@ let test_transmit_drop_and_recovery () =
    the retries that actually followed a failure: with [attempts]
    tries, [attempts - 1] backoffs — none after the final attempt. *)
 let test_backoff_closed_form () =
-  let mk attempts =
-    Transport.retrying ~attempts ~backoff_ns:2.0e6 ~multiplier:2.0
-      (Transport.scp Link.infiniband)
-  in
+  let mk attempts = Transport.retrying ~attempts (Transport.scp Link.infiniband) in
   (* 2 ms + 4 ms, and nothing for the third (final) failure *)
   check (Alcotest.float 0.0) "closed form: 3 failures" 6.0e6
     (Transport.total_backoff_ns (mk 3) ~failures:3);
@@ -141,10 +134,7 @@ let test_backoff_closed_form () =
         stats.Transport.tx_backoff_ns)
     [ 1; 2; 3; 4 ];
   (* same invariant on the page-fetch path *)
-  let t =
-    Transport.retrying ~attempts:3 ~backoff_ns:2.0e6 ~multiplier:2.0
-      (Transport.page_server Link.infiniband)
-  in
+  let t = Transport.retrying ~attempts:3 (Transport.page_server Link.infiniband) in
   let stats = Transport.fresh_page_stats () in
   let fault = Fault.make ~seed:3 { Fault.calm with Fault.fs_drop = 1.0 } in
   let serve pn = if pn = 7 then Some (Bytes.make 4096 'p') else None in

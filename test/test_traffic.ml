@@ -372,7 +372,7 @@ let live_run ~seed ~reverse mech =
   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
 
 (* Pinned outputs: regenerate with
-     dune exec test/test_main.exe -- test traffic
+     dune exec test/main_fleet.exe -- test traffic
    after an intentional model change, and update here. Hybrid runs on
    both seeds and directions; the eager and no-pre-copy branches of the
    request loop (stop-and-copy, pre-copy only, post-copy only) on the
