@@ -37,17 +37,16 @@ let exec_ms arch instrs = Node.exec_ns (node_of arch) instrs /. 1e6
 let exec_ms_scaled arch instrs = exec_ms arch instrs *. exec_scale
 
 (* Run [frac] of the program on x86, migrate, return migration result. *)
-let migrate_at ?lazy_pages ?recode_on ?pipeline ?chunk_bytes ?recode_workers ?memo c
-    ~total_instrs ~frac =
+let migrate_at ?lazy_pages ?pipeline ?recode_workers ?memo c ~total_instrs ~frac =
   let p = Process.load c.Link.cp_x86 in
   let warm = max 10_000 (int_of_float (Int64.to_float total_instrs *. frac)) in
   (match Process.run p ~max_instrs:warm with
    | Process.Progress -> ()
    | _ -> failwith (c.Link.cp_app ^ ": finished before migration point"));
   match
-    Session.migrate ?lazy_pages ?recode_on ?pipeline ?chunk_bytes ?recode_workers
-      ?memo ~bytes_scale ~src_node:Node.xeon ~dst_node:Node.rpi
-      ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm p
+    Session.migrate ?lazy_pages ?pipeline ?recode_workers ?memo ~bytes_scale
+      ~src_node:Node.xeon ~dst_node:Node.rpi ~src_bin:c.Link.cp_x86
+      ~dst_bin:c.Link.cp_arm p
   with
   | Ok r -> (p, r)
   | Error e -> failwith (c.Link.cp_app ^ ": " ^ Dapper_error.to_string e)

@@ -611,19 +611,18 @@ let run cfg p =
   let* s = restore s in
   commit s
 
-let migrate ?(lazy_pages = false) ?recode_on ?bytes_scale ?pipeline ?chunk_bytes
-    ?recode_workers ?memo ~src_node ~dst_node ~dst_bin ~src_bin p =
+let migrate ?(lazy_pages = false) ?bytes_scale ?pipeline ?recode_workers ?memo
+    ~src_node ~dst_node ~dst_bin ~src_bin p =
   let d = default_config ~src_bin ~dst_bin in
   let cfg =
     { d with
       cfg_src_node = src_node;
       cfg_dst_node = dst_node;
-      cfg_recode_node = Option.value ~default:src_node recode_on;
+      cfg_recode_node = src_node;
       cfg_transport =
         (if lazy_pages then Transport.page_server Link.infiniband else d.cfg_transport);
       cfg_bytes_scale = Option.value ~default:d.cfg_bytes_scale bytes_scale;
       cfg_pipeline = Option.value ~default:d.cfg_pipeline pipeline;
-      cfg_chunk_bytes = Option.value ~default:d.cfg_chunk_bytes chunk_bytes;
       cfg_recode_workers = Option.value ~default:d.cfg_recode_workers recode_workers;
       cfg_recode_memo = memo }
   in

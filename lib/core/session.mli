@@ -315,19 +315,16 @@ val run : config -> Process.t -> (committed t, Dapper_error.t) result
 
 (** [migrate ~src_node ~dst_node ~dst_bin ~src_bin p] is {!run} then
     {!finish} over {!default_config} with these fields replaced:
-    [src_node]/[dst_node] price checkpoint and restore; [recode_on]
-    (default [src_node]) runs the recode; [lazy_pages] (default off)
-    swaps scp for a page server over the same infiniband link;
-    [bytes_scale], [pipeline], [chunk_bytes], [recode_workers] and
-    [memo] set the config fields of the same names, keeping
-    {!default_config}'s value when omitted. {!Dapper_error.stage_of}
+    [src_node]/[dst_node] price checkpoint and restore, and [src_node]
+    runs the recode; [lazy_pages] (default off) swaps scp for a page
+    server over the same infiniband link; [bytes_scale], [pipeline],
+    [recode_workers] and [memo] set the config fields of the same names,
+    keeping {!default_config}'s value when omitted. {!Dapper_error.stage_of}
     tells which stage failed. *)
 val migrate :
   ?lazy_pages:bool ->
-  ?recode_on:Node.t ->
   ?bytes_scale:float ->
   ?pipeline:bool ->
-  ?chunk_bytes:int ->
   ?recode_workers:int ->
   ?memo:Plan_cache.memo ->
   src_node:Node.t ->

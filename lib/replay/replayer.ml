@@ -37,17 +37,16 @@ let divergence_report d =
   end;
   Buffer.contents b
 
-(* ----- shared replay machinery (also used by Shadow) ----- *)
+exception Diverge of divergence
 
-module Internal = struct
-  exception Diverge of divergence
-
-  let vma_kind_name = function
-  | Process.Vma_data -> "data"
-  | Process.Vma_heap -> "heap"
-  | Process.Vma_tls -> "tls"
-  | Process.Vma_code -> "code"
-  | Process.Vma_stack _ -> "stack"
+let diverge ?tid ?(frames = []) ?(pages = []) ~point ~kind fmt =
+  Printf.ksprintf
+    (fun what ->
+      raise
+        (Diverge
+           { dv_point = point; dv_tid = tid; dv_kind = kind; dv_what = what;
+             dv_frames = frames; dv_pages = pages }))
+    fmt
 
 let frames_to_strings stacks =
   List.concat_map
@@ -60,21 +59,22 @@ let frames_to_strings stacks =
     stacks
 
 (* Recorded frames at the anchor a divergence names: point [k] of the
-   log if recorded, else the final snapshot (whose stacks are empty). *)
+   log, or the last anchor when [k] is past it. A divergence at the exit
+   syscall, the exit code or the final state lies in the code the
+   process ran after its last anchor. *)
 let frames_at (log : Log.t) k =
-  let eq =
-    if k >= 0 && k < Log.points log then Log.point log k else log.Log.lg_final
-  in
-  frames_to_strings eq.Log.eq_stacks
+  match Log.point log (min k (Log.points log - 1)) with
+  | eq -> frames_to_strings eq.Log.eq_stacks
+  | exception Log.Log_error _ -> []
 
-let diverge ?tid ?(frames = []) ?(pages = []) ~point ~kind fmt =
-  Printf.ksprintf
-    (fun what ->
-      raise
-        (Diverge
-           { dv_point = point; dv_tid = tid; dv_kind = kind; dv_what = what;
-             dv_frames = frames; dv_pages = pages }))
-    fmt
+(* ----- what a recorder writes at an anchor ----- *)
+
+let vma_kind_name = function
+  | Process.Vma_data -> "data"
+  | Process.Vma_heap -> "heap"
+  | Process.Vma_tls -> "tls"
+  | Process.Vma_code -> "code"
+  | Process.Vma_stack _ -> "stack"
 
 (* Per-page digests a process would record right now, in [Log] form. *)
 let pages_of (p : Process.t) =
@@ -101,39 +101,40 @@ let page_delta (eq : Log.eqpoint) (p : Process.t) =
   in
   List.sort_uniq compare (changed eq.Log.eq_pages live @ changed live eq.Log.eq_pages)
 
-(* Build the [Log.eqpoint] snapshot of a quiescent process: observe
+(* The frames of a quiescent process: its dump unwound with its
+   binary's stack maps, threads in tid order. *)
+let stacks_of ~index (p : Process.t) =
+  let bin = p.Process.binary in
+  match Dump.dump p with
+  | Error e ->
+    diverge ~point:index ~kind:"crash" "dump at the anchor failed: %s"
+      (Derr.to_string e)
+  | Ok image ->
+    (match
+       Unwind.unwind_all image bin.Binary.bin_stackmaps
+         ~anchors:bin.Binary.bin_anchors
+     with
+    | Error e ->
+      diverge ~point:index ~kind:"crash" "unwind at the anchor failed: %s"
+        (Derr.to_string e)
+    | Ok ts ->
+      List.map
+        (fun t ->
+          { Log.tf_tid = t.Unwind.ts_tid;
+            tf_frames =
+              List.mapi
+                (fun i f ->
+                  { Log.fi_func = f.Unwind.fr_func.Stackmap.fm_name;
+                    fi_ep = f.Unwind.fr_ep.Stackmap.ep_id;
+                    fi_depth = i })
+                t.Unwind.ts_frames })
+        (List.sort (fun a b -> compare a.Unwind.ts_tid b.Unwind.ts_tid) ts))
+
+(* The [Log.eqpoint] a recorder writes for a quiescent process: observed
    digests, stdout prefix, per-page digests and per-thread frames.
    [stacks] is false after exit (nothing left to unwind). *)
-let snapshot_point ?(stacks = true) ~index (bin : Binary.t) (p : Process.t) =
+let eqpoint_of ~stacks ~index (p : Process.t) =
   let sn = Process.observe p in
-  let frames =
-    if not stacks then []
-    else
-      match Dump.dump p with
-      | Error e ->
-        diverge ~point:index ~kind:"crash" "dump at recording anchor failed: %s"
-          (Derr.to_string e)
-      | Ok image ->
-        (match
-           Unwind.unwind_all image bin.Binary.bin_stackmaps
-             ~anchors:bin.Binary.bin_anchors
-         with
-        | Error e ->
-          diverge ~point:index ~kind:"crash" "unwind at recording anchor failed: %s"
-            (Derr.to_string e)
-        | Ok ts ->
-          List.map
-            (fun t ->
-              { Log.tf_tid = t.Unwind.ts_tid;
-                tf_frames =
-                  List.mapi
-                    (fun i f ->
-                      { Log.fi_func = f.Unwind.fr_func.Stackmap.fm_name;
-                        fi_ep = f.Unwind.fr_ep.Stackmap.ep_id;
-                        fi_depth = i })
-                    t.Unwind.ts_frames })
-            (List.sort (fun a b -> compare a.Unwind.ts_tid b.Unwind.ts_tid) ts))
-  in
   { Log.eq_index = index;
     eq_data = sn.Process.sn_data;
     eq_heap = sn.Process.sn_heap;
@@ -142,41 +143,62 @@ let snapshot_point ?(stacks = true) ~index (bin : Binary.t) (p : Process.t) =
     eq_threads = sn.Process.sn_threads;
     eq_stdout_len = String.length sn.Process.sn_stdout;
     eq_stdout_fnv = Bytebuf.fnv64 sn.Process.sn_stdout;
-    eq_stacks = frames;
+    eq_stacks = (if stacks then stacks_of ~index p else []);
     eq_pages = pages_of p }
 
-(* Compare a live process against a recorded anchor. [prefix_len] is the
-   stdout the recorded run had already produced when this process
-   started with an empty buffer (0 for a from-scratch replay, the
-   migration point's [eq_stdout_len] for a shadow). Divergences carry
-   the anchor's own recorded frames. *)
+(* ----- comparing a live process against a recorded anchor ----- *)
+
+(* The digest compare every walk makes. [prefix_len] is the stdout the
+   recorded run had already produced when this process started with an
+   empty buffer (0 from load, the migration point's [eq_stdout_len] for
+   a restored twin). *)
 let compare_point ~(log : Log.t) ~prefix_len (eq : Log.eqpoint) (p : Process.t) =
   let k = eq.Log.eq_index in
-  let frames = frames_to_strings eq.Log.eq_stacks in
+  let fail ?pages kind fmt =
+    diverge ~point:k ~kind ~frames:(frames_at log k) ?pages fmt
+  in
   let sn = Process.observe p in
   let check name want got =
     if not (Int64.equal want got) then
-      diverge ~point:k ~kind:"snapshot" ~frames ~pages:(page_delta eq p)
-        "%s digest %016Lx, log recorded %016Lx" name got want
+      fail ~pages:(page_delta eq p) "snapshot" "%s digest %016Lx, log recorded %016Lx"
+        name got want
   in
   check "data" eq.Log.eq_data sn.Process.sn_data;
   check "heap" eq.Log.eq_heap sn.Process.sn_heap;
   check "tls" eq.Log.eq_tls sn.Process.sn_tls;
   if not (Int64.equal eq.Log.eq_brk sn.Process.sn_brk) then
-    diverge ~point:k ~kind:"snapshot" ~frames "brk 0x%Lx, log recorded 0x%Lx"
-      sn.Process.sn_brk eq.Log.eq_brk;
+    fail "snapshot" "brk 0x%Lx, log recorded 0x%Lx" sn.Process.sn_brk eq.Log.eq_brk;
   if eq.Log.eq_threads <> sn.Process.sn_threads then
-    diverge ~point:k ~kind:"snapshot" ~frames "%d live threads, log recorded %d"
-      sn.Process.sn_threads eq.Log.eq_threads;
+    fail "snapshot" "%d live threads, log recorded %d" sn.Process.sn_threads
+      eq.Log.eq_threads;
   let live = prefix_len + String.length sn.Process.sn_stdout in
   if live <> eq.Log.eq_stdout_len then
-    diverge ~point:k ~kind:"stdout" ~frames
-      "stdout is %d bytes (%d new), log recorded %d" live
+    fail "stdout" "stdout is %d bytes (%d new), log recorded %d" live
       (String.length sn.Process.sn_stdout) eq.Log.eq_stdout_len;
+  if live > String.length log.Log.lg_stdout then
+    fail "log" "anchor records %d stdout bytes, the log holds %d" live
+      (String.length log.Log.lg_stdout);
   let want = String.sub log.Log.lg_stdout prefix_len (live - prefix_len) in
   if not (String.equal want sn.Process.sn_stdout) then
-    diverge ~point:k ~kind:"stdout" ~frames
-      "stdout bytes differ from the recorded prefix (first %d bytes)" live
+    fail "stdout" "stdout bytes differ from the recorded prefix (first %d bytes)" live
+
+(* What a same-ISA replay from load adds: the anchor the recorder would
+   write here ([index], [stacks] as in {!eqpoint_of}) must equal the
+   recorded one field for field — frames and per-page digests beyond
+   the digest compare. *)
+let compare_exact ~(log : Log.t) ~index ~stacks (eq : Log.eqpoint) (p : Process.t) =
+  let live = eqpoint_of ~stacks ~index p in
+  let fail ?pages fmt =
+    diverge ~point:index ~kind:"snapshot" ~frames:(frames_at log index) ?pages fmt
+  in
+  if live.Log.eq_stacks <> eq.Log.eq_stacks then
+    fail "live frames [%s] differ from the recorded ones"
+      (String.concat "; " (frames_to_strings live.Log.eq_stacks));
+  if live.Log.eq_pages <> eq.Log.eq_pages then
+    fail ~pages:(page_delta eq p) "per-page digests differ from the recorded ones";
+  if live <> eq then
+    fail "anchor %d stdout digest %016Lx, log recorded anchor %d %016Lx"
+      live.Log.eq_index live.Log.eq_stdout_fnv eq.Log.eq_index eq.Log.eq_stdout_fnv
 
 (* ----- the log cursor: validate / substitute / skip ----- *)
 
@@ -189,10 +211,6 @@ type cursor = {
   mutable substituted : int;
   mutable sched_checked : int;
 }
-
-let make_cursor ~strict (log : Log.t) =
-  { cur = log.Log.lg_entries; strict; log; next_point = 0; validated = 0;
-    substituted = 0; sched_checked = 0 }
 
 (* Drop entries the current replay mode does not reproduce: scheduler
    slices on a cross-ISA replay, arrival draws always (they belong to
@@ -248,9 +266,9 @@ let cursor_sched c ~tid ~steps =
         steps
   end
 
-(* Consume the anchor for point [k] (the cursor must be positioned at
-   it once mode-skipped entries are dropped). *)
-let cursor_eqpoint c k =
+(* Consume the anchor the walk just paused at, the cursor's next one. *)
+let cursor_eqpoint c =
+  let k = c.next_point in
   settle c;
   match c.cur with
   | Log.Eqpoint eq :: rest when eq.Log.eq_index = k ->
@@ -258,24 +276,28 @@ let cursor_eqpoint c k =
     c.next_point <- k + 1;
     eq
   | e :: _ ->
-    diverge ~point:k ~kind:"log" ~frames:(frames_at c.log k)
+    diverge ~point:k ~kind:"log" ~frames:(frames_here c)
       "paused at equivalence point %d where the log has: %s" k
       (Log.entry_to_string e)
   | [] ->
-    diverge ~point:k ~kind:"log" ~frames:(frames_at c.log k)
+    diverge ~point:k ~kind:"log" ~frames:(frames_here c)
       "paused at equivalence point %d past the end of the log" k
 
-let cursor_at_end c =
-  settle c;
-  match c.cur with
-  | [] -> None
-  | e :: _ -> Some e
+(* Position the cursor just past anchor [k] and return that anchor:
+   everything before it belongs to the recorded prefix a process parked
+   there inherited. *)
+let cursor_seek c k =
+  let rec drop = function
+    | Log.Eqpoint eq :: rest when eq.Log.eq_index = k ->
+      c.cur <- rest;
+      c.next_point <- k + 1;
+      eq
+    | _ :: rest -> drop rest
+    | [] -> diverge ~point:k ~kind:"log" "log has no equivalence point %d" k
+  in
+  drop c.cur
 
-let hooks_of_cursor c =
-  { Process.nd_syscall = (fun ~tid ~sys v -> cursor_syscall c ~tid ~sys v);
-    nd_sched = (fun ~tid ~steps -> cursor_sched c ~tid ~steps) }
-
-(* ----- the walk both recording and replay share -----
+(* ----- the walk both recording and validation drive -----
 
    Drive the process with [Monitor.request_pause] only — never
    [run_to_completion], whose larger budget chunks would slice the
@@ -297,16 +319,6 @@ let walk ~budget ~on_point p =
   in
   go 0
 
-let crash_check ~point (p : Process.t) =
-  match p.Process.crash with
-  | Some c ->
-    diverge ~tid:c.Process.cr_tid ~point ~kind:"crash"
-      "process crashed at pc 0x%Lx: %s" c.Process.cr_pc c.Process.cr_reason
-  | None -> ()
-end
-
-open Internal
-
 (* ----- recording ----- *)
 
 let record ?(budget = default_budget) (bin : Binary.t) =
@@ -327,7 +339,7 @@ let record ?(budget = default_budget) (bin : Binary.t) =
                 push (Log.Sched { sd_tid = tid; sd_steps = steps })) };
       match
         walk ~budget p ~on_point:(fun k ->
-            push (Log.Eqpoint (snapshot_point ~index:k bin p)))
+            push (Log.Eqpoint (eqpoint_of ~stacks:true ~index:k p)))
       with
       | exception Diverge d -> Error (divergence_to_string d)
       | Error e -> Error (Printf.sprintf "recording walk failed: %s" (Derr.to_string e))
@@ -347,123 +359,144 @@ let record ?(budget = default_budget) (bin : Binary.t) =
               lg_entries = List.rev !entries;
               lg_exit = exit;
               lg_stdout = Process.stdout_contents p;
-              lg_final = snapshot_point ~stacks:false ~index:k bin p }
+              lg_final = eqpoint_of ~stacks:false ~index:k p }
           in
           Trace.add_arg cl "points" (string_of_int k);
           Trace.add_arg cl "entries"
             (string_of_int (List.length log.Log.lg_entries));
           Ok log))
 
-(* ----- replay ----- *)
+(* ----- the validating walk ----- *)
 
 type outcome = {
+  ro_app : string;
   ro_arch : Arch.t;
+  ro_from : int option;
   ro_points : int;
   ro_validated : int;
   ro_substituted : int;
   ro_sched_checked : int;
-  ro_snapshot : Process.snapshot;
-  ro_stdout : string;
-  ro_exit : int64;
-  ro_log : Log.t;
+  ro_divergence : divergence option;
 }
 
 let outcome_to_string o =
-  Printf.sprintf
-    "replayed on %s: %d eqpoints, %d syscalls validated, %d clock substituted, \
-     %d sched slices checked, exit %Ld, %dB stdout"
-    (Arch.name o.ro_arch) o.ro_points o.ro_validated o.ro_substituted
-    o.ro_sched_checked o.ro_exit
-    (String.length o.ro_stdout)
+  let what =
+    match o.ro_from with
+    | None -> Printf.sprintf "replay of %s" o.ro_app
+    | Some k -> Printf.sprintf "shadow replay of %s from eqpoint %d" o.ro_app k
+  in
+  let head =
+    Printf.sprintf
+      "%s on %s: %s\n  %d anchors compared, %d syscalls validated, %d clock \
+       results substituted"
+      what (Arch.name o.ro_arch)
+      (match o.ro_divergence with None -> "MATCH" | Some _ -> "DIVERGED")
+      o.ro_points o.ro_validated o.ro_substituted
+  in
+  match o.ro_divergence with
+  | None -> head
+  | Some d -> head ^ "\n" ^ divergence_report d
 
-let replay ?(budget = default_budget) ~(log : Log.t) (bin : Binary.t) =
-  let strict = bin.Binary.bin_arch = log.Log.lg_arch in
+(* Drive [p] to exit against [log]: every syscall result validated
+   (clock substituted), every anchor compared, then the end-of-run
+   check — crash, unconsumed entries, exit code, final state. [p] is
+   freshly loaded ([from] = [None]) or parked at recorded anchor [k]
+   ([Some k]), which is compared first. Scheduler slices are validated
+   on the recording's ISA; a replay from load there also compares every
+   field the recorder wrote. *)
+let validate ~budget ~(log : Log.t) ~from (p : Process.t) =
+  let strict = Arch.equal p.Process.arch log.Log.lg_arch in
+  let exact = strict && from = None in
   Trace.with_span ~cat:"replay" "replay"
     ~args:
-      [ ("app", bin.Binary.bin_app); ("arch", Arch.name bin.Binary.bin_arch);
+      [ ("app", log.Log.lg_app); ("arch", Arch.name p.Process.arch);
+        ("from", match from with None -> "load" | Some k -> string_of_int k);
         ("mode", if strict then "same-isa" else "cross-isa") ]
     (fun cl ->
-      let p = Process.load bin in
-      let c = make_cursor ~strict log in
-      (* Re-record while replaying: a faithful same-ISA replay must
-         reproduce the log byte-for-byte, and the re-recording is the
-         proof. The substituted clock value is recorded (it is what the
-         register received), so the entry streams coincide. *)
-      let entries = ref [] in
-      let push e = entries := e :: !entries in
-      p.Process.nondet <-
-        Some
-          { Process.nd_syscall =
-              (fun ~tid ~sys v ->
-                let out = cursor_syscall c ~tid ~sys v in
-                push (Log.Syscall { sc_tid = tid; sc_sys = sys; sc_ret = out });
-                out);
-            nd_sched =
-              (fun ~tid ~steps ->
-                cursor_sched c ~tid ~steps;
-                push (Log.Sched { sd_tid = tid; sd_steps = steps })) };
-      match
-        walk ~budget p ~on_point:(fun k ->
-            let eq = cursor_eqpoint c k in
-            let re = snapshot_point ~index:k bin p in
-            push (Log.Eqpoint re);
-            compare_point ~log ~prefix_len:0 eq p)
-      with
-      | exception Diverge d ->
-        Trace.add_arg cl "divergence" d.dv_what;
-        Error d
-      | Error e ->
-        Error
-          { dv_point = c.next_point; dv_tid = None; dv_kind = "pause";
-            dv_what = Printf.sprintf "replay walk failed: %s" (Derr.to_string e);
-            dv_frames = frames_at log c.next_point; dv_pages = [] }
-      | Ok points -> (
-        p.Process.nondet <- None;
-        match
-          crash_check ~point:points p;
-          (match cursor_at_end c with
-          | Some e ->
-            diverge ~point:points ~kind:"log" ~frames:(frames_at log points)
-              "replay finished with unconsumed log entries, next: %s"
-              (Log.entry_to_string e)
-          | None -> ());
-          let exit =
-            match p.Process.exit_code with
-            | Some e -> e
-            | None ->
-              diverge ~point:points ~kind:"exit"
-                "replay finished without an exit code"
-          in
-          if not (Int64.equal exit log.Log.lg_exit) then
-            diverge ~point:points ~kind:"exit" "exit code %Ld, log recorded %Ld"
-              exit log.Log.lg_exit;
-          let final = snapshot_point ~stacks:false ~index:points bin p in
-          compare_point ~log ~prefix_len:0 log.Log.lg_final p;
-          if points <> Log.points log then
-            diverge ~point:points ~kind:"log"
-              "replay saw %d equivalence points, log recorded %d" points
-              (Log.points log);
-          (exit, final)
-        with
+      let c =
+        { cur = log.Log.lg_entries; strict; log; next_point = 0; validated = 0;
+          substituted = 0; sched_checked = 0 }
+      in
+      let compared = ref 0 in
+      let run () =
+        let app = p.Process.binary.Binary.bin_app in
+        if exact && not (String.equal app log.Log.lg_app) then
+          diverge ~point:0 ~kind:"log" ~frames:(frames_at log 0)
+            "replaying %s, log recorded %s" app log.Log.lg_app;
+        (* the recorded stdout [p] did not print itself: all of it at a
+           restored twin's anchor, none for a source resumed in place *)
+        let prefix_len =
+          match from with
+          | None -> 0
+          | Some k ->
+            let eq = cursor_seek c k in
+            let prefix_len =
+              max 0 (eq.Log.eq_stdout_len - String.length (Process.stdout_contents p))
+            in
+            compare_point ~log ~prefix_len eq p;
+            incr compared;
+            prefix_len
+        in
+        p.Process.nondet <-
+          Some
+            { Process.nd_syscall = (fun ~tid ~sys v -> cursor_syscall c ~tid ~sys v);
+              nd_sched = (fun ~tid ~steps -> cursor_sched c ~tid ~steps) };
+        let walked =
+          Fun.protect
+            ~finally:(fun () -> p.Process.nondet <- None)
+            (fun () ->
+              walk ~budget p ~on_point:(fun _ ->
+                  let eq = cursor_eqpoint c in
+                  compare_point ~log ~prefix_len eq p;
+                  if exact then
+                    compare_exact ~log ~index:eq.Log.eq_index ~stacks:true eq p;
+                  incr compared))
+        in
+        let point = c.next_point in
+        let fail ?tid kind fmt =
+          diverge ?tid ~point ~kind ~frames:(frames_at log point) fmt
+        in
+        (match walked with
+        | Error e -> fail "pause" "walk failed: %s" (Derr.to_string e)
+        | Ok _ -> ());
+        (match p.Process.crash with
+        | Some cr ->
+          fail ~tid:cr.Process.cr_tid "crash" "process crashed at pc 0x%Lx: %s"
+            cr.Process.cr_pc cr.Process.cr_reason
+        | None -> ());
+        settle c;
+        (match c.cur with
+        | e :: _ ->
+          fail "log" "process exited with unconsumed log entries, next: %s"
+            (Log.entry_to_string e)
+        | [] -> ());
+        (match p.Process.exit_code with
+        | None -> fail "exit" "process finished without an exit code"
+        | Some exit when not (Int64.equal exit log.Log.lg_exit) ->
+          fail "exit" "exit code %Ld, log recorded %Ld" exit log.Log.lg_exit
+        | Some _ -> ());
+        compare_point ~log ~prefix_len log.Log.lg_final p;
+        if exact then compare_exact ~log ~index:point ~stacks:false log.Log.lg_final p
+      in
+      let divergence =
+        match run () with
+        | () -> None
         | exception Diverge d ->
           Trace.add_arg cl "divergence" d.dv_what;
-          Error d
-        | exit, final ->
-          Trace.add_arg cl "points" (string_of_int points);
-          Ok
-            { ro_arch = bin.Binary.bin_arch;
-              ro_points = points;
-              ro_validated = c.validated;
-              ro_substituted = c.substituted;
-              ro_sched_checked = c.sched_checked;
-              ro_snapshot = Process.observe p;
-              ro_stdout = Process.stdout_contents p;
-              ro_exit = exit;
-              ro_log =
-                { Log.lg_version = Log.version;
-                  lg_app = bin.Binary.bin_app;
-                  lg_arch = bin.Binary.bin_arch;
-                  lg_entries = List.rev !entries;
-                  lg_exit = exit;
-                  lg_stdout = Process.stdout_contents p;
-                  lg_final = final } }))
+          Some d
+      in
+      Trace.add_arg cl "points" (string_of_int !compared);
+      { ro_app = log.Log.lg_app;
+        ro_arch = p.Process.arch;
+        ro_from = from;
+        ro_points = !compared;
+        ro_validated = c.validated;
+        ro_substituted = c.substituted;
+        ro_sched_checked = c.sched_checked;
+        ro_divergence = divergence })
+
+let replay ?(budget = default_budget) ~log bin =
+  validate ~budget ~log ~from:None (Process.load bin)
+
+let shadow ?(budget = default_budget) ~log ~from_point p =
+  validate ~budget ~log ~from:(Some from_point) p

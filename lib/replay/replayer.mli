@@ -1,5 +1,5 @@
-(** Record a process execution's nondeterministic inputs; re-execute a
-    recording on either ISA.
+(** Record a process execution's nondeterministic inputs; validate a
+    process against a recording on either ISA.
 
     {b Recording} runs a process from [load] to exit with the
     {!Dapper_machine.Process.nondet} tap installed, walking every
@@ -7,21 +7,27 @@
     walk) so [Eqpoint] snapshot anchors interleave with the syscall and
     scheduler entries in program order.
 
-    {b Replay} re-executes the same walk with a cursor over the log:
-    every completed syscall is validated against the recorded result
-    (the clock result is {e substituted} — it is the one input that
-    legally differs), every equivalence point's snapshot is compared
-    against the recorded anchor, and — same-ISA only — every scheduler
-    slice is checked. The first mismatch aborts the replay with a
-    {!divergence} naming the equivalence point, thread and frame/page
-    delta rather than a terminal pass/fail.
+    {b Validation} is one walk with a cursor over the log, started from
+    a freshly loaded process ({!replay}) or from one parked at a
+    recorded anchor ({!shadow}): every completed syscall is validated
+    against the recorded result (the clock result is {e substituted} —
+    it is the one input that legally differs), every equivalence point's
+    observed digests, stdout prefix and — at a mismatch — per-page delta
+    are compared against the recorded anchor, and on the recording's
+    own ISA every scheduler slice is checked. The run then ends with one
+    check: no crash, no unconsumed entries, the recorded exit code and
+    final state. A replay from load on the recording's ISA also
+    compares every other field the recorder wrote (frames, per-page
+    digests, the app name), so a match there means a re-recording would
+    reproduce the log byte for byte; nothing is re-recorded. The first
+    mismatch stops the walk with a {!divergence} naming the equivalence
+    point, thread and frame/page delta rather than a terminal pass/fail.
 
     Because the simulator is deterministic, a mismatch is never noise:
     it means the replayed binary (or a rewritten image restored into
-    it) computes a different state function than the recorded run —
-    which is exactly what {!Shadow} exploits to localize rewriter bugs.
+    it) computes a different state function than the recorded run.
 
-    Cross-ISA replay relies on the oracle's program contract
+    Cross-ISA validation relies on the oracle's program contract
     (deterministic, single-threaded, no stored stack addresses): for
     such programs the completed-syscall sequence is a function of the
     program, so the log transfers across ISAs; scheduler slices are
@@ -31,8 +37,7 @@ open Dapper_isa
 open Dapper_binary
 open Dapper_machine
 
-(** The first point where a replayed execution stopped matching its
-    recording. *)
+(** The first point where a process stopped matching its recording. *)
 type divergence = {
   dv_point : int;   (** equivalence-point index: for snapshot/stdout
                         kinds, the diverging anchor; for syscall/sched
@@ -41,7 +46,9 @@ type divergence = {
   dv_kind : string;  (** "syscall" | "sched" | "snapshot" | "stdout" |
                          "exit" | "crash" | "pause" | "log" *)
   dv_what : string;         (** human description of the mismatch *)
-  dv_frames : string list;  (** recorded frames at the anchor *)
+  dv_frames : string list;
+      (** recorded frames at the anchor, or at the last anchor for a
+          divergence past it (exit syscall, exit code, final state) *)
   dv_pages : (string * int) list;
       (** diverging pages at a snapshot mismatch: (kind, page number) *)
 }
@@ -58,82 +65,36 @@ val divergence_report : divergence -> string
 val record : ?budget:int -> Binary.t -> (Log.t, string) result
 
 type outcome = {
-  ro_arch : Arch.t;        (** ISA the replay ran on *)
-  ro_points : int;         (** equivalence points compared *)
-  ro_validated : int;      (** syscall results validated *)
-  ro_substituted : int;    (** clock results substituted *)
-  ro_sched_checked : int;  (** scheduler slices checked (same-ISA) *)
-  ro_snapshot : Process.snapshot;  (** final state *)
-  ro_stdout : string;
-  ro_exit : int64;
-  ro_log : Log.t;  (** the replay re-recorded: byte-identical to the
-                       input log on a faithful same-ISA replay *)
+  ro_app : string;          (** the recorded program *)
+  ro_arch : Arch.t;         (** ISA the process ran on *)
+  ro_from : int option;     (** anchor it started parked at; [None]: load *)
+  ro_points : int;          (** anchors that matched, the start included *)
+  ro_validated : int;       (** syscall results validated *)
+  ro_substituted : int;     (** clock results substituted *)
+  ro_sched_checked : int;   (** scheduler slices checked (same-ISA) *)
+  ro_divergence : divergence option;
+      (** the first mismatch; [None]: every anchor, the exit code,
+          stdout and the final state matched *)
 }
 
+(** Multi-line report: the verdict, the counts, and the divergence
+    report if any (the chaos plane attaches it to failures). *)
 val outcome_to_string : outcome -> string
 
-(** [replay ~log bin] re-executes [log] on [bin] (either ISA; same-ISA
-    when [bin]'s architecture matches the recording, else cross-ISA). *)
-val replay : ?budget:int -> log:Log.t -> Binary.t -> (outcome, divergence) result
+(** [replay ~log bin] loads [bin] (either ISA) and validates it against
+    [log] from the start to exit. Neither [replay] nor {!shadow} raises:
+    log shape errors, crashes and monitor failures are divergences. *)
+val replay : ?budget:int -> log:Log.t -> Binary.t -> outcome
 
-(**/**)
-
-(** Shared replay machinery for {!Shadow}. Not a stable interface. *)
-module Internal : sig
-  exception Diverge of divergence
-
-  (** A validating cursor over a log's entry stream. [strict] = same-ISA
-      (scheduler slices are validated too); cross-ISA skips them. *)
-  type cursor = {
-    mutable cur : Log.entry list;
-    strict : bool;
-    log : Log.t;
-    mutable next_point : int;
-    mutable validated : int;
-    mutable substituted : int;
-    mutable sched_checked : int;
-  }
-
-  val make_cursor : strict:bool -> Log.t -> cursor
-
-  (** The {!Dapper_machine.Process.nondet} tap that validates syscalls
-      (substituting the clock) and scheduler slices against the cursor,
-      raising {!Diverge} on the first mismatch. *)
-  val hooks_of_cursor : cursor -> Process.nondet
-
-  (** Consume the anchor for point [k]; raises {!Diverge} if the cursor
-      is not positioned at it. *)
-  val cursor_eqpoint : cursor -> int -> Log.eqpoint
-
-  (** The first remaining entry the current mode would not skip, if any. *)
-  val cursor_at_end : cursor -> Log.entry option
-
-  (** Compare a live process against a recorded anchor; raises
-      {!Diverge} carrying the anchor's recorded frames and the page
-      delta. [prefix_len] is the recorded stdout length at the instant
-      the process started with an empty buffer. *)
-  val compare_point :
-    log:Log.t -> prefix_len:int -> Log.eqpoint -> Process.t -> unit
-
-  (** Recorded frame strings at anchor [k] (the final snapshot's — empty
-      — when [k] is past the last anchor). *)
-  val frames_at : Log.t -> int -> string list
-
-  val diverge :
-    ?tid:int -> ?frames:string list -> ?pages:(string * int) list ->
-    point:int -> kind:string -> ('a, unit, string, 'b) format4 -> 'a
-
-  (** Raise {!Diverge} (kind ["crash"]) if the process crashed. *)
-  val crash_check : point:int -> Process.t -> unit
-
-  val default_budget : int
-
-  (** Pause-point walk shared by recording and replay: drives the
-      process with [Monitor.request_pause] only (fixed drain chunking,
-      so scheduler slices are reproducible), calling [on_point] at each
-      quiescent anchor, resuming after. Returns the number of anchors
-      on clean exit. *)
-  val walk :
-    budget:int -> on_point:(int -> unit) -> Process.t ->
-    (int, Dapper_util.Dapper_error.t) result
-end
+(** [shadow ~log ~from_point q] validates [q] against [log] from anchor
+    [from_point] to exit, comparing [q]'s state against that anchor
+    first. [q] is freshly restored (the destination of a migration taken
+    there) or a source resumed in place after a rolled-back migration
+    (threads [Runnable], parked at the anchor's resume address), so the
+    first monitor pause advances it to the next anchor. Its stdout
+    buffer is taken as the tail of the recorded output at that anchor —
+    empty for a restored twin, all of it for a resumed source. A
+    mismatch localizes a rewriter bug to the anchor (and pages) where
+    the migrated twin's state function first departs from the recorded
+    one. *)
+val shadow : ?budget:int -> log:Log.t -> from_point:int -> Process.t -> outcome

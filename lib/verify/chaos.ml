@@ -10,7 +10,6 @@ module Derr = Dapper_util.Dapper_error
 module Trace = Dapper_obs.Trace
 module Budget = Dapper_traffic.Budget
 module Replayer = Dapper_replay.Replayer
-module Shadow = Dapper_replay.Shadow
 module Log = Dapper_replay.Log
 
 type verdict = Committed | Rolled_back of Derr.t
@@ -103,19 +102,14 @@ let pick_transport ?mechanism rng =
 (* One chaos run: migrate a fresh source parked at a seeded equivalence
    point under a seeded fault schedule, then enforce the invariant — the
    migration either commits with a destination that shadow-replays the
-   source's recording from that point to exit, or rolls back to a source
-   that is running and does the same. Either way, no process is ever
-   lost or corrupted. *)
-let run_one ?(budget = 50_000_000) ?(pipeline = false) ?mechanism ~spec ~seed ~src
+   source's recording [log] from that point to exit, or rolls back to a
+   source that is running and does the same. Either way, no process is
+   ever lost or corrupted. *)
+let run_one ?(budget = 50_000_000) ?(pipeline = false) ?mechanism ~spec ~seed ~log
     ~dst (c : Link.compiled) =
+  let src = log.Log.lg_arch in
   let src_bin = Link.binary_for c src and dst_bin = Link.binary_for c dst in
   let go () =
-    (* the reference both outcomes are checked against *)
-    let log =
-      match Replayer.record ~budget src_bin with
-      | Ok log -> log
-      | Error e -> fail "recording failed: %s" e
-    in
     let rng = Rng.create (Int64.of_int ((seed * 2) + 1)) in
     (* migration targets beyond a small prefix add coverage but not new
        failure modes, and replaying to deep points is linear per run *)
@@ -175,10 +169,9 @@ let run_one ?(budget = 50_000_000) ?(pipeline = false) ?mechanism ~spec ~seed ~s
        its scheduler slices are validated too), must shadow-replay the
        recording from the migration point to exit *)
     let shadow what q =
-      match Shadow.check ~budget ~log ~from_point:point q with
-      | { Shadow.sh_verdict = Shadow.Match; _ } -> ()
-      | rep ->
-        fail "%s diverged from the recording\n%s" what (Shadow.report_to_string rep)
+      let o = Replayer.shadow ~budget ~log ~from_point:point q in
+      if o.Replayer.ro_divergence <> None then
+        fail "%s diverged from the recording\n%s" what (Replayer.outcome_to_string o)
     in
     let verdict, retransmits, drained =
       match outcome with
@@ -229,11 +222,22 @@ let run_one ?(budget = 50_000_000) ?(pipeline = false) ?mechanism ~spec ~seed ~s
             cf_what = what }
 
 (* N seeded schedules swept over the whole example corpus, alternating
-   migration direction: the chaos suite proper. Stops at the first
-   invariant violation. *)
+   migration direction: the chaos suite proper. Each (program, source
+   ISA) pair is recorded once per sweep. Stops at the first invariant
+   violation. *)
 let sweep ?budget ?pipeline ?mechanism ?(progress = fun _ -> ()) ~spec ~seeds () =
   let corpus = Corpus.all () in
   let n_programs = List.length corpus in
+  let recordings = Hashtbl.create 8 in
+  let recording c src =
+    let key = (c.Link.cp_app, src) in
+    match Hashtbl.find_opt recordings key with
+    | Some r -> r
+    | None ->
+      let r = Replayer.record ?budget (Link.binary_for c src) in
+      Hashtbl.add recordings key r;
+      r
+  in
   let zero =
     { cs_runs = 0; cs_committed = 0; cs_rolled_back = 0; cs_faults = 0;
       cs_retransmits = 0; cs_drained = 0; cs_added_ms = 0.0 }
@@ -246,7 +250,15 @@ let sweep ?budget ?pipeline ?mechanism ?(progress = fun _ -> ()) ~spec ~seeds ()
         if seed / n_programs mod 2 = 0 then (Arch.X86_64, Arch.Aarch64)
         else (Arch.Aarch64, Arch.X86_64)
       in
-      match run_one ?budget ?pipeline ?mechanism ~spec ~seed ~src ~dst c with
+      let outcome =
+        match recording c src with
+        | Ok log -> run_one ?budget ?pipeline ?mechanism ~spec ~seed ~log ~dst c
+        | Error e ->
+          Error
+            { cf_app = c.Link.cp_app; cf_src = src; cf_dst = dst; cf_seed = seed;
+              cf_what = "recording failed: " ^ e }
+      in
+      match outcome with
       | Error _ as e -> e
       | Ok r ->
         progress r;

@@ -1,10 +1,11 @@
 (** The chaos harness: the migration oracle's invariant under injected
     faults.
 
-    Each run records the source once ({!Dapper_replay.Replayer.record}),
-    parks a fresh source process at a seeded equivalence point of an
-    example program, picks a seeded transport (eager or post-copy,
-    possibly congested, always armed with
+    Each run takes the source's recording
+    ({!Dapper_replay.Replayer.record}; a sweep makes one per program and
+    source ISA), parks a fresh source process at a seeded equivalence
+    point of an example program, picks a seeded transport (eager or
+    post-copy, possibly congested, always armed with
     {!Dapper_net.Transport.retrying} retransmission), and drives the
     full two-phase-commit {!Dapper.Session} pipeline under a seeded
     {!Dapper_util.Fault.t} schedule. The invariant enforced on every
@@ -13,7 +14,7 @@
     {e no injected fault ever loses or corrupts a process} — either the
     migration {b commits}, and the destination shadow-replays the
     recording from the migration point to exit
-    ({!Dapper_replay.Shadow.check}) while the source stays parked; or it
+    ({!Dapper_replay.Replayer.shadow}) while the source stays parked; or it
     {b rolls back}, and the source is running again and shadow-replays
     the recording the same way (same ISA, so its scheduler slices are
     validated too). Anything else is a {!failure}.
@@ -52,7 +53,7 @@ type failure = {
   cf_seed : int;
   cf_what : string;
       (** the broken invariant; a shadow that diverged appends its
-          {!Dapper_replay.Shadow.report_to_string}, naming the first
+          {!Dapper_replay.Replayer.outcome_to_string}, naming the first
           diverging anchor, thread, recorded frames and pages *)
 }
 
@@ -71,10 +72,10 @@ val run_report_to_string : run_report -> string
 val failure_to_string : failure -> string
 val summary_to_string : summary -> string
 
-(** One seeded chaos run of [c], migrating [src]→[dst] under [spec].
-    The source is recorded to exit first, so [c] must terminate (the
-    corpus programs do); the migration point is drawn from its first six
-    equivalence points. [budget] (default 50M) bounds each pause's
+(** One seeded chaos run of [c], migrating from the ISA of [log], the
+    source's complete recording, to [dst] under [spec]; the migration
+    point is drawn from its first six equivalence points. The run makes
+    no recording of its own. [budget] (default 50M) bounds each pause's
     drain. With [pipeline], the transfer stage streams the image in
     page-sized chunks ({!Dapper.Session.config.cfg_pipeline}) — faults
     landing mid-stream must still commit-or-rollback exactly like the
@@ -89,14 +90,16 @@ val run_one :
   ?mechanism:Dapper_traffic.Budget.mechanism ->
   spec:Dapper_util.Fault.spec ->
   seed:int ->
-  src:Arch.t ->
+  log:Dapper_replay.Log.t ->
   dst:Arch.t ->
   Link.compiled ->
   (run_report, failure) result
 
 (** [sweep ~spec ~seeds ()] runs seeds [0..seeds-1] across the whole
     example corpus, alternating migration direction, stopping at the
-    first invariant violation. [progress] is called per completed run. *)
+    first invariant violation. It records each (program, source ISA)
+    pair once, to exit, so the programs must terminate (the corpus
+    programs do). [progress] is called per completed run. *)
 val sweep :
   ?budget:int ->
   ?pipeline:bool ->

@@ -12,7 +12,6 @@ module Plan_cache = Dapper.Plan_cache
 module Derr = Dapper_util.Dapper_error
 module Restore = Dapper_criu.Restore
 module Replayer = Dapper_replay.Replayer
-module Shadow = Dapper_replay.Shadow
 module Rlog = Dapper_replay.Log
 
 type report = {
@@ -163,8 +162,12 @@ let recorded ~budget bin =
   | Ok log -> log
   | Error e -> fail (-1) "recording failed: %s" e
 
-let diverged ~what (d : Replayer.divergence) =
-  fail d.Replayer.dv_point "%s: %s" what (Replayer.divergence_report d)
+(* The anchors a validating walk matched, or a [Fail] at its first
+   divergence. *)
+let matched ~what (o : Replayer.outcome) =
+  match o.Replayer.ro_divergence with
+  | None -> o.Replayer.ro_points
+  | Some d -> fail d.Replayer.dv_point "%s: %s" what (Replayer.divergence_report d)
 
 (* Force-migrate a fresh source parked at point [k] through one whole
    session (its own pause finds every thread stopped there) and shadow
@@ -177,10 +180,8 @@ let shadow_migration ~budget ~log cfg k =
     | Error e ->
       fail k "%s failed: %s" (Derr.stage_name (Derr.stage_of e)) (Derr.to_string e)
   in
-  match Shadow.check ~budget ~log ~from_point:k q with
-  | { Shadow.sh_verdict = Shadow.Match; sh_points; _ } -> sh_points
-  | { Shadow.sh_verdict = Shadow.Diverged d; _ } ->
-    diverged ~what:(Printf.sprintf "restored twin (migrated at %d)" k) d
+  matched ~what:(Printf.sprintf "restored twin (migrated at %d)" k)
+    (Replayer.shadow ~budget ~log ~from_point:k q)
 
 let run ?(budget = 50_000_000) ?(max_points = max_int) ~src ~dst (c : Link.compiled) =
   let src_bin = Link.binary_for c src and dst_bin = Link.binary_for c dst in
@@ -189,9 +190,7 @@ let run ?(budget = 50_000_000) ?(max_points = max_int) ~src ~dst (c : Link.compi
        destination ISA *)
     let log = recorded ~budget src_bin in
     let replayed =
-      match Replayer.replay ~budget ~log dst_bin with
-      | Ok o -> o.Replayer.ro_points
-      | Error d -> diverged ~what:(Arch.name dst ^ " replay") d
+      matched ~what:(Arch.name dst ^ " replay") (Replayer.replay ~budget ~log dst_bin)
     in
     let total = Rlog.points log in
     let points = min max_points total in
@@ -424,17 +423,17 @@ let check_shadow ?(budget = 50_000_000) ?(max_points = 3) ?(corrupt = true) ~src
           (Char.chr (Char.code (Bytes.get contents off) lxor 0x5a));
         let evil = Images.write_page rewritten pn (Bytes.to_string contents) in
         let q = step k "restore" (Restore.restore evil dst_bin) in
-        (match (Shadow.check ~budget ~log ~from_point:k q) with
-        | { Shadow.sh_verdict = Shadow.Match; _ } ->
-          fail k "corrupted restore went undetected by the shadow"
-        | { Shadow.sh_verdict = Shadow.Diverged d; _ } as rep ->
+        let o = Replayer.shadow ~budget ~log ~from_point:k q in
+        (match o.Replayer.ro_divergence with
+        | None -> fail k "corrupted restore went undetected by the shadow"
+        | Some d ->
           if d.Replayer.dv_point <> k then
             fail k "corruption injected at point %d but localized at %d" k
               d.Replayer.dv_point;
           if not (List.exists (fun (_, p') -> p' = pn) d.Replayer.dv_pages) then
             fail k "divergence report does not name the corrupted page 0x%x" pn;
           incr corrupted;
-          reports := Shadow.report_to_string rep :: !reports)
+          reports := Replayer.outcome_to_string o :: !reports)
       end
     done;
     { sr_app = c.Link.cp_app;

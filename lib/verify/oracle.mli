@@ -23,7 +23,7 @@
     + {b migration sweep}: at each walked point [k], a fresh source is
       advanced to [k], force-migrated through the full {!Dapper.Session}
       pipeline, and the destination is shadow-replayed against the
-      recording from anchor [k] to exit ({!Dapper_replay.Shadow.check}):
+      recording from anchor [k] to exit ({!Dapper_replay.Replayer.shadow}):
       the restored state must be anchor [k], and every later anchor, the
       exit code and the combined stdout must match.
 
@@ -43,7 +43,10 @@
     quadratic in the number of dynamic points; [max_points] caps the
     lockstep walk and the sweep (the qcheck properties use a small cap,
     the example sweep runs uncapped). The recording, the replay and each
-    shadow still run to exit. *)
+    shadow still run to exit. Only the recording dumps and unwinds at
+    every anchor; the replay and the shadows compare digests there and
+    record nothing, so on a registry program the recording is most of
+    the cost of a capped run. *)
 
 open Dapper_isa
 module Link = Dapper_codegen.Link
@@ -131,7 +134,7 @@ val check_fastpaths :
     ({!Dapper_replay}): record one complete source-ISA run, then at each
     of the first [max_points] equivalence points run a clean migration
     and require the committed destination to {e shadow-replay} the
-    recording to a match ({!Dapper_replay.Shadow.check}) — the same
+    recording to a match ({!Dapper_replay.Replayer.shadow}) — the same
     per-point step as {!run}'s sweep. With [corrupt]
     (the default), each point additionally gets a deliberately damaged
     migration — one observable page of the rewritten image is flipped
@@ -147,7 +150,7 @@ type shadow_report = {
   sr_clean : int;      (** clean migrations whose shadow matched *)
   sr_corrupted : int;  (** corrupted restores localized correctly *)
   sr_divergences : string list;
-      (** one {!Dapper_replay.Shadow.report_to_string} per corrupted run *)
+      (** one {!Dapper_replay.Replayer.outcome_to_string} per corrupted run *)
 }
 
 val shadow_report_to_string : shadow_report -> string

@@ -7,16 +7,24 @@ open Dapper_isa
 module Chaos = Dapper_verify.Chaos
 module Corpus = Dapper_verify.Corpus
 module Fault = Dapper_util.Fault
+module Link = Dapper_codegen.Link
 
 let check = Alcotest.check
 
 let quickstart () = Option.get (Corpus.find "mini-quickstart")
 
+(* The x86-64 recording of [c], the reference a chaos run checks. *)
+let x86_log c =
+  match Dapper_replay.Replayer.record c.Link.cp_x86 with
+  | Ok log -> log
+  | Error e -> Alcotest.failf "record failed: %s" e
+
 let test_chaos_replayable () =
   let once () =
+    let c = quickstart () in
     match
-      Chaos.run_one ~spec:(Fault.uniform 0.3) ~seed:5 ~src:Arch.X86_64
-        ~dst:Arch.Aarch64 (quickstart ())
+      Chaos.run_one ~spec:(Fault.uniform 0.3) ~seed:5 ~log:(x86_log c)
+        ~dst:Arch.Aarch64 c
     with
     | Ok r -> Chaos.run_report_to_string r
     | Error f -> Alcotest.fail (Chaos.failure_to_string f)
@@ -24,10 +32,8 @@ let test_chaos_replayable () =
   check Alcotest.string "same seed, same run" (once ()) (once ())
 
 let test_chaos_calm_commits () =
-  match
-    Chaos.run_one ~spec:Fault.calm ~seed:0 ~src:Arch.X86_64 ~dst:Arch.Aarch64
-      (quickstart ())
-  with
+  let c = quickstart () in
+  match Chaos.run_one ~spec:Fault.calm ~seed:0 ~log:(x86_log c) ~dst:Arch.Aarch64 c with
   | Error f -> Alcotest.fail (Chaos.failure_to_string f)
   | Ok r ->
     check Alcotest.bool "calm runs commit" true (r.Chaos.cr_verdict = Chaos.Committed);

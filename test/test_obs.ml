@@ -240,9 +240,14 @@ let test_kept_metrics_match_records () =
 let chaos_trace () =
   let c = Option.get (Corpus.find "mini-sieve") in
   Trace.start ();
+  let log =
+    match Dapper_replay.Replayer.record c.Link.cp_x86 with
+    | Ok log -> log
+    | Error e -> Alcotest.fail e
+  in
   (match
-     Dapper_verify.Chaos.run_one ~spec:(Dapper_util.Fault.uniform 0.2) ~seed:3
-       ~src:Dapper_isa.Arch.X86_64 ~dst:Dapper_isa.Arch.Aarch64 c
+     Dapper_verify.Chaos.run_one ~spec:(Dapper_util.Fault.uniform 0.2) ~seed:3 ~log
+       ~dst:Dapper_isa.Arch.Aarch64 c
    with
   | Ok _ -> ()
   | Error f -> Alcotest.fail (Dapper_verify.Chaos.failure_to_string f));
