@@ -64,7 +64,7 @@ let tests () =
   let scp = Dapper_net.Transport.scp Dapper_net.Link.infiniband in
   let rc, rimage = redis_fixture () in
   let rmaps = rc.Link.cp_x86.bin_stackmaps in
-  let rix = Dapper_binary.Stackmap_index.build rmaps in
+  let rix = Dapper_binary.Binary.index rc.Link.cp_x86 in
   let queries = lookup_queries rmaps in
   let imap = Dapper_util.Interval_map.of_list translate_intervals in
   let kinds =
@@ -88,7 +88,7 @@ let tests () =
           ignore (Dapper_criu.Dump.dump p)));
       Test.make ~name:"fig5-unwind" (Staged.stage (fun () ->
           ignore
-            (Unwind.unwind_all image c.Link.cp_x86.bin_stackmaps
+            (Unwind.unwind_all image (Dapper_binary.Binary.index c.Link.cp_x86)
                ~anchors:c.Link.cp_x86.bin_anchors)));
       Test.make ~name:"fig5-rewrite-x86-to-arm" (Staged.stage (fun () ->
           ignore (Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm)));

@@ -31,10 +31,18 @@ type t = {
   bin_sections : section list;
   bin_symbols : symbol list;
   bin_stackmaps : Stackmap.func_map list;
+  bin_index : Stackmap_index.tables;
   bin_tls_size : int;
   bin_tls_init : string;
   bin_anchors : anchors;
 }
+
+let make ~app ~arch ~sections ~symbols ~stackmaps ~tls_size ~tls_init ~anchors =
+  { bin_app = app; bin_arch = arch; bin_sections = sections; bin_symbols = symbols;
+    bin_stackmaps = stackmaps; bin_index = Stackmap_index.build stackmaps;
+    bin_tls_size = tls_size; bin_tls_init = tls_init; bin_anchors = anchors }
+
+let index b = Stackmap_index.handle b.bin_index
 
 let find_section b name = List.find_opt (fun s -> s.sec_name = name) b.bin_sections
 let find_symbol b name = List.find_opt (fun s -> s.sym_name = name) b.bin_symbols
@@ -61,6 +69,11 @@ let with_text b data =
       b.bin_sections
   in
   { b with bin_sections = sections }
+
+let with_stackmaps b maps =
+  make ~app:b.bin_app ~arch:b.bin_arch ~sections:b.bin_sections
+    ~symbols:b.bin_symbols ~stackmaps:maps ~tls_size:b.bin_tls_size
+    ~tls_init:b.bin_tls_init ~anchors:b.bin_anchors
 
 (* ----- serialization ----- *)
 
@@ -106,14 +119,14 @@ let deserialize s =
   R.decode s @@ fun r ->
   let magic = R.str r in
   if magic <> "DAPPERELF" then R.malformed "Binary.deserialize: bad magic";
-  let bin_app = R.str r in
+  let app = R.str r in
   let arch_name = R.str r in
-  let bin_arch =
+  let arch =
     match Arch.of_name arch_name with
     | Some a -> a
     | None -> R.malformed "Binary.deserialize: bad arch %S" arch_name
   in
-  let bin_sections =
+  let sections =
     R.list r (fun r ->
         let sec_name = R.str r in
         let sec_addr = R.i64 r in
@@ -122,7 +135,7 @@ let deserialize s =
         let sec_data = R.str r in
         { sec_name; sec_addr; sec_data; sec_exec; sec_write })
   in
-  let bin_symbols =
+  let symbols =
     R.list r (fun r ->
         let sym_name = R.str r in
         let sym_addr = R.i64 r in
@@ -136,13 +149,12 @@ let deserialize s =
         in
         { sym_name; sym_addr; sym_size; sym_kind })
   in
-  let bin_stackmaps = Stackmap.deserialize (R.str r) in
-  let bin_tls_size = R.u32 r in
-  let bin_tls_init = R.str r in
+  let stackmaps = Stackmap.deserialize (R.str r) in
+  let tls_size = R.u32 r in
+  let tls_init = R.str r in
   let a_entry = R.i64 r in
   let a_exit_stub = R.i64 r in
   let a_thread_exit_stub = R.i64 r in
   let a_flag = R.i64 r in
-  { bin_app; bin_arch; bin_sections; bin_symbols; bin_stackmaps; bin_tls_size;
-    bin_tls_init;
-    bin_anchors = { a_entry; a_exit_stub; a_thread_exit_stub; a_flag } }
+  make ~app ~arch ~sections ~symbols ~stackmaps ~tls_size ~tls_init
+    ~anchors:{ a_entry; a_exit_stub; a_thread_exit_stub; a_flag }

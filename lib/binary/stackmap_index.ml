@@ -9,17 +9,16 @@ type func_entry = {
   fe_live_named : (int * string, Stackmap.live_value) Hashtbl.t;
 }
 
-type t = {
+type tables = {
   ix_by_name : (string, func_entry) Hashtbl.t;
   ix_by_addr : func_entry array; (* sorted by fm_addr *)
 }
 
-(* ----- observability: lookups, reported per run by the rewriter as a
-   delta of this process-global count ----- *)
+type t = { tables : tables; mutable lookups : int }
 
-let lookups = ref 0
-
-let lookup_count () = !lookups
+let handle tables = { tables; lookups = 0 }
+let lookups t = t.lookups
+let count t = t.lookups <- t.lookups + 1
 
 (* All lookups match the first-hit semantics of the linear scans they
    replace, so duplicate names/addresses (which well-formed stack maps
@@ -61,56 +60,9 @@ let build maps =
     ix_by_addr;
   { ix_by_name; ix_by_addr }
 
-(* ----- per-maps memoization -----
-   Keyed by physical identity of the (immutable) map list with a
-   content-digest fallback, so every consumer of the same binary shares
-   one index and an index is built at most once per distinct stack-map
-   content. Physical identity alone is not a sound cache key across
-   regenerated binaries: tests (and reshuffling) rebuild structurally
-   different map lists at addresses the allocator may reuse, and two
-   different lists that are byte-for-byte equal (a recompiled app)
-   should share one index rather than build two. Hashing the serialized
-   maps makes the key follow the content, so a regenerated or mutated
-   binary can never hit a stale index. Bounded MRU list: reshuffling
-   creates a new map list per epoch, and stale entries must not pin
-   binaries forever. *)
-
-type cache_entry = {
-  ce_maps : Stackmap.func_map list;  (* fast path: physical identity *)
-  ce_key : Digest.t;                 (* slow path: content digest *)
-  ce_ix : t;
-}
-
-let cache : cache_entry list ref = ref []
-let cache_capacity = 32
-
-let content_key maps = Digest.string (Stackmap.serialize maps)
-
-(* A binary's stack-map content digest, for content-keyed memo keys
-   (the rewrite-output cache). Reuses the index cache's digest when the
-   maps were indexed before, so the common path is a pointer walk. *)
-let content_digest maps =
-  match List.find_opt (fun e -> e.ce_maps == maps) !cache with
-  | Some e -> e.ce_key
-  | None -> content_key maps
-
-let get maps =
-  match List.find_opt (fun e -> e.ce_maps == maps) !cache with
-  | Some e -> e.ce_ix
-  | None ->
-    let key = content_key maps in
-    let ix =
-      match List.find_opt (fun e -> Digest.equal e.ce_key key) !cache with
-      | Some e -> e.ce_ix
-      | None -> build maps
-    in
-    let kept = List.filteri (fun k _ -> k < cache_capacity - 1) !cache in
-    cache := { ce_maps = maps; ce_key = key; ce_ix = ix } :: kept;
-    ix
-
 let entry t name =
-  incr lookups;
-  Hashtbl.find_opt t.ix_by_name name
+  count t;
+  Hashtbl.find_opt t.tables.ix_by_name name
 
 let find_func t name =
   match entry t name with
@@ -118,8 +70,8 @@ let find_func t name =
   | None -> None
 
 let entry_of_addr t a =
-  incr lookups;
-  let arr = t.ix_by_addr in
+  count t;
+  let arr = t.tables.ix_by_addr in
   let l = ref 0 and r = ref (Array.length arr - 1) and best = ref (-1) in
   while !l <= !r do
     let m = (!l + !r) / 2 in
@@ -154,9 +106,9 @@ let eqpoint_at_addr t name a =
 let entry_eqpoint t name = in_func (fun fe -> fe.fe_entry_ep) t name
 
 let live_value t name ep_id key =
-  in_func (fun fe -> incr lookups; Hashtbl.find_opt fe.fe_live (ep_id, key)) t name
+  in_func (fun fe -> count t; Hashtbl.find_opt fe.fe_live (ep_id, key)) t name
 
 let live_value_named t name ep_id lv_name =
   in_func
-    (fun fe -> incr lookups; Hashtbl.find_opt fe.fe_live_named (ep_id, lv_name))
+    (fun fe -> count t; Hashtbl.find_opt fe.fe_live_named (ep_id, lv_name))
     t name

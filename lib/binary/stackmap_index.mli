@@ -4,8 +4,8 @@
     resolve functions, equivalence points and live values; with plain
     {!Stackmap} every resolution is a linear list scan, which dominates
     the recode hot path (O(frames x functions x live values) per
-    migration). This module builds, {e once per binary}, a set of O(1)/
-    O(log n) indexes:
+    migration). {!build} makes a set of O(1)/O(log n) indexes, once per
+    binary ([Binary]'s constructor calls it):
 
     - functions by name (hashtable) and by address range (sorted array,
       binary search);
@@ -15,28 +15,23 @@
       point.
 
     All lookups preserve the first-match semantics of the linear scans
-    they replace. [get] memoizes indexes by physical identity of the
-    (immutable) map list, so repeated migrations and reshuffles of the
-    same binary never rebuild. A lookup counter feeds the migration
-    cost report. *)
+    they replace. The tables are never written after {!build}, so every
+    user of a binary, on any domain, shares them. Lookups go through a
+    handle ({!t}) that counts the lookups made through it. *)
 
+(** The indexes of one map list. *)
+type tables
+
+val build : Stackmap.func_map list -> tables
+
+(** A lookup handle over some tables, with its own lookup count. *)
 type t
 
-(** Build an index (unconditionally). Prefer {!get}. *)
-val build : Stackmap.func_map list -> t
+(** A fresh handle over [tables], its count at 0. *)
+val handle : tables -> t
 
-(** Memoized [build]: returns the cached index when [maps] was indexed
-    before. Keyed by physical identity with a content-digest (hash of
-    the serialized maps) fallback in a bounded MRU cache, so regenerated
-    binaries with identical stack maps share one index while changed
-    content can never alias a stale one. *)
-val get : Stackmap.func_map list -> t
-
-(** Digest of the serialized stack maps — the content half of {!get}'s
-    cache key, exposed so output-level memoization (the rewrite-result
-    cache) can key entries by binary content. Cheap when the maps were
-    indexed before (shares the index cache's stored digest). *)
-val content_digest : Stackmap.func_map list -> Digest.t
+(** Lookups made through this handle so far. *)
+val lookups : t -> int
 
 (** Indexed equivalents of the {!Stackmap} linear lookups. *)
 
@@ -57,10 +52,3 @@ val live_value : t -> string -> int -> Stackmap.lv_key -> Stackmap.live_value op
 
 (** Live value with the given diagnostic name at [(function, ep_id)]. *)
 val live_value_named : t -> string -> int -> string -> Stackmap.live_value option
-
-(** {1 Observability}
-
-    Process-global count of indexed lookups; the rewriter reports the
-    delta over each run in [Rewrite.stats]. *)
-
-val lookup_count : unit -> int

@@ -211,17 +211,14 @@ let compile ?(opts = Opts.default) ~app (m : Ir.modul) =
         a_thread_exit_stub = sym_addr Runtime.thread_exit_stub;
         a_flag = sym_addr "__dapper_flag" }
     in
-    { Binary.bin_app = app; bin_arch = arch;
-      bin_sections =
+    Binary.make ~app ~arch
+      ~sections:
         [ { Binary.sec_name = ".text"; sec_addr = Layout.code_base;
             sec_data = Buffer.contents text; sec_exec = true; sec_write = false };
           { Binary.sec_name = ".data"; sec_addr = Layout.data_base;
-            sec_data = data_bytes; sec_exec = false; sec_write = true } ];
-      bin_symbols = symbols;
-      bin_stackmaps = List.rev !maps;
-      bin_tls_size = tls_size;
-      bin_tls_init = String.make tls_size '\000';
-      bin_anchors = anchors }
+            sec_data = data_bytes; sec_exec = false; sec_write = true } ]
+      ~symbols ~stackmaps:(List.rev !maps) ~tls_size
+      ~tls_init:(String.make tls_size '\000') ~anchors
   in
   { cp_app = app; cp_x86 = build Arch.X86_64 x86_funcs;
     cp_arm = build Arch.Aarch64 arm_funcs; cp_ir = m }

@@ -10,7 +10,7 @@ let error_to_string = Dapper_error.to_string
 let changed_functions ~(old_bin : Binary.t) ~(new_bin : Binary.t) =
   (* Index the new binary once instead of a linear find_func per old
      function (O(n^2) over the program's function count). *)
-  let ix = Stackmap_index.get new_bin.bin_stackmaps in
+  let ix = Binary.index new_bin in
   List.filter_map
     (fun (fm : Stackmap.func_map) ->
       match Stackmap_index.find_func ix fm.fm_name with
@@ -51,7 +51,7 @@ let check_layout ~(old_bin : Binary.t) ~(new_bin : Binary.t) =
 let entry_transferable ~(new_bin : Binary.t) (fr : Unwind.frame) =
   fr.fr_ep.Stackmap.ep_kind = Stackmap.Entry
   &&
-  let ix = Stackmap_index.get new_bin.bin_stackmaps in
+  let ix = Binary.index new_bin in
   match Stackmap_index.find_func ix fr.fr_func.Stackmap.fm_name with
   | None -> false
   | Some fm' ->
@@ -97,7 +97,7 @@ let update ?(retries = 16) (p : Process.t) ~old_bin ~new_bin =
       let* _ = Monitor.request_pause p ~budget:50_000_000 in
       let* image = Dapper_criu.Dump.dump p in
       let* stacks =
-        Unwind.unwind_all image old_bin.bin_stackmaps ~anchors:old_bin.bin_anchors
+        Unwind.unwind_all image (Binary.index old_bin) ~anchors:old_bin.bin_anchors
       in
       let* () = check_quiescent_outside ~new_bin changed stacks in
       let* image', _ = Rewrite.rewrite image ~src:old_bin ~dst:new_bin in

@@ -13,8 +13,7 @@ type error = Dapper_error.t
 
 let error_to_string = Dapper_error.to_string
 
-let index_of (p : Process.t) =
-  Stackmap_index.get p.Process.binary.Binary.bin_stackmaps
+let index_of (p : Process.t) = Binary.index p.Process.binary
 
 (* Validate that a trapped thread sits at a checker trap: its pc must be
    the resume address of some equivalence point (the paper's defense

@@ -123,14 +123,12 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
       (Arch.name image.is_files.fi_arch) (Arch.name src.bin_arch);
   if image.is_files.fi_app <> src.bin_app || src.bin_app <> dst.bin_app then
     fail "application mismatch between image and binaries";
-  let src_maps = src.bin_stackmaps and dst_maps = dst.bin_stackmaps in
   let dst_arch = dst.bin_arch in
-  let index_lookups0 = Stackmap_index.lookup_count () in
-  let ix_src = Stackmap_index.get src_maps in
-  let ix_dst = Stackmap_index.get dst_maps in
+  (* This run's own lookup handles: their counts are [st_index_lookups]. *)
+  let ix_src = Binary.index src and ix_dst = Binary.index dst in
   (* ok_exn re-raises the carrier: an unwind failure surfaces from the
      public [rewrite] as [Unwind_failed], not disguised as a recode. *)
-  let stacks = Dapper_error.ok_exn (Unwind.unwind_all image src_maps ~anchors:src.bin_anchors) in
+  let stacks = Dapper_error.ok_exn (Unwind.unwind_all image ix_src ~anchors:src.bin_anchors) in
   let placed =
     List.map (fun ts -> (ts, place_frames ix_dst ts.Unwind.ts_tid ts)) stacks
   in
@@ -217,8 +215,8 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
         Digest.string
           (Marshal.to_string
              ( src.bin_app, Arch.name src.bin_arch, Arch.name dst_arch,
-               Stackmap_index.content_digest src_maps,
-               Stackmap_index.content_digest dst_maps,
+               Digest.string (Stackmap.serialize src.bin_stackmaps),
+               Digest.string (Stackmap.serialize dst.bin_stackmaps),
                src.bin_anchors, dst.bin_anchors,
                match Binary.find_section dst ".text" with
                | Some s -> Digest.string s.sec_data
@@ -487,7 +485,7 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
       st_stack_bytes = !stack_bytes;
       st_plan_hits = !plan_hits;
       st_plan_misses = !plan_misses;
-      st_index_lookups = Stackmap_index.lookup_count () - index_lookups0;
+      st_index_lookups = Stackmap_index.lookups ix_src + Stackmap_index.lookups ix_dst;
       st_interval_lookups = !interval_lookups;
       st_memo_page_hits = !memo_page_hits;
       st_memo_thread_hits = !memo_thread_hits;

@@ -131,33 +131,25 @@ type dumped = {
   sd_dump : Dump.stats;
 }
 
-type recoded = {
-  sc_pause : Monitor.pause_stats;
-  sc_image : Images.image_set;
-  sc_rewrite : Rewrite.stats;
-  sc_image_bytes : int;
+type evidence = {
+  ev_pause : Monitor.pause_stats;
+  ev_rewrite : Rewrite.stats;
+  ev_image_bytes : int;
 }
 
-type transferred = {
-  sx_pause : Monitor.pause_stats;
-  sx_image : Images.image_set;
-  sx_rewrite : Rewrite.stats;
-  sx_image_bytes : int;
-}
+type recoded = { sc_evidence : evidence; sc_image : Images.image_set }
+
+type transferred = { sx_evidence : evidence; sx_image : Images.image_set }
 
 type restored = {
-  sf_pause : Monitor.pause_stats;
-  sf_rewrite : Rewrite.stats;
-  sf_image_bytes : int;
+  sf_evidence : evidence;
   sf_process : Process.t;
   sf_page_server : Transport.page_stats option;
   sf_lazy_pages : int list;
 }
 
 type committed = {
-  sm_pause : Monitor.pause_stats;
-  sm_rewrite : Rewrite.stats;
-  sm_image_bytes : int;
+  sm_evidence : evidence;
   sm_process : Process.t;
   sm_page_server : Transport.page_stats option;
   sm_drained : int;
@@ -371,8 +363,9 @@ let recode_run (s : dumped t) =
                 ("memo_page_hits", string_of_int rw.Rewrite.st_memo_page_hits) ];
         Ok
           (step s Dapper_error.Recode ~bytes:charged_bytes ~ms
-             { sc_pause = sd_pause; sc_image = image';
-               sc_rewrite = rw; sc_image_bytes = image_bytes }))
+             { sc_evidence =
+                 { ev_pause = sd_pause; ev_rewrite = rw; ev_image_bytes = image_bytes };
+               sc_image = image' }))
 
 let recode s = staged Dapper_error.Recode recode_run s
 
@@ -383,10 +376,11 @@ let recode s = staged Dapper_error.Recode recode_run s
    the old single-attempt cost. *)
 let transfer_run (s : recoded t) =
   guard s (fun () ->
-      let { sc_pause; sc_image; sc_rewrite; sc_image_bytes } = s.s_state in
+      let { sc_evidence; sc_image } = s.s_state in
       let cfg = s.s_cfg in
       let wire_bytes =
-        scaled cfg (max 0 (sc_image_bytes - resident_dump_bytes cfg sc_image))
+        scaled cfg
+          (max 0 (sc_evidence.ev_image_bytes - resident_dump_bytes cfg sc_image))
       in
       let files = Images.to_files sc_image in
       let result =
@@ -420,14 +414,13 @@ let transfer_run (s : recoded t) =
          | image' ->
            Ok
              (step s Dapper_error.Transfer ~bytes:wire_bytes ~ms:(ns /. 1e6)
-                { sx_pause = sc_pause; sx_image = image';
-                  sx_rewrite = sc_rewrite; sx_image_bytes = sc_image_bytes })))
+                { sx_evidence = sc_evidence; sx_image = image' })))
 
 let transfer s = staged Dapper_error.Transfer transfer_run s
 
 let restore_run (s : transferred t) =
   guard s (fun () ->
-      let { sx_pause; sx_image; sx_rewrite; sx_image_bytes } = s.s_state in
+      let { sx_evidence; sx_image } = s.s_state in
       let cfg = s.s_cfg in
       let transport = cfg.cfg_transport in
       let lazy_pages = Transport.is_lazy transport in
@@ -459,7 +452,9 @@ let restore_run (s : transferred t) =
          | Ok q ->
            let bytes =
              if lazy_pages then 0
-             else scaled cfg (max 0 (sx_image_bytes - resident_dump_bytes cfg sx_image))
+             else
+               scaled cfg
+                 (max 0 (sx_evidence.ev_image_bytes - resident_dump_bytes cfg sx_image))
            in
            let ms =
              if lazy_pages then lazy_restore_ms ~node:cfg.cfg_dst_node
@@ -489,10 +484,8 @@ let restore_run (s : transferred t) =
            in
            Ok
              (step s Dapper_error.Restore ~bytes ~ms
-                { sf_pause = sx_pause; sf_rewrite = sx_rewrite;
-                  sf_image_bytes = sx_image_bytes; sf_process = q;
-                  sf_page_server = server_stats;
-                  sf_lazy_pages = lazy_left })))
+                { sf_evidence = sx_evidence; sf_process = q;
+                  sf_page_server = server_stats; sf_lazy_pages = lazy_left })))
 
 let restore s = staged Dapper_error.Restore restore_run s
 
@@ -564,8 +557,7 @@ let commit_run (s : restored t) =
            else
              Ok
                (step s Dapper_error.Commit ~ms:drain_ms
-                  { sm_pause = st.sf_pause; sm_rewrite = st.sf_rewrite;
-                    sm_image_bytes = st.sf_image_bytes; sm_process = q;
+                  { sm_evidence = st.sf_evidence; sm_process = q;
                     sm_page_server = st.sf_page_server; sm_drained = drained })))
 
 let commit s = staged Dapper_error.Commit commit_run s
@@ -592,11 +584,12 @@ type outcome = {
 
 let finish (s : committed t) =
   let st = s.s_state in
+  let ev = st.sm_evidence in
   { r_process = st.sm_process;
     r_times = times s;
-    r_image_bytes = st.sm_image_bytes;
-    r_rewrite = st.sm_rewrite;
-    r_pause = st.sm_pause;
+    r_image_bytes = ev.ev_image_bytes;
+    r_rewrite = ev.ev_rewrite;
+    r_pause = ev.ev_pause;
     r_page_server = st.sm_page_server;
     r_transfer = s.s_tx;
     r_drained = st.sm_drained }

@@ -203,33 +203,27 @@ type dumped = {
   sd_dump : Dump.stats;
 }
 
-type recoded = {
-  sc_pause : Monitor.pause_stats;
-  sc_image : Images.image_set;
-  sc_rewrite : Rewrite.stats;
-  sc_image_bytes : int;
+(** What recode establishes, carried unchanged from there to the
+    {!outcome}. *)
+type evidence = {
+  ev_pause : Monitor.pause_stats;
+  ev_rewrite : Rewrite.stats;
+  ev_image_bytes : int;  (** unscaled size of the recoded image *)
 }
 
-type transferred = {
-  sx_pause : Monitor.pause_stats;
-  sx_image : Images.image_set;
-  sx_rewrite : Rewrite.stats;
-  sx_image_bytes : int;
-}
+type recoded = { sc_evidence : evidence; sc_image : Images.image_set }
+
+type transferred = { sx_evidence : evidence; sx_image : Images.image_set }
 
 type restored = {
-  sf_pause : Monitor.pause_stats;
-  sf_rewrite : Rewrite.stats;
-  sf_image_bytes : int;
+  sf_evidence : evidence;
   sf_process : Process.t;
   sf_page_server : Transport.page_stats option;
   sf_lazy_pages : int list;  (** pages still owed by the source *)
 }
 
 type committed = {
-  sm_pause : Monitor.pause_stats;
-  sm_rewrite : Rewrite.stats;
-  sm_image_bytes : int;
+  sm_evidence : evidence;
   sm_process : Process.t;
   sm_page_server : Transport.page_stats option;
   sm_drained : int;  (** post-copy pages pulled at commit *)

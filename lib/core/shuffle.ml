@@ -238,7 +238,7 @@ let shuffle_binary rng (binary : Binary.t) =
       binary.bin_stackmaps
   in
   let binary' =
-    { (Binary.with_text binary (Bytes.to_string code)) with bin_stackmaps = new_maps }
+    Binary.with_stackmaps (Binary.with_text binary (Bytes.to_string code)) new_maps
   in
   ( binary',
     { sh_funcs = List.rev !fentropies; sh_code_bytes_patched = !patched_bytes;

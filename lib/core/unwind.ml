@@ -59,8 +59,7 @@ let innermost_ep ix (fm : Stackmap.func_map) pc =
      | Some ({ ep_kind = Stackmap.Call_site _; _ } as ep) -> (ep, true)
      | Some _ | None -> fail "thread paused at 0x%Lx: no equivalence point" pc)
 
-let unwind_exn image maps ~(anchors : Binary.anchors) (tc : Images.thread_core) =
-  let ix = Stackmap_index.get maps in
+let unwind_exn image ix ~(anchors : Binary.anchors) (tc : Images.thread_core) =
   let arch = tc.tc_arch in
   let ctx = Array.copy tc.tc_regs in
   let fm0 =
@@ -116,11 +115,6 @@ let unwind_exn image maps ~(anchors : Binary.anchors) (tc : Images.thread_core) 
   { ts_tid = tc.tc_tid; ts_frames = frames; ts_arg_regs = arg_regs;
     ts_tls = tc.tc_tls }
 
-let unwind_all_exn image maps ~anchors =
-  List.map (unwind_exn image maps ~anchors) image.Images.is_cores
-
-let unwind image maps ~anchors tc =
-  Dapper_error.protect (fun () -> unwind_exn image maps ~anchors tc)
-
-let unwind_all image maps ~anchors =
-  Dapper_error.protect (fun () -> unwind_all_exn image maps ~anchors)
+let unwind_all image ix ~anchors =
+  Dapper_error.protect (fun () ->
+      List.map (unwind_exn image ix ~anchors) image.Images.is_cores)

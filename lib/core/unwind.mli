@@ -29,13 +29,10 @@ type thread_stack = {
   ts_tls : int64;
 }
 
-(** [unwind image maps tc] unwinds one thread; [maps] are the stack maps
-    of the binary the image was produced from. Fails with
-    [Dapper_error.Unwind_failed] on a corrupt stack (bad return address,
-    pause outside an equivalence point, ...). *)
-val unwind : Images.image_set -> Stackmap.func_map list -> anchors:Binary.anchors ->
-  Images.thread_core -> (thread_stack, Dapper_error.t) result
-
-(** All threads of an image. *)
-val unwind_all : Images.image_set -> Stackmap.func_map list -> anchors:Binary.anchors ->
+(** [unwind_all image ix ~anchors] unwinds every thread of [image]; [ix]
+    is a lookup handle over the stack maps of the binary the image was
+    produced from ({!Binary.index}), and counts the lookups the walk
+    makes. Fails with [Dapper_error.Unwind_failed] on a corrupt stack
+    (bad return address, pause outside an equivalence point, ...). *)
+val unwind_all : Images.image_set -> Stackmap_index.t -> anchors:Binary.anchors ->
   (thread_stack list, Dapper_error.t) result

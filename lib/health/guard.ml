@@ -39,7 +39,7 @@ let run ~budget_ms (cfg : Session.config) p =
        Lazy transports still charge the full non-resident image here,
        i.e. the projection is conservative: a cancel can only be
        pessimistic by the post-copy share. *)
-    (* [sc_image_bytes] is the unscaled footprint; the wire discounts
+    (* [ev_image_bytes] is the unscaled footprint; the wire discounts
        pre-copied resident pages and charges the byte-scale factor, so
        the projection approximates both *)
     let resident_bytes =
@@ -49,7 +49,9 @@ let run ~budget_ms (cfg : Session.config) p =
     let bytes =
       int_of_float
         (float_of_int
-           (max 0 (s.Session.s_state.Session.sc_image_bytes - resident_bytes))
+           (max 0
+              (s.Session.s_state.Session.sc_evidence.Session.ev_image_bytes
+               - resident_bytes))
          *. cfg.Session.cfg_bytes_scale)
     in
     let tx_projected_ms =

@@ -187,6 +187,30 @@ let encode t =
       Proto.v_fix 8 t.lg_exit;
       Proto.v_str 9 t.lg_stdout ]
 
+(* The recorded stdout (field 9) against the anchors that claim its
+   prefixes, in one pass: each anchor's prefix must not shrink or run past
+   the stdout, and its digest is the previous prefix's digest continued
+   over the new bytes. The final anchor's prefix is the whole stdout. *)
+let check_stdout entries final stdout =
+  let n = String.length stdout in
+  let check (len, h) eq =
+    if eq.eq_stdout_len < len || eq.eq_stdout_len > n then
+      log_error "anchor %d claims %d bytes of stdout (%d before it, %d recorded)"
+        eq.eq_index eq.eq_stdout_len len n;
+    let h = Bytebuf.fnv64_sub h stdout len (eq.eq_stdout_len - len) in
+    if not (Int64.equal h eq.eq_stdout_fnv) then
+      log_error "anchor %d's stdout digest does not match the recorded stdout"
+        eq.eq_index;
+    (eq.eq_stdout_len, h)
+  in
+  let last =
+    List.fold_left
+      (fun acc e -> match e with Eqpoint eq -> check acc eq | _ -> acc)
+      (0, Bytebuf.fnv64 "") entries
+  in
+  let len, _ = check last final in
+  if len <> n then log_error "final anchor claims %d of %d bytes of stdout" len n
+
 let decode s =
   let fs = try Proto.decode s with Proto.Decode_error e -> log_error "%s" e in
   try
@@ -203,13 +227,16 @@ let decode s =
     if List.length entries <> count then
       log_error "entry count mismatch (%d recorded, %d decoded)" count
         (List.length entries);
+    let stdout = Proto.get_str fs 9 in
+    let final = decode_eqpoint (Proto.get_msg fs 7) in
+    check_stdout entries final stdout;
     { lg_version = v;
       lg_app = Proto.get_str fs 2;
       lg_arch = arch_of_code (Proto.get_int fs 3);
       lg_entries = entries;
       lg_exit = Proto.get_fix fs 8;
-      lg_stdout = Proto.get_str fs 9;
-      lg_final = decode_eqpoint (Proto.get_msg fs 7) }
+      lg_stdout = stdout;
+      lg_final = final }
   with Proto.Decode_error e -> log_error "%s" e
 
 let fingerprint t = Bytebuf.fnv64 (encode t)

@@ -12,7 +12,11 @@
     protobuf message ({!Dapper_proto.Proto} wire format) under the
     {!file_name} entry, versioned and content-checksummed with the
     tree's canonical FNV-1a digest — a flipped byte anywhere in the
-    entry stream fails {!decode}.
+    entry stream fails {!decode}. The full stdout is checked against the
+    prefix lengths and digests the entry stream's anchors record, and
+    against the final anchor's. The exit code and the final anchor's
+    snapshot and page digests lie outside the checksum and stay
+    unchecked until a format version adds them to it.
 
     Entry kinds:
     - [Syscall]: one completed syscall's result value, in completion
@@ -101,7 +105,8 @@ val point : t -> int -> eqpoint
 val encode : t -> string
 
 (** Parse and verify. Raises {!Log_error} on malformed bytes, an
-    unsupported version, or an entry-stream checksum mismatch. *)
+    unsupported version, an entry-stream checksum mismatch, or a stdout
+    that disagrees with an anchor's prefix length or digest. *)
 val decode : string -> t
 
 (** FNV-1a digest of {!encode} — the whole-log content fingerprint

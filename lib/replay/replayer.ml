@@ -13,6 +13,7 @@ type divergence = {
   dv_tid : int option;
   dv_kind : string;
   dv_what : string;
+  dv_frames_at : int;
   dv_frames : string list;
   dv_pages : (string * int) list;
 }
@@ -32,20 +33,25 @@ let divergence_report d =
       d.dv_pages
   end;
   if d.dv_frames <> [] then begin
-    Buffer.add_string b "\n  recorded frames at that anchor:";
+    Buffer.add_string b
+      (if d.dv_frames_at = d.dv_point then "\n  recorded frames at that anchor:"
+       else
+         Printf.sprintf "\n  recorded frames at the last anchor (eqpoint %d):"
+           d.dv_frames_at);
     List.iter (fun f -> Buffer.add_string b (Printf.sprintf "\n    %s" f)) d.dv_frames
   end;
   Buffer.contents b
 
 exception Diverge of divergence
 
-let diverge ?tid ?(frames = []) ?(pages = []) ~point ~kind fmt =
+let diverge ?tid ?frames ?(pages = []) ~point ~kind fmt =
+  let frames_at, frames = Option.value frames ~default:(point, []) in
   Printf.ksprintf
     (fun what ->
       raise
         (Diverge
            { dv_point = point; dv_tid = tid; dv_kind = kind; dv_what = what;
-             dv_frames = frames; dv_pages = pages }))
+             dv_frames_at = frames_at; dv_frames = frames; dv_pages = pages }))
     fmt
 
 let frames_to_strings stacks =
@@ -58,14 +64,15 @@ let frames_to_strings stacks =
         tf.Log.tf_frames)
     stacks
 
-(* Recorded frames at the anchor a divergence names: point [k] of the
-   log, or the last anchor when [k] is past it. A divergence at the exit
-   syscall, the exit code or the final state lies in the code the
-   process ran after its last anchor. *)
+(* The anchor whose recorded frames a divergence at point [k] prints,
+   and those frames: point [k] of the log, or the last anchor when [k] is
+   past it. A divergence at the exit syscall, the exit code or the final
+   state lies in the code the process ran after its last anchor. *)
 let frames_at (log : Log.t) k =
-  match Log.point log (min k (Log.points log - 1)) with
-  | eq -> frames_to_strings eq.Log.eq_stacks
-  | exception Log.Log_error _ -> []
+  let at = min k (Log.points log - 1) in
+  match Log.point log at with
+  | eq -> (at, frames_to_strings eq.Log.eq_stacks)
+  | exception Log.Log_error _ -> (at, [])
 
 (* ----- what a recorder writes at an anchor ----- *)
 
@@ -111,8 +118,7 @@ let stacks_of ~index (p : Process.t) =
       (Derr.to_string e)
   | Ok image ->
     (match
-       Unwind.unwind_all image bin.Binary.bin_stackmaps
-         ~anchors:bin.Binary.bin_anchors
+       Unwind.unwind_all image (Binary.index bin) ~anchors:bin.Binary.bin_anchors
      with
     | Error e ->
       diverge ~point:index ~kind:"crash" "unwind at the anchor failed: %s"

@@ -46,16 +46,20 @@ type divergence = {
   dv_kind : string;  (** "syscall" | "sched" | "snapshot" | "stdout" |
                          "exit" | "crash" | "pause" | "log" *)
   dv_what : string;         (** human description of the mismatch *)
+  dv_frames_at : int;
+      (** the anchor whose recorded frames [dv_frames] holds: [dv_point],
+          or the last anchor for a divergence past it (exit syscall,
+          exit code, final state) *)
   dv_frames : string list;
-      (** recorded frames at the anchor, or at the last anchor for a
-          divergence past it (exit syscall, exit code, final state) *)
   dv_pages : (string * int) list;
       (** diverging pages at a snapshot mismatch: (kind, page number) *)
 }
 
 val divergence_to_string : divergence -> string
 
-(** Multi-line report (the artifact chaos failures and the CLI emit). *)
+(** Multi-line report (the artifact chaos failures and the CLI emit). The
+    recorded frames are printed under "that anchor" when they are
+    [dv_point]'s, else under the last anchor's eqpoint number. *)
 val divergence_report : divergence -> string
 
 (** [record bin] records one complete execution of [bin]. [budget] is

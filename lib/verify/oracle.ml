@@ -145,7 +145,7 @@ let unwound ~point (bin : Binary.t) p =
   | Error e -> fail point "dump for deep compare failed: %s" (Derr.to_string e)
   | Ok image ->
     (match
-       Unwind.unwind_all image bin.Binary.bin_stackmaps ~anchors:bin.Binary.bin_anchors
+       Unwind.unwind_all image (Binary.index bin) ~anchors:bin.Binary.bin_anchors
      with
      | Error e -> fail point "unwind for deep compare failed: %s" (Derr.to_string e)
      | Ok stacks -> stacks)

@@ -289,7 +289,7 @@ let mutate_x86 (c : Link.compiled)
   match f c.Link.cp_x86.Binary.bin_stackmaps with
   | None -> None
   | Some maps ->
-    Some { c with Link.cp_x86 = { c.Link.cp_x86 with Binary.bin_stackmaps = maps } }
+    Some { c with Link.cp_x86 = Binary.with_stackmaps c.Link.cp_x86 maps }
 
 (* Apply [f] to the first function map satisfying [pred]. *)
 let on_first_fm pred f maps =

@@ -4,7 +4,7 @@
     The rewriter trusts the stack maps completely — a record that lies
     about where a live value sits silently corrupts the migrated
     process. This pass re-derives, from first principles (deliberately
-    {e not} via {!Dapper_binary.Stackmap_index}, whose caches it would
+    {e not} via {!Dapper_binary.Stackmap_index}, whose tables it would
     otherwise have to trust), every structural invariant the recode
     pipeline relies on:
 

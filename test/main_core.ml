@@ -1,14 +1,1 @@
-(* Migration itself: the Dapper core (monitor, rewriter, policies,
-   sessions), CRIU images, transport, stack shuffling, and the workloads
-   migrated across ISAs. *)
-let () =
-  Runner.run "dapper-core"
-    (Test_dapper.suites
-     @ Test_workloads.suites
-     @ Test_security.suites
-     @ Test_criu.suites
-     @ Test_monitor.suites
-     @ Test_policy.suites
-     @ Test_rewrite.suites
-     @ Test_net.suites
-     @ Test_session.suites)
+let () = Runner.run "dapper-core" Group_core.suites

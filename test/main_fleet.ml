@@ -1,5 +1,1 @@
-(* The planes built on migration: the fleet engines, live traffic, the
-   health plane and observability. *)
-let () =
-  Runner.run "dapper-fleet"
-    (Test_cluster.suites @ Test_obs.suites @ Test_traffic.suites @ Test_health.suites)
+let () = Runner.run "dapper-fleet" Group_fleet.suites

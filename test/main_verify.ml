@@ -1,5 +1,1 @@
-(* Checking migrations: the conformance oracle, the chaos harness and
-   record/replay. *)
-let () =
-  Runner.run "dapper-verify"
-    (Test_verify.suites @ Test_chaos.suites @ Test_replay.suites)
+let () = Runner.run "dapper-verify" Group_verify.suites

@@ -3,4 +3,4 @@
    depends on the suites that share its runner. Every runner registers an
    empty suite under the longest suite name in the tree, so each test
    prints under the same name whichever runner it is in. *)
-let run name suites = Alcotest.run name (("workloads-cross-isa", []) :: suites)
+let run ?argv name suites = Alcotest.run ?argv name (("workloads-cross-isa", []) :: suites)

@@ -123,64 +123,68 @@ let lin_live_value_named maps fn id name =
 
 let lin_func_of_addr = Stackmap.func_of_addr
 
+(* Every lookup through [ix] returns what the linear scan over [maps]
+   returns, on names, ids, addresses, keys and value names drawn from the
+   maps (plus a few that match nothing). *)
+let agrees_with_scans ix maps =
+  let names =
+    "missing"
+    :: List.map (fun (fm : Stackmap.func_map) -> fm.fm_name) maps
+  in
+  let ids = List.init 14 Fun.id in
+  let addrs =
+    List.concat_map
+      (fun (fm : Stackmap.func_map) ->
+        let ep_addrs =
+          List.concat_map
+            (fun (ep : Stackmap.eqpoint) -> [ ep.ep_addr; ep.ep_resume ])
+            fm.fm_eqpoints
+        in
+        [ Int64.sub fm.fm_addr 1L; fm.fm_addr;
+          Int64.add fm.fm_addr (Int64.of_int (fm.fm_code_size / 2));
+          Int64.add fm.fm_addr (Int64.of_int fm.fm_code_size) ]
+        @ ep_addrs)
+      maps
+    @ [ 0L; 0x40_0000L; Int64.max_int ]
+  in
+  let keys =
+    List.concat_map (fun i -> [ Stackmap.Slot i; Stackmap.Temp i ]) (List.init 6 Fun.id)
+  in
+  let lv_names = [ "a"; "b"; "c"; "x"; "tmp"; "nope" ] in
+  List.for_all
+    (fun fn ->
+      Stackmap_index.find_func ix fn = Stackmap.find_func maps fn
+      && Stackmap_index.entry_eqpoint ix fn = lin_entry_eqpoint maps fn
+      && List.for_all
+           (fun id ->
+             Stackmap_index.eqpoint_by_id ix fn id = lin_eqpoint_by_id maps fn id
+             && List.for_all
+                  (fun key ->
+                    Stackmap_index.live_value ix fn id key
+                    = lin_live_value maps fn id key)
+                  keys
+             && List.for_all
+                  (fun n ->
+                    Stackmap_index.live_value_named ix fn id n
+                    = lin_live_value_named maps fn id n)
+                  lv_names)
+           ids
+      && List.for_all
+           (fun a ->
+             Stackmap_index.eqpoint_by_resume ix fn a
+             = lin_eqpoint_by_resume maps fn a
+             && Stackmap_index.eqpoint_at_addr ix fn a
+                = lin_eqpoint_at_addr maps fn a)
+           addrs)
+    names
+  && List.for_all
+       (fun a -> Stackmap_index.func_of_addr ix a = lin_func_of_addr maps a)
+       addrs
+
 let qcheck_stackmap_index_equiv =
   QCheck.Test.make ~name:"Stackmap_index lookups equal linear scans" ~count:100
     arb_maps
-    (fun maps ->
-      let ix = Stackmap_index.build maps in
-      let names =
-        "missing"
-        :: List.map (fun (fm : Stackmap.func_map) -> fm.fm_name) maps
-      in
-      let ids = List.init 14 Fun.id in
-      let addrs =
-        List.concat_map
-          (fun (fm : Stackmap.func_map) ->
-            let ep_addrs =
-              List.concat_map
-                (fun (ep : Stackmap.eqpoint) -> [ ep.ep_addr; ep.ep_resume ])
-                fm.fm_eqpoints
-            in
-            [ Int64.sub fm.fm_addr 1L; fm.fm_addr;
-              Int64.add fm.fm_addr (Int64.of_int (fm.fm_code_size / 2));
-              Int64.add fm.fm_addr (Int64.of_int fm.fm_code_size) ]
-            @ ep_addrs)
-          maps
-        @ [ 0L; 0x40_0000L; Int64.max_int ]
-      in
-      let keys =
-        List.concat_map (fun i -> [ Stackmap.Slot i; Stackmap.Temp i ]) (List.init 6 Fun.id)
-      in
-      let lv_names = [ "a"; "b"; "c"; "x"; "tmp"; "nope" ] in
-      List.for_all
-        (fun fn ->
-          Stackmap_index.find_func ix fn = Stackmap.find_func maps fn
-          && Stackmap_index.entry_eqpoint ix fn = lin_entry_eqpoint maps fn
-          && List.for_all
-               (fun id ->
-                 Stackmap_index.eqpoint_by_id ix fn id = lin_eqpoint_by_id maps fn id
-                 && List.for_all
-                      (fun key ->
-                        Stackmap_index.live_value ix fn id key
-                        = lin_live_value maps fn id key)
-                      keys
-                 && List.for_all
-                      (fun n ->
-                        Stackmap_index.live_value_named ix fn id n
-                        = lin_live_value_named maps fn id n)
-                      lv_names)
-               ids
-          && List.for_all
-               (fun a ->
-                 Stackmap_index.eqpoint_by_resume ix fn a
-                 = lin_eqpoint_by_resume maps fn a
-                 && Stackmap_index.eqpoint_at_addr ix fn a
-                    = lin_eqpoint_at_addr maps fn a)
-               addrs)
-        names
-      && List.for_all
-           (fun a -> Stackmap_index.func_of_addr ix a = lin_func_of_addr maps a)
-           addrs)
+    (fun maps -> agrees_with_scans (Stackmap_index.handle (Stackmap_index.build maps)) maps)
 
 let qcheck_stackmap_serialize_roundtrip =
   QCheck.Test.make ~name:"stackmap serialize/deserialize roundtrip" ~count:100
@@ -250,22 +254,20 @@ let test_interval_map_overlap_detected () =
    rewrites) moved to the session suite, which drives it through the
    conformance oracle at a chosen equivalence point. *)
 
-(* ----- content-keyed index memoization ----- *)
+(* ----- the index a binary carries ----- *)
 
-let test_index_memo_by_content () =
+(* A binary's index answers like [Stackmap_index.build] of its own maps
+   (which the property above ties to the linear scans), whichever way
+   the binary was made: linked, reshuffled, or given new maps. *)
+let test_binary_index_follows_its_maps () =
   let c = Registry_helpers.compute () in
-  let maps = c.Link.cp_x86.Dapper_binary.Binary.bin_stackmaps in
-  let ix1 = Stackmap_index.get maps in
-  (* same list value: physical-equality fast path *)
-  let ix2 = Stackmap_index.get maps in
-  check Alcotest.bool "same list is memoized" true (ix1 == ix2);
-  (* structurally equal but physically distinct: content-hash hit *)
-  let copy =
-    Dapper_binary.Stackmap.deserialize (Dapper_binary.Stackmap.serialize maps)
-  in
-  check Alcotest.bool "copy is not the same value" false (maps == copy);
-  let ix3 = Stackmap_index.get copy in
-  check Alcotest.bool "equal content is memoized" true (ix1 == ix3)
+  let linked = c.Link.cp_x86 in
+  let shuffled, _ = Dapper.Shuffle.shuffle_binary (Dapper_util.Rng.create 7L) linked in
+  let fewer = Binary.with_stackmaps linked (List.tl linked.Binary.bin_stackmaps) in
+  List.iter
+    (fun (what, (bin : Binary.t)) ->
+      check Alcotest.bool what true (agrees_with_scans (Binary.index bin) bin.bin_stackmaps))
+    [ ("linked", linked); ("reshuffled", shuffled); ("with_stackmaps", fewer) ]
 
 let suites =
   [ ( "indexes",
@@ -274,5 +276,5 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_interval_map_equiv;
         Alcotest.test_case "interval map overlap handling" `Quick
           test_interval_map_overlap_detected;
-        Alcotest.test_case "index memoized by stack-map content" `Quick
-          test_index_memo_by_content ] ) ]
+        Alcotest.test_case "binary's index follows its maps" `Quick
+          test_binary_index_follows_its_maps ] ) ]

@@ -134,6 +134,25 @@ let test_log_wire_round_trip () =
      | exception Log.Log_error _ -> true
      | _ -> false)
 
+(* The full stdout lies outside the entry-stream checksum, so decode
+   checks it against the prefix digests the anchors record: one flipped
+   byte of it fails decode instead of a replay that blames the process. *)
+let test_log_stdout_checked () =
+  let c = Option.get (Corpus.find "mini-sieve") in
+  let log = record_exn c.Link.cp_x86 in
+  let bytes = Log.encode log in
+  let out = log.Log.lg_stdout in
+  (* field 9, the stdout, is the encoding's last field *)
+  check Alcotest.bool "the encoding ends with the stdout" true
+    (out <> "" && String.ends_with ~suffix:out bytes);
+  let corrupt = Bytes.of_string bytes in
+  let at = Bytes.length corrupt - (String.length out / 2) - 1 in
+  Bytes.set corrupt at (Char.chr (Char.code (Bytes.get corrupt at) lxor 0x01));
+  check Alcotest.bool "flipped stdout byte rejected" true
+    (match Log.decode (Bytes.to_string corrupt) with
+     | exception Log.Log_error _ -> true
+     | _ -> false)
+
 (* The recorded mini-quickstart log on each ISA, pinned as absolute
    values: the log carries every anchor's per-page digests
    ([Process.observe_pages]), so a change to any digest on that path
@@ -209,7 +228,8 @@ let test_same_isa_replay_exact () =
     [ c.Link.cp_x86; c.Link.cp_arm ]
 
 (* A divergence past the last anchor (here the exit syscall's result)
-   carries the last anchor's recorded frames, on either ISA. *)
+   carries the last anchor's recorded frames, on either ISA, and its
+   report says whose frames they are. *)
 let test_exit_divergence_frames () =
   let c = Option.get (Corpus.find "mini-quickstart") in
   let log = record_exn c.Link.cp_x86 in
@@ -243,7 +263,12 @@ let test_exit_divergence_frames () =
       let o = Replayer.replay ~log:tampered bin in
       let d = diverged_at "altered exit syscall" ~point:n o in
       check Alcotest.string "a syscall divergence" "syscall" d.Replayer.dv_kind;
-      check Alcotest.(list string) "the last anchor's frames" want d.Replayer.dv_frames)
+      check Alcotest.(list string) "the last anchor's frames" want d.Replayer.dv_frames;
+      check Alcotest.int "frames from the last anchor" (n - 1) d.Replayer.dv_frames_at;
+      let label = Printf.sprintf "recorded frames at the last anchor (eqpoint %d):" (n - 1) in
+      check Alcotest.bool "the report names that anchor" true
+        (List.mem ("  " ^ label)
+           (String.split_on_char '\n' (Replayer.divergence_report d))))
     [ c.Link.cp_x86; c.Link.cp_arm ]
 
 (* Shadow replay localizes a seeded rewriter corruption: a clean
@@ -281,6 +306,8 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_generated_round_trip;
         Alcotest.test_case "log wire-format round-trip + checksum" `Quick
           test_log_wire_round_trip;
+        Alcotest.test_case "recorded stdout checked at decode" `Quick
+          test_log_stdout_checked;
         Alcotest.test_case "log fingerprints pinned on both ISAs" `Quick
           test_log_fingerprint_pins;
         Alcotest.test_case "same-ISA replay compares every field" `Quick

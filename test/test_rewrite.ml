@@ -83,22 +83,21 @@ let test_rewrite_rejects_mismatched_binaries () =
 let test_tampered_stackmaps_detected () =
   let c, _, _ = reference () in
   let tamper (bin : Binary.t) =
-    { bin with
-      bin_stackmaps =
-        List.map
-          (fun (fm : Stackmap.func_map) ->
-            { fm with
-              fm_eqpoints =
-                List.map
-                  (fun (ep : Stackmap.eqpoint) ->
-                    { ep with
-                      ep_live =
-                        List.filter
-                          (fun (lv : Stackmap.live_value) ->
-                            match lv.lv_key with Stackmap.Temp _ -> false | _ -> true)
-                          ep.ep_live })
-                  fm.fm_eqpoints })
-          bin.bin_stackmaps }
+    Binary.with_stackmaps bin
+      (List.map
+         (fun (fm : Stackmap.func_map) ->
+           { fm with
+             fm_eqpoints =
+               List.map
+                 (fun (ep : Stackmap.eqpoint) ->
+                   { ep with
+                     ep_live =
+                       List.filter
+                         (fun (lv : Stackmap.live_value) ->
+                           match lv.lv_key with Stackmap.Temp _ -> false | _ -> true)
+                         ep.ep_live })
+                 fm.fm_eqpoints })
+         bin.bin_stackmaps)
   in
   ignore c;
   (* a program whose loop keeps a temporary live across a call, so every
@@ -164,6 +163,39 @@ let test_frame_pointer_outside_dump () =
     (match Rewrite.rewrite image' ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm with
      | Error (Dapper_util.Dapper_error.Unwind_failed _) -> true
      | _ -> false)
+
+(* [st_index_lookups] counts the rewrite's own lookups: twenty rewrites
+   run while a second domain looks names up in the same binary's index
+   each report what a rewrite run alone does. *)
+let test_index_lookups_per_run () =
+  let c, _, _ = reference () in
+  let p = Process.load c.Link.cp_x86 in
+  ignore (Process.run p ~max_instrs:100_000);
+  let image = pause_and_dump p in
+  let lookups () =
+    let _, st = ok (Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm) in
+    st.Rewrite.st_index_lookups
+  in
+  (* alone; this also warms the plan cache, whose table stays shared *)
+  let alone = lookups () in
+  let stop = Atomic.make false and made = Atomic.make 0 in
+  let other =
+    Domain.spawn (fun () ->
+        let ix = Binary.index c.Link.cp_x86 in
+        while not (Atomic.get stop) do
+          ignore (Stackmap_index.find_func ix "main");
+          Atomic.incr made
+        done)
+  in
+  let runs =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set stop true; Domain.join other)
+      (fun () ->
+        while Atomic.get made = 0 do Domain.cpu_relax () done;
+        List.init 20 (fun _ -> lookups ()))
+  in
+  check Alcotest.(list int) "each run counts its own lookups"
+    (List.init 20 (fun _ -> alone)) runs
 
 let test_rewrite_preserves_heap_and_globals () =
   let c, _, _ = reference () in
@@ -495,6 +527,8 @@ let suites =
           test_corrupt_return_address_detected;
         Alcotest.test_case "frame pointer outside the dump" `Quick
           test_frame_pointer_outside_dump;
+        Alcotest.test_case "index lookups counted per run" `Quick
+          test_index_lookups_per_run;
         Alcotest.test_case "heap/globals preserved" `Quick
           test_rewrite_preserves_heap_and_globals;
         Alcotest.test_case "stats sensible" `Quick test_rewrite_stats_sensible;
