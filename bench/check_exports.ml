@@ -2,9 +2,10 @@
    [val] that a lib/*/*.mli exports is named by no .ml file in lib/, bin/,
    bench/, examples/, perfbench/ or test/ other than its own module's, so
    an export nothing reads cannot creep back in. The scan is a name
-   search: a name that appears anywhere outside its module (code, comment
-   or string) counts as read, so it never flags a live value. Run it from
-   the root of the repository. *)
+   search over code: comments (nested) and string literals are blanked
+   first, so a name only they mention is not a read, while any token in
+   code outside its module counts as one. Run it from the root of the
+   repository. *)
 
 let scanned = [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "test" ]
 
@@ -23,6 +24,86 @@ let read path = In_channel.with_open_bin path In_channel.input_all
 
 let is_ident c =
   match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true | _ -> false
+
+(* [s] with every comment and string literal blanked to spaces,
+   newlines kept. Strings and character literals are lexed inside
+   comments too, as OCaml does, so a quote or a comment delimiter there
+   ends nothing. *)
+let code_only s =
+  let n = String.length s in
+  let out = Bytes.of_string s in
+  let blank i j =
+    for k = i to min j n - 1 do
+      if s.[k] <> '\n' then Bytes.set out k ' '
+    done
+  in
+  let at i c = i < n && s.[i] = c in
+  (* past the closing quote of a string whose body starts at [i] *)
+  let rec string_end i =
+    if i >= n then n
+    else
+      match s.[i] with
+      | '\\' -> string_end (i + 2)
+      | '"' -> i + 1
+      | _ -> string_end (i + 1)
+  in
+  (* past a quoted string [{id|...|id}] opening at [i], if one does *)
+  let quoted_end i =
+    let j = ref (i + 1) in
+    while !j < n && (match s.[!j] with 'a' .. 'z' | '_' -> true | _ -> false) do
+      incr j
+    done;
+    if not (at !j '|') then None
+    else
+      let close = "|" ^ String.sub s (i + 1) (!j - i - 1) ^ "}" in
+      let m = String.length close in
+      let rec find k =
+        if k + m > n then n else if String.sub s k m = close then k + m else find (k + 1)
+      in
+      Some (find (!j + 1))
+  in
+  (* past a character literal opening at [i], if one does: ['x'] or an
+     escape such as ['\''] or ['\065'] *)
+  let char_end i =
+    if i + 2 < n && s.[i + 1] <> '\\' && s.[i + 2] = '\'' then Some (i + 3)
+    else if at (i + 1) '\\' then
+      match String.index_from_opt s (min n (i + 3)) '\'' with
+      | Some k when k - i <= 6 -> Some (k + 1)
+      | _ -> None
+    else None
+  in
+  let rec comment i depth =
+    if i >= n then n
+    else if at i '(' && at (i + 1) '*' then comment (i + 2) (depth + 1)
+    else if at i '*' && at (i + 1) ')' then
+      if depth = 1 then i + 2 else comment (i + 2) (depth - 1)
+    else if at i '"' then comment (string_end (i + 1)) depth
+    else if at i '{' then comment (Option.value (quoted_end i) ~default:(i + 1)) depth
+    else if at i '\'' then comment (Option.value (char_end i) ~default:(i + 1)) depth
+    else comment (i + 1) depth
+  in
+  let rec code i =
+    if i < n then
+      if at i '(' && at (i + 1) '*' then (
+        let j = comment (i + 2) 1 in
+        blank i j;
+        code j)
+      else if at i '"' then (
+        let j = string_end (i + 1) in
+        blank i j;
+        code j)
+      else if at i '{' then (
+        match quoted_end i with
+        | Some j ->
+          blank i j;
+          code j
+        | None -> code (i + 1))
+      else if at i '\'' && not (i > 0 && is_ident s.[i - 1]) then
+        code (Option.value (char_end i) ~default:(i + 1))
+      else code (i + 1)
+  in
+  code 0;
+  Bytes.to_string out
 
 (* The identifier tokens of [s], in order. *)
 let words s =
@@ -51,7 +132,7 @@ let () =
     List.map
       (fun f ->
         let t = Hashtbl.create 256 in
-        List.iter (fun w -> Hashtbl.replace t w ()) (words (read f));
+        List.iter (fun w -> Hashtbl.replace t w ()) (words (code_only (read f)));
         (f, t))
       mls
   in
@@ -79,7 +160,7 @@ let () =
             incr unread;
             Printf.printf "%s:%d: %s.%s is exported but no other module names it\n" mli ln
               modname name))
-        (vals (read mli)))
+        (vals (code_only (read mli))))
     interfaces;
   if !unread > 0 then (
     Printf.printf "check_exports: %d of %d exports unread outside their module\n" !unread

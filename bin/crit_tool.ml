@@ -25,7 +25,7 @@ let show sp warm recode =
   let c = Registry.compiled sp in
   let p = Process.load c.Link.cp_x86 in
   ignore (Process.run p ~max_instrs:warm);
-  (match Monitor.request_pause p ~budget:50_000_000 with
+  (match Monitor.request_pause p ~budget:Monitor.default_budget with
    | Ok _ -> ()
    | Error e -> failwith (Monitor.error_to_string e));
   let image = Dapper_util.Dapper_error.ok_exn (Dapper_criu.Dump.dump p) in

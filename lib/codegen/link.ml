@@ -227,6 +227,16 @@ let binary_for c = function
   | Arch.X86_64 -> c.cp_x86
   | Arch.Aarch64 -> c.cp_arm
 
+let memo : (string, compiled) Hashtbl.t = Hashtbl.create 64
+
+let memoized ~app build =
+  match Hashtbl.find_opt memo app with
+  | Some c -> c
+  | None ->
+    let c = compile ~app (build ()) in
+    Hashtbl.replace memo app c;
+    c
+
 let compile_with_inline_runtime ?(opts = Opts.default) ~app ~runtime_ir (m : Ir.modul) =
   let prefix = "__popcorn_" in
   let rt_fun_names = List.map (fun (f : Ir.func) -> f.Ir.fname) runtime_ir.Ir.m_funcs in

@@ -26,6 +26,12 @@ val compile : ?opts:Opts.t -> app:string -> Ir.modul -> compiled
 
 val binary_for : compiled -> Arch.t -> Binary.t
 
+(** [memoized ~app build] is [compile ~app (build ())], compiled once per
+    [app] name in a process. Its callers name their programs apart: the
+    registry's benchmark names, the corpus's [mini-*] and the
+    generator's [gen<seed>]. *)
+val memoized : app:string -> (unit -> Ir.modul) -> compiled
+
 (** Build a "Popcorn-like" binary variant: the same program with the
     state-transformation runtime linked {e into} the binary's text (an
     inline migration runtime), used as the attack-surface baseline for

@@ -94,7 +94,7 @@ let update ?(retries = 16) (p : Process.t) ~old_bin ~new_bin =
     let* () = check_layout ~old_bin ~new_bin in
     let changed = changed_functions ~old_bin ~new_bin in
     let attempt () =
-      let* _ = Monitor.request_pause p ~budget:50_000_000 in
+      let* _ = Monitor.request_pause p ~budget:Monitor.default_budget in
       let* image = Dapper_criu.Dump.dump p in
       let* stacks =
         Unwind.unwind_all image (Binary.index old_bin) ~anchors:old_bin.bin_anchors

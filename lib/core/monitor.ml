@@ -13,6 +13,8 @@ type error = Dapper_error.t
 
 let error_to_string = Dapper_error.to_string
 
+let default_budget = 50_000_000
+
 let index_of (p : Process.t) = Binary.index p.Process.binary
 
 (* Validate that a trapped thread sits at a checker trap: its pc must be

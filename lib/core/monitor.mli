@@ -26,6 +26,10 @@ type error = Dapper_error.t
 
 val error_to_string : error -> string
 
+(** The drain budget every migration pause uses unless its caller has a
+    reason to bound it: 50M instructions. *)
+val default_budget : int
+
 (** [request_pause p ~budget] quiesces the process, leaving every live
     thread [Stopped] at an equivalence point. On failure the process is
     left untouched except for consumed execution budget; call [cancel]

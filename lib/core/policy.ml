@@ -22,7 +22,7 @@ let ( let* ) = Result.bind
 let ensure_paused p =
   if Process.all_quiescent p then Ok ()
   else
-    match Monitor.request_pause p ~budget:50_000_000 with
+    match Monitor.request_pause p ~budget:Monitor.default_budget with
     | Ok _ -> Ok ()
     | Error _ as e -> e
 

@@ -32,7 +32,7 @@ let default_config ~src_bin ~dst_bin =
     cfg_src_bin = src_bin;
     cfg_dst_bin = dst_bin;
     cfg_bytes_scale = 1.0;
-    cfg_pause_budget = 50_000_000;
+    cfg_pause_budget = Monitor.default_budget;
     cfg_commit_drain = false;
     cfg_fault = None;
     cfg_pipeline = false;

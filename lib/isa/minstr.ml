@@ -78,29 +78,3 @@ let pp arch ppf t =
   | Nop -> Format.fprintf ppf "nop"
 
 let to_string arch t = Format.asprintf "%a" (pp arch) t
-
-let uses _arch = function
-  | Mov (_, s) -> [ s ]
-  | Movi _ -> []
-  | Movk (d, _) -> [ d ]
-  | Binop (_, _, a, b) -> [ a; b ]
-  | Binopi (_, _, a, _) -> [ a ]
-  | Unop (_, _, s) -> [ s ]
-  | Load (_, b, _) | Load8 (_, b, _) -> [ b ]
-  | Store (s, b, _) | Store8 (s, b, _) -> [ s; b ]
-  | Load_pair (_, _, b, _) -> [ b ]
-  | Store_pair (s1, s2, b, _) -> [ s1; s2; b ]
-  | Tls_get _ -> []
-  | Call _ -> []
-  | Call_reg s -> [ s ]
-  | Ret -> []
-  | Jmp _ -> []
-  | Jz (c, _) | Jnz (c, _) -> [ c ]
-  | Adjust_sp _ | Trap | Syscall _ | Nop -> []
-
-let defs _arch = function
-  | Mov (d, _) | Movi (d, _) | Movk (d, _) | Binop (_, d, _, _) | Binopi (_, d, _, _)
-  | Unop (_, d, _) | Load (d, _, _) | Load8 (d, _, _) | Tls_get d -> [ d ]
-  | Load_pair (d1, d2, _, _) -> [ d1; d2 ]
-  | Store _ | Store8 _ | Store_pair _ | Call _ | Call_reg _ | Ret | Jmp _ | Jz _ | Jnz _
-  | Adjust_sp _ | Trap | Syscall _ | Nop -> []

@@ -48,8 +48,3 @@ type t =
 
 val pp : Arch.t -> Format.formatter -> t -> unit
 val to_string : Arch.t -> t -> string
-
-(** Registers read / written by an instruction (excluding implicit sp
-    effects of call/ret/adjust_sp). *)
-val uses : Arch.t -> t -> reg list
-val defs : Arch.t -> t -> reg list

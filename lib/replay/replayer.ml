@@ -311,11 +311,9 @@ let cursor_seek c k =
    function of the walk. [on_point] fires at each pause (process
    quiescent, anchor index given); the walk resumes afterwards. *)
 
-let default_budget = 50_000_000
-
-let walk ~budget ~on_point p =
+let walk ~on_point p =
   let rec go k =
-    match Monitor.request_pause p ~budget with
+    match Monitor.request_pause p ~budget:Monitor.default_budget with
     | Ok _ ->
       on_point k;
       Monitor.resume p;
@@ -327,7 +325,7 @@ let walk ~budget ~on_point p =
 
 (* ----- recording ----- *)
 
-let record ?(budget = default_budget) (bin : Binary.t) =
+let record (bin : Binary.t) =
   Trace.with_span ~cat:"replay" "record"
     ~args:[ ("app", bin.Binary.bin_app); ("arch", Arch.name bin.Binary.bin_arch) ]
     (fun cl ->
@@ -344,7 +342,7 @@ let record ?(budget = default_budget) (bin : Binary.t) =
               (fun ~tid ~steps ->
                 push (Log.Sched { sd_tid = tid; sd_steps = steps })) };
       match
-        walk ~budget p ~on_point:(fun k ->
+        walk p ~on_point:(fun k ->
             push (Log.Eqpoint (eqpoint_of ~stacks:true ~index:k p)))
       with
       | exception Diverge d -> Error (divergence_to_string d)
@@ -410,7 +408,7 @@ let outcome_to_string o =
    ([Some k]), which is compared first. Scheduler slices are validated
    on the recording's ISA; a replay from load there also compares every
    field the recorder wrote. *)
-let validate ~budget ~(log : Log.t) ~from (p : Process.t) =
+let validate ~(log : Log.t) ~from (p : Process.t) =
   let strict = Arch.equal p.Process.arch log.Log.lg_arch in
   let exact = strict && from = None in
   Trace.with_span ~cat:"replay" "replay"
@@ -451,7 +449,7 @@ let validate ~budget ~(log : Log.t) ~from (p : Process.t) =
           Fun.protect
             ~finally:(fun () -> p.Process.nondet <- None)
             (fun () ->
-              walk ~budget p ~on_point:(fun _ ->
+              walk p ~on_point:(fun _ ->
                   let eq = cursor_eqpoint c in
                   compare_point ~log ~prefix_len eq p;
                   if exact then
@@ -501,8 +499,6 @@ let validate ~budget ~(log : Log.t) ~from (p : Process.t) =
         ro_sched_checked = c.sched_checked;
         ro_divergence = divergence })
 
-let replay ?(budget = default_budget) ~log bin =
-  validate ~budget ~log ~from:None (Process.load bin)
+let replay ~log bin = validate ~log ~from:None (Process.load bin)
 
-let shadow ?(budget = default_budget) ~log ~from_point p =
-  validate ~budget ~log ~from:(Some from_point) p
+let shadow ~log ~from_point p = validate ~log ~from:(Some from_point) p

@@ -62,11 +62,11 @@ val divergence_to_string : divergence -> string
     [dv_point]'s, else under the last anchor's eqpoint number. *)
 val divergence_report : divergence -> string
 
-(** [record bin] records one complete execution of [bin]. [budget] is
-    the monitor drain budget per equivalence point (default 50M).
+(** [record bin] records one complete execution of [bin], draining
+    each pause within {!Dapper.Monitor.default_budget}.
     [Error] on a crash, deadlock or monitor failure — recording imposes
     the oracle's walk, so anything the oracle admits records. *)
-val record : ?budget:int -> Binary.t -> (Log.t, string) result
+val record : Binary.t -> (Log.t, string) result
 
 type outcome = {
   ro_app : string;          (** the recorded program *)
@@ -88,7 +88,7 @@ val outcome_to_string : outcome -> string
 (** [replay ~log bin] loads [bin] (either ISA) and validates it against
     [log] from the start to exit. Neither [replay] nor {!shadow} raises:
     log shape errors, crashes and monitor failures are divergences. *)
-val replay : ?budget:int -> log:Log.t -> Binary.t -> outcome
+val replay : log:Log.t -> Binary.t -> outcome
 
 (** [shadow ~log ~from_point q] validates [q] against [log] from anchor
     [from_point] to exit, comparing [q]'s state against that anchor
@@ -101,4 +101,4 @@ val replay : ?budget:int -> log:Log.t -> Binary.t -> outcome
     mismatch localizes a rewriter bug to the anchor (and pages) where
     the migrated twin's state function first departs from the recorded
     one. *)
-val shadow : ?budget:int -> log:Log.t -> from_point:int -> Process.t -> outcome
+val shadow : log:Log.t -> from_point:int -> Process.t -> outcome

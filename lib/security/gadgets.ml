@@ -7,9 +7,12 @@ type counts = {
   g_total : int;
 }
 
+(* Gadgets are at most this many instructions long. *)
+let max_len = 5
+
 (* Does a gadget of <= max_len instructions start at [off]?
    Returns the terminator class if so. *)
-let gadget_at arch code off max_len =
+let gadget_at arch code off =
   let rec go off remaining =
     if remaining = 0 then None
     else
@@ -24,7 +27,7 @@ let gadget_at arch code off max_len =
   in
   go off max_len
 
-let scan ?(max_len = 5) (binary : Binary.t) =
+let scan (binary : Binary.t) =
   let text =
     match Binary.find_section binary ".text" with
     | Some s -> s.sec_data
@@ -35,7 +38,7 @@ let scan ?(max_len = 5) (binary : Binary.t) =
   let ret = ref 0 and ind = ref 0 in
   let off = ref 0 in
   while !off < String.length text do
-    (match gadget_at arch text !off max_len with
+    (match gadget_at arch text !off with
      | Some `Ret -> incr ret
      | Some `Indirect -> incr ind
      | None -> ());

@@ -15,9 +15,9 @@ type counts = {
   g_total : int;
 }
 
-(** [scan ?max_len binary] counts unique gadget start offsets
-    (default [max_len] = 5 instructions). *)
-val scan : ?max_len:int -> Binary.t -> counts
+(** [scan binary] counts unique start offsets of gadgets of at most 5
+    instructions. *)
+val scan : Binary.t -> counts
 
 (** Percentage reduction of [subject] relative to [baseline]
     (paper Fig. 11's metric). *)

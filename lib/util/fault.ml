@@ -25,12 +25,12 @@ let calm =
   { fs_drop = 0.0; fs_corrupt = 0.0; fs_delay = 0.0; fs_delay_ns = 0.0;
     fs_crash_source = 0.0; fs_fail_restore = 0.0; fs_kill_node = 0.0 }
 
-let uniform ?(delay_ns = 5.0e6) p =
+let uniform p =
   if p < 0.0 || p > 1.0 then invalid_arg "Fault.uniform: probability out of [0,1]";
   (* Payload faults (drop/corrupt/delay) at [p] each; node-level crashes
      are rarer in a real fleet than flaky packets, so they fire at a
-     third of the payload rate. *)
-  { fs_drop = p; fs_corrupt = p; fs_delay = p; fs_delay_ns = delay_ns;
+     third of the payload rate. Each delay adds 5 ms. *)
+  { fs_drop = p; fs_corrupt = p; fs_delay = p; fs_delay_ns = 5.0e6;
     fs_crash_source = p /. 3.0; fs_fail_restore = p /. 3.0;
     fs_kill_node = p /. 3.0 }
 

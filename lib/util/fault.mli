@@ -47,10 +47,10 @@ type spec = {
 (** No faults ever fire. *)
 val calm : spec
 
-(** [uniform p] sets every payload-fault class to probability [p] and
-    node crashes to [p/3] ([delay_ns] defaults to 5 ms). Raises
+(** [uniform p] sets every payload-fault class to probability [p] (each
+    delay adds 5 ms) and node crashes to [p/3]. Raises
     [Invalid_argument] outside [0, 1]. *)
-val uniform : ?delay_ns:float -> float -> spec
+val uniform : float -> spec
 
 (** A seeded schedule. Mutable: every {!draw} advances its stream. *)
 type t

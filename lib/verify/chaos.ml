@@ -105,8 +105,7 @@ let pick_transport ?mechanism rng =
    source's recording [log] from that point to exit, or rolls back to a
    source that is running and does the same. Either way, no process is
    ever lost or corrupted. *)
-let run_one ?(budget = 50_000_000) ?(pipeline = false) ?mechanism ~spec ~seed ~log
-    ~dst (c : Link.compiled) =
+let run_one ?(pipeline = false) ?mechanism ~spec ~seed ~log ~dst (c : Link.compiled) =
   let src = log.Log.lg_arch in
   let src_bin = Link.binary_for c src and dst_bin = Link.binary_for c dst in
   let go () =
@@ -118,13 +117,12 @@ let run_one ?(budget = 50_000_000) ?(pipeline = false) ?mechanism ~spec ~seed ~l
     let point = Rng.int rng points in
     let transport = pick_transport ?mechanism rng in
     let p = Process.load src_bin in
-    if not (Oracle.advance_to_point p ~budget point) then
-      fail "source exited before point %d on replay" point;
+    if not (Oracle.advance_to_point p ~budget:Dapper.Monitor.default_budget point)
+    then fail "source exited before point %d on replay" point;
     let fault = Fault.make ~seed spec in
     let base_cfg =
       { (Session.default_config ~src_bin ~dst_bin) with
         Session.cfg_transport = transport;
-        cfg_pause_budget = budget;
         cfg_commit_drain = true;
         (* pipelined chaos: stream in page-sized chunks (corpus images
            are unscaled, so the default 256 KiB would be one chunk) —
@@ -169,7 +167,7 @@ let run_one ?(budget = 50_000_000) ?(pipeline = false) ?mechanism ~spec ~seed ~l
        its scheduler slices are validated too), must shadow-replay the
        recording from the migration point to exit *)
     let shadow what q =
-      let o = Replayer.shadow ~budget ~log ~from_point:point q in
+      let o = Replayer.shadow ~log ~from_point:point q in
       if o.Replayer.ro_divergence <> None then
         fail "%s diverged from the recording\n%s" what (Replayer.outcome_to_string o)
     in
@@ -225,7 +223,7 @@ let run_one ?(budget = 50_000_000) ?(pipeline = false) ?mechanism ~spec ~seed ~l
    migration direction: the chaos suite proper. Each (program, source
    ISA) pair is recorded once per sweep. Stops at the first invariant
    violation. *)
-let sweep ?budget ?pipeline ?mechanism ?(progress = fun _ -> ()) ~spec ~seeds () =
+let sweep ?pipeline ?mechanism ?(progress = fun _ -> ()) ~spec ~seeds () =
   let corpus = Corpus.all () in
   let n_programs = List.length corpus in
   let recordings = Hashtbl.create 8 in
@@ -234,7 +232,7 @@ let sweep ?budget ?pipeline ?mechanism ?(progress = fun _ -> ()) ~spec ~seeds ()
     match Hashtbl.find_opt recordings key with
     | Some r -> r
     | None ->
-      let r = Replayer.record ?budget (Link.binary_for c src) in
+      let r = Replayer.record (Link.binary_for c src) in
       Hashtbl.add recordings key r;
       r
   in
@@ -252,7 +250,7 @@ let sweep ?budget ?pipeline ?mechanism ?(progress = fun _ -> ()) ~spec ~seeds ()
       in
       let outcome =
         match recording c src with
-        | Ok log -> run_one ?budget ?pipeline ?mechanism ~spec ~seed ~log ~dst c
+        | Ok log -> run_one ?pipeline ?mechanism ~spec ~seed ~log ~dst c
         | Error e ->
           Error
             { cf_app = c.Link.cp_app; cf_src = src; cf_dst = dst; cf_seed = seed;

@@ -75,9 +75,9 @@ val summary_to_string : summary -> string
 (** One seeded chaos run of [c], migrating from the ISA of [log], the
     source's complete recording, to [dst] under [spec]; the migration
     point is drawn from its first six equivalence points. The run makes
-    no recording of its own. [budget] (default 50M) bounds each pause's
-    drain. With [pipeline], the transfer stage streams the image in
-    page-sized chunks ({!Dapper.Session.config.cfg_pipeline}) — faults
+    no recording of its own. With [pipeline], the transfer stage
+    streams the image in page-sized chunks
+    ({!Dapper.Session.config.cfg_pipeline}) — faults
     landing mid-stream must still commit-or-rollback exactly like the
     sequential path. [mechanism] pins the copy style instead of drawing
     it from the run stream (eager for vanilla/pre-copy, post-copy for
@@ -85,7 +85,6 @@ val summary_to_string : summary -> string
     fault-free rounds first) — the congestion draw and fault schedule
     stay seed-aligned with the unpinned run. *)
 val run_one :
-  ?budget:int ->
   ?pipeline:bool ->
   ?mechanism:Dapper_traffic.Budget.mechanism ->
   spec:Dapper_util.Fault.spec ->
@@ -101,7 +100,6 @@ val run_one :
     pair once, to exit, so the programs must terminate (the corpus
     programs do). [progress] is called per completed run. *)
 val sweep :
-  ?budget:int ->
   ?pipeline:bool ->
   ?mechanism:Dapper_traffic.Budget.mechanism ->
   ?progress:(run_report -> unit) ->

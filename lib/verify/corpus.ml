@@ -109,15 +109,7 @@ let specs =
     ("mini-fib", fib);
     ("mini-sieve", sieve) ]
 
-let cache : (string, Link.compiled) Hashtbl.t = Hashtbl.create 8
-
-let compile (name, build) =
-  match Hashtbl.find_opt cache name with
-  | Some c -> c
-  | None ->
-    let c = Link.compile ~app:name (build ()) in
-    Hashtbl.replace cache name c;
-    c
+let compile (name, build) = Link.memoized ~app:name build
 
 let all () = List.map (fun spec -> (fst spec, compile spec)) specs
 

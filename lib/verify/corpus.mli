@@ -6,7 +6,8 @@
     a size where the oracle's every-equivalence-point migration sweep
     (quadratic in dynamic equivalence points: each point is reached by
     replaying from a fresh load) stays cheap enough for the tier-1
-    suite. Compilation is memoized. *)
+    suite. Each program is compiled once per process
+    ({!Dapper_codegen.Link.memoized}). *)
 
 val all : unit -> (string * Dapper_codegen.Link.compiled) list
 

@@ -211,15 +211,6 @@ let program seed =
       ret b (band (v "out") (i 127)));
   finish m
 
-(* Compilation is memoized per seed: the qcheck properties visit each
-   seed once per ISA direction, and the corpus sweep revisits them. *)
-let compiled : (int, Link.compiled) Hashtbl.t = Hashtbl.create 64
-
-let compile seed =
-  match Hashtbl.find_opt compiled seed with
-  | Some c -> c
-  | None ->
-    let m = program seed in
-    let c = Link.compile ~app:(name seed) m in
-    Hashtbl.replace compiled seed c;
-    c
+(* Compiled once per seed: the qcheck properties visit each seed once
+   per ISA direction, and the corpus sweep revisits them. *)
+let compile seed = Link.memoized ~app:(name seed) (fun () -> program seed)

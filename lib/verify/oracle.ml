@@ -66,9 +66,9 @@ let advance_to_point p ~budget k =
   in
   go 0
 
-let parked ~budget bin k =
+let parked bin k =
   let p = Process.load bin in
-  if not (advance_to_point p ~budget k) then
+  if not (advance_to_point p ~budget:Monitor.default_budget k) then
     fail k "source exited before reaching point %d on replay" k;
   p
 
@@ -152,13 +152,10 @@ let unwound ~point (bin : Binary.t) p =
 
 (* ----- the oracle ----- *)
 
-let session_config ~budget ~src_bin ~dst_bin =
-  { (Session.default_config ~src_bin ~dst_bin) with Session.cfg_pause_budget = budget }
-
 (* The one reference every check compares against: a complete recording
    of the source twin. *)
-let recorded ~budget bin =
-  match Replayer.record ~budget bin with
+let recorded bin =
+  match Replayer.record bin with
   | Ok log -> log
   | Error e -> fail (-1) "recording failed: %s" e
 
@@ -173,24 +170,24 @@ let matched ~what (o : Replayer.outcome) =
    session (its own pause finds every thread stopped there) and shadow
    the destination against [log] from anchor [k] to exit: the anchors
    compared, or a [Fail] at the first diverging one. *)
-let shadow_migration ~budget ~log cfg k =
+let shadow_migration ~log cfg k =
   let q =
-    match Session.run cfg (parked ~budget cfg.Session.cfg_src_bin k) with
+    match Session.run cfg (parked cfg.Session.cfg_src_bin k) with
     | Ok s -> (Session.finish s).Session.r_process
     | Error e ->
       fail k "%s failed: %s" (Derr.stage_name (Derr.stage_of e)) (Derr.to_string e)
   in
   matched ~what:(Printf.sprintf "restored twin (migrated at %d)" k)
-    (Replayer.shadow ~budget ~log ~from_point:k q)
+    (Replayer.shadow ~log ~from_point:k q)
 
-let run ?(budget = 50_000_000) ?(max_points = max_int) ~src ~dst (c : Link.compiled) =
+let run ?(max_points = max_int) ~src ~dst (c : Link.compiled) =
   let src_bin = Link.binary_for c src and dst_bin = Link.binary_for c dst in
   let go () =
     (* phase 1: record the source twin, then replay the log on the
        destination ISA *)
-    let log = recorded ~budget src_bin in
+    let log = recorded src_bin in
     let replayed =
-      matched ~what:(Arch.name dst ^ " replay") (Replayer.replay ~budget ~log dst_bin)
+      matched ~what:(Arch.name dst ^ " replay") (Replayer.replay ~log dst_bin)
     in
     let total = Rlog.points log in
     let points = min max_points total in
@@ -200,7 +197,7 @@ let run ?(budget = 50_000_000) ?(max_points = max_int) ~src ~dst (c : Link.compi
     for k = 0 to points - 1 do
       List.iter
         (fun p ->
-          match Monitor.request_pause p ~budget with
+          match Monitor.request_pause p ~budget:Monitor.default_budget with
           | Ok _ -> ()
           | Error e ->
             fail k "%s twin: pause failed: %s" (Arch.name p.Process.arch)
@@ -213,10 +210,10 @@ let run ?(budget = 50_000_000) ?(max_points = max_int) ~src ~dst (c : Link.compi
     done;
     (* phase 3: force-migrate at every walked point and shadow the
        destination against the recording *)
-    let cfg = session_config ~budget ~src_bin ~dst_bin in
+    let cfg = Session.default_config ~src_bin ~dst_bin in
     let shadowed = ref 0 in
     for k = 0 to points - 1 do
-      shadowed := !shadowed + shadow_migration ~budget ~log cfg k
+      shadowed := !shadowed + shadow_migration ~log cfg k
     done;
     { rp_app = c.Link.cp_app;
       rp_src = src;
@@ -263,10 +260,9 @@ let run_capturing ~point cfg p =
   let s = step "commit" (Session.commit s) in
   (files, Session.finish s)
 
-let check_fastpaths ?(budget = 50_000_000) ?(points = 3) ~src ~dst
-    (c : Link.compiled) =
+let check_fastpaths ?(points = 3) ~src ~dst (c : Link.compiled) =
   let src_bin = Link.binary_for c src and dst_bin = Link.binary_for c dst in
-  let base_cfg = session_config ~budget ~src_bin ~dst_bin in
+  let base_cfg = Session.default_config ~src_bin ~dst_bin in
   let memo = Plan_cache.create_memo () in
   let checked = ref 0 and thr_hits = ref 0 and page_hits = ref 0 in
   let saved = ref 0.0 in
@@ -276,7 +272,7 @@ let check_fastpaths ?(budget = 50_000_000) ?(points = 3) ~src ~dst
     while !continue_ && !checked < points do
       let parked () =
         let p = Process.load src_bin in
-        if advance_to_point p ~budget !k then Some p else None
+        if advance_to_point p ~budget:Monitor.default_budget !k then Some p else None
       in
       (match parked () with
        | None -> continue_ := false
@@ -383,27 +379,26 @@ let corruption_target (image : Images.image_set) (dst_bin : Binary.t) =
   in
   List.find_opt observable dumped
 
-let check_shadow ?(budget = 50_000_000) ?(max_points = 3) ?(corrupt = true) ~src
-    ~dst (c : Link.compiled) =
+let check_shadow ?(max_points = 3) ?(corrupt = true) ~src ~dst (c : Link.compiled) =
   let src_bin = Link.binary_for c src and dst_bin = Link.binary_for c dst in
   let go () =
-    let log = recorded ~budget src_bin in
+    let log = recorded src_bin in
     if Rlog.points log = 0 then fail (-1) "program reaches no equivalence point";
     let points = min max_points (Rlog.points log) in
-    let cfg = session_config ~budget ~src_bin ~dst_bin in
+    let cfg = Session.default_config ~src_bin ~dst_bin in
     let corrupted = ref 0 and reports = ref [] in
     let step k what = function
       | Ok s -> s
       | Error e -> fail k "%s failed: %s" what (Derr.to_string e)
     in
     for k = 0 to points - 1 do
-      ignore (shadow_migration ~budget ~log cfg k);
+      ignore (shadow_migration ~log cfg k);
       if corrupt then begin
         (* corrupt one observable page of the rewritten image, restore it
            outside the session (whose commit check would refuse it), and
            require the shadow to localize the damage to this anchor and
            page *)
-        let p = parked ~budget src_bin k in
+        let p = parked src_bin k in
         let image = step k "dump" (Dump.dump p) in
         let rewritten, _ =
           step k "rewrite" (Rewrite.rewrite image ~src:src_bin ~dst:dst_bin)
@@ -423,7 +418,7 @@ let check_shadow ?(budget = 50_000_000) ?(max_points = 3) ?(corrupt = true) ~src
           (Char.chr (Char.code (Bytes.get contents off) lxor 0x5a));
         let evil = Images.write_page rewritten pn (Bytes.to_string contents) in
         let q = step k "restore" (Restore.restore evil dst_bin) in
-        let o = Replayer.shadow ~budget ~log ~from_point:k q in
+        let o = Replayer.shadow ~log ~from_point:k q in
         (match o.Replayer.ro_divergence with
         | None -> fail k "corrupted restore went undetected by the shadow"
         | Some d ->

@@ -80,11 +80,9 @@ type failure = {
 val report_to_string : report -> string
 val failure_to_string : failure -> string
 
-(** [run ~src ~dst c] drives all three phases, migrating [src]→[dst].
-    Defaults: [budget] 50M drain instructions per equivalence point,
-    [max_points] unlimited. *)
+(** [run ~src ~dst c] drives all three phases, migrating [src]→[dst],
+    at up to [max_points] equivalence points (default unlimited). *)
 val run :
-  ?budget:int ->
   ?max_points:int ->
   src:Arch.t ->
   dst:Arch.t ->
@@ -121,7 +119,6 @@ type fastpath_report = {
 val fastpath_report_to_string : fastpath_report -> string
 
 val check_fastpaths :
-  ?budget:int ->
   ?points:int ->
   src:Arch.t ->
   dst:Arch.t ->
@@ -156,7 +153,6 @@ type shadow_report = {
 val shadow_report_to_string : shadow_report -> string
 
 val check_shadow :
-  ?budget:int ->
   ?max_points:int ->
   ?corrupt:bool ->
   src:Arch.t ->

@@ -43,12 +43,4 @@ let find name =
   | Some sp -> sp
   | None -> invalid_arg (Printf.sprintf "Registry.find: unknown benchmark %S" name)
 
-let cache : (string, Link.compiled) Hashtbl.t = Hashtbl.create 16
-
-let compiled sp =
-  match Hashtbl.find_opt cache sp.sp_name with
-  | Some c -> c
-  | None ->
-    let c = Link.compile ~app:sp.sp_name (Lazy.force sp.sp_modul) in
-    Hashtbl.add cache sp.sp_name c;
-    c
+let compiled sp = Link.memoized ~app:sp.sp_name (fun () -> Lazy.force sp.sp_modul)

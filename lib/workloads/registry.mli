@@ -1,5 +1,5 @@
 (** The benchmark registry: one entry per application the paper
-    evaluates, with compiled binaries cached per architecture. *)
+    evaluates, compiled once per process through {!Link.memoized}. *)
 
 open Dapper_codegen
 
@@ -13,10 +13,7 @@ type spec = {
 (** All benchmarks at their default (class-A-like) sizes. *)
 val all : unit -> spec list
 
-(** Subsets used by individual experiments. *)
-val parsec : unit -> spec list
-
 val find : string -> spec
 
-(** Compile (and memoize) a spec with the default backend options. *)
+(** Compile (once) a spec with the default backend options. *)
 val compiled : spec -> Link.compiled

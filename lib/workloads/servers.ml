@@ -77,11 +77,11 @@ let redis ?(keys = 4096) ?(ops = 30_000) () =
 (* ----- nginx-like HTTP request parser -----
    Requests are synthesized into a heap buffer; the parser extracts the
    method and path into fixed stack buffers and routes by a path hash.
-   The vulnerable variant trusts the declared chunk length when copying
-   the body into a 64-byte stack buffer (CVE-2013-2028 style). *)
+   The declared chunk length is clamped before the body is copied into
+   a 64-byte stack buffer. *)
 
-let nginx ?(requests = 600) ?(vulnerable = false) () =
-  let m = create (if vulnerable then "nginx-vuln" else "nginx") in
+let nginx ?(requests = 600) () =
+  let m = create "nginx" in
   Cstd.add m;
   global m "routes" (8 * 8);
   global m "reqbuf" 8;
@@ -125,9 +125,7 @@ let nginx ?(requests = 600) ?(vulnerable = false) () =
       set b "k" (add (v "k") (i 1));
       decl_arr b "body" 8; (* 64 bytes *)
       decl b "limit" (v "blen");
-      (if not vulnerable then
-         (* patched: clamp to the buffer size *)
-         if_ b (gt (v "limit") (i 64)) (fun b -> set b "limit" (i 64)));
+      if_ b (gt (v "limit") (i 64)) (fun b -> set b "limit" (i 64));
       do_ b (call "memcpy8" [ addr "body"; add (v "p") (v "k"); v "limit" ]);
       (* route on path hash *)
       decl b "h" (i 0);

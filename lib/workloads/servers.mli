@@ -2,13 +2,7 @@
     Nginx-like HTTP request parser, both driven by deterministic
     synthetic client traffic (no sockets in the simulator; the request
     stream plays the role of the network, which preserves the code paths
-    that matter for checkpoint size and stack shapes).
-
-    [vulnerable] variants are consumed by the security experiments:
-    the nginx parser then copies an attacker-controlled chunk length
-    into a fixed stack buffer (CVE-2013-2028 style), and the redis
-    command handler exposes an unchecked write offset (CVE-2015-4335
-    style). *)
+    that matter for checkpoint size and stack shapes). *)
 
 val redis : ?keys:int -> ?ops:int -> unit -> Dapper_ir.Ir.modul
-val nginx : ?requests:int -> ?vulnerable:bool -> unit -> Dapper_ir.Ir.modul
+val nginx : ?requests:int -> unit -> Dapper_ir.Ir.modul

@@ -574,10 +574,6 @@ let test_memo_warm_session () =
 
 (* ----- iterative pre-copy ----- *)
 
-module Fleet = Dapper_cluster.Fleet
-
-let precopy_advance p = fun _ms -> ignore (Process.run p ~max_instrs:20_000)
-
 (* Abandoning a migration after pre-copy rounds must leave the source
    resumable and oracle-identical to an unmigrated twin — pre-copy reads
    pages and tracks writes, it never perturbs execution. The rollback
@@ -672,28 +668,6 @@ let test_precopy_resident_discount () =
     true
     (hybrid_times.Session.t_scp_ms < vanilla_times.Session.t_scp_ms)
 
-(* A failed eviction that already charged pre-copy round time to the
-   victim's stall ledger settles like any other failed attempt: the
-   attempt's own charge is refunded, pre-existing debt survives, and the
-   ledger never goes negative (extends the PR-5 settlement rule to
-   pre-copy-shaped charges). *)
-let test_precopy_stall_ledger_settled () =
-  let c = Registry_helpers.compute () in
-  let p = Process.load c.Link.cp_x86 in
-  ignore (Process.run p ~max_instrs:120_000);
-  let pre =
-    Session.precopy (config_for c) p ~advance:(precopy_advance p)
-      ~max_rounds:3 ~downtime_budget_ms:0.0
-  in
-  let charged = pre.Session.pcs_ms in
-  check Alcotest.bool "pre-copy charged time" true (charged > 0.0);
-  check (Alcotest.float 1e-9) "attempt's pre-copy charge refunded" 25.0
-    (Fleet.settle_failed_eviction ~owed_ms:(charged +. 25.0) ~charged_ms:charged);
-  check (Alcotest.float 1e-9) "ledger never goes negative" 0.0
-    (Fleet.settle_failed_eviction ~owed_ms:(charged /. 2.0) ~charged_ms:charged);
-  check (Alcotest.float 1e-9) "full refund settles to zero" 0.0
-    (Fleet.settle_failed_eviction ~owed_ms:charged ~charged_ms:charged)
-
 let suites =
   [ ( "session",
       [ Alcotest.test_case "run: happy path + stage log" `Quick test_run_happy_path;
@@ -728,6 +702,4 @@ let suites =
         Alcotest.test_case "pre-copy rollback leaves source resumable" `Quick
           test_precopy_rollback_leaves_source_resumable;
         Alcotest.test_case "pre-copy resident discount" `Quick
-          test_precopy_resident_discount;
-        Alcotest.test_case "pre-copy stall ledger settled" `Quick
-          test_precopy_stall_ledger_settled ] ) ]
+          test_precopy_resident_discount ] ) ]

@@ -146,21 +146,25 @@ let loaded_source c =
   ignore (Process.run p ~max_instrs:120_000);
   p
 
-(* The candidate page set pre-copy round 1 ships: learned by running a
-   no-write pre-copy (one round, everything lands resident). *)
-let candidate_pages c =
-  let p = loaded_source c in
-  let st =
-    Session.precopy (precopy_config c) p
-      ~advance:(fun _ -> ())
-      ~max_rounds:5 ~downtime_budget_ms:0.0
-  in
+(* A no-write pre-copy (one round, everything lands resident): its
+   resident set is the candidate page set pre-copy round 1 ships. Built
+   on first use, not when the suite list is. *)
+let no_write_precopy =
+  lazy
+    (let c = Registry_helpers.compute () in
+     Session.precopy (precopy_config c) (loaded_source c)
+       ~advance:(fun _ -> ())
+       ~max_rounds:5 ~downtime_budget_ms:0.0)
+
+let candidate_pages () = (Lazy.force no_write_precopy).Session.pcs_resident
+
+let test_no_write_precopy () =
+  let st = Lazy.force no_write_precopy in
   check Alcotest.int "no-write pre-copy is one round" 1
     (List.length st.Session.pcs_rounds);
   check
     Alcotest.(list int)
-    "no-write pre-copy leaves nothing residual" [] st.Session.pcs_residual;
-  st.Session.pcs_resident
+    "no-write pre-copy leaves nothing residual" [] st.Session.pcs_residual
 
 let poke_pages p pages =
   List.iter
@@ -174,15 +178,17 @@ let poke_pages p pages =
    pre-copy must stop on the non-shrinking rule and hand the set over as
    residual; [`First_round_only] dirties once — pre-copy must converge
    with an empty residual. *)
-let gen_write_set candidates =
+let gen_write_set rand =
+  let candidates = candidate_pages () in
   QCheck.Gen.(
     let n = List.length candidates in
     pair
       (list_size (int_range 0 (max 1 (n - 1)))
          (int_range 0 (n - 1) >|= List.nth candidates))
       (oneofl [ `Every_round; `First_round_only ]))
+    rand
 
-let arb_write_set candidates =
+let arb_write_set =
   QCheck.make
     ~print:(fun (pages, mode) ->
       Printf.sprintf "%s %s"
@@ -190,12 +196,13 @@ let arb_write_set candidates =
          | `Every_round -> "every-round"
          | `First_round_only -> "first-round-only")
         (String.concat "," (List.map string_of_int pages)))
-    (gen_write_set candidates)
+    gen_write_set
 
-let qcheck_precopy_convergence c candidates =
+let qcheck_precopy_convergence =
   QCheck.Test.make ~count:60
-    ~name:"pre-copy converges; no dirtied page is lost" (arb_write_set candidates)
+    ~name:"pre-copy converges; no dirtied page is lost" arb_write_set
     (fun (pages, mode) ->
+      let c = Registry_helpers.compute () and candidates = candidate_pages () in
       let w = List.sort_uniq Int.compare pages in
       let p = loaded_source c in
       let calls = ref 0 in
@@ -448,13 +455,13 @@ let test_hybrid_beats_vanilla_tail () =
     (h.Loadgen.ls_blackout_ms < v.Loadgen.ls_blackout_ms)
 
 let suites =
-  let c = Registry_helpers.compute () in
-  let candidates = candidate_pages c in
   [ ( "traffic",
       [ QCheck_alcotest.to_alcotest qcheck_sketch_rank_error;
         QCheck_alcotest.to_alcotest qcheck_sketch_merge_associative;
         Alcotest.test_case "sketch edge cases" `Quick test_sketch_edges;
-        QCheck_alcotest.to_alcotest (qcheck_precopy_convergence c candidates);
+        Alcotest.test_case "no-write pre-copy is one round" `Quick
+          test_no_write_precopy;
+        QCheck_alcotest.to_alcotest qcheck_precopy_convergence;
         Alcotest.test_case "downtime-budget policy" `Quick test_budget_policy;
         Alcotest.test_case "arrival process" `Quick test_arrival_deterministic;
         Alcotest.test_case "golden fingerprints (2 seeds x 2 directions)" `Quick
