@@ -59,8 +59,13 @@ let tests () =
     Dapper_util.Dapper_error.ok_exn
       (Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm)
   in
-  let arm_files = Dapper_criu.Images.to_files image_arm in
+  let arm_files = Dapper_criu.Images.to_wire image_arm in
   let arm_bytes = Dapper_criu.Images.total_bytes image_arm in
+  let twin =
+    Dapper_util.Dapper_error.ok_exn (Dapper_criu.Restore.restore image_arm c.Link.cp_arm)
+  in
+  if not (Process.same_state p twin) then
+    failwith "restored twin differs from the fixture";
   let scp = Dapper_net.Transport.scp Dapper_net.Link.infiniband in
   let rc, rimage = redis_fixture () in
   let rmaps = rc.Link.cp_x86.bin_stackmaps in
@@ -94,17 +99,23 @@ let tests () =
           ignore (Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm)));
       Test.make ~name:"fig5-criu-restore" (Staged.stage (fun () ->
           ignore (Dapper_criu.Restore.restore image_arm c.Link.cp_arm)));
-      (* The checksummed wire: a clean transmit of the recoded image
-         hashes every byte of every file twice (sender manifest, arrival
-         check) and charges its modeled time without sleeping, so this is
-         the digest cost of the transfer stage. *)
+      (* The checksummed wire: a clean transmit of the recoded image's
+         files, its page table sent as its pages, hashes every byte of
+         every file twice with the word-wide digest (sender manifest,
+         arrival check) and charges its modeled time without sleeping, so
+         this is the digest cost of the transfer stage. *)
       Test.make ~name:"transfer-verify" (Staged.stage (fun () ->
           ignore
             (Dapper_net.Transport.transmit scp
                ~stats:(Dapper_net.Transport.fresh_tx_stats ()) ~bytes:arm_bytes
                arm_files)));
-      (* The commit acknowledgement's state digest: every data, heap and
-         TLS page of the paused fixture. *)
+      (* The commit acknowledgement: every data, heap and TLS page of the
+         paused fixture against its restored aarch64 twin, by number and
+         bytes. *)
+      Test.make ~name:"commit-ack" (Staged.stage (fun () ->
+          ignore (Process.same_state p twin)));
+      (* The state digest replay takes at every anchor: every data, heap
+         and TLS page of the paused fixture. *)
       Test.make ~name:"commit-observe" (Staged.stage (fun () ->
           ignore (Process.observe p)));
       (* Incremental recode: every rewrite after the first hits the

@@ -369,11 +369,12 @@ let recode_run (s : dumped t) =
 
 let recode s = staged Dapper_error.Recode recode_run s
 
-(* The recoded image actually crosses the wire: serialized to its named
-   files, exposed chunk by chunk to the fault plane, checksum-verified
-   and (under a retrying transport) retransmitted; the destination
-   re-parses what arrived. Without faults or retries this is exactly
-   the old single-attempt cost. *)
+(* The recoded image crosses the wire as its named files, the page
+   table's pages sent as they are: exposed file by file to the fault
+   plane, checksum-verified and (under a retrying transport) retransmitted.
+   What arrives is the image that was sent, so the destination takes the
+   immutable image itself and nothing is serialized or re-parsed. Without
+   faults or retries this is exactly the old single-attempt cost. *)
 let transfer_run (s : recoded t) =
   guard s (fun () ->
       let { sc_evidence; sc_image } = s.s_state in
@@ -382,7 +383,7 @@ let transfer_run (s : recoded t) =
         scaled cfg
           (max 0 (sc_evidence.ev_image_bytes - resident_dump_bytes cfg sc_image))
       in
-      let files = Images.to_files sc_image in
+      let files = Images.to_wire sc_image in
       let result =
         if cfg.cfg_pipeline then
           (* Overlapped transfer: recode streamed its output in chunks,
@@ -394,27 +395,19 @@ let transfer_run (s : recoded t) =
             | r :: _ when r.sr_stage = Dapper_error.Recode -> r.sr_ms *. 1e6
             | _ -> 0.0
           in
-          match
-            Transport.transmit_pipelined cfg.cfg_transport ?fault:cfg.cfg_fault
-              ~stats:s.s_tx ~bytes:wire_bytes ~chunk_bytes:cfg.cfg_chunk_bytes
-              ~recode_ns:recode_charged_ns files
-          with
-          | Error _ as e -> e
-          | Ok (received, ns, _sched) -> Ok (received, ns)
+          Transport.transmit_pipelined cfg.cfg_transport ?fault:cfg.cfg_fault
+            ~stats:s.s_tx ~bytes:wire_bytes ~chunk_bytes:cfg.cfg_chunk_bytes
+            ~recode_ns:recode_charged_ns files
         else
           Transport.transmit cfg.cfg_transport ?fault:cfg.cfg_fault ~stats:s.s_tx
             ~bytes:wire_bytes files
       in
       match result with
       | Error _ as e -> e
-      | Ok (received, ns) ->
-        (match Images.of_files received with
-         | exception Images.Image_error msg ->
-           Error (Dapper_error.Transfer_failed ("received image unparsable: " ^ msg))
-         | image' ->
-           Ok
-             (step s Dapper_error.Transfer ~bytes:wire_bytes ~ms:(ns /. 1e6)
-                { sx_evidence = sc_evidence; sx_image = image' })))
+      | Ok ns ->
+        Ok
+          (step s Dapper_error.Transfer ~bytes:wire_bytes ~ms:(ns /. 1e6)
+             { sx_evidence = sc_evidence; sx_image = sc_image }))
 
 let transfer s = staged Dapper_error.Transfer transfer_run s
 
@@ -497,8 +490,9 @@ let restore s = staged Dapper_error.Restore restore_run s
    checksummed fetch path, so after commit the destination no longer
    depends on the source (a source/page-server crash mid-drain aborts
    the restore instead of stranding a half-paged process); (3) the
-   destination's observable state must match the paused source. Any
-   failure rolls back to a running source. *)
+   destination's observable state must match the paused source, page
+   by page ([Process.same_state]). Any failure rolls back to a running
+   source. *)
 let commit_run (s : restored t) =
   guard s (fun () ->
       let st = s.s_state in
@@ -547,10 +541,7 @@ let commit_run (s : restored t) =
               a drain the lazy ack degrades to the restore's own
               arch/app checks. *)
            let verifiable = (not lazy_t) || cfg.cfg_commit_drain in
-           if
-             verifiable
-             && not (Process.state_equal (Process.observe s.s_source) (Process.observe q))
-           then
+           if verifiable && not (Process.same_state s.s_source q) then
              Error
                (Dapper_error.Commit_failed
                   "destination state does not match the paused source")

@@ -241,9 +241,12 @@ val dump : paused t -> (dumped t, Dapper_error.t) result
 (** Rewrite the image for the destination binary/ISA. *)
 val recode : dumped t -> (recoded t, Dapper_error.t) result
 
-(** Move the (eager part of the) image over the transport: serialized to
-    its named files, checksummed, exposed to the fault plane, and — under
-    a {!Transport.retrying} policy — retransmitted on drop/corruption. *)
+(** Move the (eager part of the) image over the transport as its named
+    files ({!Images.to_wire}: the page table's pages are sent as they
+    are), checksummed, exposed to the fault plane, and — under a
+    {!Transport.retrying} policy — retransmitted on drop/corruption. On
+    delivery the destination holds the recoded image itself: nothing is
+    serialized, copied or re-parsed in process. *)
 val transfer : recoded t -> (transferred t, Dapper_error.t) result
 
 (** Materialize the destination process; lazy transports install a
@@ -258,8 +261,10 @@ val restore : transferred t -> (restored t, Dapper_error.t) result
     Failure modes — destination lost before the ack ([Commit_failed],
     injected), page server unreachable mid-drain ([Source_lost]), drain
     retries exhausted ([Transfer_timeout]), or destination state not
-    matching the paused source ([Commit_failed]) — all roll back to a
-    running source. *)
+    matching the paused source ([Commit_failed]; {!Process.same_state}:
+    brk, live threads, and data, heap and TLS pages by number and bytes)
+    — all roll back to a running source. A lazy destination without
+    [cfg_commit_drain] is half-paged, so its state is not compared. *)
 val commit : restored t -> (committed t, Dapper_error.t) result
 
 (** Un-pause the source (no-op if it already exited). Safe in any state;

@@ -160,32 +160,24 @@ let pages_where d pagemap =
 
 let lazy_pages is = pages_where false is.is_pagemap
 
-(* The named files around a given pages-1.img. *)
-let files_with pages_file is =
+(* The files in the order they are written and sent; pages-1.img is the
+   dumped pages in page order, which is pagemap order. *)
+let to_wire is =
   List.map
-    (fun tc -> (Printf.sprintf "core-%d.img" tc.tc_tid, encode_core tc))
+    (fun tc -> (Printf.sprintf "core-%d.img" tc.tc_tid, [ encode_core tc ]))
     is.is_cores
-  @ [ ("mm.img", encode_mm is.is_mm);
-      ("pagemap.img", encode_pagemap is.is_pagemap);
-      ("pages-1.img", pages_file);
-      ("files.img", encode_files is.is_files) ]
+  @ [ ("mm.img", [ encode_mm is.is_mm ]);
+      ("pagemap.img", [ encode_pagemap is.is_pagemap ]);
+      ("pages-1.img", List.map snd (Pages.bindings is.is_pages));
+      ("files.img", [ encode_files is.is_files ]) ]
 
-(* pages-1.img: the dumped pages in page order, which is pagemap order. *)
 let to_files is =
-  let b = Bytes.create (Pages.cardinal is.is_pages * Layout.page_size) in
-  ignore
-    (Pages.fold
-       (fun _ page off ->
-         Bytes.blit_string page 0 b off Layout.page_size;
-         off + Layout.page_size)
-       is.is_pages 0);
-  files_with (Bytes.unsafe_to_string b) is
+  List.map (fun (name, parts) -> (name, String.concat "" parts)) (to_wire is)
 
 let total_bytes is =
   List.fold_left
-    (fun acc (_, bytes) -> acc + String.length bytes)
-    (Pages.cardinal is.is_pages * Layout.page_size)
-    (files_with "" is)
+    (fun acc (_, parts) -> List.fold_left (fun acc p -> acc + String.length p) acc parts)
+    0 (to_wire is)
 
 (* Untrusted bytes meet the page table's invariant here: entries are
    page-aligned, hold at least one page, ascend without overlap from

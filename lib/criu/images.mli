@@ -42,7 +42,7 @@ type files_img = { fi_app : string; fi_arch : Arch.t }
 module Pages : Map.S with type key = int
 
 (** In memory, an image holds its pages in one immutable table; the
-    concatenated [pages-1.img] exists only as the wire file. The table
+    concatenated [pages-1.img] exists only in {!to_files}. The table
     maps each page [is_pagemap] lists as dumped, and no other, to that
     page's [Layout.page_size] bytes. [Dump.dump], [Rewrite.rewrite] and
     [of_files] build images that keep this invariant; an image changed
@@ -77,8 +77,15 @@ val pagemap_of_pages : (int * bool) list -> pagemap_entry list
 (** Page numbers the pagemap lists as lazy, ascending. *)
 val lazy_pages : image_set -> int list
 
-(** Serialize to the named-file representation (protobuf per file);
-    [pages-1.img] concatenates the table's pages in page order. *)
+(** The named files, in order, each as the list of byte strings that
+    make it up: one encoded protobuf per file, except [pages-1.img],
+    which is the table's pages in page order. No page is copied: the
+    transport sends these, and the image itself is what arrives. *)
+val to_wire : image_set -> (string * string list) list
+
+(** Serialize to the named-file representation: each file of {!to_wire}
+    concatenated. Only where bytes leave the process (CRIT, the
+    examples) is [pages-1.img] built. *)
 val to_files : image_set -> (string * string) list
 
 (** Parse back from files. Raises [Image_error] on malformed input:
@@ -90,8 +97,8 @@ val to_files : image_set -> (string * string) list
     number of pages listed as dumped. *)
 val of_files : (string * string) list -> image_set
 
-(** Total byte size of the files — the quantity the scp cost model
-    charges — without concatenating the pages. *)
+(** Total byte size of the files of {!to_wire} — the quantity the scp
+    cost model charges. *)
 val total_bytes : image_set -> int
 
 (** One dumped page's contents. [write_page] replaces a dumped page

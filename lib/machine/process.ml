@@ -263,47 +263,51 @@ let fnv_int h n =
   let rec go h i = if i = 8 then h else go (fnv_byte h ((n lsr (i * 8)) land 0xff)) (i + 1) in
   go h 0
 
-let zero_word = String.make 8 '\000'
-
-(* One page's digest continued from [h]: its page number, then its bytes
-   on the shared kernel. The transformation flag is runtime-monitor
+(* The pages [observe] reads, in page order, each with its kind and its
+   bytes as [observe] reads them. Only data, heap and TLS pages count:
+   code and stack bytes are ISA-specific. [page_contents] never consults
+   the fault handler, so observing a process does not fault pages in or
+   perturb fault accounting. The transformation flag is runtime-monitor
    state, not program state: it is raised on the source during a pause
    and dropped again by restore, so on the flag's page the 8 bytes at
-   [flag_off] (clamped to the page) are hashed as zeros. *)
-let digest_page ~flag_off ~mask_flag h pn page =
-  let h = fnv_int h pn in
-  (* the page is not mutated during the call and the alias does not escape *)
-  let s = Bytes.unsafe_to_string page in
-  let n = String.length s in
-  if not mask_flag then Dapper_util.Bytebuf.fnv64_sub h s 0 n
-  else begin
-    let lo = min flag_off n in
-    let hi = min (flag_off + 8) n in
-    let h = Dapper_util.Bytebuf.fnv64_sub h s 0 lo in
-    let h = Dapper_util.Bytebuf.fnv64_sub h zero_word 0 (hi - lo) in
-    Dapper_util.Bytebuf.fnv64_sub h s hi (n - hi)
-  end
-
-let observe t =
+   the flag (clamped to the page) read as zeros, on a copy. *)
+let observed_pages t =
   let flag = t.binary.Binary.bin_anchors.Binary.a_flag in
   let flag_page = Layout.page_of_addr flag in
   let flag_off = Layout.page_offset flag in
-  let data = ref fnv_offset and heap = ref fnv_offset and tls = ref fnv_offset in
-  Array.iter
-    (fun pn ->
-      let into acc ~mask_flag =
-        (* page_contents never consults the fault handler: observing a
-           process must not fault pages in or perturb fault accounting *)
-        match Memory.page_contents t.mem pn with
-        | Some page -> acc := digest_page ~flag_off ~mask_flag !acc pn page
-        | None -> ()
-      in
+  let masked pn page =
+    if pn <> flag_page then page
+    else begin
+      let n = Bytes.length page in
+      let lo = min flag_off n in
+      let copy = Bytes.copy page in
+      Bytes.fill copy lo (min (flag_off + 8) n - lo) '\000';
+      copy
+    end
+  in
+  Array.fold_right
+    (fun pn acc ->
       match vma_kind_of_page t pn with
-      | Some Vma_data -> into data ~mask_flag:(pn = flag_page)
-      | Some Vma_heap -> into heap ~mask_flag:false
-      | Some Vma_tls -> into tls ~mask_flag:false
-      | Some Vma_code | Some (Vma_stack _) | None -> ())
-    (Memory.page_numbers t.mem);
+      | Some ((Vma_data | Vma_heap | Vma_tls) as kind) ->
+        (match Memory.page_contents t.mem pn with
+         | Some page -> (kind, pn, masked pn page) :: acc
+         | None -> acc)
+      | Some Vma_code | Some (Vma_stack _) | None -> acc)
+    (Memory.page_numbers t.mem) []
+
+(* One page's digest continued from [h]: its page number, then its
+   bytes on the shared kernel. *)
+let digest_page h pn page =
+  (* the page is not mutated during the call and the alias does not escape *)
+  Dapper_util.Bytebuf.fnv64_fold (fnv_int h pn) (Bytes.unsafe_to_string page)
+
+let observe t =
+  let data = ref fnv_offset and heap = ref fnv_offset and tls = ref fnv_offset in
+  List.iter
+    (fun (kind, pn, page) ->
+      let acc = match kind with Vma_data -> data | Vma_heap -> heap | _ -> tls in
+      acc := digest_page !acc pn page)
+    (observed_pages t);
   { sn_data = !data;
     sn_heap = !heap;
     sn_tls = !tls;
@@ -312,28 +316,23 @@ let observe t =
     sn_stdout = Buffer.contents t.stdout_buf;
     sn_exit = t.exit_code }
 
-(* Per-page digests of the same pages [observe] folds (data/heap/TLS,
-   flag word masked), each from a fresh offset basis — the localization
-   companion to [observe]: when two snapshots differ, diffing the two
-   page lists names the diverging pages. *)
+(* Per-page digests of the same pages [observe] folds, each from a fresh
+   offset basis — the localization companion to [observe]: when two
+   snapshots differ, diffing the two page lists names the diverging
+   pages. *)
 let observe_pages t =
-  let flag = t.binary.Binary.bin_anchors.Binary.a_flag in
-  let flag_page = Layout.page_of_addr flag in
-  let flag_off = Layout.page_offset flag in
-  Array.fold_left
-    (fun acc pn ->
-      match vma_kind_of_page t pn with
-      | Some ((Vma_data | Vma_heap | Vma_tls) as kind) ->
-        (match Memory.page_contents t.mem pn with
-         | Some page ->
-           (kind, pn,
-            digest_page ~flag_off ~mask_flag:(pn = flag_page) fnv_offset pn page)
-           :: acc
-         | None -> acc)
-      | Some Vma_code | Some (Vma_stack _) | None -> acc)
-    []
-    (Memory.page_numbers t.mem)
-  |> List.rev
+  List.map
+    (fun (kind, pn, page) -> (kind, pn, digest_page fnv_offset pn page))
+    (observed_pages t)
+
+(* What [state_equal] of the two [observe]s checks, with the pages
+   compared by number and bytes instead of through digests. *)
+let same_state a b =
+  Int64.equal a.brk b.brk
+  && List.length (live_threads a) = List.length (live_threads b)
+  && List.equal
+       (fun (_, pa, x) (_, pb, y) -> pa = pb && Bytes.equal x y)
+       (observed_pages a) (observed_pages b)
 
 let state_equal a b =
   Int64.equal a.sn_data b.sn_data

@@ -167,6 +167,14 @@ val observe : t -> snapshot
     because a migrated twin restarts with empty stdout. *)
 val state_equal : snapshot -> snapshot -> bool
 
+(** [same_state a b] checks what [state_equal (observe a) (observe b)]
+    checks — brk, the live-thread count, and the data, heap and TLS
+    pages — with the pages compared by number and bytes instead of
+    through digests, each side's own flag word masked. It hashes
+    nothing, so unlike the digests it cannot collide. The two-phase
+    commit's acknowledgement. *)
+val same_state : t -> t -> bool
+
 val snapshot_to_string : snapshot -> string
 
 (** Per-page digests of exactly the pages {!observe} folds (data, heap

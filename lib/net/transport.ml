@@ -149,10 +149,12 @@ let fetch_stall_ns t ?fault ~page_bytes () =
 
 (* One attempt at moving the named image files: every file is
    individually exposed to the fault plane (drop a chunk mid-image,
-   corrupt bytes in flight, add latency), then verified against the
-   sender-side FNV-1a manifest. *)
+   corrupt a byte in flight, add latency), then verified against the
+   sender-side manifest. A file travels as its parts: a corruption flips
+   a byte on a copy of the part it hits, so the caller's parts, which
+   may be shared with a live image, are never written. *)
 type attempt_outcome =
-  | Delivered of (string * string) list
+  | Delivered
   | Lost of string         (* dropped mid-image *)
   | Damaged of string      (* checksum mismatch on arrival *)
 
@@ -160,21 +162,18 @@ let transmit_once ?fault ~stats ~manifest files cost =
   let dropped = ref None in
   let received =
     List.map
-      (fun (name, data) ->
+      (fun (name, parts) ->
         match Option.bind fault (fun f -> Fault.draw f Fault.Transfer_chunk) with
         | Some Fault.Drop ->
           if !dropped = None then dropped := Some name;
-          (name, data)
-        | Some (Fault.Corrupt salt) ->
-          let b = Bytes.of_string data in
-          Fault.corrupt_byte salt b;
-          (name, Bytes.to_string b)
+          (name, parts)
+        | Some (Fault.Corrupt salt) -> (name, Fault.corrupt_parts salt parts)
         | Some (Fault.Delay ns) ->
           stats.tx_fault_ns <- stats.tx_fault_ns +. ns;
           Trace.advance ns;
           cost := !cost +. ns;
-          (name, data)
-        | Some Fault.Crash | None -> (name, data))
+          (name, parts)
+        | Some Fault.Crash | None -> (name, parts))
       files
   in
   match !dropped with
@@ -184,22 +183,22 @@ let transmit_once ?fault ~stats ~manifest files cost =
   | None ->
     let damaged =
       List.find_opt
-        (fun (name, data) -> List.assoc name manifest <> Bytebuf.fnv64 data)
+        (fun (name, parts) -> List.assoc name manifest <> Bytebuf.word64 parts)
         received
     in
     (match damaged with
      | Some (name, _) ->
        stats.tx_corrupt <- stats.tx_corrupt + 1;
        Damaged name
-     | None -> Delivered received)
+     | None -> Delivered)
 
 let outcome_tag = function
-  | Delivered _ -> "delivered"
+  | Delivered -> "delivered"
   | Lost _ -> "lost"
   | Damaged _ -> "damaged"
 
 let transmit t ?fault ~stats ~bytes files =
-  let manifest = List.map (fun (name, data) -> (name, Bytebuf.fnv64 data)) files in
+  let manifest = List.map (fun (name, parts) -> (name, Bytebuf.word64 parts)) files in
   let cost = ref 0.0 in
   let max_attempts = attempts t in
   let rec go k =
@@ -216,7 +215,7 @@ let transmit t ?fault ~stats ~bytes files =
           outcome)
     in
     match outcome with
-    | Delivered received -> Ok (received, !cost)
+    | Delivered -> Ok !cost
     | (Lost _ | Damaged _) as failed ->
       (* Backoff precedes a retry; when no retry will follow (attempts
          exhausted), no backoff is charged — the failed transfer
@@ -247,7 +246,7 @@ let transmit t ?fault ~stats ~bytes files =
            | Damaged name ->
              Dapper_error.Checksum_mismatch
                (Printf.sprintf "%s corrupted in flight on %s" name t.t_name)
-           | Delivered _ -> assert false)
+           | Delivered -> assert false)
   in
   go 0
 
@@ -344,11 +343,11 @@ let transmit_pipelined t ?fault ~stats ~bytes ~chunk_bytes ~recode_ns files =
       sched.pp_schedule;
   match transmit t ?fault ~stats ~bytes files with
   | Error _ as e -> e
-  | Ok (received, actual_ns) ->
+  | Ok actual_ns ->
     (* surcharge over a clean single-attempt wire: injected delays,
        backoff, extra attempts *)
     let extra = Float.max 0.0 (actual_ns -. transfer_ns t bytes) in
-    Ok (received, sched.pp_exposed_ns +. extra, sched)
+    Ok (sched.pp_exposed_ns +. extra)
 
 let fetch_page t ?fault stats ~page_bytes fetch pn =
   if not (is_lazy t) then invalid_arg "Transport.fetch_page: not a lazy transport";
@@ -365,7 +364,7 @@ let fetch_page t ?fault stats ~page_bytes fetch pn =
        | Some data ->
          (* [data] is not mutated during the call and the alias does not
             escape, so the page is hashed in place rather than copied *)
-         let checksum = Bytebuf.fnv64 (Bytes.unsafe_to_string data) in
+         let checksum = Bytebuf.word64 [ Bytes.unsafe_to_string data ] in
          let charge () = stats.srv_ns <- stats.srv_ns +. page_fetch_ns t page_bytes in
          let retry what =
            charge ();  (* the failed round trip still cost a round trip *)
@@ -388,7 +387,7 @@ let fetch_page t ?fault stats ~page_bytes fetch pn =
           | Some (Fault.Corrupt salt) ->
             let damaged = Bytes.copy data in
             Fault.corrupt_byte salt damaged;
-            if Bytebuf.fnv64 (Bytes.unsafe_to_string damaged) <> checksum then
+            if Bytebuf.word64 [ Bytes.unsafe_to_string damaged ] <> checksum then
               retry "failed its checksum"
             else begin
               (* the flip landed on an empty payload: delivered intact *)

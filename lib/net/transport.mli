@@ -13,11 +13,11 @@
     - {!degraded} multiplies every cost by a factor (congestion, lossy
       link);
     - {!retrying} arms bounded retransmission with exponential backoff:
-      {!transmit} and {!fetch_page} verify every payload against an
-      FNV-1a checksum manifest and retransmit dropped or corrupted
-      payloads, charging each backoff to the deterministic simulated
-      clock. Retries exhausted surface as the retriable
-      [Dapper_error.Transfer_timeout].
+      {!transmit} and {!fetch_page} verify every payload against a
+      checksum manifest ({!Bytebuf.word64}, a word-wide FNV fold) and
+      retransmit dropped or corrupted payloads, charging each backoff to
+      the deterministic simulated clock. Retries exhausted surface as
+      the retriable [Dapper_error.Transfer_timeout].
 
     Both transmission entry points accept an optional {!Fault.t}
     schedule — the chaos plane decides which payloads are dropped,
@@ -119,22 +119,27 @@ val serve_pages :
   t -> page_stats -> page_bytes:int -> (int -> bytes option) -> int -> bytes option
 
 (** [transmit t ~stats ~bytes files] moves the named image files over
-    the transport, simulating the wire: each file may be dropped,
-    corrupted or delayed by the [fault] schedule; arrival is verified
-    against a sender-side FNV-1a manifest; failed attempts are
-    retransmitted within the retry policy's bound with exponential
-    backoff. Returns the delivered files and the total nanoseconds
-    spent (transfer cost + injected delays + backoff). Errors:
-    [Transfer_timeout] (retries exhausted — retriable) or
-    [Checksum_mismatch] (corruption detected, no retry policy armed —
-    retriable at the session level). *)
+    the transport, simulating the wire. Each file is a list of byte
+    strings sent in order, so a page table goes as its pages and is
+    never concatenated. Each file may be dropped, corrupted or delayed
+    by the [fault] schedule. A corruption flips one byte on a copy of
+    the part it hits (see {!Fault.corrupt_parts}), so [files] is never
+    changed and may share its strings with a live image. Arrival is
+    verified against a sender-side manifest of {!Bytebuf.word64}
+    digests; failed attempts are retransmitted within the retry
+    policy's bound with exponential backoff. Returns the total
+    nanoseconds spent (transfer cost + injected delays + backoff); the
+    delivered files are [files] themselves. [bytes] prices the wire and
+    need not be the files' length. Errors: [Transfer_timeout] (retries
+    exhausted — retriable) or [Checksum_mismatch] (corruption detected,
+    no retry policy armed — retriable at the session level). *)
 val transmit :
   t ->
   ?fault:Fault.t ->
   stats:tx_stats ->
   bytes:int ->
-  (string * string) list ->
-  ((string * string) list * float, Dapper_error.t) result
+  (string * string list) list ->
+  (float, Dapper_error.t) result
 
 (** {1 Chunked producer/consumer pipelining}
 
@@ -184,7 +189,8 @@ val pipeline_schedule :
     behavior is unchanged), but the returned nanoseconds are
     [pp_exposed_ns] plus any fault/retry surcharge (delays and
     retransmissions hit a wire whose producer already finished, so they
-    are never hidden). Also returns the schedule for span emission. *)
+    are never hidden). The schedule's chunks are emitted as trace
+    leaves. *)
 val transmit_pipelined :
   t ->
   ?fault:Fault.t ->
@@ -192,8 +198,8 @@ val transmit_pipelined :
   bytes:int ->
   chunk_bytes:int ->
   recode_ns:float ->
-  (string * string) list ->
-  ((string * string) list * float * pipe_stats, Dapper_error.t) result
+  (string * string list) list ->
+  (float, Dapper_error.t) result
 
 (** [fetch_page t stats ~page_bytes fetch pn] is one fault-aware,
     checksummed post-copy page fetch with bounded retransmission —

@@ -37,9 +37,8 @@ let get_i64 s off =
   done;
   !v
 
-(* FNV-1a (64-bit). The canonical content digest of the tree: image
-   files, page payloads and transfer manifests all hash with it, so a
-   checksum computed on one side of a link is comparable on the other.
+(* FNV-1a (64-bit): the digest of [Process.observe] and the replay log,
+   whose pins are absolute values.
 
    The kernel is one loop over unchecked reads with the accumulator in
    a local ref that no closure captures, so ocamlopt keeps it unboxed:
@@ -61,3 +60,21 @@ let fnv64_sub h s off len =
 
 let fnv64_fold h s = fnv64_sub h s 0 (String.length s)
 let fnv64 s = fnv64_fold fnv64_offset s
+
+(* The transport digest: FNV-1a's step [h <- (h xor x) * prime] taken
+   over one 8-byte word at a time, in the host's byte order, then over
+   the tail bytes one at a time. With the prime odd, each step is
+   injective in [x] and bijective in [h], so any change confined to one
+   word changes the digest. The words are read unchecked and unboxed,
+   so a digest allocates only its boxed result, as [fnv64_sub] does. *)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+let word64_fold h s =
+  let words = String.length s / 8 in
+  let h = ref h in
+  for k = 0 to words - 1 do
+    h := Int64.mul (Int64.logxor !h (get64u s (8 * k))) fnv64_prime
+  done;
+  fnv64_sub !h s (8 * words) (String.length s - (8 * words))
+
+let word64 parts = List.fold_left word64_fold fnv64_offset parts

@@ -18,7 +18,6 @@ type t =
   | Shuffle_failed of string
   | Layout_incompatible of string
   | Active_function of string
-  | Transfer_failed of string
   | Transfer_timeout of string
   | Checksum_mismatch of string
   | Restore_failed of string
@@ -39,7 +38,6 @@ let to_string = function
   | Shuffle_failed msg -> "shuffle failed: " ^ msg
   | Layout_incompatible msg -> "layout incompatible: " ^ msg
   | Active_function f -> "function still active on a stack: " ^ f
-  | Transfer_failed msg -> "transfer failed: " ^ msg
   | Transfer_timeout msg -> "transfer timed out: " ^ msg
   | Checksum_mismatch msg -> "checksum mismatch: " ^ msg
   | Restore_failed msg -> "restore failed: " ^ msg
@@ -56,7 +54,7 @@ let stage_of = function
   | Dump_failed _ -> Dump
   | Unwind_failed _ | Recode_failed _ | Shuffle_failed _ | Layout_incompatible _
   | Active_function _ | Verify_failed _ -> Recode
-  | Transfer_failed _ | Transfer_timeout _ | Checksum_mismatch _ -> Transfer
+  | Transfer_timeout _ | Checksum_mismatch _ -> Transfer
   | Restore_failed _ | Node_lost _ -> Restore
   | Source_lost _ | Commit_failed _ -> Commit
   | Deadline_exceeded (st, _) -> st
@@ -78,7 +76,6 @@ let retriable = function
   | Recode_failed _ -> false
   | Shuffle_failed _ -> false
   | Layout_incompatible _ -> false
-  | Transfer_failed _ -> false
   | Restore_failed _ -> false
   | Source_lost _ -> false
   | Commit_failed _ -> false
@@ -94,7 +91,6 @@ let examples =
     Shuffle_failed "example";
     Layout_incompatible "example";
     Active_function "example";
-    Transfer_failed "example";
     Transfer_timeout "example";
     Checksum_mismatch "example";
     Restore_failed "example";

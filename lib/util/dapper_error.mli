@@ -32,12 +32,11 @@ type t =
       (** DSU: replacement binary changes the layout of a live frame. *)
   | Active_function of string
       (** DSU: a patched function is live on some stack. *)
-  | Transfer_failed of string  (** Image transfer between nodes failed. *)
   | Transfer_timeout of string
       (** A transfer (or page fetch) exhausted its bounded retries; the
           link may recover, so the whole stage is worth re-attempting. *)
   | Checksum_mismatch of string
-      (** A received payload failed its FNV-1a checksum — corruption in
+      (** A received payload failed its checksum — corruption in
           flight; transient (a retransmission delivers clean bytes). *)
   | Restore_failed of string  (** Image could not be materialized. *)
   | Source_lost of string

@@ -74,9 +74,24 @@ let draw t site =
   | Dest_restore -> if p < s.fs_fail_restore then fire t site Crash else None
   | Dest_node -> if p < s.fs_kill_node then fire t site Crash else None
 
+(* The offset [salt] picks in a payload of [len > 0] bytes. *)
+let corrupt_offset salt len =
+  Int64.to_int (Int64.rem (Int64.logand salt Int64.max_int) (Int64.of_int len))
+
+let flip data i = Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor 0x5A))
+
 let corrupt_byte salt data =
   let len = Bytes.length data in
-  if len > 0 then begin
-    let i = Int64.to_int (Int64.rem (Int64.logand salt Int64.max_int) (Int64.of_int len)) in
-    Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor 0x5A))
-  end
+  if len > 0 then flip data (corrupt_offset salt len)
+
+let corrupt_parts salt parts =
+  let len = List.fold_left (fun n p -> n + String.length p) 0 parts in
+  let rec go i = function
+    | [] -> []
+    | p :: rest when i >= String.length p -> p :: go (i - String.length p) rest
+    | p :: rest ->
+      let b = Bytes.of_string p in
+      flip b i;
+      Bytes.unsafe_to_string b :: rest
+  in
+  if len = 0 then parts else go (corrupt_offset salt len) parts

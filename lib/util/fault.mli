@@ -70,3 +70,10 @@ val log : t -> (site * action) list
 (** [corrupt_byte salt data] flips one byte of [data] in place at a
     position derived from [salt] (no-op on empty payloads). *)
 val corrupt_byte : int64 -> bytes -> unit
+
+(** [corrupt_parts salt parts] is a payload sent as [parts], in order,
+    with the byte {!corrupt_byte} would flip in their concatenation
+    flipped on a copy of the part that holds it. Every other part is
+    returned as it is, and no part of the argument is changed (the
+    identity on an empty payload). *)
+val corrupt_parts : int64 -> string list -> string list

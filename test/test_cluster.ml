@@ -59,16 +59,22 @@ let fleet_config =
 
 let fleet_jobs () = [ Registry_helpers.compute () ]
 
+(* [Fleet.run] is deterministic and its stats are immutable, so the two
+   fleets several tests read are each run once, by whichever test comes
+   first; the value does not depend on which one that is. *)
+let evicting = lazy (Fleet.run fleet_config (fleet_jobs ()))
+let eviction_off = lazy (Fleet.run { fleet_config with f_evict = false } (fleet_jobs ()))
+
 let test_fleet_eviction_happens () =
-  let st = Fleet.run fleet_config (fleet_jobs ()) in
+  let st = Lazy.force evicting in
   check Alcotest.bool "jobs completed" true (st.f_jobs_done > 0);
   check Alcotest.bool "evictions happened" true (st.f_evictions > 0);
   check Alcotest.bool "some jobs finished on the rpi" true (st.f_jobs_done_rpi > 0);
   check Alcotest.bool "migration time accounted" true (st.f_migration_ms_total > 0.0)
 
 let test_fleet_eviction_beats_baseline () =
-  let with_evict = Fleet.run fleet_config (fleet_jobs ()) in
-  let without = Fleet.run { fleet_config with f_evict = false } (fleet_jobs ()) in
+  let with_evict = Lazy.force evicting in
+  let without = Lazy.force eviction_off in
   check Alcotest.bool "throughput improves" true
     (with_evict.f_jobs_done > without.f_jobs_done);
   check Alcotest.bool "efficiency improves" true
@@ -80,7 +86,7 @@ let test_fleet_edge_configs () =
   let no_pis = Fleet.run { fleet_config with f_rpis = 0 } jobs in
   check Alcotest.int "no pis, no evictions" 0 no_pis.f_evictions;
   check Alcotest.int "no pis, nothing on rpi" 0 no_pis.f_jobs_done_rpi;
-  let no_evict = Fleet.run { fleet_config with f_evict = false } jobs in
+  let no_evict = Lazy.force eviction_off in
   check Alcotest.int "eviction off" 0 no_evict.f_evictions;
   check Alcotest.bool "pis idle but drawing idle power" true
     (no_evict.f_energy_kj > no_pis.f_energy_kj);
@@ -117,7 +123,7 @@ let test_fleet_eviction_retries () =
     (st.Fleet.f_eviction_retries + st.Fleet.f_eviction_failures)
     recovered;
   (* with a generous budget the same fleet never needs to retry *)
-  let easy = Fleet.run fleet_config (fleet_jobs ()) in
+  let easy = Lazy.force evicting in
   check Alcotest.int "pausable jobs never retry" 0 easy.Fleet.f_eviction_retries
 
 (* ----- equivalence gate: the engines reproduce the seed -----
@@ -156,10 +162,10 @@ let test_scheduler_matches_seed () =
 let test_fleet_matches_seed () =
   check Alcotest.string "fleet seed fingerprint, evicting"
     "jobs=27 rpi=7 ev=9 evf=0 evr=0 mig=251.383580 energy=0.869400 jpk=31.055901 recov=[]"
-    (fleet_fp (Fleet.run fleet_config (fleet_jobs ())));
+    (fleet_fp (Lazy.force evicting));
   check Alcotest.string "fleet seed fingerprint, eviction off"
     "jobs=21 rpi=0 ev=0 evf=0 evr=0 mig=0.000000 energy=0.841400 jpk=24.958403 recov=[]"
-    (fleet_fp (Fleet.run { fleet_config with f_evict = false } (fleet_jobs ())))
+    (fleet_fp (Lazy.force eviction_off))
 
 (* ----- placement policies ----- *)
 

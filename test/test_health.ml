@@ -221,7 +221,7 @@ let test_budget_infeasible_fallback () =
 
 let test_jittered_backoff_envelope () =
   let files =
-    List.init 4 (fun i -> (Printf.sprintf "img%d" i, String.make 1024 'x'))
+    List.init 4 (fun i -> (Printf.sprintf "img%d" i, [ String.make 1024 'x' ]))
   in
   let spec = { Fault.calm with Fault.fs_drop = 0.5 } in
   let transmit ~seed jitter =

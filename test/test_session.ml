@@ -290,6 +290,50 @@ let test_rollback_at_every_stage_boundary () =
       assert_source_unharmed ~what:(Printf.sprintf "boundary %d" n) p expected)
     [ 1; 2; 3; 4 ]
 
+(* The acknowledgement compares the restored destination with the
+   paused source. A destination changed between restore and commit must
+   not commit, and the source must run on. The flag word is monitor
+   state: raised on the paused source, lowered on the destination, so a
+   change to it alone still commits. *)
+let test_commit_ack_rejects_changed_state () =
+  let c = Registry_helpers.compute () in
+  let expected = native_x86 c in
+  let unwrap = function Ok v -> v | Error e -> Alcotest.fail (Derr.to_string e) in
+  let restored () =
+    let p = Process.load c.Link.cp_x86 in
+    ignore (Process.run p ~max_instrs:120_000);
+    let s = unwrap (Session.pause (Session.start (config_for c) p)) in
+    let s = unwrap (Session.recode (unwrap (Session.dump s))) in
+    let s = unwrap (Session.restore (unwrap (Session.transfer s))) in
+    (p, s, s.Session.s_state.Session.sf_process)
+  in
+  let rejected ~what change =
+    let p, s, q = restored () in
+    change q;
+    (match Session.commit s with
+     | Error (Derr.Commit_failed _) -> ()
+     | Error e -> Alcotest.failf "%s: unexpected error: %s" what (Derr.to_string e)
+     | Ok _ -> Alcotest.failf "%s: the destination committed" what);
+    assert_source_unharmed ~what p expected
+  in
+  rejected ~what:"changed heap word" (fun q ->
+      match
+        List.find_opt
+          (fun pn -> Process.vma_kind_of_page q pn = Some Process.Vma_heap)
+          (Memory.mapped_pages q.Process.mem)
+      with
+      | None -> Alcotest.fail "the restored fixture maps no heap page"
+      | Some pn ->
+        let a = Int64.add (Dapper_binary.Layout.addr_of_page pn) 8L in
+        Process.poke_data q a (Int64.logxor (Process.peek_data q a) 1L));
+  rejected ~what:"changed brk" (fun q -> q.Process.brk <- Int64.add q.Process.brk 4096L);
+  let _, s, q = restored () in
+  let flag = c.Link.cp_arm.Dapper_binary.Binary.bin_anchors.Dapper_binary.Binary.a_flag in
+  Process.poke_data q flag (Int64.lognot (Process.peek_data q flag));
+  match Session.commit s with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "flag word alone: %s" (Derr.to_string e)
+
 let lazy_config c =
   { (config_for c) with
     Session.cfg_transport = Transport.page_server Netlink.infiniband }
@@ -683,6 +727,8 @@ let suites =
         Alcotest.test_case "transfer fault rolls back" `Quick test_transfer_fault_rolls_back;
         Alcotest.test_case "rollback at every stage boundary" `Quick
           test_rollback_at_every_stage_boundary;
+        Alcotest.test_case "commit ack rejects changed state" `Quick
+          test_commit_ack_rejects_changed_state;
         Alcotest.test_case "commit drains outstanding pages" `Quick test_commit_drain;
         Alcotest.test_case "stats fresh per session" `Quick test_stats_fresh_per_session;
         Alcotest.test_case "forced migration at every equivalence point" `Quick
