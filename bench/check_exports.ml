@@ -1,11 +1,15 @@
 (* check_exports: lint gate over lib/'s interfaces. Fails (exit 1) when a
-   [val] that a lib/*/*.mli exports is named by no .ml file in lib/, bin/,
+   [val] that a lib/*/*.mli exports is read by no .ml file in lib/, bin/,
    bench/, examples/, perfbench/ or test/ other than its own module's, so
-   an export nothing reads cannot creep back in. The scan is a name
-   search over code: comments (nested) and string literals are blanked
-   first, so a name only they mention is not a read, while any token in
-   code outside its module counts as one. Run it from the root of the
-   repository. *)
+   an export nothing reads cannot creep back in. A file reads [val x] of
+   module [M] where its code writes [M.x], or [A.x] for an alias
+   [module A = ... M]; or, anywhere it names [x], when it opens [M] (or
+   such an alias) with [open], [open!], [let open], [include] or a local
+   open [M.( ... )]. A local binding or a record field that shares an
+   export's name is not a read. Comments (nested) and string literals are
+   blanked first, so a name only they mention is not one either. Every
+   [val] is taken as its interface's own: lib/ declares no nested
+   signature. Run it from the root of the repository. *)
 
 let scanned = [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "test" ]
 
@@ -105,18 +109,79 @@ let code_only s =
   code 0;
   Bytes.to_string out
 
-(* The identifier tokens of [s], in order. *)
-let words s =
+(* The identifier tokens of [s], in order, each with its offset. *)
+let tokens s =
   let acc = ref [] and start = ref (-1) in
   String.iteri
     (fun i c ->
       if is_ident c then (if !start < 0 then start := i)
       else if !start >= 0 then (
-        acc := String.sub s !start (i - !start) :: !acc;
+        acc := (!start, String.sub s !start (i - !start)) :: !acc;
         start := -1))
     s;
-  if !start >= 0 then acc := String.sub s !start (String.length s - !start) :: !acc;
-  List.rev !acc
+  if !start >= 0 then
+    acc := (!start, String.sub s !start (String.length s - !start)) :: !acc;
+  Array.of_list (List.rev !acc)
+
+let words s = Array.to_list (Array.map snd (tokens s))
+
+let is_module w = match w.[0] with 'A' .. 'Z' -> true | _ -> false
+
+(* What one file's code reads: every [Q.x] it writes, its module
+   aliases, the modules it opens, and every name in it. *)
+type reads = {
+  qualified : (string * string, unit) Hashtbl.t;
+  aliases : (string, string) Hashtbl.t;  (* alias -> the module it names *)
+  opened : (string, unit) Hashtbl.t;
+  names : (string, unit) Hashtbl.t;
+}
+
+let reads_of code =
+  let n = String.length code in
+  let toks = tokens code in
+  let count = Array.length toks in
+  let r =
+    { qualified = Hashtbl.create 64; aliases = Hashtbl.create 8;
+      opened = Hashtbl.create 8; names = Hashtbl.create 256 }
+  in
+  let stop k = fst toks.(k) + String.length (snd toks.(k)) in
+  let rec skip_blank i =
+    if i < n && (code.[i] = ' ' || code.[i] = '\n') then skip_blank (i + 1) else i
+  in
+  (* token [k + 1] follows token [k] after just a dot *)
+  let dotted k =
+    k + 1 < count && stop k < n && code.[stop k] = '.' && fst toks.(k + 1) = stop k + 1
+  in
+  (* the last module of the path that starts at token [k] *)
+  let rec path_end k =
+    if dotted k && is_module (snd toks.(k + 1)) then path_end (k + 1) else snd toks.(k)
+  in
+  Array.iteri
+    (fun k (_, w) ->
+      Hashtbl.replace r.names w ();
+      let next = if k + 1 < count then snd toks.(k + 1) else "" in
+      if is_module w then (
+        if dotted k then Hashtbl.replace r.qualified (w, next) ();
+        let i = skip_blank (stop k) in
+        if i + 1 < n && code.[i] = '.' && String.contains "([{" code.[i + 1] then
+          Hashtbl.replace r.opened w ())
+      else if (w = "open" || w = "include") && next <> "" && is_module next then
+        Hashtbl.replace r.opened (path_end (k + 1)) ()
+      else if w = "module" && next <> "" && is_module next && k + 2 < count then (
+        let i = skip_blank (stop (k + 1)) in
+        if i < n && code.[i] = '=' && is_module (snd toks.(k + 2)) then
+          Hashtbl.replace r.aliases next (path_end (k + 2))))
+    toks;
+  r
+
+(* [r] reads [x] of module [m]: as [m.x] or [a.x] for an alias [a] of
+   [m], or as [x] where it opens either. *)
+let reads r m x =
+  let names_m =
+    m :: Hashtbl.fold (fun a target acc -> if target = m then a :: acc else acc) r.aliases []
+  in
+  List.exists (fun q -> Hashtbl.mem r.qualified (q, x)) names_m
+  || (Hashtbl.mem r.names x && List.exists (Hashtbl.mem r.opened) names_m)
 
 (* [(line, name)] for each [val name] in an interface's text. *)
 let vals text =
@@ -128,14 +193,7 @@ let vals text =
 let () =
   let all = List.concat_map files scanned in
   let mls = List.filter (fun f -> Filename.check_suffix f ".ml") all in
-  let names_in =
-    List.map
-      (fun f ->
-        let t = Hashtbl.create 256 in
-        List.iter (fun w -> Hashtbl.replace t w ()) (words (code_only (read f)));
-        (f, t))
-      mls
-  in
+  let reads_in = List.map (fun f -> (f, reads_of (code_only (read f)))) mls in
   let interfaces =
     List.filter
       (fun f ->
@@ -155,10 +213,12 @@ let () =
       List.iter
         (fun (ln, name) ->
           incr exports;
-          let read_elsewhere = List.exists (fun (f, t) -> f <> own && Hashtbl.mem t name) names_in in
+          let read_elsewhere =
+            List.exists (fun (f, r) -> f <> own && reads r modname name) reads_in
+          in
           if not read_elsewhere then (
             incr unread;
-            Printf.printf "%s:%d: %s.%s is exported but no other module names it\n" mli ln
+            Printf.printf "%s:%d: %s.%s is exported but no other module reads it\n" mli ln
               modname name))
         (vals (code_only (read mli))))
     interfaces;
@@ -166,4 +226,4 @@ let () =
     Printf.printf "check_exports: %d of %d exports unread outside their module\n" !unread
       !exports;
     exit 1);
-  Printf.printf "check_exports: %d exports, each named outside its module\n" !exports
+  Printf.printf "check_exports: %d exports, each read outside its module\n" !exports

@@ -768,11 +768,11 @@ let fig9_chaos_sustained () =
   let digest =
     List.fold_left
       (fun h (r : Health.Sustained.run) ->
-        List.fold_left Tr.Loadgen.fnv_mix h
+        List.fold_left Bytebuf.fnv64_mix h
           [ r.r_fingerprint; Int64.of_int r.r_attempts; Int64.of_int r.r_sheds;
             Int64.of_int r.r_trips; Int64.of_int r.r_cancels;
             Int64.of_int r.r_postpones; Int64.of_int r.r_ok ])
-      0xcbf29ce484222325L
+      Bytebuf.fnv64_offset
       (fst on @ fst off)
   in
   Printf.printf "runs digest: %016Lx\n" digest;

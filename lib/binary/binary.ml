@@ -62,6 +62,17 @@ let code_bytes b addr len =
         (Printf.sprintf "Binary.code_bytes: [0x%Lx, +%d) out of text range" addr len);
     String.sub s.sec_data off len
 
+let text_page b pn =
+  match find_section b ".text" with
+  | None -> None
+  | Some s ->
+    let page = Bytes.make Layout.page_size '\000' in
+    let off = Int64.to_int (Int64.sub (Layout.addr_of_page pn) s.sec_addr) in
+    let len = String.length s.sec_data in
+    if off >= 0 && off < len then
+      Bytes.blit_string s.sec_data off page 0 (min Layout.page_size (len - off));
+    Some page
+
 let with_text b data =
   let sections =
     List.map

@@ -68,6 +68,11 @@ val find_symbol : t -> string -> symbol option
     Raises [Invalid_argument] if out of range. *)
 val code_bytes : t -> int64 -> int -> string
 
+(** [text_page b pn] is page [pn] as the text section fills it, zeros
+    where the section does not reach; [None] when [b] has no text
+    section. *)
+val text_page : t -> int -> bytes option
+
 (** Serialize / parse (used for on-disk storage and network transfer
     accounting). [deserialize] raises [Byte_reader.Malformed] on any
     input [serialize] could not have produced. *)

@@ -16,6 +16,12 @@ let stack_base_of_thread i =
 let stack_limit_of_thread i =
   Int64.sub stack_top (Int64.of_int ((i + 1) * stack_region))
 
+(* The lowest address of the lowest thread stack region. *)
+let stack_floor = stack_limit_of_thread (max_threads - 1)
+
+let in_stack_region addr =
+  Int64.compare addr stack_floor >= 0 && Int64.compare addr stack_top < 0
+
 let tls_block_of_thread i =
   Int64.add tls_base (Int64.of_int (i * tls_block_region))
 

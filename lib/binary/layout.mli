@@ -20,6 +20,11 @@ val max_threads : int
 
 val stack_base_of_thread : int -> int64
 val stack_limit_of_thread : int -> int64
+
+(** [addr] lies in some thread's stack region, the [max_threads] regions
+    below [stack_top]. *)
+val in_stack_region : int64 -> bool
+
 val tls_block_of_thread : int -> int64
 
 (** Page number containing an address / first address of a page. *)

@@ -119,7 +119,7 @@ let run config (jobs : Link.compiled list) =
         Trace.with_span ~cat:"fleet" "eviction"
           ~args:[ ("app", job.r_compiled.Link.cp_app) ]
         @@ fun _ ->
-        (match Session.run scfg job.r_proc with
+        (match Session.run (Session.start scfg job.r_proc) with
          | Ok st ->
            let r = Session.finish st in
            incr evictions;

@@ -193,10 +193,6 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
         Int64.add dst_lo (Int64.sub v lo)
       | None -> v
   in
-  let in_stack_region v =
-    Int64.compare v (Layout.stack_limit_of_thread (Layout.max_threads - 1)) >= 0
-    && Int64.compare v Layout.stack_top < 0
-  in
   (* The new page table: the source's without its execution-context code
      pages; the destination's are added below. *)
   let st =
@@ -320,7 +316,7 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
             | Stackmap.Reg r ->
               let value = Dapper_util.Bytebuf.get_i64 bytes 0 in
               ctx.(r) <-
-                (if lv.lv_ty = Stackmap.Lv_ptr && in_stack_region value then
+                (if lv.lv_ty = Stackmap.Lv_ptr && Layout.in_stack_region value then
                    translate value
                  else value)
             | Stackmap.Frame off ->
@@ -330,7 +326,7 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
                   let value = Dapper_util.Bytebuf.get_i64 bytes (e * 8) in
                   let a = Int64.add base (Int64.of_int (e * 8)) in
                   store_write_u64 st a
-                    (if in_stack_region value then translate value else value)
+                    (if Layout.in_stack_region value then translate value else value)
                 done
               else store_write_bytes st base bytes)
           df.df_ep.ep_live;
@@ -403,15 +399,10 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
       let pn = Layout.page_of_addr tc.tc_pc in
       if not (Images.Pages.mem pn st.table) then begin
         incr code_pages;
-        let page = Bytes.make Layout.page_size '\000' in
-        (match Binary.find_section dst ".text" with
-         | Some s ->
-           let off = Int64.to_int (Int64.sub (Layout.addr_of_page pn) s.sec_addr) in
-           let len = String.length s.sec_data in
-           if off >= 0 && off < len then
-             Bytes.blit_string s.sec_data off page 0 (min Layout.page_size (len - off))
-         | None -> fail "destination binary has no text section");
-        st.table <- Images.Pages.add pn (Bytes.unsafe_to_string page) st.table
+        match Binary.text_page dst pn with
+        | Some page ->
+          st.table <- Images.Pages.add pn (Bytes.unsafe_to_string page) st.table
+        | None -> fail "destination binary has no text section"
       end)
     new_cores;
   (* Lower the transformation flag inside the image so restored threads do
@@ -437,7 +428,7 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
        (fun pn page ->
          if
            (not (is_code_page pn))
-           && (not (in_stack_region (Layout.addr_of_page pn)))
+           && (not (Layout.in_stack_region (Layout.addr_of_page pn)))
            && pn <> flag_pn
          then begin
            let d = Digest.string page in

@@ -133,6 +133,7 @@ type dumped = {
 
 type evidence = {
   ev_pause : Monitor.pause_stats;
+  ev_dump : Dump.stats;
   ev_rewrite : Rewrite.stats;
   ev_image_bytes : int;
 }
@@ -143,6 +144,7 @@ type transferred = { sx_evidence : evidence; sx_image : Images.image_set }
 
 type restored = {
   sf_evidence : evidence;
+  sf_image : Images.image_set;
   sf_process : Process.t;
   sf_page_server : Transport.page_stats option;
   sf_lazy_pages : int list;
@@ -150,9 +152,11 @@ type restored = {
 
 type committed = {
   sm_evidence : evidence;
+  sm_image : Images.image_set;
   sm_process : Process.t;
   sm_page_server : Transport.page_stats option;
   sm_drained : int;
+  sm_lazy_left : int;
 }
 
 let start cfg source =
@@ -334,7 +338,7 @@ let dump s = staged Dapper_error.Dump dump_run s
 
 let recode_run (s : dumped t) =
   guard s (fun () ->
-      let { sd_pause; sd_image; sd_dump = _ } = s.s_state in
+      let { sd_pause; sd_image; sd_dump } = s.s_state in
       let cfg = s.s_cfg in
       match
         Rewrite.rewrite ?memo:cfg.cfg_recode_memo sd_image ~src:cfg.cfg_src_bin
@@ -364,7 +368,8 @@ let recode_run (s : dumped t) =
         Ok
           (step s Dapper_error.Recode ~bytes:charged_bytes ~ms
              { sc_evidence =
-                 { ev_pause = sd_pause; ev_rewrite = rw; ev_image_bytes = image_bytes };
+                 { ev_pause = sd_pause; ev_dump = sd_dump; ev_rewrite = rw;
+                   ev_image_bytes = image_bytes };
                sc_image = image' }))
 
 let recode s = staged Dapper_error.Recode recode_run s
@@ -373,72 +378,95 @@ let recode s = staged Dapper_error.Recode recode_run s
    table's pages sent as they are: exposed file by file to the fault
    plane, checksum-verified and (under a retrying transport) retransmitted.
    What arrives is the image that was sent, so the destination takes the
-   immutable image itself and nothing is serialized or re-parsed. Without
-   faults or retries this is exactly the old single-attempt cost. *)
+   immutable image itself and nothing is serialized or re-parsed.
+   Pipelined, recode streamed its output in chunks, so the stage charges
+   only the makespan's excess over the recode time the previous stage
+   logged, plus any fault and retry surcharge over a clean attempt: those
+   hit a wire whose producer has finished. The chunks are zero-duration
+   trace leaves, so the trace clock is charged once, by the wire
+   attempts. *)
 let transfer_run (s : recoded t) =
   guard s (fun () ->
       let { sc_evidence; sc_image } = s.s_state in
       let cfg = s.s_cfg in
+      let transport = cfg.cfg_transport in
       let wire_bytes =
         scaled cfg
           (max 0 (sc_evidence.ev_image_bytes - resident_dump_bytes cfg sc_image))
       in
-      let files = Images.to_wire sc_image in
-      let result =
-        if cfg.cfg_pipeline then
-          (* Overlapped transfer: recode streamed its output in chunks,
-             so only the makespan's excess over the recode time already
-             charged (plus any fault/retry surcharge) lands here. The
-             recode cost is the record the previous stage just logged. *)
-          let recode_charged_ns =
+      let schedule =
+        if not cfg.cfg_pipeline then None
+        else
+          let recode_ns =
             match s.s_log with
             | r :: _ when r.sr_stage = Dapper_error.Recode -> r.sr_ms *. 1e6
             | _ -> 0.0
           in
-          Transport.transmit_pipelined cfg.cfg_transport ?fault:cfg.cfg_fault
-            ~stats:s.s_tx ~bytes:wire_bytes ~chunk_bytes:cfg.cfg_chunk_bytes
-            ~recode_ns:recode_charged_ns files
-        else
-          Transport.transmit cfg.cfg_transport ?fault:cfg.cfg_fault ~stats:s.s_tx
-            ~bytes:wire_bytes files
+          Some
+            (Transport.pipeline_schedule transport ~bytes:wire_bytes
+               ~chunk_bytes:cfg.cfg_chunk_bytes ~recode_ns)
       in
-      match result with
+      (match schedule with
+       | Some sched when Trace.enabled () ->
+         List.iter
+           (fun (c : Transport.chunk) ->
+             Trace.leaf ~cat:"transport" "tx-chunk" ~dur_ns:0.0
+               ~args:
+                 [ ("chunk", string_of_int c.ck_index);
+                   ("bytes", string_of_int c.ck_bytes);
+                   ("ready_ms", Printf.sprintf "%.3f" (c.ck_ready_ns /. 1e6));
+                   ("start_ms", Printf.sprintf "%.3f" (c.ck_start_ns /. 1e6));
+                   ("tx_ms", Printf.sprintf "%.3f" (c.ck_tx_ns /. 1e6)) ])
+           sched.Transport.pp_schedule
+       | _ -> ());
+      match
+        Transport.transmit transport ?fault:cfg.cfg_fault ~stats:s.s_tx
+          ~bytes:wire_bytes (Images.to_wire sc_image)
+      with
       | Error _ as e -> e
       | Ok ns ->
+        let ns =
+          match schedule with
+          | None -> ns
+          | Some sched ->
+            sched.Transport.pp_exposed_ns
+            +. Float.max 0.0 (ns -. Transport.transfer_ns transport wire_bytes)
+        in
         Ok
           (step s Dapper_error.Transfer ~bytes:wire_bytes ~ms:(ns /. 1e6)
              { sx_evidence = sc_evidence; sx_image = sc_image }))
 
 let transfer s = staged Dapper_error.Transfer transfer_run s
 
+(* A copy of the paused source's page [pn]: what pre-copy made
+   resident, what a lazy restore serves, and what the commit drain pulls. *)
+let source_page s pn =
+  Option.map Bytes.copy (Memory.page_contents s.s_source.Process.mem pn)
+
+(* One post-copy page fetch from the paused source, accounted to [stats]:
+   the lazy restore's page source (no [fault]) and the commit drain. *)
+let fetch_page ?fault s stats pn =
+  Transport.fetch_page s.s_cfg.cfg_transport ?fault stats
+    ~page_bytes:(scaled s.s_cfg Layout.page_size) (source_page s) pn
+
 let restore_run (s : transferred t) =
   guard s (fun () ->
       let { sx_evidence; sx_image } = s.s_state in
       let cfg = s.s_cfg in
-      let transport = cfg.cfg_transport in
-      let lazy_pages = Transport.is_lazy transport in
+      let lazy_pages = Transport.is_lazy cfg.cfg_transport in
       (* Injected destination failure while materializing the image. *)
       match Option.bind cfg.cfg_fault (fun f -> Fault.draw f Fault.Dest_restore) with
       | Some Fault.Crash ->
         Error (Dapper_error.Restore_failed "destination failed during restore (injected)")
       | _ ->
-        (* Lazy page server: serves from the paused source process, with
-           round-trip accounting per fetched page. *)
         let server_stats =
           if lazy_pages then Some (Transport.fresh_page_stats ()) else None
         in
+        (* Without a fault plane a fetch cannot fail. *)
         let page_source =
-          match server_stats with
-          | None -> None
-          | Some stats ->
-            let fetch pn =
-              match Memory.page_contents s.s_source.Process.mem pn with
-              | Some data -> Some (Bytes.copy data)
-              | None -> None
-            in
-            Some
-              (Transport.serve_pages transport stats
-                 ~page_bytes:(scaled cfg Layout.page_size) fetch)
+          Option.map
+            (fun stats pn -> Result.value (fetch_page s stats pn) ~default:None)
+            server_stats
         in
         (match Restore.restore ?page_source sx_image cfg.cfg_dst_bin with
          | Error _ as e -> e
@@ -462,9 +490,7 @@ let restore_run (s : transferred t) =
              List.iter
                (fun pn ->
                  if not (Memory.is_mapped q.Process.mem pn) then
-                   match Memory.page_contents s.s_source.Process.mem pn with
-                   | Some data -> Memory.map_page q.Process.mem pn (Bytes.copy data)
-                   | None -> ())
+                   Option.iter (Memory.map_page q.Process.mem pn) (source_page s pn))
                resident;
            let lazy_left =
              if resident = [] then Images.lazy_pages sx_image
@@ -477,7 +503,7 @@ let restore_run (s : transferred t) =
            in
            Ok
              (step s Dapper_error.Restore ~bytes ~ms
-                { sf_evidence = sx_evidence; sf_process = q;
+                { sf_evidence = sx_evidence; sf_image = sx_image; sf_process = q;
                   sf_page_server = server_stats; sf_lazy_pages = lazy_left })))
 
 let restore s = staged Dapper_error.Restore restore_run s
@@ -508,21 +534,13 @@ let commit_run (s : restored t) =
         let drain () =
           match st.sf_page_server with
           | Some stats when cfg.cfg_commit_drain ->
-            let fetch pn =
-              match Memory.page_contents s.s_source.Process.mem pn with
-              | Some data -> Some (Bytes.copy data)
-              | None -> None
-            in
             let before_ns = stats.Transport.srv_ns in
             let rec go drained = function
               | [] -> Ok (drained, (stats.Transport.srv_ns -. before_ns) /. 1e6)
               | pn :: rest ->
                 if Memory.is_mapped q.Process.mem pn then go drained rest
                 else
-                  (match
-                     Transport.fetch_page cfg.cfg_transport ?fault:cfg.cfg_fault
-                       stats ~page_bytes:(scaled cfg Layout.page_size) fetch pn
-                   with
+                  (match fetch_page ?fault:cfg.cfg_fault s stats pn with
                    | Error _ as e -> e
                    | Ok None -> go drained rest
                    | Ok (Some data) ->
@@ -548,8 +566,10 @@ let commit_run (s : restored t) =
            else
              Ok
                (step s Dapper_error.Commit ~ms:drain_ms
-                  { sm_evidence = st.sf_evidence; sm_process = q;
-                    sm_page_server = st.sf_page_server; sm_drained = drained })))
+                  { sm_evidence = st.sf_evidence; sm_image = st.sf_image;
+                    sm_process = q; sm_page_server = st.sf_page_server;
+                    sm_drained = drained;
+                    sm_lazy_left = List.length st.sf_lazy_pages - drained })))
 
 let commit s = staged Dapper_error.Commit commit_run s
 
@@ -571,6 +591,8 @@ type outcome = {
   r_page_server : Transport.page_stats option;
   r_transfer : Transport.tx_stats;
   r_drained : int;
+  r_dump : Dump.stats;
+  r_lazy_left : int;
 }
 
 let finish (s : committed t) =
@@ -583,12 +605,14 @@ let finish (s : committed t) =
     r_pause = ev.ev_pause;
     r_page_server = st.sm_page_server;
     r_transfer = s.s_tx;
-    r_drained = st.sm_drained }
+    r_drained = st.sm_drained;
+    r_dump = ev.ev_dump;
+    r_lazy_left = st.sm_lazy_left }
 
 let ( let* ) = Result.bind
 
-let run cfg p =
-  let* s = pause (start cfg p) in
+let run s =
+  let* s = pause s in
   let* s = dump s in
   let* s = recode s in
   let* s = transfer s in
@@ -610,7 +634,7 @@ let migrate ?(lazy_pages = false) ?bytes_scale ?pipeline ?recode_workers ?memo
       cfg_recode_workers = Option.value ~default:d.cfg_recode_workers recode_workers;
       cfg_recode_memo = memo }
   in
-  Result.map finish (run cfg p)
+  Result.map finish (run (start cfg p))
 
 (* ----- reports ----- *)
 

@@ -207,6 +207,7 @@ type dumped = {
     {!outcome}. *)
 type evidence = {
   ev_pause : Monitor.pause_stats;
+  ev_dump : Dump.stats;
   ev_rewrite : Rewrite.stats;
   ev_image_bytes : int;  (** unscaled size of the recoded image *)
 }
@@ -217,6 +218,7 @@ type transferred = { sx_evidence : evidence; sx_image : Images.image_set }
 
 type restored = {
   sf_evidence : evidence;
+  sf_image : Images.image_set;
   sf_process : Process.t;
   sf_page_server : Transport.page_stats option;
   sf_lazy_pages : int list;  (** pages still owed by the source *)
@@ -224,9 +226,13 @@ type restored = {
 
 type committed = {
   sm_evidence : evidence;
+  sm_image : Images.image_set;  (** the image the destination was restored from *)
   sm_process : Process.t;
   sm_page_server : Transport.page_stats option;
   sm_drained : int;  (** post-copy pages pulled at commit *)
+  sm_lazy_left : int;
+  (** pages still owed by the source after commit: [sf_lazy_pages]'
+      length minus [sm_drained] *)
 }
 
 val start : config -> Process.t -> ready t
@@ -250,8 +256,9 @@ val recode : dumped t -> (recoded t, Dapper_error.t) result
 val transfer : recoded t -> (transferred t, Dapper_error.t) result
 
 (** Materialize the destination process; lazy transports install a
-    demand-page source served from the paused source process. The fault
-    plane may fail the destination here ([Restore_failed]). *)
+    demand-page source, {!Transport.fetch_page} with no fault plane,
+    served from the paused source process. The fault plane may fail the
+    destination here ([Restore_failed]). *)
 val restore : transferred t -> (restored t, Dapper_error.t) result
 
 (** The second phase of two-phase commit: the destination acknowledges a
@@ -304,13 +311,19 @@ type outcome = {
   r_page_server : Transport.page_stats option;
   r_transfer : Transport.tx_stats;
   r_drained : int;
+  r_dump : Dump.stats;  (** what the dump stage checkpointed *)
+  r_lazy_left : int;    (** [sm_lazy_left] *)
 }
 
 val finish : committed t -> outcome
 
-(** Run all six stages in order. On any stage failure the source is
-    resumed ({!rollback}) and the stage's error returned. *)
-val run : config -> Process.t -> (committed t, Dapper_error.t) result
+(** Run all six stages of a started session in order. Every whole
+    migration in lib/ runs through here but [Dapper_health.Guard]'s,
+    which steps by hand because it cancels between recode and transfer.
+    On any stage failure the source is resumed ({!rollback}) and the
+    stage's error returned; the session passed in still reads its
+    {!transfer_stats}. *)
+val run : ready t -> (committed t, Dapper_error.t) result
 
 (** [migrate ~src_node ~dst_node ~dst_bin ~src_bin p] is {!run} then
     {!finish} over {!default_config} with these fields replaced:

@@ -39,41 +39,17 @@ let restore_exn ?page_source (is : Images.image_set) (binary : Binary.t) =
           ~tls:tc.tc_tls)
       is.is_cores
   in
-  let p = Process.reconstruct binary mem ~threads ~brk:is.is_mm.mm_brk in
-  (* Chain the lazy page source in front of binary code paging. *)
-  let text = Binary.find_section binary ".text" in
-  let handler pn =
-    if Hashtbl.mem lazy_pages pn then
-      match page_source with
-      | Some src ->
-        (match src pn with
-         | Some data ->
-           Hashtbl.remove lazy_pages pn;
-           Some data
-         | None -> None)
-      | None -> None
-    else begin
-      let addr = Layout.addr_of_page pn in
-      if Int64.compare addr (Layout.stack_limit_of_thread (Layout.max_threads - 1)) >= 0
-         && Int64.compare addr Layout.stack_top < 0
-      then Some (Bytes.make Layout.page_size '\000')
-      else if Int64.compare addr Layout.code_base >= 0
-         && Int64.compare addr Layout.data_base < 0
-      then begin
-        let page = Bytes.make Layout.page_size '\000' in
-        (match text with
-         | Some s ->
-           let off = Int64.to_int (Int64.sub addr s.sec_addr) in
-           let len = String.length s.sec_data in
-           if off >= 0 && off < len then
-             Bytes.blit_string s.sec_data off page 0 (min Layout.page_size (len - off))
-         | None -> ());
+  (* An owed page is served once by [page_source], then no longer owed. *)
+  let owed pn =
+    if not (Hashtbl.mem lazy_pages pn) then None
+    else
+      match Option.bind page_source (fun src -> src pn) with
+      | Some _ as page ->
+        Hashtbl.remove lazy_pages pn;
         Some page
-      end
-      else None
-    end
+      | None -> Some None
   in
-  Memory.set_fault_handler mem (Some handler);
+  let p = Process.reconstruct binary mem ~owed ~threads ~brk:is.is_mm.mm_brk in
   (* Drop the transformation-request flag so checkers do not re-trap. A
      lazy flag page that the page source cannot serve fails the restore. *)
   (try Memory.write_u64 mem binary.Binary.bin_anchors.a_flag 0L

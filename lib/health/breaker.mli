@@ -25,9 +25,6 @@ type cfg = {
   b_probe_successes : int;    (** half-open wins needed to re-close *)
 }
 
-(** threshold 3, 250 ms cooldown, 2 probe wins. *)
-val default_cfg : cfg
-
 type t
 
 (** Raises [Invalid_argument] on a non-positive threshold or probe

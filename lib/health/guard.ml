@@ -1,5 +1,4 @@
 open Dapper_net
-open Dapper_criu
 module Session = Dapper.Session
 module Derr = Dapper_util.Dapper_error
 
@@ -7,8 +6,6 @@ type attempt = {
   ga_outcome : (Session.outcome, Derr.t) result;
   ga_blackout_ms : float;
   ga_cancelled : Derr.stage option;
-  ga_hot_pages : int;
-  ga_lazy_left : int;
 }
 
 let ( let* ) = Result.bind
@@ -24,14 +21,10 @@ let run ~budget_ms (cfg : Session.config) p =
     blackout := spent s;
     Ok s
   in
-  let hot_pages = ref 0 in
-  let lazy_left = ref 0 in
   let outcome =
     let s = Session.start cfg p in
     let* s = step Session.pause s in
     let* s = step Session.dump s in
-    (let d = s.Session.s_state.Session.sd_dump in
-     hot_pages := d.Dump.pages_dumped + d.Dump.pages_lazy);
     let* s = step Session.recode s in
     (* The transfer is projected analytically from the image at hand and
        the transport's current cost model, so a degraded or congested
@@ -76,9 +69,7 @@ let run ~budget_ms (cfg : Session.config) p =
      | Ok s ->
        blackout := spent s;
        let* s = step Session.restore s in
-       lazy_left := List.length s.Session.s_state.Session.sf_lazy_pages;
        let* s = step Session.commit s in
-       lazy_left := !lazy_left - s.Session.s_state.Session.sm_drained;
        Ok (Session.finish s)
      | Error e ->
        (* the failed wire work still stalled the paused source: charge
@@ -92,6 +83,4 @@ let run ~budget_ms (cfg : Session.config) p =
        blackout := !blackout +. wire_ms;
        Error e)
   in
-  { ga_outcome = outcome; ga_blackout_ms = !blackout;
-    ga_cancelled = !cancelled; ga_hot_pages = !hot_pages;
-    ga_lazy_left = !lazy_left }
+  { ga_outcome = outcome; ga_blackout_ms = !blackout; ga_cancelled = !cancelled }

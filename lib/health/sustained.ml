@@ -145,7 +145,7 @@ let calibrate (scfg : Session.config) p =
       cfg_fault = None;
       cfg_resident_pages = [] }
   in
-  match Session.run scfg p with
+  match Session.run (Session.start scfg p) with
   | Error e ->
     invalid_arg ("Sustained: calibration migration failed: " ^ Derr.to_string e)
   | Ok s ->
@@ -202,7 +202,7 @@ let run c (scfg : Session.config) ~fresh ~seed =
   let postpones = ref 0 in
   let sheds = ref 0 in
   let cancels = ref 0 in
-  let committed = ref None in       (* (rack, mech, transport, fault, attempt) *)
+  let committed = ref None in       (* (rack, mech, transport, fault, outcome, stop) *)
   let transport_for ~rack ~lazy_ ~attempt =
     let base = if lazy_ then Transport.page_server link else Transport.scp link in
     let base =
@@ -306,12 +306,12 @@ let run c (scfg : Session.config) ~fresh ~seed =
       if att.Guard.ga_blackout_ms > 0.0 then
         windows := (black_start, black_stop) :: !windows;
       (match att.Guard.ga_outcome with
-       | Ok _ ->
+       | Ok o ->
          if c.su_control then Breaker.record_success breakers.(rack) ~now_ms:!now;
          event ~ms:black_stop "commit"
            (Printf.sprintf "rack=%d mech=%s rung=%s attempt=%d" rack
               (Budget.mechanism_name mech) (rung_name !rung) attempt);
-         committed := Some (rack, mech, transport, fault, att, black_stop)
+         committed := Some (rack, mech, transport, fault, o, black_stop)
        | Error e ->
          if c.su_control then breaker_fail rack ~ms:black_stop;
          (match att.Guard.ga_cancelled with
@@ -356,7 +356,7 @@ let run c (scfg : Session.config) ~fresh ~seed =
      resumes; its migration window closes with the last blackout. *)
   let resume, mig_end, lazy_left, hot_pages, fault_stall =
     match !committed with
-    | Some (rack, mech, transport, fault, att, stop) ->
+    | Some (rack, mech, transport, fault, o, stop) ->
       let fault_stall now_ms =
         let fault = if rack_bad sc ~rack ~now_ms then fault else None in
         let stall =
@@ -365,8 +365,10 @@ let run c (scfg : Session.config) ~fresh ~seed =
         stall +. snd (Rack.acquire_wait pool ~rack ~now_ms ~service_ms:stall)
       in
       ( stop, stop,
-        (if Budget.needs_lazy mech then att.Guard.ga_lazy_left else 0),
-        att.Guard.ga_hot_pages, fault_stall )
+        (if Budget.needs_lazy mech then o.Session.r_lazy_left else 0),
+        (let d = o.Session.r_dump in
+         d.Dapper_criu.Dump.pages_dumped + d.Dapper_criu.Dump.pages_lazy),
+        fault_stall )
     | None ->
       let last_end =
         match List.rev windows with (_, e) :: _ -> e | [] -> c.su_migrate_at_ms
@@ -383,8 +385,8 @@ let run c (scfg : Session.config) ~fresh ~seed =
       ~lazy_left ~hot_pages ~fault_stall
       ~on_latency:(fun lat -> if lat <= slo_ms then incr ok_n)
   in
-  let fp = Loadgen.fnv_mix fp (Int64.of_int !attempts) in
-  let fp = Loadgen.fnv_mix fp (Int64.of_int (rung_rank !deepest)) in
+  let fp = Bytebuf.fnv64_mix fp (Int64.of_int !attempts) in
+  let fp = Bytebuf.fnv64_mix fp (Int64.of_int (rung_rank !deepest)) in
   { r_seed = seed;
     r_scenario = sc;
     r_verdict = verdict;

@@ -63,11 +63,6 @@ type modul = {
   m_tls : tls_var list;
 }
 
-let find_func m name =
-  match List.find_opt (fun f -> f.fname = name) m.m_funcs with
-  | Some f -> f
-  | None -> invalid_arg (Printf.sprintf "Ir.find_func: no function %S" name)
-
 let vreg_count f = Array.length f.fvreg_tys
 
 (* ----- validation ----- *)

@@ -75,7 +75,6 @@ type modul = {
   m_tls : tls_var list;
 }
 
-val find_func : modul -> string -> func
 val vreg_count : func -> int
 
 (** Structural validation: labels in range, vregs defined before use on

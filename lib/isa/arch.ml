@@ -12,8 +12,6 @@ let of_name = function
   | "aarch64" | "arm64" -> Some Aarch64
   | _ -> None
 
-let pp ppf t = Format.pp_print_string ppf (name t)
-
 let gpr_count = function
   | X86_64 -> 16
   | Aarch64 -> 32

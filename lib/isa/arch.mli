@@ -12,7 +12,6 @@ type t = X86_64 | Aarch64
 val equal : t -> t -> bool
 val name : t -> string
 val of_name : string -> t option
-val pp : Format.formatter -> t -> unit
 
 (** All architectures, in a stable order. *)
 val all : t list

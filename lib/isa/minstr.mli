@@ -46,5 +46,4 @@ type t =
   | Syscall of int                   (** architecture-specific number *)
   | Nop
 
-val pp : Arch.t -> Format.formatter -> t -> unit
 val to_string : Arch.t -> t -> string

@@ -1,5 +1,6 @@
 open Dapper_isa
 open Dapper_binary
+module Bytebuf = Dapper_util.Bytebuf
 
 type thread_status =
   | Runnable
@@ -87,36 +88,29 @@ let restored_thread ~tid ~regs ~pc ~tls =
   Array.iteri (wr th.regfile) regs;
   th
 
-(* ----- demand paging: code pages from the binary, stack growth ----- *)
+(* ----- demand paging: owed pages, code from the binary, stack growth ----- *)
 
 (* The heap ends where the lowest thread stack region begins. *)
 let heap_end = Layout.stack_limit_of_thread (Layout.max_threads - 1)
 
-let in_stack_region addr =
-  Int64.compare addr heap_end >= 0 && Int64.compare addr Layout.stack_top < 0
-
-let install_code_paging mem (binary : Binary.t) =
-  let text = Binary.find_section binary ".text" in
+(* A page the migration source still owes is [owed]'s answer, whatever
+   it is; any other page faults in as code from the binary's text, or
+   as a fresh stack page. *)
+let install_paging mem (binary : Binary.t) ~owed =
   let handler pn =
-    let addr = Layout.addr_of_page pn in
-    if Int64.compare addr Layout.code_base >= 0 && Int64.compare addr Layout.data_base < 0
-    then begin
-      let page = Bytes.make Layout.page_size '\000' in
-      (match text with
-       | Some s ->
-         let off = Int64.to_int (addr -% s.sec_addr) in
-         let len = String.length s.sec_data in
-         if off < len then begin
-           let n = min Layout.page_size (len - off) in
-           if off >= 0 then Bytes.blit_string s.sec_data off page 0 n
-         end
-       | None -> ());
-      Some page
-    end
-    else if in_stack_region addr then
-      (* stacks grow on demand; untouched pages never enter a dump *)
-      Some (Bytes.make Layout.page_size '\000')
-    else None
+    match owed pn with
+    | Some page -> page
+    | None ->
+      let addr = Layout.addr_of_page pn in
+      if Int64.compare addr Layout.code_base >= 0 && Int64.compare addr Layout.data_base < 0
+      then (
+        match Binary.text_page binary pn with
+        | Some _ as page -> page
+        | None -> Some (Bytes.make Layout.page_size '\000'))
+      else if Layout.in_stack_region addr then
+        (* stacks grow on demand; untouched pages never enter a dump *)
+        Some (Bytes.make Layout.page_size '\000')
+      else None
   in
   Memory.set_fault_handler mem (Some handler)
 
@@ -191,15 +185,15 @@ let load binary =
   List.iter
     (fun (s : Binary.section) -> if not s.sec_exec then map_section mem s)
     binary.bin_sections;
-  install_code_paging mem binary;
+  install_paging mem binary ~owed:(fun _ -> None);
   let main = make_thread t ~tid:0 ~pc:binary.bin_anchors.a_entry
       ~stub:binary.bin_anchors.a_exit_stub in
   t.threads <- [ main ];
   t.next_tid <- 1;
   t
 
-let reconstruct binary mem ~threads ~brk =
-  install_code_paging mem binary;
+let reconstruct binary mem ~owed ~threads ~brk =
+  install_paging mem binary ~owed;
   let next_tid = 1 + List.fold_left (fun m th -> max m th.tid) 0 threads in
   create binary mem ~threads ~next_tid ~brk
 
@@ -255,12 +249,11 @@ type snapshot = {
 (* FNV-1a (64-bit), folded over (page number, page bytes) pairs so the
    digest is sensitive to which pages are mapped, not just their
    concatenated contents. *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) fnv_prime
-
 let fnv_int h n =
-  let rec go h i = if i = 8 then h else go (fnv_byte h ((n lsr (i * 8)) land 0xff)) (i + 1) in
+  let rec go h i =
+    if i = 8 then h
+    else go (Bytebuf.fnv64_mix h (Int64.of_int ((n lsr (i * 8)) land 0xff))) (i + 1)
+  in
   go h 0
 
 (* The pages [observe] reads, in page order, each with its kind and its
@@ -299,10 +292,12 @@ let observed_pages t =
    bytes on the shared kernel. *)
 let digest_page h pn page =
   (* the page is not mutated during the call and the alias does not escape *)
-  Dapper_util.Bytebuf.fnv64_fold (fnv_int h pn) (Bytes.unsafe_to_string page)
+  Bytebuf.fnv64_fold (fnv_int h pn) (Bytes.unsafe_to_string page)
 
 let observe t =
-  let data = ref fnv_offset and heap = ref fnv_offset and tls = ref fnv_offset in
+  let data = ref Bytebuf.fnv64_offset
+  and heap = ref Bytebuf.fnv64_offset
+  and tls = ref Bytebuf.fnv64_offset in
   List.iter
     (fun (kind, pn, page) ->
       let acc = match kind with Vma_data -> data | Vma_heap -> heap | _ -> tls in
@@ -322,7 +317,7 @@ let observe t =
    pages. *)
 let observe_pages t =
   List.map
-    (fun (kind, pn, page) -> (kind, pn, digest_page fnv_offset pn page))
+    (fun (kind, pn, page) -> (kind, pn, digest_page Bytebuf.fnv64_offset pn page))
     (observed_pages t)
 
 (* What [state_equal] of the two [observe]s checks, with the pages

@@ -107,11 +107,16 @@ exception Exec_error of string
     process-exit stub as its bottom-of-stack return target. *)
 val load : Binary.t -> t
 
-(** [reconstruct binary mem ~threads ~brk] assembles a process from
+(** [reconstruct binary mem ~owed ~threads ~brk] assembles a process from
     restored state — the CRIU restore path. The caller is responsible for
-    memory contents and thread register state; code-page demand paging is
-    installed exactly as in [load]. *)
-val reconstruct : Binary.t -> Memory.t -> threads:thread list -> brk:int64 -> t
+    memory contents and thread register state. A page fault asks [owed]
+    first: [Some page] means the migration source still owes the page,
+    and [page] is what it served ([None] is a segfault); only on [None]
+    does the fault fall through to the code and stack paging of
+    [load]. *)
+val reconstruct :
+  Binary.t -> Memory.t -> owed:(int -> bytes option option) -> threads:thread list ->
+  brk:int64 -> t
 
 type run_result =
   | Progress   (** instruction budget exhausted, work remains *)

@@ -13,8 +13,6 @@ let create ~racks ~servers_each =
     r_served = 0;
     r_queue_delay_ms = 0.0 }
 
-let racks t = Array.length t.r_busy_until
-let servers_each t = t.r_servers_each
 let served t = t.r_served
 let queue_delay_ms t = t.r_queue_delay_ms
 

@@ -20,8 +20,6 @@ type t
     [Invalid_argument] unless both are positive. *)
 val create : racks:int -> servers_each:int -> t
 
-val racks : t -> int
-val servers_each : t -> int
 
 (** Static node-to-rack striping: [node mod racks]. *)
 val rack_of_node : racks:int -> node:int -> int

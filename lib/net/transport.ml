@@ -109,19 +109,6 @@ let fresh_tx_stats () =
   { tx_attempts = 0; tx_retransmits = 0; tx_corrupt = 0; tx_dropped = 0;
     tx_fault_ns = 0.0; tx_backoff_ns = 0.0 }
 
-let serve_pages t stats ~page_bytes fetch =
-  if not (is_lazy t) then invalid_arg "Transport.serve_pages: not a lazy transport";
-  fun pn ->
-    match fetch pn with
-    | None -> None
-    | Some data ->
-      let ns = page_fetch_ns t page_bytes in
-      stats.srv_pages <- stats.srv_pages + 1;
-      stats.srv_ns <- stats.srv_ns +. ns;
-      Trace.leaf ~cat:"transport" "page-serve"
-        ~args:[ ("page", string_of_int pn) ] ~dur_ns:ns;
-      Some data
-
 (* Cost-only sample of one demand page fetch under the fault plane: the
    round trips, injected delays and retry backoff {!fetch_page} would
    charge, without touching page contents. The live-traffic plane uses
@@ -319,36 +306,6 @@ let pipeline_schedule t ~bytes ~chunk_bytes ~recode_ns =
     pp_hidden_ns = recode_ns +. !wire_busy -. makespan;
     pp_schedule = List.rev !sched }
 
-(* Pipelined transmit: the same wire semantics as {!transmit} (faults,
-   checksums, bounded retransmission — 2PC rollback on failure is
-   untouched), but the returned cost is the transfer time left exposed
-   once recode is overlapped under it. Fault delays and retransmissions
-   are charged on top of the exposed time: they occur on a wire whose
-   producer has already finished, so nothing hides them. Chunk spans are
-   zero-duration markers (the modeled times ride in the args) so the
-   trace clock is still charged exactly once, by the wire attempts. *)
-let transmit_pipelined t ?fault ~stats ~bytes ~chunk_bytes ~recode_ns files =
-  let sched = pipeline_schedule t ~bytes ~chunk_bytes ~recode_ns in
-  if Trace.enabled () then
-    List.iter
-      (fun c ->
-        Trace.leaf ~cat:"transport" "tx-chunk"
-          ~args:
-            [ ("chunk", string_of_int c.ck_index);
-              ("bytes", string_of_int c.ck_bytes);
-              ("ready_ms", Printf.sprintf "%.3f" (c.ck_ready_ns /. 1e6));
-              ("start_ms", Printf.sprintf "%.3f" (c.ck_start_ns /. 1e6));
-              ("tx_ms", Printf.sprintf "%.3f" (c.ck_tx_ns /. 1e6)) ]
-          ~dur_ns:0.0)
-      sched.pp_schedule;
-  match transmit t ?fault ~stats ~bytes files with
-  | Error _ as e -> e
-  | Ok actual_ns ->
-    (* surcharge over a clean single-attempt wire: injected delays,
-       backoff, extra attempts *)
-    let extra = Float.max 0.0 (actual_ns -. transfer_ns t bytes) in
-    Ok (sched.pp_exposed_ns +. extra)
-
 let fetch_page t ?fault stats ~page_bytes fetch pn =
   if not (is_lazy t) then invalid_arg "Transport.fetch_page: not a lazy transport";
   let max_attempts = attempts t in
@@ -362,9 +319,6 @@ let fetch_page t ?fault stats ~page_bytes fetch pn =
       (match fetch pn with
        | None -> Ok None
        | Some data ->
-         (* [data] is not mutated during the call and the alias does not
-            escape, so the page is hashed in place rather than copied *)
-         let checksum = Bytebuf.word64 [ Bytes.unsafe_to_string data ] in
          let charge () = stats.srv_ns <- stats.srv_ns +. page_fetch_ns t page_bytes in
          let retry what =
            charge ();  (* the failed round trip still cost a round trip *)
@@ -385,6 +339,10 @@ let fetch_page t ?fault stats ~page_bytes fetch pn =
          (match Option.bind fault (fun f -> Fault.draw f Fault.Page_fetch) with
           | Some Fault.Drop -> retry "dropped"
           | Some (Fault.Corrupt salt) ->
+            (* [data] is not mutated during the call and the alias does
+               not escape, so the page is hashed in place; only a
+               corrupted payload needs its checksum *)
+            let checksum = Bytebuf.word64 [ Bytes.unsafe_to_string data ] in
             let damaged = Bytes.copy data in
             Fault.corrupt_byte salt damaged;
             if Bytebuf.word64 [ Bytes.unsafe_to_string damaged ] <> checksum then

@@ -6,7 +6,7 @@
     copied eagerly and memory pages are served on demand from the
     paused source (CRIU's lazy-pages protocol). Both share the same
     eager-transfer cost model; they differ in whether the destination
-    may fault pages back through {!serve_pages}.
+    may fetch pages back through {!fetch_page}.
 
     Two composable wrappers model imperfect links:
 
@@ -109,15 +109,6 @@ val page_fetch_ns : t -> int -> float
 val fresh_page_stats : unit -> page_stats
 val fresh_tx_stats : unit -> tx_stats
 
-(** [serve_pages t stats ~page_bytes fetch] wraps a raw page-content
-    lookup with this transport's accounting: every successful fetch
-    bumps [stats.srv_pages] and charges [page_fetch_ns t page_bytes]
-    to [stats.srv_ns]. Raises [Invalid_argument] if [t] is not lazy.
-    This is the post-commit demand-paging path; the fault-aware,
-    checksummed variant is {!fetch_page}. *)
-val serve_pages :
-  t -> page_stats -> page_bytes:int -> (int -> bytes option) -> int -> bytes option
-
 (** [transmit t ~stats ~bytes files] moves the named image files over
     the transport, simulating the wire. Each file is a list of byte
     strings sent in order, so a page table goes as its pages and is
@@ -184,26 +175,12 @@ type pipe_stats = {
 val pipeline_schedule :
   t -> bytes:int -> chunk_bytes:int -> recode_ns:float -> pipe_stats
 
-(** {!transmit} with the pipelined cost model: identical wire semantics
-    (faults, checksum manifest, bounded retransmission — commit/rollback
-    behavior is unchanged), but the returned nanoseconds are
-    [pp_exposed_ns] plus any fault/retry surcharge (delays and
-    retransmissions hit a wire whose producer already finished, so they
-    are never hidden). The schedule's chunks are emitted as trace
-    leaves. *)
-val transmit_pipelined :
-  t ->
-  ?fault:Fault.t ->
-  stats:tx_stats ->
-  bytes:int ->
-  chunk_bytes:int ->
-  recode_ns:float ->
-  (string * string list) list ->
-  (float, Dapper_error.t) result
-
 (** [fetch_page t stats ~page_bytes fetch pn] is one fault-aware,
-    checksummed post-copy page fetch with bounded retransmission —
-    the page-drain path of the session's commit stage. [Ok None] means
+    checksummed post-copy page fetch with bounded retransmission: the
+    lazy restore's page source (with no [fault], so it cannot fail) and
+    the session's commit drain. A served page counts in
+    [stats.srv_pages]; a clean fetch charges one [page_fetch_ns t
+    page_bytes] to [stats.srv_ns]. [Ok None] means
     the source genuinely has no such page (not a fault). Errors:
     [Source_lost] when the fault plane crashes the source's page server
     (the migration must roll back), [Transfer_timeout] when retries are

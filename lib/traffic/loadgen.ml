@@ -52,10 +52,6 @@ let class_mult u = if u < 0.6 then 0.8 else if u < 0.9 then 1.2 else 1.6
    slow the source a hair; the model charges 3% on the service mean. *)
 let track_overhead = 1.03
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-let fnv_mix h v = Int64.mul (Int64.logxor h v) fnv_prime
-
 type timeline = {
   tl_start : float;
   tl_blackouts : (float * float) list;
@@ -74,7 +70,7 @@ let serve ~requests ~lanes ~service_src_ms ~service_dst_ms ~arrivals
   let lane_free = Array.make lanes 0.0 in
   let all = Sketch.create () in
   let during = Sketch.create () in
-  let fp = ref fnv_offset in
+  let fp = ref Bytebuf.fnv64_offset in
   let faulted = ref 0 in
   let remaining = ref lazy_left in
   let hot = float_of_int (max 1 hot_pages) in
@@ -125,7 +121,7 @@ let serve ~requests ~lanes ~service_src_ms ~service_dst_ms ~arrivals
        exactly what they are waiting on. *)
     if (arrive >= tl_start && arrive < tl_end) || fault_ms > 0.0 then
       Sketch.add during lat;
-    fp := fnv_mix !fp (Int64.bits_of_float lat)
+    fp := Bytebuf.fnv64_mix !fp (Int64.bits_of_float lat)
   done;
   (all, during, !faulted, !fp)
 
@@ -169,20 +165,13 @@ let run c scfg p mech =
       ~round_instrs:c.lg_round_instrs ~max_rounds:c.lg_max_rounds
       ~downtime_budget_ms:c.lg_downtime_budget_ms
   in
-  (* stepwise (not Session.run) so the restored state's lazy-page debt
-     is visible before commit consumes the session *)
-  let* s = Session.pause (Session.start scfg p) in
-  let* s = Session.dump s in
+  let* s = Session.run (Session.start scfg p) in
+  let outcome = Session.finish s in
   let hot_pages =
-    let d = s.Session.s_state.Session.sd_dump in
+    let d = outcome.Session.r_dump in
     d.Dump.pages_dumped + d.Dump.pages_lazy
   in
-  let* s = Session.recode s in
-  let* s = Session.transfer s in
-  let* s = Session.restore s in
-  let lazy_left = List.length s.Session.s_state.Session.sf_lazy_pages in
-  let* s = Session.commit s in
-  let outcome = Session.finish s in
+  let lazy_left = outcome.Session.r_lazy_left in
   let precopy_ms = match pre with Some st -> st.Session.pcs_ms | None -> 0.0 in
   let blackout_ms = Session.total_ms outcome.Session.r_times in
   let mig_start = c.lg_migrate_at_ms in

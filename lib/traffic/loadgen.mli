@@ -56,9 +56,6 @@ type cfg = {
   lg_rack : int;            (** the migrating job's rack *)
 }
 
-(** Aggregate arrival rate: [clients * rps / 1000] per ms. *)
-val rate_per_ms : cfg -> float
-
 (** Mean request service time for a per-request instruction cost on a
     node: [instrs / (ops_per_ns * 1e6)] ms — how the bench calibrates
     [lg_service_*_ms] from real workload runs. *)
@@ -120,9 +117,6 @@ val serve :
   arrivals:Arrival.t -> service_rng:Rng.t -> fault_rng:Rng.t -> timeline ->
   lazy_left:int -> hot_pages:int -> fault_stall:(float -> float) ->
   on_latency:(float -> unit) -> Sketch.t * Sketch.t * int * int64
-
-(** Folds one 64-bit word into a {!serve} fingerprint. *)
-val fnv_mix : int64 -> int64 -> int64
 
 (** The pre-copy prologue: {!Session.precopy} (running [round_instrs]
     source instructions per round) when the mechanism pre-copies, then

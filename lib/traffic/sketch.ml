@@ -27,7 +27,6 @@ let create ?(rel_err = 0.01) () =
     k_min = nan;
     k_max = nan }
 
-let rel_err t = t.k_rel_err
 let count t = t.k_count
 let zero_count t = t.k_zero
 

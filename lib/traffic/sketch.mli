@@ -22,8 +22,6 @@ type t
     folded into an exact zero bucket. *)
 val create : ?rel_err:float -> unit -> t
 
-val rel_err : t -> float
-
 (** Raises [Invalid_argument] on negative or non-finite values. *)
 val add : t -> float -> unit
 

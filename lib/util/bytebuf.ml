@@ -4,11 +4,6 @@ let create n = Buffer.create n
 let length = Buffer.length
 let contents = Buffer.contents
 
-let of_string s =
-  let b = Buffer.create (String.length s) in
-  Buffer.add_string b s;
-  b
-
 let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
 
 let add_u16 b v =
@@ -45,16 +40,14 @@ let get_i64 s off =
    a digest allocates only its boxed result, whatever the length. *)
 let fnv64_offset = 0xcbf29ce484222325L
 let fnv64_prime = 0x100000001b3L
+let[@inline] fnv64_mix h x = Int64.mul (Int64.logxor h x) fnv64_prime
 
 let fnv64_sub h s off len =
   if off < 0 || len < 0 || off > String.length s - len then
     invalid_arg "Bytebuf.fnv64_sub";
   let h = ref h in
   for i = off to off + len - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
-        fnv64_prime
+    h := fnv64_mix !h (Int64.of_int (Char.code (String.unsafe_get s i)))
   done;
   !h
 
@@ -73,7 +66,7 @@ let word64_fold h s =
   let words = String.length s / 8 in
   let h = ref h in
   for k = 0 to words - 1 do
-    h := Int64.mul (Int64.logxor !h (get64u s (8 * k))) fnv64_prime
+    h := fnv64_mix !h (get64u s (8 * k))
   done;
   fnv64_sub !h s (8 * words) (String.length s - (8 * words))
 

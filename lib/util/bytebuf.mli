@@ -8,7 +8,6 @@ type t
 val create : int -> t
 val length : t -> int
 val contents : t -> string
-val of_string : string -> t
 
 (** Appending. *)
 
@@ -32,6 +31,14 @@ val get_i64 : string -> int -> int64
     replay log's digests, which are pinned as absolute values. Every
     entry point runs on one kernel that reads each byte once and
     allocates nothing but the boxed result. *)
+
+(** FNV's 64-bit offset basis, where every digest starts. *)
+val fnv64_offset : int64
+
+(** [fnv64_mix h x] is FNV's step [(h xor x) * p], [p] its odd 64-bit
+    prime: with [x] one byte it is FNV-1a's, and every digest here is a
+    fold of it. *)
+val fnv64_mix : int64 -> int64 -> int64
 
 (** [fnv64 s] digests [s] from the standard offset basis. *)
 val fnv64 : string -> int64

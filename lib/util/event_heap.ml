@@ -74,10 +74,6 @@ let pop h =
     Some (top.e_time, top.e_v)
   end
 
-let clear h =
-  h.heap <- [||];
-  h.len <- 0
-
 let drain h =
   let rec go acc = match pop h with None -> List.rev acc | Some e -> go (e :: acc) in
   go []

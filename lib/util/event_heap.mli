@@ -37,7 +37,6 @@ val pop : 'a t -> (float * 'a) option
     schedulers reporting events per simulated second. *)
 val pushed : 'a t -> int
 
-val clear : 'a t -> unit
 
 (** Pop everything: the heap-sort of the remaining entries, earliest
     first (the list-sort model the qcheck suite checks against). *)

@@ -35,19 +35,16 @@ let uniform p =
     fs_kill_node = p /. 3.0 }
 
 type t = {
-  f_seed : int;
   f_spec : spec;
   f_rng : Rng.t;
   mutable f_log : (site * action) list;  (* most recent first *)
 }
 
 let make ~seed spec =
-  { f_seed = seed; f_spec = spec;
+  { f_spec = spec;
     f_rng = Rng.create (Int64.mul (Int64.of_int (seed + 1)) 0x9E3779B97F4A7C15L);
     f_log = [] }
 
-let seed t = t.f_seed
-let spec t = t.f_spec
 let injected t = List.length t.f_log
 let log t = List.rev t.f_log
 

@@ -56,8 +56,6 @@ val uniform : float -> spec
 type t
 
 val make : seed:int -> spec -> t
-val seed : t -> int
-val spec : t -> spec
 
 (** Consult the schedule at a site. [None] means no fault this time;
     every consultation advances the stream exactly one step per site. *)

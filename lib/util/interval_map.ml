@@ -43,7 +43,3 @@ let find t v =
   let k = rank t v in
   if k >= 0 && Int64.compare v t.hi.(k) < 0 then Some t.payload.(k) else None
 
-let iter f t =
-  for k = 0 to Array.length t.lo - 1 do
-    f t.lo.(k) t.hi.(k) t.payload.(k)
-  done

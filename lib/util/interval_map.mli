@@ -28,5 +28,3 @@ val find : 'a t -> int64 -> 'a option
 (** Like {!find} but also returns the interval bounds. *)
 val find_interval : 'a t -> int64 -> (int64 * int64 * 'a) option
 
-(** Iterate in increasing [lo] order. *)
-val iter : (int64 -> int64 -> 'a -> unit) -> 'a t -> unit

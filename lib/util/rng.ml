@@ -8,7 +8,6 @@ let mix z =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let create seed = { state = seed }
-let copy t = { state = t.state }
 
 let next t =
   t.state <- Int64.add t.state golden_gamma;

@@ -9,9 +9,6 @@ type t
     [seed]. *)
 val create : int64 -> t
 
-(** [copy t] is an independent generator with the same current state. *)
-val copy : t -> t
-
 (** [split t] derives a new independent generator from [t], advancing [t]. *)
 val split : t -> t
 

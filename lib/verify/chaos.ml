@@ -149,20 +149,11 @@ let run_one ?(pipeline = false) ?mechanism ~spec ~seed ~log ~dst (c : Link.compi
         Session.cfg_fault = Some fault;
         cfg_resident_pages = resident }
     in
-    (* driven stepwise so the session's transfer accounting survives a
-       failed stage (Session.run would discard it with the session) *)
-    let s0 = Session.start cfg p in
-    let tx = Session.transfer_stats s0 in
-    let ( let* ) = Result.bind in
-    let outcome =
-      let* s = Session.pause s0 in
-      let* s = Session.dump s in
-      let* s = Session.recode s in
-      let* s = Session.transfer s in
-      let* s = Session.restore s in
-      let* s = Session.commit s in
-      Ok (Session.finish s)
-    in
+    (* the started session keeps its transfer accounting when a stage
+       fails *)
+    let s = Session.start cfg p in
+    let tx = Session.transfer_stats s in
+    let outcome = Result.map Session.finish (Session.run s) in
     (* a committed destination, or a rolled-back source (same ISA, so
        its scheduler slices are validated too), must shadow-replay the
        recording from the migration point to exit *)

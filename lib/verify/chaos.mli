@@ -67,7 +67,6 @@ type summary = {
   cs_added_ms : float;
 }
 
-val verdict_name : verdict -> string
 val run_report_to_string : run_report -> string
 val failure_to_string : failure -> string
 val summary_to_string : summary -> string

@@ -15,9 +15,6 @@
 
 val name : int -> string
 
-(** [program seed] builds the IR module [gen<seed>]. *)
-val program : int -> Dapper_ir.Ir.modul
-
 (** [compile seed] compiles the seed's program for both ISAs, once per
     process ({!Dapper_codegen.Link.memoized}). *)
 val compile : int -> Dapper_codegen.Link.compiled

@@ -166,17 +166,21 @@ let matched ~what (o : Replayer.outcome) =
   | None -> o.Replayer.ro_points
   | Some d -> fail d.Replayer.dv_point "%s: %s" what (Replayer.divergence_report d)
 
+(* One whole session from [p], or a [Fail] at [point] naming the stage
+   that failed. *)
+let migrated ~point cfg p =
+  match Session.run (Session.start cfg p) with
+  | Ok s -> s
+  | Error e ->
+    fail point "%s failed: %s" (Derr.stage_name (Derr.stage_of e)) (Derr.to_string e)
+
 (* Force-migrate a fresh source parked at point [k] through one whole
    session (its own pause finds every thread stopped there) and shadow
    the destination against [log] from anchor [k] to exit: the anchors
    compared, or a [Fail] at the first diverging one. *)
 let shadow_migration ~log cfg k =
-  let q =
-    match Session.run cfg (parked cfg.Session.cfg_src_bin k) with
-    | Ok s -> (Session.finish s).Session.r_process
-    | Error e ->
-      fail k "%s failed: %s" (Derr.stage_name (Derr.stage_of e)) (Derr.to_string e)
-  in
+  let s = migrated ~point:k cfg (parked cfg.Session.cfg_src_bin k) in
+  let q = (Session.finish s).Session.r_process in
   matched ~what:(Printf.sprintf "restored twin (migrated at %d)" k)
     (Replayer.shadow ~log ~from_point:k q)
 
@@ -243,21 +247,11 @@ let fastpath_report_to_string r =
     r.fp_saved_transfer_ms
 
 (* Drive one full session, capturing the exact bytes that crossed the
-   wire: the transferred image re-serialized to its named files. Every
-   fast path must reproduce these bytes exactly. *)
+   wire: the image the destination was restored from, serialized to its
+   named files. Every fast path must reproduce these bytes exactly. *)
 let run_capturing ~point cfg p =
-  let step what = function
-    | Ok s -> s
-    | Error e -> fail point "%s failed: %s" what (Derr.to_string e)
-  in
-  let s = Session.start cfg p in
-  let s = step "pause" (Session.pause s) in
-  let s = step "dump" (Session.dump s) in
-  let s = step "recode" (Session.recode s) in
-  let s = step "transfer" (Session.transfer s) in
-  let files = List.sort compare (Images.to_files s.Session.s_state.Session.sx_image) in
-  let s = step "restore" (Session.restore s) in
-  let s = step "commit" (Session.commit s) in
+  let s = migrated ~point cfg p in
+  let files = List.sort compare (Images.to_files s.Session.s_state.Session.sm_image) in
   (files, Session.finish s)
 
 let check_fastpaths ?(points = 3) ~src ~dst (c : Link.compiled) =

@@ -160,6 +160,44 @@ let test_traced_migration_well_formed () =
    | _ -> Alcotest.fail "chrome export is not an object");
   Trace.reset ()
 
+(* A traced pipelined migration marks each chunk of its transfer
+   schedule with one tx-chunk leaf, in chunk order. *)
+let test_traced_pipelined_chunks () =
+  let c = Registry_helpers.compute () in
+  let p = Process.load c.Link.cp_x86 in
+  ignore (Process.run p ~max_instrs:120_000);
+  let cfg =
+    { (Session.default_config ~src_bin:c.Link.cp_x86 ~dst_bin:c.Link.cp_arm) with
+      Session.cfg_pipeline = true;
+      cfg_chunk_bytes = 4096 }
+  in
+  Trace.start ();
+  let r =
+    match Session.run (Session.start cfg p) with
+    | Ok s -> Session.finish s
+    | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
+  in
+  Trace.stop ();
+  let chunks =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.Trace.ev_name = "tx-chunk" && e.Trace.ev_phase = Trace.Begin then
+          List.assoc_opt "chunk" e.Trace.ev_args
+        else None)
+      (Trace.events ())
+  in
+  Trace.reset ();
+  let sched =
+    Transport.pipeline_schedule cfg.Session.cfg_transport ~bytes:r.Session.r_image_bytes
+      ~chunk_bytes:4096 ~recode_ns:(r.Session.r_times.Session.t_recode_ms *. 1e6)
+  in
+  check Alcotest.bool "several chunks scheduled" true (sched.Transport.pp_chunks > 1);
+  check
+    Alcotest.(list string)
+    "one leaf per scheduled chunk, in order"
+    (List.init sched.Transport.pp_chunks string_of_int)
+    chunks
+
 (* ----- the metrics registry ----- *)
 
 let test_metrics_registry () =
@@ -273,6 +311,8 @@ let suites =
           test_with_span_closes_on_raise;
         Alcotest.test_case "traced migration well-formed" `Quick
           test_traced_migration_well_formed;
+        Alcotest.test_case "traced pipelined transfer: one leaf per chunk" `Quick
+          test_traced_pipelined_chunks;
         Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
         Alcotest.test_case "kept metrics match per-run records (corpus)" `Quick
           test_kept_metrics_match_records;

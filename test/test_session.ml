@@ -35,7 +35,7 @@ let test_run_happy_path () =
   in
   let p = Process.load c.Link.cp_x86 in
   ignore (Process.run p ~max_instrs:120_000);
-  match Session.run (config_for c) p with
+  match Session.run (Session.start (config_for c) p) with
   | Error e -> Alcotest.fail (Derr.to_string e)
   | Ok st ->
     let stages = List.map (fun r -> r.Session.sr_stage) (Session.stage_log st) in
@@ -75,7 +75,7 @@ let test_pause_budget_exhaustion_resumes_source () =
   let p = Process.load c.Link.cp_x86 in
   ignore (Process.run p ~max_instrs:10_000);
   let cfg = { (config_for c) with Session.cfg_pause_budget = 200_000 } in
-  (match Session.run cfg p with
+  (match Session.run (Session.start cfg p) with
    | Error Derr.Pause_budget_exhausted -> ()
    | Error e -> Alcotest.fail (Derr.to_string e)
    | Ok _ -> Alcotest.fail "call-free loop should not be pausable");
@@ -105,7 +105,7 @@ let test_stage_failure_resumes_source () =
   let cfg =
     Session.default_config ~src_bin:c.Link.cp_x86 ~dst_bin:other.Link.cp_arm
   in
-  (match Session.run cfg p with
+  (match Session.run (Session.start cfg p) with
    | Error (Derr.Recode_failed _) -> ()
    | Error e -> Alcotest.fail ("unexpected error: " ^ Derr.to_string e)
    | Ok _ -> Alcotest.fail "recode against the wrong app must fail");
@@ -191,22 +191,24 @@ let test_transport_costs () =
      | _ -> false);
   check Alcotest.bool "eager transports cannot serve pages" true
     (match
-       Transport.serve_pages scp (Transport.fresh_page_stats ()) ~page_bytes:4096
-         (fun _ -> None)
+       Transport.fetch_page scp (Transport.fresh_page_stats ()) ~page_bytes:4096
+         (fun _ -> None) 0
      with
      | exception Invalid_argument _ -> true
-     | source -> ignore (source 0); false);
-  (* page-server accounting: every served page is counted and billed *)
+     | _ -> false);
+  (* page-server accounting without faults: every served page is counted
+     and billed one round trip *)
   let stats = Transport.fresh_page_stats () in
-  let source =
-    Transport.serve_pages lazy_t stats ~page_bytes:4096 (fun pn ->
-        if pn mod 2 = 0 then Some (Bytes.create 4096) else None)
-  in
-  ignore (source 0);
-  ignore (source 1);
-  ignore (source 2);
+  let serve pn = if pn mod 2 = 0 then Some (Bytes.create 4096) else None in
+  List.iter
+    (fun pn ->
+      match Transport.fetch_page lazy_t stats ~page_bytes:4096 serve pn with
+      | Ok page -> check Alcotest.bool "served iff present" (pn mod 2 = 0) (page <> None)
+      | Error e -> Alcotest.fail (Derr.to_string e))
+    [ 0; 1; 2 ];
   check Alcotest.int "only present pages counted" 2 stats.Transport.srv_pages;
-  check Alcotest.bool "serving time accumulated" true (stats.Transport.srv_ns > 0.0)
+  check (Alcotest.float 0.0) "one round trip per served page"
+    (2.0 *. Transport.page_fetch_ns lazy_t 4096) stats.Transport.srv_ns
 
 (* ----- two-phase commit ----- *)
 
@@ -239,7 +241,7 @@ let test_injected_destination_failure_rolls_back () =
       Session.cfg_fault =
         Some (Fault.make ~seed:11 { Fault.calm with Fault.fs_fail_restore = 1.0 }) }
   in
-  (match Session.run cfg p with
+  (match Session.run (Session.start cfg p) with
    | Error (Derr.Restore_failed _) -> ()
    | Error e -> Alcotest.fail ("unexpected error: " ^ Derr.to_string e)
    | Ok _ -> Alcotest.fail "a dead destination cannot be restored to");
@@ -255,7 +257,7 @@ let test_transfer_fault_rolls_back () =
       Session.cfg_fault =
         Some (Fault.make ~seed:12 { Fault.calm with Fault.fs_drop = 1.0 }) }
   in
-  (match Session.run cfg p with
+  (match Session.run (Session.start cfg p) with
    | Error (Derr.Transfer_timeout _ as e) ->
      check Alcotest.bool "timeout is retriable" true (Derr.retriable e)
    | Error e -> Alcotest.fail ("unexpected error: " ^ Derr.to_string e)
@@ -350,7 +352,7 @@ let test_commit_drain () =
   ignore (Process.run p ~max_instrs:120_000);
   let prefix = Process.stdout_contents p in
   let cfg = { (lazy_config c) with Session.cfg_commit_drain = true } in
-  match Session.run cfg p with
+  match Session.run (Session.start cfg p) with
   | Error e -> Alcotest.fail (Derr.to_string e)
   | Ok st ->
     let r = Session.finish st in
@@ -368,6 +370,45 @@ let test_commit_drain () =
     (* fully drained: running the destination needs no more source pages *)
     check Alcotest.int "no post-commit demand paging" before stats.Transport.srv_pages
 
+(* [Session.run] returns what a caller stepping stage by stage reads
+   between stages: the outcome's dump stats are the dump stage's, its owed pages
+   are the restore's lazy pages less the commit drain, and the committed
+   session holds the image the destination was restored from. One corpus
+   program migrated eagerly, lazily, and lazily with a drain. *)
+let test_run_outcome_matches_stages () =
+  let c = Option.get (Dapper_verify.Corpus.find "mini-sieve") in
+  let unwrap = function Ok v -> v | Error e -> Alcotest.fail (Derr.to_string e) in
+  let parked () =
+    let p = Process.load c.Link.cp_x86 in
+    if not (Oracle.advance_to_point p ~budget:30_000_000 3) then
+      Alcotest.fail "program exited before point 3";
+    p
+  in
+  List.iter
+    (fun (what, cfg, (shows, distinct)) ->
+      let r = Session.finish (unwrap (Session.run (Session.start cfg (parked ())))) in
+      let s = unwrap (Session.pause (Session.start cfg (parked ()))) in
+      let s = unwrap (Session.dump s) in
+      let dump = s.Session.s_state.Session.sd_dump in
+      let s = unwrap (Session.transfer (unwrap (Session.recode s))) in
+      let image = s.Session.s_state.Session.sx_image in
+      let s = unwrap (Session.restore s) in
+      let lazy_pages = List.length s.Session.s_state.Session.sf_lazy_pages in
+      let s = unwrap (Session.commit s) in
+      let st = s.Session.s_state in
+      check Alcotest.bool (what ^ ": dump stats") true (r.Session.r_dump = dump);
+      check Alcotest.int (what ^ ": pages owed after commit")
+        (lazy_pages - st.Session.sm_drained) r.Session.r_lazy_left;
+      check Alcotest.bool (what ^ ": " ^ shows) true (distinct r);
+      check Alcotest.bool (what ^ ": restored from the transferred image") true
+        (st.Session.sm_image == image))
+    [ ("eager", config_for c,
+       ("nothing lazy", fun r -> r.Session.r_dump.Dapper_criu.Dump.pages_lazy = 0));
+      ("lazy", lazy_config c, ("pages owed", fun r -> r.Session.r_lazy_left > 0));
+      ( "lazy + drain",
+        { (lazy_config c) with Session.cfg_commit_drain = true },
+        ("pages drained", fun r -> r.Session.r_drained > 0) ) ]
+
 (* Two sequential sessions must not share page-server or transfer
    accounting: counters are allocated per session, so the second
    migration's stats reflect only its own work. *)
@@ -376,7 +417,7 @@ let test_stats_fresh_per_session () =
   let run_lazy () =
     let p = Process.load c.Link.cp_x86 in
     ignore (Process.run p ~max_instrs:120_000);
-    match Session.run (lazy_config c) p with
+    match Session.run (Session.start (lazy_config c) p) with
     | Error e -> Alcotest.fail (Derr.to_string e)
     | Ok st ->
       let r = Session.finish st in
@@ -501,7 +542,7 @@ let run_at_point c cfg point =
   let p = Process.load c.Link.cp_x86 in
   if not (Oracle.advance_to_point p ~budget:30_000_000 point) then
     Alcotest.failf "program exited before point %d" point;
-  match Session.run cfg p with
+  match Session.run (Session.start cfg p) with
   | Error e -> Alcotest.fail (Derr.to_string e)
   | Ok st -> st
 
@@ -696,7 +737,7 @@ let test_precopy_resident_discount () =
      >= List.length pre.Session.pcs_resident
         + List.length pre.Session.pcs_residual);
   let run_with cfg q =
-    match Session.run cfg q with
+    match Session.run (Session.start cfg q) with
     | Ok st -> Session.times st
     | Error e -> Alcotest.fail (Derr.to_string e)
   in
@@ -731,6 +772,8 @@ let suites =
           test_commit_ack_rejects_changed_state;
         Alcotest.test_case "commit drains outstanding pages" `Quick test_commit_drain;
         Alcotest.test_case "stats fresh per session" `Quick test_stats_fresh_per_session;
+        Alcotest.test_case "run: outcome matches stage by stage" `Quick
+          test_run_outcome_matches_stages;
         Alcotest.test_case "forced migration at every equivalence point" `Quick
           test_migration_at_every_eqpoint;
         Alcotest.test_case "migration deterministic (images + cost stats)" `Quick
