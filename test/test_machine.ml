@@ -261,6 +261,126 @@ let test_interpreter_allocation () =
           (Arch.name arch) per_instr)
     interpreter_pins
 
+(* ----- pause-point pins -----
+
+   A process run with [Process.run] to a fixed instruction count stops
+   at an exact instruction: the count, each thread's pc and status, the
+   pages faulted in and the pages mapped are pinned at every point. A
+   slice that stops an instruction early or late, or a fetch that faults
+   a page in before execution reaches it, changes a row. Each point
+   continues the same process from the one before. *)
+
+let status_name = function
+  | Process.Runnable -> "run"
+  | Process.Blocked_join tid -> Printf.sprintf "join%d" tid
+  | Process.Blocked_lock addr -> Printf.sprintf "lock%Lx" addr
+  | Process.Trapped -> "trap"
+  | Process.Stopped -> "stop"
+  | Process.Exited code -> Printf.sprintf "exit%Ld" code
+
+let pause_points = [ 1; 63; 65; 1_000; 100_000; 1_000_000 ]
+
+let pause_state p =
+  let pages = List.map string_of_int (Memory.mapped_pages p.Process.mem) in
+  Printf.sprintf "instrs=%Ld faults=%d pages=%s threads=%s" p.Process.total_instrs
+    (Memory.fault_count p.Process.mem)
+    (Digest.to_hex (Digest.string (String.concat "," pages)))
+    (String.concat " "
+       (List.map
+          (fun (th : Process.thread) ->
+            Printf.sprintf "%d:%Lx:%s" th.tid (Process.pc th) (status_name th.status))
+          p.Process.threads))
+
+let pause_rows name arch =
+  let c = Dapper_workloads.Registry.(compiled (find name)) in
+  let p = Process.load (Link.binary_for c arch) in
+  let at = ref 0 in
+  List.map
+    (fun target ->
+      ignore (Process.run p ~max_instrs:(target - !at));
+      at := target;
+      (target, pause_state p))
+    pause_points
+
+let pause_pins =
+  [ ( "dhrystone", Arch.X86_64,
+      [ (1, "instrs=1 faults=1 pages=15dd3f86cbd3a899b5d4d032fd327b6f threads=0:403345:run");
+        (63, "instrs=63 faults=3 pages=db9bc52460be2d5a31d6c90cea0c9300 threads=0:402ebb:run");
+        (65, "instrs=65 faults=3 pages=db9bc52460be2d5a31d6c90cea0c9300 threads=0:402ec6:run");
+        (1_000, "instrs=1000 faults=3 pages=db9bc52460be2d5a31d6c90cea0c9300 threads=0:402c23:run");
+        (100_000, "instrs=100000 faults=3 pages=db9bc52460be2d5a31d6c90cea0c9300 threads=0:402c12:run");
+        (1_000_000, "instrs=1000000 faults=3 pages=db9bc52460be2d5a31d6c90cea0c9300 threads=0:402d1c:run") ] );
+    ( "dhrystone", Arch.Aarch64,
+      [ (1, "instrs=1 faults=1 pages=15dd3f86cbd3a899b5d4d032fd327b6f threads=0:403348:run");
+        (63, "instrs=63 faults=3 pages=db9bc52460be2d5a31d6c90cea0c9300 threads=0:402f08:run");
+        (65, "instrs=65 faults=3 pages=db9bc52460be2d5a31d6c90cea0c9300 threads=0:4034a0:run");
+        (1_000, "instrs=1000 faults=3 pages=db9bc52460be2d5a31d6c90cea0c9300 threads=0:402c88:run");
+        (100_000, "instrs=100000 faults=3 pages=db9bc52460be2d5a31d6c90cea0c9300 threads=0:402be8:run");
+        (1_000_000, "instrs=1000000 faults=3 pages=db9bc52460be2d5a31d6c90cea0c9300 threads=0:402be8:run") ] );
+    ( "blackscholes", Arch.X86_64,
+      [ (1, "instrs=1 faults=1 pages=b73fe41e90a5f46c0bc224607689349b threads=0:403945:run");
+        (63, "instrs=63 faults=2 pages=ef7fe39520aabce7bcf275f6f793c491 threads=0:4028e0:run");
+        (65, "instrs=65 faults=2 pages=ef7fe39520aabce7bcf275f6f793c491 threads=0:4028ec:run");
+        (1_000, "instrs=1000 faults=2 pages=ef7fe39520aabce7bcf275f6f793c491 threads=0:402a55:run");
+        (100_000, "instrs=100000 faults=4 pages=b0e7df8dd770f77a089663b7ddb0c4e6 threads=0:400060:join1 1:4014ff:run 2:401a36:run 3:401a66:run 4:401a39:run");
+        (1_000_000, "instrs=1000000 faults=4 pages=b0e7df8dd770f77a089663b7ddb0c4e6 threads=0:400060:join1 1:402eaf:run 2:4017c0:run 3:4019cd:run 4:40361c:run") ] );
+    ( "blackscholes", Arch.Aarch64,
+      [ (1, "instrs=1 faults=1 pages=b73fe41e90a5f46c0bc224607689349b threads=0:403948:run");
+        (63, "instrs=63 faults=2 pages=ef7fe39520aabce7bcf275f6f793c491 threads=0:402930:run");
+        (65, "instrs=65 faults=2 pages=ef7fe39520aabce7bcf275f6f793c491 threads=0:402940:run");
+        (1_000, "instrs=1000 faults=2 pages=ef7fe39520aabce7bcf275f6f793c491 threads=0:403b40:run");
+        (100_000, "instrs=100000 faults=4 pages=b0e7df8dd770f77a089663b7ddb0c4e6 threads=0:400060:join1 1:401b00:run 2:401a50:run 3:401ae0:run 4:401a60:run");
+        (1_000_000, "instrs=1000000 faults=4 pages=b0e7df8dd770f77a089663b7ddb0c4e6 threads=0:400060:join1 1:401b18:run 2:401a68:run 3:401ae8:run 4:401b38:run") ] ) ]
+
+let test_pause_pins () =
+  List.iter
+    (fun (name, arch, rows) ->
+      List.iter2
+        (fun (k, want) (_, got) ->
+          check Alcotest.string (Printf.sprintf "%s on %s at %d" name (Arch.name arch) k) want got)
+        rows (pause_rows name arch))
+    pause_pins
+
+(* ----- mid-block crash pins -----
+
+   A faulting instruction in the middle of a straight-line run: the
+   crash names its pc, and the count includes it and everything before
+   it, on both ISAs. *)
+
+let mid_block_programs =
+  [ ( "load from an unmapped address",
+      fun b ->
+        decl b "a" (i 3);
+        declp b "p" (i 0x31337);
+        decl b "x" (add (deref (v "p")) (v "a"));
+        ret b (mul (v "x") (v "a")) );
+    ( "division by zero",
+      fun b ->
+        decl b "a" (i 3);
+        decl b "zero" (sub (v "a") (i 3));
+        decl b "x" (add (div_ (v "a") (v "zero")) (v "a"));
+        ret b (mul (v "x") (v "a")) ) ]
+
+let mid_block_pins =
+  [ ( "load from an unmapped address", Arch.X86_64, "pc=0x402b7b instrs=18 segfault at 0x31337" );
+    ( "load from an unmapped address", Arch.Aarch64, "pc=0x402b98 instrs=16 segfault at 0x31337" );
+    ( "division by zero", Arch.X86_64, "pc=0x402bad instrs=26 division by zero" );
+    ( "division by zero", Arch.Aarch64, "pc=0x402bd0 instrs=23 division by zero" ) ]
+
+let test_mid_block_crash_pins () =
+  List.iter
+    (fun (name, arch, want) ->
+      let c = compile_simple (List.assoc name mid_block_programs) in
+      let p = Process.load (Link.binary_for c arch) in
+      match Process.run_to_completion p ~fuel:1_000_000 with
+      | Process.Crashed cr ->
+        check Alcotest.string
+          (Printf.sprintf "%s on %s" name (Arch.name arch))
+          want
+          (Printf.sprintf "pc=0x%Lx instrs=%Ld %s" cr.cr_pc p.Process.total_instrs cr.cr_reason)
+      | _ -> Alcotest.fail (name ^ ": expected a crash"))
+    mid_block_pins
+
 (* Three threads each read clock() four times and print "tid:value ";
    the values expose exactly when retired instructions reach
    [total_instrs], and the interleaving of the threads' writes is pinned
@@ -677,4 +797,6 @@ let suites =
     ( "machine-pins",
       [ Alcotest.test_case "interpreter pins" `Quick test_interpreter_pins;
         Alcotest.test_case "clock pins" `Quick test_clock_pins;
+        Alcotest.test_case "pause-point pins" `Quick test_pause_pins;
+        Alcotest.test_case "mid-block crash pins" `Quick test_mid_block_crash_pins;
         Alcotest.test_case "interpreter allocation" `Quick test_interpreter_allocation ] ) ]
