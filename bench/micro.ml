@@ -139,6 +139,14 @@ let tests () =
       Test.make ~name:"fig6-interp-100k-instrs" (Staged.stage (fun () ->
           let q = Process.load c.Link.cp_arm in
           ignore (Process.run q ~max_instrs:100_000)));
+      (* A fresh process's first 5k instructions, the regime of a
+         pingpong hop, where decoding is not amortized: nginx from its
+         entry point on x86-64. *)
+      Test.make ~name:"interp-cold-5k-instrs"
+        (let nginx = (Registry.compiled (Registry.find "nginx")).Link.cp_x86 in
+         Staged.stage (fun () ->
+             let q = Process.load nginx in
+             ignore (Process.run q ~max_instrs:5_000)));
       (* Record/replay overhead: a full recorded execution (eqpoint walk
          with per-anchor snapshots) and a validating replay of that
          recording, against the plain fig6 interpretation baseline. *)

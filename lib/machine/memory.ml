@@ -3,8 +3,8 @@ open Dapper_binary
 exception Segfault of int64
 
 (* [pages] is the page table. In front of it sits a direct-mapped cache:
-   slot [pn land (cache_slots - 1)] holds page [cache_pns.(slot)], whose
-   bytes are [cache_pages.(slot)]. Only mapped pages enter the cache, and
+   slot [s = slot pn] holds page [cache_pns.(s)], whose bytes are
+   [cache_pages.(s)]. Only mapped pages enter the cache, and
    [map_page] and [unmap_page] clear their page's slot, so a hit always
    returns the bytes the table holds. *)
 type t = {
@@ -18,20 +18,26 @@ type t = {
 
 let cache_slots = 64
 
-(* An empty slot holds a page number that never lands in it. *)
-let empty_pn slot = slot + 1
+(* The slot mixes in the page number's bits above the slot bits: indexed
+   by page number alone, the first pages of code (0x400), data (0x600),
+   TLS (0x700) and heap (0x800) would share slot 0, and the top stack
+   pages of threads, 64 pages apart, would share one slot too. *)
+let[@inline] slot pn = (pn lxor (pn lsr 6)) land (cache_slots - 1)
+
+(* An empty slot holds a page number no address has. *)
+let empty_pn = min_int
 
 let with_pages pages =
   { pages;
-    cache_pns = Array.init cache_slots empty_pn;
+    cache_pns = Array.make cache_slots empty_pn;
     cache_pages = Array.make cache_slots Bytes.empty;
     fault_handler = None; faults = 0; dirty = None }
 
 let create () = with_pages (Hashtbl.create 256)
 
 let uncache t pn =
-  let slot = pn land (cache_slots - 1) in
-  if t.cache_pns.(slot) = pn then t.cache_pns.(slot) <- empty_pn slot
+  let s = slot pn in
+  if t.cache_pns.(s) = pn then t.cache_pns.(s) <- empty_pn
 
 let set_fault_handler t h = t.fault_handler <- h
 let fault_count t = t.faults
@@ -115,18 +121,18 @@ let page_slow t pn addr =
 
 let page t addr =
   let pn = Layout.page_of_addr addr in
-  let slot = pn land (cache_slots - 1) in
-  if Array.unsafe_get t.cache_pns slot = pn then Array.unsafe_get t.cache_pages slot
+  let s = slot pn in
+  if Array.unsafe_get t.cache_pns s = pn then Array.unsafe_get t.cache_pages s
   else begin
     let p = page_slow t pn addr in
-    t.cache_pns.(slot) <- pn;
-    t.cache_pages.(slot) <- p;
+    t.cache_pns.(s) <- pn;
+    t.cache_pages.(s) <- p;
     p
   end
 
 let cached_page t pn =
-  let slot = pn land (cache_slots - 1) in
-  if Array.unsafe_get t.cache_pns slot = pn then Array.unsafe_get t.cache_pages slot
+  let s = slot pn in
+  if Array.unsafe_get t.cache_pns s = pn then Array.unsafe_get t.cache_pages s
   else Bytes.empty
 
 (* A write through the page bytes skips [mark_dirty], so while pages are

@@ -26,6 +26,17 @@ type nondet = {
   nd_sched : tid:int -> steps:int -> unit;
 }
 
+(* A translated basic block: one closure per instruction, and the
+   instructions' pcs, unboxed, pc [k] at byte [8k] of [pcs]. *)
+type block = {
+  ops : (thread -> unit) array;
+  pcs : bytes;
+  ends_in_syscall : bool;
+}
+
+(* Where a decoded pc's instruction sits: op [index] of [block]. *)
+type entry = { block : block; index : int }
+
 type t = {
   arch : Arch.t;
   mem : Memory.t;
@@ -38,9 +49,9 @@ type t = {
   mutable crash : crash option;
   mutable total_instrs : int64;
   mutable nondet : nondet option;
-  decode_cache : (int64, Minstr.t * int) Hashtbl.t;
-  fetch_pcs : int array;
-  fetch_ops : (Minstr.t * int) array;
+  decode_cache : (int, entry) Hashtbl.t;
+  entry_pcs : int array;
+  entries : entry array;
 }
 
 exception Exec_error of string
@@ -165,19 +176,20 @@ let make_thread t ~tid ~pc ~stub =
   th.tls <- setup_tls t tid;
   th
 
-(* The decode table in front of [decode_cache]: [fetch_slots] slots,
-   indexed by pc / [Encoding.alignment], so aarch64's 8-byte-aligned pcs
-   use every slot. Slot [s] holds the pc [fetch_pcs.(s)] and its entry in
-   [decode_cache]. Only pcs in [0, 2^62), which an [int] holds exactly,
-   enter the table, so the empty tag -1 never matches. *)
-let fetch_slots = 2048
+(* The entry table in front of [decode_cache]: [entry_slots] slots, slot
+   [s] holding the pc [entry_pcs.(s)] and its [decode_cache] entry. Only
+   pcs in [0, 2^62), which an [int] holds exactly, enter either, so the
+   empty tag -1 never matches. *)
+let entry_slots = 2048
+
+let no_entry = { block = { ops = [||]; pcs = Bytes.empty; ends_in_syscall = false }; index = 0 }
 
 let create binary mem ~threads ~next_tid ~brk =
   { arch = binary.Binary.bin_arch; mem; binary; threads; next_tid; brk;
     stdout_buf = Buffer.create 256; exit_code = None; crash = None;
     total_instrs = 0L; nondet = None; decode_cache = Hashtbl.create 256;
-    fetch_pcs = Array.make fetch_slots (-1);
-    fetch_ops = Array.make fetch_slots (Minstr.Nop, 0) }
+    entry_pcs = Array.make entry_slots (-1);
+    entries = Array.make entry_slots no_entry }
 
 let load binary =
   let mem = Memory.create () in
@@ -348,39 +360,15 @@ let snapshot_to_string s =
 let peek_data t addr = Memory.read_u64 t.mem addr
 let poke_data t addr v = Memory.write_u64 t.mem addr v
 
-(* ----- interpreter ----- *)
+(* ----- interpreter: translated basic blocks -----
 
-(* The only place a pc is decoded. *)
-let decode t pc =
-  match Hashtbl.find_opt t.decode_cache pc with
-  | Some r -> r
-  | None ->
-    let window = Memory.read_bytes t.mem pc 16 in
-    (match Encoding.decode t.arch window 0 with
-     | Some (i, sz) ->
-       let r = (i, sz) in
-       Hashtbl.replace t.decode_cache pc r;
-       r
-     | None -> raise (Exec_error (Printf.sprintf "undecodable instruction at 0x%Lx" pc)))
-
-(* log2 of [Encoding.alignment]. *)
-let align_bits = function Arch.X86_64 -> 0 | Arch.Aarch64 -> 3
-
-let fetch t (th : thread) =
-  let pc = pc th in
-  let ipc = Int64.to_int pc in
-  let slot = (ipc lsr align_bits t.arch) land (fetch_slots - 1) in
-  let in_table = Int64.shift_right_logical pc 62 = 0L in
-  if Array.unsafe_get t.fetch_pcs slot = ipc && in_table then
-    Array.unsafe_get t.fetch_ops slot
-  else begin
-    let r = decode t pc in
-    if in_table then begin
-      t.fetch_pcs.(slot) <- ipc;
-      t.fetch_ops.(slot) <- r
-    end;
-    r
-  end
+   The first time a thread reaches a pc, [translate] decodes the
+   straight-line run that starts there into a [block]: one closure per
+   instruction, chosen by opcode when translating, with its registers,
+   immediates and fall-through pc baked in. The run ends at its first
+   control transfer: call, indirect call, return, jump, conditional
+   branch, trap or syscall. Only the block's last closure writes the pc;
+   a runner that stops inside a block writes the next pc itself. *)
 
 (* Executes a syscall for [th]. Returns [true] if the pc should advance
    (non-blocking path) or [false] if the thread blocked (pc stays on the
@@ -503,150 +491,352 @@ let[@inline] hit_page lookup mem addr width =
 (* Loads into byte [dst] of a register file. Each branch stores its own
    value: a value chosen between the fast and the slow path would be
    boxed. *)
-let[@inline] load64 t rf dst addr =
-  let page = hit_page Memory.cached_page t.mem addr 8 in
+let[@inline] load64 mem rf dst addr =
+  let page = hit_page Memory.cached_page mem addr 8 in
   if Bytes.length page <> 0 then
     set64u rf dst (le64 (get64u page (Int64.to_int addr land page_mask)))
-  else set64u rf dst (Memory.read_u64 t.mem addr)
+  else set64u rf dst (Memory.read_u64 mem addr)
 
-let[@inline] store64 t addr v =
-  let page = hit_page Memory.cached_page_for_write t.mem addr 8 in
+let[@inline] store64 mem addr v =
+  let page = hit_page Memory.cached_page_for_write mem addr 8 in
   if Bytes.length page <> 0 then set64u page (Int64.to_int addr land page_mask) (le64 v)
-  else Memory.write_u64 t.mem addr v
+  else Memory.write_u64 mem addr v
 
-let[@inline] load8 t addr =
-  let page = hit_page Memory.cached_page t.mem addr 1 in
+let[@inline] load8 mem addr =
+  let page = hit_page Memory.cached_page mem addr 1 in
   if Bytes.length page <> 0 then
     Char.code (Bytes.unsafe_get page (Int64.to_int addr land page_mask))
-  else Memory.read_u8 t.mem addr
+  else Memory.read_u8 mem addr
 
-let[@inline] store8 t addr v =
-  let page = hit_page Memory.cached_page_for_write t.mem addr 1 in
+let[@inline] store8 mem addr v =
+  let page = hit_page Memory.cached_page_for_write mem addr 1 in
   if Bytes.length page <> 0 then
     Bytes.unsafe_set page (Int64.to_int addr land page_mask) (Char.unsafe_chr v)
-  else Memory.write_u8 t.mem addr v
+  else Memory.write_u8 mem addr v
 
-(* ----- arithmetic -----
+(* ----- one closure per opcode -----
 
-   Each operation computes its result in its own arm and stores it
-   unboxed into register [d]. *)
+   Each closure computes its result in its own body and stores it
+   unboxed into register [d]: the operation is chosen here, once, and a
+   closure that took the operation as a function would box its
+   operands. *)
 
-let[@inline] binop rf (op : Minstr.binop) d (a : int64) (b : int64) =
+let[@inline] bool v = if v then 1L else 0L
+let[@inline] fl v = Int64.float_of_bits v
+let[@inline] bits x = Int64.bits_of_float x
+let[@inline] unsigned v = Int64.sub v Int64.min_int
+let[@inline] nonzero b = if b = 0L then raise (Exec_error "division by zero")
+
+(* [d <- a op b]. *)
+let binop (op : Minstr.binop) d a b : thread -> unit =
   match op with
-  | Add -> wr rf d (Int64.add a b)
-  | Sub -> wr rf d (Int64.sub a b)
-  | Mul -> wr rf d (Int64.mul a b)
-  | Div -> if b = 0L then raise (Exec_error "division by zero") else wr rf d (Int64.div a b)
-  | Rem -> if b = 0L then raise (Exec_error "division by zero") else wr rf d (Int64.rem a b)
-  | And -> wr rf d (Int64.logand a b)
-  | Or -> wr rf d (Int64.logor a b)
-  | Xor -> wr rf d (Int64.logxor a b)
-  | Shl -> wr rf d (Int64.shift_left a (Int64.to_int b land 63))
-  | Shr -> wr rf d (Int64.shift_right_logical a (Int64.to_int b land 63))
-  | Sar -> wr rf d (Int64.shift_right a (Int64.to_int b land 63))
-  | Fadd -> wr rf d (Int64.bits_of_float (Int64.float_of_bits a +. Int64.float_of_bits b))
-  | Fsub -> wr rf d (Int64.bits_of_float (Int64.float_of_bits a -. Int64.float_of_bits b))
-  | Fmul -> wr rf d (Int64.bits_of_float (Int64.float_of_bits a *. Int64.float_of_bits b))
-  | Fdiv -> wr rf d (Int64.bits_of_float (Int64.float_of_bits a /. Int64.float_of_bits b))
-  | Cmpeq -> wr rf d (if a = b then 1L else 0L)
-  | Cmpne -> wr rf d (if a <> b then 1L else 0L)
-  | Cmplt -> wr rf d (if a < b then 1L else 0L)
-  | Cmple -> wr rf d (if a <= b then 1L else 0L)
-  | Cmpgt -> wr rf d (if a > b then 1L else 0L)
-  | Cmpge -> wr rf d (if a >= b then 1L else 0L)
+  | Add -> fun th -> let rf = th.regfile in wr rf d (Int64.add (rd rf a) (rd rf b))
+  | Sub -> fun th -> let rf = th.regfile in wr rf d (Int64.sub (rd rf a) (rd rf b))
+  | Mul -> fun th -> let rf = th.regfile in wr rf d (Int64.mul (rd rf a) (rd rf b))
+  | Div ->
+    fun th -> let rf = th.regfile in
+      nonzero (rd rf b); wr rf d (Int64.div (rd rf a) (rd rf b))
+  | Rem ->
+    fun th -> let rf = th.regfile in
+      nonzero (rd rf b); wr rf d (Int64.rem (rd rf a) (rd rf b))
+  | And -> fun th -> let rf = th.regfile in wr rf d (Int64.logand (rd rf a) (rd rf b))
+  | Or -> fun th -> let rf = th.regfile in wr rf d (Int64.logor (rd rf a) (rd rf b))
+  | Xor -> fun th -> let rf = th.regfile in wr rf d (Int64.logxor (rd rf a) (rd rf b))
+  | Shl ->
+    fun th -> let rf = th.regfile in
+      wr rf d (Int64.shift_left (rd rf a) (Int64.to_int (rd rf b) land 63))
+  | Shr ->
+    fun th -> let rf = th.regfile in
+      wr rf d (Int64.shift_right_logical (rd rf a) (Int64.to_int (rd rf b) land 63))
+  | Sar ->
+    fun th -> let rf = th.regfile in
+      wr rf d (Int64.shift_right (rd rf a) (Int64.to_int (rd rf b) land 63))
+  | Fadd -> fun th -> let rf = th.regfile in wr rf d (bits (fl (rd rf a) +. fl (rd rf b)))
+  | Fsub -> fun th -> let rf = th.regfile in wr rf d (bits (fl (rd rf a) -. fl (rd rf b)))
+  | Fmul -> fun th -> let rf = th.regfile in wr rf d (bits (fl (rd rf a) *. fl (rd rf b)))
+  | Fdiv -> fun th -> let rf = th.regfile in wr rf d (bits (fl (rd rf a) /. fl (rd rf b)))
+  | Cmpeq -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a = (rd rf b)))
+  | Cmpne -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a <> (rd rf b)))
+  | Cmplt -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a < (rd rf b)))
+  | Cmple -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a <= (rd rf b)))
+  | Cmpgt -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a > (rd rf b)))
+  | Cmpge -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a >= (rd rf b)))
   | Cmpult ->
-    wr rf d (if Int64.sub a Int64.min_int < Int64.sub b Int64.min_int then 1L else 0L)
+    fun th -> let rf = th.regfile in
+      wr rf d (bool (unsigned (rd rf a) < unsigned (rd rf b)))
   | Fcmpeq ->
-    let eq = Float.compare (Int64.float_of_bits a) (Int64.float_of_bits b) = 0 in
-    wr rf d (if eq then 1L else 0L)
-  | Fcmplt -> wr rf d (if Int64.float_of_bits a < Int64.float_of_bits b then 1L else 0L)
-  | Fcmple -> wr rf d (if Int64.float_of_bits a <= Int64.float_of_bits b then 1L else 0L)
+    fun th -> let rf = th.regfile in
+      wr rf d (bool (Float.compare (fl (rd rf a)) (fl (rd rf b)) = 0))
+  | Fcmplt ->
+    fun th -> let rf = th.regfile in wr rf d (bool (fl (rd rf a) < fl (rd rf b)))
+  | Fcmple ->
+    fun th -> let rf = th.regfile in wr rf d (bool (fl (rd rf a) <= fl (rd rf b)))
 
-let[@inline] unop rf (op : Minstr.unop) d (a : int64) =
+(* [d <- a op v], [v] an immediate. *)
+let binopi (op : Minstr.binop) d a (v : int64) : thread -> unit =
   match op with
-  | Neg -> wr rf d (Int64.neg a)
-  | Not -> wr rf d (Int64.lognot a)
-  | Fneg -> wr rf d (Int64.bits_of_float (-.Int64.float_of_bits a))
-  | Sitofp -> wr rf d (Int64.bits_of_float (Int64.to_float a))
-  | Fptosi -> wr rf d (Int64.of_float (Int64.float_of_bits a))
-  | Fsqrt -> wr rf d (Int64.bits_of_float (Float.sqrt (Int64.float_of_bits a)))
+  | Add -> fun th -> let rf = th.regfile in wr rf d (Int64.add (rd rf a) v)
+  | Sub -> fun th -> let rf = th.regfile in wr rf d (Int64.sub (rd rf a) v)
+  | Mul -> fun th -> let rf = th.regfile in wr rf d (Int64.mul (rd rf a) v)
+  | Div -> fun th -> let rf = th.regfile in nonzero v; wr rf d (Int64.div (rd rf a) v)
+  | Rem -> fun th -> let rf = th.regfile in nonzero v; wr rf d (Int64.rem (rd rf a) v)
+  | And -> fun th -> let rf = th.regfile in wr rf d (Int64.logand (rd rf a) v)
+  | Or -> fun th -> let rf = th.regfile in wr rf d (Int64.logor (rd rf a) v)
+  | Xor -> fun th -> let rf = th.regfile in wr rf d (Int64.logxor (rd rf a) v)
+  | Shl ->
+    fun th -> let rf = th.regfile in
+      wr rf d (Int64.shift_left (rd rf a) (Int64.to_int v land 63))
+  | Shr ->
+    fun th -> let rf = th.regfile in
+      wr rf d (Int64.shift_right_logical (rd rf a) (Int64.to_int v land 63))
+  | Sar ->
+    fun th -> let rf = th.regfile in
+      wr rf d (Int64.shift_right (rd rf a) (Int64.to_int v land 63))
+  | Fadd -> fun th -> let rf = th.regfile in wr rf d (bits (fl (rd rf a) +. fl v))
+  | Fsub -> fun th -> let rf = th.regfile in wr rf d (bits (fl (rd rf a) -. fl v))
+  | Fmul -> fun th -> let rf = th.regfile in wr rf d (bits (fl (rd rf a) *. fl v))
+  | Fdiv -> fun th -> let rf = th.regfile in wr rf d (bits (fl (rd rf a) /. fl v))
+  | Cmpeq -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a = v))
+  | Cmpne -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a <> v))
+  | Cmplt -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a < v))
+  | Cmple -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a <= v))
+  | Cmpgt -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a > v))
+  | Cmpge -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a >= v))
+  | Cmpult ->
+    fun th -> let rf = th.regfile in wr rf d (bool (unsigned (rd rf a) < unsigned v))
+  | Fcmpeq ->
+    fun th -> let rf = th.regfile in
+      wr rf d (bool (Float.compare (fl (rd rf a)) (fl v) = 0))
+  | Fcmplt -> fun th -> let rf = th.regfile in wr rf d (bool (fl (rd rf a) < fl v))
+  | Fcmple -> fun th -> let rf = th.regfile in wr rf d (bool (fl (rd rf a) <= fl v))
 
-(* A call's return address: pushed on x86, in the link register on
-   aarch64. *)
-let[@inline] link t rf ret =
-  match t.arch with
-  | Arch.X86_64 ->
-    let sp = Int64.sub (rd rf (Arch.sp t.arch)) 8L in
-    wr rf (Arch.sp t.arch) sp;
-    store64 t sp ret
-  | Arch.Aarch64 -> wr rf 30 ret
+let unop (op : Minstr.unop) d a : thread -> unit =
+  match op with
+  | Neg -> fun th -> let rf = th.regfile in wr rf d (Int64.neg (rd rf a))
+  | Not -> fun th -> let rf = th.regfile in wr rf d (Int64.lognot (rd rf a))
+  | Fneg -> fun th -> let rf = th.regfile in wr rf d (bits (-.fl (rd rf a)))
+  | Sitofp -> fun th -> let rf = th.regfile in wr rf d (bits (Int64.to_float (rd rf a)))
+  | Fptosi -> fun th -> let rf = th.regfile in wr rf d (Int64.of_float (fl (rd rf a)))
+  | Fsqrt -> fun th -> let rf = th.regfile in wr rf d (bits (Float.sqrt (fl (rd rf a))))
 
-(* Executes one fetched instruction of [sz] bytes. *)
-let exec t (th : thread) (i : Minstr.t) sz =
-  let rf = th.regfile in
-  let next = Int64.add (get64u rf pc_off) (Int64.of_int sz) in
+let ends_block : Minstr.t -> bool = function
+  | Call _ | Call_reg _ | Ret | Jmp _ | Jz _ | Jnz _ | Trap | Syscall _ -> true
+  | Nop | Mov _ | Movi _ | Movk _ | Binop _ | Binopi _ | Unop _ | Load _ | Store _ | Load8 _
+  | Store8 _ | Load_pair _ | Store_pair _ | Tls_get _ | Adjust_sp _ -> false
+
+(* The closure for instruction [i] at [pc], [next] the pc after it. A
+   closure that ends a block writes the pc, only after anything that can
+   raise; no other closure writes it. *)
+let op t (i : Minstr.t) ~pc ~next : thread -> unit =
+  let mem = t.mem and sp = Arch.sp t.arch in
   match i with
-  | Nop -> set64u rf pc_off next
-  | Mov (d, s) -> wr rf d (rd rf s); set64u rf pc_off next
-  | Movi (d, v) -> wr rf d v; set64u rf pc_off next
+  | Nop -> fun _ -> ()
+  | Mov (d, s) -> fun th -> let rf = th.regfile in wr rf d (rd rf s)
+  | Movi (d, v) -> fun th -> wr th.regfile d v
   | Movk (d, v) ->
-    wr rf d (Int64.logor (Int64.logand (rd rf d) 0xFFFFFFFFL) (Int64.shift_left v 32));
-    set64u rf pc_off next
-  | Binop (op, d, a, b) -> binop rf op d (rd rf a) (rd rf b); set64u rf pc_off next
-  | Binopi (op, d, a, v) -> binop rf op d (rd rf a) v; set64u rf pc_off next
-  | Unop (op, d, a) -> unop rf op d (rd rf a); set64u rf pc_off next
+    let hi = Int64.shift_left v 32 in
+    fun th -> let rf = th.regfile in wr rf d (Int64.logor (Int64.logand (rd rf d) 0xFFFFFFFFL) hi)
+  | Binop (o, d, a, b) -> binop o d a b
+  | Binopi (o, d, a, v) -> binopi o d a v
+  | Unop (o, d, a) -> unop o d a
   | Load (d, base, off) ->
-    load64 t rf (d lsl 3) (Int64.add (rd rf base) (Int64.of_int off));
-    set64u rf pc_off next
+    let off = Int64.of_int off in
+    fun th -> let rf = th.regfile in load64 mem rf (d lsl 3) (Int64.add (rd rf base) off)
   | Store (s, base, off) ->
-    store64 t (Int64.add (rd rf base) (Int64.of_int off)) (rd rf s);
-    set64u rf pc_off next
+    let off = Int64.of_int off in
+    fun th -> let rf = th.regfile in store64 mem (Int64.add (rd rf base) off) (rd rf s)
   | Load8 (d, base, off) ->
-    wr rf d (Int64.of_int (load8 t (Int64.add (rd rf base) (Int64.of_int off))));
-    set64u rf pc_off next
+    let off = Int64.of_int off in
+    fun th -> let rf = th.regfile in
+      wr rf d (Int64.of_int (load8 mem (Int64.add (rd rf base) off)))
   | Store8 (s, base, off) ->
-    store8 t (Int64.add (rd rf base) (Int64.of_int off)) (Int64.to_int (rd rf s) land 0xFF);
-    set64u rf pc_off next
+    let off = Int64.of_int off in
+    fun th -> let rf = th.regfile in
+      store8 mem (Int64.add (rd rf base) off) (Int64.to_int (rd rf s) land 0xFF)
   | Load_pair (d1, d2, base, off) ->
-    let b = rd rf base in
-    load64 t rf (d1 lsl 3) (Int64.add b (Int64.of_int off));
-    load64 t rf (d2 lsl 3) (Int64.add b (Int64.of_int (off + 8)));
-    set64u rf pc_off next
+    let off1 = Int64.of_int off and off2 = Int64.of_int (off + 8) in
+    fun th -> let rf = th.regfile in
+      let b = rd rf base in
+      load64 mem rf (d1 lsl 3) (Int64.add b off1);
+      load64 mem rf (d2 lsl 3) (Int64.add b off2)
   | Store_pair (s1, s2, base, off) ->
-    let b = rd rf base in
-    store64 t (Int64.add b (Int64.of_int off)) (rd rf s1);
-    store64 t (Int64.add b (Int64.of_int (off + 8))) (rd rf s2);
-    set64u rf pc_off next
-  | Tls_get d -> wr rf d th.tls; set64u rf pc_off next
-  | Call target -> link t rf next; set64u rf pc_off target
-  | Call_reg s ->
-    let target = rd rf s in
-    link t rf next;
-    set64u rf pc_off target
-  | Ret ->
-    (match t.arch with
-     | Arch.X86_64 ->
-       let sp = rd rf (Arch.sp t.arch) in
-       load64 t rf pc_off sp;
-       wr rf (Arch.sp t.arch) (Int64.add sp 8L)
-     | Arch.Aarch64 -> set64u rf pc_off (rd rf 30))
-  | Jmp target -> set64u rf pc_off target
-  | Jz (c, target) -> set64u rf pc_off (if rd rf c = 0L then target else next)
-  | Jnz (c, target) -> set64u rf pc_off (if rd rf c = 0L then next else target)
-  | Adjust_sp d ->
-    wr rf (Arch.sp t.arch) (Int64.add (rd rf (Arch.sp t.arch)) (Int64.of_int d));
-    set64u rf pc_off next
+    let off1 = Int64.of_int off and off2 = Int64.of_int (off + 8) in
+    fun th -> let rf = th.regfile in
+      let b = rd rf base in
+      store64 mem (Int64.add b off1) (rd rf s1);
+      store64 mem (Int64.add b off2) (rd rf s2)
+  | Tls_get d -> fun th -> wr th.regfile d th.tls
+  | Adjust_sp delta ->
+    let delta = Int64.of_int delta in
+    fun th -> let rf = th.regfile in wr rf sp (Int64.add (rd rf sp) delta)
+  | Call target -> (
+    (* the return address: pushed on x86, in the link register on aarch64 *)
+    match t.arch with
+    | Arch.X86_64 ->
+      fun th -> let rf = th.regfile in
+        let s = Int64.sub (rd rf sp) 8L in
+        wr rf sp s;
+        store64 mem s next;
+        set64u rf pc_off target
+    | Arch.Aarch64 -> fun th -> let rf = th.regfile in wr rf 30 next; set64u rf pc_off target)
+  | Call_reg r -> (
+    match t.arch with
+    | Arch.X86_64 ->
+      fun th -> let rf = th.regfile in
+        let target = rd rf r in
+        let s = Int64.sub (rd rf sp) 8L in
+        wr rf sp s;
+        store64 mem s next;
+        set64u rf pc_off target
+    | Arch.Aarch64 ->
+      fun th -> let rf = th.regfile in
+        let target = rd rf r in
+        wr rf 30 next;
+        set64u rf pc_off target)
+  | Ret -> (
+    match t.arch with
+    | Arch.X86_64 ->
+      fun th -> let rf = th.regfile in
+        let s = rd rf sp in
+        load64 mem rf pc_off s;
+        wr rf sp (Int64.add s 8L)
+    | Arch.Aarch64 -> fun th -> let rf = th.regfile in set64u rf pc_off (rd rf 30))
+  | Jmp target -> fun th -> set64u th.regfile pc_off target
+  | Jz (c, target) ->
+    fun th -> let rf = th.regfile in set64u rf pc_off (if rd rf c = 0L then target else next)
+  | Jnz (c, target) ->
+    fun th -> let rf = th.regfile in set64u rf pc_off (if rd rf c = 0L then next else target)
   | Trap ->
-    th.status <- Trapped;
-    set64u rf pc_off next
-  | Syscall num -> if exec_syscall t th num then set64u rf pc_off next
+    fun th ->
+      th.status <- Trapped;
+      set64u th.regfile pc_off next
+  | Syscall num ->
+    (* the pc is the syscall's own while it runs, so one that blocks
+       retries when the thread is rescheduled *)
+    fun th ->
+      set64u th.regfile pc_off pc;
+      if exec_syscall t th num then set64u th.regfile pc_off next
 
-(* An instruction counts once it has been fetched: one that faults is
+(* The pc of op [k] of [b]. *)
+let[@inline] pc_at b k = get64u b.pcs (k lsl 3)
+
+(* The window a fetch reads: no instruction is longer. *)
+let window = 16
+
+(* log2 of [Encoding.alignment]. *)
+let align_bits = function Arch.X86_64 -> 0 | Arch.Aarch64 -> 3
+
+(* Decodes the run that starts at [pc] into a block and returns its
+   first entry. The first instruction is decoded as a fetch decodes it,
+   from a 16-byte window that may fault a page in or raise. The run then
+   continues only while the next instruction's window stays on the first
+   instruction's page, which is read in place: translation never faults
+   a page in before execution would. It stops before an undecodable
+   window and before a pc [decode_cache] already holds, so each pc has
+   one entry, whichever block reached it first. A pc at or above 2^62
+   gets a block of its own instruction, decoded on every visit and never
+   entered in [decode_cache]. *)
+let translate t pc =
+  let ipc = Int64.to_int pc in
+  let off = ipc land page_mask in
+  let in_cache = Int64.shift_right_logical pc 62 = 0L in
+  let ahead =
+    in_cache && ipc land ((1 lsl align_bits t.arch) - 1) = 0 && off + window <= Layout.page_size
+  in
+  let page = if ahead then Memory.cached_page t.mem (ipc lsr page_bits) else Bytes.empty in
+  let first =
+    if Bytes.length page <> 0 then Encoding.decode t.arch (Bytes.unsafe_to_string page) off
+    else Encoding.decode t.arch (Memory.read_bytes t.mem pc window) 0
+  in
+  let first =
+    match first with
+    | Some r -> r
+    | None -> raise (Exec_error (Printf.sprintf "undecodable instruction at 0x%Lx" pc))
+  in
+  (* the window read just cached the page *)
+  let page =
+    if ahead && Bytes.length page = 0 then Memory.cached_page t.mem (ipc lsr page_bits)
+    else page
+  in
+  let code = Bytes.unsafe_to_string page in
+  (* the run's instructions, last first *)
+  let rec decode_ahead acc ((i, sz) as r) at =
+    let acc = r :: acc and at = at + sz in
+    if ends_block i || Bytes.length page = 0 || at + window > Layout.page_size
+       || Hashtbl.mem t.decode_cache (ipc - off + at)
+    then acc
+    else
+      match Encoding.decode t.arch code at with
+      | Some r -> decode_ahead acc r at
+      | None -> acc
+  in
+  let run = Array.of_list (List.rev (decode_ahead [] first off)) in
+  let n = Array.length run in
+  let pcs = Bytes.create (8 * n) in
+  let at = ref pc in
+  let ops =
+    Array.mapi
+      (fun k (i, sz) ->
+        let pc = !at in
+        let next = pc +% Int64.of_int sz in
+        set64u pcs (8 * k) pc;
+        at := next;
+        let f = op t i ~pc ~next in
+        if k < n - 1 || ends_block i then f
+        else fun th -> f th; set64u th.regfile pc_off next)
+      run
+  in
+  let block =
+    { ops; pcs; ends_in_syscall = (match fst run.(n - 1) with Syscall _ -> true | _ -> false) }
+  in
+  let entries = Array.init n (fun index -> { block; index }) in
+  (* none of the run's pcs is in [decode_cache] yet *)
+  if in_cache then
+    Array.iter (fun e -> Hashtbl.add t.decode_cache (Int64.to_int (pc_at block e.index)) e)
+      entries;
+  entries.(0)
+
+(* The entry for the pc in [rf]: from the entry table, whose index mixes
+   in the pc's bits above 2 KiB so code larger than the table does not
+   evict itself, then from [decode_cache], then by translating. The pc
+   is read here and passed on only as an [int]: nothing is boxed on a
+   hit. *)
+let[@inline] entry_slot t ipc =
+  ((ipc lsr align_bits t.arch) lxor (ipc lsr 11)) land (entry_slots - 1)
+
+let entry_miss t rf =
+  let pc = get64u rf pc_off in
+  if Int64.shift_right_logical pc 62 <> 0L then translate t pc
+  else begin
+    let ipc = Int64.to_int pc in
+    let e =
+      match Hashtbl.find_opt t.decode_cache ipc with
+      | Some e -> e
+      | None -> translate t pc
+    in
+    let slot = entry_slot t ipc in
+    t.entry_pcs.(slot) <- ipc;
+    t.entries.(slot) <- e;
+    e
+  end
+
+let[@inline] entry t rf =
+  let pc = get64u rf pc_off in
+  let ipc = Int64.to_int pc in
+  let slot = entry_slot t ipc in
+  if Array.unsafe_get t.entry_pcs slot = ipc && Int64.shift_right_logical pc 62 = 0L then
+    Array.unsafe_get t.entries slot
+  else entry_miss t rf
+
+(* Runs one instruction of [th] through the same entry as [run]. An
+   instruction counts once it has been fetched: one that faults is
    counted, one that cannot be fetched is not. *)
 let step_thread t (th : thread) =
-  let (i, sz) = fetch t th in
+  let rf = th.regfile in
+  let { block = b; index = k } = entry t rf in
   t.total_instrs <- Int64.succ t.total_instrs;
-  exec t th i sz
+  (Array.unsafe_get b.ops k) th;
+  if k + 1 < Array.length b.ops then set64u rf pc_off (pc_at b (k + 1))
 
 type run_result =
   | Progress
@@ -670,9 +860,58 @@ let poll_blocked t (th : thread) =
 
 let is_runnable th = match th.status with Runnable -> true | _ -> false
 
-(* A slice counts its instructions in a local [int] and adds them to
-   [total_instrs] at its end, before a syscall executes (clock and the
-   nondet tap read the count) and before an exception leaves it. *)
+(* Runs [th] for up to [slice] instructions, a block at a time: from the
+   entry's op to the block's end when the slice has room, else to the
+   slice's end, and then the runner writes the next op's pc. Only a
+   block's last op can change the thread's status or end the process,
+   so both are checked between blocks. The slice counts in a local
+   [int] and adds the count to [total_instrs] at its end, before a block
+   whose last op is a syscall (clock and the nondet tap read the count)
+   and before an exception leaves it. An op that raises is counted and
+   leaves the pc on its own instruction; a fetch that raises is not
+   counted. Returns the count, or raises [Guest_fault] with the reason
+   the guest crashed. *)
+exception Guest_fault of string
+
+let run_slice t (th : thread) slice =
+  let rf = th.regfile in
+  let base = t.total_instrs in
+  let n = ref 0 in
+  (* the block running, the op running (-1 between blocks) and where the
+     block stops *)
+  let cur = ref no_entry.block and k = ref (-1) and stop = ref 0 in
+  match
+    while !n < slice && is_runnable th && Option.is_none t.exit_code do
+      let { block = b; index } = entry t rf in
+      let len = Array.length b.ops in
+      let s = if len - index <= slice - !n then len else index + slice - !n in
+      n := !n + (s - index);
+      if s = len && b.ends_in_syscall then t.total_instrs <- base +% Int64.of_int !n;
+      cur := b;
+      stop := s;
+      k := index;
+      while !k < s do
+        (Array.unsafe_get b.ops !k) th;
+        incr k
+      done;
+      k := -1;
+      if s < len then set64u rf pc_off (pc_at b s)
+    done
+  with
+  | () ->
+    t.total_instrs <- base +% Int64.of_int !n;
+    !n
+  | exception e ->
+    if !k >= 0 then begin
+      n := !n - (!stop - !k) + 1;
+      set64u rf pc_off (pc_at !cur !k)
+    end;
+    t.total_instrs <- base +% Int64.of_int !n;
+    (match e with
+     | Memory.Segfault addr -> raise (Guest_fault (Printf.sprintf "segfault at 0x%Lx" addr))
+     | Exec_error msg -> raise (Guest_fault msg)
+     | e -> raise e)
+
 let run t ~max_instrs =
   let budget = ref max_instrs in
   let result = ref None in
@@ -684,39 +923,17 @@ let run t ~max_instrs =
         if !result = None then begin
           poll_blocked t th;
           if is_runnable th then begin
-            let slice = min quantum !budget in
-            let base = t.total_instrs in
-            let n = ref 0 in
-            let fault =
-              match
-                while !n < slice && is_runnable th && Option.is_none t.exit_code do
-                  let (i, sz) = fetch t th in
-                  incr n;
-                  (match i with
-                   | Syscall _ -> t.total_instrs <- base +% Int64.of_int !n
-                   | _ -> ());
-                  exec t th i sz
-                done
-              with
-              | () -> None
-              | exception Memory.Segfault addr -> Some (Printf.sprintf "segfault at 0x%Lx" addr)
-              | exception Exec_error msg -> Some msg
-              | exception e ->
-                t.total_instrs <- base +% Int64.of_int !n;
-                raise e
-            in
-            t.total_instrs <- base +% Int64.of_int !n;
-            (match fault with
-             | None ->
-               (* scheduler decision: this thread retired !n instructions
+            (match run_slice t th (min quantum !budget) with
+             | n ->
+               (* scheduler decision: this thread retired n instructions
                   before the round-robin moved on — the interleaving a
                   same-ISA replay must reproduce *)
                (match t.nondet with
-                | Some h when !n > 0 -> h.nd_sched ~tid:th.tid ~steps:!n
+                | Some h when n > 0 -> h.nd_sched ~tid:th.tid ~steps:n
                 | _ -> ());
-               if !n > 0 then progressed := true;
-               budget := !budget - !n
-             | Some reason ->
+               if n > 0 then progressed := true;
+               budget := !budget - n
+             | exception Guest_fault reason ->
                let c = { cr_tid = th.tid; cr_pc = pc th; cr_reason = reason } in
                t.crash <- Some c;
                result := Some (Crashed c));

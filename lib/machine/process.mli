@@ -71,6 +71,10 @@ type nondet = {
   nd_sched : tid:int -> steps:int -> unit;
 }
 
+(** Where a decoded pc's instruction sits in the interpreter's
+    translated blocks. Internal to the interpreter. *)
+type entry
+
 type t = {
   arch : Arch.t;
   mem : Memory.t;
@@ -87,17 +91,21 @@ type t = {
           {!step_thread} returns and whenever a syscall executes (the
           clock syscall and the nondet tap read it), not mid-slice. *)
   mutable nondet : nondet option;  (** record/replay tap; [None] = untapped *)
-  decode_cache : (int64, Minstr.t * int) Hashtbl.t;
-      (** every pc ever decoded, with its instruction and size. Neither
-          cache is ever invalidated: a live process's code bytes never
+  decode_cache : (int, entry) Hashtbl.t;
+      (** every pc below 2^62 ever decoded, keyed by the pc as an [int].
+          The interpreter decodes a block's straight-line run when a
+          thread first reaches its start, so a process paused inside a
+          block has decoded the rest of that block too; a process that
+          ran to exit has decoded exactly the pcs it executed. Nothing
+          here is ever invalidated: a live process's code bytes never
           change after their first fetch, and DSU, rerandomization and
           migration restore into a fresh process whose caches start
           empty. *)
-  fetch_pcs : int array;
-  fetch_ops : (Minstr.t * int) array;
-      (** a direct-mapped table in front of [decode_cache]: slot [s]
-          holds pc [fetch_pcs.(s)] and its [decode_cache] entry. Internal
-          to the interpreter. *)
+  entry_pcs : int array;
+  entries : entry array;
+      (** the interpreter's direct-mapped entry table in front of
+          [decode_cache]: slot [s] holds pc [entry_pcs.(s)] and its
+          [decode_cache] entry. Internal to the interpreter. *)
 }
 
 exception Exec_error of string
@@ -193,5 +201,7 @@ val observe_pages : t -> (vma_kind * int * int64) list
 val peek_data : t -> int64 -> int64
 val poke_data : t -> int64 -> int64 -> unit
 
-(** Raw single-step of one thread (used by tests and the monitor). *)
+(** Raw single-step of one thread: one instruction through the same
+    translated blocks as {!run}, counted as {!run} counts it. Used by
+    tests only; the monitor drives processes with {!run}. *)
 val step_thread : t -> thread -> unit

@@ -48,6 +48,24 @@ let test_memory_copy_independent () =
   check Alcotest.bool "original unchanged" true
     (Int64.equal (Memory.read_u64 mem (Int64.of_int (5 * Layout.page_size))) 7L)
 
+(* The pages a running process touches first, the first page of code,
+   data, TLS and heap and the top stack page of each of four worker
+   threads, all fit in the page cache at once. *)
+let test_memory_cache_spread () =
+  let mem = Memory.create () in
+  let pages =
+    List.map Layout.page_of_addr
+      [ Layout.code_base; Layout.data_base; Layout.tls_base; Layout.heap_base ]
+    @ List.map (fun tid -> Layout.page_of_addr (Layout.stack_base_of_thread tid) - 1) [ 1; 2; 3; 4 ]
+  in
+  List.iter (fun pn -> Memory.map_page mem pn (Bytes.make Layout.page_size '\000')) pages;
+  List.iter (fun pn -> ignore (Memory.read_u8 mem (Layout.addr_of_page pn))) pages;
+  List.iter
+    (fun pn ->
+      check Alcotest.bool (Printf.sprintf "page 0x%x cached" pn) true
+        (Bytes.length (Memory.cached_page mem pn) <> 0))
+    pages
+
 (* ----- processes ----- *)
 
 let compile_simple body =
@@ -458,6 +476,49 @@ let test_clock_pins () =
       check Alcotest.string label out (clock_stdout ?chunk arch))
     clock_pins
 
+(* ----- chunked runs -----
+
+   A run cut into chunks of any size stops and resumes inside
+   straight-line code at every cut, and must end as the whole run ends.
+   Generated programs are single-threaded and never read the clock, so
+   the chunking changes nothing they can observe. *)
+
+let run_summary p result =
+  Printf.sprintf "%s instrs=%Ld faults=%d stdout=%S %s"
+    (match result with
+     | Process.Exited_run code -> "exit " ^ Int64.to_string code
+     | Process.Crashed cr -> "crash " ^ cr.cr_reason
+     | Process.Idle -> "idle"
+     | Process.Progress -> "fuel")
+    p.Process.total_instrs (Memory.fault_count p.Process.mem) (Process.stdout_contents p)
+    (Process.snapshot_to_string (Process.observe p))
+
+let qcheck_chunked_runs =
+  QCheck.Test.make ~count:100 ~name:"chunked runs end as whole runs (generated programs)"
+    QCheck.(
+      pair
+        (make ~print:string_of_int (Gen.int_range 1 60))
+        (list_of_size (Gen.int_range 1 8) (int_range 1 200)))
+    (fun (seed, chunks) ->
+      let c = Dapper_verify.Gen.compile seed in
+      let chunks = Array.of_list chunks in
+      List.for_all
+        (fun arch ->
+          let bin = Link.binary_for c arch in
+          let whole = Process.load bin in
+          let whole_result = Process.run_to_completion whole ~fuel:100_000_000 in
+          let p = Process.load bin in
+          let rec go k =
+            match Process.run p ~max_instrs:chunks.(k mod Array.length chunks) with
+            | Process.Progress when k < 10_000_000 -> go (k + 1)
+            | r -> r
+          in
+          let chunked = run_summary p (go 0) and expected = run_summary whole whole_result in
+          if chunked <> expected then
+            QCheck.Test.fail_reportf "%s: chunked %s, whole %s" (Arch.name arch) chunked expected;
+          true)
+        Arch.all)
+
 (* ----- guest faults -----
 
    A bad syscall argument or a wild jump ends the run as [Crashed], never
@@ -777,6 +838,7 @@ let suites =
         Alcotest.test_case "segfault" `Quick test_memory_segfault;
         Alcotest.test_case "fault handler" `Quick test_memory_fault_handler;
         Alcotest.test_case "copy independence" `Quick test_memory_copy_independent;
+        Alcotest.test_case "first pages share no cache slot" `Quick test_memory_cache_spread;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |]) ~speed_level:`Quick
           qcheck_page_cache_model ] );
     ( "machine-process",
@@ -799,4 +861,5 @@ let suites =
         Alcotest.test_case "clock pins" `Quick test_clock_pins;
         Alcotest.test_case "pause-point pins" `Quick test_pause_pins;
         Alcotest.test_case "mid-block crash pins" `Quick test_mid_block_crash_pins;
-        Alcotest.test_case "interpreter allocation" `Quick test_interpreter_allocation ] ) ]
+        Alcotest.test_case "interpreter allocation" `Quick test_interpreter_allocation;
+        QCheck_alcotest.to_alcotest qcheck_chunked_runs ] ) ]
