@@ -492,14 +492,13 @@ let restore_run (s : transferred t) =
                  if not (Memory.is_mapped q.Process.mem pn) then
                    Option.iter (Memory.map_page q.Process.mem pn) (source_page s pn))
                resident;
+           (* owed: the lazy pages the restore did not already map, the
+              resident ones and those it served itself (the
+              transformation flag's page) *)
            let lazy_left =
-             if resident = [] then Images.lazy_pages sx_image
-             else
-               let res = Hashtbl.create 64 in
-               List.iter (fun pn -> Hashtbl.replace res pn ()) resident;
-               List.filter
-                 (fun pn -> not (Hashtbl.mem res pn))
-                 (Images.lazy_pages sx_image)
+             List.filter
+               (fun pn -> not (Memory.is_mapped q.Process.mem pn))
+               (Images.lazy_pages sx_image)
            in
            Ok
              (step s Dapper_error.Restore ~bytes ~ms

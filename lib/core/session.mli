@@ -221,7 +221,10 @@ type restored = {
   sf_image : Images.image_set;
   sf_process : Process.t;
   sf_page_server : Transport.page_stats option;
-  sf_lazy_pages : int list;  (** pages still owed by the source *)
+  sf_lazy_pages : int list;
+  (** pages still owed by the source: the image's lazy pages the
+      restored process has not mapped (the restore maps the resident
+      pages and serves the transformation flag's page itself) *)
 }
 
 type committed = {

@@ -386,21 +386,21 @@ let live_run ~seed ~reverse mech =
    first seed and direction. *)
 let golden_lines =
   [ ( (0x5EEDL, false, Budget.Hybrid),
-      "hybrid n=30000 stalled=14201 faulted=2 blackout=193.675250 \
-       p50=102.524761 p99=198.368486 p999=198.368486 mig-p50=152.951010 \
-       mig-p99=198.368486 mig-p999=198.368486 fp=067e3c449490b6cb" );
+      "hybrid n=30000 stalled=14201 faulted=1 blackout=193.675250 \
+       p50=102.524761 p99=194.440397 p999=194.440397 mig-p50=152.951010 \
+       mig-p99=194.440397 mig-p999=194.440397 fp=a910e4cac7de65ef" );
     ( (0x5EEDL, true, Budget.Hybrid),
-      "hybrid n=30000 stalled=21410 faulted=2 blackout=689.557205 \
-       p50=595.953718 p99=694.758518 p999=694.758518 mig-p50=632.806704 \
-       mig-p99=694.758518 mig-p999=694.758518 fp=614d565f7b0d46f0" );
+      "hybrid n=30000 stalled=21410 faulted=1 blackout=689.557205 \
+       p50=595.953718 p99=685.513147 p999=685.513147 mig-p50=620.275878 \
+       mig-p99=685.513147 mig-p999=685.513147 fp=80e9b08c0fffe8c1" );
     ( (0xFACE_0FFL, false, Budget.Hybrid),
-      "hybrid n=30000 stalled=13164 faulted=2 blackout=193.675250 \
-       p50=117.932097 p99=190.590092 p999=194.440397 mig-p50=162.409297 \
-       mig-p99=194.440397 mig-p999=194.440397 fp=58a4fed6d525878b" );
+      "hybrid n=30000 stalled=13164 faulted=1 blackout=193.675250 \
+       p50=115.596808 p99=190.590092 p999=194.440397 mig-p50=162.409297 \
+       mig-p99=190.590092 mig-p999=194.440397 fp=91783789851e4991" );
     ( (0xFACE_0FFL, true, Budget.Hybrid),
-      "hybrid n=30000 stalled=23946 faulted=2 blackout=689.557205 \
+      "hybrid n=30000 stalled=23946 faulted=1 blackout=689.557205 \
        p50=607.993187 p99=685.513147 p999=685.513147 mig-p50=620.275878 \
-       mig-p99=685.513147 mig-p999=685.513147 fp=6862e187e042712f" );
+       mig-p99=685.513147 mig-p999=685.513147 fp=d967a8eb32dbf84a" );
     ( (0x5EEDL, false, Budget.Vanilla),
       "vanilla n=30000 stalled=16032 faulted=0 blackout=290.770387 \
        p50=223.660738 p99=290.074855 p999=290.074855 mig-p50=267.772126 \
@@ -410,9 +410,9 @@ let golden_lines =
        p50=156.040929 p99=247.184167 p999=249.913955 mig-p50=186.816031 \
        mig-p99=247.184167 mig-p999=249.913955 fp=12164a708c2a47a9" );
     ( (0x5EEDL, false, Budget.Postcopy),
-      "lazy n=30000 stalled=12701 faulted=3 blackout=228.615250 \
-       p50=169.037572 p99=232.788816 p999=232.788816 mig-p50=223.660738 \
-       mig-p99=232.788816 mig-p999=232.788816 fp=2b4bb74f73f4a90b" ) ]
+      "lazy n=30000 stalled=12701 faulted=2 blackout=228.615250 \
+       p50=165.690293 p99=228.179137 p999=232.788816 mig-p50=223.660738 \
+       mig-p99=232.788816 mig-p999=232.788816 fp=2422ce2cc9265ba9" ) ]
 
 let test_golden_fingerprints () =
   List.iter
