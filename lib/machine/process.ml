@@ -912,44 +912,38 @@ let run_slice t (th : thread) slice =
      | Exec_error msg -> raise (Guest_fault msg)
      | e -> raise e)
 
+(* Round-robin passes over the threads, each runnable thread a slice of
+   up to [quantum] instructions, until the budget is spent, the process
+   exits or crashes, or a whole pass makes no progress. A pass takes the
+   thread list as it stands when the pass starts, and polls every
+   thread's blocking condition, budget or not. *)
 let run t ~max_instrs =
-  let budget = ref max_instrs in
-  let result = ref None in
-  while !result = None && !budget > 0 do
-    let progressed = ref false in
-    let threads = t.threads in
-    List.iter
-      (fun th ->
-        if !result = None then begin
-          poll_blocked t th;
-          if is_runnable th then begin
-            (match run_slice t th (min quantum !budget) with
-             | n ->
-               (* scheduler decision: this thread retired n instructions
-                  before the round-robin moved on — the interleaving a
-                  same-ISA replay must reproduce *)
-               (match t.nondet with
-                | Some h when n > 0 -> h.nd_sched ~tid:th.tid ~steps:n
-                | _ -> ());
-               if n > 0 then progressed := true;
-               budget := !budget - n
-             | exception Guest_fault reason ->
-               let c = { cr_tid = th.tid; cr_pc = pc th; cr_reason = reason } in
-               t.crash <- Some c;
-               result := Some (Crashed c));
-            match t.exit_code with
-            | Some code -> result := Some (Exited_run code)
-            | None -> ()
-          end
-        end)
-      threads;
-    match !result with
-    | Some _ -> ()
-    | None -> if not !progressed then result := Some Idle
-  done;
-  match !result with
-  | Some r -> r
-  | None -> Progress
+  let rec pass budget progressed = function
+    | [] ->
+      if not progressed then Idle
+      else if budget > 0 then pass budget false t.threads
+      else Progress
+    | th :: rest -> (
+      poll_blocked t th;
+      if not (is_runnable th) then pass budget progressed rest
+      else
+        match run_slice t th (min quantum budget) with
+        | exception Guest_fault reason ->
+          let c = { cr_tid = th.tid; cr_pc = pc th; cr_reason = reason } in
+          t.crash <- Some c;
+          Crashed c
+        | n -> (
+          (* scheduler decision: this thread retired n instructions
+             before the round-robin moved on — the interleaving a
+             same-ISA replay must reproduce *)
+          (match t.nondet with
+           | Some h when n > 0 -> h.nd_sched ~tid:th.tid ~steps:n
+           | _ -> ());
+          match t.exit_code with
+          | Some code -> Exited_run code
+          | None -> pass (budget - n) (progressed || n > 0) rest))
+  in
+  if max_instrs > 0 then pass max_instrs false t.threads else Progress
 
 let run_to_completion t ~fuel =
   let remaining = ref fuel in
