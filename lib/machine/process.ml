@@ -555,12 +555,12 @@ let binop (op : Minstr.binop) d a b : thread -> unit =
   | Fsub -> fun th -> let rf = th.regfile in wr rf d (bits (fl (rd rf a) -. fl (rd rf b)))
   | Fmul -> fun th -> let rf = th.regfile in wr rf d (bits (fl (rd rf a) *. fl (rd rf b)))
   | Fdiv -> fun th -> let rf = th.regfile in wr rf d (bits (fl (rd rf a) /. fl (rd rf b)))
-  | Cmpeq -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a = (rd rf b)))
-  | Cmpne -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a <> (rd rf b)))
-  | Cmplt -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a < (rd rf b)))
-  | Cmple -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a <= (rd rf b)))
-  | Cmpgt -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a > (rd rf b)))
-  | Cmpge -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a >= (rd rf b)))
+  | Cmpeq -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a = rd rf b))
+  | Cmpne -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a <> rd rf b))
+  | Cmplt -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a < rd rf b))
+  | Cmple -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a <= rd rf b))
+  | Cmpgt -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a > rd rf b))
+  | Cmpge -> fun th -> let rf = th.regfile in wr rf d (bool (rd rf a >= rd rf b))
   | Cmpult ->
     fun th -> let rf = th.regfile in
       wr rf d (bool (unsigned (rd rf a) < unsigned (rd rf b)))
@@ -796,11 +796,8 @@ let translate t pc =
       entries;
   entries.(0)
 
-(* The entry for the pc in [rf]: from the entry table, whose index mixes
-   in the pc's bits above 2 KiB so code larger than the table does not
-   evict itself, then from [decode_cache], then by translating. The pc
-   is read here and passed on only as an [int]: nothing is boxed on a
-   hit. *)
+(* The entry table's index mixes in the pc's bits above 2 KiB, so code
+   larger than the table does not evict itself. *)
 let[@inline] entry_slot t ipc =
   ((ipc lsr align_bits t.arch) lxor (ipc lsr 11)) land (entry_slots - 1)
 
@@ -820,6 +817,9 @@ let entry_miss t rf =
     e
   end
 
+(* The entry for the pc in [rf]: from the entry table, then from
+   [decode_cache], then by translating. The pc is read here and passed
+   on only as an [int]: nothing is boxed on a hit. *)
 let[@inline] entry t rf =
   let pc = get64u rf pc_off in
   let ipc = Int64.to_int pc in

@@ -93,10 +93,10 @@ type t = {
   mutable nondet : nondet option;  (** record/replay tap; [None] = untapped *)
   decode_cache : (int, entry) Hashtbl.t;
       (** every pc below 2^62 ever decoded, keyed by the pc as an [int].
-          The interpreter decodes a block's straight-line run when a
-          thread first reaches its start, so a process paused inside a
-          block has decoded the rest of that block too; a process that
-          ran to exit has decoded exactly the pcs it executed. Nothing
+          A block's straight-line run is decoded whole when a thread
+          first reaches its start, so the count includes the rest of
+          any block a thread stopped inside: at a pause point, at a
+          crash, or when another thread ended the process. Nothing
           here is ever invalidated: a live process's code bytes never
           change after their first fetch, and DSU, rerandomization and
           migration restore into a fresh process whose caches start

@@ -261,10 +261,10 @@ let test_interpreter_pins () =
       check Alcotest.string (label ^ ": snapshot") snap got_snap)
     interpreter_pins
 
-(* An instruction that hits the decode table and the page cache
+(* An instruction of a translated block that hits the page cache
    allocates nothing, so a whole run stays far below one minor word per
-   instruction: what remains is set-up, syscalls, faults, decoding and
-   the per-slice bookkeeping. *)
+   instruction: what remains is set-up, syscalls, faults, translation
+   and the per-slice bookkeeping. *)
 let test_interpreter_allocation () =
   List.iter
     (fun (name, arch, _, _) ->
@@ -566,7 +566,7 @@ let test_jump_to_unmapped_code () =
   expect_crash "call to an unmapped pc" (fun b -> ret b (call_ptr (i 0x31337) []))
 
 (* A pc that differs from a cached one only in bits an [int] cannot hold
-   must miss the decode table. *)
+   must miss the entry table. *)
 let test_jump_to_high_pc () =
   let m = create "high_pc" in
   Cstd.add m;
