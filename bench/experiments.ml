@@ -651,7 +651,7 @@ let fig9 () =
             ignore (Process.run p ~max_instrs:400_000);
             (match Monitor.request_pause p ~budget:40_000_000 with
              | Ok _ -> ()
-             | Error e -> failwith (Monitor.error_to_string e));
+             | Error e -> failwith (Dapper_error.to_string e));
             let image = Dapper_error.ok_exn (Dapper_criu.Dump.dump p) in
             let shuffled, _ = Shuffle.shuffle_binary (Rng.create 11L) bin in
             let image', rw =
@@ -959,7 +959,7 @@ let ablation () =
     ignore (Process.run p ~max_instrs:500_000);
     match Monitor.request_pause p ~budget:40_000_000 with
     | Ok stats -> Int64.to_int stats.Monitor.ps_instrs_drained
-    | Error e -> failwith (Monitor.error_to_string e)
+    | Error e -> failwith (Dapper_error.to_string e)
   in
   (* DSU padding slack: how much body growth a hot update absorbs *)
   let grown extra =
@@ -1035,7 +1035,7 @@ let rerand () =
      Policy.rerandomize_periodically ~report p ~current:bin ~rng:(Rng.create 7L)
        ~interval:50_000 ~epochs:5
    with
-   | Error e -> failwith (Policy.error_to_string e)
+   | Error e -> failwith (Dapper_error.to_string e)
    | Ok (_, epochs) ->
      Tbl.print
        ~title:"Periodic re-randomization: rewrite-plan cache across epochs (redis, x86-64)"

@@ -17,7 +17,7 @@ let fixture () =
   ignore (Process.run p ~max_instrs:400_000);
   (match Monitor.request_pause p ~budget:40_000_000 with
    | Ok _ -> ()
-   | Error e -> failwith (Monitor.error_to_string e));
+   | Error e -> failwith (Dapper_util.Dapper_error.to_string e));
   let image = Dapper_util.Dapper_error.ok_exn (Dapper_criu.Dump.dump p) in
   (c, p, image)
 
@@ -29,7 +29,7 @@ let redis_fixture () =
   ignore (Process.run p ~max_instrs:200_000);
   (match Monitor.request_pause p ~budget:40_000_000 with
    | Ok _ -> ()
-   | Error e -> failwith (Monitor.error_to_string e));
+   | Error e -> failwith (Dapper_util.Dapper_error.to_string e));
   let image = Dapper_util.Dapper_error.ok_exn (Dapper_criu.Dump.dump p) in
   (c, image)
 

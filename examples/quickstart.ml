@@ -45,7 +45,7 @@ let () =
    | Ok stats ->
      Printf.printf "paused: %d thread(s) trapped at checkers, %d rolled back\n"
        stats.Monitor.ps_trapped stats.Monitor.ps_rolled_back
-   | Error e -> failwith (Monitor.error_to_string e));
+   | Error e -> failwith (Dapper_util.Dapper_error.to_string e));
 
   (* 4. CRIU dump; peek at the images with CRIT. *)
   let image = Dapper_util.Dapper_error.ok_exn (Dapper_criu.Dump.dump p) in

@@ -29,7 +29,7 @@ let () =
       ignore (Process.run p ~max_instrs:50_000);
       (match Monitor.request_pause p ~budget:10_000_000 with
        | Ok _ -> ()
-       | Error e -> failwith (Monitor.error_to_string e));
+       | Error e -> failwith (Dapper_error.to_string e));
       let ok = Dapper_util.Dapper_error.ok_exn in
       let image = ok (Dapper_criu.Dump.dump p) in
       let shuffled, stats = Shuffle.shuffle_binary rng bin in

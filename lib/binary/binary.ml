@@ -1,4 +1,3 @@
-open Dapper_util
 open Dapper_isa
 
 type section = {
@@ -85,87 +84,3 @@ let with_stackmaps b maps =
   make ~app:b.bin_app ~arch:b.bin_arch ~sections:b.bin_sections
     ~symbols:b.bin_symbols ~stackmaps:maps ~tls_size:b.bin_tls_size
     ~tls_init:b.bin_tls_init ~anchors:b.bin_anchors
-
-(* ----- serialization ----- *)
-
-let add_str buf s =
-  Bytebuf.add_u32 buf (String.length s);
-  Bytebuf.add_bytes buf s
-
-let serialize b =
-  let buf = Bytebuf.create 65536 in
-  add_str buf "DAPPERELF";
-  add_str buf b.bin_app;
-  add_str buf (Arch.name b.bin_arch);
-  Bytebuf.add_u32 buf (List.length b.bin_sections);
-  List.iter
-    (fun s ->
-      add_str buf s.sec_name;
-      Bytebuf.add_i64 buf s.sec_addr;
-      Bytebuf.add_u8 buf (if s.sec_exec then 1 else 0);
-      Bytebuf.add_u8 buf (if s.sec_write then 1 else 0);
-      add_str buf s.sec_data)
-    b.bin_sections;
-  Bytebuf.add_u32 buf (List.length b.bin_symbols);
-  List.iter
-    (fun s ->
-      add_str buf s.sym_name;
-      Bytebuf.add_i64 buf s.sym_addr;
-      Bytebuf.add_u32 buf s.sym_size;
-      Bytebuf.add_u8 buf
-        (match s.sym_kind with Sym_func -> 0 | Sym_object -> 1 | Sym_tls -> 2))
-    b.bin_symbols;
-  add_str buf (Stackmap.serialize b.bin_stackmaps);
-  Bytebuf.add_u32 buf b.bin_tls_size;
-  add_str buf b.bin_tls_init;
-  Bytebuf.add_i64 buf b.bin_anchors.a_entry;
-  Bytebuf.add_i64 buf b.bin_anchors.a_exit_stub;
-  Bytebuf.add_i64 buf b.bin_anchors.a_thread_exit_stub;
-  Bytebuf.add_i64 buf b.bin_anchors.a_flag;
-  Bytebuf.contents buf
-
-module R = Byte_reader
-
-let deserialize s =
-  R.decode s @@ fun r ->
-  let magic = R.str r in
-  if magic <> "DAPPERELF" then R.malformed "Binary.deserialize: bad magic";
-  let app = R.str r in
-  let arch_name = R.str r in
-  let arch =
-    match Arch.of_name arch_name with
-    | Some a -> a
-    | None -> R.malformed "Binary.deserialize: bad arch %S" arch_name
-  in
-  let sections =
-    R.list r (fun r ->
-        let sec_name = R.str r in
-        let sec_addr = R.i64 r in
-        let sec_exec = R.u8 r = 1 in
-        let sec_write = R.u8 r = 1 in
-        let sec_data = R.str r in
-        { sec_name; sec_addr; sec_data; sec_exec; sec_write })
-  in
-  let symbols =
-    R.list r (fun r ->
-        let sym_name = R.str r in
-        let sym_addr = R.i64 r in
-        let sym_size = R.u32 r in
-        let sym_kind =
-          match R.u8 r with
-          | 0 -> Sym_func
-          | 1 -> Sym_object
-          | 2 -> Sym_tls
-          | n -> R.malformed "Binary.deserialize: bad sym kind %d" n
-        in
-        { sym_name; sym_addr; sym_size; sym_kind })
-  in
-  let stackmaps = Stackmap.deserialize (R.str r) in
-  let tls_size = R.u32 r in
-  let tls_init = R.str r in
-  let a_entry = R.i64 r in
-  let a_exit_stub = R.i64 r in
-  let a_thread_exit_stub = R.i64 r in
-  let a_flag = R.i64 r in
-  make ~app ~arch ~sections ~symbols ~stackmaps ~tls_size ~tls_init
-    ~anchors:{ a_entry; a_exit_stub; a_thread_exit_stub; a_flag }

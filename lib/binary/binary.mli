@@ -47,8 +47,8 @@ type t = private {
   bin_anchors : anchors;
 }
 
-(** The constructor every binary goes through (the linker, {!deserialize}
-    and {!with_stackmaps}); it builds the stack-map index. *)
+(** The constructor every binary goes through (the linker and
+    {!with_stackmaps}); it builds the stack-map index. *)
 val make :
   app:string -> arch:Arch.t -> sections:section list -> symbols:symbol list ->
   stackmaps:Stackmap.func_map list -> tls_size:int -> tls_init:string ->
@@ -72,12 +72,6 @@ val code_bytes : t -> int64 -> int -> string
     where the section does not reach; [None] when [b] has no text
     section. *)
 val text_page : t -> int -> bytes option
-
-(** Serialize / parse (used for on-disk storage and network transfer
-    accounting). [deserialize] raises [Byte_reader.Malformed] on any
-    input [serialize] could not have produced. *)
-val serialize : t -> string
-val deserialize : string -> t
 
 (** [with_text b data] replaces the text section contents (used by the
     stack shuffler, which patches code). Length may change; the symbol

@@ -52,12 +52,6 @@ type func_map = {
   fm_eqpoints : eqpoint list;
 }
 
-(** Binary serialization for the [.stackmaps] ELF section.
-    [deserialize] raises [Byte_reader.Malformed] on any input [serialize]
-    could not have produced. *)
-val serialize : func_map list -> string
-val deserialize : string -> func_map list
-
 (** Lookups used by the runtime monitor and rewriter. *)
 
 val find_func : func_map list -> string -> func_map option

@@ -239,15 +239,17 @@ let memoized ~app build =
 
 let compile_with_inline_runtime ?(opts = Opts.default) ~app ~runtime_ir (m : Ir.modul) =
   let prefix = "__popcorn_" in
-  let rt_fun_names = List.map (fun (f : Ir.func) -> f.Ir.fname) runtime_ir.Ir.m_funcs in
-  let rename n = if List.mem n rt_fun_names then prefix ^ n else n in
+  let funcs = List.map (fun (f : Ir.func) -> f.Ir.fname) runtime_ir.Ir.m_funcs in
+  let globals = List.map (fun (g : Ir.global) -> g.Ir.g_name) runtime_ir.Ir.m_globals in
+  let rename names n = if List.mem n names then prefix ^ n else n in
   let rename_value = function
-    | Ir.Func_addr f -> Ir.Func_addr (rename f)
-    | v -> v
+    | Ir.Func_addr f -> Ir.Func_addr (rename funcs f)
+    | Ir.Global_addr g -> Ir.Global_addr (rename globals g)
+    | (Ir.Vreg _ | Ir.Imm _ | Ir.Fimm _) as v -> v
   in
   let rename_instr = function
     | Ir.Call (d, Ir.Direct f, args) ->
-      Ir.Call (d, Ir.Direct (rename f), List.map rename_value args)
+      Ir.Call (d, Ir.Direct (rename funcs f), List.map rename_value args)
     | Ir.Call (d, Ir.Indirect v, args) ->
       Ir.Call (d, Ir.Indirect (rename_value v), List.map rename_value args)
     | Ir.Binop (op, d, a, b) -> Ir.Binop (op, d, rename_value a, rename_value b)
@@ -259,6 +261,11 @@ let compile_with_inline_runtime ?(opts = Opts.default) ~app ~runtime_ir (m : Ir.
     | Ir.Slot_store (v, s) -> Ir.Slot_store (rename_value v, s)
     | (Ir.Slot_addr _ | Ir.Slot_load _ | Ir.Tls_addr _) as i -> i
   in
+  let rename_term = function
+    | Ir.Ret v -> Ir.Ret (Option.map rename_value v)
+    | Ir.Cbr (c, l1, l2) -> Ir.Cbr (rename_value c, l1, l2)
+    | Ir.Br _ as t -> t
+  in
   let renamed_funcs =
     List.filter_map
       (fun (f : Ir.func) ->
@@ -266,49 +273,24 @@ let compile_with_inline_runtime ?(opts = Opts.default) ~app ~runtime_ir (m : Ir.
         else
           Some
             { f with
-              Ir.fname = rename f.fname;
+              Ir.fname = rename funcs f.fname;
               fblocks =
                 Array.map
-                  (fun (b : Ir.block) -> { b with Ir.instrs = List.map rename_instr b.instrs })
+                  (fun (b : Ir.block) ->
+                    { b with
+                      Ir.instrs = List.map rename_instr b.instrs;
+                      term = rename_term b.term })
                   f.fblocks })
       runtime_ir.Ir.m_funcs
-  in
-  let rename_global (g : Ir.global) = { g with Ir.g_name = prefix ^ g.g_name } in
-  let renamed_funcs =
-    List.map
-      (fun (f : Ir.func) ->
-        { f with
-          Ir.fblocks =
-            Array.map
-              (fun (b : Ir.block) ->
-                { b with
-                  Ir.instrs =
-                    List.map
-                      (function
-                        | Ir.Binop (op, d, a, b') ->
-                          let rg = function
-                            | Ir.Global_addr g -> Ir.Global_addr (prefix ^ g)
-                            | v -> v
-                          in
-                          Ir.Binop (op, d, rg a, rg b')
-                        | Ir.Load (d, Ir.Global_addr g) -> Ir.Load (d, Ir.Global_addr (prefix ^ g))
-                        | Ir.Store (v, Ir.Global_addr g) ->
-                          let v' =
-                            match v with
-                            | Ir.Global_addr g2 -> Ir.Global_addr (prefix ^ g2)
-                            | v -> v
-                          in
-                          Ir.Store (v', Ir.Global_addr (prefix ^ g))
-                        | Ir.Store (Ir.Global_addr g, a) -> Ir.Store (Ir.Global_addr (prefix ^ g), a)
-                        | i -> i)
-                      b.instrs })
-              f.fblocks })
-      renamed_funcs
   in
   let merged =
     { m with
       Ir.m_funcs = m.Ir.m_funcs @ renamed_funcs;
-      m_globals = m.Ir.m_globals @ List.map rename_global runtime_ir.Ir.m_globals;
+      m_globals =
+        m.Ir.m_globals
+        @ List.map
+            (fun (g : Ir.global) -> { g with Ir.g_name = prefix ^ g.g_name })
+            runtime_ir.Ir.m_globals;
       m_tls = m.Ir.m_tls }
   in
   compile ~opts ~app merged

@@ -9,10 +9,6 @@ type pause_stats = {
   ps_rolled_back : int;
 }
 
-type error = Dapper_error.t
-
-let error_to_string = Dapper_error.to_string
-
 let default_budget = 50_000_000
 
 let index_of (p : Process.t) = Binary.index p.Process.binary
@@ -109,7 +105,7 @@ let request_pause (p : Process.t) ~budget =
   | Some r -> r
   | None -> assert false
 
-let cancel (p : Process.t) =
+let resume (p : Process.t) =
   Process.poke_data p p.Process.binary.Binary.bin_anchors.a_flag 0L;
   List.iter
     (fun (th : Process.thread) ->
@@ -118,5 +114,3 @@ let cancel (p : Process.t) =
       | Process.Runnable | Process.Blocked_join _ | Process.Blocked_lock _
       | Process.Exited _ -> ())
     p.Process.threads
-
-let resume = cancel

@@ -18,26 +18,19 @@ type pause_stats = {
   ps_rolled_back : int;       (** blocked threads rolled back to a call site *)
 }
 
-(** Pause failures are part of the unified error surface:
-    [Pause_budget_exhausted] (some thread never reached an equivalence
-    point within the drain budget), [Not_at_equivalence_point] and
-    [Process_exited]. *)
-type error = Dapper_error.t
-
-val error_to_string : error -> string
-
 (** The drain budget every migration pause uses unless its caller has a
     reason to bound it: 50M instructions. *)
 val default_budget : int
 
 (** [request_pause p ~budget] quiesces the process, leaving every live
-    thread [Stopped] at an equivalence point. On failure the process is
-    left untouched except for consumed execution budget; call [cancel]
-    to lower the flag and resume. *)
-val request_pause : Process.t -> budget:int -> (pause_stats, error) result
+    thread [Stopped] at an equivalence point. It fails with
+    [Pause_budget_exhausted] (some thread never reached an equivalence
+    point within the drain budget), [Not_at_equivalence_point] or
+    [Process_exited]; the process is then left untouched except for
+    consumed execution budget, and {!resume} lowers the flag and resumes
+    it. *)
+val request_pause : Process.t -> budget:int -> (pause_stats, Dapper_error.t) result
 
-(** Lower the flag and resume all stopped threads (abort a pause). *)
-val cancel : Process.t -> unit
-
-(** Resume a paused process on the same node (flag lowered first). *)
+(** Lower the flag and resume all stopped threads: aborts a pause, or
+    resumes a paused process on the same node. *)
 val resume : Process.t -> unit

@@ -13,10 +13,6 @@ type applied = {
   ap_binary : Binary.t;
 }
 
-type error = Dapper_error.t
-
-let error_to_string = Dapper_error.to_string
-
 let ( let* ) = Result.bind
 
 let ensure_paused p =

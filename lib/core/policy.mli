@@ -30,22 +30,17 @@ type applied = {
   ap_binary : Binary.t;   (** the binary the new process runs under *)
 }
 
-(** Policy failures use the unified error surface: pause errors,
-    pipeline errors ([Dump_failed], [Recode_failed], ...), plus
-    [Shuffle_failed] and the DSU-specific variants. *)
-type error = Dapper_error.t
-
-val error_to_string : error -> string
-
 (** [apply p ~current policy] pauses [p] (if not already quiescent),
     transforms it per [policy], and restores the result. [current] is
     the binary [p] currently runs under. [report] is called with the
     rewrite statistics (including plan-cache and index counters) of the
     transformation; it is not called for {!Software_update}, which
-    delegates to {!Dsu.update}. *)
+    delegates to {!Dsu.update}. Failures are pause errors, pipeline
+    errors ([Dump_failed], [Recode_failed], ...), [Shuffle_failed] and
+    the DSU-specific variants. *)
 val apply :
   ?report:(Rewrite.stats -> unit) ->
-  Process.t -> current:Binary.t -> t -> (applied, error) result
+  Process.t -> current:Binary.t -> t -> (applied, Dapper_error.t) result
 
 (** [rerandomize_periodically p ~current ~rng ~interval ~epochs ~fuel]
     alternates bursts of execution with {!Reshuffle} applications —
@@ -55,4 +50,4 @@ val apply :
 val rerandomize_periodically :
   ?report:(int -> Rewrite.stats -> unit) ->
   Process.t -> current:Binary.t -> rng:Rng.t -> interval:int -> epochs:int ->
-  (applied * int, error) result
+  (applied * int, Dapper_error.t) result

@@ -202,7 +202,9 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
   (* Output-level memoization context: the environment digest pins the
      memo to this exact binary pair (stack-map contents, destination
      text, anchors, architectures); the interval-set digest captures the
-     only cross-thread coupling a thread's rewritten output depends on. *)
+     only cross-thread coupling a thread's rewritten output depends on.
+     Marshalled without sharing, the digest reads the maps' contents
+     only, so equal maps held in distinct records give the same key. *)
   let memo_ctx =
     match memo with
     | None -> None
@@ -211,13 +213,12 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
         Digest.string
           (Marshal.to_string
              ( src.bin_app, Arch.name src.bin_arch, Arch.name dst_arch,
-               Digest.string (Stackmap.serialize src.bin_stackmaps),
-               Digest.string (Stackmap.serialize dst.bin_stackmaps),
+               src.bin_stackmaps, dst.bin_stackmaps,
                src.bin_anchors, dst.bin_anchors,
                match Binary.find_section dst ".text" with
                | Some s -> Digest.string s.sec_data
                | None -> "" )
-             [])
+             [ Marshal.No_sharing ])
       in
       ignore (Plan_cache.memo_bind m ~env);
       Some (m, Digest.string (Marshal.to_string intervals []))
@@ -449,14 +450,14 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
   (* VMA list: recompute the code VMAs, keep the rest. *)
   let vmas =
     List.filter
-      (fun (vma : Images.vma) -> vma.v_kind <> Images.Vk_code)
+      (fun (vma : Images.vma) -> vma.v_kind <> Dapper_machine.Process.Vma_code)
       image.is_mm.mm_vmas
     @ List.filter_map
         (fun (e : Images.pagemap_entry) ->
           if is_code_page (Layout.page_of_addr e.pm_vaddr) then
             Some
               { Images.v_start = e.pm_vaddr; v_npages = e.pm_npages;
-                v_kind = Images.Vk_code }
+                v_kind = Dapper_machine.Process.Vma_code }
           else None)
         entries
   in

@@ -1,4 +1,5 @@
 open Dapper_isa
+open Dapper_machine
 open Dapper_util
 
 exception Crit_error of string
@@ -44,21 +45,14 @@ let core_of_json j =
       tc_tls = hex_to_i64 (Json.member "tls" j);
       tc_regs = regs }
 
-let kind_name = function
-  | Images.Vk_code -> "code"
-  | Images.Vk_data -> "data"
-  | Images.Vk_tls -> "tls"
-  | Images.Vk_heap -> "heap"
-  | Images.Vk_stack t -> Printf.sprintf "stack:%d" t
-
 let kind_of_name s =
   match s with
-  | "code" -> Images.Vk_code
-  | "data" -> Images.Vk_data
-  | "tls" -> Images.Vk_tls
-  | "heap" -> Images.Vk_heap
+  | "code" -> Process.Vma_code
+  | "data" -> Process.Vma_data
+  | "tls" -> Process.Vma_tls
+  | "heap" -> Process.Vma_heap
   | s when String.length s > 6 && String.sub s 0 6 = "stack:" ->
-    Images.Vk_stack (int_of_string (String.sub s 6 (String.length s - 6)))
+    Process.Vma_stack (int_of_string (String.sub s 6 (String.length s - 6)))
   | s -> fail "bad vma kind %s" s
 
 let json_of_mm (mm : Images.mm) =
@@ -71,7 +65,7 @@ let json_of_mm (mm : Images.mm) =
               Json.Obj
                 [ ("start", Json.String (Printf.sprintf "0x%Lx" v.v_start));
                   ("npages", Json.Int (Int64.of_int v.v_npages));
-                  ("kind", Json.String (kind_name v.v_kind)) ])
+                  ("kind", Json.String (Process.vma_kind_name v.v_kind)) ])
             mm.mm_vmas)) ]
 
 let mm_of_json j =

@@ -4,13 +4,6 @@ open Dapper_machine
 
 let fail fmt = Dapper_error.failf (fun s -> Dapper_error.Dump_failed s) fmt
 
-let kind_of = function
-  | Process.Vma_code -> Images.Vk_code
-  | Process.Vma_data -> Images.Vk_data
-  | Process.Vma_tls -> Images.Vk_tls
-  | Process.Vma_heap -> Images.Vk_heap
-  | Process.Vma_stack t -> Images.Vk_stack t
-
 let dump_exn ?(lazy_pages = false) (p : Process.t) =
   if not (Process.all_quiescent p) then
     fail "process has runnable threads; quiesce it first";
@@ -24,23 +17,23 @@ let dump_exn ?(lazy_pages = false) (p : Process.t) =
     Array.fold_right
       (fun pn acc ->
         match Process.vma_kind_of_page p pn with
-        | Some k -> (pn, kind_of k) :: acc
+        | Some k -> (pn, k) :: acc
         | None -> acc)
       pages []
   in
   (* Dump policy per page. *)
   let in_dump (pn, kind) =
     match kind with
-    | Images.Vk_code -> List.mem pn pc_pages
-    | Images.Vk_stack _ -> true
-    | Images.Vk_data | Images.Vk_tls | Images.Vk_heap -> not lazy_pages
+    | Process.Vma_code -> List.mem pn pc_pages
+    | Process.Vma_stack _ -> true
+    | Process.Vma_data | Process.Vma_tls | Process.Vma_heap -> not lazy_pages
   in
   (* Pages that are code but not execution context are omitted entirely:
      they reload from the binary. Everything else appears in the pagemap,
      dumped or lazy. *)
   let listed =
     List.filter
-      (fun (pn, kind) -> kind <> Images.Vk_code || List.mem pn pc_pages)
+      (fun (pn, kind) -> kind <> Process.Vma_code || List.mem pn pc_pages)
       classified
   in
   let disposed = List.map (fun ((pn, _) as page) -> (pn, in_dump page)) listed in

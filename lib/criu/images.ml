@@ -1,5 +1,6 @@
 open Dapper_isa
 open Dapper_binary
+open Dapper_machine
 open Dapper_proto
 
 type thread_core = {
@@ -10,9 +11,7 @@ type thread_core = {
   tc_tls : int64;
 }
 
-type vma_kind = Vk_code | Vk_data | Vk_tls | Vk_heap | Vk_stack of int
-
-type vma = { v_start : int64; v_npages : int; v_kind : vma_kind }
+type vma = { v_start : int64; v_npages : int; v_kind : Process.vma_kind }
 
 type mm = { mm_brk : int64; mm_vmas : vma list }
 
@@ -69,14 +68,18 @@ let decode_core bytes =
       fs
   in
   let tc_regs = Array.of_list regs in
-  let expected = Dapper_machine.Process.reg_count in
+  let expected = Process.reg_count in
   if Array.length tc_regs <> expected then
     fail "core: %d registers, expected %d" (Array.length tc_regs) expected;
   { tc_tid = Int64.to_int (Proto.get_int fs 1); tc_arch;
     tc_pc = Proto.get_fix fs 3; tc_tls = Proto.get_fix fs 4; tc_regs }
 
 let kind_code = function
-  | Vk_code -> 0 | Vk_data -> 1 | Vk_tls -> 2 | Vk_heap -> 3 | Vk_stack _ -> 4
+  | Process.Vma_code -> 0
+  | Process.Vma_data -> 1
+  | Process.Vma_tls -> 2
+  | Process.Vma_heap -> 3
+  | Process.Vma_stack _ -> 4
 
 let encode_mm mm =
   Proto.encode
@@ -88,7 +91,7 @@ let encode_mm mm =
                 Proto.v_int 2 (Int64.of_int v.v_npages);
                 Proto.v_int 3 (Int64.of_int (kind_code v.v_kind));
                 Proto.v_int 4
-                  (Int64.of_int (match v.v_kind with Vk_stack t -> t | _ -> 0)) ])
+                  (Int64.of_int (match v.v_kind with Process.Vma_stack t -> t | _ -> 0)) ])
           mm.mm_vmas)
 
 let decode_mm bytes =
@@ -98,11 +101,11 @@ let decode_mm bytes =
       (fun m ->
         let kind =
           match Int64.to_int (Proto.get_int m 3) with
-          | 0 -> Vk_code
-          | 1 -> Vk_data
-          | 2 -> Vk_tls
-          | 3 -> Vk_heap
-          | 4 -> Vk_stack (Int64.to_int (Proto.get_int m 4))
+          | 0 -> Process.Vma_code
+          | 1 -> Process.Vma_data
+          | 2 -> Process.Vma_tls
+          | 3 -> Process.Vma_heap
+          | 4 -> Process.Vma_stack (Int64.to_int (Proto.get_int m 4))
           | k -> fail "mm: bad vma kind %d" k
         in
         { v_start = Proto.get_fix m 1; v_npages = Int64.to_int (Proto.get_int m 2);

@@ -24,9 +24,7 @@ type thread_core = {
   tc_tls : int64;
 }
 
-type vma_kind = Vk_code | Vk_data | Vk_tls | Vk_heap | Vk_stack of int
-
-type vma = { v_start : int64; v_npages : int; v_kind : vma_kind }
+type vma = { v_start : int64; v_npages : int; v_kind : Dapper_machine.Process.vma_kind }
 
 type mm = { mm_brk : int64; mm_vmas : vma list }
 

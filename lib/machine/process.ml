@@ -246,6 +246,13 @@ let vma_kind_of_page t pn =
     end
     else None
 
+let vma_kind_name = function
+  | Vma_code -> "code"
+  | Vma_data -> "data"
+  | Vma_tls -> "tls"
+  | Vma_heap -> "heap"
+  | Vma_stack t -> Printf.sprintf "stack:%d" t
+
 (* ----- read-only observable-state snapshot ----- *)
 
 type snapshot = {

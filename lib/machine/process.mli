@@ -148,10 +148,15 @@ val live_threads : t -> thread list
     blocked, stopped or exited) — the condition for dumping. *)
 val all_quiescent : t -> bool
 
-(** Classification of mapped memory, used by the checkpointer. *)
+(** Classification of mapped memory, used by the checkpointer and kept
+    as each VMA's kind in the image's [mm.img]. *)
 type vma_kind = Vma_code | Vma_data | Vma_tls | Vma_heap | Vma_stack of int
 
 val vma_kind_of_page : t -> int -> vma_kind option
+
+(** The name CRIT's JSON and the replay log give a kind: ["code"],
+    ["data"], ["tls"], ["heap"], or ["stack:N"] for thread [N]'s stack. *)
+val vma_kind_name : vma_kind -> string
 
 (** {1 Observable state}
 

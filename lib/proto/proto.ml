@@ -40,19 +40,6 @@ let decode_varint s off =
   done;
   (!v, !pos - off)
 
-(* Zigzag mapping for signed varints (protobuf sint64): small negative
-   numbers encode to small varints instead of ten 0xFF bytes. *)
-let zigzag v = Int64.logxor (Int64.shift_left v 1) (Int64.shift_right v 63)
-
-let unzigzag v =
-  Int64.logxor (Int64.shift_right_logical v 1) (Int64.neg (Int64.logand v 1L))
-
-let encode_zigzag buf v = encode_varint buf (zigzag v)
-
-let decode_zigzag s off =
-  let v, n = decode_varint s off in
-  (unzigzag v, n)
-
 let wire_type = function Varint _ -> 0 | Fixed64 _ -> 1 | Delim _ -> 2
 
 let encode fields =

@@ -24,16 +24,6 @@ val decode : string -> field list
 val encode_varint : Dapper_util.Bytebuf.t -> int64 -> unit
 val decode_varint : string -> int -> int64 * int
 
-(** Zigzag mapping for signed varints (protobuf [sint64]): [zigzag]
-    interleaves negative and non-negative values so small magnitudes
-    encode to short varints; [unzigzag] inverts it. *)
-val zigzag : int64 -> int64
-val unzigzag : int64 -> int64
-
-(** Varint encode/decode composed with the zigzag mapping. *)
-val encode_zigzag : Dapper_util.Bytebuf.t -> int64 -> unit
-val decode_zigzag : string -> int -> int64 * int
-
 (** {1 Message construction and access} *)
 
 val v_int : int -> int64 -> field

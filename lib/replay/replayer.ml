@@ -76,18 +76,11 @@ let frames_at (log : Log.t) k =
 
 (* ----- what a recorder writes at an anchor ----- *)
 
-let vma_kind_name = function
-  | Process.Vma_data -> "data"
-  | Process.Vma_heap -> "heap"
-  | Process.Vma_tls -> "tls"
-  | Process.Vma_code -> "code"
-  | Process.Vma_stack _ -> "stack"
-
 (* Per-page digests a process would record right now, in [Log] form. *)
 let pages_of (p : Process.t) =
   List.map
     (fun (kind, pn, digest) ->
-      { Log.pd_kind = vma_kind_name kind; pd_page = pn; pd_digest = digest })
+      { Log.pd_kind = Process.vma_kind_name kind; pd_page = pn; pd_digest = digest })
     (Process.observe_pages p)
 
 (* Diff the recorded per-page digests against the live process:

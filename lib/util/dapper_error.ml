@@ -22,7 +22,6 @@ type t =
   | Checksum_mismatch of string
   | Restore_failed of string
   | Source_lost of string
-  | Node_lost of string
   | Commit_failed of string
   | Verify_failed of string
   | Deadline_exceeded of stage * float
@@ -42,7 +41,6 @@ let to_string = function
   | Checksum_mismatch msg -> "checksum mismatch: " ^ msg
   | Restore_failed msg -> "restore failed: " ^ msg
   | Source_lost msg -> "source lost: " ^ msg
-  | Node_lost msg -> "node lost: " ^ msg
   | Commit_failed msg -> "commit failed: " ^ msg
   | Verify_failed msg -> "verification failed: " ^ msg
   | Deadline_exceeded (st, ms) ->
@@ -55,7 +53,7 @@ let stage_of = function
   | Unwind_failed _ | Recode_failed _ | Shuffle_failed _ | Layout_incompatible _
   | Active_function _ | Verify_failed _ -> Recode
   | Transfer_timeout _ | Checksum_mismatch _ -> Transfer
-  | Restore_failed _ | Node_lost _ -> Restore
+  | Restore_failed _ -> Restore
   | Source_lost _ | Commit_failed _ -> Commit
   | Deadline_exceeded (st, _) -> st
 
@@ -68,7 +66,6 @@ let retriable = function
   | Active_function _ -> true
   | Transfer_timeout _ -> true
   | Checksum_mismatch _ -> true
-  | Node_lost _ -> true
   | Not_at_equivalence_point _ -> false
   | Process_exited -> false
   | Dump_failed _ -> false
@@ -95,7 +92,6 @@ let examples =
     Checksum_mismatch "example";
     Restore_failed "example";
     Source_lost "example";
-    Node_lost "example";
     Commit_failed "example";
     Verify_failed "example";
     Deadline_exceeded (Transfer, 12.5) ]

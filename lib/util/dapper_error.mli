@@ -44,10 +44,6 @@ type t =
           paging, before the destination was committed. Structural for
           this session: the restore is aborted and the paused source
           (still held by its supervisor) is resumed. *)
-  | Node_lost of string
-      (** A destination node died mid-eviction. The migration rolls
-          back; retriable because the scheduler can re-run the eviction
-          on another node. *)
   | Commit_failed of string
       (** The destination's verified-restore acknowledgement failed (its
           observable state does not match the paused source). The source
@@ -73,7 +69,7 @@ val stage_of : t -> stage
 (** [retriable e] is true for transient errors where letting the source
     run further and re-attempting the stage can succeed (pause-budget
     exhaustion, a still-active function, a timed-out or corrupted
-    transfer, a lost destination node); false for structural errors
+    transfer, a projected deadline miss); false for structural errors
     (arch mismatch, corrupt image, a lost source) that will fail
     identically again. The implementation is an exhaustive match — a
     new constructor does not compile until it is classified. *)

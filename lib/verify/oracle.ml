@@ -368,7 +368,7 @@ let corruption_target (image : Images.image_set) (dst_bin : Binary.t) =
     pn <> flag_page
     &&
     match kind_of pn with
-    | Some (Images.Vk_data | Images.Vk_heap | Images.Vk_tls) -> true
+    | Some (Process.Vma_data | Process.Vma_heap | Process.Vma_tls) -> true
     | _ -> false
   in
   List.find_opt observable dumped

@@ -266,45 +266,6 @@ let test_promotion_asymmetry () =
   (* And the program still runs correctly on both. *)
   check_both m ~code:1 ~out:""
 
-let test_stackmap_serialization_roundtrip () =
-  let c = Link.compile ~app:"threads" prog_threads in
-  let ser = Dapper_binary.Stackmap.serialize c.cp_x86.bin_stackmaps in
-  let back = Dapper_binary.Stackmap.deserialize ser in
-  check Alcotest.bool "roundtrip" true (back = c.cp_x86.bin_stackmaps)
-
-let test_binary_serialization_roundtrip () =
-  let c = Link.compile ~app:"call" prog_call in
-  let ser = Dapper_binary.Binary.serialize c.cp_arm in
-  let back = Dapper_binary.Binary.deserialize ser in
-  check Alcotest.bool "roundtrip" true (back = c.cp_arm)
-
-(* Regression: hostile bytes crashed both decoders with Invalid_argument
-   (index out of bounds, String.sub). Each case must raise the typed
-   Byte_reader.Malformed instead. *)
-let hostile_binary_inputs =
-  let c = Link.compile ~app:"call" prog_call in
-  let ser = Dapper_binary.Binary.serialize c.cp_arm in
-  let n = String.length ser in
-  let inflated = "\xff\xff\xff\x7f" ^ String.sub ser 4 (n - 4) in
-  List.map
-    (fun (what, decode) ->
-      Alcotest.test_case ("rejects " ^ what) `Quick (fun () ->
-          check Alcotest.bool what true
-            (match decode () with
-             | exception Dapper_util.Byte_reader.Malformed _ -> true
-             | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
-             | () -> false)))
-    [ ("an empty binary", fun () -> ignore (Dapper_binary.Binary.deserialize ""));
-      ("a one-byte stackmap", fun () -> ignore (Dapper_binary.Stackmap.deserialize "\001"));
-      ( "a truncated binary",
-        fun () -> ignore (Dapper_binary.Binary.deserialize (String.sub ser 0 (n / 2))) );
-      ( "a binary one byte short",
-        fun () -> ignore (Dapper_binary.Binary.deserialize (String.sub ser 0 (n - 1))) );
-      ( "an inflated first length word",
-        fun () -> ignore (Dapper_binary.Binary.deserialize inflated) );
-      ( "trailing bytes after a binary",
-        fun () -> ignore (Dapper_binary.Binary.deserialize (ser ^ "\000")) ) ]
-
 let suites =
   [ ( "codegen-exec",
       [ Alcotest.test_case "ret42" `Quick (fun () -> check_both prog_ret42 ~code:42 ~out:"");
@@ -322,7 +283,4 @@ let suites =
       [ Alcotest.test_case "symbol alignment" `Quick test_symbol_alignment;
         Alcotest.test_case "text differs per ISA" `Quick test_text_differs;
         Alcotest.test_case "eqpoints correspond" `Quick test_eqpoints_correspond;
-        Alcotest.test_case "promotion asymmetry" `Quick test_promotion_asymmetry;
-        Alcotest.test_case "stackmap roundtrip" `Quick test_stackmap_serialization_roundtrip;
-        Alcotest.test_case "binary roundtrip" `Quick test_binary_serialization_roundtrip ]
-      @ hostile_binary_inputs ) ]
+        Alcotest.test_case "promotion asymmetry" `Quick test_promotion_asymmetry ] ) ]

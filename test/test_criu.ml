@@ -13,7 +13,7 @@ let paused_process () =
   ignore (Process.run p ~max_instrs:300_000);
   (match Monitor.request_pause p ~budget:20_000_000 with
    | Ok _ -> ()
-   | Error e -> Alcotest.fail (Monitor.error_to_string e));
+   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
   (c, p)
 
 let test_dump_requires_quiescence () =
@@ -180,7 +180,7 @@ let test_registers_round_trip () =
       ignore (Process.run p ~max_instrs:300_000);
       (match Monitor.request_pause p ~budget:20_000_000 with
        | Ok _ -> ()
-       | Error e -> Alcotest.fail (Monitor.error_to_string e));
+       | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
       let image = Images.of_files (Images.to_files (ok (Dump.dump p))) in
       let q = ok (Restore.restore image bin) in
       let label = Dapper_isa.Arch.name arch in

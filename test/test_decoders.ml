@@ -7,9 +7,6 @@ open Dapper_machine
 open Dapper_criu
 module Link = Dapper_codegen.Link
 module Proto = Dapper_proto.Proto
-module Binary = Dapper_binary.Binary
-module Stackmap = Dapper_binary.Stackmap
-module Byte_reader = Dapper_util.Byte_reader
 module Rng = Dapper_util.Rng
 module Log = Dapper_replay.Log
 
@@ -50,7 +47,7 @@ let image_files ?lazy_pages () =
   ignore (Process.run p ~max_instrs:2_000);
   (match Dapper.Monitor.request_pause p ~budget:1_000_000 with
    | Ok _ -> ()
-   | Error e -> Alcotest.fail (Dapper.Monitor.error_to_string e));
+   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
   Images.to_files (Dapper_util.Dapper_error.ok_exn (Dump.dump ?lazy_pages p))
 
 let proto_files () = List.filter (fun (name, _) -> name <> "pages-1.img") (image_files ())
@@ -113,26 +110,6 @@ let test_replay_log () =
       (fun b -> ignore (Log.decode b))
       (Log.encode log)
 
-let malformed = function Byte_reader.Malformed _ -> true | _ -> false
-
-let test_binary () =
-  let c = quickstart () in
-  List.iter
-    (fun bin ->
-      survives ~what:"mini-quickstart binary" ~typed:malformed
-        (fun b -> ignore (Binary.deserialize b))
-        (Binary.serialize bin))
-    [ c.Link.cp_x86; c.Link.cp_arm ]
-
-let test_stackmap () =
-  let c = quickstart () in
-  List.iter
-    (fun (bin : Binary.t) ->
-      survives ~what:"mini-quickstart stack maps" ~typed:malformed
-        (fun b -> ignore (Stackmap.deserialize b))
-        (Stackmap.serialize bin.Binary.bin_stackmaps))
-    [ c.Link.cp_x86; c.Link.cp_arm ]
-
 let suites =
   [ ( "decoders",
       [ Alcotest.test_case "Proto.decode, each image file" `Quick test_proto;
@@ -141,6 +118,4 @@ let suites =
         Alcotest.test_case "Images.of_files, each lazy file mutated" `Quick
           (test_images ~lazy_pages:true);
         Alcotest.test_case "Crit.decode_file, each protobuf file" `Quick test_crit;
-        Alcotest.test_case "Replay.Log.decode" `Quick test_replay_log;
-        Alcotest.test_case "Binary.deserialize, both ISAs" `Quick test_binary;
-        Alcotest.test_case "Stackmap.deserialize, both ISAs" `Quick test_stackmap ] ) ]
+        Alcotest.test_case "Replay.Log.decode" `Quick test_replay_log ] ) ]

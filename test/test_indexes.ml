@@ -186,11 +186,6 @@ let qcheck_stackmap_index_equiv =
     arb_maps
     (fun maps -> agrees_with_scans (Stackmap_index.handle (Stackmap_index.build maps)) maps)
 
-let qcheck_stackmap_serialize_roundtrip =
-  QCheck.Test.make ~name:"stackmap serialize/deserialize roundtrip" ~count:100
-    arb_maps
-    (fun maps -> Stackmap.deserialize (Stackmap.serialize maps) = maps)
-
 (* ----- interval map vs linear scan ----- *)
 
 (* Disjoint interval sets built by accumulating positive gaps/widths. *)
@@ -272,7 +267,6 @@ let test_binary_index_follows_its_maps () =
 let suites =
   [ ( "indexes",
       [ QCheck_alcotest.to_alcotest qcheck_stackmap_index_equiv;
-        QCheck_alcotest.to_alcotest qcheck_stackmap_serialize_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_interval_map_equiv;
         Alcotest.test_case "interval map overlap handling" `Quick
           test_interval_map_overlap_detected;

@@ -37,7 +37,7 @@ let test_dsu_changes_behavior_mid_run () =
       let p = Process.load old_bin in
       ignore (Process.run p ~max_instrs:3_000);
       match Dsu.update p ~old_bin ~new_bin with
-      | Error e -> Alcotest.fail (Dsu.error_to_string e)
+      | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
       | Ok q ->
         (match Process.run_to_completion q ~fuel:10_000_000 with
          | Process.Exited_run _ ->
@@ -71,7 +71,7 @@ let test_dsu_refuses_active_function () =
   ignore (Process.run p ~max_instrs:3_000);
   match Dsu.update ~retries:0 p ~old_bin:c1.Link.cp_x86 ~new_bin:c2.Link.cp_x86 with
   | Error (Dapper_util.Dapper_error.Active_function "main") -> ()
-  | Error e -> Alcotest.fail (Dsu.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok _ -> Alcotest.fail "update of an active function must be refused"
 
 let test_dsu_refuses_layout_change () =
@@ -89,7 +89,7 @@ let test_dsu_refuses_layout_change () =
   ignore (Process.run p ~max_instrs:3_000);
   match Dsu.update p ~old_bin:c1.Link.cp_x86 ~new_bin:c2.Link.cp_x86 with
   | Error (Dapper_util.Dapper_error.Layout_incompatible _) -> ()
-  | Error e -> Alcotest.fail (Dsu.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok _ -> Alcotest.fail "incompatible layout must be refused"
 
 let test_policy_identity_and_cross_isa () =
@@ -104,12 +104,12 @@ let test_policy_identity_and_cross_isa () =
   ignore (Process.run p ~max_instrs:200_000);
   (* identity first, then cross-ISA, chained through Policy *)
   match Policy.apply p ~current:c.Link.cp_x86 Policy.Identity with
-  | Error e -> Alcotest.fail (Policy.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok st1 ->
     ignore (Process.run st1.ap_process ~max_instrs:100_000);
     (match Policy.apply st1.ap_process ~current:st1.ap_binary
              (Policy.Cross_isa c.Link.cp_arm) with
-     | Error e -> Alcotest.fail (Policy.error_to_string e)
+     | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
      | Ok st2 ->
        (match Process.run_to_completion st2.ap_process ~fuel:50_000_000 with
         | Process.Exited_run v ->
@@ -134,7 +134,7 @@ let test_policy_periodic_rerandomization () =
     Policy.rerandomize_periodically p ~current:c.Link.cp_x86 ~rng ~interval:150_000
       ~epochs:4
   with
-  | Error e -> Alcotest.fail (Policy.error_to_string e)
+  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok (final, epochs) ->
     check Alcotest.bool "several epochs ran" true (epochs >= 2);
     check Alcotest.bool "binary actually changed" true

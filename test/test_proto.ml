@@ -78,25 +78,6 @@ let hostile_delimited_lengths =
     [ ("length 2^62", "\x0a\x80\x80\x80\x80\x80\x80\x80\x80\x40");
       ("length -1", "\x0a" ^ String.make 9 '\xff' ^ "\x01") ]
 
-let test_zigzag_boundaries () =
-  (* The whole point of zigzag: small-magnitude signed values map to
-     small unsigned varints. *)
-  List.iter
-    (fun (v, z) ->
-      check Alcotest.bool (Printf.sprintf "zigzag %Ld -> %Ld" v z) true
-        (Int64.equal (Proto.zigzag v) z && Int64.equal (Proto.unzigzag z) v))
-    [ (0L, 0L); (-1L, 1L); (1L, 2L); (-2L, 3L); (2L, 4L);
-      (Int64.max_int, -2L); (Int64.min_int, -1L) ];
-  let size v =
-    let b = Bytebuf.create 16 in
-    Proto.encode_zigzag b v;
-    Bytebuf.length b
-  in
-  check Alcotest.int "-1 zigzags to 1 byte" 1 (size (-1L));
-  check Alcotest.int "-64 zigzags to 1 byte" 1 (size (-64L));
-  check Alcotest.int "-65 zigzags to 2 bytes" 2 (size (-65L));
-  check Alcotest.int "min_int zigzags to 10 bytes" 10 (size Int64.min_int)
-
 (* Int64 generator weighted toward the boundaries where the 7-bit
    groups and the sign bit interact. *)
 let gen_boundary_int64 =
@@ -123,19 +104,6 @@ let qcheck_varint_roundtrip =
       let s = Bytebuf.contents b in
       let v', n = Proto.decode_varint s 0 in
       Int64.equal v v' && n = String.length s)
-
-let qcheck_zigzag_roundtrip =
-  QCheck.Test.make ~name:"zigzag varint roundtrip at Int64 boundaries" ~count:500
-    arb_boundary_int64
-    (fun v ->
-      Int64.equal (Proto.unzigzag (Proto.zigzag v)) v
-      && begin
-        let b = Bytebuf.create 16 in
-        Proto.encode_zigzag b v;
-        let s = Bytebuf.contents b in
-        let v', n = Proto.decode_zigzag s 0 in
-        Int64.equal v v' && n = String.length s
-      end)
 
 let qcheck_field_roundtrip =
   QCheck.Test.make ~name:"proto field list roundtrip" ~count:300
@@ -167,8 +135,6 @@ let suites =
         Alcotest.test_case "repeated fields" `Quick test_repeated_fields;
         Alcotest.test_case "wrong wire type" `Quick test_wrong_wire_type;
         Alcotest.test_case "truncated message" `Quick test_truncated_message;
-        Alcotest.test_case "zigzag boundaries" `Quick test_zigzag_boundaries;
         QCheck_alcotest.to_alcotest qcheck_varint_roundtrip;
-        QCheck_alcotest.to_alcotest qcheck_zigzag_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_field_roundtrip ]
       @ hostile_delimited_lengths ) ]

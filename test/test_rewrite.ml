@@ -17,7 +17,7 @@ let reference () =
 let pause_and_dump p =
   (match Monitor.request_pause p ~budget:30_000_000 with
    | Ok _ -> ()
-   | Error e -> Alcotest.fail (Monitor.error_to_string e));
+   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
   ok (Dapper_criu.Dump.dump p)
 
 (* Property: migration is transparent at a *random* point, not just the
@@ -272,7 +272,7 @@ let qcheck_incremental_rewrite_byte_equal =
       let p = Process.load c.Link.cp_x86 in
       match Monitor.request_pause p ~budget:50_000_000 with
       | Error Dapper_util.Dapper_error.Process_exited -> true (* no point reached *)
-      | Error e -> failwith (Monitor.error_to_string e)
+      | Error e -> failwith (Dapper_util.Dapper_error.to_string e)
       | Ok _ ->
         let image = ok (Dapper_criu.Dump.dump p) in
         let memo = Plan_cache.create_memo () in
@@ -327,6 +327,52 @@ let qcheck_incremental_rewrite_byte_equal =
          || n_mutated = List.length candidates)
         && files warm = files full)
 
+(* The output memo holds only for the binary pair that filled it, and
+   its environment key reads that pair by content. npb-cg.A, paused
+   halfway on x86-64 as in fig5-pipelined, fills a memo against
+   aarch64. A destination rebuilt from fresh records of equal stack maps
+   must hit it; one whose stack maps alone differ (a reshuffled
+   aarch64's) must hit nothing and recode as a rewrite without a memo
+   does. *)
+let test_memo_env_guard () =
+  let c = Dapper_workloads.Registry.(compiled (find "npb-cg.A")) in
+  let x86 = c.Link.cp_x86 and arm = c.Link.cp_arm in
+  let total =
+    let p = Process.load x86 in
+    match Process.run_to_completion p ~fuel:50_000_000 with
+    | Process.Exited_run _ -> p.Process.total_instrs
+    | _ -> Alcotest.fail "npb-cg.A: native run failed"
+  in
+  let image =
+    let p = Process.load x86 in
+    ignore (Process.run p ~max_instrs:(Int64.to_int total / 2));
+    pause_and_dump p
+  in
+  let files i = List.sort compare (Dapper_criu.Images.to_files i) in
+  let memo = Plan_cache.create_memo () in
+  let cold, _ = ok (Rewrite.rewrite ~memo image ~src:x86 ~dst:arm) in
+  let fresh : Stackmap.func_map list =
+    Marshal.from_string (Marshal.to_string arm.bin_stackmaps [ Marshal.No_sharing ]) 0
+  in
+  let copy = Binary.with_stackmaps arm fresh in
+  check Alcotest.bool "fresh records" false (copy.bin_stackmaps == arm.bin_stackmaps);
+  let warm, wst = ok (Rewrite.rewrite ~memo image ~src:x86 ~dst:copy) in
+  check Alcotest.int "equal maps: threads hit" wst.Rewrite.st_threads
+    wst.Rewrite.st_memo_thread_hits;
+  check Alcotest.bool "equal maps: pages hit" true (wst.Rewrite.st_memo_page_hits > 0);
+  check Alcotest.bool "equal maps: same files" true (files warm = files cold);
+  let reshuffled =
+    (fst (Shuffle.shuffle_binary (Dapper_util.Rng.create 29L) arm)).bin_stackmaps
+  in
+  check Alcotest.bool "reshuffled maps differ" true (reshuffled <> arm.bin_stackmaps);
+  let other = Binary.with_stackmaps arm reshuffled in
+  let moved, mst = ok (Rewrite.rewrite ~memo image ~src:x86 ~dst:other) in
+  let plain, _ = ok (Rewrite.rewrite image ~src:x86 ~dst:other) in
+  check Alcotest.int "other maps: no thread hit" 0 mst.Rewrite.st_memo_thread_hits;
+  check Alcotest.int "other maps: no page hit" 0 mst.Rewrite.st_memo_page_hits;
+  check Alcotest.bool "other maps: files as without a memo" true
+    (files moved = files plain)
+
 (* Recoded-image pins: the four pingpong programs, paused on each ISA and
    dumped eagerly and lazily, are recoded to the other ISA. Per case one
    summary line (the dump's [Dump.stats_of] and [Images.total_bytes],
@@ -348,7 +394,7 @@ let recoded_image_lines () =
           ignore (Process.run p ~max_instrs:200_000);
           (match Monitor.request_pause p ~budget:30_000_000 with
            | Ok _ -> ()
-           | Error e -> Alcotest.fail (Monitor.error_to_string e));
+           | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
           List.concat_map
             (fun lazy_pages ->
               let image = ok (Dapper_criu.Dump.dump ~lazy_pages p) in
@@ -539,7 +585,7 @@ let test_handover_equals_reparse () =
           ignore (Process.run p ~max_instrs:200_000);
           (match Monitor.request_pause p ~budget:30_000_000 with
            | Ok _ -> ()
-           | Error e -> Alcotest.fail (Monitor.error_to_string e));
+           | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
           List.iter
             (fun lazy_pages ->
               let dumped = ok (Dapper_criu.Dump.dump ~lazy_pages p) in
@@ -574,6 +620,8 @@ let suites =
         Alcotest.test_case "stats sensible" `Quick test_rewrite_stats_sensible;
         QCheck_alcotest.to_alcotest qcheck_shuffle_any_seed;
         QCheck_alcotest.to_alcotest qcheck_incremental_rewrite_byte_equal;
+        Alcotest.test_case "memo empties when the binary pair changes" `Quick
+          test_memo_env_guard;
         Alcotest.test_case "recoded image pins" `Quick test_recoded_image_pins;
         Alcotest.test_case "handed-over image equals its re-parse" `Quick
           test_handover_equals_reparse ] ) ]

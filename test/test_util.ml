@@ -216,7 +216,6 @@ let test_error_classification () =
     | Dapper_error.Active_function _
     | Dapper_error.Transfer_timeout _
     | Dapper_error.Checksum_mismatch _
-    | Dapper_error.Node_lost _
     | Dapper_error.Deadline_exceeded _ -> true
     (* structural: retrying cannot help *)
     | Dapper_error.Not_at_equivalence_point _
@@ -231,7 +230,7 @@ let test_error_classification () =
     | Dapper_error.Commit_failed _
     | Dapper_error.Verify_failed _ -> false
   in
-  check Alcotest.int "one example per constructor" 17
+  check Alcotest.int "one example per constructor" 16
     (List.length Dapper_error.examples);
   List.iter
     (fun e ->
@@ -245,8 +244,6 @@ let test_error_stages () =
     (stage (Dapper_error.Transfer_timeout "x"));
   check Alcotest.string "checksum mismatch is a transfer error" "transfer"
     (stage (Dapper_error.Checksum_mismatch "x"));
-  check Alcotest.string "node loss strikes at restore" "restore"
-    (stage (Dapper_error.Node_lost "x"));
   check Alcotest.string "source loss strikes at commit" "commit"
     (stage (Dapper_error.Source_lost "x"));
   check Alcotest.string "commit failure" "commit"
