@@ -277,6 +277,46 @@ let test_checkpoint_restore_preserves_everything () =
        (out_before ^ Process.stdout_contents q)
    | _ -> Alcotest.fail "runs did not finish")
 
+(* CRIT pins: the MD5 of [Crit.show] for blackscholes (main and four
+   workers) paused after 200k instructions on each ISA and dumped eagerly
+   and lazily, and for the x86-64 dumps recoded to aarch64. Only the one
+   dhrystone dump in bin/crit_tool.expected and quickstart's core-0.img
+   pin this JSON otherwise; however CRIT comes by its records, these must
+   stay as they are. *)
+let crit_show_lines () =
+  let c = Dapper_workloads.Registry.(compiled (find "blackscholes")) in
+  List.concat_map
+    (fun arch ->
+      let p = Process.load (Link.binary_for c arch) in
+      ignore (Process.run p ~max_instrs:200_000);
+      (match Monitor.request_pause p ~budget:30_000_000 with
+       | Ok _ -> ()
+       | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
+      let line what image = what ^ " " ^ Digest.to_hex (Digest.string (Crit.show image)) in
+      List.concat_map
+        (fun lazy_pages ->
+          let image = ok (Dump.dump ~lazy_pages p) in
+          let what = Printf.sprintf "%s %s" (if lazy_pages then "lazy" else "eager") in
+          line (what (Dapper_isa.Arch.name arch)) image
+          ::
+          (if arch = Dapper_isa.Arch.X86_64 then
+             [ line (what "x86-64->aarch64")
+                 (fst (ok (Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm))) ]
+           else []))
+        [ false; true ])
+    Dapper_isa.Arch.all
+
+let crit_show_pins =
+  [ "eager x86-64 e5dc3d8885016380ceba4688b32a2174";
+    "eager x86-64->aarch64 1ad188ced3e8c67851a519a8cf715e8d";
+    "lazy x86-64 338b27e63b4e1f4f74e1cf1a32b25d69";
+    "lazy x86-64->aarch64 a65bdc3534870f1bb2dc0a6da9a84334";
+    "eager aarch64 1b3374a638daceb8850f6bbf41223c2a";
+    "lazy aarch64 7d937c5e98fffe89ec63e6b499b9f07b" ]
+
+let test_crit_show_pins () =
+  check Alcotest.(list string) "Crit.show" crit_show_pins (crit_show_lines ())
+
 let suites =
   [ ( "criu",
       [ Alcotest.test_case "dump requires quiescence" `Quick test_dump_requires_quiescence;
@@ -295,4 +335,5 @@ let suites =
       @ malformed_image_files
       @ [ Alcotest.test_case "restore without the flag's page" `Quick
             test_restore_without_flag_page ]
-      @ malformed_crit_files ) ]
+      @ malformed_crit_files
+      @ [ Alcotest.test_case "crit show pins" `Quick test_crit_show_pins ] ) ]
