@@ -9,7 +9,8 @@
    export's name is not a read. Comments (nested) and string literals are
    blanked first, so a name only they mention is not one either. Every
    [val] is taken as its interface's own: lib/ declares no nested
-   signature. Run it from the root of the repository. *)
+   signature. On success it also counts the exports only test/ reads.
+   Run it from the root of the repository. *)
 
 let scanned = [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "test" ]
 
@@ -205,7 +206,7 @@ let () =
   if interfaces = [] then (
     print_endline "check_exports: no lib/*/*.mli under the current directory";
     exit 1);
-  let exports = ref 0 and unread = ref 0 in
+  let exports = ref 0 and unread = ref 0 and test_only = ref 0 in
   List.iter
     (fun mli ->
       let own = Filename.chop_suffix mli ".mli" ^ ".ml" in
@@ -213,17 +214,21 @@ let () =
       List.iter
         (fun (ln, name) ->
           incr exports;
-          let read_elsewhere =
-            List.exists (fun (f, r) -> f <> own && reads r modname name) reads_in
+          let readers =
+            List.filter (fun (f, r) -> f <> own && reads r modname name) reads_in
           in
-          if not read_elsewhere then (
+          if readers = [] then (
             incr unread;
             Printf.printf "%s:%d: %s.%s is exported but no other module reads it\n" mli ln
-              modname name))
+              modname name)
+          else if List.for_all (fun (f, _) -> String.starts_with ~prefix:"test/" f) readers
+          then incr test_only)
         (vals (code_only (read mli))))
     interfaces;
   if !unread > 0 then (
     Printf.printf "check_exports: %d of %d exports unread outside their module\n" !unread
       !exports;
     exit 1);
-  Printf.printf "check_exports: %d exports, each read outside its module\n" !exports
+  Printf.printf
+    "check_exports: %d exports, each read outside its module; %d of them only by test/\n"
+    !exports !test_only
