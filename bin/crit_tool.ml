@@ -1,6 +1,6 @@
 (* crit_tool: the CRIT image tool - runs a benchmark to a live state,
-   checkpoints it, and decodes/show/rewrites the image set, mirroring
-   `crit decode|encode|x` workflows. *)
+   checkpoints it, and shows the image set (and, with --recode, the
+   rewritten one's files but its pages) as JSON, mirroring `crit show`. *)
 
 open Cmdliner
 open Dapper_isa
@@ -40,12 +40,13 @@ let show sp warm recode =
       (Arch.name Arch.Aarch64) stats.Rewrite.st_frames stats.Rewrite.st_values
       stats.Rewrite.st_ptrs_translated;
     List.iter
-      (fun (name, bytes) ->
-        if name <> "pages-1.img" then begin
-          Printf.printf "=== %s ===\n" name;
-          print_endline (Dapper_util.Json.to_string (Dapper_criu.Crit.decode_file name bytes))
-        end)
-      (Dapper_criu.Images.to_files image')
+      (fun (name, file) ->
+        match file with
+        | Dapper_criu.Images.Pages _ -> ()
+        | _ ->
+          Printf.printf "=== %s ===\n%s\n" name
+            (Dapper_util.Json.to_string (Dapper_criu.Crit.json file)))
+      (Dapper_criu.Images.files image')
   end
 
 let run bench warm recode =

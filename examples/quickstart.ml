@@ -56,7 +56,7 @@ let () =
   print_endline "core-0.img decoded by crit:";
   print_endline
     (Dapper_util.Json.to_string
-       (Dapper_criu.Crit.decode_file "core-0.img" (List.assoc "core-0.img" files)));
+       (Dapper_criu.Crit.json (List.assoc "core-0.img" (Dapper_criu.Images.files image))));
 
   (* 5. Rewrite the process state for aarch64 and restore it there. *)
   let image', stats =

@@ -13,7 +13,7 @@
       and a stack slot across ISAs;
     - translates live stack pointers to their relocated targets;
     - replaces the execution-context code pages with the destination
-      binary's and updates the executable identity in [files.img];
+      binary's and updates the image's executable identity;
     - rebases the TLS register by the per-architecture libc offset.
 
     All other pages (data, heap, TLS) transfer unchanged thanks to the

@@ -82,7 +82,7 @@ let dump_exn ?(lazy_pages = false) (p : Process.t) =
 
 let dump ?lazy_pages p = Dapper_error.protect (fun () -> dump_exn ?lazy_pages p)
 
-type stats = { pages_dumped : int; pages_lazy : int; bytes : int }
+type stats = { pages_dumped : int; pages_lazy : int }
 
 let stats_of (is : Images.image_set) =
   let dumped, lazy_ =
@@ -91,4 +91,4 @@ let stats_of (is : Images.image_set) =
         if e.pm_in_dump then (d + e.pm_npages, l) else (d, l + e.pm_npages))
       (0, 0) is.is_pagemap
   in
-  { pages_dumped = dumped; pages_lazy = lazy_; bytes = Images.total_bytes is }
+  { pages_dumped = dumped; pages_lazy = lazy_ }

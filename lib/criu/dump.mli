@@ -7,7 +7,7 @@
 
     In lazy (post-copy) mode only the task state, stack pages and the
     execution context are dumped; all other pages stay on the source
-    node and are listed in [pagemap.img] as lazy, to be served by a page
+    node and are listed in the pagemap as lazy, to be served by a page
     server after restore (paper Section III-D3). *)
 
 open Dapper_util
@@ -19,6 +19,6 @@ val dump :
   ?lazy_pages:bool -> Process.t -> (Images.image_set, Dapper_error.t) result
 
 (** Statistics used by the cost model. *)
-type stats = { pages_dumped : int; pages_lazy : int; bytes : int }
+type stats = { pages_dumped : int; pages_lazy : int }
 
 val stats_of : Images.image_set -> stats

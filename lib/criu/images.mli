@@ -11,8 +11,9 @@
                           order (not protobuf)
     - [files.img]       — the executable identity (app name, architecture)
 
-    The Dapper rewriter transforms a serialized image set into another
-    serialized image set; these codecs are the only way in and out. *)
+    Dump, the rewriter and restore work on the in-memory records below.
+    {!files} names the file set once; bytes are only written, by
+    {!to_wire}, and nothing in the program parses them back. *)
 
 open Dapper_isa
 
@@ -42,9 +43,9 @@ module Pages : Map.S with type key = int
 (** In memory, an image holds its pages in one immutable table; the
     concatenated [pages-1.img] exists only in {!to_files}. The table
     maps each page [is_pagemap] lists as dumped, and no other, to that
-    page's [Layout.page_size] bytes. [Dump.dump], [Rewrite.rewrite] and
-    [of_files] build images that keep this invariant; an image changed
-    by hand must keep it too. *)
+    page's [Layout.page_size] bytes. [Dump.dump] and [Rewrite.rewrite]
+    build images that keep this invariant; an image changed by hand
+    must keep it too. *)
 type image_set = {
   is_cores : thread_core list;
   is_mm : mm;
@@ -55,17 +56,6 @@ type image_set = {
 
 exception Image_error of string
 
-(** Per-file protobuf codecs (used by CRIT). *)
-
-val encode_core : thread_core -> string
-val decode_core : string -> thread_core
-val encode_mm : mm -> string
-val decode_mm : string -> mm
-val encode_pagemap : pagemap_entry list -> string
-val decode_pagemap : string -> pagemap_entry list
-val encode_files : files_img -> string
-val decode_files : string -> files_img
-
 (** The pagemap of ascending page numbers, each with its disposition
     ([true]: in the dump), coalesced into runs of contiguous pages with
     one disposition. Every pagemap Dump and Rewrite make comes from
@@ -75,25 +65,29 @@ val pagemap_of_pages : (int * bool) list -> pagemap_entry list
 (** Page numbers the pagemap lists as lazy, ascending. *)
 val lazy_pages : image_set -> int list
 
-(** The named files, in order, each as the list of byte strings that
-    make it up: one encoded protobuf per file, except [pages-1.img],
-    which is the table's pages in page order. No page is copied: the
-    transport sends these, and the image itself is what arrives. *)
+(** One image file's record: a thread's core, the mm, the pagemap, the
+    dumped pages' table or the executable identity. *)
+type file =
+  | Core of thread_core
+  | Mm of mm
+  | Pagemap of pagemap_entry list
+  | Pages of string Pages.t
+  | Files of files_img
+
+(** The named files, in the order they are written and sent: one core
+    per thread, then [mm.img], [pagemap.img], [pages-1.img] and
+    [files.img]. *)
+val files : image_set -> (string * file) list
+
+(** The files of {!files}, each as the list of byte strings that make
+    it up: one encoded protobuf per file, except [pages-1.img], which is
+    the table's pages in page order. No page is copied: the transport
+    sends these, and the image itself is what arrives. *)
 val to_wire : image_set -> (string * string list) list
 
-(** Serialize to the named-file representation: each file of {!to_wire}
-    concatenated. Only where bytes leave the process (CRIT, the
-    examples) is [pages-1.img] built. *)
+(** Each file of {!to_wire} concatenated. Only where bytes leave the
+    process (the examples, the tests) is [pages-1.img] built. *)
 val to_files : image_set -> (string * string) list
-
-(** Parse back from files. Raises [Image_error] on malformed input:
-    malformed protobuf, a missing file, or a pagemap and [pages-1.img]
-    that break the table's invariant: a pagemap entry that is not
-    page-aligned, holds no page, starts before the previous entry ends
-    (or below address 0) or ends past [Layout.stack_top]; or a
-    [pages-1.img] whose length is not [Layout.page_size] times the
-    number of pages listed as dumped. *)
-val of_files : (string * string) list -> image_set
 
 (** Total byte size of the files of {!to_wire} — the quantity the scp
     cost model charges. *)

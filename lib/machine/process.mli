@@ -149,7 +149,7 @@ val live_threads : t -> thread list
 val all_quiescent : t -> bool
 
 (** Classification of mapped memory, used by the checkpointer and kept
-    as each VMA's kind in the image's [mm.img]. *)
+    as each VMA's kind in the image's mm record. *)
 type vma_kind = Vma_code | Vma_data | Vma_tls | Vma_heap | Vma_stack of int
 
 val vma_kind_of_page : t -> int -> vma_kind option

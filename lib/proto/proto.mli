@@ -1,10 +1,10 @@
 (** Protocol-buffer wire format (the subset CRIU images use).
 
-    CRIU serializes most process images as protobuf messages; CRIT
-    decodes them to JSON and back (paper Section II). This module
-    implements the wire format — varints, length-delimited fields,
-    nested messages — plus a JSON bridge, so that image rewriting
-    operates on real serialized bytes rather than in-memory records. *)
+    CRIU serializes most process images as protobuf messages (paper
+    Section II). This module implements the wire format — varints,
+    length-delimited fields, nested messages. The image files are
+    written in it and never read back; the replay log is written in it
+    and decoded from disk. *)
 
 type payload =
   | Varint of int64

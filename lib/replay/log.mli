@@ -90,8 +90,8 @@ exception Log_error of string
 
 val version : int
 
-(** File name of the log's image-section entry (rides alongside
-    [core-<tid>.img], [mm.img], ... in a dump's file set). *)
+(** File name of the log's image-section entry, named like a dump's
+    image files. *)
 val file_name : string
 
 (** Number of [Eqpoint] entries. *)

@@ -208,15 +208,6 @@ let member_opt key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let member key t =
-  match member_opt key t with
-  | Some v -> v
-  | None -> raise (Parse_error (Printf.sprintf "missing member %S" key))
-
-let to_int = function
-  | Int v -> v
-  | _ -> raise (Parse_error "expected int")
-
 let to_float = function
   | Float v -> v
   | Int v -> Int64.to_float v

@@ -1,8 +1,5 @@
-(** Minimal JSON representation used by the CRIT image tool.
-
-    CRIU's CRIT utility decodes protobuf process images into human-readable
-    JSON and encodes them back; this module provides the JSON side of that
-    bridge without external dependencies. *)
+(** Minimal JSON, without external dependencies: the CRIT image tool and
+    the trace exporter print it, and the bench results gate parses it. *)
 
 type t =
   | Null
@@ -21,11 +18,10 @@ val of_string : string -> t
 
 exception Parse_error of string
 
-(** Accessors; raise [Parse_error] when the shape does not match. *)
+(** Accessors; the conversions raise [Parse_error] when the shape does
+    not match. *)
 
-val member : string -> t -> t
 val member_opt : string -> t -> t option
-val to_int : t -> int64
 val to_float : t -> float
 val to_bool : t -> bool
 val to_str : t -> string

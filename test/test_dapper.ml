@@ -211,30 +211,6 @@ let test_same_arch_checkpoint_restore () =
   check Alcotest.bool "identity migration exit" true (Int64.equal code code');
   check Alcotest.string "identity migration out" out out'
 
-let test_crit_roundtrip_real_dump () =
-  let m = compute_module () in
-  let compiled = Link.compile ~app:"compute" m in
-  let p = Process.load compiled.Link.cp_x86 in
-  ignore (Process.run p ~max_instrs:100_000);
-  (match Monitor.request_pause p ~budget:10_000_000 with
-   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
-   | Ok _ -> ());
-  let image = ok (Dapper_criu.Dump.dump p) in
-  (* files <-> image_set roundtrip *)
-  let files = Dapper_criu.Images.to_files image in
-  let back = Dapper_criu.Images.of_files files in
-  check Alcotest.bool "image files roundtrip" true (back = image);
-  (* CRIT decode -> encode roundtrip for protobuf files *)
-  List.iter
-    (fun (name, bytes) ->
-      if name <> "pages-1.img" then begin
-        let json = Dapper_criu.Crit.decode_file name bytes in
-        let bytes' = Dapper_criu.Crit.encode_file name json in
-        let json' = Dapper_criu.Crit.decode_file name bytes' in
-        check Alcotest.bool ("crit roundtrip " ^ name) true (json = json')
-      end)
-    files
-
 let test_shuffled_binary_runs () =
   let m = compute_module () in
   let compiled = Link.compile ~app:"compute" m in
@@ -313,7 +289,6 @@ let suites =
         Alcotest.test_case "no-rewrite restore fails" `Quick test_restore_without_rewrite_fails;
         Alcotest.test_case "pause/cancel/resume" `Quick test_pause_cancel_resume;
         Alcotest.test_case "same-arch checkpoint/restore" `Quick test_same_arch_checkpoint_restore;
-        Alcotest.test_case "crit roundtrip on real dump" `Quick test_crit_roundtrip_real_dump;
         Alcotest.test_case "time breakdown sane" `Quick test_migration_time_breakdown_sane ] );
     ( "dapper-shuffle",
       [ Alcotest.test_case "shuffled binary runs" `Quick test_shuffled_binary_runs;

@@ -41,16 +41,16 @@ let survives ~what ~typed decode input =
 
 let quickstart () = Option.get (Dapper_verify.Corpus.find "mini-quickstart")
 
-let image_files ?lazy_pages () =
+(* The protobuf files of a paused mini-quickstart's dump. *)
+let proto_files () =
   let c = quickstart () in
   let p = Process.load c.Link.cp_x86 in
   ignore (Process.run p ~max_instrs:2_000);
   (match Dapper.Monitor.request_pause p ~budget:1_000_000 with
    | Ok _ -> ()
    | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e));
-  Images.to_files (Dapper_util.Dapper_error.ok_exn (Dump.dump ?lazy_pages p))
-
-let proto_files () = List.filter (fun (name, _) -> name <> "pages-1.img") (image_files ())
+  Images.to_files (Dapper_util.Dapper_error.ok_exn (Dump.dump p))
+  |> List.filter (fun (name, _) -> name <> "pages-1.img")
 
 let test_proto () =
   List.iter
@@ -58,45 +58,6 @@ let test_proto () =
       survives ~what:name
         ~typed:(function Proto.Decode_error _ -> true | _ -> false)
         (fun b -> ignore (Proto.decode b))
-        bytes)
-    (proto_files ())
-
-(* A mutant [Images.of_files] accepts goes on to [Restore.restore] and
-   [Rewrite.rewrite] (x86-64 -> aarch64), which may only answer [Ok] or
-   [Error]. A lazy image's mutants are restored with a page source that
-   serves no page. *)
-let test_images ~lazy_pages () =
-  let c = quickstart () in
-  let files = image_files ~lazy_pages () in
-  let page_source = if lazy_pages then Some (fun _ -> None) else None in
-  let answers what f =
-    match f () with
-    | Ok _ | Error _ -> ()
-    | exception e -> failwith (what ^ " raised " ^ Printexc.to_string e)
-  in
-  List.iter
-    (fun (name, bytes) ->
-      survives ~what:name
-        ~typed:(fun _ -> false)
-        (fun b ->
-          match
-            Images.of_files (List.map (fun (n, v) -> if n = name then (n, b) else (n, v)) files)
-          with
-          | exception Images.Image_error _ -> ()
-          | image ->
-            answers "Restore.restore" (fun () ->
-                Restore.restore ?page_source image c.Link.cp_x86);
-            answers "Rewrite.rewrite" (fun () ->
-                Dapper.Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm))
-        bytes)
-    files
-
-let test_crit () =
-  List.iter
-    (fun (name, bytes) ->
-      survives ~what:name
-        ~typed:(function Crit.Crit_error _ -> true | _ -> false)
-        (fun b -> ignore (Crit.decode_file name b))
         bytes)
     (proto_files ())
 
@@ -113,9 +74,4 @@ let test_replay_log () =
 let suites =
   [ ( "decoders",
       [ Alcotest.test_case "Proto.decode, each image file" `Quick test_proto;
-        Alcotest.test_case "Images.of_files, each file mutated" `Quick
-          (test_images ~lazy_pages:false);
-        Alcotest.test_case "Images.of_files, each lazy file mutated" `Quick
-          (test_images ~lazy_pages:true);
-        Alcotest.test_case "Crit.decode_file, each protobuf file" `Quick test_crit;
         Alcotest.test_case "Replay.Log.decode" `Quick test_replay_log ] ) ]
