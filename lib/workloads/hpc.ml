@@ -3,10 +3,10 @@ open Cl
 
 (* ----- Linpack: LU factorization with partial pivoting + solve ----- *)
 
-let linpack ?(scale = 1) () =
+let linpack () =
   let m = create "linpack" in
   Cstd.add m;
-  let n = 40 * scale in
+  let n = 40 in
   (* matrix stored row-major at a[r*n+c]; b is the rhs *)
   func m "at" [ ("a", Dapper_ir.Ir.Ptr); ("r", Dapper_ir.Ir.I64); ("c", Dapper_ir.Ir.I64) ]
     (fun b -> ret b (add (v "a") (mul (add (mul (v "r") (i n)) (v "c")) (i 8))));
@@ -99,10 +99,10 @@ let linpack ?(scale = 1) () =
 
 (* ----- Dhrystone-like integer/string mix ----- *)
 
-let dhrystone ?(scale = 1) () =
+let dhrystone () =
   let m = create "dhrystone" in
   Cstd.add m;
-  let loops = 2500 * scale in
+  let loops = 2500 in
   let s1 = str_lit m "DHRYSTONE PROGRAM, SOME STRING\000" in
   let s2 = str_lit m "DHRYSTONE PROGRAM, S0ME STRING\000" in
   func m "strcmp8" [ ("a", Dapper_ir.Ir.Ptr); ("b2", Dapper_ir.Ir.Ptr) ] (fun b ->
@@ -146,10 +146,10 @@ let dhrystone ?(scale = 1) () =
 
 (* ----- K-means clustering (2-D points, flat arrays) ----- *)
 
-let kmeans ?(scale = 1) () =
+let kmeans () =
   let m = create "kmeans" in
   Cstd.add m;
-  let npoints = 600 * scale in
+  let npoints = 600 in
   let k = 8 in
   let iters = 12 in
   func m "dist2"

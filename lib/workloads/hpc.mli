@@ -1,7 +1,7 @@
 (** HPC and legacy benchmarks from the paper's suite: Linpack (dense LU
     solve), Dhrystone (integer/string mix), and the K-means clustering
-    application. [scale] multiplies problem sizes (1 = default). *)
+    application. *)
 
-val linpack : ?scale:int -> unit -> Dapper_ir.Ir.modul
-val dhrystone : ?scale:int -> unit -> Dapper_ir.Ir.modul
-val kmeans : ?scale:int -> unit -> Dapper_ir.Ir.modul
+val linpack : unit -> Dapper_ir.Ir.modul
+val dhrystone : unit -> Dapper_ir.Ir.modul
+val kmeans : unit -> Dapper_ir.Ir.modul

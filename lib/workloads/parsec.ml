@@ -6,19 +6,22 @@ open Dapper_ir
    reads shared parameters from globals. Partial results accumulate into
    a per-thread cell of a results array, then main reduces. *)
 
-let spawn_join b nthreads =
-  decl_arr b "tids" nthreads;
-  for_ b "t" (i 0) (i nthreads) (fun b ->
+(* Worker threads each app spawns. *)
+let threads = 4
+
+let spawn_join b =
+  decl_arr b "tids" threads;
+  for_ b "t" (i 0) (i threads) (fun b ->
       store_idx b (addr "tids") (v "t") (call "spawn" [ fnptr "worker"; v "t" ]));
-  for_ b "t" (i 0) (i nthreads) (fun b ->
+  for_ b "t" (i 0) (i threads) (fun b ->
       do_ b (call "join" [ idx (addr "tids") (v "t") ]))
 
 (* ----- blackscholes: Black-Scholes call pricing over an option array ----- *)
 
-let blackscholes ?(scale = 1) ?(threads = 4) () =
+let blackscholes () =
   let m = create "parsec-blackscholes" in
   Cstd.add m;
-  let nopts = 300 * scale in
+  let nopts = 300 in
   global m "spot" (8 * nopts);
   global m "strike" (8 * nopts);
   global m "tte" (8 * nopts);
@@ -81,7 +84,7 @@ let blackscholes ?(scale = 1) ?(threads = 4) () =
           store_idx b (addr "strike") (v "p")
             (fadd (f 50.0) (fmul (callf "frand" []) (f 50.0)));
           store_idx b (addr "tte") (v "p") (fadd (f 0.2) (callf "frand" [])));
-      spawn_join b threads;
+      spawn_join b;
       declf b "total" (f 0.0);
       for_ b "t" (i 0) (i threads) (fun b ->
           set b "total" (fadd (v "total") (idx (addr "results") (v "t"))));
@@ -93,10 +96,10 @@ let blackscholes ?(scale = 1) ?(threads = 4) () =
 
 (* ----- swaptions: Monte-Carlo GBM payoff pricing ----- *)
 
-let swaptions ?(scale = 1) ?(threads = 4) () =
+let swaptions () =
   let m = create "parsec-swaptions" in
   Cstd.add m;
-  let paths_per_thread = 150 * scale in
+  let paths_per_thread = 150 in
   let steps = 16 in
   tls_var m "rng" 8;
   global m "results" (8 * threads);
@@ -127,7 +130,7 @@ let swaptions ?(scale = 1) ?(threads = 4) () =
         (fdiv (v "acc") (i2f (i paths_per_thread)));
       ret b (i 0));
   func m "main" [] (fun b ->
-      spawn_join b threads;
+      spawn_join b;
       declf b "total" (f 0.0);
       for_ b "t" (i 0) (i threads) (fun b ->
           set b "total" (fadd (v "total") (idx (addr "results") (v "t"))));
@@ -139,10 +142,10 @@ let swaptions ?(scale = 1) ?(threads = 4) () =
 
 (* ----- streamcluster: online assignment to k centers ----- *)
 
-let streamcluster ?(scale = 1) ?(threads = 4) () =
+let streamcluster () =
   let m = create "parsec-streamcluster" in
   Cstd.add m;
-  let npoints = 500 * scale in
+  let npoints = 500 in
   let k = 8 in
   global m "px" (8 * npoints);
   global m "py" (8 * npoints);
@@ -197,7 +200,7 @@ let streamcluster ?(scale = 1) ?(threads = 4) () =
           store_idx b (addr "cx") (v "c") (i2f (v "c"));
           store_idx b (addr "cy") (v "c") (i2f (v "c"));
           store_idx b (addr "cn") (v "c") (i 1));
-      spawn_join b threads;
+      spawn_join b;
       Cstd.print b m "SC processed=";
       do_ b (call "print_int" [ v "cost_acc" ]);
       do_ b (call "print_nl" []);

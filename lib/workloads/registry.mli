@@ -6,8 +6,6 @@ open Dapper_codegen
 type spec = {
   sp_name : string;
   sp_modul : Dapper_ir.Ir.modul Lazy.t;
-  sp_threads : int;    (** worker threads the app spawns (0 = serial) *)
-  sp_kind : [ `Npb | `Parsec | `Server | `Hpc ];
 }
 
 (** All benchmarks at their default (class-A-like) sizes. *)

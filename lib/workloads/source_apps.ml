@@ -52,5 +52,4 @@ let nbody_src steps = Printf.sprintf {|
   }
 |} steps
 
-let nbody ?(scale = 1) () =
-  Dapper_clite.Parse.compile ~name:"nbody" (nbody_src (60 * scale))
+let nbody () = Dapper_clite.Parse.compile ~name:"nbody" (nbody_src 60)

@@ -2,4 +2,4 @@
     textual front-end ({!Dapper_clite.Parse}), exercising the full
     source-to-migration pipeline. *)
 
-val nbody : ?scale:int -> unit -> Dapper_ir.Ir.modul
+val nbody : unit -> Dapper_ir.Ir.modul
