@@ -7,7 +7,6 @@ type compiled = {
   cp_app : string;
   cp_x86 : Binary.t;
   cp_arm : Binary.t;
-  cp_ir : Ir.modul;
 }
 
 exception Link_error of string
@@ -221,7 +220,7 @@ let compile ?(opts = Opts.default) ~app (m : Ir.modul) =
       ~tls_init:(String.make tls_size '\000') ~anchors
   in
   { cp_app = app; cp_x86 = build Arch.X86_64 x86_funcs;
-    cp_arm = build Arch.Aarch64 arm_funcs; cp_ir = m }
+    cp_arm = build Arch.Aarch64 arm_funcs }
 
 let binary_for c = function
   | Arch.X86_64 -> c.cp_x86

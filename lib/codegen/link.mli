@@ -15,7 +15,6 @@ type compiled = {
   cp_app : string;
   cp_x86 : Binary.t;
   cp_arm : Binary.t;
-  cp_ir : Ir.modul;
 }
 
 exception Link_error of string

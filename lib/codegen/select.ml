@@ -18,7 +18,6 @@ type ep_marker = {
 }
 
 type sel_func = {
-  sf_name : string;
   sf_items : item array;
   sf_block_starts : int array;
   sf_eps : ep_marker list;
@@ -342,7 +341,7 @@ let select opts arch ~tls (f : Ir.func) =
         emit st ~fix:(Fix_block a) (Minstr.Jnz (s0 st, addr_placeholder));
         emit st ~fix:(Fix_block b') (Minstr.Jmp addr_placeholder))
     f.fblocks;
-  { sf_name = f.fname; sf_items = Array.of_list (List.rev st.items);
+  { sf_items = Array.of_list (List.rev st.items);
     sf_block_starts = st.block_starts; sf_eps = List.rev st.eps; sf_frame = frame }
 
 let code_size arch sf =

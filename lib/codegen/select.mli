@@ -26,7 +26,6 @@ type ep_marker = {
 }
 
 type sel_func = {
-  sf_name : string;
   sf_items : item array;
   sf_block_starts : int array;
   sf_eps : ep_marker list;

@@ -209,17 +209,9 @@ let staged stage f (s : _ t) =
 
 (* ----- iterative pre-copy ----- *)
 
-type precopy_round = {
-  pr_round : int;
-  pr_pages : int;
-  pr_bytes : int;
-  pr_ms : float;
-}
-
 type precopy_stats = {
-  pcs_rounds : precopy_round list;
+  pcs_rounds : int list;
   pcs_pages_sent : int;
-  pcs_bytes_sent : int;
   pcs_ms : float;
   pcs_resident : int list;
   pcs_residual : int list;
@@ -255,24 +247,22 @@ let precopy cfg p ~advance ~max_rounds ~downtime_budget_ms =
     invalid_arg "Session.precopy: downtime_budget_ms < 0";
   let mem = p.Process.mem in
   let transport = cfg.cfg_transport in
-  let wire pages =
-    let bytes = scaled cfg (pages * Layout.page_size) in
-    (bytes, Transport.transfer_ns transport bytes /. 1e6)
+  let wire_ms pages =
+    Transport.transfer_ns transport (scaled cfg (pages * Layout.page_size)) /. 1e6
   in
   let sent = Hashtbl.create 256 in
   let rounds = ref [] in
-  let pages_sent = ref 0 and bytes_sent = ref 0 and total_ms = ref 0.0 in
+  let pages_sent = ref 0 and total_ms = ref 0.0 in
   Memory.track_dirty mem true;
   let residual =
     Fun.protect ~finally:(fun () -> Memory.track_dirty mem false) @@ fun () ->
     let rec go r to_send =
       let n = List.length to_send in
-      let bytes, ms = wire n in
+      let ms = wire_ms n in
       List.iter (fun pn -> Hashtbl.replace sent pn ()) to_send;
       pages_sent := !pages_sent + n;
-      bytes_sent := !bytes_sent + bytes;
       total_ms := !total_ms +. ms;
-      rounds := { pr_round = r; pr_pages = n; pr_bytes = bytes; pr_ms = ms } :: !rounds;
+      rounds := n :: !rounds;
       Metrics.inc m_precopy_rounds;
       Metrics.inc m_precopy_pages ~by:n;
       Trace.leaf ~cat:"session" "precopy-round" ~dur_ns:(ms *. 1e6)
@@ -280,7 +270,7 @@ let precopy cfg p ~advance ~max_rounds ~downtime_budget_ms =
       Memory.clear_dirty mem;
       advance ms;
       let dirty = List.filter (precopy_candidate p) (Memory.dirty_pages mem) in
-      let _, dirty_ms = wire (List.length dirty) in
+      let dirty_ms = wire_ms (List.length dirty) in
       if
         dirty = [] || dirty_ms <= downtime_budget_ms || r >= max_rounds
         || List.length dirty >= n
@@ -299,7 +289,6 @@ let precopy cfg p ~advance ~max_rounds ~downtime_budget_ms =
   in
   { pcs_rounds = List.rev !rounds;
     pcs_pages_sent = !pages_sent;
-    pcs_bytes_sent = !bytes_sent;
     pcs_ms = !total_ms;
     pcs_resident = resident;
     pcs_residual = residual }

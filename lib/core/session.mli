@@ -122,19 +122,9 @@ val recode_ns : Node.t -> ?workers:int -> bytes:int -> Rewrite.stats -> float
     The anti-blackout prologue: stream memory while the source still
     serves, so the stop-and-copy window only carries what changed. *)
 
-(** One pre-copy round: the pages it shipped, their scaled wire bytes,
-    and the wire time the source kept serving through. *)
-type precopy_round = {
-  pr_round : int;   (** 1-based *)
-  pr_pages : int;
-  pr_bytes : int;
-  pr_ms : float;
-}
-
 type precopy_stats = {
-  pcs_rounds : precopy_round list;  (** in execution order *)
+  pcs_rounds : int list;  (** the pages each round shipped, in execution order *)
   pcs_pages_sent : int;   (** multiset total across rounds (re-sends count) *)
-  pcs_bytes_sent : int;   (** scaled wire bytes across rounds *)
   pcs_ms : float;         (** total round time (not downtime — source live) *)
   pcs_resident : int list;
   (** pages clean at the destination, sorted — feed to

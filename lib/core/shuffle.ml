@@ -7,16 +7,13 @@ exception Shuffle_error of string
 let fail fmt = Printf.ksprintf (fun s -> raise (Shuffle_error s)) fmt
 
 type func_entropy = {
-  fe_name : string;
   fe_slots : int;
-  fe_shuffled : int;
   fe_pinned : int;
   fe_bits : float;
 }
 
 type stats = {
   sh_funcs : func_entropy list;
-  sh_code_bytes_patched : int;
   sh_instrs_rewritten : int;
 }
 
@@ -78,7 +75,6 @@ let shuffle_binary rng (binary : Binary.t) =
     | None -> fail "no text section"
   in
   let code = Bytes.of_string text.sec_data in
-  let patched_bytes = ref 0 in
   let instrs_rewritten = ref 0 in
   let fentropies = ref [] in
   let new_maps =
@@ -88,8 +84,7 @@ let shuffle_binary rng (binary : Binary.t) =
         if slots = [] || fm.fm_eqpoints = [] then begin
           if fm.fm_eqpoints <> [] then
             fentropies :=
-              { fe_name = fm.fm_name; fe_slots = 0; fe_shuffled = 0; fe_pinned = 0;
-                fe_bits = 0.0 }
+              { fe_slots = 0; fe_pinned = 0; fe_bits = 0.0 }
               :: !fentropies;
           fm
         end
@@ -212,8 +207,7 @@ let shuffle_binary rng (binary : Binary.t) =
                 let bytes = Bytebuf.contents buf in
                 if String.length bytes <> Encoding.size arch ins then
                   fail "%s: patched instruction changed size" fm.fm_name;
-                Bytes.blit_string bytes 0 out ioff (String.length bytes);
-                patched_bytes := !patched_bytes + String.length bytes)
+                Bytes.blit_string bytes 0 out ioff (String.length bytes))
             instrs;
           Bytes.blit out 0 code fstart fm.fm_code_size;
           (* Update stack maps: any frame location inside a shuffled
@@ -229,8 +223,7 @@ let shuffle_binary rng (binary : Binary.t) =
               fm.fm_eqpoints
           in
           fentropies :=
-            { fe_name = fm.fm_name; fe_slots = List.length slots;
-              fe_shuffled = candidates; fe_pinned = Hashtbl.length pinned;
+            { fe_slots = List.length slots; fe_pinned = Hashtbl.length pinned;
               fe_bits = float_of_int candidates /. 2.0 }
             :: !fentropies;
           { fm with fm_eqpoints = eqpoints }
@@ -241,5 +234,4 @@ let shuffle_binary rng (binary : Binary.t) =
     Binary.with_stackmaps (Binary.with_text binary (Bytes.to_string code)) new_maps
   in
   ( binary',
-    { sh_funcs = List.rev !fentropies; sh_code_bytes_patched = !patched_bytes;
-      sh_instrs_rewritten = !instrs_rewritten } )
+    { sh_funcs = List.rev !fentropies; sh_instrs_rewritten = !instrs_rewritten } )

@@ -22,16 +22,13 @@ open Dapper_binary
 exception Shuffle_error of string
 
 type func_entropy = {
-  fe_name : string;
   fe_slots : int;          (** named allocations in the frame *)
-  fe_shuffled : int;       (** allocations that actually moved classes *)
   fe_pinned : int;         (** excluded due to pair instructions *)
-  fe_bits : float;         (** bits of entropy: pairwise shuffles = shuffled/2 *)
+  fe_bits : float;         (** bits of entropy: pairwise shuffles = shuffled allocations / 2 *)
 }
 
 type stats = {
   sh_funcs : func_entropy list;
-  sh_code_bytes_patched : int;
   sh_instrs_rewritten : int;
 }
 

@@ -109,7 +109,6 @@ type event = { ev_ms : float; ev_kind : string; ev_detail : string }
 
 type run = {
   r_seed : int64;
-  r_scenario : scenario;
   r_verdict : verdict;
   r_attempts : int;
   r_postpones : int;
@@ -388,7 +387,6 @@ let run c (scfg : Session.config) ~fresh ~seed =
   let fp = Bytebuf.fnv64_mix fp (Int64.of_int !attempts) in
   let fp = Bytebuf.fnv64_mix fp (Int64.of_int (rung_rank !deepest)) in
   { r_seed = seed;
-    r_scenario = sc;
     r_verdict = verdict;
     r_attempts = !attempts;
     r_postpones = !postpones;
@@ -421,9 +419,6 @@ type summary = {
   y_sheds : int;
   y_trips : int;
   y_cancels : int;
-  y_blackout_ms : float;
-  y_requests : int;
-  y_ok : int;
   y_availability : float;
   y_all : Sketch.t;
   y_during : Sketch.t;
@@ -434,7 +429,7 @@ let summarize ~control runs =
   let during = ref (Sketch.create ()) in
   let c = ref 0 and d = ref 0 and rb = ref 0 and pp = ref 0 in
   let at = ref 0 and sh = ref 0 and tr = ref 0 and ca = ref 0 in
-  let bl = ref 0.0 and rq = ref 0 and ok = ref 0 in
+  let rq = ref 0 and ok = ref 0 in
   List.iter
     (fun r ->
       (match r.r_verdict with
@@ -446,7 +441,6 @@ let summarize ~control runs =
       sh := !sh + r.r_sheds;
       tr := !tr + r.r_trips;
       ca := !ca + r.r_cancels;
-      bl := !bl +. r.r_blackout_ms;
       rq := !rq + r.r_requests;
       ok := !ok + r.r_ok;
       all := Sketch.merge !all r.r_all;
@@ -462,9 +456,6 @@ let summarize ~control runs =
     y_sheds = !sh;
     y_trips = !tr;
     y_cancels = !ca;
-    y_blackout_ms = !bl;
-    y_requests = !rq;
-    y_ok = !ok;
     y_availability =
       (if !rq = 0 then 1.0 else float_of_int !ok /. float_of_int !rq);
     y_all = !all;

@@ -51,15 +51,6 @@ val default_cfg : cfg
 (** Hard bound on migration attempts per run: 16. *)
 val max_attempts : int
 
-type scenario = {
-  sc_bad_rack : int;
-  sc_all_racks_bad : bool;
-  sc_degrade : float;
-  sc_fault_prob : float;
-  sc_bad_from_ms : float;
-  sc_bad_until_ms : float;
-}
-
 (** How far a run fell back from a free choice of mechanism: [Full],
     the budget picker chose; [Hybrid_only], a deadline cancel pinned
     hybrid pre+post-copy, the minimum-blackout mechanism; [Postponed],
@@ -86,7 +77,6 @@ type event = { ev_ms : float; ev_kind : string; ev_detail : string }
 
 type run = {
   r_seed : int64;
-  r_scenario : scenario;
   r_verdict : verdict;
   r_attempts : int;
   r_postpones : int;
@@ -127,9 +117,6 @@ type summary = {
   y_sheds : int;
   y_trips : int;
   y_cancels : int;
-  y_blackout_ms : float;
-  y_requests : int;
-  y_ok : int;
   y_availability : float;
   y_all : Dapper_traffic.Sketch.t;
   y_during : Dapper_traffic.Sketch.t;

@@ -249,9 +249,7 @@ type chunk = {
 
 type pipe_stats = {
   pp_chunks : int;
-  pp_recode_ns : float;
   pp_wire_ns : float;
-  pp_stall_ns : float;
   pp_makespan_ns : float;
   pp_exposed_ns : float;
   pp_hidden_ns : float;
@@ -298,9 +296,7 @@ let pipeline_schedule t ~bytes ~chunk_bytes ~recode_ns =
   let makespan = !wire_free in
   let exposed = makespan -. recode_ns in
   { pp_chunks = n;
-    pp_recode_ns = recode_ns;
     pp_wire_ns = !wire_busy;
-    pp_stall_ns = makespan -. !wire_busy;
     pp_makespan_ns = makespan;
     pp_exposed_ns = exposed;
     pp_hidden_ns = recode_ns +. !wire_busy -. makespan;

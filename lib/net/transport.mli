@@ -154,9 +154,7 @@ type chunk = {
 
 type pipe_stats = {
   pp_chunks : int;
-  pp_recode_ns : float;    (** producer (recode) total, as given *)
   pp_wire_ns : float;      (** wire busy time: sum of per-chunk costs *)
-  pp_stall_ns : float;     (** wire idle time waiting on the producer *)
   pp_makespan_ns : float;  (** recode start to last chunk delivered *)
   pp_exposed_ns : float;   (** [makespan - recode]: transfer cost left
                                visible once recode hides under the wire *)

@@ -9,11 +9,7 @@
 
 open Dapper_binary
 
-type counts = {
-  g_ret : int;        (** sequences ending in ret *)
-  g_indirect : int;   (** sequences ending in an indirect call *)
-  g_total : int;
-}
+type counts = { g_total : int  (** sequences ending in ret or an indirect call *) }
 
 (** [scan binary] counts unique start offsets of gadgets of at most 5
     instructions. *)

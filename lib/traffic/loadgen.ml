@@ -35,7 +35,6 @@ type stats = {
   ls_faulted : int;
   ls_precopy_ms : float;
   ls_blackout_ms : float;
-  ls_lazy_left : int;
   ls_precopy : Session.precopy_stats option;
   ls_all : Sketch.t;
   ls_during : Sketch.t;
@@ -231,7 +230,6 @@ let run c scfg p mech =
       ls_faulted = faulted;
       ls_precopy_ms = precopy_ms;
       ls_blackout_ms = blackout_ms;
-      ls_lazy_left = lazy_left;
       ls_precopy = pre;
       ls_all = all;
       ls_during = during;

@@ -70,7 +70,6 @@ type stats = {
   ls_faulted : int;       (** of those, post-copy page faults *)
   ls_precopy_ms : float;  (** pre-copy round time (source kept serving) *)
   ls_blackout_ms : float; (** pause → resume service gap *)
-  ls_lazy_left : int;     (** post-copy pages owed at resume *)
   ls_precopy : Session.precopy_stats option;
   ls_all : Sketch.t;      (** every request latency *)
   ls_during : Sketch.t;   (** latencies of the stalled requests *)

@@ -265,7 +265,7 @@ let test_kept_metrics_match_records () =
       if n > 1 then multi_round := true;
       rounds := !rounds + n;
       pages :=
-        List.fold_left (fun acc r -> acc + r.Session.pr_pages) !pages st.Session.pcs_rounds)
+        List.fold_left ( + ) !pages st.Session.pcs_rounds)
     [ Registry_helpers.compute (); Registry_helpers.other_app () ];
   check Alcotest.bool "some pre-copy took several rounds" true !multi_round;
   check Alcotest.int "session.precopy.rounds delta = rounds run" !rounds

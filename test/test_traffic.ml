@@ -231,9 +231,7 @@ let qcheck_precopy_convergence =
         (rounds >= 1 && rounds <= 5);
       (* every round's page count is accounted in the multiset total *)
       check Alcotest.int "pages_sent is the sum over rounds"
-        (List.fold_left
-           (fun a r -> a + r.Session.pr_pages)
-           0 st.Session.pcs_rounds)
+        (List.fold_left ( + ) 0 st.Session.pcs_rounds)
         st.Session.pcs_pages_sent;
       (match mode with
        | `Every_round ->
