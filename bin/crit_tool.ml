@@ -1,6 +1,7 @@
 (* crit_tool: the CRIT image tool - runs a benchmark to a live state,
-   checkpoints it, and shows the image set (and, with --recode, the
-   rewritten one's files but its pages) as JSON, mirroring `crit show`. *)
+   checkpoints it, and shows the image set as JSON (with --recode, also
+   every file of the rewritten set except its pages), mirroring
+   `crit show`. *)
 
 open Cmdliner
 open Dapper_isa
@@ -60,7 +61,7 @@ let run bench warm recode =
 
 let cmd =
   Cmd.v
-    (Cmd.info "crit" ~doc:"Checkpoint a benchmark and decode its CRIU images")
+    (Cmd.info "crit" ~doc:"Checkpoint a benchmark and show its CRIU images as JSON")
     Term.(const run $ bench_arg $ warm_arg $ recode_flag)
 
 let () = exit (Cmd.eval' cmd)

@@ -24,7 +24,7 @@ exception Shuffle_error of string
 type func_entropy = {
   fe_slots : int;          (** named allocations in the frame *)
   fe_pinned : int;         (** excluded due to pair instructions *)
-  fe_bits : float;         (** bits of entropy: pairwise shuffles = shuffled allocations / 2 *)
+  fe_bits : float;         (** bits of entropy: pairwise shuffles = shuffled/2 *)
 }
 
 type stats = {

@@ -85,8 +85,9 @@ val files : image_set -> (string * file) list
     sends these, and the image itself is what arrives. *)
 val to_wire : image_set -> (string * string list) list
 
-(** Each file of {!to_wire} concatenated. Only where bytes leave the
-    process (the examples, the tests) is [pages-1.img] built. *)
+(** Each file of {!to_wire} concatenated, for comparing or printing
+    whole files (the fast-path oracle, the examples, the tests); the
+    transfer never builds [pages-1.img]. *)
 val to_files : image_set -> (string * string) list
 
 (** Total byte size of the files of {!to_wire} — the quantity the scp
