@@ -3,7 +3,7 @@
    malformed benchmark entry, or lacks one of the must-have benchmark
    names — so a silently shrinking micro suite can't pass the bench job. *)
 
-module J = Dapper_util.Json
+module J = Json_read
 
 let required_names =
   [ "dapper/fig5-criu-dump"; "dapper/fig5-rewrite-x86-to-arm";
@@ -49,7 +49,7 @@ let () =
           | None -> die "%s: benchmark entry missing \"name\"" file
         in
         (match J.member_opt "ns_per_run" e with
-         | Some J.Null -> ()
+         | Some Dapper_util.Json.Null -> ()
          | Some v ->
            (try ignore (J.to_float v)
             with _ -> die "%s: %s: \"ns_per_run\" is not a number" file name)

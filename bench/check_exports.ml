@@ -1,16 +1,23 @@
 (* check_exports: lint gate over lib/'s interfaces. Fails (exit 1) when a
    [val] that a lib/*/*.mli exports is read by no .ml file in lib/, bin/,
    bench/, examples/, perfbench/ or test/ other than its own module's, so
-   an export nothing reads cannot creep back in. A file reads [val x] of
-   module [M] where its code writes [M.x], or [A.x] for an alias
-   [module A = ... M]; or, anywhere it names [x], when it opens [M] (or
-   such an alias) with [open], [open!], [let open], [include] or a local
-   open [M.( ... )]. A local binding or a record field that shares an
+   an export nothing reads cannot creep back in; and when one is read
+   outside its module only by files under test/, unless
+   [Exports_allowed.entries] names it with a reason. An entry there that
+   no interface exports, or that a program now reads, fails too, so the
+   list cannot go stale.
+
+   A file reads [val x] of module [M] where its code writes [P.x] for a
+   path [P] that names [M]: [M] itself, [L.M] for [M]'s library module
+   [L] (lib/verify's [Gen] is [Dapper_verify.Gen]), or such a path whose
+   head is an alias [module A = ...] of one of them; or, anywhere it
+   names [x], when it opens such a path with [open], [open!], [let open],
+   [include] or a local open [P.( ... )]. So [QCheck.Gen.x] is no read of
+   lib/verify's [Gen]. A local binding or a record field that shares an
    export's name is not a read. Comments (nested) and string literals are
    blanked first, so a name only they mention is not one either. Every
    [val] is taken as its interface's own: lib/ declares no nested
-   signature. On success it also counts the exports only test/ reads.
-   Run it from the root of the repository. *)
+   signature. Run it from the root of the tree it checks. *)
 
 let scanned = [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "test" ]
 
@@ -128,12 +135,13 @@ let words s = Array.to_list (Array.map snd (tokens s))
 
 let is_module w = match w.[0] with 'A' .. 'Z' -> true | _ -> false
 
-(* What one file's code reads: every [Q.x] it writes, its module
-   aliases, the modules it opens, and every name in it. *)
+(* What one file's code reads: every [P.x] it writes, with [P] the
+   whole module path; its module aliases; the paths it opens; and every
+   name in it. *)
 type reads = {
-  qualified : (string * string, unit) Hashtbl.t;
-  aliases : (string, string) Hashtbl.t;  (* alias -> the module it names *)
-  opened : (string, unit) Hashtbl.t;
+  qualified : (string list * string, unit) Hashtbl.t;
+  aliases : (string, string list) Hashtbl.t;  (* alias -> the path it names *)
+  opened : (string list, unit) Hashtbl.t;
   names : (string, unit) Hashtbl.t;
 }
 
@@ -153,36 +161,50 @@ let reads_of code =
   let dotted k =
     k + 1 < count && stop k < n && code.[stop k] = '.' && fst toks.(k + 1) = stop k + 1
   in
-  (* the last module of the path that starts at token [k] *)
-  let rec path_end k =
-    if dotted k && is_module (snd toks.(k + 1)) then path_end (k + 1) else snd toks.(k)
+  (* the module path that starts at token [k], and its last token *)
+  let rec path k =
+    if dotted k && is_module (snd toks.(k + 1)) then
+      let rest, last = path (k + 1) in
+      (snd toks.(k) :: rest, last)
+    else ([ snd toks.(k) ], k)
   in
   Array.iteri
     (fun k (_, w) ->
       Hashtbl.replace r.names w ();
       let next = if k + 1 < count then snd toks.(k + 1) else "" in
-      if is_module w then (
-        if dotted k then Hashtbl.replace r.qualified (w, next) ();
-        let i = skip_blank (stop k) in
-        if i + 1 < n && code.[i] = '.' && String.contains "([{" code.[i + 1] then
-          Hashtbl.replace r.opened w ())
+      if is_module w && not (k > 0 && dotted (k - 1)) then (
+        let p, last = path k in
+        if dotted last then Hashtbl.replace r.qualified (p, snd toks.(last + 1)) ()
+        else
+          let i = skip_blank (stop last) in
+          if i + 1 < n && code.[i] = '.' && String.contains "([{" code.[i + 1] then
+            Hashtbl.replace r.opened p ())
       else if (w = "open" || w = "include") && next <> "" && is_module next then
-        Hashtbl.replace r.opened (path_end (k + 1)) ()
+        Hashtbl.replace r.opened (fst (path (k + 1))) ()
       else if w = "module" && next <> "" && is_module next && k + 2 < count then (
         let i = skip_blank (stop (k + 1)) in
         if i < n && code.[i] = '=' && is_module (snd toks.(k + 2)) then
-          Hashtbl.replace r.aliases next (path_end (k + 2))))
+          Hashtbl.replace r.aliases next (fst (path (k + 2)))))
     toks;
   r
 
-(* [r] reads [x] of module [m]: as [m.x] or [a.x] for an alias [a] of
-   [m], or as [x] where it opens either. *)
-let reads r m x =
-  let names_m =
-    m :: Hashtbl.fold (fun a target acc -> if target = m then a :: acc else acc) r.aliases []
+(* Path [p] names module [m] of library module [lib] in [r]'s file: once
+   its head is expanded through the file's aliases, it is [m] or
+   [lib.m]. *)
+let names_module r ~lib m p =
+  let rec expand depth = function
+    | h :: rest when depth < 8 && Hashtbl.mem r.aliases h ->
+      expand (depth + 1) (Hashtbl.find r.aliases h @ rest)
+    | p -> p
   in
-  List.exists (fun q -> Hashtbl.mem r.qualified (q, x)) names_m
-  || (Hashtbl.mem r.names x && List.exists (Hashtbl.mem r.opened) names_m)
+  match expand 0 p with [ x ] -> x = m | [ l; x ] -> l = lib && x = m | _ -> false
+
+(* [r] reads [x] of module [m] (of library module [lib]): as [P.x] for a
+   path [P] that names [m], or as [x] where it opens such a path. *)
+let reads r ~lib m x =
+  Hashtbl.fold (fun (p, y) () acc -> acc || (y = x && names_module r ~lib m p)) r.qualified false
+  || Hashtbl.mem r.names x
+     && Hashtbl.fold (fun p () acc -> acc || names_module r ~lib m p) r.opened false
 
 (* [(line, name)] for each [val name] in an interface's text. *)
 let vals text =
@@ -190,6 +212,20 @@ let vals text =
   |> List.mapi (fun i line -> (i + 1, words line))
   |> List.filter_map (fun (ln, ws) ->
          match ws with "val" :: name :: _ -> Some (ln, name) | _ -> None)
+
+(* The library module of the library that lib/[dir]'s dune file names:
+   [(name dapper_verify)] is [Dapper_verify]. *)
+let library_module dir =
+  let dune = Filename.concat dir "dune" in
+  let ws = if Sys.file_exists dune then words (code_only (read dune)) else [] in
+  let rec find = function
+    | "name" :: name :: _ -> String.capitalize_ascii name
+    | _ :: rest -> find rest
+    | [] -> ""
+  in
+  find ws
+
+let is_test f = String.starts_with ~prefix:"test/" f
 
 let () =
   let all = List.concat_map files scanned in
@@ -206,29 +242,56 @@ let () =
   if interfaces = [] then (
     print_endline "check_exports: no lib/*/*.mli under the current directory";
     exit 1);
-  let exports = ref 0 and unread = ref 0 and test_only = ref 0 in
+  let allowed = Exports_allowed.entries in
+  let seen = Hashtbl.create 16 in
+  let exports = ref 0 and unread = ref 0 and unlisted = ref 0 and stale = ref 0 in
   List.iter
     (fun mli ->
       let own = Filename.chop_suffix mli ".mli" ^ ".ml" in
-      let modname = String.capitalize_ascii (Filename.basename (Filename.chop_suffix mli ".mli")) in
+      let modname =
+        String.capitalize_ascii (Filename.basename (Filename.chop_suffix mli ".mli"))
+      in
+      let lib = library_module (Filename.dirname mli) in
       List.iter
         (fun (ln, name) ->
           incr exports;
+          let qualified = modname ^ "." ^ name in
+          let listed = List.mem_assoc qualified allowed in
+          if listed then Hashtbl.replace seen qualified ();
           let readers =
-            List.filter (fun (f, r) -> f <> own && reads r modname name) reads_in
+            List.filter (fun (f, r) -> f <> own && reads r ~lib modname name) reads_in
           in
           if readers = [] then (
             incr unread;
-            Printf.printf "%s:%d: %s.%s is exported but no other module reads it\n" mli ln
-              modname name)
-          else if List.for_all (fun (f, _) -> String.starts_with ~prefix:"test/" f) readers
-          then incr test_only)
+            Printf.printf "%s:%d: %s is exported but no other module reads it\n" mli ln
+              qualified)
+          else if List.for_all (fun (f, _) -> is_test f) readers then (
+            if not listed then (
+              incr unlisted;
+              Printf.printf
+                "%s:%d: %s is read outside its module only by test/ (%s), and \
+                 Exports_allowed does not list it\n"
+                mli ln qualified
+                (String.concat ", " (List.map fst readers))))
+          else if listed then (
+            incr stale;
+            Printf.printf "%s:%d: %s is listed in Exports_allowed, but %s reads it\n" mli ln
+              qualified
+              (fst (List.find (fun (f, _) -> not (is_test f)) readers))))
         (vals (code_only (read mli))))
     interfaces;
-  if !unread > 0 then (
-    Printf.printf "check_exports: %d of %d exports unread outside their module\n" !unread
-      !exports;
+  List.iter
+    (fun (qualified, _) ->
+      if not (Hashtbl.mem seen qualified) then (
+        incr stale;
+        Printf.printf "Exports_allowed lists %s, but no lib/*/*.mli exports it\n" qualified))
+    allowed;
+  if !unread + !unlisted + !stale > 0 then (
+    Printf.printf
+      "check_exports: %d of %d exports unread outside their module, %d read only by \
+       test/ and not listed, %d stale list entries\n"
+      !unread !exports !unlisted !stale;
     exit 1);
   Printf.printf
     "check_exports: %d exports, each read outside its module; %d of them only by test/\n"
-    !exports !test_only
+    !exports (List.length allowed)

@@ -60,7 +60,7 @@ let tests () =
       (Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm)
   in
   let arm_files = Dapper_criu.Images.to_wire image_arm in
-  let arm_bytes = Dapper_criu.Images.total_bytes image_arm in
+  let arm_bytes = Dapper_criu.Images.wire_bytes arm_files in
   let twin =
     Dapper_util.Dapper_error.ok_exn (Dapper_criu.Restore.restore image_arm c.Link.cp_arm)
   in
@@ -162,7 +162,7 @@ let tests () =
          and drain them — the per-event log-time cost every simulator
          loop above pays. *)
       Test.make ~name:"event-heap-churn" (Staged.stage (fun () ->
-          let h = Dapper_util.Event_heap.create ~capacity:4096 () in
+          let h = Dapper_util.Event_heap.create () in
           let state = ref 0x2545F4914F6C in
           for i = 0 to 4095 do
             state := ((!state * 25214903917) + 11) land 0xFFFF_FFFF_FFFF;

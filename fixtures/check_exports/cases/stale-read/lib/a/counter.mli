@@ -1,0 +1,2 @@
+val incr : int -> int
+val reference : int -> int

@@ -101,7 +101,7 @@ let run config kinds =
   (* Free-slot pools: the heap doubles as a lowest-id-first pool with
      time pinned to 0. Dead slots are skipped lazily on peek/pop. *)
   let pool_of slots =
-    let p = Event_heap.create ~capacity:(Array.length slots) () in
+    let p = Event_heap.create () in
     Array.iter (fun s -> Event_heap.push p ~key:s.s_id ~time:0.0 s.s_id) slots;
     p
   in

@@ -53,7 +53,7 @@ let run config kinds =
     Array.init n_slots (fun i ->
         { s_idx = i; s_is_rpi = i >= config.c_xeon_slots; s_busy_ms = 0.0 })
   in
-  let heap = Event_heap.create ~capacity:n_slots () in
+  let heap = Event_heap.create () in
   Array.iter (fun s -> Event_heap.push heap ~key:s.s_idx ~time:0.0 s) slots;
   let queue_pos = ref 0 in
   let next_kind () =

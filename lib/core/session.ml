@@ -138,7 +138,11 @@ type evidence = {
   ev_image_bytes : int;
 }
 
-type recoded = { sc_evidence : evidence; sc_image : Images.image_set }
+type recoded = {
+  sc_evidence : evidence;
+  sc_image : Images.image_set;
+  sc_wire : (string * string list) list;
+}
 
 type transferred = { sx_evidence : evidence; sx_image : Images.image_set }
 
@@ -335,7 +339,8 @@ let recode_run (s : dumped t) =
       with
       | Error _ as e -> e
       | Ok (image', rw) ->
-        let image_bytes = Images.total_bytes image' in
+        let wire = Images.to_wire image' in
+        let image_bytes = Images.wire_bytes wire in
         (* Memo hits shrink the charged byte volume (and, for replayed
            threads, the work items inside [rw]); the produced image is
            byte-identical either way. *)
@@ -359,7 +364,8 @@ let recode_run (s : dumped t) =
              { sc_evidence =
                  { ev_pause = sd_pause; ev_dump = sd_dump; ev_rewrite = rw;
                    ev_image_bytes = image_bytes };
-               sc_image = image' }))
+               sc_image = image';
+               sc_wire = wire }))
 
 let recode s = staged Dapper_error.Recode recode_run s
 
@@ -376,7 +382,7 @@ let recode s = staged Dapper_error.Recode recode_run s
    attempts. *)
 let transfer_run (s : recoded t) =
   guard s (fun () ->
-      let { sc_evidence; sc_image } = s.s_state in
+      let { sc_evidence; sc_image; sc_wire } = s.s_state in
       let cfg = s.s_cfg in
       let transport = cfg.cfg_transport in
       let wire_bytes =
@@ -410,7 +416,7 @@ let transfer_run (s : recoded t) =
        | _ -> ());
       match
         Transport.transmit transport ?fault:cfg.cfg_fault ~stats:s.s_tx
-          ~bytes:wire_bytes (Images.to_wire sc_image)
+          ~bytes:wire_bytes sc_wire
       with
       | Error _ as e -> e
       | Ok ns ->

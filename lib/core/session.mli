@@ -202,7 +202,14 @@ type evidence = {
   ev_image_bytes : int;  (** unscaled size of the recoded image *)
 }
 
-type recoded = { sc_evidence : evidence; sc_image : Images.image_set }
+type recoded = {
+  sc_evidence : evidence;
+  sc_image : Images.image_set;
+  sc_wire : (string * string list) list;
+      (** [sc_image]'s files as {!Images.to_wire} encodes them: the
+          recode stage encodes the image once, sums [ev_image_bytes]
+          from this list and the transfer sends it *)
+}
 
 type transferred = { sx_evidence : evidence; sx_image : Images.image_set }
 
@@ -274,8 +281,6 @@ val rollback : _ t -> unit
 
 (** Completed stage records, in execution order. *)
 val stage_log : _ t -> stage_record list
-
-val times : _ t -> phase_times
 
 (** This session's eager-transfer accounting (attempts, retransmissions,
     detected corruption, injected latency). *)

@@ -24,12 +24,6 @@ let average_bits st =
   | fes -> List.fold_left (fun acc fe -> acc +. fe.fe_bits) 0.0 fes
            /. float_of_int (List.length fes)
 
-let rec double_factorial n = if n <= 1 then 1.0 else float_of_int n *. double_factorial (n - 2)
-
-let layouts_for_bits n = 1.0 +. double_factorial ((2 * n) - 1)
-
-let guess_probability n = if n <= 0 then 1.0 else 1.0 /. (2.0 *. float_of_int n)
-
 (* Frame-resident allocations of a function: named slots plus the
    spilled temporaries that are live at some equivalence point — exactly
    the stack objects the stack maps can relocate. Collected across all

@@ -38,10 +38,3 @@ val average_bits : stats -> float
 (** [shuffle_binary rng binary] returns the shuffled variant and stats.
     The variant has identical code size and symbol addresses. *)
 val shuffle_binary : Rng.t -> Binary.t -> Binary.t * stats
-
-(** Possible stack frames for [bits] of entropy: [1 + (2n-1)!!] (paper's
-    double-factorial formula). *)
-val layouts_for_bits : int -> float
-
-(** Probability an attacker guesses one allocation: [1 / (2 n)]. *)
-val guess_probability : int -> float

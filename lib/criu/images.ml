@@ -131,10 +131,12 @@ let to_wire is = List.map (fun (name, file) -> (name, encode file)) (files is)
 let to_files is =
   List.map (fun (name, parts) -> (name, String.concat "" parts)) (to_wire is)
 
-let total_bytes is =
+let wire_bytes wire =
   List.fold_left
     (fun acc (_, parts) -> List.fold_left (fun acc p -> acc + String.length p) acc parts)
-    0 (to_wire is)
+    0 wire
+
+let total_bytes is = wire_bytes (to_wire is)
 
 let read_page is pn = Pages.find_opt pn is.is_pages
 

@@ -90,8 +90,11 @@ val to_wire : image_set -> (string * string list) list
     transfer never builds [pages-1.img]. *)
 val to_files : image_set -> (string * string) list
 
-(** Total byte size of the files of {!to_wire} — the quantity the scp
-    cost model charges. *)
+(** Total byte size of files such as {!to_wire} gives. *)
+val wire_bytes : (string * string list) list -> int
+
+(** [wire_bytes (to_wire is)]: the quantity the scp cost model
+    charges. *)
 val total_bytes : image_set -> int
 
 (** One dumped page's contents. [write_page] replaces a dumped page

@@ -1,10 +1,5 @@
 type state = Closed | Open | Half_open
 
-let state_name = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half-open"
-
 type cfg = {
   b_failure_threshold : int;
   b_open_ms : float;

@@ -17,8 +17,6 @@
 
 type state = Closed | Open | Half_open
 
-val state_name : state -> string
-
 type cfg = {
   b_failure_threshold : int;  (** consecutive failures that trip *)
   b_open_ms : float;          (** cooldown before the half-open probe *)

@@ -28,7 +28,7 @@
     naive loop: always the planned rack, one fixed mechanism, no
     cancellation — only the transport's own retries between attempts.
 
-    Either way every attempt is bounded ({!max_attempts}) and ends in an
+    Either way a run makes at most 16 attempts, and each ends in an
     explicit commit or an explicit 2PC rollback with the source still
     running — there are no lost states and no unbounded retry loops, by
     construction.
@@ -48,18 +48,11 @@ type cfg = {
 (** 20k requests, migrate at 1 s, control on. *)
 val default_cfg : cfg
 
-(** Hard bound on migration attempts per run: 16. *)
-val max_attempts : int
-
 (** How far a run fell back from a free choice of mechanism: [Full],
     the budget picker chose; [Hybrid_only], a deadline cancel pinned
     hybrid pre+post-copy, the minimum-blackout mechanism; [Postponed],
     every breaker was open and the run waited before trying again. *)
 type rung = Full | Hybrid_only | Postponed
-
-(** The copy mechanism a rung pins, [None] when the budget picker
-    decides. *)
-val rung_mechanism : rung -> Dapper_traffic.Budget.mechanism option
 
 (** Capped exponential backoff before re-attempting a postponed
     eviction: [min 8000 (500 * 2^attempt)] ms. Raises
@@ -122,27 +115,18 @@ type summary = {
   y_during : Dapper_traffic.Sketch.t;
 }
 
-(** [sweep cfg scfg ~fresh ~seeds ~seed0] — seeds [seed0, seed0+1, ...]
-    in order, plus their summary. *)
-val sweep :
-  cfg ->
-  Dapper.Session.config ->
-  fresh:(unit -> Dapper_machine.Process.t) ->
-  seeds:int ->
-  seed0:int64 ->
-  run list * summary
-
 (** p99 of the merged during-migration sketch (0 when empty). *)
 val mig_p99 : summary -> float
 
-(** [paired cfg scfg ~fresh ~seeds ~seed0] — {!sweep} the same seeds
-    with the health plane on, then off (whatever [cfg.su_control]
-    says), and check the invariants every such pair must hold. Returns
-    the control-on arm, the control-off arm, and one message per breach
-    (none when all hold):
+(** [paired cfg scfg ~fresh ~seeds ~seed0] — {!run} seeds [seed0,
+    seed0+1, ...] in order with the health plane on, then again off
+    (whatever [cfg.su_control] says), summarize each arm, and check the
+    invariants every such pair must hold. Returns the control-on arm,
+    the control-off arm, and one message per breach (none when all
+    hold):
     - each arm's explicit verdicts (committed + degraded + rolled
       back) account for all [seeds], so no run was lost;
-    - no run took more than {!max_attempts} attempts;
+    - no run took more than 16 attempts, the hard bound per run;
     - control-on's {!mig_p99} is at most control-off's. *)
 val paired :
   cfg ->

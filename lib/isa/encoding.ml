@@ -280,19 +280,9 @@ let decode arch code off =
   | Arch.X86_64 -> x86_decode code off
   | Arch.Aarch64 -> arm_decode code off
 
-let trap_bytes arch =
-  let b = Bytebuf.create 8 in
-  encode arch b Minstr.Trap;
-  Bytebuf.contents b
-
 let nop_bytes arch =
   let b = Bytebuf.create 8 in
   encode arch b Minstr.Nop;
-  Bytebuf.contents b
-
-let encode_all arch instrs =
-  let b = Bytebuf.create 256 in
-  List.iter (encode arch b) instrs;
   Bytebuf.contents b
 
 let decode_all arch code =

@@ -31,14 +31,8 @@ val decode : Arch.t -> string -> int -> (Minstr.t * int) option
 (** Instruction alignment: 1 on x86-64, 8 on aarch64. *)
 val alignment : Arch.t -> int
 
-(** Encoding of the breakpoint instruction, used by the runtime monitor. *)
-val trap_bytes : Arch.t -> string
-
 (** Encoding of [nop], used by the symbol-alignment linker pass. *)
 val nop_bytes : Arch.t -> string
-
-(** Convenience: encode a whole instruction sequence. *)
-val encode_all : Arch.t -> Minstr.t list -> string
 
 (** Decode an entire well-formed code region into (offset, instr) pairs.
     Raises [Encode_error] on undecodable bytes. *)

@@ -4,9 +4,9 @@ exception Segfault of int64
 
 (* [pages] is the page table. In front of it sits a direct-mapped cache:
    slot [s = slot pn] holds page [cache_pns.(s)], whose bytes are
-   [cache_pages.(s)]. Only mapped pages enter the cache, and
-   [map_page] and [unmap_page] clear their page's slot, so a hit always
-   returns the bytes the table holds. *)
+   [cache_pages.(s)]. Only mapped pages enter the cache, and [map_page]
+   clears its page's slot, so a hit always returns the bytes the table
+   holds. *)
 type t = {
   pages : (int, bytes) Hashtbl.t;
   cache_pns : int array;
@@ -27,13 +27,11 @@ let[@inline] slot pn = (pn lxor (pn lsr 6)) land (cache_slots - 1)
 (* An empty slot holds a page number no address has. *)
 let empty_pn = min_int
 
-let with_pages pages =
-  { pages;
+let create () =
+  { pages = Hashtbl.create 256;
     cache_pns = Array.make cache_slots empty_pn;
     cache_pages = Array.make cache_slots Bytes.empty;
     fault_handler = None; faults = 0; dirty = None }
-
-let create () = with_pages (Hashtbl.create 256)
 
 let uncache t pn =
   let s = slot pn in
@@ -46,8 +44,6 @@ let fault_count t = t.faults
    disabled, so the interpreter hot path is untouched for legacy runs. *)
 let track_dirty t on =
   t.dirty <- (if on then Some (Hashtbl.create 64) else None)
-
-let tracking_dirty t = t.dirty <> None
 
 let clear_dirty t =
   match t.dirty with None -> () | Some d -> Hashtbl.reset d
@@ -79,10 +75,6 @@ let map_page t pn data =
    | Some d -> Hashtbl.replace d pn ());
   uncache t pn;
   Hashtbl.replace t.pages pn data
-
-let unmap_page t pn =
-  uncache t pn;
-  Hashtbl.remove t.pages pn
 
 let is_mapped t pn = Hashtbl.mem t.pages pn
 
@@ -205,8 +197,3 @@ let write_bytes t addr s =
   iter_range t addr (String.length s) (fun p a off pos chunk ->
       mark_dirty t a;
       Bytes.blit_string s pos p off chunk)
-
-let copy t =
-  let pages = Hashtbl.create (Hashtbl.length t.pages) in
-  Hashtbl.iter (fun pn data -> Hashtbl.replace pages pn (Bytes.copy data)) t.pages;
-  with_pages pages

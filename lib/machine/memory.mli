@@ -7,8 +7,8 @@
     source node's page server).
 
     A small direct-mapped cache of recently used pages sits in front of
-    the page table, so a hit costs no hashing; [map_page] and
-    [unmap_page] keep it coherent, and [copy] starts with it empty. *)
+    the page table, so a hit costs no hashing; [map_page] keeps it
+    coherent. *)
 
 type t
 
@@ -25,7 +25,6 @@ val set_fault_handler : t -> (int -> bytes option) option -> unit
 val fault_count : t -> int
 
 val map_page : t -> int -> bytes -> unit
-val unmap_page : t -> int -> unit
 val is_mapped : t -> int -> bool
 
 (** Mapped page numbers in increasing order, as a freshly sorted array
@@ -50,7 +49,6 @@ val page_contents : t -> int -> bytes option
     whose contents are reproducible on the destination — do not. *)
 
 val track_dirty : t -> bool -> unit
-val tracking_dirty : t -> bool
 
 (** Pages written since tracking started or the last [clear_dirty], in
     increasing order. Empty when tracking is off. *)
@@ -84,6 +82,3 @@ val write_bytes : t -> int64 -> string -> unit
     [buf] unchanged, and nothing is allocated in proportion to [len]
     before that. *)
 val add_to_buffer : Buffer.t -> t -> int64 -> int -> unit
-
-(** Deep copy (pages are duplicated). The fault handler is not copied. *)
-val copy : t -> t

@@ -339,28 +339,15 @@ let observe_pages t =
     (fun (kind, pn, page) -> (kind, pn, digest_page Bytebuf.fnv64_offset pn page))
     (observed_pages t)
 
-(* What [state_equal] of the two [observe]s checks, with the pages
-   compared by number and bytes instead of through digests. *)
+(* What the data, heap and TLS digests, brk and live-thread count of
+   the two [observe]s compare, with the pages compared by number and
+   bytes instead of through digests. *)
 let same_state a b =
   Int64.equal a.brk b.brk
   && List.length (live_threads a) = List.length (live_threads b)
   && List.equal
        (fun (_, pa, x) (_, pb, y) -> pa = pb && Bytes.equal x y)
        (observed_pages a) (observed_pages b)
-
-let state_equal a b =
-  Int64.equal a.sn_data b.sn_data
-  && Int64.equal a.sn_heap b.sn_heap
-  && Int64.equal a.sn_tls b.sn_tls
-  && Int64.equal a.sn_brk b.sn_brk
-  && a.sn_threads = b.sn_threads
-
-let snapshot_to_string s =
-  Printf.sprintf
-    "data=%016Lx heap=%016Lx tls=%016Lx brk=0x%Lx threads=%d stdout=%dB exit=%s"
-    s.sn_data s.sn_heap s.sn_tls s.sn_brk s.sn_threads
-    (String.length s.sn_stdout)
-    (match s.sn_exit with None -> "-" | Some c -> Int64.to_string c)
 
 (* ----- ptrace-like interface ----- *)
 

@@ -180,20 +180,14 @@ type snapshot = {
     stack pages are excluded because their bytes are ISA-specific. *)
 val observe : t -> snapshot
 
-(** ISA-independent state equivalence: data/heap/TLS digests, brk and
-    live-thread count. Output and exit status are compared separately
-    because a migrated twin restarts with empty stdout. *)
-val state_equal : snapshot -> snapshot -> bool
-
-(** [same_state a b] checks what [state_equal (observe a) (observe b)]
-    checks — brk, the live-thread count, and the data, heap and TLS
-    pages — with the pages compared by number and bytes instead of
-    through digests, each side's own flag word masked. It hashes
-    nothing, so unlike the digests it cannot collide. The two-phase
-    commit's acknowledgement. *)
+(** [same_state a b] checks the ISA-independent state that
+    [observe a] and [observe b] digest — brk, the live-thread count, and
+    the data, heap and TLS pages — with the pages compared by number and
+    bytes instead of through digests, each side's own flag word masked.
+    Output and exit status are not compared: a migrated twin restarts
+    with empty stdout. It hashes nothing, so unlike the digests it
+    cannot collide. The two-phase commit's acknowledgement. *)
 val same_state : t -> t -> bool
-
-val snapshot_to_string : snapshot -> string
 
 (** Per-page digests of exactly the pages {!observe} folds (data, heap
     and TLS; transformation-flag word masked), in page-number order —

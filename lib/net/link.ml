@@ -5,7 +5,6 @@ type t = {
 }
 
 let infiniband = { l_name = "infiniband"; l_bandwidth_mbps = 1200.0; l_latency_us = 30.0 }
-let gigabit = { l_name = "gigabit"; l_bandwidth_mbps = 110.0; l_latency_us = 200.0 }
 
 let transfer_ns l bytes =
   (l.l_latency_us *. 1e3) +. (float_of_int bytes /. (l.l_bandwidth_mbps *. 1e6) *. 1e9)

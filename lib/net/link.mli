@@ -7,7 +7,6 @@ type t = {
 }
 
 val infiniband : t
-val gigabit : t
 
 (** Nanoseconds to transfer [bytes] in one stream. *)
 val transfer_ns : t -> int -> float

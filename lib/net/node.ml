@@ -33,5 +33,3 @@ let jetson =
     n_mem_gbps = 0.3; n_idle_w = 5.0; n_core_w = 2.8 }
 
 let exec_ns n instrs = Int64.to_float instrs /. n.n_ops_per_ns
-
-let power_w n ~busy = n.n_idle_w +. (float_of_int (min busy n.n_cores) *. n.n_core_w)

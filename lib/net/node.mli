@@ -31,6 +31,3 @@ val jetson : t
 
 (** Nanoseconds to execute [instrs] simulator instructions on one core. *)
 val exec_ns : t -> int64 -> float
-
-(** Average power drawn with [busy] cores active. *)
-val power_w : t -> busy:int -> float

@@ -1,7 +1,6 @@
 type t = {
   r_servers_each : int;
   r_busy_until : float array array;  (* per rack, per page server *)
-  mutable r_served : int;
   mutable r_queue_delay_ms : float;
 }
 
@@ -10,10 +9,8 @@ let create ~racks ~servers_each =
     invalid_arg "Rack.create: racks and servers_each must be positive";
   { r_servers_each = servers_each;
     r_busy_until = Array.init racks (fun _ -> Array.make servers_each 0.0);
-    r_served = 0;
     r_queue_delay_ms = 0.0 }
 
-let served t = t.r_served
 let queue_delay_ms t = t.r_queue_delay_ms
 
 let rack_of_node ~racks ~node =
@@ -45,7 +42,6 @@ let acquire_wait t ~rack ~now_ms ~service_ms =
   let start_ms = Float.max now_ms servers.(best) in
   let finish_ms = start_ms +. service_ms in
   servers.(best) <- finish_ms;
-  t.r_served <- t.r_served + 1;
   t.r_queue_delay_ms <- t.r_queue_delay_ms +. (start_ms -. now_ms);
   (finish_ms, start_ms -. now_ms)
 

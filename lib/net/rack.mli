@@ -40,8 +40,5 @@ val acquire_wait :
     server in [rack] — a placement estimate; books nothing. *)
 val wait_ms : t -> rack:int -> now_ms:float -> float
 
-(** Transfers served since [create]. *)
-val served : t -> int
-
 (** Total time transfers spent queued behind busy page servers. *)
 val queue_delay_ms : t -> float

@@ -15,8 +15,6 @@ let create ~shards items =
   t.q_len <- List.length items;
   t
 
-let shards t = Array.length t.q_shards
-let length t = t.q_len
 let steals t = t.q_steals
 let is_empty t = t.q_len = 0
 

@@ -18,11 +18,7 @@ type 'a t
     [Invalid_argument] if [shards <= 0]. *)
 val create : shards:int -> 'a list -> 'a t
 
-val shards : 'a t -> int
-
-(** Total items currently queued, across all shards. *)
-val length : 'a t -> int
-
+(** No items queued in any shard. *)
 val is_empty : 'a t -> bool
 
 (** Enqueue to the back of one shard. *)

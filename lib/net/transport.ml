@@ -82,23 +82,6 @@ let backoff_ns t k =
      | None -> base
      | Some rng -> base *. (0.5 +. Rng.float rng))
 
-(* Total backoff charged by a jitter-free policy that failed [failures]
-   times and retried after each failure but the last: the closed-form
-   geometric sum [sum_{k=0}^{failures-2} backoff * mult^k] (no backoff
-   follows the final attempt). Computed directly — not via {!backoff_ns},
-   which would advance a jitter stream — so with jitter armed this is
-   the deterministic *envelope center*: actual charged backoff lies in
-   [0.5, 1.5) times this value. *)
-let total_backoff_ns t ~failures =
-  match t.t_retry with
-  | None -> 0.0
-  | Some _ ->
-    let rec go k acc =
-      if k >= failures - 1 then acc
-      else go (k + 1) (acc +. (backoff0_ns *. (backoff_multiplier ** float_of_int k)))
-    in
-    if failures <= 1 then 0.0 else go 0 0.0
-
 let transfer_ns t bytes = Link.transfer_ns t.t_link bytes *. t.t_cost_factor
 let page_fetch_ns t bytes = Link.page_fetch_ns t.t_link bytes *. t.t_cost_factor
 

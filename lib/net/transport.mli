@@ -32,8 +32,8 @@ type t
     paused source, the cumulative network time they cost (including
     injected delays and retry backoff), and how many fetches had to be
     retransmitted. [srv_backoff_ns] breaks out the retry-backoff share
-    of [srv_ns] (backoff is only ever charged when a retry follows; see
-    {!total_backoff_ns}). Allocate fresh per session
+    of [srv_ns] (backoff is only ever charged when a retry follows).
+    Allocate fresh per session
     ({!fresh_page_stats}); never share across sessions. *)
 type page_stats = {
   mutable srv_pages : int;
@@ -87,24 +87,8 @@ val link : t -> Link.t
     install a page source and defer full memory materialization). *)
 val is_lazy : t -> bool
 
-(** Tries per transfer: the retry policy's attempt bound, or 1. *)
-val attempts : t -> int
-
-(** [total_backoff_ns t ~failures] is the closed-form total backoff a
-    jitter-free transfer that failed [failures] times must have been
-    charged: [sum_{k=0}^{failures-2} 2 ms * 2^k] — one
-    backoff per retry, none after the final attempt. With jitter armed
-    it is the envelope center: the actual charge lies within
-    [0.5, 1.5) of this value. The accounting invariant the
-    [tx_backoff_ns]/[srv_backoff_ns] tallies are tested against. *)
-val total_backoff_ns : t -> failures:int -> float
-
 (** Nanoseconds to move [bytes] of eager image over this transport. *)
 val transfer_ns : t -> int -> float
-
-(** Nanoseconds for one demand-paged fetch of a [bytes]-sized payload
-    (round-trip latency plus payload). *)
-val page_fetch_ns : t -> int -> float
 
 val fresh_page_stats : unit -> page_stats
 val fresh_tx_stats : unit -> tx_stats

@@ -16,5 +16,3 @@ let inc ?(by = 1) c = c.c_value <- c.c_value + by
 let counter_value c = c.c_value
 
 let find name = Hashtbl.find_opt registry name
-
-let reset () = Hashtbl.iter (fun _ (Counter c) -> c.c_value <- 0) registry

@@ -25,6 +25,3 @@ val counter_value : counter -> int
 type metric = Counter of counter
 
 val find : string -> metric option
-
-(** Zero every counter (registrations persist). *)
-val reset : unit -> unit

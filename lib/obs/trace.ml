@@ -37,8 +37,6 @@ let start () =
 
 let stop () = st.enabled <- false
 
-let now_ns () = st.now_ns
-
 let push phase name cat args =
   st.events <-
     { ev_phase = phase; ev_name = name; ev_cat = cat; ev_ts_ns = st.now_ns;
@@ -108,7 +106,6 @@ let with_span ?cat ?args name f =
   end
 
 let events () = List.rev st.events
-let open_spans () = List.length st.stack
 
 let phase_char = function Begin -> "B" | End -> "E"
 
@@ -166,14 +163,6 @@ let fold_spans f acc0 =
          | [] -> ()))
     (events ());
   !acc
-
-let total_ms ?cat name =
-  fold_spans
-    (fun acc n c total _self ->
-      if n = name && (match cat with None -> true | Some k -> k = c) then
-        acc +. (total /. 1e6)
-      else acc)
-    0.0
 
 (* Plain-text flame summary: per span name, invocation count, total and
    self time, sorted by total descending. *)

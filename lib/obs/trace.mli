@@ -38,12 +38,6 @@ val stop : unit -> unit
 
 val enabled : unit -> bool
 
-(** Clear the buffer and rewind the simulated clock to 0. *)
-val reset : unit -> unit
-
-(** Current simulated-clock position (ns). *)
-val now_ns : unit -> float
-
 (** Charge [ns] of modeled time to the simulated clock (attributed to
     the innermost open span). Negative charges are ignored. *)
 val advance : float -> unit
@@ -80,19 +74,9 @@ val with_span :
 (** Recorded events, oldest first. *)
 val events : unit -> event list
 
-(** Number of spans currently open (0 in a well-formed finished trace). *)
-val open_spans : unit -> int
-
-(** The buffer as Chrome [trace_event] JSON (duration events, ts in
-    microseconds). *)
-val to_chrome_json : unit -> Dapper_util.Json.t
-
-(** Write {!to_chrome_json} to [file]. *)
+(** Write the buffer to [file] as Chrome [trace_event] JSON (duration
+    events, ts in microseconds). *)
 val export : file:string -> unit
-
-(** Summed duration (ms) of every closed span called [name] (optionally
-    restricted to category [cat]). *)
-val total_ms : ?cat:string -> string -> float
 
 (** Plain-text flame summary: per span name, count, total and self time
     in ms, sorted by total descending. *)

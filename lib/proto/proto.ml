@@ -106,12 +106,6 @@ let get_int fields tag =
   | Some _ -> fail "tag %d: wrong wire type (expected varint)" tag
   | None -> fail "missing tag %d" tag
 
-let get_int_opt fields tag =
-  match find fields tag with
-  | Some { payload = Varint v; _ } -> Some v
-  | Some _ -> fail "tag %d: wrong wire type (expected varint)" tag
-  | None -> None
-
 let get_fix fields tag =
   match find fields tag with
   | Some { payload = Fixed64 v; _ } -> v
@@ -133,15 +127,5 @@ let get_all_msgs fields tag =
         match f.payload with
         | Delim s -> Some (decode s)
         | Varint _ | Fixed64 _ -> fail "tag %d: wrong wire type" tag
-      else None)
-    fields
-
-let get_all_ints fields tag =
-  List.filter_map
-    (fun f ->
-      if f.tag = tag then
-        match f.payload with
-        | Varint v -> Some v
-        | Fixed64 _ | Delim _ -> fail "tag %d: wrong wire type" tag
       else None)
     fields

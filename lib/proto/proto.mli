@@ -20,10 +20,6 @@ exception Decode_error of string
 val encode : field list -> string
 val decode : string -> field list
 
-(** Raw varint helpers (exposed for tests). *)
-val encode_varint : Dapper_util.Bytebuf.t -> int64 -> unit
-val decode_varint : string -> int -> int64 * int
-
 (** {1 Message construction and access} *)
 
 val v_int : int -> int64 -> field
@@ -38,8 +34,5 @@ val get_fix : field list -> int -> int64
 val get_str : field list -> int -> string
 val get_msg : field list -> int -> field list
 
-val get_int_opt : field list -> int -> int64 option
-
 (** All fields with the tag (repeated fields). *)
 val get_all_msgs : field list -> int -> field list list
-val get_all_ints : field list -> int -> int64 list

@@ -109,9 +109,5 @@ val encode : t -> string
     that disagrees with an anchor's prefix length or digest. *)
 val decode : string -> t
 
-(** FNV-1a digest of {!encode} — the whole-log content fingerprint
-    (equal logs serialize byte-identically). *)
-val fingerprint : t -> int64
-
 val entry_to_string : entry -> string
 val summary : t -> string

@@ -55,7 +55,6 @@ type divergence = {
       (** diverging pages at a snapshot mismatch: (kind, page number) *)
 }
 
-val divergence_to_string : divergence -> string
 
 (** Multi-line report (the artifact chaos failures and the CLI emit). The
     recorded frames are printed under "that anchor" when they are

@@ -49,12 +49,3 @@ let rec next t =
     t.a_switch_at <- t.a_now +. (expo t.a_rng *. hold);
     next t
   end
-
-let mean_rate_per_ms t =
-  let num = ref 0.0 and den = ref 0.0 in
-  Array.iter
-    (fun (rate, hold) ->
-      num := !num +. (rate *. hold);
-      den := !den +. hold)
-    t.a_states;
-  !num /. !den

@@ -34,6 +34,3 @@ val next : t -> float
 
 (** A unit-mean exponential draw from [rng] (inverse CDF). *)
 val expo : Dapper_util.Rng.t -> float
-
-(** Long-run mean rate: hold-time-weighted average of the state rates. *)
-val mean_rate_per_ms : t -> float

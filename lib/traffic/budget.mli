@@ -28,7 +28,6 @@ val mechanism_name : mechanism -> string
 (** Inverse of {!mechanism_name}; [None] for unknown names. *)
 val mechanism_of_string : string -> mechanism option
 
-val all_mechanisms : mechanism list
 
 (** [Hybrid] and [Postcopy] restore lazily: they need a page-server
     transport and leave post-copy faults behind. *)

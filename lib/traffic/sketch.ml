@@ -28,7 +28,6 @@ let create ?(rel_err = 0.01) () =
     k_max = nan }
 
 let count t = t.k_count
-let zero_count t = t.k_zero
 
 (* Bucket k holds (gamma^(k-1), gamma^k]: ceil of the log-gamma index. *)
 let key t v = int_of_float (Float.ceil (Float.log v /. t.k_log_gamma))

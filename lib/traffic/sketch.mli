@@ -41,14 +41,7 @@ val quantile : t -> float -> float
 val quantile_opt : t -> float -> float option
 
 (** Fresh sketch holding both inputs' values. Exact bucket-wise
-    addition — associative, commutative, and equal (as {!buckets}) to
-    adding the values one by one. Raises [Invalid_argument] when the
+    addition — associative, commutative, and equal (in every quantile)
+    to adding the values one by one. Raises [Invalid_argument] when the
     operands' [rel_err] differ. *)
 val merge : t -> t -> t
-
-(** [(bucket_index, count)] pairs in increasing index order, zero bucket
-    excluded (see {!zero_count}) — the canonical representation used by
-    the merge-associativity tests. *)
-val buckets : t -> (int * int) list
-
-val zero_count : t -> int

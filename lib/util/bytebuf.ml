@@ -1,7 +1,6 @@
 type t = Buffer.t
 
 let create n = Buffer.create n
-let length = Buffer.length
 let contents = Buffer.contents
 
 let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))

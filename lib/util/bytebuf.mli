@@ -6,7 +6,6 @@
 type t
 
 val create : int -> t
-val length : t -> int
 val contents : t -> string
 
 (** Appending. *)

@@ -78,24 +78,6 @@ let retriable = function
   | Commit_failed _ -> false
   | Verify_failed _ -> false
 
-let examples =
-  [ Pause_budget_exhausted;
-    Not_at_equivalence_point (1, 0x400000L);
-    Process_exited;
-    Dump_failed "example";
-    Unwind_failed "example";
-    Recode_failed "example";
-    Shuffle_failed "example";
-    Layout_incompatible "example";
-    Active_function "example";
-    Transfer_timeout "example";
-    Checksum_mismatch "example";
-    Restore_failed "example";
-    Source_lost "example";
-    Commit_failed "example";
-    Verify_failed "example";
-    Deadline_exceeded (Transfer, 12.5) ]
-
 exception Error of t
 
 let () =

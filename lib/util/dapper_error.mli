@@ -75,9 +75,6 @@ val stage_of : t -> stage
     new constructor does not compile until it is classified. *)
 val retriable : t -> bool
 
-(** One value per constructor, for exhaustive classification tests. *)
-val examples : t list
-
 (** Internal carrier, raised inside [lib/criu]/[lib/core] and converted
     back to a [result] at public boundaries. It must not escape them. *)
 exception Error of t

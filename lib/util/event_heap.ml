@@ -3,15 +3,10 @@ type 'a entry = { e_time : float; e_key : int; e_seq : int; e_v : 'a }
 type 'a t = {
   mutable heap : 'a entry array;  (* entries [0 .. len-1] form the heap *)
   mutable len : int;
-  mutable seq : int;
-  mutable pushes : int;
+  mutable seq : int;  (* pushes so far: the next entry's sequence number *)
 }
 
-let create ?capacity:(_ = 0) () = { heap = [||]; len = 0; seq = 0; pushes = 0 }
-
-let length h = h.len
-let is_empty h = h.len = 0
-let pushed h = h.pushes
+let create () = { heap = [||]; len = 0; seq = 0 }
 
 (* Lexicographic (time, key, seq): seq is unique, so this is a total
    order and equal-priority entries pop in push order. *)
@@ -48,7 +43,6 @@ let push h ?(key = 0) ~time v =
   if Float.is_nan time then invalid_arg "Event_heap.push: NaN time";
   let e = { e_time = time; e_key = key; e_seq = h.seq; e_v = v } in
   h.seq <- h.seq + 1;
-  h.pushes <- h.pushes + 1;
   if h.len = Array.length h.heap then begin
     let cap = max 8 (2 * h.len) in
     let grown = Array.make cap e in
@@ -60,7 +54,6 @@ let push h ?(key = 0) ~time v =
   sift_up h (h.len - 1)
 
 let peek h = if h.len = 0 then None else Some (h.heap.(0).e_time, h.heap.(0).e_v)
-let peek_time h = if h.len = 0 then None else Some h.heap.(0).e_time
 
 let pop h =
   if h.len = 0 then None

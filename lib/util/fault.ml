@@ -37,19 +37,18 @@ let uniform p =
 type t = {
   f_spec : spec;
   f_rng : Rng.t;
-  mutable f_log : (site * action) list;  (* most recent first *)
+  mutable f_injected : int;
 }
 
 let make ~seed spec =
   { f_spec = spec;
     f_rng = Rng.create (Int64.mul (Int64.of_int (seed + 1)) 0x9E3779B97F4A7C15L);
-    f_log = [] }
+    f_injected = 0 }
 
-let injected t = List.length t.f_log
-let log t = List.rev t.f_log
+let injected t = t.f_injected
 
-let fire t site action =
-  t.f_log <- (site, action) :: t.f_log;
+let fire t action =
+  t.f_injected <- t.f_injected + 1;
   Some action
 
 (* One uniform draw per consultation keeps the schedule replayable: a
@@ -59,17 +58,17 @@ let draw t site =
   let s = t.f_spec in
   let p = Rng.float t.f_rng in
   let payload_fault () =
-    if p < s.fs_drop then fire t site Drop
-    else if p < s.fs_drop +. s.fs_corrupt then fire t site (Corrupt (Rng.next t.f_rng))
+    if p < s.fs_drop then fire t Drop
+    else if p < s.fs_drop +. s.fs_corrupt then fire t (Corrupt (Rng.next t.f_rng))
     else if p < s.fs_drop +. s.fs_corrupt +. s.fs_delay then
-      fire t site (Delay s.fs_delay_ns)
+      fire t (Delay s.fs_delay_ns)
     else None
   in
   match site with
   | Transfer_chunk | Page_fetch -> payload_fault ()
-  | Source_node -> if p < s.fs_crash_source then fire t site Crash else None
-  | Dest_restore -> if p < s.fs_fail_restore then fire t site Crash else None
-  | Dest_node -> if p < s.fs_kill_node then fire t site Crash else None
+  | Source_node -> if p < s.fs_crash_source then fire t Crash else None
+  | Dest_restore -> if p < s.fs_fail_restore then fire t Crash else None
+  | Dest_node -> if p < s.fs_kill_node then fire t Crash else None
 
 (* The offset [salt] picks in a payload of [len > 0] bytes. *)
 let corrupt_offset salt len =

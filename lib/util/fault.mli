@@ -11,8 +11,8 @@
     The plane only decides; the components it is threaded through
     ({!Transport}-level transmission, the {!Session} two-phase commit,
     the fleet scheduler) implement the injected failure and the recovery
-    that must survive it. A schedule also keeps a {!log} of everything
-    it injected, so harnesses can report fault counts per run. *)
+    that must survive it. A schedule also counts what it injected, so
+    harnesses can report fault counts per run. *)
 
 (** Where a fault can strike. *)
 type site =
@@ -61,9 +61,8 @@ val make : seed:int -> spec -> t
     every consultation advances the stream exactly one step per site. *)
 val draw : t -> site -> action option
 
-(** Faults injected so far / in injection order. *)
+(** Faults injected so far. *)
 val injected : t -> int
-val log : t -> (site * action) list
 
 (** [corrupt_byte salt data] flips one byte of [data] in place at a
     position derived from [salt] (no-op on empty payloads). *)

@@ -4,16 +4,12 @@ type 'a t = {
   payload : 'a array;
 }
 
-let empty = { lo = [||]; hi = [||]; payload = [||] }
-
 let of_list intervals =
   let a = Array.of_list intervals in
   Array.sort (fun (l1, _, _) (l2, _, _) -> Int64.compare l1 l2) a;
   { lo = Array.map (fun (l, _, _) -> l) a;
     hi = Array.map (fun (_, h, _) -> h) a;
     payload = Array.map (fun (_, _, p) -> p) a }
-
-let cardinal t = Array.length t.lo
 
 let disjoint t =
   let n = Array.length t.lo in

@@ -10,13 +10,9 @@
 
 type 'a t
 
-val empty : 'a t
-
 (** Build from [(lo, hi, payload)] triples; the list is not required to
     be sorted. O(n log n). *)
 val of_list : (int64 * int64 * 'a) list -> 'a t
-
-val cardinal : 'a t -> int
 
 (** [true] when no two intervals overlap (the precondition under which
     lookups agree with a first-match linear scan). *)

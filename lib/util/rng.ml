@@ -35,8 +35,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let permutation t n =
-  let a = Array.init n (fun i -> i) in
-  shuffle t a;
-  a

@@ -26,6 +26,3 @@ val bool : t -> bool
 
 (** [shuffle t a] permutes array [a] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit
-
-(** [permutation t n] is a uniformly random permutation of [0..n-1]. *)
-val permutation : t -> int -> int array

@@ -71,33 +71,24 @@ val run_report_to_string : run_report -> string
 val failure_to_string : failure -> string
 val summary_to_string : summary -> string
 
-(** One seeded chaos run of [c], migrating from the ISA of [log], the
-    source's complete recording, to [dst] under [spec]; the migration
-    point is drawn from its first six equivalence points. The run makes
-    no recording of its own. With [pipeline], the transfer stage
-    streams the image in page-sized chunks
-    ({!Dapper.Session.config.cfg_pipeline}) — faults
-    landing mid-stream must still commit-or-rollback exactly like the
-    sequential path. [mechanism] pins the copy style instead of drawing
-    it from the run stream (eager for vanilla/pre-copy, post-copy for
-    lazy/hybrid; pre-copy and hybrid warm the destination with
-    fault-free rounds first) — the congestion draw and fault schedule
-    stay seed-aligned with the unpinned run. *)
-val run_one :
-  ?pipeline:bool ->
-  ?mechanism:Dapper_traffic.Budget.mechanism ->
-  spec:Dapper_util.Fault.spec ->
-  seed:int ->
-  log:Dapper_replay.Log.t ->
-  dst:Arch.t ->
-  Link.compiled ->
-  (run_report, failure) result
-
 (** [sweep ~spec ~seeds ()] runs seeds [0..seeds-1] across the whole
     example corpus, alternating migration direction, stopping at the
     first invariant violation. It records each (program, source ISA)
     pair once, to exit, so the programs must terminate (the corpus
-    programs do). [progress] is called per completed run. *)
+    programs do). [progress] is called per completed run.
+
+    Seed [s]'s run migrates corpus program [s mod n] ([n] programs)
+    under [spec], from x86-64 to aarch64 when [s / n] is even and back
+    otherwise; the migration point is drawn from the program's first
+    six equivalence points. With [pipeline], the transfer stage streams
+    the image in page-sized chunks
+    ({!Dapper.Session.config.cfg_pipeline}) — faults landing mid-stream
+    must still commit-or-rollback exactly like the sequential path.
+    [mechanism] pins the copy style instead of drawing it from the run
+    stream (eager for vanilla/pre-copy, post-copy for lazy/hybrid;
+    pre-copy and hybrid warm the destination with fault-free rounds
+    first) — the congestion draw and fault schedule stay seed-aligned
+    with the unpinned run. *)
 val sweep :
   ?pipeline:bool ->
   ?mechanism:Dapper_traffic.Budget.mechanism ->

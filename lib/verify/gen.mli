@@ -13,8 +13,6 @@
     syscall is never emitted because its result depends on retired
     instructions, which a pause perturbs. *)
 
-val name : int -> string
-
 (** [compile seed] compiles the seed's program for both ISAs, once per
     process ({!Dapper_codegen.Link.memoized}). *)
 val compile : int -> Dapper_codegen.Link.compiled

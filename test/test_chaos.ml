@@ -3,42 +3,31 @@
    never loses a process. The 200-seed suite proper runs as the @chaos
    dune alias; this keeps a smaller sweep in tier 1. *)
 
-open Dapper_isa
 module Chaos = Dapper_verify.Chaos
-module Corpus = Dapper_verify.Corpus
 module Fault = Dapper_util.Fault
-module Link = Dapper_codegen.Link
 
 let check = Alcotest.check
 
-let quickstart () = Option.get (Corpus.find "mini-quickstart")
-
-(* The x86-64 recording of [c], the reference a chaos run checks. *)
-let x86_log c =
-  match Dapper_replay.Replayer.record c.Link.cp_x86 with
-  | Ok log -> log
-  | Error e -> Alcotest.failf "record failed: %s" e
+(* The reports of a sweep's runs, in seed order. *)
+let sweep_reports ~spec ~seeds =
+  let reports = ref [] in
+  match Chaos.sweep ~progress:(fun r -> reports := r :: !reports) ~spec ~seeds () with
+  | Ok _ -> List.rev !reports
+  | Error f -> Alcotest.fail (Chaos.failure_to_string f)
 
 let test_chaos_replayable () =
   let once () =
-    let c = quickstart () in
-    match
-      Chaos.run_one ~spec:(Fault.uniform 0.3) ~seed:5 ~log:(x86_log c)
-        ~dst:Arch.Aarch64 c
-    with
-    | Ok r -> Chaos.run_report_to_string r
-    | Error f -> Alcotest.fail (Chaos.failure_to_string f)
+    List.map Chaos.run_report_to_string (sweep_reports ~spec:(Fault.uniform 0.3) ~seeds:3)
   in
-  check Alcotest.string "same seed, same run" (once ()) (once ())
+  check Alcotest.(list string) "same seeds, same runs" (once ()) (once ())
 
 let test_chaos_calm_commits () =
-  let c = quickstart () in
-  match Chaos.run_one ~spec:Fault.calm ~seed:0 ~log:(x86_log c) ~dst:Arch.Aarch64 c with
-  | Error f -> Alcotest.fail (Chaos.failure_to_string f)
-  | Ok r ->
-    check Alcotest.bool "calm runs commit" true (r.Chaos.cr_verdict = Chaos.Committed);
-    check Alcotest.int "no faults injected" 0 r.Chaos.cr_faults;
-    check Alcotest.int "nothing retransmitted" 0 r.Chaos.cr_retransmits
+  List.iter
+    (fun (r : Chaos.run_report) ->
+      check Alcotest.bool "calm runs commit" true (r.Chaos.cr_verdict = Chaos.Committed);
+      check Alcotest.int "no faults injected" 0 r.Chaos.cr_faults;
+      check Alcotest.int "nothing retransmitted" 0 r.Chaos.cr_retransmits)
+    (sweep_reports ~spec:Fault.calm ~seeds:2)
 
 let test_chaos_sweep_invariant () =
   match Chaos.sweep ~spec:(Fault.uniform 0.25) ~seeds:12 () with

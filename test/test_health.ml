@@ -67,6 +67,11 @@ let arb_ops =
         (List.map (fun (dt, f) -> Printf.sprintf "(+%d,%b)" dt f) l))
     QCheck.Gen.(list_size (int_range 1 120) (pair (int_range 0 150) bool))
 
+let state_name = function
+  | Breaker.Closed -> "closed"
+  | Breaker.Open -> "open"
+  | Breaker.Half_open -> "half-open"
+
 let qcheck_breaker_model =
   QCheck.Test.make ~count:300
     ~name:"breaker agrees with the three-state model (never serves open)"
@@ -107,8 +112,8 @@ let qcheck_breaker_model =
           end;
           if Breaker.state b <> model_state !model then
             QCheck.Test.fail_reportf "state at %.0f: got %s, model %s" now_ms
-              (Breaker.state_name (Breaker.state b))
-              (Breaker.state_name (model_state !model)))
+              (state_name (Breaker.state b))
+              (state_name (model_state !model)))
         ops;
       true)
 
@@ -190,10 +195,6 @@ let test_guard_commit_within_budget () =
 (* ----- degradation rungs ----- *)
 
 let test_degrade_ladder () =
-  check Alcotest.bool "full leaves the picker free" true
-    (Sustained.rung_mechanism Sustained.Full = None);
-  check Alcotest.bool "hybrid rung pins hybrid" true
-    (Sustained.rung_mechanism Sustained.Hybrid_only = Some Budget.Hybrid);
   check (Alcotest.float 1e-9) "backoff doubles" 2000.0
     (Sustained.postpone_backoff_ms ~attempt:2);
   check (Alcotest.float 1e-9) "backoff caps" 8000.0
@@ -214,7 +215,7 @@ let test_budget_infeasible_fallback () =
   (* the least-bad fallback is still the minimum-downtime mechanism *)
   let d m = Budget.downtime_ms est m in
   check Alcotest.bool "fallback minimizes downtime" true
-    (List.for_all (fun m' -> d mech <= d m') Budget.all_mechanisms);
+    (List.for_all (fun m' -> d mech <= d m') Budget.[ Vanilla; Precopy; Hybrid; Postcopy ]);
   let _, fits2 = Budget.choose_detail ~budget_ms:1e12 est in
   check Alcotest.bool "feasible budget fits" true fits2
 
@@ -232,21 +233,21 @@ let test_jittered_backoff_envelope () =
     let stats = Transport.fresh_tx_stats () in
     let fault = Fault.make ~seed spec in
     let r = Transport.transmit t ~fault ~stats ~bytes:4096 files in
-    (r, stats, t)
+    (r, stats)
   in
   (* deterministically pick a schedule that actually forces retries *)
   let seed =
     let rec find s =
       if s > 64 then Alcotest.fail "no seed under 64 forced a retransmit"
       else
-        let _, st, _ = transmit ~seed:s None in
+        let _, st = transmit ~seed:s None in
         if st.Transport.tx_retransmits > 0 then s else find (s + 1)
     in
     find 0
   in
   let transmit jitter = transmit ~seed jitter in
-  let r_plain, s_plain, t = transmit None in
-  let r_jit, s_jit, _ = transmit (Some 42L) in
+  let r_plain, s_plain = transmit None in
+  let r_jit, s_jit = transmit (Some 42L) in
   (* the jitter stream never changes what happens on the wire — only
      what the waiting costs *)
   check Alcotest.bool "same outcome" true
@@ -258,19 +259,16 @@ let test_jittered_backoff_envelope () =
   check Alcotest.bool "fault schedule forced retries" true
     (s_plain.Transport.tx_retransmits > 0);
   (* every charged backoff is the envelope scaled by [0.5, 1.5), so the
-     totals obey the same bound; the plain run IS the closed form
-     (checked against total_backoff_ns via the retransmit count) *)
+     totals obey the same bound (the plain run is the closed form that
+     "backoff closed form" in the net suite checks) *)
   check Alcotest.bool "plain backoff positive" true
     (s_plain.Transport.tx_backoff_ns > 0.0);
   check Alcotest.bool "jittered backoff >= 0.5x envelope" true
     (s_jit.Transport.tx_backoff_ns >= 0.5 *. s_plain.Transport.tx_backoff_ns);
   check Alcotest.bool "jittered backoff < 1.5x envelope" true
     (s_jit.Transport.tx_backoff_ns < 1.5 *. s_plain.Transport.tx_backoff_ns);
-  check Alcotest.bool "plain total matches a whole number of failures" true
-    (let f1 = Transport.total_backoff_ns t ~failures:1 in
-     f1 = 0.0 || f1 > 0.0);
   (* replayable: the same jitter seed charges the same total *)
-  let _, s_jit2, _ = transmit (Some 42L) in
+  let _, s_jit2 = transmit (Some 42L) in
   check (Alcotest.float 0.0) "jitter replayable from seed"
     s_jit.Transport.tx_backoff_ns s_jit2.Transport.tx_backoff_ns
 
@@ -286,16 +284,16 @@ let test_sustained_invariants () =
     { Sustained.default_cfg with
       Sustained.su_requests = 4_000; su_migrate_at_ms = 300.0 }
   in
-  let runs, y = Sustained.sweep cfg scfg ~fresh ~seeds:3 ~seed0:7L in
+  (* both arms over the same three seeds; [paired] reports a breach of
+     the verdict count, the attempt bound or the p99 ordering *)
+  let (runs, _), (off_runs, _), breaches =
+    Sustained.paired cfg scfg ~fresh ~seeds:3 ~seed0:7L
+  in
+  check Alcotest.(list string) "no invariant breached" [] breaches;
   check Alcotest.int "every seed ran" 3 (List.length runs);
-  check Alcotest.int "every run has exactly one verdict" 3
-    (y.Sustained.y_committed + y.Sustained.y_degraded
-     + y.Sustained.y_rolled_back);
   List.iter
     (fun (r : Sustained.run) ->
-      check Alcotest.bool "attempts bounded" true
-        (r.Sustained.r_attempts >= 1
-         && r.Sustained.r_attempts <= Sustained.max_attempts);
+      check Alcotest.bool "at least one attempt" true (r.Sustained.r_attempts >= 1);
       check Alcotest.bool "availability in [0, 1]" true
         (r.Sustained.r_availability >= 0.0 && r.Sustained.r_availability <= 1.0);
       (* a landed job names its rack; a rolled-back one does not *)
@@ -316,7 +314,7 @@ let test_sustained_invariants () =
     (Sustained.verdict_name first.Sustained.r_verdict)
     (Sustained.verdict_name again.Sustained.r_verdict);
   (* pinned: each seed's fingerprint, verdict and attempts, with the
-     control plane on (the sweep above) and off over the same seeds *)
+     control plane on and off over the same seeds *)
   let pin runs =
     List.map
       (fun (r : Sustained.run) ->
@@ -333,11 +331,6 @@ let test_sustained_invariants () =
       "seed=8 fp=1c7bce2f5228f763 verdict=committed attempts=1";
       "seed=9 fp=48164855b9e86d51 verdict=committed attempts=1" ]
     (pin runs);
-  let off_runs, _ =
-    Sustained.sweep
-      { cfg with Sustained.su_control = false }
-      scfg ~fresh ~seeds:3 ~seed0:7L
-  in
   check
     Alcotest.(list string)
     "control-off pins"

@@ -2,6 +2,12 @@ open Dapper_isa
 
 let check = Alcotest.check
 
+(* [instrs] encoded one after another, as the linker emits them. *)
+let encode_all arch instrs =
+  let b = Dapper_util.Bytebuf.create 64 in
+  List.iter (Encoding.encode arch b) instrs;
+  Dapper_util.Bytebuf.contents b
+
 let sample_instrs arch : Minstr.t list =
   let r = if arch = Arch.X86_64 then 12 else 20 in
   [ Minstr.Nop;
@@ -33,7 +39,7 @@ let arm_only : Minstr.t list =
 let roundtrip arch instrs () =
   List.iter
     (fun i ->
-      let bytes = Encoding.encode_all arch [ i ] in
+      let bytes = encode_all arch [ i ] in
       check Alcotest.int
         (Printf.sprintf "size of %s" (Minstr.to_string arch i))
         (String.length bytes) (Encoding.size arch i);
@@ -73,11 +79,12 @@ let test_cross_arch_rejects () =
      | () -> false)
 
 let test_trap_bytes () =
-  check Alcotest.string "x86 int3" "\xCC" (Encoding.trap_bytes Arch.X86_64);
-  check Alcotest.int "arm trap size" 8 (String.length (Encoding.trap_bytes Arch.Aarch64))
+  check Alcotest.string "x86 int3" "\xCC" (encode_all Arch.X86_64 [ Minstr.Trap ]);
+  check Alcotest.int "arm trap size" 8
+    (String.length (encode_all Arch.Aarch64 [ Minstr.Trap ]))
 
 let test_misaligned_arm_decode () =
-  let bytes = Encoding.encode_all Arch.Aarch64 [ Minstr.Ret; Minstr.Nop ] in
+  let bytes = encode_all Arch.Aarch64 [ Minstr.Ret; Minstr.Nop ] in
   check Alcotest.bool "misaligned decode rejected" true
     (Encoding.decode Arch.Aarch64 bytes 3 = None)
 
@@ -125,7 +132,7 @@ let qcheck_movi_roundtrip arch =
     ~name:(Printf.sprintf "%s movi roundtrip" (Arch.name arch))
     ~count:300 QCheck.int64
     (fun v ->
-      let bytes = Encoding.encode_all arch [ Minstr.Movi (1, v) ] in
+      let bytes = encode_all arch [ Minstr.Movi (1, v) ] in
       match Encoding.decode_all arch bytes with
       | [ (_, Minstr.Movi (1, v')) ] -> Int64.equal v v'
       | [ (_, Minstr.Movi (1, lo)); (_, Minstr.Movk (1, hi)) ] ->

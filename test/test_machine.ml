@@ -7,6 +7,14 @@ module Link = Dapper_codegen.Link
 
 let check = Alcotest.check
 
+(* The pins' rendering of an [observe] snapshot. *)
+let snapshot_line (s : Process.snapshot) =
+  Printf.sprintf
+    "data=%016Lx heap=%016Lx tls=%016Lx brk=0x%Lx threads=%d stdout=%dB exit=%s"
+    s.sn_data s.sn_heap s.sn_tls s.sn_brk s.sn_threads
+    (String.length s.sn_stdout)
+    (match s.sn_exit with None -> "-" | Some c -> Int64.to_string c)
+
 (* ----- memory ----- *)
 
 let test_memory_cross_page () =
@@ -38,15 +46,6 @@ let test_memory_fault_handler () =
     (match Memory.read_u8 mem (Int64.of_int (200 * Layout.page_size)) with
      | exception Memory.Segfault _ -> true
      | _ -> false)
-
-let test_memory_copy_independent () =
-  let mem = Memory.create () in
-  Memory.map_page mem 5 (Bytes.make Layout.page_size '\000');
-  Memory.write_u64 mem (Int64.of_int (5 * Layout.page_size)) 7L;
-  let mem2 = Memory.copy mem in
-  Memory.write_u64 mem2 (Int64.of_int (5 * Layout.page_size)) 9L;
-  check Alcotest.bool "original unchanged" true
-    (Int64.equal (Memory.read_u64 mem (Int64.of_int (5 * Layout.page_size))) 7L)
 
 (* The pages a running process touches first, the first page of code,
    data, TLS and heap and the top stack page of each of four worker
@@ -223,7 +222,7 @@ let pin_row name arch =
       p.Process.total_instrs (Memory.fault_count p.Process.mem)
       (Hashtbl.length p.Process.decode_cache)
       (Digest.to_hex (Digest.string (Process.stdout_contents p))),
-    Process.snapshot_to_string (Process.observe p) )
+    snapshot_line (Process.observe p) )
 
 (* blackscholes and streamcluster each run four worker threads. *)
 let interpreter_pins =
@@ -491,7 +490,7 @@ let run_summary p result =
      | Process.Idle -> "idle"
      | Process.Progress -> "fuel")
     p.Process.total_instrs (Memory.fault_count p.Process.mem) (Process.stdout_contents p)
-    (Process.snapshot_to_string (Process.observe p))
+    (snapshot_line (Process.observe p))
 
 let qcheck_chunked_runs =
   QCheck.Test.make ~count:100 ~name:"chunked runs end as whole runs (generated programs)"
@@ -629,7 +628,6 @@ let test_sbrk_past_heap () =
 
 type mem_op =
   | M_map of int * char  (** window page, fill byte; may re-map *)
-  | M_unmap of int
   | M_read_u8 of int64
   | M_read_u64 of int64
   | M_read_bytes of int64 * int
@@ -637,7 +635,6 @@ type mem_op =
   | M_write_u64 of int64 * int64
   | M_write_bytes of int64 * string
   | M_poke of int * int * char  (** write through [page_contents] *)
-  | M_copy  (** continue on a deep copy, which has no fault handler *)
 
 (* Pages [window_base, window_base + 3]; the fault handler serves only
    the upper two, and the page after the window is never mapped. *)
@@ -648,7 +645,6 @@ let served_page pn = Bytes.make Layout.page_size (Char.chr (97 + (pn mod 26)))
 
 let show_op = function
   | M_map (k, c) -> Printf.sprintf "map %d %C" k c
-  | M_unmap k -> Printf.sprintf "unmap %d" k
   | M_read_u8 a -> Printf.sprintf "read_u8 0x%Lx" a
   | M_read_u64 a -> Printf.sprintf "read_u64 0x%Lx" a
   | M_read_bytes (a, n) -> Printf.sprintf "read_bytes 0x%Lx %d" a n
@@ -656,7 +652,6 @@ let show_op = function
   | M_write_u64 (a, v) -> Printf.sprintf "write_u64 0x%Lx 0x%Lx" a v
   | M_write_bytes (a, s) -> Printf.sprintf "write_bytes 0x%Lx %d" a (String.length s)
   | M_poke (k, off, c) -> Printf.sprintf "poke %d+%d %C" k off c
-  | M_copy -> "copy"
 
 let gen_mem_ops =
   let open QCheck.Gen in
@@ -675,21 +670,18 @@ let gen_mem_ops =
   let op =
     frequency
       [ (3, map2 (fun k c -> M_map (k, c)) page byte);
-        (1, map (fun k -> M_unmap k) page);
         (3, map (fun a -> M_read_u8 a) addr);
         (3, map (fun a -> M_read_u64 a) addr);
         (2, map2 (fun a n -> M_read_bytes (a, n)) addr (int_range 0 40));
         (3, map2 (fun a v -> M_write_u8 (a, v)) addr (int_range 0 255));
         (3, map2 (fun a v -> M_write_u64 (a, Int64.of_int v)) addr int);
         (2, map2 (fun a s -> M_write_bytes (a, s)) addr (string_size ~gen:byte (int_range 0 40)));
-        (2, map3 (fun k off c -> M_poke (k, off, c)) page (int_range 0 (Layout.page_size - 1)) byte);
-        (1, return M_copy) ]
+        (2, map3 (fun k off c -> M_poke (k, off, c)) page (int_range 0 (Layout.page_size - 1)) byte) ]
   in
   list_size (int_range 1 60) op
 
 type model = {
   m_pages : (int, bytes) Hashtbl.t;
-  mutable m_handler : bool;
   mutable m_faults : int;
 }
 
@@ -697,7 +689,7 @@ let model_page m addr =
   let pn = Layout.page_of_addr addr in
   match Hashtbl.find_opt m.m_pages pn with
   | Some p -> p
-  | None when m.m_handler && served pn ->
+  | None when served pn ->
     let p = served_page pn in
     m.m_faults <- m.m_faults + 1;
     Hashtbl.replace m.m_pages pn p;
@@ -747,11 +739,6 @@ let model_read_bytes m addr len =
   model_range m addr len (fun (p, off, pos, chunk) -> Bytes.blit p off b pos chunk);
   Bytes.to_string b
 
-let model_copy m =
-  let pages = Hashtbl.create 8 in
-  Hashtbl.iter (fun pn p -> Hashtbl.replace pages pn (Bytes.copy p)) m.m_pages;
-  { m_pages = pages; m_handler = false; m_faults = 0 }
-
 let model_pages m =
   List.sort compare (Hashtbl.fold (fun pn p acc -> (pn, Bytes.to_string p) :: acc) m.m_pages [])
 
@@ -767,13 +754,10 @@ let qcheck_page_cache_model =
   QCheck.Test.make ~count:500 ~name:"page cache agrees with a plain page table"
     (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_op ops)) gen_mem_ops)
     (fun ops ->
-      let mem = ref (Memory.create ()) in
-      Memory.set_fault_handler !mem
+      let mem = Memory.create () in
+      Memory.set_fault_handler mem
         (Some (fun pn -> if served pn then Some (served_page pn) else None));
-      let m = ref { m_pages = Hashtbl.create 8; m_handler = true; m_faults = 0 } in
-      (* each copied-from memory with a snapshot of its model: writes to
-         the copy must never reach it *)
-      let originals = ref [] in
+      let m = { m_pages = Hashtbl.create 8; m_faults = 0 } in
       let outcome f = match f () with v -> Ok v | exception Memory.Segfault a -> Error a in
       List.iter
         (fun op ->
@@ -781,32 +765,28 @@ let qcheck_page_cache_model =
             match op with
             | M_map (k, c) ->
               let fill () = Bytes.make Layout.page_size c in
-              Memory.map_page !mem (window_base + k) (fill ());
-              Hashtbl.replace !m.m_pages (window_base + k) (fill ());
-              (Ok "", Ok "")
-            | M_unmap k ->
-              Memory.unmap_page !mem (window_base + k);
-              Hashtbl.remove !m.m_pages (window_base + k);
+              Memory.map_page mem (window_base + k) (fill ());
+              Hashtbl.replace m.m_pages (window_base + k) (fill ());
               (Ok "", Ok "")
             | M_read_u8 a ->
-              ( outcome (fun () -> string_of_int (Memory.read_u8 !mem a)),
-                outcome (fun () -> string_of_int (model_u8 !m a)) )
+              ( outcome (fun () -> string_of_int (Memory.read_u8 mem a)),
+                outcome (fun () -> string_of_int (model_u8 m a)) )
             | M_read_u64 a ->
-              ( outcome (fun () -> Int64.to_string (Memory.read_u64 !mem a)),
-                outcome (fun () -> Int64.to_string (model_read_u64 !m a)) )
+              ( outcome (fun () -> Int64.to_string (Memory.read_u64 mem a)),
+                outcome (fun () -> Int64.to_string (model_read_u64 m a)) )
             | M_read_bytes (a, n) ->
-              ( outcome (fun () -> Memory.read_bytes !mem a n),
-                outcome (fun () -> model_read_bytes !m a n) )
+              ( outcome (fun () -> Memory.read_bytes mem a n),
+                outcome (fun () -> model_read_bytes m a n) )
             | M_write_u8 (a, v) ->
-              ( outcome (fun () -> Memory.write_u8 !mem a v; ""),
-                outcome (fun () -> model_set_u8 !m a v; "") )
+              ( outcome (fun () -> Memory.write_u8 mem a v; ""),
+                outcome (fun () -> model_set_u8 m a v; "") )
             | M_write_u64 (a, v) ->
-              ( outcome (fun () -> Memory.write_u64 !mem a v; ""),
-                outcome (fun () -> model_write_u64 !m a v; "") )
+              ( outcome (fun () -> Memory.write_u64 mem a v; ""),
+                outcome (fun () -> model_write_u64 m a v; "") )
             | M_write_bytes (a, s) ->
-              ( outcome (fun () -> Memory.write_bytes !mem a s; ""),
+              ( outcome (fun () -> Memory.write_bytes mem a s; ""),
                 outcome (fun () ->
-                    model_range !m a (String.length s) (fun (p, off, pos, chunk) ->
+                    model_range m a (String.length s) (fun (p, off, pos, chunk) ->
                         Bytes.blit_string s pos p off chunk);
                     "") )
             | M_poke (k, off, c) ->
@@ -814,30 +794,24 @@ let qcheck_page_cache_model =
                 | Some p -> Bytes.set p off c; "poked"
                 | None -> "unmapped"
               in
-              ( Ok (poke (Memory.page_contents !mem (window_base + k))),
-                Ok (poke (Hashtbl.find_opt !m.m_pages (window_base + k))) )
-            | M_copy ->
-              originals := (!mem, model_pages !m) :: !originals;
-              mem := Memory.copy !mem;
-              m := model_copy !m;
-              (Ok "", Ok "")
+              ( Ok (poke (Memory.page_contents mem (window_base + k))),
+                Ok (poke (Hashtbl.find_opt m.m_pages (window_base + k))) )
           in
           if real <> model then
             QCheck.Test.fail_reportf "%s: memory and model disagree" (show_op op);
-          if Memory.fault_count !mem <> !m.m_faults then
+          if Memory.fault_count mem <> m.m_faults then
             QCheck.Test.fail_reportf "%s: fault count %d, model %d" (show_op op)
-              (Memory.fault_count !mem) !m.m_faults;
-          if memory_pages !mem <> model_pages !m then
+              (Memory.fault_count mem) m.m_faults;
+          if memory_pages mem <> model_pages m then
             QCheck.Test.fail_reportf "%s: mapped pages differ from the model" (show_op op))
         ops;
-      List.for_all (fun (mem, pages) -> memory_pages mem = pages) !originals)
+      true)
 
 let suites =
   [ ( "machine-memory",
       [ Alcotest.test_case "cross-page access" `Quick test_memory_cross_page;
         Alcotest.test_case "segfault" `Quick test_memory_segfault;
         Alcotest.test_case "fault handler" `Quick test_memory_fault_handler;
-        Alcotest.test_case "copy independence" `Quick test_memory_copy_independent;
         Alcotest.test_case "first pages share no cache slot" `Quick test_memory_cache_spread;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |]) ~speed_level:`Quick
           qcheck_page_cache_model ] );

@@ -36,6 +36,31 @@ let check_well_formed events =
     events;
   check Alcotest.int "all spans closed" 0 (List.length !stack)
 
+(* Summed duration (ms) of the closed spans called [name] (of category
+   [cat], if given) in [events]. *)
+let span_ms ?cat name events =
+  let total = ref 0.0 and stack = ref [] in
+  List.iter
+    (fun (e : Trace.event) ->
+      match (e.Trace.ev_phase, !stack) with
+      | Trace.Begin, _ -> stack := e.Trace.ev_ts_ns :: !stack
+      | Trace.End, t0 :: rest ->
+        stack := rest;
+        if e.Trace.ev_name = name && Option.fold ~none:true ~some:(( = ) e.Trace.ev_cat) cat
+        then total := !total +. ((e.Trace.ev_ts_ns -. t0) /. 1e6)
+      | Trace.End, [] -> ())
+    events;
+  !total
+
+(* The recorded trace as {!Trace.export} writes it. *)
+let exported () =
+  let file = Filename.temp_file "dapper-trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Trace.export ~file;
+      In_channel.with_open_bin file In_channel.input_all)
+
 let migrate_once () =
   let c = Registry_helpers.compute () in
   let p = Process.load c.Link.cp_x86 in
@@ -50,8 +75,8 @@ let migrate_once () =
 (* ----- the trace sink ----- *)
 
 let test_trace_disabled_is_noop () =
+  Trace.start ();
   Trace.stop ();
-  Trace.reset ();
   check Alcotest.int "the body still runs" 7
     (Trace.with_span "ghost" (fun c ->
          Trace.set_dur c 2.0e6;
@@ -59,8 +84,7 @@ let test_trace_disabled_is_noop () =
          7));
   Trace.leaf "ghost-leaf" ~dur_ns:1.0e6;
   check Alcotest.int "nothing recorded while disabled" 0
-    (List.length (Trace.events ()));
-  check (Alcotest.float 0.0) "clock pinned at zero" 0.0 (Trace.now_ns ())
+    (List.length (Trace.events ()))
 
 let test_trace_clock_semantics () =
   Trace.start ();
@@ -69,21 +93,20 @@ let test_trace_clock_semantics () =
       Trace.advance 2.0e6;
       Trace.with_span "inner" (fun inner ->
           Trace.set_dur inner 1.0e6;
-          Trace.advance 3.0e6);
-      (* explicit duration shorter than what children charged: the
-         clock never moves backwards *)
-      check (Alcotest.float 0.0) "clock kept by bigger child charge" 5.0e6
-        (Trace.now_ns ()));
-  (* explicit duration longer than charges: clock jumps forward *)
-  check (Alcotest.float 0.0) "clock jumps to begin + dur" 9.0e6 (Trace.now_ns ());
-  check Alcotest.int "every span closed" 0 (Trace.open_spans ());
-  check_well_formed (Trace.events ());
-  check (Alcotest.float 0.0) "outer span total" 9.0
-    (Trace.total_ms "outer");
-  check (Alcotest.float 0.0) "inner span total" 3.0
-    (Trace.total_ms "inner");
+          Trace.advance 3.0e6));
   Trace.stop ();
-  Trace.reset ()
+  let events = Trace.events () in
+  check_well_formed events;
+  (* inner's explicit duration is shorter than what it charged, so the
+     clock never moves backwards; outer's is longer than everything
+     charged inside it, so the clock jumps to its begin + dur *)
+  check
+    Alcotest.(list (pair string (float 0.0)))
+    "span timestamps"
+    [ ("outer", 0.0); ("inner", 2.0e6); ("inner", 5.0e6); ("outer", 9.0e6) ]
+    (List.map (fun (e : Trace.event) -> (e.Trace.ev_name, e.Trace.ev_ts_ns)) events);
+  check (Alcotest.float 0.0) "outer span total" 9.0 (span_ms "outer" events);
+  check (Alcotest.float 0.0) "inner span total" 3.0 (span_ms "inner" events)
 
 (* Regression: manual open/close pairing used to leak the open span
    when the instrumented code raised — the next close then hit the
@@ -103,9 +126,9 @@ let test_with_span_closes_on_raise () =
      with
     | exception Boom -> true
     | () -> false);
-  check Alcotest.int "no span leaked by the raise" 0 (Trace.open_spans ());
   Trace.stop ();
   let events = Trace.events () in
+  (* no span leaked by the raise *)
   check_well_formed events;
   (* the doomed span's End event carries the accumulated args plus the
      appended exception marker, and its set_dur still moved the clock *)
@@ -122,8 +145,7 @@ let test_with_span_closes_on_raise () =
     check Alcotest.bool "exception arg appended" true
       (List.mem_assoc "exception" e.Trace.ev_args));
   check (Alcotest.float 0.0) "set_dur applied despite the raise" 4.0
-    (Trace.total_ms "doomed");
-  Trace.reset ()
+    (span_ms "doomed" events)
 
 let test_traced_migration_well_formed () =
   Trace.start ();
@@ -131,7 +153,6 @@ let test_traced_migration_well_formed () =
   Trace.stop ();
   let events = Trace.events () in
   check Alcotest.bool "events recorded" true (events <> []);
-  check Alcotest.int "no span left open" 0 (Trace.open_spans ());
   check_well_formed events;
   (* per-stage span totals agree with the session's phase times (eager
      scp: nothing charges the clock outside the stage spans) *)
@@ -142,7 +163,7 @@ let test_traced_migration_well_formed () =
       true
       (abs_float (want -. got) < 1e-6)
   in
-  let stage s = Trace.total_ms ~cat:"session" s in
+  let stage s = span_ms ~cat:"session" s events in
   close "checkpoint = pause + dump spans" t.Session.t_checkpoint_ms
     (stage "pause" +. stage "dump");
   close "recode span" t.Session.t_recode_ms (stage "recode");
@@ -150,15 +171,11 @@ let test_traced_migration_well_formed () =
   close "restore = restore + commit spans" t.Session.t_restore_ms
     (stage "restore" +. stage "commit");
   (* the Chrome export carries one object per event *)
-  (match Trace.to_chrome_json () with
-   | Dapper_util.Json.Obj kvs ->
-     (match List.assoc "traceEvents" kvs with
-      | Dapper_util.Json.List evs ->
-        check Alcotest.int "one JSON object per event" (List.length events)
-          (List.length evs)
-      | _ -> Alcotest.fail "traceEvents is not a list")
-   | _ -> Alcotest.fail "chrome export is not an object");
-  Trace.reset ()
+  (match Json_read.member_opt "traceEvents" (Json_read.of_string (exported ())) with
+   | Some (Dapper_util.Json.List evs) ->
+     check Alcotest.int "one JSON object per event" (List.length events)
+       (List.length evs)
+   | _ -> Alcotest.fail "the export has no traceEvents list")
 
 (* A traced pipelined migration marks each chunk of its transfer
    schedule with one tx-chunk leaf, in chunk order. *)
@@ -186,7 +203,6 @@ let test_traced_pipelined_chunks () =
         else None)
       (Trace.events ())
   in
-  Trace.reset ();
   let sched =
     Transport.pipeline_schedule cfg.Session.cfg_transport ~bytes:r.Session.r_image_bytes
       ~chunk_bytes:4096 ~recode_ns:(r.Session.r_times.Session.t_recode_ms *. 1e6)
@@ -207,12 +223,10 @@ let test_metrics_registry () =
   check Alcotest.int "counter accumulates" 5 (Metrics.counter_value c);
   check Alcotest.bool "re-request returns the same metric" true
     (Metrics.counter "obs.test.counter" == c);
-  Metrics.reset ();
-  check Alcotest.int "reset zeroes counters" 0 (Metrics.counter_value c);
-  check Alcotest.bool "reset keeps registrations" true
+  check Alcotest.bool "found by name" true
     (match Metrics.find "obs.test.counter" with
      | Some (Metrics.Counter c') -> c' == c
-     | _ -> false)
+     | None -> false)
 
 let find_counter name =
   match Metrics.find name with
@@ -220,13 +234,13 @@ let find_counter name =
   | None -> Alcotest.failf "missing counter %s" name
 
 (* The registry's counters count the same events as the per-run
-   records: after a registry reset, one migration per corpus program must
-   leave the transmit-attempt counter equal to the sum of the per-run
-   records, and pre-copy runs must move the pre-copy counters the
-   wall-clock benchmark reads by exactly their rounds and pages. *)
+   records: one migration per corpus program must move the
+   transmit-attempt counter by the sum of the per-run records, and
+   pre-copy runs must move the pre-copy counters by exactly their rounds
+   and pages — the deltas the wall-clock benchmark reads. *)
 let test_kept_metrics_match_records () =
-  Metrics.reset ();
   let attempts = ref 0 in
+  let attempts0 = find_counter "transport.tx.attempts" in
   let migrated = ref 0 in
   List.iter
     (fun (name, c) ->
@@ -243,8 +257,8 @@ let test_kept_metrics_match_records () =
         attempts := !attempts + r.Session.r_transfer.Transport.tx_attempts)
     (Corpus.all ());
   check Alcotest.bool "corpus migrated" true (!migrated > 0);
-  check Alcotest.int "transport.tx.attempts" !attempts
-    (find_counter "transport.tx.attempts");
+  check Alcotest.int "transport.tx.attempts delta = attempts made" !attempts
+    (find_counter "transport.tx.attempts" - attempts0);
   (* pre-copy: a source that keeps running between rounds re-dirties
      pages, so some runs take more than one round *)
   let rounds = ref 0 and pages = ref 0 and multi_round = ref false in
@@ -276,30 +290,19 @@ let test_kept_metrics_match_records () =
 (* ----- replay determinism ----- *)
 
 let chaos_trace () =
-  let c = Option.get (Corpus.find "mini-sieve") in
   Trace.start ();
-  let log =
-    match Dapper_replay.Replayer.record c.Link.cp_x86 with
-    | Ok log -> log
-    | Error e -> Alcotest.fail e
-  in
-  (match
-     Dapper_verify.Chaos.run_one ~spec:(Dapper_util.Fault.uniform 0.2) ~seed:3 ~log
-       ~dst:Dapper_isa.Arch.Aarch64 c
-   with
-  | Ok _ -> ()
-  | Error f -> Alcotest.fail (Dapper_verify.Chaos.failure_to_string f));
+  (match Dapper_verify.Chaos.sweep ~spec:(Dapper_util.Fault.uniform 0.2) ~seeds:4 () with
+   | Ok _ -> ()
+   | Error f -> Alcotest.fail (Dapper_verify.Chaos.failure_to_string f));
   Trace.stop ();
-  let json = Dapper_util.Json.to_string (Trace.to_chrome_json ()) in
-  Trace.reset ();
-  json
+  exported ()
 
 let test_chaos_replay_trace_identical () =
   let t1 = chaos_trace () in
   let t2 = chaos_trace () in
   check Alcotest.bool "trace non-trivial" true (String.length t1 > 2);
   check Alcotest.int "same size" (String.length t1) (String.length t2);
-  check Alcotest.bool "two replays of one seed: byte-identical traces" true
+  check Alcotest.bool "two replays of one sweep: byte-identical traces" true
     (String.equal t1 t2)
 
 let suites =

@@ -92,34 +92,6 @@ let test_dsu_refuses_layout_change () =
   | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
   | Ok _ -> Alcotest.fail "incompatible layout must be refused"
 
-let test_policy_identity_and_cross_isa () =
-  let c = Registry_helpers.compute () in
-  let expected_code, expected_out =
-    let p = Process.load c.Link.cp_arm in
-    match Process.run_to_completion p ~fuel:50_000_000 with
-    | Process.Exited_run v -> (v, Process.stdout_contents p)
-    | _ -> Alcotest.fail "native run failed"
-  in
-  let p = Process.load c.Link.cp_x86 in
-  ignore (Process.run p ~max_instrs:200_000);
-  (* identity first, then cross-ISA, chained through Policy *)
-  match Policy.apply p ~current:c.Link.cp_x86 Policy.Identity with
-  | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
-  | Ok st1 ->
-    ignore (Process.run st1.ap_process ~max_instrs:100_000);
-    (match Policy.apply st1.ap_process ~current:st1.ap_binary
-             (Policy.Cross_isa c.Link.cp_arm) with
-     | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
-     | Ok st2 ->
-       (match Process.run_to_completion st2.ap_process ~fuel:50_000_000 with
-        | Process.Exited_run v ->
-          check Alcotest.bool "exit equal" true (Int64.equal v expected_code);
-          check Alcotest.string "output equal" expected_out
-            (Process.stdout_contents p
-             ^ Process.stdout_contents st1.ap_process
-             ^ Process.stdout_contents st2.ap_process)
-        | _ -> Alcotest.fail "chained run failed"))
-
 let test_policy_periodic_rerandomization () =
   let c = Registry_helpers.compute () in
   let expected_code, expected_out =
@@ -156,7 +128,5 @@ let suites =
       [ Alcotest.test_case "dsu mid-run update" `Quick test_dsu_changes_behavior_mid_run;
         Alcotest.test_case "dsu refuses active function" `Quick test_dsu_refuses_active_function;
         Alcotest.test_case "dsu refuses layout change" `Quick test_dsu_refuses_layout_change;
-        Alcotest.test_case "policy identity+cross-isa chain" `Quick
-          test_policy_identity_and_cross_isa;
         Alcotest.test_case "policy periodic rerandomization" `Quick
           test_policy_periodic_rerandomization ] ) ]

@@ -1,24 +1,25 @@
 open Dapper_proto
-open Dapper_util
 
 let check = Alcotest.check
 
+(* [v] as the lone varint field of a message, tag 1: the key byte 0x08,
+   then [v]'s varint. *)
+let varint_message v = Proto.encode [ Proto.v_int 1 v ]
+
+(* [v] survives a message round trip as a varint of exactly the bytes
+   after the key. *)
+let varint_roundtrips v =
+  match Proto.decode (varint_message v) with
+  | [ { Proto.tag = 1; payload = Proto.Varint v' } ] -> Int64.equal v v'
+  | _ -> false
+
 let test_varint_boundaries () =
   List.iter
-    (fun v ->
-      let b = Bytebuf.create 16 in
-      Proto.encode_varint b v;
-      let v', n = Proto.decode_varint (Bytebuf.contents b) 0 in
-      check Alcotest.bool (Printf.sprintf "varint %Ld" v) true
-        (Int64.equal v v' && n = Bytebuf.length b))
+    (fun v -> check Alcotest.bool (Printf.sprintf "varint %Ld" v) true (varint_roundtrips v))
     [ 0L; 1L; 127L; 128L; 300L; 16383L; 16384L; Int64.max_int; -1L; Int64.min_int ]
 
 let test_varint_sizes () =
-  let size v =
-    let b = Bytebuf.create 16 in
-    Proto.encode_varint b v;
-    Bytebuf.length b
-  in
+  let size v = String.length (varint_message v) - 1 in
   check Alcotest.int "0 is 1 byte" 1 (size 0L);
   check Alcotest.int "127 is 1 byte" 1 (size 127L);
   check Alcotest.int "128 is 2 bytes" 2 (size 128L);
@@ -26,7 +27,7 @@ let test_varint_sizes () =
 
 let test_truncated_varint () =
   check Alcotest.bool "truncated" true
-    (match Proto.decode_varint "\x80\x80" 0 with
+    (match Proto.decode "\x08\x80\x80" with
      | exception Proto.Decode_error _ -> true
      | _ -> false)
 
@@ -45,8 +46,12 @@ let test_message_roundtrip () =
 let test_repeated_fields () =
   let fields = [ Proto.v_int 7 1L; Proto.v_int 7 2L; Proto.v_int 7 3L ] in
   let decoded = Proto.decode (Proto.encode fields) in
-  check Alcotest.bool "all ints" true (Proto.get_all_ints decoded 7 = [ 1L; 2L; 3L ]);
-  check Alcotest.bool "missing optional" true (Proto.get_int_opt decoded 9 = None)
+  check Alcotest.bool "all ints, in order" true (decoded = fields);
+  check Alcotest.bool "first of the repeated tag" true (Proto.get_int decoded 7 = 1L);
+  check Alcotest.bool "missing tag raises" true
+    (match Proto.get_int decoded 9 with
+     | exception Proto.Decode_error _ -> true
+     | _ -> false)
 
 let test_wrong_wire_type () =
   let decoded = Proto.decode (Proto.encode [ Proto.v_str 1 "x" ]) in
@@ -98,12 +103,7 @@ let arb_boundary_int64 = QCheck.make ~print:Int64.to_string gen_boundary_int64
 let qcheck_varint_roundtrip =
   QCheck.Test.make ~name:"varint roundtrip at Int64 boundaries" ~count:500
     arb_boundary_int64
-    (fun v ->
-      let b = Bytebuf.create 16 in
-      Proto.encode_varint b v;
-      let s = Bytebuf.contents b in
-      let v', n = Proto.decode_varint s 0 in
-      Int64.equal v v' && n = String.length s)
+    varint_roundtrips
 
 let qcheck_field_roundtrip =
   QCheck.Test.make ~name:"proto field list roundtrip" ~count:300

@@ -24,7 +24,12 @@ let replay_exn ~log bin =
   let o = Replayer.replay ~log bin in
   match o.Replayer.ro_divergence with
   | None -> o
-  | Some d -> Alcotest.failf "replay diverged: %s" (Replayer.divergence_to_string d)
+  | Some d -> Alcotest.failf "replay diverged: %s" (Replayer.divergence_report d)
+
+(* The whole-log content fingerprint: the FNV-1a digest of the log's
+   wire form (equal logs serialize byte-identically), as the log's own
+   summary line prints it. *)
+let fingerprint log = Dapper_util.Bytebuf.fnv64 (Log.encode log)
 
 (* The recorded final state's digests, as [Process.observe] reports
    them. *)
@@ -34,6 +39,12 @@ let recorded_final (log : Log.t) =
     sn_tls = eq.Log.eq_tls; sn_brk = eq.Log.eq_brk;
     sn_threads = eq.Log.eq_threads; sn_stdout = log.Log.lg_stdout;
     sn_exit = Some log.Log.lg_exit }
+
+(* The ISA-independent part of two snapshots: the data, heap and TLS
+   digests, brk and the live-thread count. *)
+let state_equal (a : Process.snapshot) (b : Process.snapshot) =
+  (a.sn_data, a.sn_heap, a.sn_tls, a.sn_brk, a.sn_threads)
+  = (b.sn_data, b.sn_heap, b.sn_tls, b.sn_brk, b.sn_threads)
 
 (* One full round-trip battery for a compiled program: record on [src],
    replay same-ISA (every recorded field must match) and cross-ISA
@@ -52,7 +63,7 @@ let round_trip name c =
       check Alcotest.bool
         (name ^ ": re-recording is byte-identical")
         true
-        (Log.fingerprint (record_exn src_bin) = Log.fingerprint log);
+        (fingerprint (record_exn src_bin) = fingerprint log);
       (* recording never perturbs the run: an untapped live execution
          produces the same stdout and exit code *)
       let live = Process.load src_bin in
@@ -69,7 +80,7 @@ let round_trip name c =
       check Alcotest.bool
         (name ^ ": recorded final state = live final state")
         true
-        (Process.state_equal (Process.observe live) (recorded_final log));
+        (state_equal (Process.observe live) (recorded_final log));
       (* same-ISA replay: validated end to end, every recorded field *)
       let same = replay_exn ~log src_bin in
       check Alcotest.int
@@ -123,7 +134,7 @@ let test_log_wire_round_trip () =
     | exception Log.Log_error msg -> Alcotest.failf "decode failed: %s" msg
   in
   check Alcotest.bool "decode(encode log) fingerprints equal" true
-    (Log.fingerprint back = Log.fingerprint log);
+    (fingerprint back = fingerprint log);
   let corrupt = Bytes.of_string bytes in
   (* the midpoint lies inside the entry-stream body (the dominant
      field), which is exactly what the checksum covers *)
@@ -164,7 +175,7 @@ let test_log_fingerprint_pins () =
       check Alcotest.string
         (Printf.sprintf "mini-quickstart %s log fingerprint" (Arch.name arch))
         want
-        (Printf.sprintf "%016Lx" (Log.fingerprint (record_exn bin))))
+        (Printf.sprintf "%016Lx" (fingerprint (record_exn bin))))
     [ (Arch.X86_64, c.Link.cp_x86, "955eacbb58eb3c96");
       (Arch.Aarch64, c.Link.cp_arm, "9a8bcda20b30510f") ]
 

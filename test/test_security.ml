@@ -81,14 +81,6 @@ let test_shuffle_mitigates () =
         (!pwned * 3 < trials))
     Exploits.all_attacks
 
-let test_entropy_math () =
-  (* paper: 4 bits of entropy = 8 shuffled allocations = 106 layouts,
-     single-guess probability 0.125 *)
-  check (Alcotest.float 0.001) "layouts" 106.0 (Shuffle.layouts_for_bits 4);
-  check (Alcotest.float 0.0001) "guess prob" 0.125 (Shuffle.guess_probability 4);
-  let p3 = Shuffle.guess_probability 4 ** 3.0 in
-  check Alcotest.bool "DOP 3-write success ~0.19%" true (p3 > 0.0019 && p3 < 0.0020)
-
 let test_entropy_asymmetry () =
   (* aarch64 achieves fewer bits: more promotion plus pair pinning *)
   let c = Registry_helpers.compute () in
@@ -106,5 +98,4 @@ let suites =
         Alcotest.test_case "popcorn baseline" `Quick test_popcorn_baseline_has_more_gadgets;
         Alcotest.test_case "exploits pwn unprotected" `Quick test_exploits_succeed_unprotected;
         Alcotest.test_case "shuffle mitigates" `Slow test_shuffle_mitigates;
-        Alcotest.test_case "entropy math" `Quick test_entropy_math;
         Alcotest.test_case "entropy asymmetry" `Quick test_entropy_asymmetry ] ) ]

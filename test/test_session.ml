@@ -50,7 +50,7 @@ let test_run_happy_path () =
           (Derr.stage_name r.Session.sr_stage ^ " cost non-negative")
           true (r.Session.sr_ms >= 0.0))
       (Session.stage_log st);
-    let t = Session.times st in
+    let t = (Session.finish st).Session.r_times in
     check Alcotest.bool "total is the sum of stage records" true
       (abs_float
          (Session.total_ms t
@@ -133,14 +133,15 @@ let test_stepwise_typed_pipeline () =
   let s = unwrap (Session.transfer s) in
   let s = unwrap (Session.restore s) in
   let s = unwrap (Session.commit s) in
-  let t = Session.times s in
+  let r = Session.finish s in
+  let t = r.Session.r_times in
   check Alcotest.bool "every phase has a positive cost" true
     (t.Session.t_checkpoint_ms > 0.0 && t.Session.t_recode_ms > 0.0
      && t.Session.t_scp_ms > 0.0 && t.Session.t_restore_ms > 0.0);
   (* the stepwise drive and the packaged outcome agree *)
-  let r = Session.finish s in
   check Alcotest.bool "finish reuses the log" true
-    (Session.total_ms r.Session.r_times = Session.total_ms t)
+    (Session.total_ms t
+     = List.fold_left (fun a r -> a +. r.Session.sr_ms) 0.0 (Session.stage_log s))
 
 let test_retry_combinator () =
   let calls = ref 0 and breathers = ref 0 in
@@ -208,7 +209,7 @@ let test_transport_costs () =
     [ 0; 1; 2 ];
   check Alcotest.int "only present pages counted" 2 stats.Transport.srv_pages;
   check (Alcotest.float 0.0) "one round trip per served page"
-    (2.0 *. Transport.page_fetch_ns lazy_t 4096) stats.Transport.srv_ns
+    (2.0 *. Netlink.page_fetch_ns Netlink.infiniband 4096) stats.Transport.srv_ns
 
 (* ----- two-phase commit ----- *)
 
@@ -565,7 +566,8 @@ let test_pipelined_overlap () =
       { (config_for c) with Session.cfg_pipeline = true; cfg_chunk_bytes = 4096 }
       3
   in
-  let st = Session.times seq and pt = Session.times pipe in
+  let st = (Session.finish seq).Session.r_times
+  and pt = (Session.finish pipe).Session.r_times in
   (* recode is unchanged; only the transfer charge shrinks (the exposed
      tail of the overlap schedule replaces the full sequential wire) *)
   check (Alcotest.float 1e-9) "recode charge unchanged"
@@ -637,11 +639,11 @@ let test_memo_warm_session () =
   let memo = Plan_cache.create_memo () in
   let cfg = { (config_for c) with Session.cfg_recode_memo = Some memo } in
   let cold = run_at_point c cfg 3 in
-  let cold_t = Session.times cold in
   let cr = Session.finish cold in
+  let cold_t = cr.Session.r_times in
   let warm = run_at_point c cfg 3 in
-  let warm_t = Session.times warm in
   let wr = Session.finish warm in
+  let warm_t = wr.Session.r_times in
   let crw = cr.Session.r_rewrite and wrw = wr.Session.r_rewrite in
   check Alcotest.int "cold run hits nothing" 0
     (crw.Rewrite.st_memo_thread_hits + crw.Rewrite.st_memo_page_hits);
@@ -682,8 +684,8 @@ let test_precopy_rollback_leaves_source_resumable () =
       ~max_rounds:4 ~downtime_budget_ms:0.0
   in
   check Alcotest.bool "rounds ran" true (List.length pre.Session.pcs_rounds >= 1);
-  check Alcotest.bool "tracking disabled after pre-copy" false
-    (Memory.tracking_dirty p.Process.mem);
+  check Alcotest.bool "tracking disabled after pre-copy" true
+    (Registry_helpers.tracks_no_dirty_pages p.Process.mem);
   (* now a real twin: same prefix, same advance budget *)
   let expected =
     let q = Process.load c.Link.cp_x86 in
@@ -743,7 +745,7 @@ let test_precopy_resident_discount () =
         + List.length pre.Session.pcs_residual);
   let run_with cfg q =
     match Session.run (Session.start cfg q) with
-    | Ok st -> Session.times st
+    | Ok st -> (Session.finish st).Session.r_times
     | Error e -> Alcotest.fail (Derr.to_string e)
   in
   let hybrid_times =

@@ -84,10 +84,7 @@ let test_observe_read_only () =
     if observe then begin
       let s1 = Process.observe p in
       let s2 = Process.observe p in
-      check Alcotest.bool "repeated observation is stable" true
-        (Process.state_equal s1 s2);
-      check Alcotest.string "snapshot renders" (Process.snapshot_to_string s1)
-        (Process.snapshot_to_string s2)
+      check Alcotest.bool "repeated observation is stable" true (s1 = s2)
     end;
     match Process.run_to_completion p ~fuel:50_000_000 with
     | Process.Exited_run v -> (v, Process.stdout_contents p)
