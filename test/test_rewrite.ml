@@ -561,6 +561,91 @@ let recoded_image_pins =
 let test_recoded_image_pins () =
   check Alcotest.(list string) "recoded images" recoded_image_pins (recoded_image_lines ())
 
+(* Lookup-count pins: the counters a rewrite reports for its frames,
+   live values, stack-map lookups, interval probes and translated
+   pointers. Each perfbench program (and redis) is paused after 200k
+   instructions on each ISA and recoded to the other; mini-sieve, the
+   corpus's pointer-heavy program, is paused at each of its equivalence
+   points in turn and its counts are summed per direction. How the
+   rewriter looks things up may change; what it counts may not. *)
+let count_line case n (st : Rewrite.stats) =
+  Printf.sprintf "%s: points %d frames %d values %d lookups %d probes %d ptrs %d" case n
+    st.Rewrite.st_frames st.Rewrite.st_values st.Rewrite.st_index_lookups
+    st.Rewrite.st_interval_lookups st.Rewrite.st_ptrs_translated
+
+let lookup_count_lines () =
+  let directions c =
+    List.map
+      (fun src_arch ->
+        let dst_arch = if src_arch = Arch.X86_64 then Arch.Aarch64 else Arch.X86_64 in
+        (Link.binary_for c src_arch, Link.binary_for c dst_arch,
+         Printf.sprintf "%s->%s" (Arch.name src_arch) (Arch.name dst_arch)))
+      Arch.all
+  in
+  let programs =
+    List.concat_map
+      (fun prog ->
+        let c = Dapper_workloads.Registry.(compiled (find prog)) in
+        List.map
+          (fun (src, dst, dir) ->
+            let p = Process.load src in
+            ignore (Process.run p ~max_instrs:200_000);
+            let _, st = ok (Rewrite.rewrite (pause_and_dump p) ~src ~dst) in
+            count_line (prog ^ " " ^ dir) 1 st)
+          (directions c))
+      [ "npb-cg.A"; "nginx"; "blackscholes"; "streamcluster"; "npb-ft.A"; "dhrystone";
+        "redis" ]
+  in
+  let sieve =
+    let c = Option.get (Dapper_verify.Corpus.find "mini-sieve") in
+    List.map
+      (fun (src, dst, dir) ->
+        let p = Process.load src in
+        let add (a : Rewrite.stats) (b : Rewrite.stats) =
+          { a with
+            Rewrite.st_frames = a.st_frames + b.st_frames;
+            st_values = a.st_values + b.st_values;
+            st_index_lookups = a.st_index_lookups + b.st_index_lookups;
+            st_interval_lookups = a.st_interval_lookups + b.st_interval_lookups;
+            st_ptrs_translated = a.st_ptrs_translated + b.st_ptrs_translated }
+        in
+        let rec walk n acc =
+          match Monitor.request_pause p ~budget:30_000_000 with
+          | Error Dapper_util.Dapper_error.Process_exited -> (n, acc)
+          | Error e -> Alcotest.fail (Dapper_util.Dapper_error.to_string e)
+          | Ok _ ->
+            let _, st = ok (Rewrite.rewrite (ok (Dapper_criu.Dump.dump p)) ~src ~dst) in
+            Monitor.resume p;
+            walk (n + 1) (match acc with None -> Some st | Some a -> Some (add a st))
+        in
+        match walk 0 None with
+        | n, Some st -> count_line ("mini-sieve " ^ dir) n st
+        | _, None -> Alcotest.fail "mini-sieve: no equivalence point")
+      (directions c)
+  in
+  programs @ sieve
+
+let lookup_count_pins =
+  [ "npb-cg.A x86-64->aarch64: points 1 frames 2 values 18 lookups 20 probes 0 ptrs 0";
+    "npb-cg.A aarch64->x86-64: points 1 frames 2 values 18 lookups 20 probes 0 ptrs 0";
+    "nginx x86-64->aarch64: points 1 frames 2 values 14 lookups 16 probes 0 ptrs 0";
+    "nginx aarch64->x86-64: points 1 frames 2 values 3 lookups 8 probes 0 ptrs 0";
+    "blackscholes x86-64->aarch64: points 1 frames 12 values 76 lookups 81 probes 0 ptrs 0";
+    "blackscholes aarch64->x86-64: points 1 frames 13 values 84 lookups 89 probes 0 ptrs 0";
+    "streamcluster x86-64->aarch64: points 1 frames 9 values 56 lookups 41 probes 0 ptrs 0";
+    "streamcluster aarch64->x86-64: points 1 frames 9 values 56 lookups 41 probes 0 ptrs 0";
+    "npb-ft.A x86-64->aarch64: points 1 frames 2 values 14 lookups 8 probes 0 ptrs 0";
+    "npb-ft.A aarch64->x86-64: points 1 frames 2 values 14 lookups 8 probes 0 ptrs 0";
+    "dhrystone x86-64->aarch64: points 1 frames 2 values 6 lookups 8 probes 0 ptrs 0";
+    "dhrystone aarch64->x86-64: points 1 frames 2 values 6 lookups 8 probes 0 ptrs 0";
+    "redis x86-64->aarch64: points 1 frames 2 values 7 lookups 8 probes 0 ptrs 0";
+    "redis aarch64->x86-64: points 1 frames 2 values 7 lookups 8 probes 0 ptrs 0";
+    "mini-sieve x86-64->aarch64: points 22 frames 43 values 191 lookups 272 probes 20 ptrs 20";
+    "mini-sieve aarch64->x86-64: points 22 frames 43 values 191 lookups 272 probes 20 ptrs 20" ]
+
+let test_lookup_count_pins () =
+  check Alcotest.(list string) "lookup counts" lookup_count_pins (lookup_count_lines ())
+
 let suites =
   [ ( "rewrite",
       [ QCheck_alcotest.to_alcotest qcheck_migration_any_point;
@@ -582,4 +667,5 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_incremental_rewrite_byte_equal;
         Alcotest.test_case "memo empties when the binary pair changes" `Quick
           test_memo_env_guard;
-        Alcotest.test_case "recoded image pins" `Quick test_recoded_image_pins ] ) ]
+        Alcotest.test_case "recoded image pins" `Quick test_recoded_image_pins;
+        Alcotest.test_case "lookup count pins" `Quick test_lookup_count_pins ] ) ]
