@@ -670,18 +670,12 @@ let fig9 () =
                            *. bytes_scale))
             in
             let shuffle_ms = shuffle_ns node (Dapper_binary.Binary.text_size bin) /. 1e6 in
-            let recode_ms =
-              Session.recode_ns node
-                ~bytes:(int_of_float (float_of_int (Dapper_criu.Images.total_bytes image')
-                                      *. bytes_scale))
-                rw
-              /. 1e6
+            let image_bytes =
+              int_of_float
+                (float_of_int (Dapper_criu.Images.total_bytes image') *. bytes_scale)
             in
-            let restore_ms =
-              Session.restore_ms ~node:Node.rpi
-                ~bytes:(int_of_float (float_of_int (Dapper_criu.Images.total_bytes image')
-                                      *. bytes_scale))
-            in
+            let recode_ms = Session.recode_ns node ~bytes:image_bytes rw /. 1e6 in
+            let restore_ms = Session.restore_ms ~node:Node.rpi ~bytes:image_bytes in
             [ name; Arch.name arch; Tbl.ms checkpoint_ms; Tbl.ms shuffle_ms;
               Tbl.ms recode_ms; Tbl.ms restore_ms;
               Tbl.ms (checkpoint_ms +. shuffle_ms +. recode_ms +. restore_ms) ])

@@ -4,9 +4,7 @@
    that a program reads. *)
 
 let entries =
-  [ ("Stackmap.func_of_addr", "linear scan the stack-map index tests compare against");
-    ("Stackmap.eqpoint_by_resume", "linear scan the stack-map index tests compare against");
-    ("Process.step_thread",
+  [ ("Process.step_thread",
      "single-instruction step the translated-block tests compare whole runs against");
     ("Memory.fault_count", "page-fault counter a per-stage work ledger will read");
     ("Sustained.postpone_backoff_ms",

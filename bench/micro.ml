@@ -21,8 +21,7 @@ let fixture () =
   let image = Dapper_util.Dapper_error.ok_exn (Dapper_criu.Dump.dump p) in
   (c, p, image)
 
-(* Redis-like server paused mid-request-loop: the workload whose dense
-   stack maps the index/plan-cache layer targets. *)
+(* Redis-like server paused mid-request-loop. *)
 let redis_fixture () =
   let c = Registry.compiled (Registry.find "redis") in
   let p = Process.load c.Link.cp_x86 in
@@ -32,26 +31,6 @@ let redis_fixture () =
    | Error e -> failwith (Dapper_util.Dapper_error.to_string e));
   let image = Dapper_util.Dapper_error.ok_exn (Dapper_criu.Dump.dump p) in
   (c, image)
-
-(* Every (function, eqpoint id) in a stack-map list — the query set for
-   the linear-vs-indexed lookup comparison. *)
-let lookup_queries maps =
-  List.concat_map
-    (fun (fm : Dapper_binary.Stackmap.func_map) ->
-      List.map
-        (fun (ep : Dapper_binary.Stackmap.eqpoint) -> (fm.fm_name, ep.ep_id))
-        fm.fm_eqpoints)
-    maps
-
-(* Synthetic but realistically sized pointer-translation interval set
-   (disjoint, like rewriter stack intervals). *)
-let translate_intervals =
-  List.init 512 (fun i ->
-      let lo = Int64.of_int (0x8000_0000 + (0x1000 * i)) in
-      (lo, Int64.add lo 0x800L, Int64.of_int i))
-
-let translate_queries =
-  List.init 1024 (fun i -> Int64.of_int (0x8000_0000 + (0x600 * i)))
 
 let tests () =
   let c, p, image = fixture () in
@@ -68,10 +47,6 @@ let tests () =
     failwith "restored twin differs from the fixture";
   let scp = Dapper_net.Transport.scp Dapper_net.Link.infiniband in
   let rc, rimage = redis_fixture () in
-  let rmaps = rc.Link.cp_x86.bin_stackmaps in
-  let rix = Dapper_binary.Binary.index rc.Link.cp_x86 in
-  let queries = lookup_queries rmaps in
-  let imap = Dapper_util.Interval_map.of_list translate_intervals in
   let kinds =
     [ { Scheduler.jk_name = "cg"; jk_xeon_ms = 9000.0; jk_rpi_ms = 25000.0;
         jk_migration_ms = 1500.0 } ]
@@ -93,7 +68,8 @@ let tests () =
           ignore (Dapper_criu.Dump.dump p)));
       Test.make ~name:"fig5-unwind" (Staged.stage (fun () ->
           ignore
-            (Unwind.unwind_all image (Dapper_binary.Binary.index c.Link.cp_x86)
+            (Unwind.unwind_all image
+               (Dapper_binary.Stackmap_index.handle c.Link.cp_x86.bin_stackmaps)
                ~anchors:c.Link.cp_x86.bin_anchors)));
       Test.make ~name:"fig5-rewrite-x86-to-arm" (Staged.stage (fun () ->
           ignore (Rewrite.rewrite image ~src:c.Link.cp_x86 ~dst:c.Link.cp_arm)));
@@ -186,36 +162,10 @@ let tests () =
           ignore (Shuffle.average_bits stats)));
       Test.make ~name:"fig11-gadget-scan" (Staged.stage (fun () ->
           ignore (Gadgets.scan c.Link.cp_x86)));
-      (* Indexed recode pipeline: the operations the stack-map index,
-         interval map and plan cache accelerate, each with its linear
-         baseline so the speedup is visible in one run. *)
+      (* A whole recode of the redis fixture, stack-map lookups and plan
+         cache included. *)
       Test.make ~name:"redis-recode-x86-to-arm" (Staged.stage (fun () ->
-          ignore (Rewrite.rewrite rimage ~src:rc.Link.cp_x86 ~dst:rc.Link.cp_arm)));
-      Test.make ~name:"redis-stackmap-lookup-linear" (Staged.stage (fun () ->
-          List.iter
-            (fun (fn, ep_id) ->
-              match Dapper_binary.Stackmap.find_func rmaps fn with
-              | Some fm -> ignore (Dapper_binary.Stackmap.eqpoint_by_id fm ep_id)
-              | None -> ())
-            queries));
-      Test.make ~name:"redis-stackmap-lookup-indexed" (Staged.stage (fun () ->
-          List.iter
-            (fun (fn, ep_id) ->
-              ignore (Dapper_binary.Stackmap_index.eqpoint_by_id rix fn ep_id))
-            queries));
-      Test.make ~name:"redis-ptr-translate-linear" (Staged.stage (fun () ->
-          List.iter
-            (fun v ->
-              ignore
-                (List.find_opt
-                   (fun (lo, hi, _) ->
-                     Int64.compare v lo >= 0 && Int64.compare v hi < 0)
-                   translate_intervals))
-            translate_queries));
-      Test.make ~name:"redis-ptr-translate-indexed" (Staged.stage (fun () ->
-          List.iter
-            (fun v -> ignore (Dapper_util.Interval_map.find imap v))
-            translate_queries)) ]
+          ignore (Rewrite.rewrite rimage ~src:rc.Link.cp_x86 ~dst:rc.Link.cp_arm))) ]
 
 let results_file = "BENCH_RESULTS.json"
 

@@ -30,18 +30,10 @@ type t = {
   bin_sections : section list;
   bin_symbols : symbol list;
   bin_stackmaps : Stackmap.func_map list;
-  bin_index : Stackmap_index.tables;
   bin_tls_size : int;
   bin_tls_init : string;
   bin_anchors : anchors;
 }
-
-let make ~app ~arch ~sections ~symbols ~stackmaps ~tls_size ~tls_init ~anchors =
-  { bin_app = app; bin_arch = arch; bin_sections = sections; bin_symbols = symbols;
-    bin_stackmaps = stackmaps; bin_index = Stackmap_index.build stackmaps;
-    bin_tls_size = tls_size; bin_tls_init = tls_init; bin_anchors = anchors }
-
-let index b = Stackmap_index.handle b.bin_index
 
 let find_section b name = List.find_opt (fun s -> s.sec_name = name) b.bin_sections
 let find_symbol b name = List.find_opt (fun s -> s.sym_name = name) b.bin_symbols
@@ -79,8 +71,3 @@ let with_text b data =
       b.bin_sections
   in
   { b with bin_sections = sections }
-
-let with_stackmaps b maps =
-  make ~app:b.bin_app ~arch:b.bin_arch ~sections:b.bin_sections
-    ~symbols:b.bin_symbols ~stackmaps:maps ~tls_size:b.bin_tls_size
-    ~tls_init:b.bin_tls_init ~anchors:b.bin_anchors

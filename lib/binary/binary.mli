@@ -33,30 +33,18 @@ type anchors = {
   a_flag : int64;            (** the dapper transformation-request flag *)
 }
 
-(** Private, so only {!make} builds one: [bin_index] always indexes
-    [bin_stackmaps]. *)
-type t = private {
+(** A plain record: nothing in it is derived from another field, so a
+    binary with other stack maps is [{ b with bin_stackmaps = maps }]. *)
+type t = {
   bin_app : string;          (** application name, e.g. ["npb-cg.A"] *)
   bin_arch : Arch.t;
   bin_sections : section list;
   bin_symbols : symbol list;
   bin_stackmaps : Stackmap.func_map list;
-  bin_index : Stackmap_index.tables;
   bin_tls_size : int;        (** bytes of each thread's TLS image *)
   bin_tls_init : string;     (** initial TLS image *)
   bin_anchors : anchors;
 }
-
-(** The constructor every binary goes through (the linker and
-    {!with_stackmaps}); it builds the stack-map index. *)
-val make :
-  app:string -> arch:Arch.t -> sections:section list -> symbols:symbol list ->
-  stackmaps:Stackmap.func_map list -> tls_size:int -> tls_init:string ->
-  anchors:anchors -> t
-
-(** A fresh lookup handle over the binary's stack-map index, its lookup
-    count at 0. *)
-val index : t -> Stackmap_index.t
 
 (** Size of the executable [.text] section (drives Fig. 9's shuffle cost). *)
 val text_size : t -> int
@@ -75,9 +63,5 @@ val text_page : t -> int -> bytes option
 
 (** [with_text b data] replaces the text section contents (used by the
     stack shuffler, which patches code). Length may change; the symbol
-    table and stack maps are kept, and so is the index. *)
+    table and stack maps are kept. *)
 val with_text : t -> string -> t
-
-(** [with_stackmaps b maps] replaces the stack maps and rebuilds the
-    index over them. *)
-val with_stackmaps : t -> Stackmap.func_map list -> t

@@ -46,4 +46,13 @@ let func_of_addr maps a =
 let eqpoint_by_resume fm a =
   List.find_opt (fun ep -> Int64.equal ep.ep_resume a) fm.fm_eqpoints
 
+let eqpoint_at_addr fm a =
+  List.find_opt (fun ep -> Int64.equal ep.ep_addr a) fm.fm_eqpoints
+
 let eqpoint_by_id fm id = List.find_opt (fun ep -> ep.ep_id = id) fm.fm_eqpoints
+
+let entry_eqpoint fm = List.find_opt (fun ep -> ep.ep_kind = Entry) fm.fm_eqpoints
+
+let live_value ep key = List.find_opt (fun lv -> lv.lv_key = key) ep.ep_live
+
+let live_value_named ep name = List.find_opt (fun lv -> lv.lv_name = name) ep.ep_live

@@ -52,7 +52,14 @@ type func_map = {
   fm_eqpoints : eqpoint list;
 }
 
-(** Lookups used by the runtime monitor and rewriter. *)
+(** {1 Lookups}
+
+    Every lookup is a first-match scan of the lists above: when
+    duplicates exist (well-formed maps have none), the first in list
+    order wins. A binary holds a few dozen functions, each with a
+    handful of equivalence points, so no table sits in front of them.
+    {!Stackmap_index} counts the lookups the rewriter and the unwinder
+    make. *)
 
 val find_func : func_map list -> string -> func_map option
 
@@ -62,5 +69,18 @@ val func_of_addr : func_map list -> int64 -> func_map option
 (** Equivalence point whose [ep_resume] equals the given address. *)
 val eqpoint_by_resume : func_map -> int64 -> eqpoint option
 
+(** Equivalence point whose [ep_addr] (trap or call instruction) equals
+    the given address. *)
+val eqpoint_at_addr : func_map -> int64 -> eqpoint option
+
 (** Equivalence point with the given id. *)
 val eqpoint_by_id : func_map -> int -> eqpoint option
+
+(** First [Entry]-kind equivalence point of the function. *)
+val entry_eqpoint : func_map -> eqpoint option
+
+(** Live value with the given key at the equivalence point. *)
+val live_value : eqpoint -> lv_key -> live_value option
+
+(** Live value with the given diagnostic name at the equivalence point. *)
+val live_value_named : eqpoint -> string -> live_value option

@@ -4,12 +4,9 @@ open Dapper_machine
 open Dapper_binary
 
 let changed_functions ~(old_bin : Binary.t) ~(new_bin : Binary.t) =
-  (* Index the new binary once instead of a linear find_func per old
-     function (O(n^2) over the program's function count). *)
-  let ix = Binary.index new_bin in
   List.filter_map
     (fun (fm : Stackmap.func_map) ->
-      match Stackmap_index.find_func ix fm.fm_name with
+      match Stackmap.find_func new_bin.bin_stackmaps fm.fm_name with
       | None -> Some fm.fm_name (* removed function counts as changed *)
       | Some fm' ->
         if
@@ -47,11 +44,10 @@ let check_layout ~(old_bin : Binary.t) ~(new_bin : Binary.t) =
 let entry_transferable ~(new_bin : Binary.t) (fr : Unwind.frame) =
   fr.fr_ep.Stackmap.ep_kind = Stackmap.Entry
   &&
-  let ix = Binary.index new_bin in
-  match Stackmap_index.find_func ix fr.fr_func.Stackmap.fm_name with
+  match Stackmap.find_func new_bin.bin_stackmaps fr.fr_func.Stackmap.fm_name with
   | None -> false
   | Some fm' ->
-    (match Stackmap_index.eqpoint_by_id ix fm'.fm_name fr.fr_ep.ep_id with
+    (match Stackmap.eqpoint_by_id fm' fr.fr_ep.ep_id with
      | None -> false
      | Some ep' ->
        let keys ep =
@@ -93,7 +89,8 @@ let update ?(retries = 16) (p : Process.t) ~old_bin ~new_bin =
       let* _ = Monitor.request_pause p ~budget:Monitor.default_budget in
       let* image = Dapper_criu.Dump.dump p in
       let* stacks =
-        Unwind.unwind_all image (Binary.index old_bin) ~anchors:old_bin.bin_anchors
+        Unwind.unwind_all image (Stackmap_index.handle old_bin.bin_stackmaps)
+          ~anchors:old_bin.bin_anchors
       in
       let* () = check_quiescent_outside ~new_bin changed stacks in
       let* image', _ = Rewrite.rewrite image ~src:old_bin ~dst:new_bin in

@@ -11,18 +11,15 @@ type pause_stats = {
 
 let default_budget = 50_000_000
 
-let index_of (p : Process.t) = Binary.index p.Process.binary
-
 (* Validate that a trapped thread sits at a checker trap: its pc must be
    the resume address of some equivalence point (the paper's defense
    against maliciously raised SIGTRAPs). *)
-let validate_trap p (th : Process.thread) =
-  let ix = index_of p in
+let validate_trap (p : Process.t) (th : Process.thread) =
   let pc = Process.pc th in
-  match Stackmap_index.func_of_addr ix pc with
+  match Stackmap.func_of_addr p.binary.bin_stackmaps pc with
   | None -> Error (Dapper_error.Not_at_equivalence_point (th.tid, pc))
   | Some fm ->
-    (match Stackmap_index.eqpoint_by_resume ix fm.fm_name pc with
+    (match Stackmap.eqpoint_by_resume fm pc with
      | Some _ -> Ok ()
      | None -> Error (Dapper_error.Not_at_equivalence_point (th.tid, pc)))
 
@@ -40,11 +37,10 @@ let rollback_blocked p (th : Process.thread) =
       (ret, fun () -> Process.set_reg th (Arch.sp arch) (Int64.add sp 8L))
     | Arch.Aarch64 -> (Process.reg th 30, fun () -> ())
   in
-  let ix = index_of p in
-  match Stackmap_index.func_of_addr ix ret_addr with
+  match Stackmap.func_of_addr p.binary.bin_stackmaps ret_addr with
   | None -> Error (Dapper_error.Not_at_equivalence_point (th.tid, ret_addr))
   | Some fm ->
-    (match Stackmap_index.eqpoint_by_resume ix fm.fm_name ret_addr with
+    (match Stackmap.eqpoint_by_resume fm ret_addr with
      | Some ep ->
        undo ();
        Process.set_pc th ep.Stackmap.ep_addr;

@@ -22,8 +22,8 @@ type shape = {
 (* The memoized frame-placement decisions for one (function, eqpoint):
    which live values are frame-resident on both sides and therefore
    contribute a pointer-translation interval (key + source size). The
-   plan stores no offsets — those are read through the stack-map index
-   of whichever binary pair is current when the plan is applied. *)
+   plan stores no offsets — those are read from the stack maps of
+   whichever binary pair is current when the plan is applied. *)
 type plan = {
   pl_shape : shape;
   pl_intervals : (Stackmap.lv_key * int) list;
@@ -53,21 +53,17 @@ let shape_of_live live =
    frame-resident values that are also frame-resident at the destination
    equivalence point. *)
 let derive shape =
-  (* First occurrence wins, matching the linear [List.find_opt] the
-     rewriter used: a key whose first destination occurrence is a
-     register never contributes an interval, even if a later duplicate
+  (* First occurrence wins: a key whose first destination occurrence is
+     a register never contributes an interval, even if a later duplicate
      is frame-resident. *)
-  let dst_first = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      if not (Hashtbl.mem dst_first s.s_key) then Hashtbl.add dst_first s.s_key s.s_frame)
-    shape.sh_dst;
+  let frame_at_dst key =
+    match List.find_opt (fun d -> d.s_key = key) shape.sh_dst with
+    | Some d -> d.s_frame
+    | None -> false
+  in
   let intervals =
     List.filter_map
-      (fun s ->
-        if s.s_frame && Hashtbl.find_opt dst_first s.s_key = Some true then
-          Some (s.s_key, s.s_size)
-        else None)
+      (fun s -> if s.s_frame && frame_at_dst s.s_key then Some (s.s_key, s.s_size) else None)
       shape.sh_src
   in
   { pl_shape = shape; pl_intervals = intervals }

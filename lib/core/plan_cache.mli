@@ -3,13 +3,13 @@
     The rewriter makes the same frame-placement decisions on every
     migration of the same binary pair: which live values of a
     [(function, eqpoint)] are frame-resident on both sides and therefore
-    feed the pointer-translation interval map. This module memoizes
+    feed pointer translation's intervals. This module memoizes
     those decisions keyed by [(app, source arch, destination arch,
     function, eqpoint id)].
 
     Cached plans are {e offset-free}: they name live values by their
-    cross-ISA keys and read concrete frame offsets through the current
-    binaries' stack-map indexes at apply time. Stack shuffling only
+    cross-ISA keys and read concrete frame offsets from the current
+    binaries' stack maps at apply time. Stack shuffling only
     permutes offsets, so periodic re-randomization pays plan
     construction once — every epoch after the first hits the cache. A
     cached plan is validated against the offset-free {!shape} of the

@@ -18,7 +18,7 @@ type applied = {
 (** [rerandomize_periodically p ~current ~rng ~interval ~epochs]
     alternates bursts of [interval] instructions with reshuffles of [p],
     which runs under [current]. [report] is called with each epoch's
-    rewrite statistics (including plan-cache and index counters).
+    rewrite statistics (including plan-cache and lookup counters).
     Returns the final state and the number of completed epochs (the
     process may exit early). Failures are pause errors, pipeline errors
     ([Dump_failed], [Recode_failed], ...) and [Shuffle_failed]. *)

@@ -125,17 +125,18 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
     fail "application mismatch between image and binaries";
   let dst_arch = dst.bin_arch in
   (* This run's own lookup handles: their counts are [st_index_lookups]. *)
-  let ix_src = Binary.index src and ix_dst = Binary.index dst in
+  let ix_src = Stackmap_index.handle src.bin_stackmaps
+  and ix_dst = Stackmap_index.handle dst.bin_stackmaps in
   (* ok_exn re-raises the carrier: an unwind failure surfaces from the
      public [rewrite] as [Unwind_failed], not disguised as a recode. *)
   let stacks = Dapper_error.ok_exn (Unwind.unwind_all image ix_src ~anchors:src.bin_anchors) in
   let placed =
     List.map (fun ts -> (ts, place_frames ix_dst ts.Unwind.ts_tid ts)) stacks
   in
-  (* Global source-stack interval map for pointer translation. Which live
+  (* Global source-stack intervals for pointer translation. Which live
      values contribute an interval is a frame-placement decision memoized
      in the plan cache; the concrete offsets come from the current
-     binaries' stack-map indexes. *)
+     binaries' stack maps. *)
   let frame_off ix fn ep_id key =
     match Stackmap_index.live_value ix fn ep_id key with
     | Some { Stackmap.lv_loc = Stackmap.Frame off; _ } -> off
@@ -167,31 +168,21 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
         dframes)
     placed;
   let intervals = !intervals in
-  let imap = Dapper_util.Interval_map.of_list intervals in
-  let imap_ok = Dapper_util.Interval_map.disjoint imap in
   let ptrs_translated = ref 0 in
   let interval_lookups = ref 0 in
+  (* A pointer into the first interval that holds it moves with that
+     interval; one outside every interval is kept. *)
   let translate v =
     incr interval_lookups;
-    if imap_ok then
-      match Dapper_util.Interval_map.find_interval imap v with
-      | Some (lo, _, dst_lo) ->
-        incr ptrs_translated;
-        Int64.add dst_lo (Int64.sub v lo)
-      | None -> v
-    else
-      (* Overlapping intervals: fall back to the first-match linear scan
-         so translation picks the same interval the unindexed rewriter
-         would have. *)
-      match
-        List.find_opt
-          (fun (lo, hi, _) -> Int64.compare v lo >= 0 && Int64.compare v hi < 0)
-          intervals
-      with
-      | Some (lo, _, dst_lo) ->
-        incr ptrs_translated;
-        Int64.add dst_lo (Int64.sub v lo)
-      | None -> v
+    match
+      List.find_opt
+        (fun (lo, hi, _) -> Int64.compare v lo >= 0 && Int64.compare v hi < 0)
+        intervals
+    with
+    | Some (lo, _, dst_lo) ->
+      incr ptrs_translated;
+      Int64.add dst_lo (Int64.sub v lo)
+    | None -> v
   in
   (* The new page table: the source's without its execution-context code
      pages; the destination's are added below. *)
@@ -289,18 +280,13 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
         List.iter
           (fun (r, off) -> store_write_u64 st (Int64.add fp (Int64.of_int off)) ctx.(r))
           df.df_fm.fm_saved;
-        (* live values; hash the source frame's values once instead of an
-           assoc scan per destination live value *)
-        let src_values = Hashtbl.create (List.length df.df_src.fr_values) in
-        List.iter
-          (fun (key, bytes) ->
-            if not (Hashtbl.mem src_values key) then Hashtbl.add src_values key bytes)
-          df.df_src.fr_values;
+        (* live values, each from the source frame's first value with
+           its key *)
         List.iter
           (fun (lv : Stackmap.live_value) ->
             incr values_count;
             let bytes =
-              match Hashtbl.find_opt src_values lv.lv_key with
+              match List.assoc_opt lv.lv_key df.df_src.fr_values with
               | Some b -> b
               | None ->
                 fail "%s: live value missing from source at ep %d" df.df_fm.fm_name
@@ -308,7 +294,7 @@ let rewrite_exn ?memo (image : Images.image_set) ~(src : Binary.t) ~(dst : Binar
             in
             if String.length bytes <> lv.lv_size then
               fail "%s: live value size mismatch" df.df_fm.fm_name;
-            (* Stack pointers are translated eagerly: the interval map was
+            (* Stack pointers are translated eagerly: the intervals were
                built from the completed frame placement of every thread, and
                [ctx] is reused frame to frame — a caller's promoted pointer
                must be translated before the callee's save-area write copies

@@ -18,7 +18,12 @@
 
     All other pages (data, heap, TLS) transfer unchanged thanks to the
     unified address space. Works on both vanilla and lazy image sets
-    (stacks are always dumped, so lazy pages are never needed). *)
+    (stacks are always dumped, so lazy pages are never needed).
+
+    Lookups are scans. Functions, equivalence points and live values
+    are found by {!Stackmap}'s first-match scans, through one counted
+    {!Stackmap_index} handle per binary. A stack pointer moves with the
+    first source interval (a frame-resident live value) that holds it. *)
 
 open Dapper_util
 open Dapper_binary
@@ -33,8 +38,9 @@ type stats = {
   st_stack_bytes : int;     (** stack bytes rebuilt *)
   st_plan_hits : int;       (** rewrite-plan cache hits during this rewrite *)
   st_plan_misses : int;     (** rewrite-plan cache misses (plans derived) *)
-  st_index_lookups : int;   (** stack-map index lookups during this rewrite *)
-  st_interval_lookups : int;(** pointer-translation interval-map probes *)
+  st_index_lookups : int;   (** stack-map lookups during this rewrite,
+                                printed as "index lookups" *)
+  st_interval_lookups : int;(** pointer-translation interval probes *)
   st_memo_page_hits : int;  (** pass-through pages skipped via output memo *)
   st_memo_thread_hits : int;(** threads replayed from the output memo *)
   st_skipped_bytes : int;   (** bytes not re-encoded thanks to memo hits *)

@@ -346,7 +346,8 @@ val migrate :
 
 (** {1 Reports} *)
 
-(** One-line migration cost report: phase times plus the index and
-    rewrite-plan-cache counters of {!Rewrite.stats}; when the run used a
-    recode memo that hit, an extra memo clause. *)
+(** One-line migration cost report: phase times plus the stack-map
+    lookup ("index lookups"), interval-probe and rewrite-plan-cache
+    counters of {!Rewrite.stats}; when the run used a recode memo that
+    hit, an extra memo clause. *)
 val cost_report : outcome -> string

@@ -44,21 +44,10 @@ let frame_slots (fm : Stackmap.func_map) =
   Hashtbl.fold (fun key (off, size) acc -> (key, off, size) :: acc) seen []
   |> List.sort (fun (_, a, _) (_, b, _) -> compare a b)
 
-(* O(log n) slot lookup by frame offset. SBI scans every instruction of
-   a function against its slot list, which made discovery O(instrs x
-   slots); the interval map cuts that to O(instrs x log slots). Falls
-   back to the original linear scan in the (never observed) case of
-   overlapping slot intervals, where binary search and first-match
-   disagree. *)
-let slot_finder slots =
-  let m =
-    Interval_map.of_list
-      (List.map
-         (fun (sid, o, sz) -> (Int64.of_int o, Int64.of_int (o + sz), (sid, o, sz)))
-         slots)
-  in
-  if Interval_map.disjoint m then fun off -> Interval_map.find m (Int64.of_int off)
-  else fun off -> List.find_opt (fun (_, o, sz) -> off >= o && off < o + sz) slots
+(* The slot whose [off, off + size) holds a frame offset, the first in
+   list order. A function's slot list is short, so SBI scans it for each
+   instruction. *)
+let slot_at slots off = List.find_opt (fun (_, o, sz) -> off >= o && off < o + sz) slots
 
 let shuffle_binary rng (binary : Binary.t) =
   let arch = binary.bin_arch in
@@ -89,8 +78,7 @@ let shuffle_binary rng (binary : Binary.t) =
           (* SBI discovery: fp-relative accesses below the save area that
              hit none of the stack-map allocations are spill slots; they
              are equally relocatable, so they join the shuffle pool. *)
-          let find_named = slot_finder slots in
-          let known off = find_named off <> None in
+          let known off = slot_at slots off <> None in
           let save_min =
             List.fold_left (fun acc (_, o) -> min acc o) 0 fm.fm_saved
           in
@@ -117,7 +105,7 @@ let shuffle_binary rng (binary : Binary.t) =
                |> List.sort (fun (_, a, _) (_, b, _) -> compare a b))
           in
           (* Slots referenced through pair instructions are pinned. *)
-          let slot_containing = slot_finder slots in
+          let slot_containing = slot_at slots in
           let pinned = Hashtbl.create 8 in
           List.iter
             (fun (_, ins) ->
@@ -225,7 +213,7 @@ let shuffle_binary rng (binary : Binary.t) =
       binary.bin_stackmaps
   in
   let binary' =
-    Binary.with_stackmaps (Binary.with_text binary (Bytes.to_string code)) new_maps
+    { (Binary.with_text binary (Bytes.to_string code)) with bin_stackmaps = new_maps }
   in
   ( binary',
     { sh_funcs = List.rev !fentropies; sh_instrs_rewritten = !instrs_rewritten } )

@@ -31,8 +31,8 @@ type thread_stack = {
 
 (** [unwind_all image ix ~anchors] unwinds every thread of [image]; [ix]
     is a lookup handle over the stack maps of the binary the image was
-    produced from ({!Binary.index}), and counts the lookups the walk
-    makes. Fails with [Dapper_error.Unwind_failed] on a corrupt stack
+    produced from ([Stackmap_index.handle bin.bin_stackmaps]), and
+    counts the lookups the walk makes. Fails with [Dapper_error.Unwind_failed] on a corrupt stack
     (bad return address, pause outside an equivalence point, ...). *)
 val unwind_all : Images.image_set -> Stackmap_index.t -> anchors:Binary.anchors ->
   (thread_stack list, Dapper_error.t) result

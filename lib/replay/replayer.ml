@@ -111,7 +111,8 @@ let stacks_of ~index (p : Process.t) =
       (Derr.to_string e)
   | Ok image ->
     (match
-       Unwind.unwind_all image (Binary.index bin) ~anchors:bin.Binary.bin_anchors
+       Unwind.unwind_all image (Stackmap_index.handle bin.Binary.bin_stackmaps)
+         ~anchors:bin.Binary.bin_anchors
      with
     | Error e ->
       diverge ~point:index ~kind:"crash" "unwind at the anchor failed: %s"

@@ -1,7 +1,4 @@
 type t = {
-  k_rel_err : float;
-  k_log_gamma : float;
-  k_gamma : float;
   k_buckets : (int, int ref) Hashtbl.t;
   mutable k_zero : int;
   mutable k_count : int;
@@ -14,14 +11,13 @@ type t = {
    bucket indexes bounded. *)
 let zero_floor = 1e-9
 
-let create ?(rel_err = 0.01) () =
-  if not (rel_err > 0.0 && rel_err < 1.0) then
-    invalid_arg "Sketch.create: rel_err outside (0, 1)";
-  let gamma = (1.0 +. rel_err) /. (1.0 -. rel_err) in
-  { k_rel_err = rel_err;
-    k_gamma = gamma;
-    k_log_gamma = Float.log gamma;
-    k_buckets = Hashtbl.create 128;
+(* Relative accuracy 1%: bucket widths grow by [gamma]. *)
+let rel_err = 0.01
+let gamma = (1.0 +. rel_err) /. (1.0 -. rel_err)
+let log_gamma = Float.log gamma
+
+let create () =
+  { k_buckets = Hashtbl.create 128;
     k_zero = 0;
     k_count = 0;
     k_min = nan;
@@ -30,7 +26,7 @@ let create ?(rel_err = 0.01) () =
 let count t = t.k_count
 
 (* Bucket k holds (gamma^(k-1), gamma^k]: ceil of the log-gamma index. *)
-let key t v = int_of_float (Float.ceil (Float.log v /. t.k_log_gamma))
+let key v = int_of_float (Float.ceil (Float.log v /. log_gamma))
 
 let add t v =
   if not (Float.is_finite v) || v < 0.0 then
@@ -46,7 +42,7 @@ let add t v =
   t.k_count <- t.k_count + 1;
   if v < zero_floor then t.k_zero <- t.k_zero + 1
   else
-    let k = key t v in
+    let k = key v in
     match Hashtbl.find_opt t.k_buckets k with
     | Some r -> incr r
     | None -> Hashtbl.add t.k_buckets k (ref 1)
@@ -57,8 +53,7 @@ let buckets t =
 
 (* Midpoint of bucket k in the relative-error metric: 2*gamma^k /
    (gamma + 1), within rel_err of every value the bucket holds. *)
-let bucket_value t k =
-  2.0 *. (t.k_gamma ** float_of_int k) /. (t.k_gamma +. 1.0)
+let bucket_value k = 2.0 *. (gamma ** float_of_int k) /. (gamma +. 1.0)
 
 let quantile_opt t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Sketch.quantile: q outside [0, 1]";
@@ -74,7 +69,7 @@ let quantile_opt t q =
            (fun (k, c) ->
              remaining := !remaining - c;
              if !remaining <= 0 then begin
-               result := bucket_value t k;
+               result := bucket_value k;
                raise Exit
              end)
            (buckets t)
@@ -89,9 +84,7 @@ let quantile t q =
   | None -> invalid_arg "Sketch.quantile: empty sketch (use quantile_opt)"
 
 let merge a b =
-  if a.k_rel_err <> b.k_rel_err then
-    invalid_arg "Sketch.merge: mismatched rel_err";
-  let t = create ~rel_err:a.k_rel_err () in
+  let t = create () in
   let blend src =
     Hashtbl.iter
       (fun k r ->

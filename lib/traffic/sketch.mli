@@ -2,8 +2,8 @@
 
     A DDSketch-style log-bucketed histogram: values land in buckets of
     exponentially growing width (ratio [gamma = (1 + e) / (1 - e)] for
-    relative accuracy [e]), so any quantile is answered to within
-    relative error [e] using O(log(max/min) / e) memory — millions of
+    the fixed relative accuracy [e = 0.01]), so any quantile is answered
+    to within 1% using O(log(max/min) / e) memory — millions of
     latencies, a few hundred buckets. Everything is deterministic:
     additions commute, {!merge} is exact bucket-wise addition (and hence
     associative and commutative to the bit), and {!quantile} is
@@ -17,10 +17,9 @@
 
 type t
 
-(** [create ~rel_err ()] accepts non-negative values. [rel_err]
-    (default 0.01, i.e. 1%) must be in (0, 1). Values below [1e-9] are
+(** [create ()] accepts non-negative values. Values below [1e-9] are
     folded into an exact zero bucket. *)
-val create : ?rel_err:float -> unit -> t
+val create : unit -> t
 
 (** Raises [Invalid_argument] on negative or non-finite values. *)
 val add : t -> float -> unit
@@ -42,6 +41,5 @@ val quantile_opt : t -> float -> float option
 
 (** Fresh sketch holding both inputs' values. Exact bucket-wise
     addition — associative, commutative, and equal (in every quantile)
-    to adding the values one by one. Raises [Invalid_argument] when the
-    operands' [rel_err] differ. *)
+    to adding the values one by one. *)
 val merge : t -> t -> t

@@ -3,10 +3,9 @@
 
     The rewriter trusts the stack maps completely — a record that lies
     about where a live value sits silently corrupts the migrated
-    process. This pass re-derives, from first principles (deliberately
-    {e not} via {!Dapper_binary.Stackmap_index}, whose tables it would
-    otherwise have to trust), every structural invariant the recode
-    pipeline relies on:
+    process. This pass re-derives, from first principles over the raw
+    map lists, every structural invariant the recode pipeline relies
+    on:
 
     - function ranges lie inside [.text] (within the {!Layout} code
       region), are disjoint, and agree with the symbol table;

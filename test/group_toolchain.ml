@@ -11,5 +11,4 @@ let suites =
   @ Test_parse.suites
   @ Test_fuzz.suites
   @ Test_stackmap_invariants.suites
-  @ Test_indexes.suites
   @ Test_decoders.suites

@@ -83,21 +83,22 @@ let test_rewrite_rejects_mismatched_binaries () =
 let test_tampered_stackmaps_detected () =
   let c, _, _ = reference () in
   let tamper (bin : Binary.t) =
-    Binary.with_stackmaps bin
-      (List.map
-         (fun (fm : Stackmap.func_map) ->
-           { fm with
-             fm_eqpoints =
-               List.map
-                 (fun (ep : Stackmap.eqpoint) ->
-                   { ep with
-                     ep_live =
-                       List.filter
-                         (fun (lv : Stackmap.live_value) ->
-                           match lv.lv_key with Stackmap.Temp _ -> false | _ -> true)
-                         ep.ep_live })
-                 fm.fm_eqpoints })
-         bin.bin_stackmaps)
+    { bin with
+      bin_stackmaps =
+        List.map
+          (fun (fm : Stackmap.func_map) ->
+            { fm with
+              fm_eqpoints =
+                List.map
+                  (fun (ep : Stackmap.eqpoint) ->
+                    { ep with
+                      ep_live =
+                        List.filter
+                          (fun (lv : Stackmap.live_value) ->
+                            match lv.lv_key with Stackmap.Temp _ -> false | _ -> true)
+                          ep.ep_live })
+                  fm.fm_eqpoints })
+          bin.bin_stackmaps }
   in
   ignore c;
   (* a program whose loop keeps a temporary live across a call, so every
@@ -165,8 +166,8 @@ let test_frame_pointer_outside_dump () =
      | _ -> false)
 
 (* [st_index_lookups] counts the rewrite's own lookups: twenty rewrites
-   run while a second domain looks names up in the same binary's index
-   each report what a rewrite run alone does. *)
+   run while a second domain looks names up in the same binary's stack
+   maps each report what a rewrite run alone does. *)
 let test_index_lookups_per_run () =
   let c, _, _ = reference () in
   let p = Process.load c.Link.cp_x86 in
@@ -181,7 +182,7 @@ let test_index_lookups_per_run () =
   let stop = Atomic.make false and made = Atomic.make 0 in
   let other =
     Domain.spawn (fun () ->
-        let ix = Binary.index c.Link.cp_x86 in
+        let ix = Stackmap_index.handle c.Link.cp_x86.bin_stackmaps in
         while not (Atomic.get stop) do
           ignore (Stackmap_index.find_func ix "main");
           Atomic.incr made
@@ -354,7 +355,7 @@ let test_memo_env_guard () =
   let fresh : Stackmap.func_map list =
     Marshal.from_string (Marshal.to_string arm.bin_stackmaps [ Marshal.No_sharing ]) 0
   in
-  let copy = Binary.with_stackmaps arm fresh in
+  let copy = { arm with bin_stackmaps = fresh } in
   check Alcotest.bool "fresh records" false (copy.bin_stackmaps == arm.bin_stackmaps);
   let warm, wst = ok (Rewrite.rewrite ~memo image ~src:x86 ~dst:copy) in
   check Alcotest.int "equal maps: threads hit" wst.Rewrite.st_threads
@@ -365,7 +366,7 @@ let test_memo_env_guard () =
     (fst (Shuffle.shuffle_binary (Dapper_util.Rng.create 29L) arm)).bin_stackmaps
   in
   check Alcotest.bool "reshuffled maps differ" true (reshuffled <> arm.bin_stackmaps);
-  let other = Binary.with_stackmaps arm reshuffled in
+  let other = { arm with bin_stackmaps = reshuffled } in
   let moved, mst = ok (Rewrite.rewrite ~memo image ~src:x86 ~dst:other) in
   let plain, _ = ok (Rewrite.rewrite image ~src:x86 ~dst:other) in
   check Alcotest.int "other maps: no thread hit" 0 mst.Rewrite.st_memo_thread_hits;
