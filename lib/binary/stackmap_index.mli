@@ -5,8 +5,8 @@
     by [Session.cost_report], rerand and perfbench). Its unwind and its
     frame placement look things up through a handle over one binary's
     map list, which answers each lookup with {!Stackmap}'s first-match
-    scan and counts it. A lookup by function name counts one; a live
-    value counts two, one for its function and one for the value.
+    scan and counts it. Each lookup counts one; a live value counts
+    two, one for its function and one for the value.
     Callers whose count nobody reads call {!Stackmap} directly. *)
 
 (** A lookup handle over one map list, with its own lookup count. *)
