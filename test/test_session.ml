@@ -760,6 +760,97 @@ let test_precopy_resident_discount () =
     true
     (hybrid_times.Session.t_scp_ms < vanilla_times.Session.t_scp_ms)
 
+(* ----- images stay snapshots -----
+
+   An image is a snapshot: whatever runs after it is taken, the source
+   resumed by a rollback or the destination restored from it, leaves
+   every page it holds as it was, and the destination leaves the paused
+   source's pages as they were. blackscholes runs four worker threads,
+   each writing its own stack. Each case also checks that the run it
+   watches wrote a page it started with, so a page that run wrote in
+   place while another held it would show. *)
+
+let blackscholes () = Dapper_workloads.Registry.(compiled (find "blackscholes"))
+
+let paused_blackscholes c =
+  let p = Process.load c.Link.cp_x86 in
+  ignore (Process.run p ~max_instrs:200_000);
+  p
+
+let image_digests (is : Dapper_criu.Images.image_set) =
+  Dapper_criu.Images.Pages.fold
+    (fun pn page acc -> (pn, Digest.string page) :: acc)
+    is.Dapper_criu.Images.is_pages []
+  |> List.rev
+
+let memory_digests mem =
+  List.map
+    (fun pn -> (pn, Digest.bytes (Option.get (Memory.page_contents mem pn))))
+    (Memory.mapped_pages mem)
+
+(* Some page of [before] now reads otherwise in [after]. *)
+let changed before after =
+  List.exists
+    (fun (pn, d) ->
+      match List.assoc_opt pn after with Some d' -> d' <> d | None -> false)
+    before
+
+let digests = Alcotest.(list (pair int string))
+
+let test_dump_stays_snapshot () =
+  let c = blackscholes () in
+  let p = paused_blackscholes c in
+  let unwrap = function Ok v -> v | Error e -> Alcotest.fail (Derr.to_string e) in
+  let s = unwrap (Session.dump (unwrap (Session.pause (Session.start (config_for c) p)))) in
+  let image = s.Session.s_state.Session.sd_image in
+  let at_dump = image_digests image in
+  Session.rollback s;
+  ignore (Process.run p ~max_instrs:100_000);
+  check Alcotest.bool "the resumed source wrote a dumped page" true
+    (changed at_dump (memory_digests p.Process.mem));
+  check digests "every page of the dump as dumped" at_dump (image_digests image)
+
+(* Migrate, then run the destination 100k instructions. *)
+let check_migration_snapshots ~what cfg p =
+  match Session.run (Session.start cfg p) with
+  | Error e -> Alcotest.failf "%s: %s" what (Derr.to_string e)
+  | Ok st ->
+    let image = st.Session.s_state.Session.sm_image in
+    let q = st.Session.s_state.Session.sm_process in
+    let image_at = image_digests image in
+    let source_at = memory_digests p.Process.mem in
+    let dest_at = memory_digests q.Process.mem in
+    (* pages the destination holds as the image or the source does *)
+    let taken =
+      List.filter (fun page -> List.mem page image_at || List.mem page source_at) dest_at
+    in
+    ignore (Process.run q ~max_instrs:100_000);
+    check Alcotest.bool (what ^ ": the destination wrote a page it took as it was") true
+      (changed taken (memory_digests q.Process.mem));
+    check digests (what ^ ": the image it was restored from") image_at (image_digests image);
+    check digests (what ^ ": the paused source's pages") source_at
+      (memory_digests p.Process.mem)
+
+let test_migrations_stay_snapshots () =
+  let c = blackscholes () in
+  check_migration_snapshots ~what:"eager" (config_for c) (paused_blackscholes c);
+  check_migration_snapshots ~what:"lazy + commit drain"
+    { (lazy_config c) with Session.cfg_commit_drain = true }
+    (paused_blackscholes c)
+
+let test_hybrid_stays_snapshot () =
+  let c = blackscholes () in
+  let p = paused_blackscholes c in
+  let pre =
+    Session.precopy (lazy_config c) p
+      ~advance:(fun _ms -> ignore (Process.run p ~max_instrs:20_000))
+      ~max_rounds:4 ~downtime_budget_ms:0.0
+  in
+  check Alcotest.bool "some pages settle resident" true (pre.Session.pcs_resident <> []);
+  check_migration_snapshots ~what:"hybrid"
+    { (lazy_config c) with Session.cfg_resident_pages = pre.Session.pcs_resident }
+    p
+
 let suites =
   [ ( "session",
       [ Alcotest.test_case "run: happy path + stage log" `Quick test_run_happy_path;
@@ -798,4 +889,9 @@ let suites =
         Alcotest.test_case "pre-copy rollback leaves source resumable" `Quick
           test_precopy_rollback_leaves_source_resumable;
         Alcotest.test_case "pre-copy resident discount" `Quick
-          test_precopy_resident_discount ] ) ]
+          test_precopy_resident_discount;
+        Alcotest.test_case "images stay snapshots: dump" `Quick test_dump_stays_snapshot;
+        Alcotest.test_case "images stay snapshots: migrations" `Quick
+          test_migrations_stay_snapshots;
+        Alcotest.test_case "images stay snapshots: hybrid" `Quick
+          test_hybrid_stays_snapshot ] ) ]
