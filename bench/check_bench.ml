@@ -11,7 +11,8 @@ let required_names =
     "dapper/fig5-criu-restore"; "dapper/redis-recode-x86-to-arm";
     "dapper/event-heap-churn"; "dapper/fig8-xl-sched-overhead";
     "dapper/replay-record"; "dapper/replay-run"; "dapper/transfer-verify";
-    "dapper/commit-observe"; "dapper/commit-ack"; "dapper/interp-cold-5k-instrs" ]
+    "dapper/commit-observe"; "dapper/commit-ack"; "dapper/interp-cold-5k-instrs";
+    "dapper/dump-restore" ]
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("check_bench: " ^ s); exit 1) fmt
 

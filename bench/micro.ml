@@ -94,6 +94,12 @@ let tests () =
          and TLS page of the paused fixture. *)
       Test.make ~name:"commit-observe" (Staged.stage (fun () ->
           ignore (Process.observe p)));
+      (* The two stages that hold a migration's pages: a dump of the
+         paused fixture and a restore of its recoded aarch64 image. Both
+         pass pages by reference, so this is their bookkeeping. *)
+      Test.make ~name:"dump-restore" (Staged.stage (fun () ->
+          ignore (Dapper_criu.Dump.dump p);
+          ignore (Dapper_criu.Restore.restore image_arm c.Link.cp_arm)));
       (* Incremental recode: every rewrite after the first hits the
          output memo (unchanged fixture), so this measures the digest +
          patch-replay fast path against fig5-rewrite-x86-to-arm above. *)

@@ -433,10 +433,11 @@ let transfer_run (s : recoded t) =
 
 let transfer s = staged Dapper_error.Transfer transfer_run s
 
-(* A copy of the paused source's page [pn]: what pre-copy made
-   resident, what a lazy restore serves, and what the commit drain pulls. *)
-let source_page s pn =
-  Option.map Bytes.copy (Memory.page_contents s.s_source.Process.mem pn)
+(* The paused source's page [pn], shared: what pre-copy made resident,
+   what a lazy restore serves, and what the commit drain pulls. The
+   destination maps it without a copy; whichever side writes it first
+   copies it. *)
+let source_page s pn = Memory.share_page s.s_source.Process.mem pn
 
 (* One post-copy page fetch from the paused source, accounted to [stats]:
    the lazy restore's page source (no [fault]) and the commit drain. *)
@@ -485,7 +486,7 @@ let restore_run (s : transferred t) =
              List.iter
                (fun pn ->
                  if not (Memory.is_mapped q.Process.mem pn) then
-                   Option.iter (Memory.map_page q.Process.mem pn) (source_page s pn))
+                   Option.iter (Memory.map_shared q.Process.mem pn) (source_page s pn))
                resident;
            (* owed: the lazy pages the restore did not already map, the
               resident ones and those it served itself (the
@@ -538,7 +539,7 @@ let commit_run (s : restored t) =
                    | Error _ as e -> e
                    | Ok None -> go drained rest
                    | Ok (Some data) ->
-                     Memory.map_page q.Process.mem pn data;
+                     Memory.map_shared q.Process.mem pn data;
                      go (drained + 1) rest)
             in
             go 0 st.sf_lazy_pages

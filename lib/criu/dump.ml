@@ -37,14 +37,15 @@ let dump_exn ?(lazy_pages = false) (p : Process.t) =
       classified
   in
   let disposed = List.map (fun ((pn, _) as page) -> (pn, in_dump page)) listed in
-  (* One snapshot of each dumped page. *)
+  (* One snapshot of each dumped page, shared with the process: its next
+     write to the page copies it. *)
   let snapshot =
     List.fold_left
       (fun acc (pn, d) ->
         if not d then acc
         else
-          match Memory.page_contents p.Process.mem pn with
-          | Some data -> Images.Pages.add pn (Bytes.to_string data) acc
+          match Memory.share_page p.Process.mem pn with
+          | Some data -> Images.Pages.add pn data acc
           | None -> fail "page %d vanished" pn)
       Images.Pages.empty disposed
   in

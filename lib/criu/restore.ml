@@ -31,7 +31,7 @@ let restore_exn ?page_source (is : Images.image_set) (binary : Binary.t) =
   if not (Images.Pages.mem flag_pn is.is_pages || Hashtbl.mem lazy_pages flag_pn) then
     fail "page %d, which holds the transformation flag, is neither dumped nor lazy" flag_pn;
   let mem = Memory.create () in
-  Images.Pages.iter (fun pn data -> Memory.map_page mem pn (Bytes.of_string data)) is.is_pages;
+  Images.Pages.iter (Memory.map_shared mem) is.is_pages;
   let threads =
     List.map
       (fun (tc : Images.thread_core) ->

@@ -6,7 +6,10 @@
     is exactly why Dapper's rewriter exists.
 
     [page_source] serves lazily-migrated pages on first access (the page
-    server client); omit it for a vanilla (fully-copied) restore. Restore
+    server client); omit it for a vanilla (fully-copied) restore. The
+    image's pages and the served ones are mapped without a copy
+    ({!Dapper_machine.Memory.map_shared}): the restored process copies a
+    page when it first writes it, so the image stays as it was. Restore
     itself clears the transformation flag, so a lazy image whose flag
     page [page_source] cannot serve is a [Restore_failed] too. *)
 
@@ -15,7 +18,7 @@ open Dapper_binary
 open Dapper_machine
 
 val restore :
-  ?page_source:(int -> bytes option) ->
+  ?page_source:(int -> string option) ->
   Images.image_set ->
   Binary.t ->
   (Process.t, Dapper_error.t) result

@@ -2,15 +2,23 @@ open Dapper_binary
 
 exception Segfault of int64
 
-(* [pages] is the page table. In front of it sits a direct-mapped cache:
-   slot [s = slot pn] holds page [cache_pns.(s)], whose bytes are
-   [cache_pages.(s)]. Only mapped pages enter the cache, and [map_page]
-   clears its page's slot, so a hit always returns the bytes the table
-   holds. *)
+(* [pages] is the page table. [shared] holds the pages whose bytes
+   someone else may hold too: those [share_page] handed out, those
+   [map_shared] mapped and those the fault handler served. Nothing
+   writes a shared page's bytes; a write copies the page first. In front
+   of the table sits a direct-mapped cache: slot [s = slot pn] holds page
+   [cache_pns.(s)], whose bytes are [cache_pages.(s)]. Only mapped pages
+   enter the cache, and [map_page] clears its page's slot, so a hit
+   always returns the bytes the table holds. The slot's write tag
+   [cache_wpns.(s)] is [cache_pns.(s)] when a write may go into those
+   bytes in place (the page is not shared and, while dirty pages are
+   tracked, already dirty), else [empty_pn]. Only [writable] gives a tag. *)
 type t = {
   pages : (int, bytes) Hashtbl.t;
+  shared : (int, unit) Hashtbl.t;
   cache_pns : int array;
   cache_pages : bytes array;
+  cache_wpns : int array;
   mutable fault_handler : (int -> bytes option) option;
   mutable faults : int;
   mutable dirty : (int, unit) Hashtbl.t option;
@@ -29,24 +37,37 @@ let empty_pn = min_int
 
 let create () =
   { pages = Hashtbl.create 256;
+    shared = Hashtbl.create 64;
     cache_pns = Array.make cache_slots empty_pn;
     cache_pages = Array.make cache_slots Bytes.empty;
+    cache_wpns = Array.make cache_slots empty_pn;
     fault_handler = None; faults = 0; dirty = None }
 
 let uncache t pn =
   let s = slot pn in
-  if t.cache_pns.(s) = pn then t.cache_pns.(s) <- empty_pn
+  if t.cache_pns.(s) = pn then begin
+    t.cache_pns.(s) <- empty_pn;
+    t.cache_wpns.(s) <- empty_pn
+  end
+
+let revoke_writes t = Array.fill t.cache_wpns 0 cache_slots empty_pn
 
 let set_fault_handler t h = t.fault_handler <- h
 let fault_count t = t.faults
 
-(* Dirty-page tracking (pre-copy rounds). One branch per write when
-   disabled, so the interpreter hot path is untouched for legacy runs. *)
+(* Dirty-page tracking (pre-copy rounds). A page's first write in a
+   round takes [writable], which marks it; revoking every write tag
+   makes that write come. *)
 let track_dirty t on =
+  revoke_writes t;
   t.dirty <- (if on then Some (Hashtbl.create 64) else None)
 
 let clear_dirty t =
-  match t.dirty with None -> () | Some d -> Hashtbl.reset d
+  match t.dirty with
+  | None -> ()
+  | Some d ->
+    Hashtbl.reset d;
+    revoke_writes t
 
 let dirty_pages t =
   match t.dirty with
@@ -62,19 +83,27 @@ let dirty_pages t =
     Array.sort Int.compare arr;
     Array.to_list arr
 
-let mark_dirty t addr =
-  match t.dirty with
-  | None -> ()
-  | Some d -> Hashtbl.replace d (Layout.page_of_addr addr) ()
+let mark_dirty t pn =
+  match t.dirty with None -> () | Some d -> Hashtbl.replace d pn ()
 
-let map_page t pn data =
-  if Bytes.length data <> Layout.page_size then
-    invalid_arg "Memory.map_page: wrong page size";
-  (match t.dirty with
-   | None -> ()
-   | Some d -> Hashtbl.replace d pn ());
+let map t pn data ~shared =
+  if Bytes.length data <> Layout.page_size then invalid_arg "Memory: wrong page size";
+  mark_dirty t pn;
   uncache t pn;
+  if shared then Hashtbl.replace t.shared pn () else Hashtbl.remove t.shared pn;
   Hashtbl.replace t.pages pn data
+
+let map_page t pn data = map t pn data ~shared:false
+let map_shared t pn data = map t pn (Bytes.unsafe_of_string data) ~shared:true
+
+let share_page t pn =
+  match Hashtbl.find_opt t.pages pn with
+  | None -> None
+  | Some p ->
+    Hashtbl.replace t.shared pn ();
+    let s = slot pn in
+    if t.cache_wpns.(s) = pn then t.cache_wpns.(s) <- empty_pn;
+    Some (Bytes.unsafe_to_string p)
 
 let is_mapped t pn = Hashtbl.mem t.pages pn
 
@@ -106,6 +135,7 @@ let page_slow t pn addr =
           if Bytes.length data <> Layout.page_size then
             invalid_arg "Memory: fault handler returned wrong page size";
           t.faults <- t.faults + 1;
+          Hashtbl.replace t.shared pn ();
           Hashtbl.replace t.pages pn data;
           data
         | None -> raise (Segfault addr))
@@ -119,6 +149,31 @@ let page t addr =
     let p = page_slow t pn addr in
     t.cache_pns.(s) <- pn;
     t.cache_pages.(s) <- p;
+    t.cache_wpns.(s) <- empty_pn;
+    p
+  end
+
+(* The bytes of the page holding [addr], to write in place: a shared
+   page is copied into the table first, and the page is marked dirty
+   while tracked. The page's slot then holds its write tag. *)
+let writable t addr =
+  let pn = Layout.page_of_addr addr in
+  let s = slot pn in
+  if Array.unsafe_get t.cache_wpns s = pn then Array.unsafe_get t.cache_pages s
+  else begin
+    let p = page t addr in
+    let p =
+      if not (Hashtbl.mem t.shared pn) then p
+      else begin
+        let own = Bytes.copy p in
+        Hashtbl.remove t.shared pn;
+        Hashtbl.replace t.pages pn own;
+        t.cache_pages.(s) <- own;
+        own
+      end
+    in
+    mark_dirty t pn;
+    t.cache_wpns.(s) <- pn;
     p
   end
 
@@ -127,19 +182,17 @@ let cached_page t pn =
   if Array.unsafe_get t.cache_pns s = pn then Array.unsafe_get t.cache_pages s
   else Bytes.empty
 
-(* A write through the page bytes skips [mark_dirty], so while pages are
-   tracked every write misses. *)
 let cached_page_for_write t pn =
-  match t.dirty with None -> cached_page t pn | Some _ -> Bytes.empty
+  let s = slot pn in
+  if Array.unsafe_get t.cache_wpns s = pn then Array.unsafe_get t.cache_pages s
+  else Bytes.empty
 
 let read_u8 t addr =
   let p = page t addr in
   Char.code (Bytes.get p (Layout.page_offset addr))
 
 let write_u8 t addr v =
-  let p = page t addr in
-  mark_dirty t addr;
-  Bytes.set p (Layout.page_offset addr) (Char.chr (v land 0xFF))
+  Bytes.set (writable t addr) (Layout.page_offset addr) (Char.chr (v land 0xFF))
 
 let read_u64 t addr =
   let off = Layout.page_offset addr in
@@ -158,11 +211,7 @@ let read_u64 t addr =
 
 let write_u64 t addr v =
   let off = Layout.page_offset addr in
-  if off + 8 <= Layout.page_size then begin
-    let p = page t addr in
-    mark_dirty t addr;
-    Bytes.set_int64_le p off v
-  end
+  if off + 8 <= Layout.page_size then Bytes.set_int64_le (writable t addr) off v
   else
     for i = 0 to 7 do
       write_u8 t
@@ -170,30 +219,29 @@ let write_u64 t addr v =
         (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
     done
 
-(* Calls [f page a off pos chunk] for each page-bounded piece of
-   [addr, addr + len) in address order: the piece starts at address [a],
-   at offset [off] in [page] and [pos] bytes into the range. Each page is
-   resolved just before its piece. *)
-let iter_range t addr len f =
+(* Calls [f page off pos chunk] for each page-bounded piece of
+   [addr, addr + len) in address order: the piece is at offset [off] in
+   [page] and [pos] bytes into the range. Each page is resolved by
+   [resolve] ([page] or [writable]) just before its piece. *)
+let iter_range resolve t addr len f =
   let pos = ref 0 in
   while !pos < len do
     let a = Int64.add addr (Int64.of_int !pos) in
     let off = Layout.page_offset a in
     let chunk = min (len - !pos) (Layout.page_size - off) in
-    f (page t a) a off !pos chunk;
+    f (resolve t a) off !pos chunk;
     pos := !pos + chunk
   done
 
 let read_bytes t addr len =
   let b = Bytes.create len in
-  iter_range t addr len (fun p _ off pos chunk -> Bytes.blit p off b pos chunk);
+  iter_range page t addr len (fun p off pos chunk -> Bytes.blit p off b pos chunk);
   Bytes.to_string b
 
 let add_to_buffer buf t addr len =
-  iter_range t addr len (fun _ _ _ _ _ -> ());
-  iter_range t addr len (fun p _ off _ chunk -> Buffer.add_subbytes buf p off chunk)
+  iter_range page t addr len (fun _ _ _ _ -> ());
+  iter_range page t addr len (fun p off _ chunk -> Buffer.add_subbytes buf p off chunk)
 
 let write_bytes t addr s =
-  iter_range t addr (String.length s) (fun p a off pos chunk ->
-      mark_dirty t a;
+  iter_range writable t addr (String.length s) (fun p off pos chunk ->
       Bytes.blit_string s pos p off chunk)

@@ -8,7 +8,29 @@
 
     A small direct-mapped cache of recently used pages sits in front of
     the page table, so a hit costs no hashing; [map_page] keeps it
-    coherent. *)
+    coherent.
+
+    {2 Sharing}
+
+    Pages are copy-on-write. {!share_page} hands out a page's bytes as
+    an immutable string, {!map_shared} maps such a string, and the fault
+    handler's pages are mapped the same way: such a page is {e shared},
+    and nothing writes its bytes. The first write through this module
+    copies it into the page table, and later writes go to that copy. So
+    a string from {!share_page} keeps its bytes whatever the memory it
+    came from does next, and a page moves from one memory to another
+    (dump, restore, a lazy page, a pre-copied one) with no copy unless
+    one side writes it.
+
+    Bytes from {!page_contents}, {!cached_page} and the fault handler
+    are read-only to callers: they may be a shared page's. Beside each
+    cache slot a write tag says whether its page may be written in
+    place: the page is not shared and, while dirty pages are tracked,
+    is already dirty. Only a write through [write_*] gives a page its
+    tag, after copying a shared page and marking the page dirty;
+    {!share_page} takes its page's tag back, and mapping or evicting a
+    page clears its slot. {!cached_page_for_write} is the tag compare,
+    so it never returns a shared page's bytes. *)
 
 type t
 
@@ -18,13 +40,28 @@ exception Segfault of int64
 val create : unit -> t
 
 (** The handler receives the page number and returns the page contents,
-    or [None] to signal a true segfault. *)
+    or [None] to signal a true segfault. The returned bytes are mapped
+    shared, as {!map_shared} maps a string: they are never written, so
+    the handler may serve bytes that others hold. *)
 val set_fault_handler : t -> (int -> bytes option) option -> unit
 
 (** Number of pages the fault handler was invoked for (successfully). *)
 val fault_count : t -> int
 
+(** [map_page t pn data] maps [data] as page [pn], owned: later writes
+    go into [data] in place. *)
 val map_page : t -> int -> bytes -> unit
+
+(** [map_shared t pn s] maps the string [s] as page [pn] without copying
+    it; the page's first write copies it, so [s] keeps its bytes. *)
+val map_shared : t -> int -> string -> unit
+
+(** [share_page t pn] is page [pn]'s bytes as a string, without copying
+    them ([None] if [pn] is unmapped; the fault handler is not asked).
+    The page becomes shared: its next write copies it, so the string
+    keeps the bytes it has now. *)
+val share_page : t -> int -> string option
+
 val is_mapped : t -> int -> bool
 
 (** Mapped page numbers in increasing order, as a freshly sorted array
@@ -36,17 +73,21 @@ val page_numbers : t -> int array
 (** Mapped page numbers in increasing order. *)
 val mapped_pages : t -> int list
 
-(** Raw page contents (without triggering the fault handler). *)
+(** Raw page contents (without triggering the fault handler). Read-only:
+    the bytes may be a shared page's. *)
 val page_contents : t -> int -> bytes option
 
 (** {2 Dirty-page tracking}
 
     Iterative pre-copy needs to know which pages were written between
-    transfer rounds. Tracking is off by default (and costs one branch per
-    write when off); [track_dirty t true] starts tracking into a fresh
-    empty set, [track_dirty t false] stops and drops the set. Writes and
-    [map_page] mark pages; reads — including fault-handler demand loads,
-    whose contents are reproducible on the destination — do not. *)
+    transfer rounds. Tracking is off by default; [track_dirty t true]
+    starts tracking into a fresh empty set, [track_dirty t false] stops
+    and drops the set. Writes, [map_page] and [map_shared] mark pages;
+    reads — including fault-handler demand loads, whose contents are
+    reproducible on the destination — do not. A page's first write in a
+    round marks it and gives it its write tag; [track_dirty] and
+    [clear_dirty] take every tag back, so later writes in the round go
+    in place through the cache. *)
 
 val track_dirty : t -> bool -> unit
 
@@ -54,7 +95,8 @@ val track_dirty : t -> bool -> unit
     increasing order. Empty when tracking is off. *)
 val dirty_pages : t -> int list
 
-(** Empty the dirty set, keeping tracking on. *)
+(** Empty the dirty set, keeping tracking on, and take every write tag
+    back. *)
 val clear_dirty : t -> unit
 
 (** [cached_page t pn] is page [pn]'s bytes if the page cache holds it,
@@ -64,9 +106,10 @@ val clear_dirty : t -> unit
     [int64] across the module boundary. *)
 val cached_page : t -> int -> bytes
 
-(** As {!cached_page}, for a write the caller makes in place: also
-    [Bytes.empty] while dirty pages are tracked, so a tracked write goes
-    through [write_*] and marks its page. *)
+(** As {!cached_page}, for a write the caller makes in place: the bytes
+    only if the page's slot holds its write tag, else [Bytes.empty], so
+    a write to a shared page, or a tracked page's first write in a
+    round, goes through [write_*]. *)
 val cached_page_for_write : t -> int -> bytes
 
 val read_u8 : t -> int64 -> int

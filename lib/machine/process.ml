@@ -106,11 +106,12 @@ let heap_end = Layout.stack_limit_of_thread (Layout.max_threads - 1)
 
 (* A page the migration source still owes is [owed]'s answer, whatever
    it is; any other page faults in as code from the binary's text, or
-   as a fresh stack page. *)
+   as a fresh stack page. Memory never writes the handler's bytes, so an
+   owed page is served as the string it is. *)
 let install_paging mem (binary : Binary.t) ~owed =
   let handler pn =
     match owed pn with
-    | Some page -> page
+    | Some page -> Option.map Bytes.unsafe_of_string page
     | None ->
       let addr = Layout.addr_of_page pn in
       if Int64.compare addr Layout.code_base >= 0 && Int64.compare addr Layout.data_base < 0
@@ -341,12 +342,13 @@ let observe_pages t =
 
 (* What the data, heap and TLS digests, brk and live-thread count of
    the two [observe]s compare, with the pages compared by number and
-   bytes instead of through digests. *)
+   bytes instead of through digests. A page the two processes share is
+   the same bytes, so identity answers first. *)
 let same_state a b =
   Int64.equal a.brk b.brk
   && List.length (live_threads a) = List.length (live_threads b)
   && List.equal
-       (fun (_, pa, x) (_, pb, y) -> pa = pb && Bytes.equal x y)
+       (fun (_, pa, x) (_, pb, y) -> pa = pb && (x == y || Bytes.equal x y))
        (observed_pages a) (observed_pages b)
 
 (* ----- ptrace-like interface ----- *)

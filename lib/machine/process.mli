@@ -123,7 +123,7 @@ val load : Binary.t -> t
     does the fault fall through to the code and stack paging of
     [load]. *)
 val reconstruct :
-  Binary.t -> Memory.t -> owed:(int -> bytes option option) -> threads:thread list ->
+  Binary.t -> Memory.t -> owed:(int -> string option option) -> threads:thread list ->
   brk:int64 -> t
 
 type run_result =

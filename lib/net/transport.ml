@@ -318,13 +318,13 @@ let fetch_page t ?fault stats ~page_bytes fetch pn =
          (match Option.bind fault (fun f -> Fault.draw f Fault.Page_fetch) with
           | Some Fault.Drop -> retry "dropped"
           | Some (Fault.Corrupt salt) ->
-            (* [data] is not mutated during the call and the alias does
-               not escape, so the page is hashed in place; only a
-               corrupted payload needs its checksum *)
-            let checksum = Bytebuf.word64 [ Bytes.unsafe_to_string data ] in
-            let damaged = Bytes.copy data in
+            (* the flip lands on a copy; only a corrupted payload needs
+               its checksum *)
+            let checksum = Bytebuf.word64 [ data ] in
+            let damaged = Bytes.of_string data in
             Fault.corrupt_byte salt damaged;
-            if Bytebuf.word64 [ Bytes.unsafe_to_string damaged ] <> checksum then
+            let damaged = Bytes.unsafe_to_string damaged in
+            if Bytebuf.word64 [ damaged ] <> checksum then
               retry "failed its checksum"
             else begin
               (* the flip landed on an empty payload: delivered intact *)

@@ -162,8 +162,9 @@ val pipeline_schedule :
     lazy restore's page source (with no [fault], so it cannot fail) and
     the session's commit drain. A served page counts in
     [stats.srv_pages]; a clean fetch charges one [page_fetch_ns t
-    page_bytes] to [stats.srv_ns]. [Ok None] means
-    the source genuinely has no such page (not a fault). Errors:
+    page_bytes] to [stats.srv_ns]. A page arrives as the string [fetch]
+    served, not a copy; an injected corruption flips a byte on a copy.
+    [Ok None] means the source genuinely has no such page (not a fault). Errors:
     [Source_lost] when the fault plane crashes the source's page server
     (the migration must roll back), [Transfer_timeout] when retries are
     exhausted. Raises [Invalid_argument] if [t] is not lazy. *)
@@ -172,9 +173,9 @@ val fetch_page :
   ?fault:Fault.t ->
   page_stats ->
   page_bytes:int ->
-  (int -> bytes option) ->
+  (int -> string option) ->
   int ->
-  (bytes option, Dapper_error.t) result
+  (string option, Dapper_error.t) result
 
 (** [fetch_stall_ns t ?fault ~page_bytes ()] samples the latency one
     demand page fetch would charge — round trips, injected delays, and

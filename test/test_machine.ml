@@ -807,6 +807,208 @@ let qcheck_page_cache_model =
         ops;
       true)
 
+(* ----- copy-on-write pages against the same plain page table -----
+
+   The model copies every page it is given, so it is what Memory would
+   be if it copied every page it hands out or maps. Besides the model's
+   reads, faults and pages, each op is checked for the sharing contract:
+   every string [share_page] handed out, every string [map_shared]
+   mapped and every page the fault handler served keeps its bytes;
+   [dirty_pages] is the model's set of pages written or mapped since
+   tracking started or was last cleared; and [cached_page_for_write]
+   returns the page table's bytes of its page, never a shared page's. *)
+
+type cow_op =
+  | C_map of int * char  (** [map_page], fresh bytes *)
+  | C_map_shared of int * char
+  | C_share of int
+  | C_read_u8 of int64
+  | C_read_u64 of int64
+  | C_read_bytes of int64 * int
+  | C_write_u8 of int64 * int
+  | C_write_u64 of int64 * int64
+  | C_write_bytes of int64 * string
+  | C_store of int64 * int  (** the interpreter's store: in place on a write tag *)
+  | C_track of bool
+  | C_clear_dirty
+
+let show_cow_op = function
+  | C_map (k, c) -> Printf.sprintf "map %d %C" k c
+  | C_map_shared (k, c) -> Printf.sprintf "map_shared %d %C" k c
+  | C_share k -> Printf.sprintf "share %d" k
+  | C_read_u8 a -> Printf.sprintf "read_u8 0x%Lx" a
+  | C_read_u64 a -> Printf.sprintf "read_u64 0x%Lx" a
+  | C_read_bytes (a, n) -> Printf.sprintf "read_bytes 0x%Lx %d" a n
+  | C_write_u8 (a, v) -> Printf.sprintf "write_u8 0x%Lx %d" a v
+  | C_write_u64 (a, v) -> Printf.sprintf "write_u64 0x%Lx 0x%Lx" a v
+  | C_write_bytes (a, s) -> Printf.sprintf "write_bytes 0x%Lx %d" a (String.length s)
+  | C_store (a, v) -> Printf.sprintf "store 0x%Lx %d" a v
+  | C_track on -> Printf.sprintf "track_dirty %b" on
+  | C_clear_dirty -> "clear_dirty"
+
+let gen_cow_ops =
+  let open QCheck.Gen in
+  let page = int_range 0 (window_pages - 1) in
+  let addr =
+    map2
+      (fun k off -> Int64.of_int (((window_base + k) * Layout.page_size) + off))
+      (int_range 0 window_pages)
+      (oneof
+         [ int_range 0 (Layout.page_size - 1);
+           int_range (Layout.page_size - 12) (Layout.page_size - 1);
+           int_range 0 8 ])
+  in
+  let byte = map Char.chr (int_range 0 255) in
+  let op =
+    frequency
+      [ (2, map2 (fun k c -> C_map (k, c)) page byte);
+        (2, map2 (fun k c -> C_map_shared (k, c)) page byte);
+        (3, map (fun k -> C_share k) page);
+        (2, map (fun a -> C_read_u8 a) addr);
+        (2, map (fun a -> C_read_u64 a) addr);
+        (2, map2 (fun a n -> C_read_bytes (a, n)) addr (int_range 0 40));
+        (3, map2 (fun a v -> C_write_u8 (a, v)) addr (int_range 0 255));
+        (3, map2 (fun a v -> C_write_u64 (a, Int64.of_int v)) addr int);
+        (2, map2 (fun a s -> C_write_bytes (a, s)) addr (string_size ~gen:byte (int_range 0 40)));
+        (4, map2 (fun a v -> C_store (a, v)) addr (int_range 0 255));
+        (1, map (fun on -> C_track on) bool);
+        (2, return C_clear_dirty) ]
+  in
+  list_size (int_range 1 80) op
+
+let qcheck_copy_on_write_model =
+  QCheck.Test.make ~count:500 ~name:"copy-on-write pages agree with a plain page table"
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_cow_op ops)) gen_cow_ops)
+    (fun ops ->
+      let mem = Memory.create () in
+      (* every string Memory may hold without a copy, with its bytes *)
+      let held = ref [] in
+      let hold s = held := (s, String.sub s 0 (String.length s)) :: !held in
+      Memory.set_fault_handler mem
+        (Some
+           (fun pn ->
+             if served pn then begin
+               let b = served_page pn in
+               hold (Bytes.unsafe_to_string b);
+               Some b
+             end
+             else None));
+      let m = { m_pages = Hashtbl.create 8; m_faults = 0 } in
+      let dirty = ref None in
+      let mark pn = Option.iter (fun d -> Hashtbl.replace d pn ()) !dirty in
+      let model_write_u8 a v =
+        ignore (model_page m a);
+        mark (Layout.page_of_addr a);
+        model_set_u8 m a v
+      in
+      let outcome f = match f () with v -> Ok v | exception Memory.Segfault a -> Error a in
+      let map_model k c =
+        Hashtbl.replace m.m_pages (window_base + k) (Bytes.make Layout.page_size c);
+        mark (window_base + k)
+      in
+      List.iter
+        (fun op ->
+          let real, model =
+            match op with
+            | C_map (k, c) ->
+              Memory.map_page mem (window_base + k) (Bytes.make Layout.page_size c);
+              map_model k c;
+              (Ok "", Ok "")
+            | C_map_shared (k, c) ->
+              let s = String.make Layout.page_size c in
+              hold s;
+              Memory.map_shared mem (window_base + k) s;
+              map_model k c;
+              (Ok "", Ok "")
+            | C_share k ->
+              let got = Memory.share_page mem (window_base + k) in
+              Option.iter hold got;
+              ( Ok (Option.value got ~default:"unmapped"),
+                Ok
+                  (match Hashtbl.find_opt m.m_pages (window_base + k) with
+                   | Some p -> Bytes.to_string p
+                   | None -> "unmapped") )
+            | C_read_u8 a ->
+              ( outcome (fun () -> string_of_int (Memory.read_u8 mem a)),
+                outcome (fun () -> string_of_int (model_u8 m a)) )
+            | C_read_u64 a ->
+              ( outcome (fun () -> Int64.to_string (Memory.read_u64 mem a)),
+                outcome (fun () -> Int64.to_string (model_read_u64 m a)) )
+            | C_read_bytes (a, n) ->
+              ( outcome (fun () -> Memory.read_bytes mem a n),
+                outcome (fun () -> model_read_bytes m a n) )
+            | C_write_u8 (a, v) ->
+              ( outcome (fun () -> Memory.write_u8 mem a v; ""),
+                outcome (fun () -> model_write_u8 a v; "") )
+            | C_write_u64 (a, v) ->
+              ( outcome (fun () -> Memory.write_u64 mem a v; ""),
+                outcome (fun () ->
+                    if Layout.page_offset a + 8 <= Layout.page_size then begin
+                      ignore (model_page m a);
+                      mark (Layout.page_of_addr a);
+                      model_write_u64 m a v
+                    end
+                    else
+                      for k = 0 to 7 do
+                        model_write_u8 (Int64.add a (Int64.of_int k))
+                          (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xFF)
+                      done;
+                    "") )
+            | C_write_bytes (a, s) ->
+              ( outcome (fun () -> Memory.write_bytes mem a s; ""),
+                outcome (fun () ->
+                    model_range m a (String.length s) (fun (p, off, pos, chunk) ->
+                        mark (Layout.page_of_addr (Int64.add a (Int64.of_int pos)));
+                        Bytes.blit_string s pos p off chunk);
+                    "") )
+            | C_store (a, v) ->
+              let pn = Layout.page_of_addr a in
+              let page = Memory.cached_page_for_write mem pn in
+              ( outcome (fun () ->
+                    if Bytes.length page <> 0 then
+                      Bytes.set page (Layout.page_offset a) (Char.chr v)
+                    else Memory.write_u8 mem a v;
+                    ""),
+                outcome (fun () -> model_write_u8 a v; "") )
+            | C_track on ->
+              Memory.track_dirty mem on;
+              dirty := if on then Some (Hashtbl.create 8) else None;
+              (Ok "", Ok "")
+            | C_clear_dirty ->
+              Memory.clear_dirty mem;
+              Option.iter Hashtbl.reset !dirty;
+              (Ok "", Ok "")
+          in
+          let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) (show_cow_op op) in
+          if real <> model then fail "memory and model disagree";
+          if Memory.fault_count mem <> m.m_faults then
+            fail "fault count %d, model %d" (Memory.fault_count mem) m.m_faults;
+          if memory_pages mem <> model_pages m then fail "mapped pages differ from the model";
+          List.iter
+            (fun (s, bytes) -> if not (String.equal s bytes) then fail "a shared page was written")
+            !held;
+          let model_dirty =
+            match !dirty with
+            | None -> []
+            | Some d -> List.sort Int.compare (Hashtbl.fold (fun pn () acc -> pn :: acc) d [])
+          in
+          if Memory.dirty_pages mem <> model_dirty then
+            fail "dirty pages [%s], model [%s]"
+              (String.concat " " (List.map string_of_int (Memory.dirty_pages mem)))
+              (String.concat " " (List.map string_of_int model_dirty));
+          for pn = window_base to window_base + window_pages do
+            let page = Memory.cached_page_for_write mem pn in
+            if Bytes.length page <> 0 then begin
+              if List.exists (fun (s, _) -> Bytes.unsafe_to_string page == s) !held then
+                fail "page %d: a shared page's bytes are writable" pn;
+              match Memory.page_contents mem pn with
+              | Some p when p == page -> ()
+              | _ -> fail "page %d: writable bytes are not the page table's" pn
+            end
+          done)
+        ops;
+      true)
+
 let suites =
   [ ( "machine-memory",
       [ Alcotest.test_case "cross-page access" `Quick test_memory_cross_page;
@@ -814,7 +1016,9 @@ let suites =
         Alcotest.test_case "fault handler" `Quick test_memory_fault_handler;
         Alcotest.test_case "first pages share no cache slot" `Quick test_memory_cache_spread;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |]) ~speed_level:`Quick
-          qcheck_page_cache_model ] );
+          qcheck_page_cache_model;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |]) ~speed_level:`Quick
+          qcheck_copy_on_write_model ] );
     ( "machine-process",
       [ Alcotest.test_case "deterministic execution" `Quick test_deterministic_execution;
         Alcotest.test_case "division by zero" `Quick test_division_by_zero_crashes;

@@ -156,7 +156,7 @@ let test_backoff_closed_form () =
   let t = Transport.retrying ~attempts:3 (Transport.page_server Link.infiniband) in
   let stats = Transport.fresh_page_stats () in
   let fault = Fault.make ~seed:3 { Fault.calm with Fault.fs_drop = 1.0 } in
-  let serve pn = if pn = 7 then Some (Bytes.make 4096 'p') else None in
+  let serve pn = if pn = 7 then Some (String.make 4096 'p') else None in
   (match Transport.fetch_page t ~fault stats ~page_bytes:4096 serve 7 with
    | Error (Derr.Transfer_timeout _) -> ()
    | Error e -> Alcotest.fail ("wrong error: " ^ Derr.to_string e)
@@ -240,15 +240,15 @@ let test_transmit_delay_survives () =
 
 (* ----- fault-aware page fetches ----- *)
 
-let page = Bytes.make 4096 'p'
-let fetch pn = if pn = 7 then Some (Bytes.copy page) else None
+let page = String.make 4096 'p'
+let fetch pn = if pn = 7 then Some page else None
 
 let test_fetch_page_paths () =
   let t = Transport.retrying ~attempts:3 (Transport.page_server Link.infiniband) in
   let stats = Transport.fresh_page_stats () in
   (* clean fetch *)
   (match Transport.fetch_page t stats ~page_bytes:4096 fetch 7 with
-   | Ok (Some data) -> check Alcotest.bool "page intact" true (Bytes.equal data page)
+   | Ok (Some data) -> check Alcotest.bool "page intact" true (String.equal data page)
    | _ -> Alcotest.fail "clean fetch must succeed");
   check Alcotest.int "one page served" 1 stats.Transport.srv_pages;
   (* a missing page is not a fault *)

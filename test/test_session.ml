@@ -200,7 +200,7 @@ let test_transport_costs () =
   (* page-server accounting without faults: every served page is counted
      and billed one round trip *)
   let stats = Transport.fresh_page_stats () in
-  let serve pn = if pn mod 2 = 0 then Some (Bytes.create 4096) else None in
+  let serve pn = if pn mod 2 = 0 then Some (String.make 4096 '\000') else None in
   List.iter
     (fun pn ->
       match Transport.fetch_page lazy_t stats ~page_bytes:4096 serve pn with
@@ -851,6 +851,63 @@ let test_hybrid_stays_snapshot () =
     { (lazy_config c) with Session.cfg_resident_pages = pre.Session.pcs_resident }
     p
 
+(* ----- zero-copy pages -----
+
+   A pass-through page moves from source to destination with no copy:
+   the dump shares it, the recode leaves it alone, the transfer and the
+   restore pass it on, and the commit drain maps the source's page
+   itself. Restore writes the transformation flag, so the flag's page is
+   the destination's own copy. *)
+
+let same_bytes p q pn =
+  match (Memory.page_contents p.Process.mem pn, Memory.page_contents q.Process.mem pn) with
+  | Some a, Some b -> a == b
+  | _ -> false
+
+let test_pages_pass_by_reference () =
+  let c = blackscholes () in
+  let flag_pn =
+    Dapper_binary.Layout.page_of_addr
+      c.Link.cp_arm.Dapper_binary.Binary.bin_anchors.Dapper_binary.Binary.a_flag
+  in
+  let unwrap = function Ok v -> v | Error e -> Alcotest.fail (Derr.to_string e) in
+  let p = paused_blackscholes c in
+  let q =
+    (Session.finish (unwrap (Session.run (Session.start (config_for c) p)))).Session.r_process
+  in
+  let passed =
+    List.filter
+      (fun pn ->
+        pn <> flag_pn
+        && match Process.vma_kind_of_page q pn with
+           | Some (Process.Vma_data | Process.Vma_heap | Process.Vma_tls) -> true
+           | _ -> false)
+      (Memory.mapped_pages q.Process.mem)
+  in
+  check Alcotest.bool "eager: data, heap and TLS pages besides the flag's" true
+    (List.length passed > 3);
+  List.iter
+    (fun pn ->
+      check Alcotest.bool (Printf.sprintf "eager: page 0x%x is the source's" pn) true
+        (same_bytes p q pn))
+    passed;
+  let p = paused_blackscholes c in
+  let cfg = { (lazy_config c) with Session.cfg_commit_drain = true } in
+  let s = unwrap (Session.pause (Session.start cfg p)) in
+  let s = unwrap (Session.recode (unwrap (Session.dump s))) in
+  let s = unwrap (Session.restore (unwrap (Session.transfer s))) in
+  let owed = s.Session.s_state.Session.sf_lazy_pages in
+  let s = unwrap (Session.commit s) in
+  let q = s.Session.s_state.Session.sm_process in
+  check Alcotest.int "lazy: the drain maps every owed page" (List.length owed)
+    s.Session.s_state.Session.sm_drained;
+  check Alcotest.bool "lazy: pages owed" true (owed <> []);
+  List.iter
+    (fun pn ->
+      check Alcotest.bool (Printf.sprintf "lazy: drained page 0x%x is the source's" pn) true
+        (same_bytes p q pn))
+    owed
+
 let suites =
   [ ( "session",
       [ Alcotest.test_case "run: happy path + stage log" `Quick test_run_happy_path;
@@ -894,4 +951,5 @@ let suites =
         Alcotest.test_case "images stay snapshots: migrations" `Quick
           test_migrations_stay_snapshots;
         Alcotest.test_case "images stay snapshots: hybrid" `Quick
-          test_hybrid_stays_snapshot ] ) ]
+          test_hybrid_stays_snapshot;
+        Alcotest.test_case "pages pass by reference" `Quick test_pages_pass_by_reference ] ) ]
