@@ -2,17 +2,14 @@ open Dapper_binary
 
 exception Segfault of int64
 
-(* [pages] is the page table. [shared] holds the pages whose bytes
-   someone else may hold too: those [share_page] handed out, those
-   [map_shared] mapped and those the fault handler served. Nothing
-   writes a shared page's bytes; a write copies the page first. In front
+(* [pages] is the page table; [shared] holds the pages whose bytes may
+   be held elsewhere, which [writable] copies before a write. In front
    of the table sits a direct-mapped cache: slot [s = slot pn] holds page
    [cache_pns.(s)], whose bytes are [cache_pages.(s)]. Only mapped pages
-   enter the cache, and [map_page] clears its page's slot, so a hit
-   always returns the bytes the table holds. The slot's write tag
-   [cache_wpns.(s)] is [cache_pns.(s)] when a write may go into those
-   bytes in place (the page is not shared and, while dirty pages are
-   tracked, already dirty), else [empty_pn]. Only [writable] gives a tag. *)
+   enter the cache, and [map] clears its page's slot, so a hit always
+   returns the bytes the table holds. The write tag [cache_wpns.(s)] is
+   either [empty_pn] or [cache_pns.(s)], the latter only when [writable]
+   gave it: the page is not shared and, while tracked, already dirty. *)
 type t = {
   pages : (int, bytes) Hashtbl.t;
   shared : (int, unit) Hashtbl.t;
@@ -55,9 +52,9 @@ let revoke_writes t = Array.fill t.cache_wpns 0 cache_slots empty_pn
 let set_fault_handler t h = t.fault_handler <- h
 let fault_count t = t.faults
 
-(* Dirty-page tracking (pre-copy rounds). A page's first write in a
-   round takes [writable], which marks it; revoking every write tag
-   makes that write come. *)
+(* Dirty-page tracking (pre-copy rounds): with every write tag taken
+   back, a page's first write in a round takes [writable], which marks
+   it. *)
 let track_dirty t on =
   revoke_writes t;
   t.dirty <- (if on then Some (Hashtbl.create 64) else None)

@@ -12,25 +12,21 @@
 
     {2 Sharing}
 
-    Pages are copy-on-write. {!share_page} hands out a page's bytes as
-    an immutable string, {!map_shared} maps such a string, and the fault
-    handler's pages are mapped the same way: such a page is {e shared},
-    and nothing writes its bytes. The first write through this module
-    copies it into the page table, and later writes go to that copy. So
-    a string from {!share_page} keeps its bytes whatever the memory it
-    came from does next, and a page moves from one memory to another
-    (dump, restore, a lazy page, a pre-copied one) with no copy unless
-    one side writes it.
-
+    Pages are copy-on-write. A page is {e shared} when {!share_page}
+    handed its bytes out, {!map_shared} mapped a string as it, or the
+    fault handler served it. Nothing writes a shared page's bytes: its
+    first write through [write_*] copies it into the page table. So a
+    page moves between memories and images (dump, restore, lazy,
+    drained and pre-copied pages) with no copy unless a side writes it.
     Bytes from {!page_contents}, {!cached_page} and the fault handler
-    are read-only to callers: they may be a shared page's. Beside each
-    cache slot a write tag says whether its page may be written in
-    place: the page is not shared and, while dirty pages are tracked,
-    is already dirty. Only a write through [write_*] gives a page its
-    tag, after copying a shared page and marking the page dirty;
-    {!share_page} takes its page's tag back, and mapping or evicting a
-    page clears its slot. {!cached_page_for_write} is the tag compare,
-    so it never returns a shared page's bytes. *)
+    are read-only to callers.
+
+    Beside each cache slot sits a write tag: the slot's page may be
+    written in place, since it is not shared and, while dirty pages are
+    tracked, is already dirty. Only [write_*] gives a page its tag;
+    {!share_page}, mapping or evicting the page, {!track_dirty} and
+    {!clear_dirty} take it back. {!cached_page_for_write} is the tag
+    compare. *)
 
 type t
 
@@ -40,26 +36,23 @@ exception Segfault of int64
 val create : unit -> t
 
 (** The handler receives the page number and returns the page contents,
-    or [None] to signal a true segfault. The returned bytes are mapped
-    shared, as {!map_shared} maps a string: they are never written, so
+    or [None] to signal a true segfault. The page is mapped shared, so
     the handler may serve bytes that others hold. *)
 val set_fault_handler : t -> (int -> bytes option) option -> unit
 
 (** Number of pages the fault handler was invoked for (successfully). *)
 val fault_count : t -> int
 
-(** [map_page t pn data] maps [data] as page [pn], owned: later writes
-    go into [data] in place. *)
+(** [map_page t pn data] maps [data] as page [pn]; writes change [data]. *)
 val map_page : t -> int -> bytes -> unit
 
-(** [map_shared t pn s] maps the string [s] as page [pn] without copying
-    it; the page's first write copies it, so [s] keeps its bytes. *)
+(** [map_shared t pn s] maps [s] as page [pn] without a copy; [s] keeps
+    its bytes. *)
 val map_shared : t -> int -> string -> unit
 
-(** [share_page t pn] is page [pn]'s bytes as a string, without copying
-    them ([None] if [pn] is unmapped; the fault handler is not asked).
-    The page becomes shared: its next write copies it, so the string
-    keeps the bytes it has now. *)
+(** [share_page t pn] is page [pn]'s bytes without a copy ([None] if
+    [pn] is unmapped; the fault handler is not asked). The page becomes
+    shared, so the string keeps its bytes. *)
 val share_page : t -> int -> string option
 
 val is_mapped : t -> int -> bool
@@ -73,8 +66,7 @@ val page_numbers : t -> int array
 (** Mapped page numbers in increasing order. *)
 val mapped_pages : t -> int list
 
-(** Raw page contents (without triggering the fault handler). Read-only:
-    the bytes may be a shared page's. *)
+(** Raw page contents (without triggering the fault handler); read-only. *)
 val page_contents : t -> int -> bytes option
 
 (** {2 Dirty-page tracking}
@@ -85,9 +77,8 @@ val page_contents : t -> int -> bytes option
     and drops the set. Writes, [map_page] and [map_shared] mark pages;
     reads — including fault-handler demand loads, whose contents are
     reproducible on the destination — do not. A page's first write in a
-    round marks it and gives it its write tag; [track_dirty] and
-    [clear_dirty] take every tag back, so later writes in the round go
-    in place through the cache. *)
+    round marks it and gives it its write tag, so later writes in the
+    round go in place. *)
 
 val track_dirty : t -> bool -> unit
 
@@ -95,8 +86,7 @@ val track_dirty : t -> bool -> unit
     increasing order. Empty when tracking is off. *)
 val dirty_pages : t -> int list
 
-(** Empty the dirty set, keeping tracking on, and take every write tag
-    back. *)
+(** Empty the dirty set, keeping tracking on. *)
 val clear_dirty : t -> unit
 
 (** [cached_page t pn] is page [pn]'s bytes if the page cache holds it,
@@ -107,9 +97,7 @@ val clear_dirty : t -> unit
 val cached_page : t -> int -> bytes
 
 (** As {!cached_page}, for a write the caller makes in place: the bytes
-    only if the page's slot holds its write tag, else [Bytes.empty], so
-    a write to a shared page, or a tracked page's first write in a
-    round, goes through [write_*]. *)
+    only while the slot holds the page's write tag. *)
 val cached_page_for_write : t -> int -> bytes
 
 val read_u8 : t -> int64 -> int
